@@ -1,5 +1,6 @@
 // Google-benchmark microbenches of the kernels on FedCA's hot paths:
-// GEMM in all three transpose variants (local SGD), the retained naive
+// GEMM in all three transpose variants (local SGD) and at the exact shapes
+// the nn layers issue in training, the retained naive
 // references (before/after comparison), the pool-parallel GEMM path, span
 // kernels, the fused dense-layer helpers, conv2d forward/backward,
 // statistical progress (Eq. 1), profiler recording, link/event-queue
@@ -79,6 +80,36 @@ void BM_GemmTN(benchmark::State& state) {
                           static_cast<std::int64_t>(2 * n * n * n));
 }
 BENCHMARK(BM_GemmTN)->Arg(32)->Arg(64)->Arg(128);
+
+// The GEMM calls local SGD issues on the benchmark models (LeNet-5 on
+// 3x16x16 inputs at batch 10, the LSTM classifier at hidden 96), in the
+// raw-pointer (m, k, n) convention of each variant: a shape-specific
+// slowdown shows up here before it shows up end to end.
+enum class GemmOp { kNN, kNT, kTN };
+
+void BM_LayerGemm(benchmark::State& state, GemmOp op, std::size_t m,
+                  std::size_t k, std::size_t n) {
+  const tensor::Tensor a = randn({m * k}, 1);
+  const tensor::Tensor b = randn({(op == GemmOp::kTN ? m : k) * n}, 2);
+  tensor::Tensor c({(op == GemmOp::kTN ? k : m) * n});
+  for (auto _ : state) {
+    switch (op) {
+      case GemmOp::kNN: tensor::gemm(m, k, n, a.raw(), b.raw(), c.raw()); break;
+      case GemmOp::kNT: tensor::gemm_nt(m, k, n, a.raw(), b.raw(), c.raw()); break;
+      case GemmOp::kTN: tensor::gemm_tn(m, k, n, a.raw(), b.raw(), c.raw()); break;
+    }
+    benchmark::DoNotOptimize(c.raw());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(2 * m * k * n));
+}
+BENCHMARK_CAPTURE(BM_LayerGemm, conv1_fwd, GemmOp::kNN, 6, 75, 256);
+BENCHMARK_CAPTURE(BM_LayerGemm, conv1_dW, GemmOp::kNT, 6, 256, 75);
+BENCHMARK_CAPTURE(BM_LayerGemm, conv2_dW, GemmOp::kNT, 16, 64, 150);
+BENCHMARK_CAPTURE(BM_LayerGemm, fc2_fwd, GemmOp::kNT, 10, 120, 84);
+BENCHMARK_CAPTURE(BM_LayerGemm, lstm_dW_ih, GemmOp::kTN, 10, 384, 8);
+BENCHMARK_CAPTURE(BM_LayerGemm, lstm_dx, GemmOp::kNN, 10, 384, 8);
 
 // The naive pre-optimization kernel, kept for honest before/after numbers.
 void BM_GemmRef(benchmark::State& state) {

@@ -283,7 +283,8 @@ void require_matrix(const Tensor& t, const char* name) {
 // carried through C memory between k-blocks. The chain is independent of
 // the blocking constants, the packing, the microkernel tier, and the
 // thread partition (rows are never split), which is what keeps output
-// bit-identical across FEDCA_SIMD tiers and worker counts.
+// bit-identical across FEDCA_SIMD tiers and worker counts. Every shape
+// takes this path, however small.
 constexpr std::size_t kMc = 96;   // rows of op(A) per packed block
 constexpr std::size_t kKc = 256;  // shared-k slice per packed block
 constexpr std::size_t kNc = 512;  // columns of op(B) per packed block
@@ -291,21 +292,8 @@ constexpr std::size_t kNc = 512;  // columns of op(B) per packed block
 static_assert(kMc % simd::kMr == 0, "A block must hold whole row panels");
 static_assert(kNc % simd::kNr == 0, "B block must hold whole column panels");
 
-// Problems with M*N*K at or below this skip packing entirely; the plain
-// chain-ordered loops below beat the pack overhead at these sizes and
-// produce bit-identical results (same per-element chains).
-constexpr double kSmallElems = 1 << 17;
-
-// op(A)[i, kk] for the stored matrix `a` with row stride `as`.
-inline float a_elem(const float* a, std::size_t as, bool a_trans, std::size_t i,
-                    std::size_t kk) {
-  return a_trans ? a[kk * as + i] : a[i * as + kk];
-}
-
-// op(B)[kk, j] for the stored matrix `b` with row stride `bs`.
-inline float b_elem(const float* b, std::size_t bs, bool b_trans, std::size_t kk,
-                    std::size_t j) {
-  return b_trans ? b[j * bs + kk] : b[kk * bs + j];
+constexpr std::size_t round_up(std::size_t x, std::size_t to) {
+  return (x + to - 1) / to * to;
 }
 
 // Packs rows [i0, i0+mb) x k [k0, k0+kb) of op(A) into kMr-wide row
@@ -365,17 +353,23 @@ void pack_b(const float* b, std::size_t bs, bool b_trans, std::size_t k0,
   }
 }
 
-// Per-thread packing scratch, allocated once per thread and held for its
-// lifetime: a per-call acquire would degrade to a fresh zero-initializing
-// allocation whenever the pool is disabled (the default), which costs more
-// than the microkernel work at hot sizes. Deliberately NOT pool-backed —
-// the buffers outlive any pool enable/clear/disable transition and the
-// pool's own thread-local cache, so tying them to it would make their
-// destruction order observable; a one-time plain allocation already
-// achieves the pool's goal of zero steady-state heap traffic.
+// Per-thread packing scratch, held for the thread's lifetime and grown only
+// to the largest panels that thread has packed so far: a per-call acquire
+// would degrade to a fresh zero-initializing allocation whenever the pool
+// is disabled (the default), which costs more than the microkernel work at
+// hot sizes. Deliberately NOT pool-backed — the buffers outlive any pool
+// enable/clear/disable transition and the pool's own thread-local cache,
+// so tying them to it would make their destruction order observable; a
+// grow-only plain allocation already achieves the pool's goal of zero
+// steady-state heap traffic.
 struct GemmScratch {
-  std::vector<float> ap = std::vector<float>(kMc * kKc);  // lint:alloc
-  std::vector<float> bp = std::vector<float>(kKc * kNc);  // lint:alloc
+  std::vector<float> ap;
+  std::vector<float> bp;
+
+  void grow(std::size_t a_floats, std::size_t b_floats) {
+    if (ap.size() < a_floats) ap.resize(a_floats);  // lint:alloc grow-only
+    if (bp.size() < b_floats) bp.resize(b_floats);  // lint:alloc grow-only
+  }
 };
 
 // C rows [i0, i1) of C(MxN) = op(A)(MxK) * op(B)(KxN) through the packed
@@ -395,6 +389,9 @@ void gemm_packed(std::size_t i0, std::size_t i1, std::size_t K, std::size_t N,
   const simd::MicroKernel kernel = simd::microkernel_generic;
 #endif
   thread_local GemmScratch scratch;
+  const std::size_t kb_max = std::min(kKc, K);
+  scratch.grow(round_up(std::min(kMc, i1 - i0), simd::kMr) * kb_max,
+               kb_max * round_up(std::min(kNc, N), simd::kNr));
   std::vector<float>& ap = scratch.ap;
   std::vector<float>& bp = scratch.bp;
   for (std::size_t jc = 0; jc < N; jc += kNc) {
@@ -420,43 +417,12 @@ void gemm_packed(std::size_t i0, std::size_t i1, std::size_t K, std::size_t N,
   }
 }
 
-// Unpacked small-problem path: the same per-element fma chains as the
-// packed driver, as plain loops. Row-major sweep when op(B) is row-major,
-// dot-style when B is transposed (contiguous along k either way).
-void gemm_small(std::size_t M, std::size_t K, std::size_t N, const float* a,
-                std::size_t as, bool a_trans, const float* b, std::size_t bs,
-                bool b_trans, float* c) {
-  if (b_trans) {
-    for (std::size_t i = 0; i < M; ++i) {
-      float* cr = c + i * N;
-      for (std::size_t j = 0; j < N; ++j) {
-        const float* br = b + j * bs;
-        float acc = 0.0f;
-        for (std::size_t kk = 0; kk < K; ++kk) {
-          acc = std::fma(a_elem(a, as, a_trans, i, kk), br[kk], acc);
-        }
-        cr[j] = acc;
-      }
-    }
-    return;
-  }
-  for (std::size_t i = 0; i < M; ++i) {
-    float* cr = c + i * N;
-    std::fill(cr, cr + N, 0.0f);
-    for (std::size_t kk = 0; kk < K; ++kk) {
-      const float av = a_elem(a, as, a_trans, i, kk);
-      const float* br = b + kk * bs;
-      for (std::size_t j = 0; j < N; ++j) cr[j] = std::fma(av, br[j], cr[j]);
-    }
-  }
-}
-
 // Opt-in threading state for large GEMMs (see ops.hpp).
 std::atomic<util::ThreadPool*> g_gemm_pool{nullptr};
 std::atomic<std::size_t> g_gemm_min_flops{1u << 22};
 
-// Common entry: small-path / serial-packed / row-partitioned-packed, all
-// computing identical bits.
+// Common entry: serial-packed / row-partitioned-packed, both computing
+// identical bits.
 void gemm_any(std::size_t M, std::size_t K, std::size_t N, const float* a,
               std::size_t as, bool a_trans, const float* b, std::size_t bs,
               bool b_trans, float* c) {
@@ -466,10 +432,6 @@ void gemm_any(std::size_t M, std::size_t K, std::size_t N, const float* a,
   }
   const double elems =
       static_cast<double>(M) * static_cast<double>(K) * static_cast<double>(N);
-  if (elems <= kSmallElems) {
-    gemm_small(M, K, N, a, as, a_trans, b, bs, b_trans, c);
-    return;
-  }
   util::ThreadPool* pool = g_gemm_pool.load(std::memory_order_acquire);
   if (pool != nullptr && M >= 2 &&
       2.0 * elems >=

@@ -12,7 +12,10 @@ other hosts.
 Provenance: the binary stamps fedca_build_type and fedca_simd_tier into
 the benchmark context (recorded in the output JSON). A debug build is
 refused with exit 2 — checked-in BENCH numbers must come from an
-optimized build. Usage:
+optimized build. The run exits 1 (after writing the output) when a
+transposed GEMM variant is more than MAX_TRANSPOSED_RATIO times slower than
+plain BM_Gemm at the same size: all three variants share one packed
+microkernel, so such a gap means a variant has left that path. Usage:
 
     python3 tools/bench_kernels.py [--build build] [--out BENCH_kernels.json]
 """
@@ -33,9 +36,31 @@ BASELINE_NS = {
     "BM_CnnTrainingIteration": 3910746,
 }
 
-FILTER = ("BM_(Gemm|GemmNT|GemmTN|GemmRef|GemmParallel|Axpy|Dot|L2Norm|Scale|"
-          "BiasAdd|RowSum|ConvForward|ConvBackward|StatisticalProgress|"
-          "CnnTrainingIteration|RoundThroughput)")
+FILTER = ("BM_(Gemm|GemmNT|GemmTN|GemmRef|GemmParallel|LayerGemm|Axpy|Dot|"
+          "L2Norm|Scale|BiasAdd|RowSum|ConvForward|ConvBackward|"
+          "StatisticalProgress|CnnTrainingIteration|RoundThroughput)")
+
+# BM_GemmNT/n and BM_GemmTN/n may be at most this many times slower than
+# BM_Gemm/n for every square size n in GUARDED_SIZES.
+MAX_TRANSPOSED_RATIO = 1.5
+GUARDED_SIZES = (32, 64, 128)
+
+
+def transposed_gaps(after):
+    """(name, ratio) for every transposed GEMM slower than the guard allows."""
+    gaps = []
+    for n in GUARDED_SIZES:
+        plain = after.get(f"BM_Gemm/{n}")
+        if not plain or plain["real_time_ns"] <= 0:
+            continue
+        for variant in ("BM_GemmNT", "BM_GemmTN"):
+            entry = after.get(f"{variant}/{n}")
+            if entry is None:
+                continue
+            ratio = entry["real_time_ns"] / plain["real_time_ns"]
+            if ratio > MAX_TRANSPOSED_RATIO:
+                gaps.append((f"{variant}/{n}", ratio))
+    return gaps
 
 
 def main() -> int:
@@ -118,7 +143,12 @@ def main() -> int:
     if gemm128 is not None:
         print(f"BM_Gemm/128 speedup vs frozen baseline: {gemm128}x",
               file=sys.stderr)
-    return 0
+
+    gaps = transposed_gaps(after)
+    for name, ratio in gaps:
+        print(f"error: {name} is {ratio:.2f}x slower than plain BM_Gemm at the "
+              f"same size (limit {MAX_TRANSPOSED_RATIO}x)", file=sys.stderr)
+    return 1 if gaps else 0
 
 
 if __name__ == "__main__":
