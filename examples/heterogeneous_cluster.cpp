@@ -30,12 +30,12 @@ int main(int argc, char** argv) {
   util::Table fleet({"client", "base speed", "bandwidth (Mbps)",
                      "speed @ t=0s", "speed @ t=60s", "avg speed [0, 300s]"});
   for (std::size_t c = 0; c < cluster.size(); ++c) {
-    auto& device = cluster.client(c);
-    fleet.add_row({std::to_string(c), util::Table::fmt(device.profile().base_speed, 2),
-                   util::Table::fmt(device.profile().bandwidth_mbps, 1),
-                   util::Table::fmt(device.timeline().speed_at(0.0), 2),
-                   util::Table::fmt(device.timeline().speed_at(60.0), 2),
-                   util::Table::fmt(device.timeline().average_speed(0.0, 300.0), 2)});
+    sim::DeviceLease device = cluster.lease(c);
+    fleet.add_row({std::to_string(c), util::Table::fmt(device->profile().base_speed, 2),
+                   util::Table::fmt(device->profile().bandwidth_mbps, 1),
+                   util::Table::fmt(device->timeline().speed_at(0.0), 2),
+                   util::Table::fmt(device->timeline().speed_at(60.0), 2),
+                   util::Table::fmt(device->timeline().average_speed(0.0, 300.0), 2)});
   }
   util::print_section(std::cout, "Simulated device fleet (FedScale-style "
                                  "heterogeneity + gamma fast/slow dynamicity)");

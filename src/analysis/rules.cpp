@@ -337,18 +337,7 @@ void check_device_seam(const SourceFile& f, std::vector<Finding>& findings) {
   }
   for (std::size_t i = 0; i < n; ++i) {
     const Token& t = f.tokens[i];
-    if (t.kind != TokenKind::kIdent) continue;
-    // `x.client(...)` / `x->client(...)`: legacy direct device access.
-    if (t.text == "client" && i >= 1 &&
-        (is_punct(f, i - 1, ".") || is_punct(f, i - 1, "->")) &&
-        is_punct(f, i + 1, "(")) {
-      add_finding(findings, "device-seam", f.rel_path, t.line,
-                  "Cluster::client() outside the seam — legacy direct "
-                  "device access throws in compact mode; check the device "
-                  "out via Cluster::lease()");
-      continue;
-    }
-    if (t.text != "ClientDevice") continue;
+    if (t.kind != TokenKind::kIdent || t.text != "ClientDevice") continue;
     // A ClientDevice mention is fine when its statement goes through a
     // lease (declared lease variable or an inline `.lease(...)` call).
     std::size_t stmt_begin = i;

@@ -30,9 +30,9 @@
 //                         iteration order is allocation-order-dependent —
 //                         src/.
 //   device-seam           ClientDevice obtained outside a DeviceLease
-//                         (`.client(...)` calls, or a ClientDevice
-//                         variable whose statement involves no lease) —
-//                         src/ minus the cluster/registry seam.
+//                         (a ClientDevice mention whose statement
+//                         involves no lease) — src/ minus the
+//                         cluster/registry seam.
 #pragma once
 
 #include <set>

@@ -48,15 +48,6 @@ void BatchLoader::restore(const Cursor& cursor) {
   cursor_ = cursor.position;
 }
 
-std::size_t BatchLoader::approx_bytes() const {
-  std::size_t bytes = sizeof(BatchLoader);
-  bytes += order_.capacity() * sizeof(std::size_t);
-  bytes += scratch_indices_.capacity() * sizeof(std::size_t);
-  bytes += batch_.inputs.numel() * sizeof(float);
-  bytes += batch_.labels.capacity() * sizeof(int);
-  return bytes;
-}
-
 void BatchLoader::reshuffle() {
   rng_.shuffle(order_);
   cursor_ = 0;

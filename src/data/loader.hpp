@@ -44,10 +44,6 @@ class BatchLoader {
   // loader (constructed, never advanced) with cursor.epochs >= 1.
   void restore(const Cursor& cursor);
 
-  // Approximate live heap footprint in bytes (used by the scale bench's
-  // legacy-vs-registry client-state accounting).
-  std::size_t approx_bytes() const;
-
  private:
   void reshuffle();
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <optional>
 #include <stdexcept>
 
 #include "nn/sgd.hpp"
@@ -45,12 +44,9 @@ AsyncEngine::AsyncEngine(nn::Classifier* model, sim::Cluster* cluster,
   if (model_ == nullptr || cluster_ == nullptr) {
     throw std::invalid_argument("AsyncEngine: null dependency");
   }
-  if (cluster_->compact()) {
-    if (shards_.empty() || shards_.size() > cluster_->size()) {
-      throw std::invalid_argument("AsyncEngine: shard pool size invalid");
-    }
-  } else if (shards_.size() != cluster_->size()) {
-    throw std::invalid_argument("AsyncEngine: shard count mismatch");
+  // Shard pool semantics as in RoundEngine: client c reads shards_[c % pool].
+  if (shards_.empty() || shards_.size() > cluster_->size()) {
+    throw std::invalid_argument("AsyncEngine: shard pool size invalid");
   }
   if (options_.local_iterations == 0) {
     throw std::invalid_argument("AsyncEngine: local_iterations must be > 0");
@@ -58,16 +54,9 @@ AsyncEngine::AsyncEngine(nn::Classifier* model, sim::Cluster* cluster,
   if (options_.mix <= 0.0 || options_.mix > 1.0) {
     throw std::invalid_argument("AsyncEngine: mix must be in (0, 1]");
   }
-  if (cluster_->compact()) {
-    // Lazy loaders (fork() is pure): same streams as the eager loop below.
-    loader_rng_ = rng;
-    loader_cursors_.resize(cluster_->size());
-  } else {
-    loaders_.reserve(shards_.size());
-    for (std::size_t c = 0; c < shards_.size(); ++c) {
-      loaders_.emplace_back(&shards_[c], options_.batch_size, rng.fork(0xA517C + c));
-    }
-  }
+  // Loaders are built per training pass from pure forks of this snapshot.
+  loader_rng_ = rng;
+  loader_cursors_.resize(cluster_->size());
   tensor::BufferPool::set_capacity_hint(
       static_cast<std::size_t>(model_->state().numel()) * sizeof(float),
       util::ThreadPool::resolve_workers(options_.worker_threads));
@@ -110,23 +99,16 @@ util::ThreadPool& AsyncEngine::dispatch_pool(std::size_t workers) {
 
 void AsyncEngine::train_cycle(nn::Classifier& net, std::size_t c) {
   nn::SgdOptimizer optimizer(net.parameters(), options_.optimizer);
-  data::BatchLoader* loader = nullptr;
-  std::optional<data::BatchLoader> local_loader;
-  if (loaders_.empty()) {
-    local_loader.emplace(&shards_[c % shards_.size()], options_.batch_size,
-                         loader_rng_.fork(0xA517C + c));
-    const data::BatchLoader::Cursor& cur = loader_cursors_[c];
-    if (cur.epochs > 0 || cur.position > 0) local_loader->restore(cur);
-    loader = &*local_loader;
-  } else {
-    loader = &loaders_[c];
-  }
+  data::BatchLoader loader(&shards_[c % shards_.size()], options_.batch_size,
+                           loader_rng_.fork(0xA517C + c));
+  const data::BatchLoader::Cursor& cursor = loader_cursors_[c];
+  if (cursor.epochs > 0 || cursor.position > 0) loader.restore(cursor);
   for (std::size_t it = 0; it < options_.local_iterations; ++it) {
-    const data::Batch& batch = loader->next_batch();
+    const data::Batch& batch = loader.next_batch();
     net.compute_gradients(batch.inputs, batch.labels);
     optimizer.step();
   }
-  if (local_loader.has_value()) loader_cursors_[c] = local_loader->cursor();
+  loader_cursors_[c] = loader.cursor();
 }
 
 void AsyncEngine::train_pending(InFlight& winner_flight, std::size_t winner) {

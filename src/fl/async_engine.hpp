@@ -140,10 +140,8 @@ class AsyncEngine {
   sim::Cluster* cluster_;
   std::vector<data::Dataset> shards_;
   AsyncEngineOptions options_;
-  // Legacy clusters: one persistent loader per client. Compact clusters:
-  // loaders are rebuilt per training pass from loader_rng_'s pure
+  // Loaders are rebuilt per training pass from loader_rng_'s pure
   // per-client fork plus the stored cursor (same scheme as RoundEngine).
-  std::vector<data::BatchLoader> loaders_;
   util::Rng loader_rng_;
   std::vector<data::BatchLoader::Cursor> loader_cursors_;
   std::vector<InFlight> in_flight_;  // one slot per client

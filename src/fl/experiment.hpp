@@ -29,7 +29,7 @@ struct ExperimentOptions {
   // Number of distinct data shards. 0 (default) partitions one shard per
   // client; a smaller pool lets million-client populations share shards
   // (client c reads shard c % shard_pool) so data stays O(pool), not
-  // O(clients). Requires the compact cluster registry when < num_clients.
+  // O(clients).
   std::size_t shard_pool = 0;
   std::size_t local_iterations = 40;   // K
   std::size_t batch_size = 16;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <optional>
 #include <stdexcept>
 
 #include "obs/metrics.hpp"
@@ -37,19 +36,12 @@ RoundEngine::RoundEngine(nn::Classifier* model, sim::Cluster* cluster,
   if (model_ == nullptr || cluster_ == nullptr || scheme_ == nullptr) {
     throw std::invalid_argument("RoundEngine: null dependency");
   }
-  if (cluster_->compact()) {
-    // Compact clusters may share a shard pool smaller than the population
-    // (client c reads shards_[c % pool]); an oversized pool is still a
-    // caller bug.
-    if (shards_.empty() || shards_.size() > cluster_->size()) {
-      throw std::invalid_argument("RoundEngine: shard pool size " +
-                                  std::to_string(shards_.size()) +
-                                  " invalid for cluster size " +
-                                  std::to_string(cluster_->size()));
-    }
-  } else if (shards_.size() != cluster_->size()) {
-    throw std::invalid_argument("RoundEngine: shard count " +
-                                std::to_string(shards_.size()) + " != cluster size " +
+  // Clients may share a shard pool smaller than the population (client c
+  // reads shards_[c % pool]); an empty or oversized pool is a caller bug.
+  if (shards_.empty() || shards_.size() > cluster_->size()) {
+    throw std::invalid_argument("RoundEngine: shard pool size " +
+                                std::to_string(shards_.size()) +
+                                " invalid for cluster size " +
                                 std::to_string(cluster_->size()));
   }
   if (options_.local_iterations == 0) {
@@ -58,17 +50,9 @@ RoundEngine::RoundEngine(nn::Classifier* model, sim::Cluster* cluster,
   if (options_.participation_fraction <= 0.0 || options_.participation_fraction > 1.0) {
     throw std::invalid_argument("RoundEngine: participation_fraction must be in (0, 1]");
   }
-  if (cluster_->compact()) {
-    // Lazy loaders: fork() is pure, so snapshotting the parent here yields
-    // the exact per-client streams the eager loop below would produce.
-    loader_rng_ = rng;
-    loader_cursors_.resize(cluster_->size());
-  } else {
-    loaders_.reserve(shards_.size());
-    for (std::size_t c = 0; c < shards_.size(); ++c) {
-      loaders_.emplace_back(&shards_[c], options_.batch_size, rng.fork(0xB00C + c));
-    }
-  }
+  // Loaders are built per training pass from pure forks of this snapshot.
+  loader_rng_ = rng;
+  loader_cursors_.resize(cluster_->size());
   selection_rng_ = rng.fork(0x5E1EC7);
   global_ = model_->state();
   // Size the tensor pool's global tier to this workload: one model footprint
@@ -87,10 +71,7 @@ RoundEngine::RoundEngine(nn::Classifier* model, sim::Cluster* cluster,
 void RoundEngine::load_global_into_model() { model_->load(global_); }
 
 std::size_t RoundEngine::live_loader_bytes() const {
-  std::size_t bytes = 0;
-  for (const data::BatchLoader& loader : loaders_) bytes += loader.approx_bytes();
-  bytes += loader_cursors_.capacity() * sizeof(data::BatchLoader::Cursor);
-  return bytes;
+  return loader_cursors_.capacity() * sizeof(data::BatchLoader::Cursor);
 }
 
 std::unique_ptr<nn::Classifier> RoundEngine::acquire_replica() {
@@ -233,16 +214,9 @@ RoundRecord RoundEngine::run_round() {
                                  : record.start_time + options_.upload_timeout;
   // Streaming aggregation: free non-quorum payloads the moment each slot
   // lands instead of buffering the whole cohort until selection.
-  const bool streaming =
-      options_.streaming == StreamingMode::kOn ||
-      (options_.streaming == StreamingMode::kAuto && cluster_->compact());
-  std::unique_ptr<StreamingQuorum> quorum;
-  if (streaming && !record.clients.empty()) {
-    quorum = std::make_unique<StreamingQuorum>(
-        &record.clients,
-        collect_quota(record.clients.size(), options_.collect_fraction),
-        timeout_cut);
-  }
+  StreamingQuorum quorum(&record.clients,
+                         collect_quota(record.clients.size(), options_.collect_fraction),
+                         timeout_cut);
 
   if (!cloneable_) {
     // Legacy serial path: the model cannot be cloned, so every client
@@ -250,7 +224,7 @@ RoundRecord RoundEngine::run_round() {
     bool trained = false;
     for (std::size_t i = 0; i < participants.size(); ++i) {
       record.clients[i] = run_client(participants[i], infos[i], *model_, &trained);
-      if (quorum) quorum->offer(i);
+      quorum.offer(i);
     }
   } else {
     // Replica path (used for EVERY worker count so batch-norm buffer
@@ -273,7 +247,7 @@ RoundRecord RoundEngine::run_round() {
       }
       slot_trained[i] = trained ? 1 : 0;
       release_replica(std::move(replica));
-      if (quorum) quorum->offer(i);
+      quorum.offer(i);
     };
     const std::size_t workers = util::ThreadPool::resolve_workers(options_.worker_threads);
     if (workers <= 1 || participants.size() <= 1) {
@@ -476,9 +450,9 @@ RoundRecord RoundEngine::run_round() {
 
 ClientRoundResult RoundEngine::run_client(std::size_t client_id, const RoundInfo& info,
                                           nn::Classifier& model, bool* trained) {
-  // In compact mode the lease materializes a pooled replica from the
-  // registry record and commits link state back when it drops (including
-  // on every early return below); legacy mode borrows the live device.
+  // The lease materializes a pooled replica from the registry record and
+  // commits link state back when it drops (including on every early
+  // return below).
   sim::DeviceLease device_lease = cluster_->lease(client_id);
   sim::ClientDevice& device = *device_lease;
   ClientPolicy& policy = scheme_->client_policy(client_id);
@@ -580,20 +554,12 @@ ClientRoundResult RoundEngine::run_client(std::size_t client_id, const RoundInfo
                         {"round", std::to_string(info.round_index)}});
   }
 
-  // 2. Local training. Legacy clusters use the client's persistent loader;
-  // compact clusters rebuild it from the pure per-client fork and the
-  // stored (epoch, position) cursor — same stream, O(cohort) live loaders.
-  data::BatchLoader* loader = nullptr;
-  std::optional<data::BatchLoader> local_loader;
-  if (loaders_.empty()) {
-    local_loader.emplace(&shards_[shard], options_.batch_size,
-                         loader_rng_.fork(0xB00C + client_id));
-    const data::BatchLoader::Cursor& cur = loader_cursors_[client_id];
-    if (cur.epochs > 0 || cur.position > 0) local_loader->restore(cur);
-    loader = &*local_loader;
-  } else {
-    loader = &loaders_[client_id];
-  }
+  // 2. Local training, from a loader rebuilt from the pure per-client fork
+  // and the stored (epoch, position) cursor.
+  data::BatchLoader loader(&shards_[shard], options_.batch_size,
+                           loader_rng_.fork(0xB00C + client_id));
+  const data::BatchLoader::Cursor& cursor = loader_cursors_[client_id];
+  if (cursor.epochs > 0 || cursor.position > 0) loader.restore(cursor);
   model.load(global_);
   model.set_training(true);
   *trained = true;  // at least one SGD step always runs past this point
@@ -621,7 +587,7 @@ ClientRoundResult RoundEngine::run_client(std::size_t client_id, const RoundInfo
       FEDCA_KERNEL_SPAN("sgd.step");
       // Reference into the loader's reused batch storage — no per-iteration
       // gather allocation.
-      const data::Batch& batch = loader->next_batch();
+      const data::Batch& batch = loader.next_batch();
       loss_sum += model.compute_gradients(batch.inputs, batch.labels);
       optimizer.step();
     }
@@ -730,9 +696,7 @@ ClientRoundResult RoundEngine::run_client(std::size_t client_id, const RoundInfo
       break;
     }
   }
-  if (local_loader.has_value()) {
-    loader_cursors_[client_id] = local_loader->cursor();
-  }
+  loader_cursors_[client_id] = loader.cursor();
   result.iterations_run = iterations;
   result.early_stopped = stopped_early;
   result.compute_done = t;

@@ -42,13 +42,6 @@
 
 namespace fedca::fl {
 
-// Whether run_round frees non-quorum update payloads as results stream in
-// (see StreamingQuorum). kAuto turns streaming on exactly when the cluster
-// is compact: legacy single-process experiments (and tests that inspect
-// per-client applied updates after the round) keep every payload, scale
-// runs hold at most quota + in-flight updates live.
-enum class StreamingMode { kAuto, kOn, kOff };
-
 struct RoundEngineOptions {
   std::size_t local_iterations = 125;  // K
   std::size_t batch_size = 50;
@@ -78,22 +71,22 @@ struct RoundEngineOptions {
   // thread. Requires the model to be cloneable (Module::clone); otherwise
   // the engine silently trains serially on the shared instance.
   std::size_t worker_threads = 0;
-  // Streaming aggregation memory bound (payloads only; never changes the
-  // aggregate). See StreamingMode.
-  StreamingMode streaming = StreamingMode::kAuto;
 };
 
 class RoundEngine {
  public:
   // `model` is the shared training replica (global weights are kept in the
   // engine and loaded per client); `cluster` provides virtual devices;
-  // `shards` are the per-client datasets (size must equal cluster size).
+  // `shards` is the data shard pool (client c reads shards[c % size]; the
+  // pool must be non-empty and no larger than the cluster).
   RoundEngine(nn::Classifier* model, sim::Cluster* cluster,
               std::vector<data::Dataset> shards, Scheme* scheme,
               RoundEngineOptions options, util::Rng rng);
 
   // Runs one full round, advances the virtual clock, applies aggregation
-  // to the global state, and reports what happened.
+  // to the global state, and reports what happened. Update payloads are
+  // collected through a StreamingQuorum: only collected clients keep
+  // their applied_update / eager tensors in the returned record.
   RoundRecord run_round();
 
   double now() const { return clock_; }
@@ -104,8 +97,8 @@ class RoundEngine {
   // Loads the current global weights into the shared model replica (used
   // before evaluation).
   void load_global_into_model();
-  // Bytes of live per-client loader state (persistent loaders in legacy
-  // mode, compact cursors in registry mode) — scale bench accounting.
+  // Bytes of live per-client loader state (the stored cursors) — scale
+  // bench accounting.
   std::size_t live_loader_bytes() const;
 
  private:
@@ -137,13 +130,11 @@ class RoundEngine {
   std::vector<data::Dataset> shards_;
   Scheme* scheme_;
   RoundEngineOptions options_;
-  // Legacy clusters keep one persistent loader per client. Compact clusters
-  // defer loaders entirely: run_client builds a throwaway loader from
+  // No loader outlives a client's training pass: run_client builds one from
   // loader_rng_'s per-client fork (forks are pure, so the stream is
   // re-derivable at any time) and loader_cursors_ carries each client's
-  // 16-byte (reshuffle epoch, position) state between leases — bit-identical
-  // batches at O(cohort) instead of O(clients) loader memory.
-  std::vector<data::BatchLoader> loaders_;
+  // 16-byte (reshuffle epoch, position) state between passes — O(cohort)
+  // live loaders instead of O(clients).
   util::Rng loader_rng_;
   std::vector<data::BatchLoader::Cursor> loader_cursors_;
   nn::ModelState global_;

@@ -243,11 +243,9 @@ Scenario parse_scenario(const std::string& text, const std::string& filename) {
                         "key 'slowdown_hi': must be >= slowdown_lo");
   }
 
-  // [population] — million-client scale-out knobs: the compact client
-  // registry and the availability-dynamics layer. Absent section keeps the
-  // legacy representation and no availability gating (bit-identical runs).
+  // [population] — the availability-dynamics layer. Absent section keeps
+  // every client online (bit-identical to a build without the layer).
   doc.allow_section("population");
-  cl.compact = doc.get_bool("population", "registry", cl.compact);
   sim::AvailabilityOptions& av = cl.availability;
   av.enabled = doc.get_bool("population", "availability", av.enabled);
   av.mean_on = doc.get_double("population", "mean_on", av.mean_on, 1e-6, kMaxD);
@@ -409,10 +407,9 @@ std::string to_string(const Scenario& sc) {
   kvd("slowdown_lo", cl.dynamicity.slowdown_lo);
   kvd("slowdown_hi", cl.dynamicity.slowdown_hi);
 
-  if (cl.compact || cl.availability.enabled) {
+  if (cl.availability.enabled) {
     const sim::AvailabilityOptions& av = cl.availability;
     out << "\n[population]\n";
-    kvb("registry", cl.compact);
     kvb("availability", av.enabled);
     kvd("mean_on", av.mean_on);
     kvd("mean_off", av.mean_off);

@@ -33,8 +33,7 @@
 //              (fedca_*, fedprox_mu, fedada_*, compress*)
 //   [cluster]  link_latency, speed_sigma, min_speed, max_speed,
 //              bandwidth_mbps, dynamicity, slowdown_lo, slowdown_hi
-//   [population] registry (compact client records + pooled device
-//              replicas), availability, mean_on, mean_off, day_period,
+//   [population] availability, mean_on, mean_off, day_period,
 //              day_amplitude, outage_groups, outage_rate, outage_mean,
 //              seed
 //   [faults]   enabled, horizon, crash_fraction, dropouts_per_client,

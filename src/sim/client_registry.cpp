@@ -3,7 +3,7 @@
 namespace fedca::sim {
 
 namespace {
-// Must match the legacy Cluster constructor's per-client stream id.
+// Per-client device stream id; scenario goldens pin the streams it yields.
 constexpr std::uint64_t kDeviceStreamBase = 0x5EED0000ULL;
 }  // namespace
 
@@ -15,7 +15,7 @@ ClientRegistry::ClientRegistry(const ClusterOptions& options, util::Rng& rng)
   const std::vector<trace::DeviceProfile> profiles =
       trace::synthesize_profiles(options.num_clients, options.heterogeneity, rng);
   // Profile synthesis consumed draws from `rng`; snapshot the advanced
-  // state as the fork parent, exactly where the legacy constructor forks.
+  // state as the fork parent.
   device_parent_ = rng;
   records_.resize(options.num_clients);
   for (std::size_t i = 0; i < options.num_clients; ++i) {

@@ -1,9 +1,9 @@
-// Compact sharded client population: POD records + lazy materialization.
+// Compact client population: POD records + lazy materialization.
 //
-// The legacy Cluster holds one live ClientDevice per client — speed
-// timeline segments, link objects, degradation windows — which is O(N)
-// objects and makes million-client populations impractical. The registry
-// replaces that with one POD ClientRecord per client:
+// A live ClientDevice per client — speed timeline segments, link objects,
+// degradation windows — would be O(N) objects and make million-client
+// populations impractical. The registry holds one POD ClientRecord per
+// client instead:
 //
 //   * the client's static profile scalar (base_speed; bandwidth/latency
 //     are population-wide options),
@@ -13,11 +13,10 @@
 //     regenerated on demand),
 //   * the availability renewal cursor (sim/availability.hpp).
 //
-// materialize() rebinds a pooled ClientDevice replica to a record —
-// re-deriving the per-client RNG stream with the same fork(0x5EED0000 + i)
-// the legacy cluster uses, from the same post-synthesis parent state — so
-// a leased device is bit-identical to the live device the legacy path
-// would have. commit() writes the lease-mutable state back.
+// materialize() rebinds a pooled ClientDevice replica to a record,
+// re-deriving the per-client RNG stream as fork(0x5EED0000 + i) of the
+// post-synthesis parent state, so every lease of client i sees the same
+// timeline. commit() writes the lease-mutable state back.
 #pragma once
 
 #include <cstddef>
@@ -40,9 +39,8 @@ struct ClientRecord {
 
 class ClientRegistry {
  public:
-  // Consumes `rng` exactly like the legacy Cluster constructor (profile
-  // synthesis advances it by reference; per-client forks are pure), so a
-  // registry-backed cluster sees the same streams as a legacy one.
+  // Profile synthesis advances `rng` by reference; per-client device
+  // streams are pure forks of its post-synthesis state.
   ClientRegistry(const ClusterOptions& options, util::Rng& rng);
 
   std::size_t size() const { return records_.size(); }
@@ -69,7 +67,7 @@ class ClientRegistry {
   double link_latency_;
   double bandwidth_mbps_;
   // Parent generator snapshot taken after profile synthesis — per-client
-  // streams are fork(0x5EED0000 + i) of this state, identical to legacy.
+  // streams are fork(0x5EED0000 + i) of this state.
   util::Rng device_parent_;
   std::vector<ClientRecord> records_;
 };

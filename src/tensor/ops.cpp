@@ -37,10 +37,6 @@ inline bool use_avx2() {
 #endif
 }
 
-#if defined(__ARM_NEON)
-inline bool use_neon() { return simd::active_tier() == simd::Tier::kNeon; }
-#endif
-
 }  // namespace
 
 void axpy(float alpha, std::span<const float> x, std::span<float> y) {
@@ -51,12 +47,6 @@ void axpy(float alpha, std::span<const float> x, std::span<float> y) {
 #if defined(__x86_64__) || defined(_M_X64)
   if (use_avx2()) {
     simd::axpy_avx2(alpha, px, py, n);
-    return;
-  }
-#endif
-#if defined(__ARM_NEON)
-  if (use_neon()) {
-    simd::axpy_neon(alpha, px, py, n);
     return;
   }
 #endif
@@ -74,12 +64,6 @@ void scale(float alpha, std::span<float> y) {
 #if defined(__x86_64__) || defined(_M_X64)
   if (use_avx2()) {
     simd::scale_avx2(alpha, py, n);
-    return;
-  }
-#endif
-#if defined(__ARM_NEON)
-  if (use_neon()) {
-    simd::scale_neon(alpha, py, n);
     return;
   }
 #endif

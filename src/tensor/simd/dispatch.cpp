@@ -19,7 +19,6 @@ std::atomic<int> g_tier{kUnresolved};
 Tier clamp_to_supported(Tier wanted) {
   if (wanted == Tier::kAvx512 && !avx512_supported()) wanted = Tier::kAvx2;
   if (wanted == Tier::kAvx2 && !avx2_supported()) return Tier::kScalar;
-  if (wanted == Tier::kNeon && !neon_supported()) return Tier::kScalar;
   return wanted;
 }
 
@@ -29,12 +28,10 @@ Tier resolve_from_env() {
       std::strcmp(env, "auto") == 0) {
     if (avx512_supported()) return Tier::kAvx512;
     if (avx2_supported()) return Tier::kAvx2;
-    if (neon_supported()) return Tier::kNeon;
     return Tier::kScalar;
   }
   if (std::strcmp(env, "avx512") == 0) return clamp_to_supported(Tier::kAvx512);
   if (std::strcmp(env, "avx2") == 0) return clamp_to_supported(Tier::kAvx2);
-  if (std::strcmp(env, "neon") == 0) return clamp_to_supported(Tier::kNeon);
   // "scalar" and anything unrecognized: the portable kernels. Unknown
   // values must not abort mid-experiment; scalar is always correct.
   return Tier::kScalar;
@@ -77,7 +74,6 @@ const char* tier_name(Tier tier) {
   switch (tier) {
     case Tier::kScalar: return "scalar";
     case Tier::kAvx2: return "avx2";
-    case Tier::kNeon: return "neon";
     case Tier::kAvx512: return "avx512";
   }
   return "scalar";

@@ -2,7 +2,7 @@
 //
 // The tensor kernels (ops.cpp) ship in two implementations: the portable
 // blocked scalar kernels (auto-vectorized by the compiler) and explicit
-// vector kernels (AVX2+FMA on x86-64, a NEON stub elsewhere) compiled into
+// vector kernels (AVX2+FMA and AVX-512F on x86-64) compiled into
 // per-ISA translation units under src/tensor/simd/. Which implementation
 // runs is decided once per process from CPUID plus the FEDCA_SIMD
 // environment variable:
@@ -12,7 +12,8 @@
 //                      falls back to avx2/scalar if CPU or build lacks it
 //   FEDCA_SIMD=avx2    AVX2+FMA kernels; falls back to scalar if the CPU
 //                      lacks them (never crashes on old hardware)
-//   FEDCA_SIMD=scalar  portable blocked kernels only
+//   FEDCA_SIMD=scalar  portable blocked kernels only (also what any
+//                      unrecognized value selects)
 //
 // Determinism contract: every tier implements the exact same per-element
 // association order (see ops.hpp), so switching tiers never changes a
@@ -26,8 +27,7 @@ namespace fedca::tensor::simd {
 enum class Tier {
   kScalar = 0,  // portable blocked kernels in ops.cpp
   kAvx2 = 1,    // explicit AVX2+FMA kernels (x86-64)
-  kNeon = 2,    // NEON stub (aarch64; currently forwards to scalar)
-  kAvx512 = 3,  // AVX2 span kernels + AVX-512F GEMM microkernel
+  kAvx512 = 2,  // AVX2 span kernels + AVX-512F GEMM microkernel
 };
 
 // The tier every dispatched kernel uses. Resolved on first use from

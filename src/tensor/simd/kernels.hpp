@@ -34,9 +34,6 @@ namespace fedca::tensor::simd {
 inline constexpr std::size_t kMr = 6;
 inline constexpr std::size_t kNr = 16;
 
-// True when this build carries NEON kernels and the CPU supports them.
-bool neon_supported();
-
 // Packed-panel microkernel: C[r][j] (+)= sum_k ap[k][r] * bp[k][j] as one
 // fma chain per element. `ap` is a kMr-wide A tile (layout ap[k * kMr + r],
 // zero-padded rows), `bp` a kNr-wide B tile (layout bp[k * kNr + j],
@@ -116,15 +113,5 @@ void fake_quantize_int8_avx2(float* x, std::size_t n, float inv_scale,
                              float scale, std::int32_t zero_point);
 
 #endif  // x86-64
-
-#if defined(__ARM_NEON)
-
-// ---- NEON stub tier (kernels_neon.cpp) ----
-// Span kernels only for now; GEMM falls back to the portable microkernel.
-
-void axpy_neon(float alpha, const float* x, float* y, std::size_t n);
-void scale_neon(float alpha, float* y, std::size_t n);
-
-#endif  // __ARM_NEON
 
 }  // namespace fedca::tensor::simd

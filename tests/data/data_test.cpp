@@ -293,16 +293,5 @@ TEST(BatchLoader, CursorRestoreContinuesExactSequence) {
   }
 }
 
-TEST(BatchLoader, ApproxBytesGrowsWhenBatchStorageMaterializes) {
-  // next_batch() storage is lazy: a constructed-but-idle loader (the state
-  // a registry cursor stands in for) must be cheaper than an active one.
-  const data::Dataset d = tiny_dataset();
-  data::BatchLoader loader(&d, 4, util::Rng(78));
-  const std::size_t idle = loader.approx_bytes();
-  EXPECT_GT(idle, 0u);
-  (void)loader.next_batch();
-  EXPECT_GT(loader.approx_bytes(), idle);
-}
-
 }  // namespace
 }  // namespace fedca

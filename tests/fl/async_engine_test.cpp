@@ -97,15 +97,12 @@ TEST(AsyncEngine, FastClientsContributeMoreOften) {
   AsyncFixture fx = make_async(4, small_options());
   // Identify fastest and slowest devices.
   std::size_t fast = 0, slow = 0;
+  const auto speed = [&fx](std::size_t c) {
+    return fx.cluster->lease(c)->profile().base_speed;
+  };
   for (std::size_t c = 0; c < fx.cluster->size(); ++c) {
-    if (fx.cluster->client(c).profile().base_speed >
-        fx.cluster->client(fast).profile().base_speed) {
-      fast = c;
-    }
-    if (fx.cluster->client(c).profile().base_speed <
-        fx.cluster->client(slow).profile().base_speed) {
-      slow = c;
-    }
+    if (speed(c) > speed(fast)) fast = c;
+    if (speed(c) < speed(slow)) slow = c;
   }
   const auto records = fx.engine->run_updates(60);
   std::size_t fast_count = 0, slow_count = 0;

@@ -168,6 +168,9 @@ TEST(RoundEngine, EagerValueIsAppliedWithoutRetransmission) {
   fl::ExperimentOptions options = small_options();
   fl::ExperimentSetup setup = fl::make_setup(options, scheme);
   const fl::RoundRecord record = setup.engine->run_round();
+  // Only collected clients keep their payloads past the round; the 0.9
+  // collect fraction of 6 clients collects all of them.
+  ASSERT_EQ(record.collected.size(), record.clients.size());
   for (const auto& c : record.clients) {
     ASSERT_EQ(c.eager.size(), 1u);
     EXPECT_EQ(c.eager[0].layer, 0u);
@@ -272,11 +275,18 @@ TEST(RoundEngine, ConstructionValidation) {
   fl::FedAvgScheme scheme;
   fl::ExperimentOptions options = small_options();
   fl::ExperimentSetup setup = fl::make_setup(options, scheme);
-  // Shard count mismatch.
-  std::vector<data::Dataset> wrong_shards(setup.shards.begin(), setup.shards.end() - 1);
-  EXPECT_THROW(fl::RoundEngine(setup.model.get(), setup.cluster.get(), wrong_shards,
-                               &scheme, fl::RoundEngineOptions{}, util::Rng(1)),
-               std::invalid_argument);
+  const auto build = [&](std::vector<data::Dataset> shards) {
+    fl::RoundEngine(setup.model.get(), setup.cluster.get(), std::move(shards), &scheme,
+                    fl::RoundEngineOptions{}, util::Rng(1));
+  };
+  // An empty pool and a pool larger than the cluster are rejected.
+  EXPECT_THROW(build({}), std::invalid_argument);
+  std::vector<data::Dataset> oversized = setup.shards;
+  oversized.push_back(setup.shards.front());
+  EXPECT_THROW(build(oversized), std::invalid_argument);
+  // A pool shorter than the cluster is valid: clients share shards.
+  std::vector<data::Dataset> short_pool(setup.shards.begin(), setup.shards.end() - 1);
+  EXPECT_NO_THROW(build(short_pool));
 }
 
 }  // namespace

@@ -115,6 +115,23 @@ TEST(ScenarioBinding, UnknownSchemeParamIsRejectedWithLine) {
   }
 }
 
+// The compact registry is the only population representation, so the key
+// that used to opt into it is gone and takes the unknown-key path.
+TEST(ScenarioBinding, RegistryKeyIsRejectedWithLine) {
+  try {
+    fl::parse_scenario("[scenario]\nversion = 1\n[population]\n"
+                       "availability = true\nregistry = true\n",
+                       "x.scn");
+    FAIL() << "expected ScenarioError";
+  } catch (const ScenarioError& e) {
+    EXPECT_EQ(e.file(), "x.scn");
+    EXPECT_EQ(e.line(), 5u);
+    EXPECT_NE(std::string(e.what()).find("x.scn:5: unknown key 'registry'"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(ScenarioBinding, AsyncSectionRequiresAsyncEngine) {
   EXPECT_THROW(
       fl::parse_scenario("[scenario]\nversion = 1\n[async]\nupdates = 5\n"),

@@ -1,14 +1,17 @@
-// Million-client machinery: registry-vs-legacy byte identity, availability
+// Million-client machinery: registry byte identity, availability
 // determinism across worker counts, outage marginal statistics, and
 // pooled-replica rebind identity.
 //
-// The compact ClientRegistry (sim/client_registry.hpp) is advertised as
-// bit-identical to the legacy one-live-device-per-client representation;
-// these tests hold it to that claim at the engine level (same global model
-// bytes, same rosters, same virtual clock) across worker counts {1, 2, 8},
-// with and without availability churn.
+// The compact ClientRegistry (sim/client_registry.hpp) replaced a
+// representation that kept one live ClientDevice and one persistent
+// BatchLoader per client. Before that representation was deleted, runs on
+// it were fingerprinted (same global model bytes, same rosters, same
+// virtual clock) and the digests are pinned below, so the registry is
+// still held to bit-identity with it across worker counts {1, 2, 8}, with
+// and without availability churn.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstring>
 #include <vector>
 
@@ -16,6 +19,7 @@
 #include "fl/scheme.hpp"
 #include "sim/availability.hpp"
 #include "sim/cluster.hpp"
+#include "trace/trace.hpp"
 #include "util/rng.hpp"
 
 namespace fedca {
@@ -24,7 +28,7 @@ namespace {
 // The paper's population size (128 clients) at CI-friendly training cost:
 // a 32-client sampled cohort, two local iterations, two rounds. Built
 // programmatically (not from a .scn) because the tests sweep a
-// compact x workers matrix over the same geometry.
+// workers matrix over the same geometry.
 fl::ExperimentOptions scale_options() {
   fl::ExperimentOptions options;  // lint:scenario
   options.model = nn::ModelKind::kCnn;
@@ -77,6 +81,45 @@ RunFingerprint run_once(const fl::ExperimentOptions& options) {
   return fp;
 }
 
+// FNV-1a over every fingerprint field (lengths first, then the raw
+// little-endian bytes), so one 64-bit value pins a whole run.
+std::uint64_t fingerprint_digest(const RunFingerprint& fp) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto mix = [&h](const void* data, std::size_t bytes) {
+    const auto* p = static_cast<const unsigned char*>(data);
+    for (std::size_t i = 0; i < bytes; ++i) {
+      h ^= p[i];
+      h *= 0x100000001b3ULL;
+    }
+  };
+  const auto mix_u64 = [&mix](std::uint64_t v) { mix(&v, sizeof(v)); };
+  const auto mix_ids = [&mix_u64](const std::vector<std::size_t>& v) {
+    mix_u64(v.size());
+    for (const std::size_t x : v) mix_u64(x);
+  };
+  const auto mix_doubles = [&](const std::vector<double>& v) {
+    mix_u64(v.size());
+    mix(v.data(), v.size() * sizeof(double));
+  };
+  mix_u64(fp.state.size());
+  mix(fp.state.data(), fp.state.size() * sizeof(float));
+  mix_ids(fp.roster);
+  mix_doubles(fp.arrivals);
+  mix_ids(fp.collected);
+  mix_doubles(fp.collected_weights);
+  mix_ids(fp.population);
+  mix_ids(fp.offline);
+  mix(&fp.end_time, sizeof(fp.end_time));
+  return h;
+}
+
+// Digests of the old one-live-device-per-client representation (persistent
+// loaders, buffered payloads) on scale_options() and churn_options(),
+// computed at commit c92882c, the last commit that carried it. Identical
+// for workers {1, 2, 8}.
+constexpr std::uint64_t kLegacyScaleDigest = 0x7559c84a34fa2153ULL;
+constexpr std::uint64_t kLegacyChurnDigest = 0x3f93b56b739dceebULL;
+
 void expect_identical(const RunFingerprint& a, const RunFingerprint& b,
                       const char* what) {
   ASSERT_EQ(a.state.size(), b.state.size()) << what;
@@ -104,15 +147,13 @@ void expect_identical(const RunFingerprint& a, const RunFingerprint& b,
 TEST(ScaleIdentity, RegistryMatchesLegacyAcrossWorkerCounts) {
   const RunFingerprint reference = run_once(scale_options());
   ASSERT_EQ(reference.roster.size(), 64u);  // 2 rounds x 32-client cohort
+  EXPECT_EQ(fingerprint_digest(reference), kLegacyScaleDigest)
+      << "registry run no longer matches the legacy representation";
   for (const std::size_t workers : {1u, 2u, 8u}) {
-    for (const bool compact : {false, true}) {
-      fl::ExperimentOptions options = scale_options();
-      options.worker_threads = workers;
-      options.cluster.compact = compact;
-      const std::string what = std::string(compact ? "compact" : "legacy") +
-                               " workers=" + std::to_string(workers);
-      expect_identical(reference, run_once(options), what.c_str());
-    }
+    fl::ExperimentOptions options = scale_options();
+    options.worker_threads = workers;
+    const std::string what = "workers=" + std::to_string(workers);
+    expect_identical(reference, run_once(options), what.c_str());
   }
 }
 
@@ -127,7 +168,6 @@ fl::ExperimentOptions churn_options() {
   options.max_rounds = 4;
   options.worker_threads = 1;
   options.seed = 53;
-  options.cluster.compact = true;
   auto& avail = options.cluster.availability;
   avail.enabled = true;
   avail.mean_on = 400.0;
@@ -155,11 +195,11 @@ TEST(ScaleIdentity, AvailabilityIsDeterministicAcrossWorkersAndRepresentations) 
     expect_identical(reference, run_once(options),
                      ("churn workers=" + std::to_string(workers)).c_str());
   }
-  // Availability cursors live in registry records in compact mode and in a
-  // cluster-owned vector in legacy mode; both derive from the same streams.
-  fl::ExperimentOptions legacy = churn_options();
-  legacy.cluster.compact = false;
-  expect_identical(reference, run_once(legacy), "churn legacy cluster");
+  // The legacy representation kept availability cursors in a cluster-owned
+  // vector rather than in the registry records; both derive from the same
+  // streams, so the run matches its pinned digest.
+  EXPECT_EQ(fingerprint_digest(reference), kLegacyChurnDigest)
+      << "churn run no longer matches the legacy representation";
 }
 
 TEST(ScaleIdentity, RenewalMarginalMatchesStationaryProbability) {
@@ -234,27 +274,35 @@ TEST(ScaleIdentity, ReboundReplicaMatchesFreshDevice) {
   sim::ClusterOptions options;
   options.num_clients = 8;
 
-  util::Rng legacy_rng(5);
-  sim::Cluster legacy(options, legacy_rng);
-  options.compact = true;
-  util::Rng compact_rng(5);
-  sim::Cluster compact(options, compact_rng);
-
-  // Pass 1: materialize every compact client once (fills the replica pool).
+  // Oracle: persistent devices built the way the legacy cluster built them
+  // — profiles synthesized from the seed, then one device per client on
+  // fork(0x5EED0000 + i) of the post-synthesis generator.
+  util::Rng oracle_rng(5);
+  const std::vector<trace::DeviceProfile> profiles =
+      trace::synthesize_profiles(options.num_clients, options.heterogeneity, oracle_rng);
+  std::vector<sim::ClientDevice> oracle;
+  oracle.reserve(options.num_clients);
   for (std::size_t i = 0; i < options.num_clients; ++i) {
-    sim::DeviceLease lease = compact.lease(i);
+    oracle.emplace_back(i, profiles[i], options.dynamicity, options.link_latency_seconds,
+                        oracle_rng.fork(0x5EED0000 + i));
+  }
+
+  util::Rng cluster_rng(5);
+  sim::Cluster cluster(options, cluster_rng);
+
+  // Pass 1: materialize every client once (fills the replica pool).
+  for (std::size_t i = 0; i < options.num_clients; ++i) {
+    sim::DeviceLease lease = cluster.lease(i);
     EXPECT_EQ(lease->id(), i);
-    EXPECT_EQ(lease->compute_finish(0.0, 1.0),
-              legacy.client(i).compute_finish(0.0, 1.0))
+    EXPECT_EQ(lease->compute_finish(0.0, 1.0), oracle[i].compute_finish(0.0, 1.0))
         << "client " << i;
   }
   // Pass 2: every lease now rebinds a pooled replica that served a
   // *different* client in pass 1 (reverse order); behavior must still be
-  // bit-identical to the legacy device, including persisted timeline state.
+  // bit-identical to the persistent device, including timeline state.
   for (std::size_t j = options.num_clients; j-- > 0;) {
-    sim::DeviceLease lease = compact.lease(j);
-    EXPECT_EQ(lease->compute_finish(10.0, 2.5),
-              legacy.client(j).compute_finish(10.0, 2.5))
+    sim::DeviceLease lease = cluster.lease(j);
+    EXPECT_EQ(lease->compute_finish(10.0, 2.5), oracle[j].compute_finish(10.0, 2.5))
         << "client " << j;
   }
 }

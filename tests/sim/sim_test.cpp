@@ -194,8 +194,9 @@ TEST(Cluster, BuildsRequestedClients) {
   sim::Cluster cluster(opts, rng);
   EXPECT_EQ(cluster.size(), 17u);
   for (std::size_t i = 0; i < cluster.size(); ++i) {
-    EXPECT_EQ(cluster.client(i).id(), i);
-    EXPECT_GT(cluster.client(i).profile().base_speed, 0.0);
+    sim::DeviceLease device = cluster.lease(i);
+    EXPECT_EQ(device->id(), i);
+    EXPECT_GT(device->profile().base_speed, 0.0);
   }
 }
 
@@ -206,8 +207,9 @@ TEST(Cluster, ClientsAreHeterogeneous) {
   sim::Cluster cluster(opts, rng);
   double lo = 1e9, hi = 0.0;
   for (std::size_t i = 0; i < cluster.size(); ++i) {
-    lo = std::min(lo, cluster.client(i).profile().base_speed);
-    hi = std::max(hi, cluster.client(i).profile().base_speed);
+    const double speed = cluster.lease(i)->profile().base_speed;
+    lo = std::min(lo, speed);
+    hi = std::max(hi, speed);
   }
   EXPECT_GT(hi / lo, 1.5);
 }
@@ -220,9 +222,10 @@ TEST(Cluster, DeterministicInSeed) {
   sim::Cluster a(opts, r1);
   sim::Cluster b(opts, r2);
   for (std::size_t i = 0; i < 8; ++i) {
-    EXPECT_DOUBLE_EQ(a.client(i).profile().base_speed, b.client(i).profile().base_speed);
-    EXPECT_DOUBLE_EQ(a.client(i).compute_finish(0.0, 10.0),
-                     b.client(i).compute_finish(0.0, 10.0));
+    sim::DeviceLease da = a.lease(i);
+    sim::DeviceLease db = b.lease(i);
+    EXPECT_DOUBLE_EQ(da->profile().base_speed, db->profile().base_speed);
+    EXPECT_DOUBLE_EQ(da->compute_finish(0.0, 10.0), db->compute_finish(0.0, 10.0));
   }
 }
 
@@ -232,9 +235,9 @@ TEST(Cluster, ComputeFinishUsesTimeline) {
   opts.dynamicity.enabled = false;
   util::Rng rng(4);
   sim::Cluster cluster(opts, rng);
-  auto& c = cluster.client(0);
-  const double speed = c.profile().base_speed;
-  EXPECT_NEAR(c.compute_finish(2.0, speed * 3.0), 5.0, 1e-9);
+  sim::DeviceLease c = cluster.lease(0);
+  const double speed = c->profile().base_speed;
+  EXPECT_NEAR(c->compute_finish(2.0, speed * 3.0), 5.0, 1e-9);
 }
 
 }  // namespace

@@ -1,9 +1,9 @@
 // Output-affecting layer fixtures: unordered iteration (decl, begin(),
-// range-for), float accumulation inside unordered iteration, a container
-// of live devices, and direct device access around the lease seam.
+// range-for), float accumulation inside unordered iteration, and a
+// container of live devices held around the lease seam.
 //
-// Fixtures are lexed, never compiled: ClientDevice / Cluster are the real
-// tree's sim types and stay undeclared here on purpose.
+// Fixtures are lexed, never compiled: ClientDevice is the real tree's sim
+// type and stays undeclared here on purpose.
 #include <unordered_map>
 #include <vector>
 
@@ -27,10 +27,5 @@ double aggregate(const UpdateMap& fresh) {  // expect: unordered-iter
 struct Roster {
   std::vector<ClientDevice> devices;  // expect: client-container, device-seam
 };
-
-double poke(Cluster& cluster) {
-  auto& device = cluster.client(3);  // expect: device-seam
-  return device.weight;
-}
 
 }  // namespace fixture
