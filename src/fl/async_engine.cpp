@@ -40,99 +40,29 @@ void report_async_update(std::size_t& seq, std::size_t client, double arrival,
 AsyncEngine::AsyncEngine(nn::Classifier* model, sim::Cluster* cluster,
                          std::vector<data::Dataset> shards, AsyncEngineOptions options,
                          util::Rng rng)
-    : model_(model), cluster_(cluster), shards_(std::move(shards)), options_(options) {
-  if (model_ == nullptr || cluster_ == nullptr) {
-    throw std::invalid_argument("AsyncEngine: null dependency");
-  }
-  // Shard pool semantics as in RoundEngine: client c reads shards_[c % pool].
-  if (shards_.empty() || shards_.size() > cluster_->size()) {
-    throw std::invalid_argument("AsyncEngine: shard pool size invalid");
-  }
+    : cluster_(cluster),
+      options_(options),
+      trainer_("AsyncEngine", model, cluster, std::move(shards), options.batch_size,
+               options.worker_threads, rng, /*fork_salt=*/0xA517C) {
   if (options_.local_iterations == 0) {
     throw std::invalid_argument("AsyncEngine: local_iterations must be > 0");
   }
   if (options_.mix <= 0.0 || options_.mix > 1.0) {
     throw std::invalid_argument("AsyncEngine: mix must be in (0, 1]");
   }
-  // Loaders are built per training pass from pure forks of this snapshot.
-  loader_rng_ = rng;
-  loader_cursors_.resize(cluster_->size());
-  tensor::BufferPool::set_capacity_hint(
-      static_cast<std::size_t>(model_->state().numel()) * sizeof(float),
-      util::ThreadPool::resolve_workers(options_.worker_threads));
-  // Arm the crash-dump seam before any launch can hit an injected fault:
-  // a permanent crash flushes the flight recorder / metrics / report so
-  // the tail of the run survives.
-  sim::set_fault_dump_hook(&obs::flush_on_fault);
-  global_ = model_->state();
+  // FedProx's anchor is a client-policy concern and async cycles run no
+  // client-policy hooks yet.
+  if (options_.optimizer.prox_mu != 0.0) {
+    throw std::invalid_argument("AsyncEngine: prox_mu is not supported (must be 0)");
+  }
+  global_ = trainer_.model().state();
   in_flight_.resize(cluster_->size());
   for (std::size_t c = 0; c < cluster_->size(); ++c) launch(c, 0.0);
 }
 
-void AsyncEngine::load_global_into_model() { model_->load(global_); }
-
-std::unique_ptr<nn::Classifier> AsyncEngine::acquire_replica() {
-  {
-    util::MutexLock lock(replica_mutex_);
-    if (!replicas_.empty()) {
-      std::unique_ptr<nn::Classifier> replica = std::move(replicas_.back());
-      replicas_.pop_back();
-      return replica;
-    }
-  }
-  return model_->clone();
-}
-
-void AsyncEngine::release_replica(std::unique_ptr<nn::Classifier> replica) {
-  util::MutexLock lock(replica_mutex_);
-  replicas_.push_back(std::move(replica));
-}
-
-util::ThreadPool& AsyncEngine::dispatch_pool(std::size_t workers) {
-  util::ThreadPool& shared = util::ThreadPool::shared();
-  if (workers <= shared.worker_count()) return shared;
-  if (!own_pool_ || own_pool_->worker_count() < workers) {
-    own_pool_ = std::make_unique<util::ThreadPool>(workers);
-  }
-  return *own_pool_;
-}
-
-void AsyncEngine::train_cycle(nn::Classifier& net, std::size_t c) {
-  nn::SgdOptimizer optimizer(net.parameters(), options_.optimizer);
-  data::BatchLoader loader(&shards_[c % shards_.size()], options_.batch_size,
-                           loader_rng_.fork(0xA517C + c));
-  const data::BatchLoader::Cursor& cursor = loader_cursors_[c];
-  if (cursor.epochs > 0 || cursor.position > 0) loader.restore(cursor);
-  for (std::size_t it = 0; it < options_.local_iterations; ++it) {
-    const data::Batch& batch = loader.next_batch();
-    net.compute_gradients(batch.inputs, batch.labels);
-    optimizer.step();
-  }
-  loader_cursors_[c] = loader.cursor();
-}
+void AsyncEngine::load_global_into_model() { trainer_.model().load(global_); }
 
 void AsyncEngine::train_pending(InFlight& winner_flight, std::size_t winner) {
-  if (!clone_checked_) {
-    clone_checked_ = true;
-    std::unique_ptr<nn::Classifier> first = model_->clone();
-    cloneable_ = first != nullptr;
-    if (cloneable_) release_replica(std::move(first));
-  }
-
-  if (!cloneable_) {
-    // Legacy serial path: train only the winner, in place on the shared
-    // model (batch-norm buffers chain arrival-to-arrival exactly as
-    // before).
-    model_->load(*winner_flight.snapshot);
-    model_->set_training(true);
-    train_cycle(*model_, winner);
-    nn::capture_state_into(model_->parameters(), winner_flight.update);
-    nn::state_sub_inplace(winner_flight.update, *winner_flight.snapshot);
-    winner_flight.trained = true;
-    winner_flight.snapshot.reset();
-    return;
-  }
-
   // Speculative batch: the winner plus every other live, non-lost,
   // untrained cycle. Each cycle's result depends only on its own snapshot
   // and its client's private loader (one cycle in flight per client, so
@@ -173,28 +103,22 @@ void AsyncEngine::train_pending(InFlight& winner_flight, std::size_t winner) {
     ids.push_back(c);
   }
 
-  const std::vector<double> base_buffers = nn::capture_buffers(model_->backbone());
-  const auto train_one = [&](std::size_t i) {
-    InFlight& f = *jobs[i];
-    std::unique_ptr<nn::Classifier> replica = acquire_replica();
-    if (!base_buffers.empty()) nn::load_buffers(replica->backbone(), base_buffers);
-    replica->load(*f.snapshot);
-    replica->set_training(true);
-    train_cycle(*replica, ids[i]);
-    nn::capture_state_into(replica->parameters(), f.update);
-    nn::state_sub_inplace(f.update, *f.snapshot);
-    if (!base_buffers.empty()) f.buffers = nn::capture_buffers(replica->backbone());
-    f.trained = true;
-    f.snapshot.reset();  // no longer needed; drop this cycle's reference
-    release_replica(std::move(replica));
-  };
-
-  const std::size_t workers = util::ThreadPool::resolve_workers(options_.worker_threads);
-  if (workers <= 1 || jobs.size() <= 1) {
-    for (std::size_t i = 0; i < jobs.size(); ++i) train_one(i);
-  } else {
-    dispatch_pool(workers).parallel_for_dynamic(jobs.size(), train_one, workers);
-  }
+  std::vector<std::vector<double>> buffers;
+  trainer_.run_jobs(
+      jobs.size(),
+      [&](std::size_t i, nn::Classifier& replica) {
+        InFlight& f = *jobs[i];
+        trainer_.train(ids[i], replica, *f.snapshot, options_.optimizer,
+                       options_.local_iterations, [] {},
+                       [](std::size_t, double, nn::SgdOptimizer&) { return true; });
+        nn::capture_state_into(replica.parameters(), f.update);
+        nn::state_sub_inplace(f.update, *f.snapshot);
+        f.trained = true;
+        f.snapshot.reset();  // no longer needed; drop this cycle's reference
+        return true;
+      },
+      buffers);
+  for (std::size_t i = 0; i < jobs.size(); ++i) jobs[i]->buffers = std::move(buffers[i]);
   FEDCA_MCOUNT("async.speculative_batches", 1.0);
   FEDCA_MCOUNT("async.speculative_cycles", static_cast<double>(jobs.size()));
 }
@@ -202,16 +126,8 @@ void AsyncEngine::train_pending(InFlight& winner_flight, std::size_t winner) {
 void AsyncEngine::launch(std::size_t c, double t) {
   obs::TraceCollector& tracer = obs::TraceCollector::global();
   const bool tracing = tracer.enabled();
-  if (tracing && trace_pid_base_ == 0) {
-    const auto n = static_cast<std::uint32_t>(cluster_->size());
-    trace_pid_base_ = tracer.allocate_process_ids(n + 1);
-    tracer.set_process_name(trace_pid_base_, "async/server");
-    for (std::uint32_t i = 0; i < n; ++i) {
-      tracer.set_process_name(trace_pid_base_ + 1 + i,
-                              "async/client " + std::to_string(i));
-    }
-  }
-  const std::uint32_t pid = trace_pid_base_ + 1 + static_cast<std::uint32_t>(c);
+  trainer_.register_trace("async");
+  const std::uint32_t pid = trainer_.client_pid(c);
 
   // Fault gate: a crashed client never launches again; a client inside a
   // dropout window starts its cycle when the window closes.
@@ -222,27 +138,25 @@ void AsyncEngine::launch(std::size_t c, double t) {
     if (!std::isfinite(start)) {
       in_flight_[c].dead = true;
       in_flight_[c].arrival_time = kNoDeadline;
-      FEDCA_MCOUNT("faults.crashes", 1.0);
-      if (tracing) {
-        tracer.record_instant(pid, "fault.crash", t,
-                              {{"client", std::to_string(c)}});
-      }
+      // The run report gets a dead-client line even when the crash was
+      // already announced with the cycle it cut short.
       report_async_update(report_sequence_, c, t, 0, 0.0, true, "crash");
-      sim::notify_fault_dump();
+      trainer_.announce_crash(c, t, {{"client", std::to_string(c)}});
       return;
     }
   }
 
   sim::DeviceLease device_lease = cluster_->lease(c);
   sim::ClientDevice& device = *device_lease;
-  const double bytes_per_param = model_->info().bytes_per_actual_param();
+  const nn::ModelInfo& info = trainer_.model().info();
+  const double bytes_per_param = info.bytes_per_actual_param();
   const double model_bytes =
       static_cast<double>(global_.numel()) * bytes_per_param +
       options_.upload_header_bytes;
 
   const sim::Transfer download = device.downlink().transmit(start, model_bytes);
   const double compute_work = static_cast<double>(options_.local_iterations) *
-                              model_->info().nominal_iteration_seconds;
+                              info.nominal_iteration_seconds;
   const double compute_done = device.compute_finish(download.end, compute_work);
   const sim::Transfer upload = device.uplink().transmit(compute_done, model_bytes);
 
@@ -273,15 +187,14 @@ void AsyncEngine::launch(std::size_t c, double t) {
     const bool is_crash = faults->crashed_at(c, fail_time);
     flight.lost_cause = is_crash ? "crash" : "dropout";
     if (is_crash) {
-      FEDCA_MCOUNT("faults.crashes", 1.0);
+      trainer_.announce_crash(c, fail_time, {{"client", std::to_string(c)}});
     } else {
       FEDCA_MCOUNT("faults.dropouts", 1.0);
+      if (tracing) {
+        tracer.record_instant(pid, "fault.dropout", fail_time,
+                              {{"client", std::to_string(c)}});
+      }
     }
-    if (tracing) {
-      tracer.record_instant(pid, is_crash ? "fault.crash" : "fault.dropout",
-                            fail_time, {{"client", std::to_string(c)}});
-    }
-    if (is_crash) sim::notify_fault_dump();
     in_flight_[c] = std::move(flight);
     return;
   }
@@ -371,7 +284,9 @@ AsyncUpdateRecord AsyncEngine::step() {
   // shared model evolves exactly as a serial schedule would leave it.
   if (!flight.trained) train_pending(flight, winner);
   nn::ModelState update = std::move(flight.update);
-  if (!flight.buffers.empty()) nn::load_buffers(model_->backbone(), flight.buffers);
+  if (!flight.buffers.empty()) {
+    nn::load_buffers(trainer_.model().backbone(), flight.buffers);
+  }
 
   AsyncUpdateRecord record;
   record.client_id = winner;
@@ -393,9 +308,9 @@ AsyncUpdateRecord AsyncEngine::step() {
   if (obs::metrics_enabled() && tensor::BufferPool::enabled()) {
     tensor::BufferPool::global().publish_metrics();
   }
-  if (obs::TraceCollector::global().enabled() && trace_pid_base_ != 0) {
+  if (obs::TraceCollector::global().enabled() && trainer_.trace_registered()) {
     obs::TraceCollector::global().record_instant(
-        trace_pid_base_, "apply_update", clock_,
+        trainer_.server_pid(), "apply_update", clock_,
         {{"client", std::to_string(record.client_id)},
          {"staleness", std::to_string(record.staleness)},
          {"version", std::to_string(record.applied_version)}});

@@ -26,21 +26,20 @@
 #include <vector>
 
 #include "data/dataset.hpp"
-#include "data/loader.hpp"
+#include "fl/client_trainer.hpp"
 #include "fl/types.hpp"
 #include "nn/models.hpp"
 #include "nn/sgd.hpp"
 #include "sim/cluster.hpp"
 #include "util/rng.hpp"
-#include "util/sync.hpp"
-#include "util/thread_annotations.hpp"
-#include "util/thread_pool.hpp"
 
 namespace fedca::fl {
 
 struct AsyncEngineOptions {
   std::size_t local_iterations = 30;  // K per cycle
   std::size_t batch_size = 10;
+  // prox_mu must be 0: async cycles run no client-policy hooks, so
+  // nothing would own a FedProx anchor.
   nn::SgdOptions optimizer;
   // Base mixing weight (FedAsync's alpha).
   double mix = 0.6;
@@ -57,8 +56,8 @@ struct AsyncEngineOptions {
   // cached, the engine batch-trains EVERY untrained live in-flight cycle
   // concurrently on model replicas — each cycle's update depends only on
   // its own snapshot and its client's private loader stream, so results
-  // are bit-identical for any worker count. Requires a cloneable model;
-  // otherwise cycles train serially at arrival (legacy behavior).
+  // are bit-identical for any worker count. Cycles train on private model
+  // replicas (Module::clone) through fl::ClientTrainer.
   std::size_t worker_threads = 0;
   // Cap on how many cycles one speculative batch may train (winner plus
   // the earliest-arriving others). 0 = unlimited, the historical behavior;
@@ -125,25 +124,16 @@ class AsyncEngine {
 
   // Starts client `c`'s next cycle at virtual time `t`.
   void launch(std::size_t c, double t);
-  // Runs client c's K-iteration SGD pass on `net` (already loaded with the
-  // cycle's snapshot), pulling batches from the client's loader stream.
-  void train_cycle(nn::Classifier& net, std::size_t c);
   // Trains `winner_flight` (client `winner`) plus every other untrained
-  // live in-flight cycle, concurrently on replicas when the model is
-  // cloneable. Fills each flight's `update` / `buffers` / `trained`.
+  // live in-flight cycle (up to speculative_cap), each on its own replica.
+  // Fills each flight's `update` / `buffers` / `trained`.
   void train_pending(InFlight& winner_flight, std::size_t winner);
-  std::unique_ptr<nn::Classifier> acquire_replica();
-  void release_replica(std::unique_ptr<nn::Classifier> replica);
-  util::ThreadPool& dispatch_pool(std::size_t workers);
 
-  nn::Classifier* model_;
   sim::Cluster* cluster_;
-  std::vector<data::Dataset> shards_;
   AsyncEngineOptions options_;
-  // Loaders are rebuilt per training pass from loader_rng_'s pure
-  // per-client fork plus the stored cursor (same scheme as RoundEngine).
-  util::Rng loader_rng_;
-  std::vector<data::BatchLoader::Cursor> loader_cursors_;
+  // Replicas, shards, loader cursors (fork salt 0xA517C), trace pids and
+  // the crash record.
+  ClientTrainer trainer_;
   std::vector<InFlight> in_flight_;  // one slot per client
   nn::ModelState global_;
   // Shared snapshot of `global_` at `snapshot_version_`, handed to every
@@ -152,18 +142,9 @@ class AsyncEngine {
   std::size_t snapshot_version_ = 0;
   std::size_t version_ = 0;
   double clock_ = 0.0;
-  // Trace pids (server + one per client), reserved lazily on the first
-  // launch that finds the trace collector armed. 0 = not yet reserved.
-  std::uint32_t trace_pid_base_ = 0;
   // Monotone sequence number for run-report async_update lines (applied,
   // lost, and permanently-dead records all consume one).
   std::size_t report_sequence_ = 0;
-  // Replica free-list for speculative parallel training.
-  util::Mutex replica_mutex_;
-  std::vector<std::unique_ptr<nn::Classifier>> replicas_ FEDCA_GUARDED_BY(replica_mutex_);
-  bool clone_checked_ = false;
-  bool cloneable_ = false;
-  std::unique_ptr<util::ThreadPool> own_pool_;
 };
 
 }  // namespace fedca::fl

@@ -28,94 +28,27 @@ std::string fmt_num(double v) {
 RoundEngine::RoundEngine(nn::Classifier* model, sim::Cluster* cluster,
                          std::vector<data::Dataset> shards, Scheme* scheme,
                          RoundEngineOptions options, util::Rng rng)
-    : model_(model),
-      cluster_(cluster),
-      shards_(std::move(shards)),
+    : cluster_(cluster),
       scheme_(scheme),
-      options_(options) {
-  if (model_ == nullptr || cluster_ == nullptr || scheme_ == nullptr) {
-    throw std::invalid_argument("RoundEngine: null dependency");
-  }
-  // Clients may share a shard pool smaller than the population (client c
-  // reads shards_[c % pool]); an empty or oversized pool is a caller bug.
-  if (shards_.empty() || shards_.size() > cluster_->size()) {
-    throw std::invalid_argument("RoundEngine: shard pool size " +
-                                std::to_string(shards_.size()) +
-                                " invalid for cluster size " +
-                                std::to_string(cluster_->size()));
-  }
+      options_(options),
+      trainer_("RoundEngine", model, cluster, std::move(shards), options.batch_size,
+               options.worker_threads, rng, /*fork_salt=*/0xB00C) {
+  if (scheme_ == nullptr) throw std::invalid_argument("RoundEngine: null dependency");
   if (options_.local_iterations == 0) {
     throw std::invalid_argument("RoundEngine: local_iterations must be > 0");
   }
   if (options_.participation_fraction <= 0.0 || options_.participation_fraction > 1.0) {
     throw std::invalid_argument("RoundEngine: participation_fraction must be in (0, 1]");
   }
-  // Loaders are built per training pass from pure forks of this snapshot.
-  loader_rng_ = rng;
-  loader_cursors_.resize(cluster_->size());
   selection_rng_ = rng.fork(0x5E1EC7);
-  global_ = model_->state();
-  // Size the tensor pool's global tier to this workload: one model footprint
-  // of layer buffers per worker plus one spare (no-op while the pool is at a
-  // larger hint already; never shrinks below the historical 64 slots).
-  tensor::BufferPool::set_capacity_hint(
-      static_cast<std::size_t>(global_.numel()) * sizeof(float),
-      util::ThreadPool::resolve_workers(options_.worker_threads));
+  global_ = trainer_.model().state();
   scheme_->bind(cluster_->size(), options_.local_iterations);
-  // Injected crashes flush the flight recorder's last events per thread:
-  // the engine is the component that interprets fault schedules, so it
-  // owns wiring the obs dump hook into the sim-layer notification seam.
-  sim::set_fault_dump_hook(&obs::flush_on_fault);
 }
 
-void RoundEngine::load_global_into_model() { model_->load(global_); }
-
-std::size_t RoundEngine::live_loader_bytes() const {
-  return loader_cursors_.capacity() * sizeof(data::BatchLoader::Cursor);
-}
-
-std::unique_ptr<nn::Classifier> RoundEngine::acquire_replica() {
-  {
-    util::MutexLock lock(replica_mutex_);
-    if (!replicas_.empty()) {
-      std::unique_ptr<nn::Classifier> replica = std::move(replicas_.back());
-      replicas_.pop_back();
-      return replica;
-    }
-  }
-  // Clone outside the lock: deep copies are the expensive part.
-  return model_->clone();
-}
-
-void RoundEngine::release_replica(std::unique_ptr<nn::Classifier> replica) {
-  util::MutexLock lock(replica_mutex_);
-  replicas_.push_back(std::move(replica));
-}
-
-util::ThreadPool& RoundEngine::dispatch_pool(std::size_t workers) {
-  util::ThreadPool& shared = util::ThreadPool::shared();
-  if (workers <= shared.worker_count()) return shared;
-  if (!own_pool_ || own_pool_->worker_count() < workers) {
-    own_pool_ = std::make_unique<util::ThreadPool>(workers);
-  }
-  return *own_pool_;
-}
-
-void RoundEngine::register_trace_processes() {
-  obs::TraceCollector& tracer = obs::TraceCollector::global();
-  if (trace_registered_ || !tracer.enabled()) return;
-  const auto n = static_cast<std::uint32_t>(cluster_->size());
-  trace_pid_base_ = tracer.allocate_process_ids(n + 1);
-  tracer.set_process_name(server_pid(), scheme_->name() + "/server");
-  for (std::uint32_t c = 0; c < n; ++c) {
-    tracer.set_process_name(trace_pid_base_ + 1 + c,
-                            scheme_->name() + "/client " + std::to_string(c));
-  }
-  trace_registered_ = true;
-}
+void RoundEngine::load_global_into_model() { trainer_.model().load(global_); }
 
 RoundRecord RoundEngine::run_round() {
-  register_trace_processes();
+  trainer_.register_trace(scheme_->name());
   RoundRecord record;
   record.round_index = round_index_;
   record.start_time = clock_;
@@ -143,9 +76,6 @@ RoundRecord RoundEngine::run_round() {
   // duration samples stay finite.
   const sim::FaultInjector* faults = cluster_->faults().get();
   if (faults != nullptr) {
-    if (crash_reported_.size() < cluster_->size()) {
-      crash_reported_.resize(cluster_->size(), 0);
-    }
     std::vector<std::size_t> alive;
     alive.reserve(participants.size());
     for (const std::size_t c : participants) {
@@ -153,17 +83,9 @@ RoundRecord RoundEngine::run_round() {
         alive.push_back(c);
         continue;
       }
-      if (!crash_reported_[c]) {
-        crash_reported_[c] = 1;
-        FEDCA_MCOUNT("faults.crashes", 1.0);
-        obs::TraceCollector& tracer = obs::TraceCollector::global();
-        if (tracer.enabled()) {
-          tracer.record_instant(client_pid(c), "fault.crash", clock_,
-                                {{"client", std::to_string(c)},
-                                 {"round", std::to_string(round_index_)}});
-        }
-        sim::notify_fault_dump();
-      }
+      trainer_.announce_crash(c, clock_,
+                              {{"client", std::to_string(c)},
+                               {"round", std::to_string(round_index_)}});
     }
     participants = std::move(alive);
   }
@@ -198,13 +120,6 @@ RoundRecord RoundEngine::run_round() {
     infos[i] = info;
   }
 
-  if (!clone_checked_) {
-    clone_checked_ = true;
-    std::unique_ptr<nn::Classifier> first = model_->clone();
-    cloneable_ = first != nullptr;
-    if (cloneable_) release_replica(std::move(first));
-  }
-
   record.clients.resize(participants.size());
 
   // Round-relative upload cut-off, fixed before training starts (it only
@@ -218,53 +133,26 @@ RoundRecord RoundEngine::run_round() {
                          collect_quota(record.clients.size(), options_.collect_fraction),
                          timeout_cut);
 
-  if (!cloneable_) {
-    // Legacy serial path: the model cannot be cloned, so every client
-    // trains in place on the shared instance, in participant order.
-    bool trained = false;
-    for (std::size_t i = 0; i < participants.size(); ++i) {
-      record.clients[i] = run_client(participants[i], infos[i], *model_, &trained);
-      quorum.offer(i);
-    }
-  } else {
-    // Replica path (used for EVERY worker count so batch-norm buffer
-    // semantics never depend on the schedule): each client trains a private
-    // replica seeded with the global weights and the round-start buffer
-    // snapshot; results land in pre-sized slots, so output is bit-identical
-    // for 1 or N workers.
-    const std::vector<double> round_buffers = nn::capture_buffers(model_->backbone());
-    std::vector<std::vector<double>> slot_buffers(participants.size());
-    std::vector<char> slot_trained(participants.size(), 0);
-    const auto train_one = [&](std::size_t i) {
-      std::unique_ptr<nn::Classifier> replica = acquire_replica();
-      if (!round_buffers.empty()) {
-        nn::load_buffers(replica->backbone(), round_buffers);
-      }
-      bool trained = false;
-      record.clients[i] = run_client(participants[i], infos[i], *replica, &trained);
-      if (trained && !round_buffers.empty()) {
-        slot_buffers[i] = nn::capture_buffers(replica->backbone());
-      }
-      slot_trained[i] = trained ? 1 : 0;
-      release_replica(std::move(replica));
-      quorum.offer(i);
-    };
-    const std::size_t workers = util::ThreadPool::resolve_workers(options_.worker_threads);
-    if (workers <= 1 || participants.size() <= 1) {
-      for (std::size_t i = 0; i < participants.size(); ++i) train_one(i);
-    } else {
-      dispatch_pool(workers).parallel_for_dynamic(participants.size(), train_one, workers);
-    }
-    // The shared model keeps the buffers of the last participant that
-    // trained — the same participant the serial schedule would leave them
-    // from — regardless of how the slots were scheduled.
-    if (!round_buffers.empty()) {
-      for (std::size_t i = participants.size(); i-- > 0;) {
-        if (slot_trained[i]) {
-          nn::load_buffers(model_->backbone(), slot_buffers[i]);
-          break;
-        }
-      }
+  // Every client trains a private replica seeded with the global weights
+  // and the round-start buffer snapshot; results land in pre-sized slots,
+  // so output is bit-identical for 1 or N workers.
+  std::vector<std::vector<double>> slot_buffers;
+  trainer_.run_jobs(
+      participants.size(),
+      [&](std::size_t i, nn::Classifier& replica) {
+        bool trained = false;
+        record.clients[i] = run_client(participants[i], infos[i], replica, &trained);
+        quorum.offer(i);
+        return trained;
+      },
+      slot_buffers);
+  // The shared model keeps the buffers of the last participant that trained
+  // (the one a serial schedule would leave them from), however the slots
+  // were scheduled.
+  for (std::size_t i = slot_buffers.size(); i-- > 0;) {
+    if (!slot_buffers[i].empty()) {
+      nn::load_buffers(trainer_.model().backbone(), slot_buffers[i]);
+      break;
     }
   }
 
@@ -298,7 +186,7 @@ RoundRecord RoundEngine::run_round() {
     if (r.arrival_time > timeout_cut) {
       FEDCA_MCOUNT("engine.upload_timeouts", 1.0);
       if (tracer.enabled()) {
-        tracer.record_instant(client_pid(r.client_id), "recovery.timeout_exclude",
+        tracer.record_instant(trainer_.client_pid(r.client_id), "recovery.timeout_exclude",
                               timeout_cut,
                               {{"client", std::to_string(r.client_id)},
                                {"round", std::to_string(record.round_index)},
@@ -342,7 +230,7 @@ RoundRecord RoundEngine::run_round() {
     end_time = std::max(end_time, record.start_time);
     FEDCA_MCOUNT("engine.rounds_empty", 1.0);
     if (tracer.enabled()) {
-      tracer.record_instant(server_pid(), "recovery.empty_round", end_time,
+      tracer.record_instant(trainer_.server_pid(), "recovery.empty_round", end_time,
                             {{"round", std::to_string(record.round_index)},
                              {"participants",
                               std::to_string(record.clients.size())}});
@@ -354,7 +242,7 @@ RoundRecord RoundEngine::run_round() {
     if (record.collected.size() < std::max<std::size_t>(1, planned_quota)) {
       FEDCA_MCOUNT("engine.partial_rounds", 1.0);
       if (tracer.enabled()) {
-        tracer.record_instant(server_pid(), "recovery.partial_aggregation",
+        tracer.record_instant(trainer_.server_pid(), "recovery.partial_aggregation",
                               end_time,
                               {{"round", std::to_string(record.round_index)},
                                {"collected",
@@ -368,12 +256,12 @@ RoundRecord RoundEngine::run_round() {
   ++round_index_;
 
   if (tracer.enabled()) {
-    tracer.record_span(server_pid(), "round", record.start_time, record.end_time,
+    tracer.record_span(trainer_.server_pid(), "round", record.start_time, record.end_time,
                        {{"round", std::to_string(record.round_index)},
                         {"deadline", fmt_num(record.deadline)},
                         {"collected", std::to_string(record.collected.size())},
                         {"participants", std::to_string(record.clients.size())}});
-    tracer.record_span(server_pid(), "aggregate", record.end_time, record.end_time,
+    tracer.record_span(trainer_.server_pid(), "aggregate", record.end_time, record.end_time,
                        {{"round", std::to_string(record.round_index)},
                         {"updates", std::to_string(record.collected.size())}});
   }
@@ -458,11 +346,10 @@ ClientRoundResult RoundEngine::run_client(std::size_t client_id, const RoundInfo
   ClientPolicy& policy = scheme_->client_policy(client_id);
   const double bytes_per_param = model.info().bytes_per_actual_param();
   const double iteration_work = model.info().nominal_iteration_seconds;
-  const std::size_t shard = client_id % shards_.size();
 
   ClientRoundResult result;
   result.client_id = client_id;
-  result.weight = static_cast<double>(shards_[shard].size());
+  result.weight = static_cast<double>(trainer_.shard(client_id).size());
   result.planned_iterations = info.planned_iterations;
 
   // Optional lossy codec on everything this client uploads this round.
@@ -471,7 +358,7 @@ ClientRoundResult RoundEngine::run_client(std::size_t client_id, const RoundInfo
 
   obs::TraceCollector& tracer = obs::TraceCollector::global();
   const bool tracing = tracer.enabled();
-  const std::uint32_t pid = client_pid(client_id);
+  const std::uint32_t pid = trainer_.client_pid(client_id);
 
   // Fault horizon for this round: the first virtual time >= round start at
   // which the client goes offline (crash or dropout window). Everything the
@@ -493,32 +380,26 @@ ClientRoundResult RoundEngine::run_client(std::size_t client_id, const RoundInfo
     result.fault = kind;
     result.fail_time = at;
     result.arrival_time = kNoDeadline;
-    const char* name = kind == ClientFault::kCrash       ? "fault.crash"
-                       : kind == ClientFault::kLinkOutage ? "fault.link_outage"
-                                                          : "fault.dropout";
     if (kind == ClientFault::kCrash) {
-      // A crash is a one-time event per client: the mid-round failure here
-      // and the next round's participant exclusion must not both count it.
-      if (client_id < crash_reported_.size() && crash_reported_[client_id]) {
-        return;
-      }
-      if (client_id < crash_reported_.size()) crash_reported_[client_id] = 1;
-      FEDCA_MCOUNT("faults.crashes", 1.0);
-    } else if (kind == ClientFault::kLinkOutage) {
+      // Announced once per client: here or at a later round's participant
+      // exclusion, whichever sees it first.
+      trainer_.announce_crash(client_id, at,
+                              {{"client", std::to_string(client_id)},
+                               {"round", std::to_string(info.round_index)}});
+      return;
+    }
+    if (kind == ClientFault::kLinkOutage) {
       FEDCA_MCOUNT("faults.link_outages", 1.0);
     } else {
       FEDCA_MCOUNT("faults.dropouts", 1.0);
     }
     if (tracing && std::isfinite(at)) {
-      tracer.record_instant(pid, name, at,
+      tracer.record_instant(pid,
+                            kind == ClientFault::kLinkOutage ? "fault.link_outage"
+                                                             : "fault.dropout",
+                            at,
                             {{"client", std::to_string(client_id)},
                              {"round", std::to_string(info.round_index)}});
-    }
-    if (kind == ClientFault::kCrash) {
-      // Crash dump: persist the recorder rings — the last events every
-      // thread saw, including the fault.crash instant just recorded — at
-      // the moment the injected crash fires.
-      sim::notify_fault_dump();
     }
   };
 
@@ -554,22 +435,11 @@ ClientRoundResult RoundEngine::run_client(std::size_t client_id, const RoundInfo
                         {"round", std::to_string(info.round_index)}});
   }
 
-  // 2. Local training, from a loader rebuilt from the pure per-client fork
-  // and the stored (epoch, position) cursor.
-  data::BatchLoader loader(&shards_[shard], options_.batch_size,
-                           loader_rng_.fork(0xB00C + client_id));
-  const data::BatchLoader::Cursor& cursor = loader_cursors_[client_id];
-  if (cursor.epochs > 0 || cursor.position > 0) loader.restore(cursor);
-  model.load(global_);
-  model.set_training(true);
+  // 2. Local training on the client's loader stream, resumed from its
+  // stored cursor.
   *trained = true;  // at least one SGD step always runs past this point
-  nn::SgdOptions opt_options = scheme_->local_optimizer(options_.optimizer);
-  nn::SgdOptimizer optimizer(model.parameters(), opt_options);
-  if (opt_options.prox_mu != 0.0) optimizer.capture_prox_anchor();
+  const nn::SgdOptions opt_options = scheme_->local_optimizer(options_.optimizer);
   const double base_lr = opt_options.learning_rate;
-
-  policy.on_round_start(info, global_);
-
   const double train_start = download.end;
   double t = train_start;
   double loss_sum = 0.0;
@@ -581,122 +451,118 @@ ClientRoundResult RoundEngine::run_client(std::size_t client_id, const RoundInfo
   std::vector<char> eager_sent(params.size(), 0);
 
   bool interrupted = false;
-  for (std::size_t tau = 1; tau <= info.planned_iterations; ++tau) {
-    const double iter_start = t;
-    {
-      FEDCA_KERNEL_SPAN("sgd.step");
-      // Reference into the loader's reused batch storage — no per-iteration
-      // gather allocation.
-      const data::Batch& batch = loader.next_batch();
-      loss_sum += model.compute_gradients(batch.inputs, batch.labels);
-      optimizer.step();
-    }
-    t = device.compute_finish(t, iteration_work);
-    if (t > fail_time) {
-      // The iteration in progress when the client went offline never
-      // completes; its work (and everything before it) is lost.
-      interrupted = true;
-      t = fail_time;
-      break;
-    }
-    iterations = tau;
-    if (tracing) {
-      tracer.record_span(pid, "iter", iter_start, t,
-                         {{"tau", std::to_string(tau)},
-                          {"round", std::to_string(info.round_index)}});
-    }
-
-    IterationView view;
-    view.iteration = tau;
-    view.now = t;
-    view.train_start = train_start;
-    view.round = &info;
-    view.round_start = &global_;
-    view.model = &model.backbone();
-    const IterationDecision decision = policy.after_iteration(view);
-
-    if (!decision.eager_layers.empty()) {
-      result.eager.reserve(result.eager.size() + decision.eager_layers.size());
-    }
-    for (const std::size_t layer : decision.eager_layers) {
-      if (layer >= params.size()) {
-        throw std::logic_error("policy requested eager transmission of bad layer index");
-      }
-      if (eager_sent[layer]) continue;  // at most once per round
-      eager_sent[layer] = 1;
-      EagerRecord eager;
-      eager.layer = layer;
-      eager.iteration = tau;
-      tensor::sub_into(params[layer]->value, global_.tensors[layer], eager.value);
-      double layer_bytes;
-      if (options_.eager_wire == EagerWire::kInt8) {
-        // Quantized eager wire: int8 codes replace the scheme codec on
-        // this path only; the final upload (and any retransmission) stays
-        // on the scheme codec, so error feedback absorbs the residual.
-        Int8Quantizer int8_codec;
-        layer_bytes = int8_codec.compress(eager.value, bytes_per_param);
-      } else {
-        layer_bytes =
-            compressor ? compressor->compress(eager.value, bytes_per_param)
-                       : static_cast<double>(eager.value.numel()) * bytes_per_param;
-      }
-      const sim::Transfer transfer = device.uplink().transmit(t, layer_bytes);
-      eager.send_time = transfer.start;
-      eager.arrival_time = transfer.end;
-      result.bytes_sent += layer_bytes;
-      result.eager_bytes += layer_bytes;
-      FEDCA_MCOUNT("engine.eager_transmissions", 1.0);
-      if (faults != nullptr) {
-        // Seeded in-flight loss/corruption of the eager payload. Either
-        // way the server discards it (corruption is caught by checksum),
-        // and the layer is force-retransmitted with the final upload.
-        const sim::EagerFault ef =
-            faults->eager_fault(client_id, info.round_index, layer);
-        if (ef == sim::EagerFault::kLost) {
-          eager.lost = true;
-          FEDCA_MCOUNT("faults.eager_lost", 1.0);
-          if (tracing && std::isfinite(transfer.end)) {
-            tracer.record_instant(pid, "fault.eager_lost", transfer.end,
-                                  {{"client", std::to_string(client_id)},
-                                   {"layer", std::to_string(layer)},
-                                   {"round", std::to_string(info.round_index)}});
-          }
-        } else if (ef == sim::EagerFault::kTruncated) {
-          eager.truncated = true;
-          FEDCA_MCOUNT("faults.eager_truncated", 1.0);
-          if (tracing && std::isfinite(transfer.end)) {
-            tracer.record_instant(pid, "fault.eager_truncated", transfer.end,
-                                  {{"client", std::to_string(client_id)},
-                                   {"layer", std::to_string(layer)},
-                                   {"round", std::to_string(info.round_index)}});
-          }
+  trainer_.train(
+      client_id, model, global_, opt_options, info.planned_iterations,
+      [&] { policy.on_round_start(info, global_); },
+      [&](std::size_t tau, double loss, nn::SgdOptimizer& optimizer) {
+        const double iter_start = t;
+        loss_sum += loss;
+        t = device.compute_finish(t, iteration_work);
+        if (t > fail_time) {
+          // The iteration in progress when the client went offline never
+          // completes; its work (and everything before it) is lost.
+          interrupted = true;
+          t = fail_time;
+          return false;
         }
-      }
-      result.eager.push_back(std::move(eager));
-    }
-
-    if (decision.lr_scale != 1.0) {
-      if (decision.lr_scale <= 0.0) {
-        throw std::logic_error("policy requested non-positive lr_scale");
-      }
-      optimizer.set_learning_rate(base_lr * decision.lr_scale);
-    }
-
-    if (decision.stop && tau < info.planned_iterations) {
-      stopped_early = true;
-      if (tracing) {
-        obs::TraceArgs args{{"tau", std::to_string(tau)},
-                            {"round", std::to_string(info.round_index)}};
-        for (const auto& [key, value] : decision.trace_annotations) {
-          args.emplace_back(key, fmt_num(value));
+        iterations = tau;
+        if (tracing) {
+          tracer.record_span(pid, "iter", iter_start, t,
+                             {{"tau", std::to_string(tau)},
+                              {"round", std::to_string(info.round_index)}});
         }
-        tracer.record_instant(pid, "early_stop", t, std::move(args));
-      }
-      FEDCA_MCOUNT("engine.early_stops", 1.0);
-      break;
-    }
-  }
-  loader_cursors_[client_id] = loader.cursor();
+
+        IterationView view;
+        view.iteration = tau;
+        view.now = t;
+        view.train_start = train_start;
+        view.round = &info;
+        view.round_start = &global_;
+        view.model = &model.backbone();
+        const IterationDecision decision = policy.after_iteration(view);
+
+        if (!decision.eager_layers.empty()) {
+          result.eager.reserve(result.eager.size() + decision.eager_layers.size());
+        }
+        for (const std::size_t layer : decision.eager_layers) {
+          if (layer >= params.size()) {
+            throw std::logic_error("policy requested eager transmission of bad layer index");
+          }
+          if (eager_sent[layer]) continue;  // at most once per round
+          eager_sent[layer] = 1;
+          EagerRecord eager;
+          eager.layer = layer;
+          eager.iteration = tau;
+          tensor::sub_into(params[layer]->value, global_.tensors[layer], eager.value);
+          double layer_bytes;
+          if (options_.eager_wire == EagerWire::kInt8) {
+            // Quantized eager wire: int8 codes replace the scheme codec on
+            // this path only; the final upload (and any retransmission) stays
+            // on the scheme codec, so error feedback absorbs the residual.
+            Int8Quantizer int8_codec;
+            layer_bytes = int8_codec.compress(eager.value, bytes_per_param);
+          } else {
+            layer_bytes =
+                compressor ? compressor->compress(eager.value, bytes_per_param)
+                           : static_cast<double>(eager.value.numel()) * bytes_per_param;
+          }
+          const sim::Transfer transfer = device.uplink().transmit(t, layer_bytes);
+          eager.send_time = transfer.start;
+          eager.arrival_time = transfer.end;
+          result.bytes_sent += layer_bytes;
+          result.eager_bytes += layer_bytes;
+          FEDCA_MCOUNT("engine.eager_transmissions", 1.0);
+          if (faults != nullptr) {
+            // Seeded in-flight loss/corruption of the eager payload. Either
+            // way the server discards it (corruption is caught by checksum),
+            // and the layer is force-retransmitted with the final upload.
+            const sim::EagerFault ef =
+                faults->eager_fault(client_id, info.round_index, layer);
+            if (ef == sim::EagerFault::kLost) {
+              eager.lost = true;
+              FEDCA_MCOUNT("faults.eager_lost", 1.0);
+              if (tracing && std::isfinite(transfer.end)) {
+                tracer.record_instant(pid, "fault.eager_lost", transfer.end,
+                                      {{"client", std::to_string(client_id)},
+                                       {"layer", std::to_string(layer)},
+                                       {"round", std::to_string(info.round_index)}});
+              }
+            } else if (ef == sim::EagerFault::kTruncated) {
+              eager.truncated = true;
+              FEDCA_MCOUNT("faults.eager_truncated", 1.0);
+              if (tracing && std::isfinite(transfer.end)) {
+                tracer.record_instant(pid, "fault.eager_truncated", transfer.end,
+                                      {{"client", std::to_string(client_id)},
+                                       {"layer", std::to_string(layer)},
+                                       {"round", std::to_string(info.round_index)}});
+              }
+            }
+          }
+          result.eager.push_back(std::move(eager));
+        }
+
+        if (decision.lr_scale != 1.0) {
+          if (decision.lr_scale <= 0.0) {
+            throw std::logic_error("policy requested non-positive lr_scale");
+          }
+          optimizer.set_learning_rate(base_lr * decision.lr_scale);
+        }
+
+        if (decision.stop && tau < info.planned_iterations) {
+          stopped_early = true;
+          if (tracing) {
+            obs::TraceArgs args{{"tau", std::to_string(tau)},
+                                {"round", std::to_string(info.round_index)}};
+            for (const auto& [key, value] : decision.trace_annotations) {
+              args.emplace_back(key, fmt_num(value));
+            }
+            tracer.record_instant(pid, "early_stop", t, std::move(args));
+          }
+          FEDCA_MCOUNT("engine.early_stops", 1.0);
+          return false;
+        }
+        return true;
+      });
   result.iterations_run = iterations;
   result.early_stopped = stopped_early;
   result.compute_done = t;

@@ -80,10 +80,8 @@ class Classifier {
   };
   EvalResult evaluate(const Tensor& inputs, const std::vector<int>& labels);
 
-  // Deep copy for parallel client training: an independent backbone with
-  // its own parameters and batch-norm buffers. Returns nullptr when the
-  // backbone (or any submodule) does not implement Module::clone — the
-  // engines then train serially on this one instance.
+  // Deep copy for client training: an independent backbone with its own
+  // parameters and batch-norm buffers.
   std::unique_ptr<Classifier> clone() const;
 
   // Flat parameter list, cached at construction (parameter pointers stay

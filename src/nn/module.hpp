@@ -78,11 +78,9 @@ class Module {
 
   // Deep copy: a structurally identical module tree with its own
   // parameters and buffers (cached activations may be copied too; the
-  // next forward() overwrites them). Returns nullptr when the module does
-  // not support cloning — the round engines then fall back to serial
-  // in-place training on the one shared model. Every module shipped in
-  // nn/ is cloneable; custom test modules may opt out by default.
-  virtual std::unique_ptr<Module> clone() const { return nullptr; }
+  // next forward() overwrites them). Every module implements it: both
+  // engines train each client on a clone of the shared model.
+  virtual std::unique_ptr<Module> clone() const = 0;
 
   // Visits every non-parameter state buffer (batch-norm running
   // statistics) in a stable order; containers forward to children.

@@ -47,11 +47,7 @@ void Sequential::set_training(bool training) {
 
 std::unique_ptr<Module> Sequential::clone() const {
   auto out = std::make_unique<Sequential>();
-  for (const auto& child : children_) {
-    std::unique_ptr<Module> copy = child->clone();
-    if (!copy) return nullptr;
-    out->add(std::move(copy));
-  }
+  for (const auto& child : children_) out->add(child->clone());
   return out;
 }
 
@@ -98,14 +94,7 @@ void Residual::set_training(bool training) {
 }
 
 std::unique_ptr<Module> Residual::clone() const {
-  std::unique_ptr<Module> main_copy = main_->clone();
-  if (!main_copy) return nullptr;
-  std::unique_ptr<Module> shortcut_copy;
-  if (shortcut_) {
-    shortcut_copy = shortcut_->clone();
-    if (!shortcut_copy) return nullptr;
-  }
-  return std::make_unique<Residual>(std::move(main_copy), std::move(shortcut_copy));
+  return std::make_unique<Residual>(main_->clone(), shortcut_ ? shortcut_->clone() : nullptr);
 }
 
 void Residual::visit_buffers(const std::function<void(std::span<double>)>& fn) {

@@ -24,7 +24,6 @@ class Sequential : public Module {
   std::vector<Parameter*> parameters() override;
   std::string type_name() const override { return "Sequential"; }
   void set_training(bool training) override;
-  // Deep clone; nullptr if any child is not cloneable.
   std::unique_ptr<Module> clone() const override;
   void visit_buffers(const std::function<void(std::span<double>)>& fn) override;
 
@@ -43,7 +42,6 @@ class Residual : public Module {
   std::vector<Parameter*> parameters() override;
   std::string type_name() const override { return "Residual"; }
   void set_training(bool training) override;
-  // Deep clone; nullptr if any branch is not cloneable.
   std::unique_ptr<Module> clone() const override;
   void visit_buffers(const std::function<void(std::span<double>)>& fn) override;
 

@@ -142,6 +142,9 @@ TEST(AsyncEngine, Validation) {
   fl::AsyncEngineOptions bad2 = small_options();
   bad2.local_iterations = 0;
   EXPECT_THROW(make_async(8, bad2), std::invalid_argument);
+  fl::AsyncEngineOptions bad3 = small_options();
+  bad3.optimizer.prox_mu = 0.1;
+  EXPECT_THROW(make_async(9, bad3), std::invalid_argument);
 }
 
 }  // namespace

@@ -354,9 +354,18 @@ struct AsyncChaosFixture {
   std::unique_ptr<fl::AsyncEngine> engine;
 };
 
-AsyncChaosFixture make_async_with_faults(std::uint64_t seed,
-                                         std::vector<sim::FaultEvent> events,
-                                         std::size_t clients = 5) {
+fl::AsyncEngineOptions async_fixture_options() {
+  fl::AsyncEngineOptions options;
+  options.local_iterations = 4;
+  options.batch_size = 8;
+  options.optimizer = {0.05, 0.0, 0.0};
+  return options;
+}
+
+AsyncChaosFixture make_async_with_faults(
+    std::uint64_t seed, std::vector<sim::FaultEvent> events,
+    fl::AsyncEngineOptions options = async_fixture_options()) {
+  constexpr std::size_t clients = 5;
   AsyncChaosFixture fx;
   util::Rng root(seed);
   util::Rng model_rng = root.fork(1);
@@ -384,10 +393,6 @@ AsyncChaosFixture make_async_with_faults(std::uint64_t seed,
   fx.cluster->install_faults(std::make_shared<const sim::FaultInjector>(
       sim::FaultSchedule(std::move(events)), clients));
 
-  fl::AsyncEngineOptions options;
-  options.local_iterations = 4;
-  options.batch_size = 8;
-  options.optimizer = {0.05, 0.0, 0.0};
   fx.engine = std::make_unique<fl::AsyncEngine>(fx.model.get(), fx.cluster.get(),
                                                 std::move(shards), options,
                                                 root.fork(7));
@@ -405,6 +410,92 @@ TEST_F(RobustnessTest, AsyncCrashedClientNeverContributes) {
     EXPECT_FALSE(r.lost);
   }
   EXPECT_EQ(fx.engine->global_version(), 15u);
+}
+
+TEST_F(RobustnessTest, AsyncMidCycleCrashCountedOnce) {
+  // Client 0 crashes inside its first cycle: the cycle is lost, and the
+  // relaunch finds the client permanently dead. Both events are the same
+  // crash, so it is counted and traced once.
+  obs::set_metrics_enabled(true);
+  obs::TraceCollector::global().set_enabled(true);
+  AsyncChaosFixture fx = make_async_with_faults(
+      24, {{sim::FaultKind::kCrash, /*client=*/0, /*start=*/1e-3, 0.0, 1.0}});
+  const auto records = fx.engine->run_updates(10);
+  ASSERT_FALSE(records.empty());
+  EXPECT_EQ(records.front().client_id, 0u);
+  EXPECT_TRUE(records.front().lost);
+  EXPECT_EQ(fx.engine->live_clients(), 4u);
+  EXPECT_EQ(counter_value("faults.crashes"), 1.0);
+  std::size_t crash_instants = 0;
+  for (const obs::TraceEvent& e : obs::TraceCollector::global().snapshot_events()) {
+    if (e.name == "fault.crash") ++crash_instants;
+  }
+  EXPECT_EQ(crash_instants, 1u);
+}
+
+// FNV-1a over every update record field and the final global model bytes,
+// so one 64-bit value pins a whole async run.
+std::uint64_t async_run_digest(const std::vector<fl::AsyncUpdateRecord>& records,
+                               const nn::ModelState& global) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto mix = [&h](const void* data, std::size_t bytes) {
+    const auto* p = static_cast<const unsigned char*>(data);
+    for (std::size_t i = 0; i < bytes; ++i) {
+      h ^= p[i];
+      h *= 0x100000001b3ULL;
+    }
+  };
+  const auto mix_u64 = [&mix](std::uint64_t v) { mix(&v, sizeof(v)); };
+  mix_u64(records.size());
+  for (const fl::AsyncUpdateRecord& r : records) {
+    mix_u64(r.client_id);
+    mix(&r.arrival_time, sizeof(r.arrival_time));
+    mix_u64(r.downloaded_version);
+    mix_u64(r.applied_version);
+    mix_u64(r.staleness);
+    mix(&r.weight, sizeof(r.weight));
+    mix_u64(r.lost ? 1 : 0);
+  }
+  const std::vector<float> state = global.flattened();
+  mix_u64(state.size());
+  mix(state.data(), state.size() * sizeof(float));
+  return h;
+}
+
+// Digest of the run below, computed at commit b8e1b86 (before both engines
+// trained clients through fl::ClientTrainer). Identical for every worker
+// count and speculation cap.
+constexpr std::uint64_t kAsyncChaosDigest = 0xe253dccd77952682ULL;
+
+TEST_F(RobustnessTest, AsyncChaosDigestAcrossWorkersAndSpeculation) {
+  sim::FaultScheduleOptions f = chaos_faults(43);
+  // Squeeze the chaos schedule into the run's ~10 virtual seconds so every
+  // fault class fires mid-run (the scenario's horizon is 4000 s).
+  f.horizon_seconds = 8.0;
+  f.dropout_mean_seconds = 0.5;
+  f.slowdown_mean_seconds = 1.0;
+  f.link_fault_mean_seconds = 0.5;
+  const std::vector<sim::FaultEvent> events =
+      sim::FaultSchedule::generate(f, 5).events();
+  for (const std::size_t cap : {0u, 2u}) {
+    for (const std::size_t workers : {1u, 2u, 8u}) {
+      fl::AsyncEngineOptions options = async_fixture_options();
+      options.worker_threads = workers;
+      options.speculative_cap = cap;
+      AsyncChaosFixture fx = make_async_with_faults(43, events, options);
+      const auto records = fx.engine->run_updates(60);
+      const std::string what =
+          "cap=" + std::to_string(cap) + " workers=" + std::to_string(workers);
+      // The schedule must actually bite: cycles are lost and a client dies.
+      EXPECT_TRUE(std::any_of(records.begin(), records.end(),
+                              [](const fl::AsyncUpdateRecord& r) { return r.lost; }))
+          << what;
+      EXPECT_LT(fx.engine->live_clients(), 5u) << what;
+      EXPECT_EQ(async_run_digest(records, fx.engine->global_state()), kAsyncChaosDigest)
+          << what << " digest 0x" << std::hex
+          << async_run_digest(records, fx.engine->global_state());
+    }
+  }
 }
 
 TEST_F(RobustnessTest, AsyncDropoutLosesCycleWithoutVersionBump) {

@@ -5,6 +5,44 @@
 set -u
 cd "$(dirname "$0")/.."
 
+# Every stage runs even after an earlier one failed; the script exits
+# with the first failing stage's own status and lists every failure.
+first_status=0
+failures=""
+# fail_stage STATUS WHAT: records a failed stage.
+fail_stage() {
+  [ "$first_status" -ne 0 ] || first_status=$1
+  failures="$failures
+  $2 (exit $1)"
+}
+
+# run_logged LOG CMD [ARG...]: runs CMD (a program or a shell function)
+# with its output shown and appended to LOG, and records CMD's own status
+# if it failed. sh has no pipefail, so `CMD | tee LOG || exit 1` would
+# only ever see tee's status.
+run_logged() {
+  log=$1
+  shift
+  status_file=$(mktemp)
+  { "$@" 2>&1; echo $? >"$status_file"; } | tee -a "$log"
+  status=$(cat "$status_file")
+  rm -f "$status_file"
+  if [ "${status:-1}" -ne 0 ]; then
+    echo "FAILED (exit ${status:-1}): $*" | tee -a "$log"
+    fail_stage "${status:-1}" "$* (see $log)"
+  fi
+}
+
+# keep_going CMD [ARG...]: for the steps of a multi-step stage function.
+# Runs CMD; if it fails, says so and keeps the first failing status in
+# step_status, which the stage returns once all its steps have run.
+keep_going() {
+  "$@" && return 0
+  step_status_now=$?
+  echo "FAILED (exit $step_status_now): $*"
+  [ "$step_status" -ne 0 ] || step_status=$step_status_now
+}
+
 # Static analysis first — cheapest stage, fails fastest. The invariant
 # linter (pure python) always runs and any finding fails the pass. When
 # clang is available the clang-tidy baseline gate and a clang build with
@@ -12,19 +50,20 @@ cd "$(dirname "$0")/.."
 # gcc-only container those sub-stages print SKIP. FEDCA_LINT=0 skips the
 # whole stage.
 if [ "${FEDCA_LINT:-1}" != "0" ]; then
-  echo "===== lint =====" | tee /root/repo/lint_output.txt
-  python3 tools/lint_fedca.py 2>&1 | tee -a /root/repo/lint_output.txt || exit 1
-  python3 tools/run_clang_tidy.py --build-dir build 2>&1 \
-    | tee -a /root/repo/lint_output.txt || exit 1
+  echo "===== lint =====" | tee lint_output.txt
+  run_logged lint_output.txt python3 tools/lint_fedca.py
+  run_logged lint_output.txt \
+    python3 tools/run_clang_tidy.py --build-dir build
   if command -v clang++ >/dev/null 2>&1; then
-    echo "--- thread-safety build (clang) ---" | tee -a /root/repo/lint_output.txt
+    echo "--- thread-safety build (clang) ---" | tee -a lint_output.txt
     cmake -B build-sa -S . -DCMAKE_CXX_COMPILER=clang++ \
-      -DFEDCA_STATIC_ANALYSIS=ON >>/root/repo/lint_output.txt 2>&1 &&
-    cmake --build build-sa -j "$(nproc)" >>/root/repo/lint_output.txt 2>&1 \
-      || { echo "thread-safety build FAILED (see lint_output.txt)"; exit 1; }
+      -DFEDCA_STATIC_ANALYSIS=ON >>lint_output.txt 2>&1 &&
+    cmake --build build-sa -j "$(nproc)" >>lint_output.txt 2>&1 \
+      || { echo "thread-safety build FAILED (see lint_output.txt)"
+           fail_stage 1 "thread-safety build (see lint_output.txt)"; }
   else
     echo "--- thread-safety build: SKIP (no clang++) ---" \
-      | tee -a /root/repo/lint_output.txt
+      | tee -a lint_output.txt
   fi
 fi
 
@@ -35,25 +74,34 @@ fi
 # configuration error (the binary exits 2), not a silent skip.
 # FEDCA_ANALYZE=0 skips the stage.
 if [ "${FEDCA_ANALYZE:-1}" != "0" ]; then
-  echo "===== analyze =====" | tee /root/repo/analyze_output.txt
+  echo "===== analyze =====" | tee analyze_output.txt
   cmake --build build --target fedca_analyze -j "$(nproc)" \
-    >>/root/repo/analyze_output.txt 2>&1 \
-    || { echo "fedca_analyze build FAILED (see analyze_output.txt)"; exit 1; }
-  # No pipefail in sh: capture the analyzer's own status, then echo.
-  build/tools/analyze/fedca_analyze --root . --build build \
-    --spec tools/analyze/layers.spec >/root/repo/analyze_findings.txt 2>&1
-  analyze_status=$?
-  cat /root/repo/analyze_findings.txt | tee -a /root/repo/analyze_output.txt
-  [ "$analyze_status" -eq 0 ] || exit "$analyze_status"
+    >>analyze_output.txt 2>&1 \
+    || { echo "fedca_analyze build FAILED (see analyze_output.txt)"
+         fail_stage 1 "fedca_analyze build (see analyze_output.txt)"; }
+  run_logged analyze_output.txt build/tools/analyze/fedca_analyze \
+    --root . --build build --spec tools/analyze/layers.spec
 fi
 
-ctest --test-dir build 2>&1 | tee /root/repo/test_output.txt
-mkdir -p /root/repo/results
-for b in build/bench/*; do
-  [ -f "$b" ] && [ -x "$b" ] || continue
-  echo "===== $b ====="
-  "$b" csv_dir=/root/repo/results
-done 2>&1 | tee /root/repo/bench_output.txt
+: >test_output.txt
+run_logged test_output.txt ctest --test-dir build
+
+# Every bench binary with its table written to results/. micro_kernels is
+# a Google Benchmark binary that takes --benchmark_* flags, not key=value
+# ones; the kernel bench stage below runs it.
+run_benches() {
+  step_status=0
+  for b in build/bench/*; do
+    [ -f "$b" ] && [ -x "$b" ] || continue
+    [ "${b##*/}" != micro_kernels ] || continue
+    echo "===== $b ====="
+    keep_going "$b" csv_dir=results
+  done
+  return "$step_status"
+}
+mkdir -p results
+: >bench_output.txt
+run_logged bench_output.txt run_benches
 
 # Scenario regression net: every committed scenarios/*.scn must reproduce
 # its pinned run-report digest (tests/golden/scenario_*.sha256). This is
@@ -62,36 +110,36 @@ done 2>&1 | tee /root/repo/bench_output.txt
 # FEDCA_SCENARIOS=0 skips; regenerate goldens with
 # `python3 tools/scenario_digest.py --build build --update`.
 if [ "${FEDCA_SCENARIOS:-1}" != "0" ]; then
-  echo "===== scenario goldens ====="
-  python3 tools/scenario_digest.py --build build --check \
-    2>&1 | tee /root/repo/scenario_output.txt || exit 1
+  echo "===== scenario goldens =====" | tee scenario_output.txt
+  run_logged scenario_output.txt \
+    python3 tools/scenario_digest.py --build build --check
 fi
 
 # Kernel bench smoke: refresh BENCH_kernels.json (before/after numbers for
 # the blocked GEMM + parallel engine work). The kernel sources are compiled
 # -O3 regardless of the top-level build type; FEDCA_BENCH_KERNELS=0 skips.
 if [ "${FEDCA_BENCH_KERNELS:-1}" != "0" ]; then
-  echo "===== kernel benches ====="
-  python3 tools/bench_kernels.py --build build --out BENCH_kernels.json \
-    2>&1 | tee /root/repo/kernel_bench_output.txt
+  echo "===== kernel benches =====" | tee kernel_bench_output.txt
+  run_logged kernel_bench_output.txt \
+    python3 tools/bench_kernels.py --build build --out BENCH_kernels.json
 fi
 
 # Allocation bench: refresh BENCH_memory.json via the counting-allocator
 # harness (heap allocations per steady-state round, pool off vs on; fails
 # if the pool-on reduction drops below 10x). FEDCA_BENCH_MEMORY=0 skips.
 if [ "${FEDCA_BENCH_MEMORY:-1}" != "0" ]; then
-  echo "===== memory bench ====="
-  python3 tools/bench_memory.py --build build --out BENCH_memory.json \
-    2>&1 | tee /root/repo/memory_bench_output.txt
+  echo "===== memory bench =====" | tee memory_bench_output.txt
+  run_logged memory_bench_output.txt \
+    python3 tools/bench_memory.py --build build --out BENCH_memory.json
 fi
 
 # Recorder/report bench: refresh BENCH_obs.json (recorder throughput, hot-loop
 # overhead recorder-on vs off <= 5%, byte-identity of model state and
 # run_report.jsonl across worker counts). FEDCA_BENCH_OBS=0 skips.
 if [ "${FEDCA_BENCH_OBS:-1}" != "0" ]; then
-  echo "===== obs bench ====="
-  python3 tools/bench_obs.py --build build --out BENCH_obs.json \
-    2>&1 | tee /root/repo/obs_bench_output.txt || exit 1
+  echo "===== obs bench =====" | tee obs_bench_output.txt
+  run_logged obs_bench_output.txt \
+    python3 tools/bench_obs.py --build build --out BENCH_obs.json
 fi
 
 # Scale bench: refresh BENCH_scale.json via the million-client harness
@@ -100,9 +148,9 @@ fi
 # than 112 B of live client state per client).
 # FEDCA_BENCH_SCALE=0 skips.
 if [ "${FEDCA_BENCH_SCALE:-1}" != "0" ]; then
-  echo "===== scale bench ====="
-  python3 tools/bench_scale.py --build build --out BENCH_scale.json \
-    2>&1 | tee /root/repo/scale_bench_output.txt || exit 1
+  echo "===== scale bench =====" | tee scale_bench_output.txt
+  run_logged scale_bench_output.txt \
+    python3 tools/bench_scale.py --build build --out BENCH_scale.json
 fi
 
 # SIMD tier sweep: the kernel property suites must pass with the dispatch
@@ -110,77 +158,101 @@ fi
 # this host) — the two runs prove the tiers are interchangeable, and the
 # suites' own cross-tier memcmp checks prove they are bit-identical.
 # FEDCA_SIMD_SWEEP=0 skips.
-if [ "${FEDCA_SIMD_SWEEP:-1}" != "0" ]; then
-  echo "===== simd tier sweep =====" | tee /root/repo/simd_output.txt
+simd_sweep() {
+  step_status=0
   for tier in scalar auto; do
     for t in tensor_simd_kernels_test tensor_gemm_property_test; do
       echo "--- $t (FEDCA_SIMD=$tier) ---"
-      FEDCA_SIMD=$tier "build/tests/$t" || exit 1
+      keep_going env FEDCA_SIMD=$tier "build/tests/$t"
     done
-  done 2>&1 | tee -a /root/repo/simd_output.txt
+  done
+  return "$step_status"
+}
+if [ "${FEDCA_SIMD_SWEEP:-1}" != "0" ]; then
+  echo "===== simd tier sweep =====" | tee simd_output.txt
+  run_logged simd_output.txt simd_sweep
 fi
 
 # Observability smoke: a traced quickstart must produce a Chrome-trace file
 # that check_trace.py accepts, with the canonical span set present, and a
 # run_report.jsonl that tools/report.py validates structurally.
-echo "===== traced quickstart ====="
-FEDCA_TRACE=/root/repo/results/quickstart_trace.json \
-FEDCA_METRICS=/root/repo/results/quickstart_metrics.csv \
+echo "===== traced quickstart =====" | tee trace_output.txt
+run_logged trace_output.txt env \
+  FEDCA_TRACE=results/quickstart_trace.json \
+  FEDCA_METRICS=results/quickstart_metrics.csv \
   build/examples/quickstart rounds=6 clients=6 k=12 samples=600 \
-  report=/root/repo/results/quickstart_report.jsonl \
-  2>&1 | tee /root/repo/trace_output.txt
-python3 tools/check_trace.py /root/repo/results/quickstart_trace.json \
+  report=results/quickstart_report.jsonl
+run_logged trace_output.txt \
+  python3 tools/check_trace.py results/quickstart_trace.json \
   --expect download --expect compute --expect upload.final --expect aggregate \
-  --expect round 2>&1 | tee -a /root/repo/trace_output.txt
-python3 tools/report.py /root/repo/results/quickstart_report.jsonl --summary \
-  2>&1 | tee -a /root/repo/trace_output.txt || exit 1
+  --expect round
+run_logged trace_output.txt \
+  python3 tools/report.py results/quickstart_report.jsonl --summary
 
 # TSan pass over the concurrency-sensitive pieces (the metrics registry,
 # the tracer, and the instrumented round engine under the thread pool).
 # FEDCA_TSAN=0 skips it (e.g. when the toolchain lacks libtsan).
-if [ "${FEDCA_TSAN:-1}" != "0" ]; then
-  echo "===== tsan =====" | tee /root/repo/tsan_output.txt
+tsan_pass() {
+  step_status=0
   cmake -B build-tsan -S . -DFEDCA_SANITIZE=thread -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-    >>/root/repo/tsan_output.txt 2>&1 &&
+    >>tsan_output.txt 2>&1 &&
   cmake --build build-tsan --target obs_metrics_test obs_trace_test \
     obs_recorder_test fl_round_engine_test fl_parallel_determinism_test \
-    fl_async_engine_test tensor_pool_test tensor_simd_kernels_test \
-    tensor_gemm_property_test -j "$(nproc)" \
-    >>/root/repo/tsan_output.txt 2>&1 &&
+    fl_async_engine_test fl_robustness_test tensor_pool_test \
+    tensor_simd_kernels_test tensor_gemm_property_test -j "$(nproc)" \
+    >>tsan_output.txt 2>&1 \
+    || { echo "tsan build FAILED (see tsan_output.txt)"; return 1; }
   for t in obs_metrics_test obs_trace_test obs_recorder_test \
            fl_round_engine_test fl_parallel_determinism_test \
-           fl_async_engine_test tensor_pool_test; do
+           fl_async_engine_test fl_robustness_test tensor_pool_test; do
     echo "--- $t (tsan) ---"
     # FEDCA_TENSOR_POOL=1 routes every Tensor buffer through the pool's
     # thread-cache/global-tier handoff while the engines run multithreaded.
-    FEDCA_TENSOR_POOL=1 "build-tsan/tests/$t" || exit 1
-  done 2>&1 | tee -a /root/repo/tsan_output.txt
+    keep_going env FEDCA_TENSOR_POOL=1 "build-tsan/tests/$t"
+  done
   # Kernel property suites under TSan in both dispatch tiers: the packed
   # GEMM's thread_local scratch and the once-resolved tier cache are the
   # racy-by-construction pieces this pass is meant to vet.
   for tier in scalar auto; do
     for t in tensor_simd_kernels_test tensor_gemm_property_test; do
       echo "--- $t (tsan, FEDCA_SIMD=$tier) ---"
-      FEDCA_SIMD=$tier FEDCA_TENSOR_POOL=1 "build-tsan/tests/$t" || exit 1
+      keep_going env FEDCA_SIMD=$tier FEDCA_TENSOR_POOL=1 "build-tsan/tests/$t"
     done
-  done 2>&1 | tee -a /root/repo/tsan_output.txt
+  done
+  return "$step_status"
+}
+if [ "${FEDCA_TSAN:-1}" != "0" ]; then
+  echo "===== tsan =====" | tee tsan_output.txt
+  run_logged tsan_output.txt tsan_pass
 fi
 
 # ASan+UBSan pass over the fault-injection layer and the hardened engines:
 # the chaos suites exercise the unhappy paths (infinite finish times,
 # partial aggregation, abandoned async cycles) where lifetime and UB bugs
 # would hide. FEDCA_ASAN=0 skips it (e.g. when the toolchain lacks libasan).
-if [ "${FEDCA_ASAN:-1}" != "0" ]; then
-  echo "===== asan+ubsan =====" | tee /root/repo/asan_output.txt
+asan_pass() {
+  step_status=0
   cmake -B build-asan -S . -DFEDCA_SANITIZE=address,undefined \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-    >>/root/repo/asan_output.txt 2>&1 &&
+    >>asan_output.txt 2>&1 &&
   cmake --build build-asan --target sim_fault_injection_test \
     fl_robustness_test tensor_pool_test -j "$(nproc)" \
-    >>/root/repo/asan_output.txt 2>&1 &&
+    >>asan_output.txt 2>&1 \
+    || { echo "asan build FAILED (see asan_output.txt)"; return 1; }
   for t in sim_fault_injection_test fl_robustness_test tensor_pool_test; do
     echo "--- $t (asan+ubsan) ---"
     # Pool on: recycled-buffer lifetime and poisoning run under ASan too.
-    FEDCA_TENSOR_POOL=1 "build-asan/tests/$t" || exit 1
-  done 2>&1 | tee -a /root/repo/asan_output.txt
+    keep_going env FEDCA_TENSOR_POOL=1 "build-asan/tests/$t"
+  done
+  return "$step_status"
+}
+if [ "${FEDCA_ASAN:-1}" != "0" ]; then
+  echo "===== asan+ubsan =====" | tee asan_output.txt
+  run_logged asan_output.txt asan_pass
 fi
+
+if [ "$first_status" -ne 0 ]; then
+  echo "===== run_all: FAILED stages:$failures"
+  exit "$first_status"
+fi
+echo "===== run_all: every stage passed ====="
