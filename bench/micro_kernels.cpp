@@ -18,7 +18,6 @@
 #include "nn/conv2d.hpp"
 #include "nn/models.hpp"
 #include "bench/common.hpp"
-#include "tensor/pool.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/network.hpp"
 #include "tensor/ops.hpp"
@@ -376,35 +375,6 @@ void BM_RoundThroughput(benchmark::State& state) {
                                                     options.local_iterations));
 }
 BENCHMARK(BM_RoundThroughput)->Arg(1)->Arg(0)->Unit(benchmark::kMillisecond);
-
-// Same workload with the tensor buffer pool recycling every transient
-// buffer — steady-state rounds run with near-zero heap allocations.
-void BM_RoundThroughputPooled(benchmark::State& state) {
-  fl::ExperimentOptions options;
-  options.model = nn::ModelKind::kCnn;
-  options.num_clients = 8;
-  options.local_iterations = 5;
-  options.batch_size = 16;
-  options.train_samples = 800;
-  options.test_samples = 32;
-  options.seed = 21;
-  options.worker_threads = static_cast<std::size_t>(state.range(0));
-  options.tensor_pool = 1;
-  fl::FedAvgScheme scheme;
-  fl::ExperimentSetup setup = fl::make_setup(options, scheme);
-  for (auto _ : state) {
-    const fl::RoundRecord record = setup.engine->run_round();
-    benchmark::DoNotOptimize(record.end_time);
-  }
-  state.counters["clients"] = static_cast<double>(options.num_clients);
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(options.num_clients *
-                                                    options.local_iterations));
-  // Leave the pool in its env-default state for the remaining benches.
-  tensor::BufferPool::global().clear();
-  tensor::BufferPool::configure_from_option(-1);
-}
-BENCHMARK(BM_RoundThroughputPooled)->Arg(1)->Arg(0)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -71,7 +71,7 @@ int run_sweep(const util::Config& config) {
   fl::FedAvgScheme scheme;
   fl::ExperimentSetup setup = fl::make_setup(options, scheme);
 
-  // One untimed round to populate replica free lists and pool buckets.
+  // One untimed round to populate the replica free lists.
   setup.engine->run_round();
 
   const auto start = std::chrono::steady_clock::now();

@@ -5,8 +5,7 @@
 // The file is the scenario tier; FEDCA_* environment variables overlay it
 // (env tier); trailing key=value arguments are the programmatic tier and
 // win over both. Supported overrides: seed, rounds, target, workers,
-// tensor_pool (auto|on|off), updates (async engine), trace, metrics,
-// report.
+// updates (async engine), trace, metrics, report.
 //
 // Exit codes: 0 success, 1 usage error, 2 scenario parse/validation error
 // (the ScenarioError's file:line message is printed to stderr).
@@ -39,17 +38,6 @@ int run(const fl::Scenario& scenario, fl::ExperimentOptions& options,
       overrides.get_double("target", options.target_accuracy);
   options.worker_threads = static_cast<std::size_t>(overrides.get_int(
       "workers", static_cast<long long>(options.worker_threads)));
-  const std::string pool = overrides.get_string("tensor_pool", "");
-  if (pool == "on") {
-    options.tensor_pool = 1;
-  } else if (pool == "off") {
-    options.tensor_pool = 0;
-  } else if (pool == "auto") {
-    options.tensor_pool = -1;
-  } else if (!pool.empty()) {
-    std::cerr << "fedca_scenario: tensor_pool must be auto, on, or off\n";
-    return 1;
-  }
   options.trace_path = overrides.get_string("trace", options.trace_path);
   options.metrics_path = overrides.get_string("metrics", options.metrics_path);
   options.report_path = overrides.get_string("report", options.report_path);
@@ -99,7 +87,7 @@ int main(int argc, char** argv) {
   }
   try {
     const fl::Scenario scenario = fl::load_scenario_file(argv[1]);
-    // Env tier (FEDCA_TRACE/METRICS/REPORT/THREADS/TENSOR_POOL) overlays
+    // Env tier (FEDCA_TRACE/METRICS/REPORT/THREADS) overlays
     // the file; the command line overlays both inside run().
     fl::ExperimentOptions options = fl::resolve_options(scenario);
     // Overrides start at argv[2]: shift so Config sees them as args.

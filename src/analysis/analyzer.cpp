@@ -10,11 +10,10 @@ namespace fedca::analysis {
 
 const std::vector<std::string>& all_rules() {
   static const std::vector<std::string> kRules = {
-      "layering",        "include-cycle",  "lock-order",
-      "lock-callback",   "raw-rng",        "unordered-iter",
-      "wall-clock",      "raw-tensor-alloc", "raw-intrinsics",
-      "client-container", "unordered-float-accum", "pointer-key",
-      "device-seam",
+      "layering", "include-cycle", "lock-order", "lock-callback", "raw-rng",
+      "unordered-iter", "wall-clock", "raw-intrinsics", "client-container",
+      "unordered-float-accum", "pointer-key", "device-seam", "float-accum",
+      "scenario-hardcode", "fast-math",
   };
   return kRules;
 }
@@ -25,19 +24,26 @@ bool known_rule(const std::string& rule) {
 }
 
 std::vector<Finding> run_passes(const std::vector<SourceFile>& files,
+                                const std::vector<BuildScript>& scripts,
                                 const LayerSpec* spec) {
   std::vector<Finding> findings;
 
   if (spec != nullptr) check_layering(files, *spec, findings);
 
-  LockSymbols syms;
-  for (const SourceFile& f : files) collect_callback_aliases(f, syms);
-  for (const SourceFile& f : files) collect_callback_invokers(f, syms);
-  for (const SourceFile& f : files) collect_mutex_names(f, syms);
-  std::vector<LockEdge> edges;
+  // The lock graph keeps its src/, bench/ and examples/ inputs; tests/
+  // files feed only the rules scoped to them.
+  std::vector<const SourceFile*> code;
   for (const SourceFile& f : files) {
-    if (f.rel_path.rfind("src/", 0) == 0) {
-      analyze_lock_scopes(f, syms, edges, findings);
+    if (f.rel_path.rfind("tests/", 0) != 0) code.push_back(&f);
+  }
+  LockSymbols syms;
+  for (const SourceFile* f : code) collect_callback_aliases(*f, syms);
+  for (const SourceFile* f : code) collect_callback_invokers(*f, syms);
+  for (const SourceFile* f : code) collect_mutex_names(*f, syms);
+  std::vector<LockEdge> edges;
+  for (const SourceFile* f : code) {
+    if (f->rel_path.rfind("src/", 0) == 0) {
+      analyze_lock_scopes(*f, syms, edges, findings);
     }
   }
   check_lock_order(edges, findings);
@@ -45,6 +51,7 @@ std::vector<Finding> run_passes(const std::vector<SourceFile>& files,
   RuleContext ctx;
   for (const SourceFile& f : files) collect_rule_context(f, ctx);
   for (const SourceFile& f : files) analyze_rules(f, ctx, findings);
+  for (const BuildScript& s : scripts) analyze_build_script(s, findings);
 
   return findings;
 }
@@ -91,8 +98,7 @@ void apply_waivers(const std::vector<SourceFile>& files,
         kept.push_back(Finding{
             "waiver", path, s.line,
             "analyze:waive names unknown rule '" + s.rule +
-                "' — check --list-rules (lint waivers use their own "
-                "`lint:` tokens)"});
+                "' — check --list-rules for the rule names"});
       } else if (s.uses == 0) {
         kept.push_back(Finding{
             "waiver", path, s.line,

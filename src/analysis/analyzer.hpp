@@ -17,9 +17,11 @@ namespace fedca::analysis {
 const std::vector<std::string>& all_rules();
 bool known_rule(const std::string& rule);
 
-// Runs every pass over the lexed file set. `spec` may be null: layering and
-// include-cycle checks are skipped (fixture trees without a spec).
+// Runs every pass over the lexed file set and the build scripts. `spec` may
+// be null: layering and include-cycle checks are skipped (fixture trees
+// without a spec).
 std::vector<Finding> run_passes(const std::vector<SourceFile>& files,
+                                const std::vector<BuildScript>& scripts,
                                 const LayerSpec* spec);
 
 // Applies `analyze:waive` annotations (comma-separated rule names in
@@ -37,8 +39,7 @@ void sort_findings(std::vector<Finding>& findings);
 
 // "file:line: [rule] message"
 std::string to_text(const Finding& f);
-// JSON array of {"rule","file","line","message"} objects — the same shape
-// tools/lint_fedca.py --json emits, so CI can diff the two uniformly.
+// JSON array of {"rule","file","line","message"} objects.
 std::string to_json(const std::vector<Finding>& findings);
 
 }  // namespace fedca::analysis

@@ -1,6 +1,8 @@
 #include "analysis/rules.hpp"
 
 #include <algorithm>
+#include <cctype>
+#include <sstream>
 
 namespace fedca::analysis {
 
@@ -18,9 +20,9 @@ bool in_dirs(const std::string& rel, std::initializer_list<const char*> dirs) {
   return false;
 }
 
-std::string basename_of(const std::string& rel) {
-  const std::size_t slash = rel.rfind('/');
-  return slash == std::string::npos ? rel : rel.substr(slash + 1);
+bool ends_with(const std::string& s, const char* suffix) {
+  const std::size_t len = std::char_traits<char>::length(suffix);
+  return s.size() >= len && s.compare(s.size() - len, len, suffix) == 0;
 }
 
 // `std :: unordered_map <` starting at the `std` token?
@@ -112,38 +114,6 @@ void check_wall_clock(const SourceFile& f, std::vector<Finding>& findings) {
                   "host clock read outside src/obs + src/sim — the simulation "
                   "is virtual-time; wall time in output-affecting code "
                   "breaks run identity");
-    }
-  }
-}
-
-void check_raw_alloc(const SourceFile& f, std::vector<Finding>& findings) {
-  const std::size_t n = f.tokens.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    const Token& t = f.tokens[i];
-    if (t.kind != TokenKind::kIdent) continue;
-    if (t.text == "new") {
-      // `new Type[` / `new ns::Type<...>[` — scan the type tokens.
-      std::size_t j = i + 1;
-      while (j < n && (f.tokens[j].kind == TokenKind::kIdent ||
-                       is_punct(f, j, "::"))) {
-        ++j;
-      }
-      if (j < n && is_punct(f, j, "<")) j = skip_template_args(f, j);
-      if (j < n && is_punct(f, j, "[")) {
-        add_finding(findings, "raw-tensor-alloc", f.rel_path, t.line,
-                    "raw new[] in src/tensor — route buffers through "
-                    "BufferPool (pool.cpp) so pool-on/off stay "
-                    "byte-identical");
-      }
-    } else if ((t.text == "malloc" || t.text == "calloc" ||
-                t.text == "realloc" || t.text == "free") &&
-               is_punct(f, i + 1, "(") &&
-               !(i >= 1 && (is_punct(f, i - 1, ".") || is_punct(f, i - 1, "->") ||
-                            is_punct(f, i - 1, "::") ||
-                            f.tokens[i - 1].kind == TokenKind::kIdent))) {
-      add_finding(findings, "raw-tensor-alloc", f.rel_path, t.line,
-                  "raw C allocation in src/tensor — route buffers through "
-                  "BufferPool (pool.cpp)");
     }
   }
 }
@@ -325,6 +295,51 @@ void check_unordered(const SourceFile& f, const RuleContext& ctx,
   }
 }
 
+std::string lowercase(std::string s) {
+  for (char& c : s) {
+    c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+  }
+  return s;
+}
+
+void check_float_accum(const SourceFile& f, std::vector<Finding>& findings) {
+  for (const auto& [line, text] : f.comments) {
+    if (lowercase(text).find("associat") != std::string::npos) return;
+  }
+  const std::size_t n = f.tokens.size();
+  for (std::size_t i = 0; i + 1 < n; ++i) {
+    if (!is_ident(f, i, "float") || f.tokens[i + 1].kind != TokenKind::kIdent) {
+      continue;
+    }
+    const std::string name = lowercase(f.tokens[i + 1].text);
+    if (name.find("acc") != std::string::npos ||
+        name.find("sum") != std::string::npos) {
+      add_finding(findings, "float-accum", f.rel_path, f.tokens[i].line,
+                  "float accumulator '" + f.tokens[i + 1].text +
+                      "' in a kernel file with no fixed-association comment "
+                      "— document the association order (see "
+                      "tensor/ops.hpp)");
+    }
+  }
+}
+
+void check_scenario_hardcode(const SourceFile& f,
+                             std::vector<Finding>& findings) {
+  const std::size_t n = f.tokens.size();
+  for (std::size_t i = 0; i + 2 < n; ++i) {
+    if (!is_ident(f, i, "ExperimentOptions") ||
+        f.tokens[i + 1].kind != TokenKind::kIdent) {
+      continue;
+    }
+    if (is_punct(f, i + 2, ";") || is_punct(f, i + 2, "{") ||
+        (is_punct(f, i + 2, "=") && is_punct(f, i + 3, "{"))) {
+      add_finding(findings, "scenario-hardcode", f.rel_path, f.tokens[i].line,
+                  "hand-built ExperimentOptions in a test — load a committed "
+                  "scenarios/*.scn via fl::load_scenario_file instead");
+    }
+  }
+}
+
 void check_device_seam(const SourceFile& f, std::vector<Finding>& findings) {
   const std::size_t n = f.tokens.size();
   // Lease-typed variables: `DeviceLease name` (any qualification).
@@ -393,7 +408,6 @@ void collect_rule_context(const SourceFile& f, RuleContext& ctx) {
 void analyze_rules(const SourceFile& f, const RuleContext& ctx,
                    std::vector<Finding>& findings) {
   const std::string& rel = f.rel_path;
-  const std::string base = basename_of(rel);
   const bool in_src = starts_with(rel, "src/");
 
   if (in_dirs(rel, {"src/", "bench/", "examples/"}) &&
@@ -403,9 +417,11 @@ void analyze_rules(const SourceFile& f, const RuleContext& ctx,
   if (in_src && !in_dirs(rel, {"src/obs/", "src/sim/"})) {
     check_wall_clock(f, findings);
   }
-  if (starts_with(rel, "src/tensor/") && base != "pool.cpp") {
-    check_raw_alloc(f, findings);
+  if (in_dirs(rel, {"src/tensor/", "src/nn/"}) &&
+      (ends_with(rel, ".cpp") || ends_with(rel, ".cc"))) {
+    check_float_accum(f, findings);
   }
+  if (starts_with(rel, "tests/")) check_scenario_hardcode(f, findings);
   if (!starts_with(rel, "src/tensor/simd/")) {
     check_raw_intrinsics(f, findings);
   }
@@ -424,6 +440,28 @@ void analyze_rules(const SourceFile& f, const RuleContext& ctx,
     // combination is dangerous everywhere in src/.
     const bool output_layer = in_dirs(rel, {"src/fl/", "src/core/", "src/nn/"});
     check_unordered(f, ctx, output_layer, findings);
+  }
+}
+
+void analyze_build_script(const BuildScript& script,
+                          std::vector<Finding>& findings) {
+  static const char* const kFlags[] = {
+      "-ffast-math", "-Ofast", "-funsafe-math-optimizations",
+      "-fassociative-math", "-freciprocal-math"};
+  std::istringstream in(script.text);
+  std::string code;
+  for (int line = 1; std::getline(in, code); ++line) {
+    code.erase(std::min(code.find('#'), code.size()));  // cmake comment
+    for (const char* flag : kFlags) {
+      if (code.find(flag) != std::string::npos) {
+        add_finding(findings, "fast-math", script.rel_path, line,
+                    std::string(flag) +
+                        " permits FP reassociation and breaks the fixed "
+                        "accumulation orders (tensor/ops.hpp contract) — "
+                        "remove the flag");
+        break;  // one finding per line
+      }
+    }
   }
 }
 

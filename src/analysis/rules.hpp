@@ -1,11 +1,9 @@
 // Scope-aware determinism and seam rules.
 //
-// These subsume the regex linter's determinism rules (tools/lint_fedca.py)
-// with token-level matching: hits inside strings, char literals, and
-// comments are impossible by construction (the lexer blanked them), and
-// container tracking follows type aliases and declared variable names
-// instead of raw lines. Rules (path scopes mirror the linter where a rule
-// exists there; see each check):
+// Token-level matching: hits inside strings, char literals, and comments
+// are impossible by construction (the lexer blanked them), and container
+// tracking follows type aliases and declared variable names instead of raw
+// lines. Rules (see each check for its exact path scope):
 //
 //   raw-rng               std::rand/srand, time(nullptr) seeding,
 //                         std::random_device — src/, bench/, examples/
@@ -15,17 +13,15 @@
 //                         src/nn.
 //   wall-clock            host-clock ::now reads — src/ minus src/obs,
 //                         src/sim.
-//   raw-tensor-alloc      new[] / malloc-family — src/tensor minus
-//                         pool.cpp.
 //   raw-intrinsics        #include <immintrin.h>/<x86intrin.h>/<arm_neon.h>
-//                         outside src/tensor/simd/.
+//                         outside src/tensor/simd/ (tests/ included).
 //   client-container      containers of ClientDevice outside the
 //                         cluster/registry seam — src/.
 //   unordered-float-accum float/double accumulation (`x +=`) inside a
 //                         range-for over an unordered container — src/.
 //                         The per-element order is hash-dependent AND the
-//                         FP sum is order-dependent: double trouble the
-//                         regex linter cannot see (it has no scopes).
+//                         FP sum is order-dependent: double trouble a
+//                         line scan cannot see (it has no scopes).
 //   pointer-key           std::map/std::set keyed on a pointer type —
 //                         iteration order is allocation-order-dependent —
 //                         src/.
@@ -33,6 +29,23 @@
 //                         (a ClientDevice mention whose statement
 //                         involves no lease) — src/ minus the
 //                         cluster/registry seam.
+//   float-accum           a `float` declaration named *acc*/*sum* in a
+//                         kernel file with no comment mentioning
+//                         "association" — every accumulation order must be
+//                         documented as deliberate (tensor/ops.hpp
+//                         contract) — src/tensor, src/nn .cpp files.
+//   scenario-hardcode     a default- or brace-initialized
+//                         `ExperimentOptions x;` / `x{...}` / `x = {...}`
+//                         in a test: experiments are scenario files
+//                         (scenarios/*.scn); copy-init from a loaded
+//                         scenario or helper is fine — tests/.
+//   fast-math             a value-changing FP flag (-ffast-math, -Ofast,
+//                         -funsafe-math-optimizations, -fassociative-math,
+//                         -freciprocal-math) in a build script: it would
+//                         let the compiler reassociate the fixed
+//                         accumulation orders — every CMakeLists.txt and
+//                         *.cmake, `#` comments stripped. Not waivable:
+//                         build scripts carry no waivers.
 #pragma once
 
 #include <set>
@@ -57,5 +70,9 @@ void collect_rule_context(const SourceFile& f, RuleContext& ctx);
 // Pass 2: all determinism/seam rules for one file.
 void analyze_rules(const SourceFile& f, const RuleContext& ctx,
                    std::vector<Finding>& findings);
+
+// fast-math over one build script.
+void analyze_build_script(const BuildScript& script,
+                          std::vector<Finding>& findings);
 
 }  // namespace fedca::analysis

@@ -1,10 +1,9 @@
 // Lexed view of one C++ source file for fedca_analyze.
 //
-// The regex linter (tools/lint_fedca.py) matches raw lines, so a rule name
-// inside a string literal or a commented-out snippet trips it. This lexer
-// strips comments, string literals, and char literals into placeholder
-// tokens *before* any rule runs, records every comment by line (waiver
-// extraction), and captures #include directives with their line numbers
+// A raw line scan trips on a rule name inside a string literal or a
+// commented-out snippet. This lexer strips comments, string literals, and
+// char literals into placeholder tokens *before* any rule runs, records
+// every comment by line (waiver extraction), and captures #include directives with their line numbers
 // (layering DAG edges). Preprocessor logical lines other than #include are
 // consumed whole — macro bodies are not analyzed.
 #pragma once
@@ -46,6 +45,13 @@ struct SourceFile {
   // partner of an open/close paren or brace, or -1 when unbalanced.
   std::vector<int> paren_match;
   std::vector<int> brace_match;
+};
+
+// A build script (CMakeLists.txt / *.cmake), kept as raw text: the C++
+// lexer does not apply, and its one rule (fast-math) is a line scan.
+struct BuildScript {
+  std::string rel_path;  // repo-root relative, '/' separators
+  std::string text;
 };
 
 // Lexes `text` into `out` (rel_path must already be set). Also extracts

@@ -10,7 +10,6 @@
 #include "obs/round_report.hpp"
 #include "obs/trace.hpp"
 #include "sim/faults.hpp"
-#include "tensor/pool.hpp"
 
 namespace fedca::fl {
 
@@ -305,9 +304,6 @@ AsyncUpdateRecord AsyncEngine::step() {
   FEDCA_MCOUNT("async.updates", 1.0);
   FEDCA_MHISTO("async.staleness", 0.0, 64.0, 64,
                static_cast<double>(record.staleness));
-  if (obs::metrics_enabled() && tensor::BufferPool::enabled()) {
-    tensor::BufferPool::global().publish_metrics();
-  }
   if (obs::TraceCollector::global().enabled() && trainer_.trace_registered()) {
     obs::TraceCollector::global().record_instant(
         trainer_.server_pid(), "apply_update", clock_,

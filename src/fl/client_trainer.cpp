@@ -6,7 +6,6 @@
 
 #include "obs/metrics.hpp"
 #include "sim/faults.hpp"
-#include "tensor/pool.hpp"
 
 namespace fedca::fl {
 
@@ -42,12 +41,6 @@ ClientTrainer::ClientTrainer(const char* owner, nn::Classifier* model,
                                 " invalid for cluster size " +
                                 std::to_string(population_));
   }
-  // Size the tensor pool's global tier to this workload: one model
-  // footprint of layer buffers per worker plus one spare (no-op while the
-  // pool is at a larger hint already).
-  tensor::BufferPool::set_capacity_hint(
-      static_cast<std::size_t>(model_->state().numel()) * sizeof(float),
-      util::ThreadPool::resolve_workers(worker_threads_));
   // Injected crashes flush the flight recorder's last events per thread;
   // the trainer wires the obs dump hook into the sim-layer seam before any
   // client can hit a fault.

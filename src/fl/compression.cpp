@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "tensor/ops.hpp"
-#include "tensor/pool.hpp"
 
 namespace fedca::fl {
 
@@ -68,14 +67,12 @@ double TopKSparsifier::compress(tensor::Tensor& layer_update, double bytes_per_p
   const std::size_t k = std::max<std::size_t>(
       1, static_cast<std::size_t>(fraction_ * static_cast<double>(n)));
   if (k < n) {
-    // Threshold = k-th largest magnitude. The scratch panel is recycled
-    // through the tensor buffer pool (fully overwritten before use).
-    std::vector<float> magnitudes = tensor::pool_acquire(n);
+    // Threshold = k-th largest magnitude.
+    std::vector<float> magnitudes(n);
     for (std::size_t i = 0; i < n; ++i) magnitudes[i] = std::abs(layer_update[i]);
     std::nth_element(magnitudes.begin(), magnitudes.begin() + (k - 1), magnitudes.end(),
                      std::greater<float>());
     const float threshold = magnitudes[k - 1];
-    tensor::pool_release(std::move(magnitudes));
     // Keep exactly k entries (ties broken by index order).
     std::size_t kept = 0;
     for (std::size_t i = 0; i < n; ++i) {

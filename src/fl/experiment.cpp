@@ -6,7 +6,6 @@
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "tensor/pool.hpp"
 #include "util/logging.hpp"
 
 namespace fedca::fl {
@@ -38,7 +37,6 @@ std::vector<double> ExperimentResult::eager_iterations(bool effective_with_retra
 }
 
 ExperimentSetup make_setup(const ExperimentOptions& options, Scheme& scheme) {
-  tensor::BufferPool::configure_from_option(options.tensor_pool);
   util::Rng root(options.seed);
   util::Rng model_rng = root.fork(1);
   util::Rng data_rng = root.fork(2);
@@ -103,7 +101,7 @@ RoundSummary summarize(const RoundRecord& record) {
   summary.end_time = record.end_time;
   summary.deadline = record.deadline;
   // Ordered map, not unordered: this is an output-affecting path (the
-  // summaries land in result tables), and the lint_fedca unordered-iter
+  // summaries land in result tables), and the fedca_analyze unordered-iter
   // rule bans hash containers here — lookup-only today is one range-for
   // away from hash-order output tomorrow. Size is O(participants), so the
   // tree map costs nothing measurable.

@@ -62,10 +62,6 @@ struct ExperimentOptions {
   // RoundEngineOptions::worker_threads): 0 = FEDCA_THREADS env var or
   // hardware concurrency, 1 = serial. Output is bit-identical either way.
   std::size_t worker_threads = 0;
-  // Tensor buffer pool (tensor/pool.hpp): 1 = on, 0 = off, negative =
-  // consult the FEDCA_TENSOR_POOL env var (the default). Recycling never
-  // changes computed values — output is bit-identical on or off.
-  int tensor_pool = -1;
   std::uint64_t seed = 42;
   // Observability. Non-empty paths arm the corresponding output; the
   // FEDCA_TRACE / FEDCA_METRICS / FEDCA_REPORT environment variables fill

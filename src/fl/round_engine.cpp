@@ -10,7 +10,6 @@
 #include "obs/trace.hpp"
 #include "sim/faults.hpp"
 #include "tensor/ops.hpp"
-#include "tensor/pool.hpp"
 #include "util/logging.hpp"
 
 namespace fedca::fl {
@@ -267,9 +266,6 @@ RoundRecord RoundEngine::run_round() {
   }
   FEDCA_MCOUNT("engine.rounds", 1.0);
   FEDCA_MHISTO("engine.round_seconds", 0.0, 600.0, 60, record.duration());
-  if (obs::metrics_enabled() && tensor::BufferPool::enabled()) {
-    tensor::BufferPool::global().publish_metrics();
-  }
 
   // Round attribution: one JSONL line per round with the deadline
   // estimate vs realized times, a per-client outcome, and the straggler

@@ -71,12 +71,6 @@ std::string model_key(nn::ModelKind kind) {
   return "cnn";
 }
 
-std::string tensor_pool_key(int option) {
-  if (option > 0) return "on";
-  if (option == 0) return "off";
-  return "auto";
-}
-
 }  // namespace
 
 Scenario parse_scenario(const std::string& text, const std::string& filename) {
@@ -122,18 +116,6 @@ Scenario parse_scenario(const std::string& text, const std::string& filename) {
       doc.get_size("run", "accuracy_smoothing", o.accuracy_smoothing, 1, 1000);
   o.eval_every = doc.get_size("run", "eval_every", o.eval_every, 1, 1000000);
   o.worker_threads = doc.get_size("run", "workers", o.worker_threads, 0, 4096);
-  const std::string pool = doc.get_string("run", "tensor_pool", "auto");
-  if (pool == "on") {
-    o.tensor_pool = 1;
-  } else if (pool == "off") {
-    o.tensor_pool = 0;
-  } else if (pool == "auto") {
-    o.tensor_pool = -1;
-  } else {
-    throw ScenarioError(doc.filename(), doc.line_of("run", "tensor_pool"),
-                        "key 'tensor_pool': expected auto, on, or off, got '" +
-                            pool + "'");
-  }
 
   // [model]
   doc.allow_section("model");
@@ -362,7 +344,6 @@ std::string to_string(const Scenario& sc) {
   kvz("accuracy_smoothing", o.accuracy_smoothing);
   kvz("eval_every", o.eval_every);
   kvz("workers", o.worker_threads);
-  kv("tensor_pool", tensor_pool_key(o.tensor_pool));
 
   out << "\n[model]\n";
   kv("kind", model_key(o.model));
@@ -467,8 +448,7 @@ ExperimentOptions resolve_options(const Scenario& sc) {
   ExperimentOptions o = sc.options;
   // Environment tier: scenario < env. (Programmatic overrides, applied by
   // the caller on the returned struct, beat both — matching the pinned
-  // explicit-beats-env contract of obs::configure / resolve_workers /
-  // BufferPool::configure_from_option.)
+  // explicit-beats-env contract of obs::configure / resolve_workers.)
   if (const char* env = std::getenv("FEDCA_TRACE")) o.trace_path = env;
   if (const char* env = std::getenv("FEDCA_METRICS")) o.metrics_path = env;
   if (const char* env = std::getenv("FEDCA_REPORT")) o.report_path = env;
@@ -478,13 +458,6 @@ ExperimentOptions resolve_options(const Scenario& sc) {
     if (end != env && *end == '\0' && v > 0) {
       o.worker_threads = static_cast<std::size_t>(v);
     }
-  }
-  if (const char* env = std::getenv("FEDCA_TENSOR_POOL")) {
-    // Same truthiness rule as BufferPool::configure_from_option:
-    // ""/0/false/off => off, anything else => on.
-    const std::string v = env;
-    const bool on = !(v.empty() || v == "0" || v == "false" || v == "off");
-    o.tensor_pool = on ? 1 : 0;
   }
   return o;
 }

@@ -7,7 +7,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "tensor/pool.hpp"
 #include "tensor/simd/dispatch.hpp"
 #include "tensor/simd/kernels.hpp"
 #include "util/thread_pool.hpp"
@@ -339,21 +338,17 @@ void pack_b(const float* b, std::size_t bs, bool b_trans, std::size_t k0,
 }
 
 // Per-thread packing scratch, held for the thread's lifetime and grown only
-// to the largest panels that thread has packed so far: a per-call acquire
-// would degrade to a fresh zero-initializing allocation whenever the pool
-// is disabled (the default), which costs more than the microkernel work at
-// hot sizes. Deliberately NOT pool-backed — the buffers outlive any pool
-// enable/clear/disable transition and the pool's own thread-local cache,
-// so tying them to it would make their destruction order observable; a
-// grow-only plain allocation already achieves the pool's goal of zero
+// to the largest panels that thread has packed so far: a per-call
+// allocation zero-initializes the panels, which costs more than the
+// microkernel work at hot sizes, while a grow-only buffer reaches zero
 // steady-state heap traffic.
 struct GemmScratch {
   std::vector<float> ap;
   std::vector<float> bp;
 
   void grow(std::size_t a_floats, std::size_t b_floats) {
-    if (ap.size() < a_floats) ap.resize(a_floats);  // lint:alloc grow-only
-    if (bp.size() < b_floats) bp.resize(b_floats);  // lint:alloc grow-only
+    if (ap.size() < a_floats) ap.resize(a_floats);
+    if (bp.size() < b_floats) bp.resize(b_floats);
   }
 };
 
@@ -685,7 +680,7 @@ float* padded_image(const Conv2dGeometry& geo) {
   thread_local std::vector<float> buf;
   const std::size_t floats = geo.in_channels * (geo.in_h + 2 * geo.pad) *
                              (geo.in_w + 2 * geo.pad);
-  if (buf.size() < floats) buf.resize(floats);  // lint:alloc grow-only
+  if (buf.size() < floats) buf.resize(floats);
   std::fill(buf.begin(), buf.begin() + static_cast<std::ptrdiff_t>(floats), 0.0f);
   return buf.data();
 }

@@ -5,8 +5,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "tensor/pool.hpp"
-
 namespace fedca::tensor {
 
 std::size_t shape_numel(const Shape& shape) {
@@ -28,10 +26,10 @@ std::string shape_to_string(const Shape& shape) {
 }
 
 Tensor::Tensor(Shape shape)
-    : shape_(shape), data_(pool_acquire_filled(shape_numel(shape_), 0.0f)) {}
+    : shape_(shape), data_(shape_numel(shape_), 0.0f) {}
 
 Tensor::Tensor(Shape shape, float fill)
-    : shape_(shape), data_(pool_acquire_filled(shape_numel(shape_), fill)) {}
+    : shape_(shape), data_(shape_numel(shape_), fill) {}
 
 Tensor::Tensor(Shape shape, std::vector<float> data)
     : shape_(shape), data_(std::move(data)) {
@@ -41,48 +39,18 @@ Tensor::Tensor(Shape shape, std::vector<float> data)
   }
 }
 
-Tensor::Tensor(const Tensor& other) : shape_(other.shape_) {
-  if (BufferPool::enabled()) {
-    data_ = pool_acquire(other.data_.size());
-    std::copy(other.data_.begin(), other.data_.end(), data_.begin());
-  } else {
-    data_ = other.data_;
-  }
-}
-
 Tensor::Tensor(Tensor&& other) noexcept
     : shape_(other.shape_), data_(std::move(other.data_)) {
   other.shape_.clear();
 }
 
-Tensor& Tensor::operator=(const Tensor& other) {
-  if (this != &other) {
-    shape_ = other.shape_;
-    if (data_.capacity() >= other.data_.size()) {
-      // Capacity reuse — no allocation either way, matches std::vector
-      // copy-assignment semantics.
-      data_.assign(other.data_.begin(), other.data_.end());
-    } else {
-      pool_release(std::move(data_));
-      data_ = pool_acquire(other.data_.size());
-      std::copy(other.data_.begin(), other.data_.end(), data_.begin());
-    }
-  }
-  return *this;
-}
-
 Tensor& Tensor::operator=(Tensor&& other) noexcept {
   if (this != &other) {
-    pool_release(std::move(data_));
     shape_ = other.shape_;
     data_ = std::move(other.data_);
     other.shape_.clear();
   }
   return *this;
-}
-
-Tensor::~Tensor() {
-  if (!data_.empty()) pool_release(std::move(data_));
 }
 
 Tensor Tensor::of(std::initializer_list<float> values) {
@@ -131,7 +99,7 @@ Tensor Tensor::reshaped(Shape new_shape) const {
     throw std::invalid_argument("Tensor::reshaped: shape " + shape_to_string(new_shape) +
                                 " incompatible with numel " + std::to_string(data_.size()));
   }
-  Tensor out(*this);  // pooled buffer copy
+  Tensor out(*this);
   out.shape_ = new_shape;
   return out;
 }

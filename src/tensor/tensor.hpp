@@ -5,10 +5,8 @@
 // builds, debug-asserted operator[]), and performance for the federated
 // round hot loop. There is no view/aliasing machinery — every Tensor owns
 // its buffer — which keeps update accounting in the FL layer trivially
-// correct. Buffers are acquired from and recycled through the tensor
-// BufferPool (pool.hpp) when it is enabled, so steady-state rounds reuse
-// storage instead of hitting the heap; shapes are stored inline (no heap)
-// up to Shape::kMaxRank dimensions.
+// correct. Shapes are stored inline (no heap) up to Shape::kMaxRank
+// dimensions, so a tensor's one allocation is its float buffer.
 #pragma once
 
 #include <cassert>
@@ -32,7 +30,7 @@ namespace fedca::tensor {
 // Shape of a tensor; empty shape denotes a scalar-less, empty tensor.
 // Inline fixed-capacity sequence of dimensions with a vector-like surface.
 // Keeping dims inline means constructing a Tensor never allocates for its
-// shape — with the buffer pool on, a fresh Tensor is heap-free.
+// shape.
 class Shape {
  public:
   using value_type = std::size_t;
@@ -113,12 +111,13 @@ class Tensor {
   // Tensor adopting existing data; data.size() must equal shape_numel(shape).
   Tensor(Shape shape, std::vector<float> data);
 
-  // Copies route the buffer through the pool; destruction recycles it.
-  Tensor(const Tensor& other);
+  // Copies are vector copies (copy-assign reuses capacity); a moved-from
+  // tensor is left empty, shape included.
+  Tensor(const Tensor& other) = default;
   Tensor(Tensor&& other) noexcept;
-  Tensor& operator=(const Tensor& other);
+  Tensor& operator=(const Tensor& other) = default;
   Tensor& operator=(Tensor&& other) noexcept;
-  ~Tensor();
+  ~Tensor() = default;
 
   static Tensor zeros(Shape shape) { return Tensor(std::move(shape)); }
   static Tensor full(Shape shape, float value) { return Tensor(std::move(shape), value); }

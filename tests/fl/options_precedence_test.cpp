@@ -11,7 +11,6 @@
 #include "obs/metrics.hpp"
 #include "obs/round_report.hpp"
 #include "obs/trace.hpp"
-#include "tensor/pool.hpp"
 #include "util/thread_pool.hpp"
 
 namespace fedca {
@@ -47,10 +46,7 @@ class ScopedEnv {
 class OptionsPrecedenceTest : public ::testing::Test {
  protected:
   void SetUp() override { reset_obs(); }
-  void TearDown() override {
-    reset_obs();
-    tensor::BufferPool::set_enabled(false);
-  }
+  void TearDown() override { reset_obs(); }
   static void reset_obs() {
     obs::TraceCollector::global().reset();
     obs::set_metrics_enabled(false);
@@ -110,34 +106,6 @@ TEST_F(OptionsPrecedenceTest, ExplicitWorkerCountBeatsThreadsEnv) {
 TEST_F(OptionsPrecedenceTest, ZeroWorkersWithoutEnvUsesHardware) {
   ScopedEnv threads("FEDCA_THREADS", nullptr);
   EXPECT_GE(util::ThreadPool::resolve_workers(0), 1u);
-}
-
-TEST_F(OptionsPrecedenceTest, ExplicitTensorPoolBeatsEnv) {
-  ScopedEnv pool("FEDCA_TENSOR_POOL", "1");
-  tensor::BufferPool::configure_from_option(0);  // explicit off
-  EXPECT_FALSE(tensor::BufferPool::enabled());
-
-  ScopedEnv pool_off("FEDCA_TENSOR_POOL", "0");
-  tensor::BufferPool::configure_from_option(1);  // explicit on
-  EXPECT_TRUE(tensor::BufferPool::enabled());
-}
-
-TEST_F(OptionsPrecedenceTest, TensorPoolSentinelConsultsEnv) {
-  {
-    ScopedEnv pool("FEDCA_TENSOR_POOL", "1");
-    tensor::BufferPool::configure_from_option(-1);
-    EXPECT_TRUE(tensor::BufferPool::enabled());
-  }
-  {
-    ScopedEnv pool("FEDCA_TENSOR_POOL", "off");
-    tensor::BufferPool::configure_from_option(-1);
-    EXPECT_FALSE(tensor::BufferPool::enabled());
-  }
-  {
-    ScopedEnv pool("FEDCA_TENSOR_POOL", nullptr);
-    tensor::BufferPool::configure_from_option(-1);
-    EXPECT_FALSE(tensor::BufferPool::enabled());
-  }
 }
 
 }  // namespace

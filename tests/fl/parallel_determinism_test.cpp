@@ -17,7 +17,6 @@
 #include "fl/round_engine.hpp"
 #include "fl/scenario.hpp"
 #include "fl/scheme.hpp"
-#include "tensor/pool.hpp"
 #include "tensor/simd/dispatch.hpp"
 #include "util/config.hpp"
 
@@ -28,8 +27,8 @@ const std::size_t kWorkerCounts[] = {1, 2, 8};
 
 // Shared base of every case: scenarios/parallel_base.scn (scenario tier
 // only — hermetic from FEDCA_* env). Tests sweep seed/rounds/iterations/
-// workers/tensor_pool programmatically on top; the scenario pins the
-// invariant data/model shape.
+// workers programmatically on top; the scenario pins the invariant
+// data/model shape.
 fl::ExperimentOptions parallel_base_options() {
   static const fl::Scenario scenario = fl::load_scenario_file(
       std::string(FEDCA_SOURCE_DIR) + "/scenarios/parallel_base.scn");
@@ -58,14 +57,12 @@ struct RoundRunOutput {
 };
 
 RoundRunOutput run_rounds(nn::ModelKind model, std::uint64_t seed,
-                          std::size_t workers, std::size_t rounds,
-                          int tensor_pool = 0) {
+                          std::size_t workers, std::size_t rounds) {
   fl::ExperimentOptions options = parallel_base_options();
   options.model = model;
   options.max_rounds = rounds;
   options.seed = seed;
   options.worker_threads = workers;
-  options.tensor_pool = tensor_pool;
   fl::FedAvgScheme scheme;
   fl::ExperimentSetup setup = fl::make_setup(options, scheme);
 
@@ -144,7 +141,7 @@ TEST(ParallelDeterminism, SimdTierSweepMatchesScalarAcrossWorkerCounts) {
 // ORDERED map keyed by client id, so the summary table is byte-identical
 // across worker counts. Before the fix the intermediate container was
 // unordered — lookup-only, but one refactor away from hash-order output
-// (exactly what the lint_fedca unordered-iter rule now rejects).
+// (exactly what the fedca_analyze unordered-iter rule now rejects).
 TEST(ParallelDeterminism, ExperimentSummaryCollectionStableAcrossWorkers) {
   fl::ExperimentOptions options = parallel_base_options();
 
@@ -219,64 +216,6 @@ TEST(ParallelDeterminism, FedCaSchemeSweep) {
       }
     }
   }
-}
-
-// ---- Tensor buffer pool ----
-
-// Recycling buffers must never change a byte of output: pool-on runs are
-// compared against the pool-off baseline for every worker count, so the
-// {scheduling} x {allocation} matrix collapses to one canonical result.
-TEST(ParallelDeterminism, TensorPoolOnMatchesOffAcrossWorkerCounts) {
-  for (std::uint64_t seed = 700; seed < 703; ++seed) {
-    const RoundRunOutput base =
-        run_rounds(nn::ModelKind::kCnn, seed, 1, 2, /*tensor_pool=*/0);
-    for (const std::size_t workers : kWorkerCounts) {
-      const RoundRunOutput got =
-          run_rounds(nn::ModelKind::kCnn, seed, workers, 2, /*tensor_pool=*/1);
-      expect_states_bit_identical(base.global, got.global, "pooled CNN global");
-      ASSERT_EQ(base.arrivals.size(), got.arrivals.size());
-      for (std::size_t i = 0; i < base.arrivals.size(); ++i) {
-        ASSERT_EQ(base.arrivals[i], got.arrivals[i]) << "seed " << seed;
-        ASSERT_EQ(base.losses[i], got.losses[i]) << "seed " << seed;
-      }
-      ASSERT_EQ(base.end_time, got.end_time) << "seed " << seed;
-    }
-  }
-  tensor::BufferPool::global().clear();
-  tensor::BufferPool::set_enabled(false);
-}
-
-// Satellite: a 3-round FedCA experiment (policies, profiler, eager paths,
-// compressors) is byte-identical with the pool on vs off.
-TEST(ParallelDeterminism, FedCaThreeRoundsPoolOnVsOff) {
-  nn::ModelState base;
-  std::vector<double> base_bytes;
-  for (const int pool : {0, 1}) {
-    SCOPED_TRACE(pool ? "pool on" : "pool off");
-    fl::ExperimentOptions options = parallel_base_options();
-    options.local_iterations = 4;
-    options.max_rounds = 3;
-    options.seed = 901;
-    options.tensor_pool = pool;
-    std::unique_ptr<fl::Scheme> scheme =
-        core::make_scheme("fedca", util::Config{}, options.seed);
-    fl::ExperimentSetup setup = fl::make_setup(options, *scheme);
-    std::vector<double> bytes;
-    for (std::size_t r = 0; r < 3; ++r) {
-      const fl::RoundRecord record = setup.engine->run_round();
-      for (const auto& c : record.clients) bytes.push_back(c.bytes_sent);
-    }
-    if (pool == 0) {
-      base = setup.engine->global_state();
-      base_bytes = bytes;
-    } else {
-      expect_states_bit_identical(base, setup.engine->global_state(),
-                                  "FedCA pool on/off");
-      ASSERT_EQ(base_bytes, bytes);
-    }
-  }
-  tensor::BufferPool::global().clear();
-  tensor::BufferPool::set_enabled(false);
 }
 
 // ---- Async engine ----

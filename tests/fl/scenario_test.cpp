@@ -23,7 +23,9 @@ constexpr const char* kMinimal = "[scenario]\nversion = 1\n";
 
 TEST(ScenarioBinding, MinimalFileYieldsDefaults) {
   const fl::Scenario sc = fl::parse_scenario(kMinimal);
-  const fl::ExperimentOptions defaults;  // lint:scenario (defaults probe)
+  // Defaults probe: compares against the struct's own defaults.
+  // analyze:waive(scenario-hardcode)
+  const fl::ExperimentOptions defaults;
   EXPECT_EQ(sc.scheme, "fedavg");
   EXPECT_FALSE(sc.async_engine);
   EXPECT_EQ(sc.options.num_clients, defaults.num_clients);
@@ -32,7 +34,6 @@ TEST(ScenarioBinding, MinimalFileYieldsDefaults) {
   EXPECT_EQ(sc.options.max_rounds, defaults.max_rounds);
   EXPECT_EQ(sc.options.collect_fraction, defaults.collect_fraction);
   EXPECT_EQ(sc.options.worker_threads, defaults.worker_threads);
-  EXPECT_EQ(sc.options.tensor_pool, defaults.tensor_pool);
   EXPECT_FALSE(sc.options.faults.enabled);
   EXPECT_TRUE(std::isinf(sc.options.upload_timeout));
 }
@@ -47,7 +48,6 @@ TEST(ScenarioBinding, MapsEverySection) {
       "[scenario]\nversion = 1\nname = full\ndescription = all knobs\n"
       "[run]\nseed = 99\nrounds = 7\ntarget_accuracy = 0.5\n"
       "accuracy_smoothing = 2\neval_every = 3\nworkers = 4\n"
-      "tensor_pool = on\n"
       "[model]\nkind = lstm\nclasses = 6\nnoise = 0.3\n"
       "amplitude_lo = 0.7\namplitude_hi = 1.3\n"
       "[data]\nclients = 9\ntrain_samples = 500\ntest_samples = 100\n"
@@ -70,7 +70,6 @@ TEST(ScenarioBinding, MapsEverySection) {
   EXPECT_EQ(sc.options.accuracy_smoothing, 2u);
   EXPECT_EQ(sc.options.eval_every, 3u);
   EXPECT_EQ(sc.options.worker_threads, 4u);
-  EXPECT_EQ(sc.options.tensor_pool, 1);
   EXPECT_EQ(sc.options.model, nn::ModelKind::kLstm);
   EXPECT_EQ(sc.options.data_spec.num_classes, 6u);
   EXPECT_EQ(sc.options.data_spec.noise_stddev, 0.3);
@@ -132,6 +131,23 @@ TEST(ScenarioBinding, RegistryKeyIsRejectedWithLine) {
   }
 }
 
+// Tensors hold plain vectors and there is no buffer pool to switch, so the
+// key that used to switch it is gone and takes the unknown-key path.
+TEST(ScenarioBinding, TensorPoolKeyIsRejectedWithLine) {
+  try {
+    fl::parse_scenario("[scenario]\nversion = 1\n[run]\nworkers = 2\n"
+                       "tensor_pool = on\n",
+                       "x.scn");
+    FAIL() << "expected ScenarioError";
+  } catch (const ScenarioError& e) {
+    EXPECT_EQ(e.file(), "x.scn");
+    EXPECT_EQ(e.line(), 5u);
+    EXPECT_NE(std::string(e.what()).find("x.scn:5: unknown key 'tensor_pool'"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(ScenarioBinding, AsyncSectionRequiresAsyncEngine) {
   EXPECT_THROW(
       fl::parse_scenario("[scenario]\nversion = 1\n[async]\nupdates = 5\n"),
@@ -186,7 +202,6 @@ void expect_round_trip(const std::string& text, const std::string& label) {
   EXPECT_EQ(a.participation_fraction, b.participation_fraction) << label;
   EXPECT_EQ(a.upload_timeout, b.upload_timeout) << label;
   EXPECT_EQ(a.max_rounds, b.max_rounds) << label;
-  EXPECT_EQ(a.tensor_pool, b.tensor_pool) << label;
   EXPECT_EQ(a.cluster.heterogeneity.speed_sigma,
             b.cluster.heterogeneity.speed_sigma)
       << label;
@@ -231,7 +246,6 @@ TEST(ScenarioRoundTrip, RandomScenariosAreStable) {
     sc.options.participation_fraction = rng.uniform();
     sc.options.target_accuracy = rng.uniform();
     sc.options.worker_threads = rng.uniform_index(9);
-    sc.options.tensor_pool = static_cast<int>(rng.uniform_index(3)) - 1;
     sc.options.upload_timeout =
         rng.uniform() < 0.5 ? std::numeric_limits<double>::infinity()
                             : rng.uniform(0.0, 100.0);
@@ -295,25 +309,21 @@ class ScopedEnv {
 
 TEST(ScenarioPrecedence, EnvOverlaysScenarioTier) {
   const fl::Scenario sc = fl::parse_scenario(
-      "[scenario]\nversion = 1\n[run]\nworkers = 2\ntensor_pool = on\n"
+      "[scenario]\nversion = 1\n[run]\nworkers = 2\n"
       "[observability]\nreport = /tmp/from_file.jsonl\n");
   {
     ScopedEnv report("FEDCA_REPORT", "/tmp/from_env.jsonl");
     ScopedEnv threads("FEDCA_THREADS", "6");
-    ScopedEnv pool("FEDCA_TENSOR_POOL", "off");
     const fl::ExperimentOptions o = fl::resolve_options(sc);
     EXPECT_EQ(o.report_path, "/tmp/from_env.jsonl");
     EXPECT_EQ(o.worker_threads, 6u);
-    EXPECT_EQ(o.tensor_pool, 0);
   }
   // Without the env tier the file's values stand.
   ScopedEnv report("FEDCA_REPORT", nullptr);
   ScopedEnv threads("FEDCA_THREADS", nullptr);
-  ScopedEnv pool("FEDCA_TENSOR_POOL", nullptr);
   const fl::ExperimentOptions o = fl::resolve_options(sc);
   EXPECT_EQ(o.report_path, "/tmp/from_file.jsonl");
   EXPECT_EQ(o.worker_threads, 2u);
-  EXPECT_EQ(o.tensor_pool, 1);
 }
 
 TEST(ScenarioPrecedence, MalformedThreadsEnvIsIgnored) {

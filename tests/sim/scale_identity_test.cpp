@@ -30,7 +30,7 @@ namespace {
 // programmatically (not from a .scn) because the tests sweep a
 // workers matrix over the same geometry.
 fl::ExperimentOptions scale_options() {
-  fl::ExperimentOptions options;  // lint:scenario
+  fl::ExperimentOptions options;  // analyze:waive(scenario-hardcode)
   options.model = nn::ModelKind::kCnn;
   options.num_clients = 128;
   options.train_samples = 1280;
@@ -158,7 +158,7 @@ TEST(ScaleIdentity, RegistryMatchesLegacyAcrossWorkerCounts) {
 }
 
 fl::ExperimentOptions churn_options() {
-  fl::ExperimentOptions options;  // lint:scenario
+  fl::ExperimentOptions options;  // analyze:waive(scenario-hardcode)
   options.model = nn::ModelKind::kCnn;
   options.num_clients = 24;
   options.train_samples = 240;

@@ -104,5 +104,30 @@ TEST(Tensor, ValueSemantics) {
   EXPECT_EQ(a[0], 1.0f);  // deep copy
 }
 
+TEST(Tensor, CopyAssignReusesCapacity) {
+  Tensor src({128});
+  for (std::size_t i = 0; i < src.numel(); ++i) src[i] = static_cast<float>(i);
+  Tensor dst({128});
+  const float* dst_data = dst.raw();
+  dst = src;
+  EXPECT_EQ(dst.raw(), dst_data) << "same-size copy-assign must not reallocate";
+  for (std::size_t i = 0; i < dst.numel(); ++i) {
+    ASSERT_EQ(dst[i], static_cast<float>(i));
+  }
+}
+
+TEST(Tensor, MovedFromIsEmpty) {
+  Tensor a({2, 3}, 1.0f);
+  Tensor b(std::move(a));
+  EXPECT_EQ(b.shape(), Shape({2, 3}));
+  EXPECT_TRUE(a.empty());  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(a.ndim(), 0u);
+  Tensor c;
+  c = std::move(b);
+  EXPECT_EQ(c.numel(), 6u);
+  EXPECT_TRUE(b.empty());  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(b.ndim(), 0u);
+}
+
 }  // namespace
 }  // namespace fedca

@@ -29,7 +29,8 @@ def expected_findings(root):
     expected = set()
     for dirpath, _dirnames, filenames in os.walk(root):
         for name in sorted(filenames):
-            if not name.endswith((".cpp", ".hpp", ".cc", ".h")):
+            if not (name.endswith((".cpp", ".hpp", ".cc", ".h", ".cmake"))
+                    or name == "CMakeLists.txt"):
                 continue
             path = os.path.join(dirpath, name)
             rel = os.path.relpath(path, root).replace(os.sep, "/")

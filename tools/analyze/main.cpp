@@ -4,15 +4,18 @@
 // clang-tidy gate, and this): a C++17 lexer over the whole tree builds an
 // include/layering DAG checked against tools/analyze/layers.spec, a
 // lock-order graph from util::MutexLock scopes and FEDCA_* annotations,
-// and scope-aware determinism/seam rules the regex linter
-// (tools/lint_fedca.py) cannot express. Zero external dependencies; runs
-// in well under a second over the ~200-file tree.
+// and scope-aware determinism/seam rules; a line scan of the build scripts
+// bans value-changing FP flags. Zero external dependencies; runs in well
+// under a second over the ~240-file tree.
 //
 // Usage:
 //   fedca_analyze --root DIR [--build DIR] [--spec FILE] [--json]
 //                 [--list-rules]
 //
-//   --root DIR    repo root to analyze (walks src/, bench/, examples/)
+//   --root DIR    repo root to analyze (C++ under src/, bench/, examples/,
+//                 tests/; CMakeLists.txt and *.cmake anywhere; skips
+//                 hidden directories, CMake build trees and
+//                 tests/tools/analyze_fixtures)
 //   --build DIR   build tree; DIR/compile_commands.json is REQUIRED when
 //                 this flag is given (exit 2 if missing) and contributes
 //                 any first-party TU the walk would miss (generated files)
@@ -45,6 +48,17 @@ namespace {
 bool has_cxx_ext(const fs::path& p) {
   const std::string ext = p.extension().string();
   return ext == ".cpp" || ext == ".hpp" || ext == ".cc" || ext == ".h";
+}
+
+bool is_build_script(const fs::path& p) {
+  return p.filename() == "CMakeLists.txt" || p.extension() == ".cmake";
+}
+
+bool in_cxx_tree(const std::string& rel) {
+  for (const char* dir : {"src/", "bench/", "examples/", "tests/"}) {
+    if (rel.rfind(dir, 0) == 0) return true;
+  }
+  return false;
 }
 
 bool read_file(const fs::path& path, std::string& out) {
@@ -165,17 +179,27 @@ int main(int argc, char** argv) {
   const fs::path root = fs::canonical(root_arg, ec);
   if (ec) return usage_error("no such root directory: " + root_arg);
 
-  // File set: walk the first-party trees, then fold in compile-database
-  // TUs (catches generated sources the walk cannot know about).
+  // File set: walk the tree, then fold in compile-database TUs (catches
+  // generated sources the walk cannot know about). Hidden directories,
+  // CMake build trees and the analyzer's own fixture trees (seeded with
+  // violations on purpose) are skipped.
   std::set<std::string> rel_paths;
-  for (const char* dir : {"src", "bench", "examples"}) {
-    const fs::path top = root / dir;
-    if (!fs::is_directory(top)) continue;
-    for (fs::recursive_directory_iterator it(top), end; it != end; ++it) {
-      if (it->is_regular_file() && has_cxx_ext(it->path())) {
-        const std::string rel = rel_to_root(it->path(), root);
-        if (!rel.empty()) rel_paths.insert(rel);
+  std::set<std::string> script_paths;
+  for (fs::recursive_directory_iterator it(root), end; it != end; ++it) {
+    const std::string rel = rel_to_root(it->path(), root);
+    if (it->is_directory()) {
+      if (it->path().filename().string().rfind('.', 0) == 0 ||
+          fs::exists(it->path() / "CMakeCache.txt") ||
+          rel == "tests/tools/analyze_fixtures") {
+        it.disable_recursion_pending();
       }
+      continue;
+    }
+    if (rel.empty() || !it->is_regular_file()) continue;
+    if (is_build_script(it->path())) {
+      script_paths.insert(rel);
+    } else if (has_cxx_ext(it->path()) && in_cxx_tree(rel)) {
+      rel_paths.insert(rel);
     }
   }
   if (!build_arg.empty()) {
@@ -233,8 +257,19 @@ int main(int argc, char** argv) {
     files.push_back(std::move(f));
   }
 
+  std::vector<BuildScript> scripts;
+  for (const std::string& rel : script_paths) {
+    BuildScript s;
+    s.rel_path = rel;
+    if (!read_file(root / rel, s.text)) {
+      add_finding(findings, "io", rel, 0, "unreadable file");
+      continue;
+    }
+    scripts.push_back(std::move(s));
+  }
+
   std::vector<Finding> pass_findings =
-      run_passes(files, have_spec ? &spec : nullptr);
+      run_passes(files, scripts, have_spec ? &spec : nullptr);
   findings.insert(findings.end(),
                   std::make_move_iterator(pass_findings.begin()),
                   std::make_move_iterator(pass_findings.end()));

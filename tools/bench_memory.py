@@ -1,12 +1,21 @@
 #!/usr/bin/env python3
 """Allocation benchmark runner: drives the counting-allocator harness
-(bench/memory_harness) with the tensor buffer pool off and on, and writes
+(bench/memory_harness) at 1 and 4 worker threads and writes
 BENCH_memory.json (checked in at the repo root) with per-round allocation
-counts and the reduction ratio.
+counts and peak heap bytes.
 
 The harness overrides global operator new/delete in its own translation
 unit, so these numbers count every heap allocation in the process during
 the measured steady-state rounds (after warmup).
+
+Gates (exit 1 on failure), per worker count:
+  * allocs_per_round at most the ceiling;
+  * peak_bytes at most the ceiling.
+Each ceiling is a recorded baseline plus MARGIN. The baselines are the
+pool-off arms of the last BENCH_memory.json recorded while the tensor
+buffer pool existed (pool off is the program that remains): 1329.6 /
+1343.7 allocations per round and 9 046 592 / 13 816 144 peak bytes at
+1 / 4 workers.
 
 Provenance: the harness reports its build_type and simd_tier; a debug
 build is refused with exit 2 so checked-in numbers always come from an
@@ -20,12 +29,23 @@ import subprocess
 import sys
 from pathlib import Path
 
+WORKER_COUNTS = (1, 4)
+# Headroom over the baselines. Repeat runs of one build agree to well
+# under 0.1%, so the margin is room for code changes, not for noise.
+MARGIN = 0.10
+BASELINE_ALLOCS_PER_ROUND = {1: 1329.6, 4: 1343.7}
+BASELINE_PEAK_BYTES = {1: 9_046_592, 4: 13_816_144}
+ALLOCS_PER_ROUND_CEILING = {
+    w: round(v * (1.0 + MARGIN), 1) for w, v in BASELINE_ALLOCS_PER_ROUND.items()
+}
+PEAK_BYTES_CEILING = {
+    w: int(v * (1.0 + MARGIN)) for w, v in BASELINE_PEAK_BYTES.items()
+}
 
-def run_harness(binary: Path, pool: int, rounds: int, warmup: int,
-                workers: int) -> dict:
+
+def run_harness(binary: Path, rounds: int, warmup: int, workers: int) -> dict:
     cmd = [
         str(binary),
-        f"pool={pool}",
         f"rounds={rounds}",
         f"warmup={warmup}",
         f"workers={workers}",
@@ -56,7 +76,7 @@ def main() -> int:
 
     # Provenance probe (rounds=0 costs ~nothing): refuse debug builds
     # before burning through the measurement arms.
-    probe = run_harness(binary, 0, 0, 0, 1)
+    probe = run_harness(binary, 0, 0, 1)
     if probe.get("build_type") != "release":
         print(
             f"error: refusing to record numbers from a "
@@ -67,41 +87,42 @@ def main() -> int:
         return 2
     print(f"dispatch tier: {probe.get('simd_tier')}", file=sys.stderr)
 
-    runs = {}
-    for workers in (1, 4):
-        for pool in (0, 1):
-            key = f"pool{pool}_workers{workers}"
-            runs[key] = run_harness(binary, pool, args.rounds, args.warmup,
-                                    workers)
-
-    ratios = {}
-    for workers in (1, 4):
-        off = runs[f"pool0_workers{workers}"]["allocs_per_round"]
-        on = runs[f"pool1_workers{workers}"]["allocs_per_round"]
-        if on > 0:
-            ratios[f"alloc_reduction_workers{workers}"] = round(off / on, 1)
+    runs = {f"workers{w}": run_harness(binary, args.rounds, args.warmup, w)
+            for w in WORKER_COUNTS}
 
     out = {
         "description": "Heap allocations per steady-state federated round "
-                       "(counting-allocator harness, CNN/8 clients/5 iters), "
-                       "tensor buffer pool off vs on.",
+                       "(counting-allocator harness, CNN/8 clients/5 iters).",
         "build_type": probe.get("build_type"),
         "simd_tier": probe.get("simd_tier"),
         "rounds": args.rounds,
         "warmup": args.warmup,
         "runs": runs,
-        "alloc_reduction": ratios,
+        "ceilings": {
+            "margin": MARGIN,
+            "allocs_per_round": {f"workers{w}": c
+                                 for w, c in ALLOCS_PER_ROUND_CEILING.items()},
+            "peak_bytes": {f"workers{w}": c
+                           for w, c in PEAK_BYTES_CEILING.items()},
+        },
     }
     out_path = root / args.out
     out_path.write_text(json.dumps(out, indent=2, sort_keys=True) + "\n")
     print(f"wrote {out_path}", file=sys.stderr)
 
-    worst = min(ratios.values()) if ratios else 0.0
-    print(f"allocation reduction with pool on: {ratios} (worst {worst}x)",
-          file=sys.stderr)
-    if worst < 10.0:
-        print("FAIL: allocation reduction below the 10x acceptance floor",
+    failures = []
+    for w in WORKER_COUNTS:
+        run = runs[f"workers{w}"]
+        print(f"workers={w}: {run['allocs_per_round']} allocs/round "
+              f"(ceiling {ALLOCS_PER_ROUND_CEILING[w]}), peak "
+              f"{run['peak_bytes']} B (ceiling {PEAK_BYTES_CEILING[w]})",
               file=sys.stderr)
+        if run["allocs_per_round"] > ALLOCS_PER_ROUND_CEILING[w]:
+            failures.append(f"workers={w} allocs_per_round")
+        if run["peak_bytes"] > PEAK_BYTES_CEILING[w]:
+            failures.append(f"workers={w} peak_bytes")
+    if failures:
+        print("FAIL: above ceiling: " + ", ".join(failures), file=sys.stderr)
         return 1
     return 0
 

@@ -43,15 +43,12 @@ keep_going() {
   [ "$step_status" -ne 0 ] || step_status=$step_status_now
 }
 
-# Static analysis first — cheapest stage, fails fastest. The invariant
-# linter (pure python) always runs and any finding fails the pass. When
-# clang is available the clang-tidy baseline gate and a clang build with
-# -Werror=thread-safety (FEDCA_STATIC_ANALYSIS=ON) run too; on the
-# gcc-only container those sub-stages print SKIP. FEDCA_LINT=0 skips the
-# whole stage.
+# Static analysis first — cheapest stage, fails fastest: the clang-tidy
+# baseline gate and, when clang is available, a clang build with
+# -Werror=thread-safety (FEDCA_STATIC_ANALYSIS=ON); without clang++ that
+# sub-stage prints SKIP. FEDCA_LINT=0 skips the whole stage.
 if [ "${FEDCA_LINT:-1}" != "0" ]; then
   echo "===== lint =====" | tee lint_output.txt
-  run_logged lint_output.txt python3 tools/lint_fedca.py
   run_logged lint_output.txt \
     python3 tools/run_clang_tidy.py --build-dir build
   if command -v clang++ >/dev/null 2>&1; then
@@ -69,9 +66,10 @@ fi
 
 # Semantic analyzer: the token-level static-analysis tier (include/layering
 # DAG against tools/analyze/layers.spec, lock-order graph + callbacks-under-
-# lock, scope-aware determinism/seam rules). Unlike the regex linter above
-# it folds in the build's compile_commands.json, so a missing database is a
-# configuration error (the binary exits 2), not a silent skip.
+# lock, scope-aware determinism/seam rules, fast-math over the build
+# scripts). It folds in the build's compile_commands.json, so a missing
+# database is a configuration error (the binary exits 2), not a silent
+# skip.
 # FEDCA_ANALYZE=0 skips the stage.
 if [ "${FEDCA_ANALYZE:-1}" != "0" ]; then
   echo "===== analyze =====" | tee analyze_output.txt
@@ -125,8 +123,9 @@ if [ "${FEDCA_BENCH_KERNELS:-1}" != "0" ]; then
 fi
 
 # Allocation bench: refresh BENCH_memory.json via the counting-allocator
-# harness (heap allocations per steady-state round, pool off vs on; fails
-# if the pool-on reduction drops below 10x). FEDCA_BENCH_MEMORY=0 skips.
+# harness (heap allocations and peak heap bytes per steady-state round at 1
+# and 4 workers; fails above the ceilings in tools/bench_memory.py).
+# FEDCA_BENCH_MEMORY=0 skips.
 if [ "${FEDCA_BENCH_MEMORY:-1}" != "0" ]; then
   echo "===== memory bench =====" | tee memory_bench_output.txt
   run_logged memory_bench_output.txt \
@@ -198,17 +197,15 @@ tsan_pass() {
     >>tsan_output.txt 2>&1 &&
   cmake --build build-tsan --target obs_metrics_test obs_trace_test \
     obs_recorder_test fl_round_engine_test fl_parallel_determinism_test \
-    fl_async_engine_test fl_robustness_test tensor_pool_test \
+    fl_async_engine_test fl_robustness_test \
     tensor_simd_kernels_test tensor_gemm_property_test -j "$(nproc)" \
     >>tsan_output.txt 2>&1 \
     || { echo "tsan build FAILED (see tsan_output.txt)"; return 1; }
   for t in obs_metrics_test obs_trace_test obs_recorder_test \
            fl_round_engine_test fl_parallel_determinism_test \
-           fl_async_engine_test fl_robustness_test tensor_pool_test; do
+           fl_async_engine_test fl_robustness_test; do
     echo "--- $t (tsan) ---"
-    # FEDCA_TENSOR_POOL=1 routes every Tensor buffer through the pool's
-    # thread-cache/global-tier handoff while the engines run multithreaded.
-    keep_going env FEDCA_TENSOR_POOL=1 "build-tsan/tests/$t"
+    keep_going "build-tsan/tests/$t"
   done
   # Kernel property suites under TSan in both dispatch tiers: the packed
   # GEMM's thread_local scratch and the once-resolved tier cache are the
@@ -216,7 +213,7 @@ tsan_pass() {
   for tier in scalar auto; do
     for t in tensor_simd_kernels_test tensor_gemm_property_test; do
       echo "--- $t (tsan, FEDCA_SIMD=$tier) ---"
-      keep_going env FEDCA_SIMD=$tier FEDCA_TENSOR_POOL=1 "build-tsan/tests/$t"
+      keep_going env FEDCA_SIMD=$tier "build-tsan/tests/$t"
     done
   done
   return "$step_status"
@@ -236,13 +233,12 @@ asan_pass() {
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     >>asan_output.txt 2>&1 &&
   cmake --build build-asan --target sim_fault_injection_test \
-    fl_robustness_test tensor_pool_test -j "$(nproc)" \
+    fl_robustness_test -j "$(nproc)" \
     >>asan_output.txt 2>&1 \
     || { echo "asan build FAILED (see asan_output.txt)"; return 1; }
-  for t in sim_fault_injection_test fl_robustness_test tensor_pool_test; do
+  for t in sim_fault_injection_test fl_robustness_test; do
     echo "--- $t (asan+ubsan) ---"
-    # Pool on: recycled-buffer lifetime and poisoning run under ASan too.
-    keep_going env FEDCA_TENSOR_POOL=1 "build-asan/tests/$t"
+    keep_going "build-asan/tests/$t"
   done
   return "$step_status"
 }

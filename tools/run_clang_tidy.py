@@ -200,7 +200,7 @@ def main():
 
     binary = find_clang_tidy()
     if binary is None:
-        # Not an error: the gcc-only container runs the invariant linter and
+        # Not an error: the gcc-only container runs fedca_analyze and the
         # tests but cannot run this gate. Print loudly so the skip is visible.
         print("run_clang_tidy: SKIP: clang-tidy not found "
               "(set CLANG_TIDY or install clang-tidy)")
