@@ -2,11 +2,13 @@
 // GEMM in all three transpose variants (local SGD) and at the exact shapes
 // the nn layers use in training, the conv2d im2col/col2im lowering, the
 // retained naive references (before/after comparison), the pool-parallel
-// GEMM path, span kernels, the fused dense-layer helpers, conv2d
-// forward/backward, statistical progress (Eq. 1), profiler recording,
+// GEMM path, span kernels, the fused dense-layer helpers, conv2d and LSTM
+// forward/backward, tanh against libm, statistical progress (Eq. 1), profiler recording,
 // link/event-queue throughput, speed-timeline integration, and end-to-end
 // round throughput.
 #include <benchmark/benchmark.h>
+
+#include <cmath>
 
 #include "core/progress.hpp"
 #include "core/sampling_profiler.hpp"
@@ -16,6 +18,7 @@
 #include "fl/round_engine.hpp"
 #include "fl/scheme.hpp"
 #include "nn/conv2d.hpp"
+#include "nn/lstm.hpp"
 #include "nn/models.hpp"
 #include "bench/common.hpp"
 #include "sim/event_queue.hpp"
@@ -276,6 +279,54 @@ void BM_ConvBackward(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ConvBackward);
+
+// The LSTM layer of the keyword-spotting model at the training batch
+// (N = 10, T = 16, F = 8, H = 96): one forward, and the parameter-only
+// backward the SGD step runs.
+void BM_LstmForward(benchmark::State& state) {
+  util::Rng rng(21);
+  nn::LSTM lstm("bench", 8, 96, 16, rng);
+  const tensor::Tensor input = randn({10, 16, 8}, 22);
+  for (auto _ : state) {
+    tensor::Tensor h = lstm.forward(input);
+    benchmark::DoNotOptimize(h.raw());
+  }
+}
+BENCHMARK(BM_LstmForward);
+
+void BM_LstmBackwardParams(benchmark::State& state) {
+  util::Rng rng(21);
+  nn::LSTM lstm("bench", 8, 96, 16, rng);
+  const tensor::Tensor input = randn({10, 16, 8}, 22);
+  const tensor::Tensor grad = randn({10, 96}, 23);
+  lstm.forward(input);
+  for (auto _ : state) {
+    lstm.zero_grad();
+    lstm.backward_params(grad);
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_LstmBackwardParams);
+
+// One LSTM timestep's tanh work at that batch (g and tanh(c), 2 x 10 x 96
+// floats): glibc tanhf per element against tensor::tanh, which returns the
+// same bits.
+void BM_Tanh(benchmark::State& state, bool kernel) {
+  const tensor::Tensor x = randn({1920}, 24);
+  tensor::Tensor y({1920});
+  for (auto _ : state) {
+    if (kernel) {
+      tensor::tanh(x.data(), y.data());
+    } else {
+      for (std::size_t i = 0; i < x.numel(); ++i) y[i] = std::tanh(x[i]);
+    }
+    benchmark::DoNotOptimize(y.raw());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 1920);
+}
+BENCHMARK_CAPTURE(BM_Tanh, libm, false);
+BENCHMARK_CAPTURE(BM_Tanh, kernel, true);
 
 void BM_StatisticalProgress(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

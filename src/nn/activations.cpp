@@ -3,6 +3,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "tensor/ops.hpp"
+
 namespace fedca::nn {
 
 Tensor ReLU::forward(const Tensor& input) {
@@ -27,7 +29,7 @@ Tensor ReLU::backward(const Tensor& grad_output) {
 
 Tensor Tanh::forward(const Tensor& input) {
   Tensor out(input.shape());
-  for (std::size_t i = 0; i < input.numel(); ++i) out[i] = std::tanh(input[i]);
+  tensor::tanh(input.data(), out.data());  // glibc tanhf's bits, vectorized
   cached_output_ = out;
   return out;
 }

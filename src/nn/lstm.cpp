@@ -1,7 +1,10 @@
 #include "nn/lstm.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <span>
 #include <stdexcept>
+#include <utility>
 
 #include "obs/trace.hpp"
 #include "tensor/init.hpp"
@@ -11,7 +14,25 @@ namespace fedca::nn {
 
 namespace {
 
-float sigmoidf(float x) { return 1.0f / (1.0f + std::exp(-x)); }
+// The element-wise tails of a timestep, as loops the compiler vectorizes
+// (this file is built with -O3 -ffp-contract=off, so every product and sum
+// below stays a separately rounded IEEE operation).
+
+// out = 1 / (1 + e), e = exp(-pre): the sigmoid gates.
+void sigmoid_from_exp(const float* e, float* out, std::size_t n) {
+  for (std::size_t j = 0; j < n; ++j) out[j] = 1.0f / (1.0f + e[j]);
+}
+
+// c = f * c_prev + i * g. c may alias c_prev (eval mode updates in place).
+void cell_update(const float* f, const float* c_prev, const float* i, const float* g,
+                 float* c, std::size_t n) {
+  for (std::size_t k = 0; k < n; ++k) c[k] = f[k] * c_prev[k] + i[k] * g[k];
+}
+
+// h = o * tanh(c).
+void hidden_output(const float* o, const float* tanh_c, float* h, std::size_t n) {
+  for (std::size_t k = 0; k < n; ++k) h[k] = o[k] * tanh_c[k];
+}
 
 }  // namespace
 
@@ -39,64 +60,65 @@ Tensor LSTM::forward(const Tensor& input) {
   }
   const std::size_t n = input.dim(0);
   const std::size_t H = hidden_size_;
-  cached_batch_ = n;
-  cache_.assign(seq_len_, StepCache{});
+  const std::size_t F = input_size_;
+  const std::size_t nh = n * H;
+  // Training mode fills the BPTT cache, allocated only when the batch size
+  // changes. Eval mode drops it and runs every step in one reused cache
+  // entry: c is updated in place there, each element read before written.
+  StepCache step;
+  if (training_) {
+    if (cache_.size() != seq_len_ || cached_batch_ != n) {
+      cache_.assign(seq_len_, StepCache{});
+      for (StepCache& sc : cache_) {
+        sc.x = Tensor({n, F});
+        sc.h_prev = sc.i = sc.f = sc.g = sc.o = sc.c = sc.tanh_c = Tensor({n, H});
+      }
+      cached_batch_ = n;
+    }
+  } else {
+    cache_.clear();
+    cached_batch_ = 0;
+    step.x = Tensor({n, F});
+    step.i = step.f = step.g = step.o = step.c = step.tanh_c = Tensor({n, H});
+  }
+  packed_ih_.pack(F, 4 * H, weight_ih_.value.raw(), /*b_trans=*/true);
+  packed_hh_.pack(H, 4 * H, weight_hh_.value.raw(), /*b_trans=*/true);
+  const float* b_ih = bias_ih_.value.raw();
+  const float* b_hh = bias_hh_.value.raw();
 
   Tensor h({n, H});
-  Tensor c({n, H});
+  const Tensor c_zero({n, H});
   Tensor pre({n, 4 * H});
-  Tensor pre_x({n, 4 * H});
   Tensor pre_h({n, 4 * H});
-
   for (std::size_t t = 0; t < seq_len_; ++t) {
-    StepCache& sc = cache_[t];
+    StepCache& sc = training_ ? cache_[t] : step;
+    const float* c_prev = t == 0 ? c_zero.raw() : training_ ? cache_[t - 1].c.raw() : sc.c.raw();
     // Slice x_t out of the [N, T, F] input.
-    sc.x = Tensor({n, input_size_});
     for (std::size_t s = 0; s < n; ++s) {
-      const float* src = input.raw() + (s * seq_len_ + t) * input_size_;
-      std::copy(src, src + input_size_, sc.x.raw() + s * input_size_);
+      const float* src = input.raw() + (s * seq_len_ + t) * F;
+      std::copy(src, src + F, sc.x.raw() + s * F);
     }
-    sc.h_prev = h;
-    sc.c_prev = c;
+    if (training_) sc.h_prev = h;
 
-    tensor::gemm_nt(sc.x, weight_ih_.value, pre_x);
-    tensor::gemm_nt(h, weight_hh_.value, pre_h);
-    const float* b_ih = bias_ih_.value.raw();
-    const float* b_hh = bias_hh_.value.raw();
+    tensor::gemm_packed(sc.x, packed_ih_, pre);
+    tensor::gemm_packed(h, packed_hh_, pre_h);
+    // Per row, gate blocks i | f | g | o of width H. The sigmoid gates
+    // are 1 / (1 + exp(-p)): libm expf per element, then a division loop;
+    // g and tanh(c) go through tensor::tanh (libm's tanhf bits).
     for (std::size_t s = 0; s < n; ++s) {
-      const float* px = pre_x.raw() + s * 4 * H;
-      const float* ph = pre_h.raw() + s * 4 * H;
       float* p = pre.raw() + s * 4 * H;
-      for (std::size_t j = 0; j < 4 * H; ++j) {
-        p[j] = px[j] + ph[j] + b_ih[j] + b_hh[j];
-      }
+      const float* ph = pre_h.raw() + s * 4 * H;
+      for (std::size_t j = 0; j < 4 * H; ++j) p[j] = p[j] + ph[j] + b_ih[j] + b_hh[j];
+      for (std::size_t j = 0; j < 2 * H; ++j) p[j] = std::exp(-p[j]);
+      for (std::size_t j = 3 * H; j < 4 * H; ++j) p[j] = std::exp(-p[j]);
+      sigmoid_from_exp(p, sc.i.raw() + s * H, H);
+      sigmoid_from_exp(p + H, sc.f.raw() + s * H, H);
+      sigmoid_from_exp(p + 3 * H, sc.o.raw() + s * H, H);
+      tensor::tanh(std::span<const float>(p + 2 * H, H), std::span<float>(sc.g.raw() + s * H, H));
     }
-
-    sc.i = Tensor({n, H});
-    sc.f = Tensor({n, H});
-    sc.g = Tensor({n, H});
-    sc.o = Tensor({n, H});
-    sc.c = Tensor({n, H});
-    sc.tanh_c = Tensor({n, H});
-    for (std::size_t s = 0; s < n; ++s) {
-      const float* p = pre.raw() + s * 4 * H;
-      for (std::size_t j = 0; j < H; ++j) {
-        const float iv = sigmoidf(p[0 * H + j]);
-        const float fv = sigmoidf(p[1 * H + j]);
-        const float gv = std::tanh(p[2 * H + j]);
-        const float ov = sigmoidf(p[3 * H + j]);
-        const float cv = fv * sc.c_prev[s * H + j] + iv * gv;
-        sc.i[s * H + j] = iv;
-        sc.f[s * H + j] = fv;
-        sc.g[s * H + j] = gv;
-        sc.o[s * H + j] = ov;
-        sc.c[s * H + j] = cv;
-        const float tc = std::tanh(cv);
-        sc.tanh_c[s * H + j] = tc;
-        h[s * H + j] = ov * tc;
-        c[s * H + j] = cv;
-      }
-    }
+    cell_update(sc.f.raw(), c_prev, sc.i.raw(), sc.g.raw(), sc.c.raw(), nh);
+    tensor::tanh(sc.c.data(), sc.tanh_c.data());
+    hidden_output(sc.o.raw(), sc.tanh_c.raw(), h.raw(), nh);
   }
   return h;  // last hidden state
 }
@@ -111,6 +133,11 @@ void LSTM::backward_params(const Tensor& grad_output) { backward_into(grad_outpu
 
 void LSTM::backward_into(const Tensor& grad_output, Tensor* grad_input) {
   FEDCA_KERNEL_SPAN("lstm.backward");
+  if (cache_.empty()) {
+    throw std::invalid_argument(
+        "LSTM::backward needs the cache of a training-mode forward; the last forward "
+        "ran in eval mode (set_training(false)) or none ran");
+  }
   const std::size_t n = cached_batch_;
   const std::size_t H = hidden_size_;
   if (grad_output.ndim() != 2 || grad_output.dim(0) != n || grad_output.dim(1) != H) {
@@ -121,16 +148,20 @@ void LSTM::backward_into(const Tensor& grad_output, Tensor* grad_input) {
   if (grad_input) {
     *grad_input = Tensor({n, seq_len_, input_size_});
     dx = Tensor({n, input_size_});
+    packed_ih_.pack(4 * H, input_size_, weight_ih_.value.raw(), /*b_trans=*/false);
   }
+  packed_hh_.pack(4 * H, H, weight_hh_.value.raw(), /*b_trans=*/false);
   Tensor dh = grad_output;  // gradient flowing into h_t
   Tensor dc({n, H});        // gradient flowing into c_t (zero at t = T)
   Tensor dpre({n, 4 * H});
   Tensor dparam({4 * H, input_size_});
   Tensor dparam_h({4 * H, hidden_size_});
   Tensor dh_rec({n, H});
+  const Tensor c_zero({n, H});
 
   for (std::size_t t = seq_len_; t-- > 0;) {
     const StepCache& sc = cache_[t];
+    const float* c_prev = t > 0 ? cache_[t - 1].c.raw() : c_zero.raw();
     for (std::size_t s = 0; s < n; ++s) {
       for (std::size_t j = 0; j < H; ++j) {
         const std::size_t k = s * H + j;
@@ -140,7 +171,7 @@ void LSTM::backward_into(const Tensor& grad_output, Tensor* grad_input) {
         float dcv = dhv * sc.o[k] * (1.0f - tc * tc) + dc[k];
         const float div = dcv * sc.g[k];
         const float dgv = dcv * sc.i[k];
-        const float dfv = dcv * sc.c_prev[k];
+        const float dfv = dcv * c_prev[k];
         dc[k] = dcv * sc.f[k];  // gradient to c_{t-1}
         float* dp = dpre.raw() + s * 4 * H;
         dp[0 * H + j] = div * sc.i[k] * (1.0f - sc.i[k]);
@@ -149,30 +180,28 @@ void LSTM::backward_into(const Tensor& grad_output, Tensor* grad_input) {
         dp[3 * H + j] = dov * sc.o[k] * (1.0f - sc.o[k]);
       }
     }
-    // Parameter gradients.
+    // Parameter gradients; each bias element sums the rows in ascending
+    // order onto its running value.
     tensor::gemm_tn(dpre, sc.x, dparam);
     tensor::add_scaled(weight_ih_.grad, 1.0f, dparam);
     tensor::gemm_tn(dpre, sc.h_prev, dparam_h);
     tensor::add_scaled(weight_hh_.grad, 1.0f, dparam_h);
-    for (std::size_t s = 0; s < n; ++s) {
-      const float* dp = dpre.raw() + s * 4 * H;
-      for (std::size_t j = 0; j < 4 * H; ++j) {
-        bias_ih_.grad[j] += dp[j];
-        bias_hh_.grad[j] += dp[j];
-      }
-    }
+    tensor::row_sum(dpre.data(), n, bias_ih_.grad.data());
+    tensor::row_sum(dpre.data(), n, bias_hh_.grad.data());
     // Input gradient for this timestep.
     if (grad_input) {
-      tensor::gemm(dpre, weight_ih_.value, dx);
+      tensor::gemm_packed(dpre, packed_ih_, dx);
       for (std::size_t s = 0; s < n; ++s) {
         float* dst = grad_input->raw() + (s * seq_len_ + t) * input_size_;
         const float* src = dx.raw() + s * input_size_;
         for (std::size_t j = 0; j < input_size_; ++j) dst[j] = src[j];
       }
     }
-    // Recurrent gradient to h_{t-1}.
-    tensor::gemm(dpre, weight_hh_.value, dh_rec);
-    dh = dh_rec;
+    // Recurrent gradient to h_{t-1} (none needed below t = 0).
+    if (t > 0) {
+      tensor::gemm_packed(dpre, packed_hh_, dh_rec);
+      std::swap(dh, dh_rec);
+    }
   }
 }
 

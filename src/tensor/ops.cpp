@@ -9,6 +9,7 @@
 
 #include "tensor/simd/dispatch.hpp"
 #include "tensor/simd/kernels.hpp"
+#include "tensor/simd/tanh.hpp"
 #include "util/thread_pool.hpp"
 
 namespace fedca::tensor {
@@ -145,6 +146,18 @@ double magnitude_similarity(std::span<const float> x, std::span<const float> y) 
   const double hi = std::max(nx, ny);
   if (hi == 0.0) return 1.0;
   return lo / hi;
+}
+
+void tanh(std::span<const float> x, std::span<float> y) {
+  require_equal_size(x, y, "tanh");
+  const std::size_t n = x.size();
+#if defined(__x86_64__) || defined(_M_X64)
+  if (use_avx2()) {
+    simd::tanh_avx2(x.data(), y.data(), n);
+    return;
+  }
+#endif
+  for (std::size_t i = 0; i < n; ++i) y[i] = simd::tanh_fdlibm(x[i]);
 }
 
 void bias_add(std::span<float> out, std::size_t rows, std::span<const float> bias) {
@@ -352,13 +365,23 @@ struct GemmScratch {
   }
 };
 
+// Offset of the (jc, kc) block inside a whole op(B) packed block by block
+// (jc outer, kc inner), as PackedB holds it: the column blocks before jc
+// hold jc * K floats, and the k blocks before kc in this column block
+// kc * (nb rounded up to whole panels).
+std::size_t packed_block_offset(std::size_t K, std::size_t jc, std::size_t kc,
+                                std::size_t nb) {
+  return jc * K + kc * round_up(nb, simd::kNr);
+}
+
 // C rows [i0, i1) of C(MxN) = op(A)(MxK) * op(B)(KxN) through the packed
 // blocking. Each row's chains are computed entirely by the calling thread,
-// which packs its own panels (duplicated B packing across threads is the
-// price of bit-identical row partitioning).
-void gemm_packed(std::size_t i0, std::size_t i1, std::size_t K, std::size_t N,
-                 const float* a, std::size_t as, bool a_trans, const float* b,
-                 std::size_t bs, bool b_trans, float* c) {
+// which packs its own A panels, and its own B panels unless `b_panels`
+// holds op(B) already packed (see PackedB); duplicated B packing across
+// threads is the price of bit-identical row partitioning.
+void gemm_rows(std::size_t i0, std::size_t i1, std::size_t K, std::size_t N,
+               const float* a, std::size_t as, bool a_trans, const float* b,
+               std::size_t bs, bool b_trans, const float* b_panels, float* c) {
 #if defined(__x86_64__) || defined(_M_X64)
   const simd::Tier tier = simd::active_tier();
   const simd::MicroKernel kernel =
@@ -371,15 +394,19 @@ void gemm_packed(std::size_t i0, std::size_t i1, std::size_t K, std::size_t N,
   thread_local GemmScratch scratch;
   const std::size_t kb_max = std::min(kKc, K);
   scratch.grow(round_up(std::min(kMc, i1 - i0), simd::kMr) * kb_max,
-               kb_max * round_up(std::min(kNc, N), simd::kNr));
+               b_panels != nullptr ? 0 : kb_max * round_up(std::min(kNc, N), simd::kNr));
   std::vector<float>& ap = scratch.ap;
-  std::vector<float>& bp = scratch.bp;
   for (std::size_t jc = 0; jc < N; jc += kNc) {
     const std::size_t nb = std::min(kNc, N - jc);
     for (std::size_t kc = 0; kc < K; kc += kKc) {
       const std::size_t kb = std::min(kKc, K - kc);
       const bool first = kc == 0;
-      pack_b(b, bs, b_trans, kc, kb, jc, nb, bp.data());
+      const float* bp = scratch.bp.data();
+      if (b_panels != nullptr) {
+        bp = b_panels + packed_block_offset(K, jc, kc, nb);
+      } else {
+        pack_b(b, bs, b_trans, kc, kb, jc, nb, scratch.bp.data());
+      }
       for (std::size_t ic = i0; ic < i1; ic += kMc) {
         const std::size_t mb = std::min(kMc, i1 - ic);
         pack_a(a, as, a_trans, ic, mb, kc, kb, ap.data());
@@ -388,7 +415,7 @@ void gemm_packed(std::size_t i0, std::size_t i1, std::size_t K, std::size_t N,
           const float* apanel = ap.data() + (ir / simd::kMr) * kb * simd::kMr;
           for (std::size_t jr = 0; jr < nb; jr += simd::kNr) {
             const std::size_t nr_eff = std::min(simd::kNr, nb - jr);
-            kernel(kb, apanel, bp.data() + (jr / simd::kNr) * kb * simd::kNr,
+            kernel(kb, apanel, bp + (jr / simd::kNr) * kb * simd::kNr,
                    c + (ic + ir) * N + jc + jr, N, mr_eff, nr_eff, first);
           }
         }
@@ -402,10 +429,10 @@ std::atomic<util::ThreadPool*> g_gemm_pool{nullptr};
 std::atomic<std::size_t> g_gemm_min_flops{1u << 22};
 
 // Common entry: serial-packed / row-partitioned-packed, both computing
-// identical bits.
+// identical bits. `b_panels` (or null) is op(B) prepacked by PackedB.
 void gemm_any(std::size_t M, std::size_t K, std::size_t N, const float* a,
               std::size_t as, bool a_trans, const float* b, std::size_t bs,
-              bool b_trans, float* c) {
+              bool b_trans, float* c, const float* b_panels = nullptr) {
   if (K == 0) {
     std::fill(c, c + M * N, 0.0f);
     return;
@@ -421,11 +448,11 @@ void gemm_any(std::size_t M, std::size_t K, std::size_t N, const float* a,
     pool->parallel_for(blocks, [&](std::size_t blk) {
       const std::size_t i0 = M * blk / blocks;
       const std::size_t i1 = M * (blk + 1) / blocks;
-      gemm_packed(i0, i1, K, N, a, as, a_trans, b, bs, b_trans, c);
+      gemm_rows(i0, i1, K, N, a, as, a_trans, b, bs, b_trans, b_panels, c);
     });
     return;
   }
-  gemm_packed(0, M, K, N, a, as, a_trans, b, bs, b_trans, c);
+  gemm_rows(0, M, K, N, a, as, a_trans, b, bs, b_trans, b_panels, c);
 }
 
 }  // namespace
@@ -495,6 +522,40 @@ void gemm_tn(const Tensor& a, const Tensor& b, Tensor& c) {
                                 shape_to_string(c.shape()));
   }
   gemm_tn(m, k, n, a.raw(), b.raw(), c.raw());
+}
+
+void PackedB::pack(std::size_t k, std::size_t n, const float* b, bool b_trans) {
+  k_ = k;
+  n_ = n;
+  // Every column block is whole panels wide except possibly the last, so
+  // the total is K * (N rounded up to whole panels).
+  panels_.resize(k * round_up(n, simd::kNr));
+  const std::size_t bs = b_trans ? k : n;
+  for (std::size_t jc = 0; jc < n; jc += kNc) {
+    const std::size_t nb = std::min(kNc, n - jc);
+    for (std::size_t kc = 0; kc < k; kc += kKc) {
+      pack_b(b, bs, b_trans, kc, std::min(kKc, k - kc), jc, nb,
+             panels_.data() + packed_block_offset(k, jc, kc, nb));
+    }
+  }
+}
+
+void gemm_packed(std::size_t m, const float* a, const PackedB& b, float* c) {
+  gemm_any(m, b.k(), b.n(), a, /*as=*/b.k(), /*a_trans=*/false, /*b=*/nullptr,
+           /*bs=*/0, /*b_trans=*/false, c, b.panels());
+}
+
+void gemm_packed(const Tensor& a, const PackedB& b, Tensor& c) {
+  require_matrix(a, "A");
+  require_matrix(c, "C");
+  const std::size_t m = a.dim(0);
+  if (a.dim(1) != b.k() || c.dim(0) != m || c.dim(1) != b.n()) {
+    throw std::invalid_argument("gemm_packed: incompatible shapes A" +
+                                shape_to_string(a.shape()) + " op(B) [" +
+                                std::to_string(b.k()) + ", " + std::to_string(b.n()) +
+                                "] C" + shape_to_string(c.shape()));
+  }
+  gemm_packed(m, a.raw(), b, c.raw());
 }
 
 // ---- Int8 affine quantization ------------------------------------------

@@ -24,6 +24,12 @@
 //     lanes (element i feeds lane i mod 8) with a fixed halving-tree
 //     combine and a scalar tail appended last; lane products are separate
 //     multiply + add, never fused. Again bit-reproducible across tiers.
+//   * `tanh` is an in-tree replica of glibc 2.36's fdlibm tanhf
+//     (tensor/simd/tanh.hpp: single-precision + - * / and bit operations,
+//     no fma), run lane-wise by the AVX2 tier. The tanh tests prove it
+//     equal to std::tanh on all 2^32 inputs, so every tier returns libm's
+//     bits. exp stays libm's expf, called per element: glibc's expf is an
+//     ifunc'd fma variant no replica has been proven equal to.
 //   * These kernel translation units are compiled with -ffp-contract=off:
 //     fusion happens exactly where the contract says fma and nowhere
 //     else, so the compiler cannot silently change the association.
@@ -35,6 +41,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
+#include <vector>
 
 #include "tensor/tensor.hpp"
 
@@ -66,6 +73,10 @@ double cosine_similarity(std::span<const float> x, std::span<const float> y);
 // 0 when exactly one is zero. This is the magnitude-similarity factor of
 // the paper's statistical-progress metric (Eq. 1).
 double magnitude_similarity(std::span<const float> x, std::span<const float> y);
+// y[i] = tanh(x[i]) with the bits of glibc 2.36's tanhf (std::tanh on a
+// glibc 2.36 host) for every input, in every dispatch tier. x and y may be
+// the same span.
+void tanh(std::span<const float> x, std::span<float> y);
 
 // ---- Fused dense-layer helpers ----
 
@@ -142,6 +153,30 @@ void gemm_nt(const Tensor& a, const Tensor& b, Tensor& c);
 void gemm_tn(std::size_t m, std::size_t k, std::size_t n, const float* a,
              const float* b, float* c);
 void gemm_tn(const Tensor& a, const Tensor& b, Tensor& c);
+
+// op(B) of a GEMM, packed once into the panels the microkernel reads, for a B
+// operand many calls share (a recurrent weight across timesteps): the
+// calls then read the panels instead of repacking B per call. The packed
+// copy does not follow later writes to B; pack() again after them.
+class PackedB {
+ public:
+  // Packs op(B) (k x n): `b` is stored k x n, or n x k when b_trans (the
+  // B of gemm_nt). Reuses the panel storage when the size repeats.
+  void pack(std::size_t k, std::size_t n, const float* b, bool b_trans);
+  std::size_t k() const { return k_; }
+  std::size_t n() const { return n_; }
+  const float* panels() const { return panels_.data(); }
+
+ private:
+  std::size_t k_ = 0;
+  std::size_t n_ = 0;
+  std::vector<float> panels_;
+};
+
+// C(mxn) = A(mxk) * op(B) with op(B) prepacked; C overwritten. Bit-identical
+// to gemm / gemm_nt on the B that was packed: same panels, same chains.
+void gemm_packed(std::size_t m, const float* a, const PackedB& b, float* c);
+void gemm_packed(const Tensor& a, const PackedB& b, Tensor& c);
 
 // Opt-in pool-parallel row-block path for large GEMMs. When a pool is set,
 // calls to any of the three variants whose 2*m*k*n flop count reaches

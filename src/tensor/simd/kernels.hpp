@@ -16,6 +16,9 @@
 //     appended last; products use separate multiply+add (never fused).
 //   * scale / bias_add / row_sum / quantize / dequantize: element-wise or
 //     pure-addition chains in source order.
+//   * tanh: every lane runs the operations of the scalar fdlibm replica
+//     (tensor/simd/tanh.hpp) in its order, so every tier returns libm's
+//     tanhf bits.
 //
 // The AVX2 functions are declared unconditionally but defined only when
 // the build targets x86-64 (kernels_avx2.cpp is empty elsewhere); the
@@ -103,6 +106,9 @@ void bias_add_avx2(float* out, std::size_t rows, const float* bias,
                    std::size_t cols);
 void row_sum_avx2(const float* in, std::size_t rows, float* out,
                   std::size_t cols);
+// y[i] = tanh_fdlibm(x[i]) (tensor/simd/tanh.hpp), eight lanes at a time;
+// x and y may be the same array.
+void tanh_avx2(const float* x, float* y, std::size_t n);
 
 void minmax_avx2(const float* x, std::size_t n, float* lo, float* hi);
 void quantize_int8_avx2(const float* x, std::size_t n, float inv_scale,

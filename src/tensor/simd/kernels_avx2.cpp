@@ -16,6 +16,7 @@
 #include <cmath>
 
 #include "tensor/simd/kernels.hpp"
+#include "tensor/simd/tanh.hpp"
 
 namespace fedca::tensor::simd {
 
@@ -302,6 +303,140 @@ void fake_quantize_int8_avx2(float* x, std::size_t n, float inv_scale,
     const std::int32_t qi = std::clamp(r, -128, 127);
     x[i] = scale * static_cast<float>(qi - zero_point);
   }
+}
+
+namespace {
+
+inline __m256i splat(std::uint32_t bits) {
+  return _mm256_set1_epi32(static_cast<int>(bits));
+}
+
+// Lane-wise fdlibm::expm1f over the domain tanh_fdlibm gives it. Every
+// branch of the scalar code is computed and each lane keeps the one the
+// scalar code would take, so each lane sees the same operations in the
+// same order. Like the scalar code it has no k == 1 branch (x > 0 means
+// x >= 2 here); lanes outside the domain (tanh's |v| >= 22 and
+// |v| < 2^-55, which tanh8 overrides) compute values nobody reads.
+inline __m256 expm1_tanh_domain(__m256 x) {
+  const __m256i xb = _mm256_castps_si256(x);
+  const __m256i hx = _mm256_and_si256(xb, splat(0x7fffffffu));
+  const __m256 sign = _mm256_and_ps(x, _mm256_set1_ps(-0.0f));
+  const __m256i reduce = _mm256_cmpgt_epi32(hx, splat(0x3eb17218u));  // |x| > 0.5 ln2
+  const __m256i near = _mm256_cmpgt_epi32(splat(0x3f851592u), hx);   // |x| < 1.5 ln2
+  const __m256i tiny = _mm256_cmpgt_epi32(splat(0x33000000u), hx);   // |x| < 2^-25
+
+  // k: sign(x) near 0.5..1.5 ln2, (int)(x / ln2 +- 0.5) beyond, 0 below.
+  // With t = k, hi = x - t * ln2_hi and lo = t * ln2_lo reproduce the
+  // scalar code's +-ln2 constants exactly, and give hi = x, lo = 0 (so
+  // x unchanged, c = 0) on the k == 0 lanes.
+  const __m256 half = _mm256_or_ps(_mm256_set1_ps(0.5f), sign);
+  const __m256i k_far = _mm256_cvttps_epi32(
+      _mm256_add_ps(_mm256_mul_ps(_mm256_set1_ps(fdlibm::kInvLn2), x), half));
+  const __m256i k_near = _mm256_or_si256(_mm256_srai_epi32(xb, 31), splat(1u));
+  const __m256i k = _mm256_and_si256(_mm256_blendv_epi8(k_far, k_near, near), reduce);
+  const __m256 t_k = _mm256_cvtepi32_ps(k);
+  const __m256 hi = _mm256_sub_ps(x, _mm256_mul_ps(t_k, _mm256_set1_ps(fdlibm::kLn2Hi)));
+  const __m256 lo = _mm256_mul_ps(t_k, _mm256_set1_ps(fdlibm::kLn2Lo));
+  const __m256 xr = _mm256_sub_ps(hi, lo);
+  const __m256 c = _mm256_sub_ps(_mm256_sub_ps(hi, xr), lo);
+
+  const __m256 one = _mm256_set1_ps(1.0f);
+  const __m256 hfx = _mm256_mul_ps(_mm256_set1_ps(0.5f), xr);
+  const __m256 hxs = _mm256_mul_ps(xr, hfx);
+  __m256 poly = _mm256_add_ps(_mm256_set1_ps(fdlibm::kQ4),
+                              _mm256_mul_ps(hxs, _mm256_set1_ps(fdlibm::kQ5)));
+  poly = _mm256_add_ps(_mm256_set1_ps(fdlibm::kQ3), _mm256_mul_ps(hxs, poly));
+  poly = _mm256_add_ps(_mm256_set1_ps(fdlibm::kQ2), _mm256_mul_ps(hxs, poly));
+  poly = _mm256_add_ps(_mm256_set1_ps(fdlibm::kQ1), _mm256_mul_ps(hxs, poly));
+  const __m256 r1 = _mm256_add_ps(one, _mm256_mul_ps(hxs, poly));
+  const __m256 t = _mm256_sub_ps(_mm256_set1_ps(3.0f), _mm256_mul_ps(r1, hfx));
+  const __m256 e = _mm256_mul_ps(
+      hxs, _mm256_div_ps(_mm256_sub_ps(r1, t),
+                         _mm256_sub_ps(_mm256_set1_ps(6.0f), _mm256_mul_ps(xr, t))));
+
+  // k == 0: x - (x * e - hxs).
+  const __m256 res_k0 = _mm256_sub_ps(xr, _mm256_sub_ps(_mm256_mul_ps(xr, e), hxs));
+  const __m256 e2 = _mm256_sub_ps(
+      _mm256_sub_ps(_mm256_mul_ps(xr, _mm256_sub_ps(e, c)), c), hxs);
+  const __m256 x_minus_e2 = _mm256_sub_ps(xr, e2);
+  const __m256 e2_minus_x = _mm256_sub_ps(e2, xr);
+  const __m256i k_exp = _mm256_slli_epi32(k, 23);
+  // k == -1: 0.5 * (x - e) - 0.5.
+  const __m256 half1 = _mm256_set1_ps(0.5f);
+  const __m256 res_km1 = _mm256_sub_ps(_mm256_mul_ps(half1, x_minus_e2), half1);
+  // k <= -2 || k > 56: (1 - (e - x)) * 2^k - 1.
+  const __m256 res_far = _mm256_sub_ps(
+      _mm256_castsi256_ps(_mm256_add_epi32(
+          _mm256_castps_si256(_mm256_sub_ps(one, e2_minus_x)), k_exp)),
+      one);
+  // 2 <= k < 23: ((1 - 2^-k) - (e - x)) * 2^k.
+  const __m256 t_small = _mm256_castsi256_ps(
+      _mm256_sub_epi32(splat(0x3f800000u), _mm256_srlv_epi32(splat(0x1000000u), k)));
+  const __m256 res_small = _mm256_castsi256_ps(_mm256_add_epi32(
+      _mm256_castps_si256(_mm256_sub_ps(t_small, e2_minus_x)), k_exp));
+  // 23 <= k <= 56: ((x - (e + 2^-k)) + 1) * 2^k.
+  const __m256 t_large = _mm256_castsi256_ps(
+      _mm256_slli_epi32(_mm256_sub_epi32(splat(0x7fu), k), 23));
+  const __m256 y_large = _mm256_add_ps(_mm256_sub_ps(xr, _mm256_add_ps(e2, t_large)), one);
+  const __m256 res_large =
+      _mm256_castsi256_ps(_mm256_add_epi32(_mm256_castps_si256(y_large), k_exp));
+
+  const __m256i k_is_0 = _mm256_cmpeq_epi32(k, _mm256_setzero_si256());
+  const __m256i k_is_m1 = _mm256_cmpeq_epi32(k, splat(0xffffffffu));
+  const __m256i k_far_range = _mm256_or_si256(
+      _mm256_cmpgt_epi32(splat(0xffffffffu), k), _mm256_cmpgt_epi32(k, splat(56u)));
+  const __m256i k_small = _mm256_cmpgt_epi32(splat(23u), k);
+  __m256 r = _mm256_blendv_ps(res_large, res_small, _mm256_castsi256_ps(k_small));
+  r = _mm256_blendv_ps(r, res_far, _mm256_castsi256_ps(k_far_range));
+  r = _mm256_blendv_ps(r, res_km1, _mm256_castsi256_ps(k_is_m1));
+  r = _mm256_blendv_ps(r, res_k0, _mm256_castsi256_ps(k_is_0));
+  return _mm256_blendv_ps(r, x, _mm256_castsi256_ps(tiny));
+}
+
+// Eight lanes of tanh_fdlibm over finite inputs.
+inline __m256 tanh8(__m256 v) {
+  const __m256 sign_mask = _mm256_set1_ps(-0.0f);
+  const __m256 sign = _mm256_and_ps(v, sign_mask);
+  const __m256 ax = _mm256_andnot_ps(sign_mask, v);
+  const __m256i ix = _mm256_castps_si256(ax);
+  const __m256 ge1 =
+      _mm256_castsi256_ps(_mm256_cmpgt_epi32(ix, splat(0x3f7fffffu)));  // |v| >= 1
+  const __m256 two = _mm256_set1_ps(2.0f);
+  // expm1(2|v|) for |v| >= 1, expm1(-2|v|) below; both products are exact.
+  const __m256 t = expm1_tanh_domain(
+      _mm256_mul_ps(_mm256_blendv_ps(_mm256_set1_ps(-2.0f), two, ge1), ax));
+  // |v| >= 1: 1 - 2 / (t + 2); below: -t / (t + 2).
+  const __m256 q = _mm256_div_ps(_mm256_blendv_ps(_mm256_xor_ps(t, sign_mask), two, ge1),
+                                 _mm256_add_ps(t, two));
+  __m256 z = _mm256_blendv_ps(q, _mm256_sub_ps(_mm256_set1_ps(1.0f), q), ge1);
+  const __m256 ge22 =
+      _mm256_castsi256_ps(_mm256_cmpgt_epi32(ix, splat(0x41afffffu)));  // |v| >= 22
+  z = _mm256_blendv_ps(z, _mm256_set1_ps(1.0f), ge22);
+  z = _mm256_xor_ps(z, sign);
+  // |v| < 2^-55: v * (1 + v), which also returns +-0 unchanged.
+  const __m256 small =
+      _mm256_castsi256_ps(_mm256_cmpgt_epi32(splat(0x24000000u), ix));
+  return _mm256_blendv_ps(
+      z, _mm256_mul_ps(v, _mm256_add_ps(_mm256_set1_ps(1.0f), v)), small);
+}
+
+}  // namespace
+
+void tanh_avx2(const float* x, float* y, std::size_t n) {
+  const __m256i exp_mask = splat(0x7f800000u);
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m256 v = _mm256_loadu_ps(x + i);
+    // Non-finite lanes (all exponent bits set) take the scalar code.
+    const __m256i nonfinite = _mm256_cmpeq_epi32(
+        _mm256_and_si256(_mm256_castps_si256(v), exp_mask), exp_mask);
+    if (!_mm256_testz_si256(nonfinite, nonfinite)) {
+      for (std::size_t j = i; j < i + 8; ++j) y[j] = tanh_fdlibm(x[j]);
+      continue;
+    }
+    _mm256_storeu_ps(y + i, tanh8(v));
+  }
+  for (; i < n; ++i) y[i] = tanh_fdlibm(x[i]);
 }
 
 }  // namespace fedca::tensor::simd

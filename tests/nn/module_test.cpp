@@ -1,7 +1,11 @@
 // Module plumbing: parameter naming, zero_grad, state capture/restore,
-// ModelState arithmetic.
+// ModelState arithmetic; nn::Tanh keeping libm's bits.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+
+#include "nn/activations.hpp"
 #include "nn/linear.hpp"
 #include "nn/models.hpp"
 #include "nn/sequential.hpp"
@@ -56,6 +60,19 @@ TEST(Module, BackwardAccumulatesAcrossCalls) {
   fc.forward(x);
   fc.backward(g);
   EXPECT_FLOAT_EQ(fc.parameters()[0]->grad[0], 2.0f * once);
+}
+
+TEST(Module, TanhForwardIsLibmTanhBitForBit) {
+  // nn::Tanh runs tensor::tanh; its output must keep std::tanh's bits.
+  util::Rng rng(9);
+  nn::Tensor x({4, 37});
+  for (std::size_t i = 0; i < x.numel(); ++i) x[i] = static_cast<float>(rng.normal(0.0, 8.0));
+  nn::Tanh layer;
+  const nn::Tensor y = layer.forward(x);
+  for (std::size_t i = 0; i < x.numel(); ++i) {
+    const float want = std::tanh(x[i]);
+    EXPECT_EQ(std::memcmp(&want, y.raw() + i, sizeof want), 0) << "x=" << x[i];
+  }
 }
 
 TEST(Module, ParameterCount) {

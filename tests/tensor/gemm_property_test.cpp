@@ -131,11 +131,26 @@ TEST(GemmProperty, ThreadedGemmIsBitIdenticalToSerial) {
   set_gemm_threading(&pool, /*min_flops=*/1);  // force the parallel path
   Tensor threaded({96, 72});
   gemm(a, b, threaded);
+  PackedB packed;
+  packed.pack(80, 72, b.raw(), /*b_trans=*/false);
+  Tensor threaded_packed({96, 72});
+  gemm_packed(a, packed, threaded_packed);
   set_gemm_threading(nullptr);
 
   for (std::size_t i = 0; i < serial.numel(); ++i) {
     ASSERT_EQ(serial[i], threaded[i]) << "element " << i;
+    ASSERT_EQ(serial[i], threaded_packed[i]) << "packed element " << i;
   }
+}
+
+TEST(GemmProperty, PackedShapeMismatchThrows) {
+  PackedB packed;
+  const std::vector<float> b(8 * 4, 1.0f);
+  packed.pack(8, 4, b.data(), /*b_trans=*/false);
+  Tensor a({3, 8}), c({3, 4}), bad_a({3, 7}), bad_c({3, 5});
+  EXPECT_NO_THROW(gemm_packed(a, packed, c));
+  EXPECT_THROW(gemm_packed(bad_a, packed, c), std::invalid_argument);
+  EXPECT_THROW(gemm_packed(a, packed, bad_c), std::invalid_argument);
 }
 
 // Dispatch-tier identity: the scalar kernels and every vector tier this
@@ -259,6 +274,16 @@ void expect_pinned_to_chain(const GemmCall& g, util::Rng& rng) {
     ASSERT_EQ(std::memcmp(got.data(), want.data(), want.size() * sizeof(float)), 0)
         << g.name << " " << simd::tier_name(tier) << " m=" << g.m << " k=" << g.k
         << " n=" << g.n;
+    // gemm and gemm_nt through a once-packed op(B): the same bytes.
+    if (g.variant != Variant::kTN) {
+      PackedB packed;
+      packed.pack(g.k, g.n, b.data(), /*b_trans=*/g.variant == Variant::kNT);
+      std::vector<float> got_packed(want.size(), std::nanf(""));
+      gemm_packed(g.m, a.data(), packed, got_packed.data());
+      ASSERT_EQ(std::memcmp(got_packed.data(), want.data(), want.size() * sizeof(float)), 0)
+          << g.name << " packed " << simd::tier_name(tier) << " m=" << g.m
+          << " k=" << g.k << " n=" << g.n;
+    }
   }
   simd::reset_tier_from_env();
 }

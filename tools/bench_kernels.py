@@ -19,7 +19,10 @@ microkernel, so such a gap means a variant has left that path. It also
 exits 1 when one conv1 im2col (BM_Im2col/conv1) is more than
 MAX_LOWERING_RATIO times slower than the GEMM that consumes its panel
 (BM_LayerGemm/conv1_fwd): the lowering is a copy and should cost no more
-than the arithmetic on it. Usage:
+than the arithmetic on it. And it exits 1 when the vector tanh
+(BM_Tanh/kernel) is not at least MIN_TANH_SPEEDUP times faster than
+glibc's tanhf on the same 1920 floats (BM_Tanh/libm): it returns libm's
+bits, so its speed is the only reason it exists. Usage:
 
     python3 tools/bench_kernels.py [--build build] [--out BENCH_kernels.json]
 """
@@ -43,7 +46,8 @@ BASELINE_NS = {
 FILTER = ("BM_(Gemm|GemmNT|GemmTN|GemmRef|GemmParallel|LayerGemm|Im2col|"
           "Col2im|Axpy|Dot|"
           "L2Norm|Scale|BiasAdd|RowSum|ConvForward|ConvBackward|"
-          "StatisticalProgress|CnnTrainingIteration|RoundThroughput)")
+          "StatisticalProgress|CnnTrainingIteration|RoundThroughput|"
+          "LstmForward|LstmBackwardParams|Tanh)")
 
 # BM_GemmNT/n and BM_GemmTN/n may be at most this many times slower than
 # BM_Gemm/n for every square size n in GUARDED_SIZES.
@@ -53,6 +57,11 @@ GUARDED_SIZES = (32, 64, 128)
 # BM_Im2col/conv1 may be at most this many times slower than
 # BM_LayerGemm/conv1_fwd.
 MAX_LOWERING_RATIO = 1.5
+
+
+# BM_Tanh/libm must take at least this many times as long as
+# BM_Tanh/kernel.
+MIN_TANH_SPEEDUP = 2.0
 
 
 def transposed_gaps(after):
@@ -80,6 +89,16 @@ def lowering_gap(after):
         return []
     ratio = lowering["real_time_ns"] / gemm["real_time_ns"]
     return [("BM_Im2col/conv1", ratio)] if ratio > MAX_LOWERING_RATIO else []
+
+
+def tanh_gap(after):
+    """(name, speedup) when the vector tanh is not fast enough vs libm."""
+    libm = after.get("BM_Tanh/libm")
+    kernel = after.get("BM_Tanh/kernel")
+    if not libm or not kernel or kernel["real_time_ns"] <= 0:
+        return []
+    speedup = libm["real_time_ns"] / kernel["real_time_ns"]
+    return [("BM_Tanh/kernel", speedup)] if speedup < MIN_TANH_SPEEDUP else []
 
 
 def main() -> int:
@@ -137,6 +156,11 @@ def main() -> int:
         entry = after.get(name)
         if entry and entry["real_time_ns"] > 0:
             speedups[name] = round(before_ns / entry["real_time_ns"], 2)
+    libm = after.get("BM_Tanh/libm")
+    kernel = after.get("BM_Tanh/kernel")
+    if libm and kernel and kernel["real_time_ns"] > 0:
+        speedups["tanh_libm_vs_kernel"] = round(
+            libm["real_time_ns"] / kernel["real_time_ns"], 2)
     # The live naive-vs-blocked ratio on THIS host (BM_GemmRef is the old
     # BM_Gemm implementation).
     for n in (32, 64, 128):
@@ -172,7 +196,11 @@ def main() -> int:
         print(f"error: {name} is {ratio:.2f}x slower than "
               f"BM_LayerGemm/conv1_fwd (limit {MAX_LOWERING_RATIO}x)",
               file=sys.stderr)
-    return 1 if gaps or slow_lowering else 0
+    slow_tanh = tanh_gap(after)
+    for name, speedup in slow_tanh:
+        print(f"error: {name} is only {speedup:.2f}x faster than BM_Tanh/libm "
+              f"(need {MIN_TANH_SPEEDUP}x)", file=sys.stderr)
+    return 1 if gaps or slow_lowering or slow_tanh else 0
 
 
 if __name__ == "__main__":
