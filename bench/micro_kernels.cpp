@@ -1,11 +1,10 @@
 // Google-benchmark microbenches of the kernels on FedCA's hot paths:
 // GEMM in all three transpose variants (local SGD) and at the exact shapes
 // the nn layers use in training, the conv2d im2col/col2im lowering, the
-// retained naive references (before/after comparison), the pool-parallel
-// GEMM path, span kernels, the fused dense-layer helpers, conv2d and LSTM
-// forward/backward, tanh against libm, statistical progress (Eq. 1), profiler recording,
-// link/event-queue throughput, speed-timeline integration, and end-to-end
-// round throughput.
+// retained naive references (before/after comparison), span kernels, the
+// fused dense-layer helpers, conv2d and LSTM forward/backward, tanh against
+// libm, statistical progress (Eq. 1), profiler recording, link throughput,
+// speed-timeline integration, and end-to-end round throughput.
 #include <benchmark/benchmark.h>
 
 #include <cmath>
@@ -21,13 +20,11 @@
 #include "nn/lstm.hpp"
 #include "nn/models.hpp"
 #include "bench/common.hpp"
-#include "sim/event_queue.hpp"
 #include "sim/network.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/simd/dispatch.hpp"
 #include "trace/trace.hpp"
 #include "util/rng.hpp"
-#include "util/thread_pool.hpp"
 
 namespace {
 
@@ -162,24 +159,6 @@ void BM_GemmRef(benchmark::State& state) {
                           static_cast<std::int64_t>(2 * n * n * n));
 }
 BENCHMARK(BM_GemmRef)->Arg(32)->Arg(64)->Arg(128);
-
-// Opt-in pool-parallel row-block path (bit-identical to serial).
-void BM_GemmParallel(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const tensor::Tensor a = randn({n, n}, 1);
-  const tensor::Tensor b = randn({n, n}, 2);
-  tensor::Tensor c({n, n});
-  util::ThreadPool pool(0);
-  tensor::set_gemm_threading(&pool, /*min_flops=*/1);
-  for (auto _ : state) {
-    tensor::gemm(a, b, c);
-    benchmark::DoNotOptimize(c.raw());
-  }
-  tensor::set_gemm_threading(nullptr);
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(2 * n * n * n));
-}
-BENCHMARK(BM_GemmParallel)->Arg(128)->Arg(256);
 
 void BM_Axpy(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -364,20 +343,6 @@ void BM_CnnTrainingIteration(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CnnTrainingIteration);
-
-void BM_EventQueueThroughput(benchmark::State& state) {
-  for (auto _ : state) {
-    sim::EventQueue q;
-    int sink = 0;
-    for (int i = 0; i < 1024; ++i) {
-      q.schedule(static_cast<double>((i * 37) % 997), [&sink] { ++sink; });
-    }
-    q.run_until_empty();
-    benchmark::DoNotOptimize(sink);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 1024);
-}
-BENCHMARK(BM_EventQueueThroughput);
 
 void BM_LinkTransmit(benchmark::State& state) {
   sim::Link link(13.7);

@@ -8,7 +8,8 @@
 // updates (async engine), trace, metrics, report.
 //
 // Exit codes: 0 success, 1 usage error, 2 scenario parse/validation error
-// (the ScenarioError's file:line message is printed to stderr).
+// (the ScenarioError's file:line message is printed to stderr) or a
+// malformed override (a non-integer value, or workers outside [0, 4096]).
 #include <iostream>
 #include <memory>
 #include <string>
@@ -22,6 +23,7 @@
 #include "util/config.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
+#include "util/thread_pool.hpp"
 
 using namespace fedca;
 
@@ -36,8 +38,14 @@ int run(const fl::Scenario& scenario, fl::ExperimentOptions& options,
       "rounds", static_cast<long long>(options.max_rounds)));
   options.target_accuracy =
       overrides.get_double("target", options.target_accuracy);
-  options.worker_threads = static_cast<std::size_t>(overrides.get_int(
-      "workers", static_cast<long long>(options.worker_threads)));
+  const long workers =
+      overrides.get_int("workers", static_cast<long>(options.worker_threads));
+  if (workers < 0 || static_cast<std::size_t>(workers) > util::ThreadPool::kMaxWorkers) {
+    std::cerr << "fedca_scenario: key 'workers': expected an integer in [0, "
+              << util::ThreadPool::kMaxWorkers << "], got " << workers << "\n";
+    return 2;
+  }
+  options.worker_threads = static_cast<std::size_t>(workers);
   options.trace_path = overrides.get_string("trace", options.trace_path);
   options.metrics_path = overrides.get_string("metrics", options.metrics_path);
   options.report_path = overrides.get_string("report", options.report_path);
@@ -98,6 +106,9 @@ int main(int argc, char** argv) {
                         argv[1]);
     return run(scenario, options, overrides);
   } catch (const sim::scenario::ScenarioError& e) {
+    std::cerr << "fedca_scenario: " << e.what() << "\n";
+    return 2;
+  } catch (const util::ConfigError& e) {
     std::cerr << "fedca_scenario: " << e.what() << "\n";
     return 2;
   }

@@ -13,7 +13,7 @@ const std::vector<std::string>& all_rules() {
       "layering", "include-cycle", "lock-order", "lock-callback", "raw-rng",
       "unordered-iter", "wall-clock", "raw-intrinsics", "client-container",
       "unordered-float-accum", "pointer-key", "device-seam", "float-accum",
-      "scenario-hardcode", "fast-math",
+      "scenario-hardcode", "fast-math", "test-only-header",
   };
   return kRules;
 }
@@ -28,7 +28,9 @@ std::vector<Finding> run_passes(const std::vector<SourceFile>& files,
                                 const LayerSpec* spec) {
   std::vector<Finding> findings;
 
-  if (spec != nullptr) check_layering(files, *spec, findings);
+  const std::vector<IncludeEdge> includes = resolve_includes(files);
+  if (spec != nullptr) check_layering(files, includes, *spec, findings);
+  check_test_only_headers(includes, findings);
 
   // The lock graph keeps its src/, bench/ and examples/ inputs; tests/
   // files feed only the rules scoped to them.

@@ -109,10 +109,35 @@ std::string LayerSpec::layer_of(const std::string& rel_path) const {
   return best;
 }
 
-void check_layering(const std::vector<SourceFile>& files, const LayerSpec& spec,
+std::vector<IncludeEdge> resolve_includes(const std::vector<SourceFile>& files) {
+  std::set<std::string> paths;
+  for (const SourceFile& f : files) paths.insert(f.rel_path);
+  std::vector<IncludeEdge> edges;
+  for (const SourceFile& f : files) {
+    for (const IncludeDirective& inc : f.includes) {
+      if (inc.angled) continue;  // system/third-party headers
+      for (const std::string& cand :
+           {normalize("src/" + inc.path), normalize(inc.path),
+            normalize(dirname(f.rel_path) + "/" + inc.path)}) {
+        if (paths.count(cand) != 0) {
+          edges.push_back(IncludeEdge{f.rel_path, cand, inc.line});
+          break;
+        }
+      }
+    }
+  }
+  return edges;
+}
+
+void check_layering(const std::vector<SourceFile>& files,
+                    const std::vector<IncludeEdge>& edges, const LayerSpec& spec,
                     std::vector<Finding>& findings) {
-  std::map<std::string, const SourceFile*> by_path;
-  for (const SourceFile& f : files) by_path[f.rel_path] = &f;
+  for (const SourceFile& f : files) {
+    if (starts_with(f.rel_path, "src/") && spec.layer_of(f.rel_path).empty()) {
+      add_finding(findings, "layering", f.rel_path, 1,
+                  "file is under src/ but no layer in the spec claims it");
+    }
+  }
 
   struct Edge {
     std::string to;
@@ -120,38 +145,19 @@ void check_layering(const std::vector<SourceFile>& files, const LayerSpec& spec,
   };
   std::map<std::string, std::vector<Edge>> graph;  // src-file -> src-file edges
 
-  for (const SourceFile& f : files) {
-    if (!starts_with(f.rel_path, "src/")) continue;
-    const std::string from_layer = spec.layer_of(f.rel_path);
-    if (from_layer.empty()) {
-      add_finding(findings, "layering", f.rel_path, 1,
-                  "file is under src/ but no layer in the spec claims it");
-      continue;
-    }
-    for (const IncludeDirective& inc : f.includes) {
-      if (inc.angled) continue;  // system/third-party headers
-      // Resolve against the analyzed set: module-style ("util/x.hpp" from
-      // the src/ include root), repo-root-relative, and sibling-relative.
-      std::string target;
-      for (const std::string& cand :
-           {normalize("src/" + inc.path), normalize(inc.path),
-            normalize(dirname(f.rel_path) + "/" + inc.path)}) {
-        if (by_path.count(cand) != 0) {
-          target = cand;
-          break;
-        }
-      }
-      if (target.empty() || !starts_with(target, "src/")) continue;
-      graph[f.rel_path].push_back(Edge{target, inc.line});
-      const std::string to_layer = spec.layer_of(target);
-      if (to_layer.empty()) continue;  // unmapped target flagged on its own
-      if (to_layer == from_layer) continue;
-      const auto allowed = spec.allow.find(from_layer);
-      if (allowed == spec.allow.end() || allowed->second.count(to_layer) == 0) {
-        add_finding(findings, "layering", f.rel_path, inc.line,
-                    "include of '" + target + "' (layer " + to_layer +
-                        ") is not allowed from layer " + from_layer);
-      }
+  for (const IncludeEdge& inc : edges) {
+    if (!starts_with(inc.from, "src/") || !starts_with(inc.to, "src/")) continue;
+    const std::string from_layer = spec.layer_of(inc.from);
+    if (from_layer.empty()) continue;  // unclaimed includer flagged above
+    graph[inc.from].push_back(Edge{inc.to, inc.line});
+    const std::string to_layer = spec.layer_of(inc.to);
+    if (to_layer.empty()) continue;  // unmapped target flagged on its own
+    if (to_layer == from_layer) continue;
+    const auto allowed = spec.allow.find(from_layer);
+    if (allowed == spec.allow.end() || allowed->second.count(to_layer) == 0) {
+      add_finding(findings, "layering", inc.from, inc.line,
+                  "include of '" + inc.to + "' (layer " + to_layer +
+                      ") is not allowed from layer " + from_layer);
     }
   }
 
@@ -207,6 +213,37 @@ void check_layering(const std::vector<SourceFile>& files, const LayerSpec& spec,
   };
   for (const auto& [node, edges] : graph) {
     if (color[node] == 0) dfs(node);
+  }
+}
+
+void check_test_only_headers(const std::vector<IncludeEdge>& edges,
+                             std::vector<Finding>& findings) {
+  // Per src/ header: the test includers, and whether anything other than
+  // a test or the header's own .cpp includes it.
+  struct Includers {
+    std::set<std::string> tests;
+    bool reached = false;
+  };
+  std::map<std::string, Includers> headers;
+  for (const IncludeEdge& inc : edges) {
+    if (!starts_with(inc.to, "src/")) continue;
+    const std::size_t dot = inc.to.rfind('.');
+    const std::string ext = dot == std::string::npos ? "" : inc.to.substr(dot);
+    if (ext != ".hpp" && ext != ".h") continue;
+    Includers& h = headers[inc.to];
+    if (starts_with(inc.from, "tests/")) {
+      h.tests.insert(inc.from);
+    } else if (inc.from != inc.to.substr(0, dot) + ".cpp") {
+      h.reached = true;
+    }
+  }
+  for (const auto& [header, h] : headers) {
+    if (h.reached || h.tests.empty()) continue;
+    std::string tests;
+    for (const std::string& t : h.tests) tests += (tests.empty() ? "" : ", ") + t;
+    add_finding(findings, "test-only-header", header, 1,
+                "header is included only by tests (" + tests +
+                    ") and its own .cpp: no run reaches it");
   }
 }
 

@@ -2,10 +2,14 @@
 //
 // The spec (tools/analyze/layers.spec) declares each module's directory
 // prefix and the set of layers it may include. Checks:
-//   * `layering`      — a first-party include edge the spec does not allow,
-//                       or a src/ file no layer claims;
-//   * `include-cycle` — a cycle in the file-level include graph, reported
-//                       once per cycle with file:line edge attribution.
+//   * `layering`         — a first-party include edge the spec does not
+//                          allow, or a src/ file no layer claims;
+//   * `include-cycle`    — a cycle in the file-level include graph,
+//                          reported once per cycle with file:line edge
+//                          attribution;
+//   * `test-only-header` — a src/ header that only tests (and its own
+//                          .cpp) include: code no run reaches. Needs no
+//                          spec.
 #pragma once
 
 #include <map>
@@ -33,9 +37,28 @@ struct LayerSpec {
   std::string layer_of(const std::string& rel_path) const;
 };
 
-// Resolves each file's includes against the analyzed file set and checks
-// layer legality plus include cycles. Only files under src/ participate.
-void check_layering(const std::vector<SourceFile>& files, const LayerSpec& spec,
+// A quoted #include resolved to a file of the analyzed set.
+struct IncludeEdge {
+  std::string from;  // includer, repo-root relative
+  std::string to;    // included file, repo-root relative
+  int line = 0;      // of the directive in `from`
+};
+
+// Resolves every file's quoted includes against the analyzed file set,
+// trying module-style ("util/x.hpp" from the src/ include root), then
+// repo-root-relative, then sibling-relative paths. Includes that name no
+// analyzed file are dropped. Edges keep file order, then include order.
+std::vector<IncludeEdge> resolve_includes(const std::vector<SourceFile>& files);
+
+// Checks layer legality plus include cycles over `edges`. Only files under
+// src/ participate.
+void check_layering(const std::vector<SourceFile>& files,
+                    const std::vector<IncludeEdge>& edges, const LayerSpec& spec,
                     std::vector<Finding>& findings);
+
+// Flags each src/ header included by at least one file under tests/ and
+// otherwise only by its own .cpp (same directory and stem).
+void check_test_only_headers(const std::vector<IncludeEdge>& edges,
+                             std::vector<Finding>& findings);
 
 }  // namespace fedca::analysis

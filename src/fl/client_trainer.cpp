@@ -5,7 +5,6 @@
 #include <string>
 
 #include "obs/metrics.hpp"
-#include "sim/faults.hpp"
 
 namespace fedca::fl {
 
@@ -41,10 +40,6 @@ ClientTrainer::ClientTrainer(const char* owner, nn::Classifier* model,
                                 " invalid for cluster size " +
                                 std::to_string(population_));
   }
-  // Injected crashes flush the flight recorder's last events per thread;
-  // the trainer wires the obs dump hook into the sim-layer seam before any
-  // client can hit a fault.
-  sim::set_fault_dump_hook(&obs::flush_on_fault);
 }
 
 std::size_t ClientTrainer::live_loader_bytes() const {
@@ -124,7 +119,7 @@ void ClientTrainer::announce_crash(std::size_t client, double at, obs::TraceArgs
   }
   // Crash dump: persist the recorder rings (including the instant just
   // recorded) at the moment the injected crash fires.
-  sim::notify_fault_dump();
+  obs::flush_on_fault();
 }
 
 }  // namespace fedca::fl

@@ -38,7 +38,6 @@ class ClientTrainer {
   // `owner` prefixes constructor errors. `model` and `cluster` must be
   // non-null; the shard pool must be non-empty and no larger than the
   // cluster. Client c's loader stream is loader_rng.fork(fork_salt + c).
-  // Also sizes the tensor pool to this model and arms the crash-dump hook.
   ClientTrainer(const char* owner, nn::Classifier* model, const sim::Cluster* cluster,
                 std::vector<data::Dataset> shards, std::size_t batch_size,
                 std::size_t worker_threads, util::Rng loader_rng,

@@ -87,7 +87,6 @@ class RoundEngine {
   RoundRecord run_round();
 
   double now() const { return clock_; }
-  std::size_t rounds_completed() const { return round_index_; }
   const nn::ModelState& global_state() const { return global_; }
   nn::Classifier& model() { return trainer_.model(); }
   const RoundEngineOptions& options() const { return options_; }

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "sim/scenario.hpp"
+#include "util/thread_pool.hpp"
 
 namespace fedca::fl {
 
@@ -115,7 +116,8 @@ Scenario parse_scenario(const std::string& text, const std::string& filename) {
   o.accuracy_smoothing =
       doc.get_size("run", "accuracy_smoothing", o.accuracy_smoothing, 1, 1000);
   o.eval_every = doc.get_size("run", "eval_every", o.eval_every, 1, 1000000);
-  o.worker_threads = doc.get_size("run", "workers", o.worker_threads, 0, 4096);
+  o.worker_threads = doc.get_size("run", "workers", o.worker_threads, 0,
+                                  util::ThreadPool::kMaxWorkers);
 
   // [model]
   doc.allow_section("model");
@@ -452,12 +454,8 @@ ExperimentOptions resolve_options(const Scenario& sc) {
   if (const char* env = std::getenv("FEDCA_TRACE")) o.trace_path = env;
   if (const char* env = std::getenv("FEDCA_METRICS")) o.metrics_path = env;
   if (const char* env = std::getenv("FEDCA_REPORT")) o.report_path = env;
-  if (const char* env = std::getenv("FEDCA_THREADS")) {
-    char* end = nullptr;
-    const long v = std::strtol(env, &end, 10);
-    if (end != env && *end == '\0' && v > 0) {
-      o.worker_threads = static_cast<std::size_t>(v);
-    }
+  if (const std::size_t env = util::ThreadPool::env_workers()) {
+    o.worker_threads = env;
   }
   return o;
 }

@@ -118,14 +118,6 @@ void Recorder::set_ring_capacity(std::size_t capacity) {
   ring_capacity_.store(capacity == 0 ? 1 : capacity, std::memory_order_relaxed);
 }
 
-std::size_t Recorder::ring_count() const {
-  std::size_t count = 0;
-  for (std::size_t i = 0; i <= util::ThreadRegistry::kMaxTrackedThreads; ++i) {
-    if (rings_[i].load(std::memory_order_acquire) != nullptr) ++count;
-  }
-  return count;
-}
-
 std::size_t Recorder::pending_events() const {
   std::size_t pending = 0;
   for (std::size_t i = 0; i <= util::ThreadRegistry::kMaxTrackedThreads; ++i) {

@@ -25,9 +25,9 @@
 // producer path safe without reference counting.
 //
 // Crash/fault dump: the rings always hold the last <= capacity events per
-// thread that the collector has not yet consumed, so the fault hook
-// (obs::flush_on_fault, installed into sim::set_fault_dump_hook) can
-// drain and persist them even when the run dies mid-round.
+// thread that the collector has not yet consumed, so obs::flush_on_fault
+// (called when an injected crash fires) can drain and persist them even
+// when the run dies mid-round.
 #pragma once
 
 #include <atomic>
@@ -48,9 +48,6 @@ namespace fedca::obs {
 enum class RecordKind : std::uint8_t {
   kSpan = 0,     // t0 = start seconds, t1 = end seconds
   kInstant = 1,  // t0 = timestamp seconds
-  kCounter = 2,  // t0 = delta, accumulated into the named counter
-  kValue = 3,    // t0 = sample, recorded into the named histogram (t1 = lo,
-                 // t2 = hi, bins = bucket count)
 };
 
 // POD ring-buffer slot. Fixed-size char fields instead of std::string so
@@ -65,10 +62,8 @@ struct RecorderEvent {
   std::uint16_t arg_bytes = 0;  // used bytes of `args`
   std::uint32_t pid = 0;
   std::uint32_t tid = 0;
-  std::uint32_t bins = 0;  // kValue: histogram bucket count
   double t0 = 0.0;
   double t1 = 0.0;
-  double t2 = 0.0;
   char name[kNameCapacity] = {};  // NUL-terminated
   // Packed "key\0value\0" pairs — preserves arbitrary bytes (quotes,
   // newlines, '=') so the JSON writer sees exactly what was recorded.
@@ -198,7 +193,6 @@ class Recorder {
     return ring_capacity_.load(std::memory_order_relaxed);
   }
 
-  std::size_t ring_count() const;
   std::size_t pending_events() const;
 
   // Discards pending events and zeroes the drop/truncation accounting.

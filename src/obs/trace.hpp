@@ -111,8 +111,8 @@ class TraceCollector {
   void reset();
 
  private:
-  // Converts one drained recorder event: spans/instants append to
-  // events_, counter/value events feed the metrics registry.
+  // Converts one drained recorder span or instant and appends it to
+  // events_.
   void consume(const RecorderEvent& event) const;
   // Empties the recorder rings into events_ and publishes the recorder's
   // drop/truncation accounting (obs.recorder.*). Every read API calls
@@ -163,10 +163,10 @@ std::pair<std::string, std::string> configure(const std::string& trace_path = ""
 // everything accumulated so far.
 void flush_outputs(const std::string& metrics_path = "");
 
-// Crash-dump hook: flushes every armed output using the paths remembered
-// by the last configure() call. Installed into sim::set_fault_dump_hook
-// by the engines so injected crashes persist the recorder's last events;
-// also the body of the atexit handler. Never throws.
+// Crash dump: flushes every armed output using the paths remembered by
+// the last configure() call. fl::ClientTrainer calls it when an injected
+// crash fires, so the recorder's last events persist; also the body of
+// the atexit handler. Never throws.
 void flush_on_fault();
 
 }  // namespace fedca::obs

@@ -1,25 +1,10 @@
 #include "sim/faults.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <stdexcept>
 
 namespace fedca::sim {
-
-namespace {
-std::atomic<FaultDumpHook> g_fault_dump_hook{nullptr};
-}  // namespace
-
-void set_fault_dump_hook(FaultDumpHook hook) {
-  g_fault_dump_hook.store(hook, std::memory_order_release);
-}
-
-void notify_fault_dump() {
-  if (const FaultDumpHook hook = g_fault_dump_hook.load(std::memory_order_acquire)) {
-    hook();
-  }
-}
 
 namespace {
 

@@ -1,4 +1,4 @@
-// Seeded fault injection for the discrete-event simulator.
+// Seeded fault injection for the simulator.
 //
 // The paper's evaluation runs 128 real EC2 clients, where stragglers,
 // dropouts, and bandwidth collapse are the norm — FedCA's deadline-based
@@ -14,8 +14,7 @@
 //                          window (stragglers beyond the trace dynamicity);
 //   * link degradation   — bandwidth multiplied by a factor in [0, 1) for
 //                          a window on the client's uplink+downlink
-//                          (0 = outage; installed into Link, and the same
-//                          window shape is supported by SharedLink);
+//                          (0 = outage; installed into Link);
 //   * eager loss         — an eager layer transmission is lost or
 //                          truncated in flight (decided per
 //                          (client, round, layer) by a seeded hash).
@@ -38,19 +37,6 @@
 namespace fedca::sim {
 
 inline constexpr double kNever = std::numeric_limits<double>::infinity();
-
-// Fault-dump hook: whoever interprets an injected fault (the engines
-// today; the simulator itself tomorrow) calls notify_fault_dump() when a
-// permanent crash fires, and whoever owns telemetry installs the hook
-// (obs::flush_on_fault, wired by the engines/experiment driver). The
-// indirection keeps sim free of an obs dependency while guaranteeing the
-// flight recorder's last events per thread are flushed at the moment of
-// the crash rather than lost with the run. A null hook makes the notify
-// free; the hook must be cheap when no telemetry is armed and must not
-// throw.
-using FaultDumpHook = void (*)();
-void set_fault_dump_hook(FaultDumpHook hook);
-void notify_fault_dump();
 
 enum class FaultKind { kCrash, kDropout, kComputeSlowdown, kLinkDegrade };
 
@@ -173,9 +159,6 @@ class FaultInjector {
 
   const std::vector<FaultWindow>& dropout_windows(std::size_t client) const {
     return dropouts_.at(client);
-  }
-  const std::vector<FaultWindow>& slowdown_windows(std::size_t client) const {
-    return slowdowns_.at(client);
   }
   // Bandwidth-degradation windows to install on the client's links.
   const std::vector<FaultWindow>& link_windows(std::size_t client) const {

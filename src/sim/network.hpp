@@ -8,8 +8,7 @@
 // buys overlap with *computation*, not with other transfers.
 //
 // The server's 10 Gbps link is modeled as non-blocking (128 clients *
-// 13.7 Mbps = 1.75 Gbps < 10 Gbps), which mirrors the EC2 setup; an
-// optional aggregate cap is provided for sensitivity studies.
+// 13.7 Mbps = 1.75 Gbps < 10 Gbps), which mirrors the EC2 setup.
 #pragma once
 
 #include <cstddef>

@@ -1,7 +1,6 @@
 #include "tensor/ops.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstring>
 #include <stdexcept>
@@ -10,7 +9,6 @@
 #include "tensor/simd/dispatch.hpp"
 #include "tensor/simd/kernels.hpp"
 #include "tensor/simd/tanh.hpp"
-#include "util/thread_pool.hpp"
 
 namespace fedca::tensor {
 
@@ -278,10 +276,9 @@ void require_matrix(const Tensor& t, const char* name) {
 //
 // Association order: every C element is one fma chain over k ascending,
 // carried through C memory between k-blocks. The chain is independent of
-// the blocking constants, the packing, the microkernel tier, and the
-// thread partition (rows are never split), which is what keeps output
-// bit-identical across FEDCA_SIMD tiers and worker counts. Every shape
-// takes this path, however small.
+// the blocking constants, the packing and the microkernel tier, which is
+// what keeps output bit-identical across FEDCA_SIMD tiers and worker
+// counts. Every shape takes this path, however small.
 constexpr std::size_t kMc = 96;   // rows of op(A) per packed block
 constexpr std::size_t kKc = 256;  // shared-k slice per packed block
 constexpr std::size_t kNc = 512;  // columns of op(B) per packed block
@@ -374,14 +371,16 @@ std::size_t packed_block_offset(std::size_t K, std::size_t jc, std::size_t kc,
   return jc * K + kc * round_up(nb, simd::kNr);
 }
 
-// C rows [i0, i1) of C(MxN) = op(A)(MxK) * op(B)(KxN) through the packed
-// blocking. Each row's chains are computed entirely by the calling thread,
-// which packs its own A panels, and its own B panels unless `b_panels`
-// holds op(B) already packed (see PackedB); duplicated B packing across
-// threads is the price of bit-identical row partitioning.
-void gemm_rows(std::size_t i0, std::size_t i1, std::size_t K, std::size_t N,
-               const float* a, std::size_t as, bool a_trans, const float* b,
-               std::size_t bs, bool b_trans, const float* b_panels, float* c) {
+// C(MxN) = op(A)(MxK) * op(B)(KxN) through the packed blocking; C is
+// overwritten. The calling thread packs its own A panels, and its own B
+// panels unless `b_panels` holds op(B) already packed (see PackedB).
+void gemm_any(std::size_t M, std::size_t K, std::size_t N, const float* a,
+              std::size_t as, bool a_trans, const float* b, std::size_t bs,
+              bool b_trans, float* c, const float* b_panels = nullptr) {
+  if (K == 0) {
+    std::fill(c, c + M * N, 0.0f);
+    return;
+  }
 #if defined(__x86_64__) || defined(_M_X64)
   const simd::Tier tier = simd::active_tier();
   const simd::MicroKernel kernel =
@@ -393,7 +392,7 @@ void gemm_rows(std::size_t i0, std::size_t i1, std::size_t K, std::size_t N,
 #endif
   thread_local GemmScratch scratch;
   const std::size_t kb_max = std::min(kKc, K);
-  scratch.grow(round_up(std::min(kMc, i1 - i0), simd::kMr) * kb_max,
+  scratch.grow(round_up(std::min(kMc, M), simd::kMr) * kb_max,
                b_panels != nullptr ? 0 : kb_max * round_up(std::min(kNc, N), simd::kNr));
   std::vector<float>& ap = scratch.ap;
   for (std::size_t jc = 0; jc < N; jc += kNc) {
@@ -407,8 +406,8 @@ void gemm_rows(std::size_t i0, std::size_t i1, std::size_t K, std::size_t N,
       } else {
         pack_b(b, bs, b_trans, kc, kb, jc, nb, scratch.bp.data());
       }
-      for (std::size_t ic = i0; ic < i1; ic += kMc) {
-        const std::size_t mb = std::min(kMc, i1 - ic);
+      for (std::size_t ic = 0; ic < M; ic += kMc) {
+        const std::size_t mb = std::min(kMc, M - ic);
         pack_a(a, as, a_trans, ic, mb, kc, kb, ap.data());
         for (std::size_t ir = 0; ir < mb; ir += simd::kMr) {
           const std::size_t mr_eff = std::min(simd::kMr, mb - ir);
@@ -424,43 +423,7 @@ void gemm_rows(std::size_t i0, std::size_t i1, std::size_t K, std::size_t N,
   }
 }
 
-// Opt-in threading state for large GEMMs (see ops.hpp).
-std::atomic<util::ThreadPool*> g_gemm_pool{nullptr};
-std::atomic<std::size_t> g_gemm_min_flops{1u << 22};
-
-// Common entry: serial-packed / row-partitioned-packed, both computing
-// identical bits. `b_panels` (or null) is op(B) prepacked by PackedB.
-void gemm_any(std::size_t M, std::size_t K, std::size_t N, const float* a,
-              std::size_t as, bool a_trans, const float* b, std::size_t bs,
-              bool b_trans, float* c, const float* b_panels = nullptr) {
-  if (K == 0) {
-    std::fill(c, c + M * N, 0.0f);
-    return;
-  }
-  const double elems =
-      static_cast<double>(M) * static_cast<double>(K) * static_cast<double>(N);
-  util::ThreadPool* pool = g_gemm_pool.load(std::memory_order_acquire);
-  if (pool != nullptr && M >= 2 &&
-      2.0 * elems >=
-          static_cast<double>(g_gemm_min_flops.load(std::memory_order_relaxed))) {
-    const std::size_t blocks =
-        std::min(M, std::max<std::size_t>(1, pool->worker_count()));
-    pool->parallel_for(blocks, [&](std::size_t blk) {
-      const std::size_t i0 = M * blk / blocks;
-      const std::size_t i1 = M * (blk + 1) / blocks;
-      gemm_rows(i0, i1, K, N, a, as, a_trans, b, bs, b_trans, b_panels, c);
-    });
-    return;
-  }
-  gemm_rows(0, M, K, N, a, as, a_trans, b, bs, b_trans, b_panels, c);
-}
-
 }  // namespace
-
-void set_gemm_threading(util::ThreadPool* pool, std::size_t min_flops) {
-  g_gemm_min_flops.store(min_flops, std::memory_order_relaxed);
-  g_gemm_pool.store(pool, std::memory_order_release);
-}
 
 void gemm(std::size_t m, std::size_t k, std::size_t n, const float* a,
           const float* b, float* c) {

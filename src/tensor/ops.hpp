@@ -14,10 +14,9 @@
 //     0 (std::fma in portable code, vfmadd in the AVX2 tier). A chain may
 //     round-trip through C memory between k-blocks — float stores are
 //     value-preserving — so the association is independent of blocking
-//     constants, panel packing, vector lane width, and thread
-//     partitioning (row blocks never split an output element's
-//     reduction). Results are bit-reproducible run to run, across worker
-//     counts, and across dispatch tiers.
+//     constants, panel packing and vector lane width. Each call runs on
+//     the calling thread. Results are bit-reproducible run to run, across
+//     worker counts, and across dispatch tiers.
 //   * `axpy` is a per-element fused multiply-add: y = fma(alpha, x, y).
 //   * Span reductions that feed virtual-time and FedCA-metric decisions
 //     (`dot`, `l2_norm`, `l1_norm`) accumulate in double over eight fixed
@@ -44,10 +43,6 @@
 #include <vector>
 
 #include "tensor/tensor.hpp"
-
-namespace fedca::util {
-class ThreadPool;
-}
 
 namespace fedca::tensor {
 
@@ -177,16 +172,6 @@ class PackedB {
 // to gemm / gemm_nt on the B that was packed: same panels, same chains.
 void gemm_packed(std::size_t m, const float* a, const PackedB& b, float* c);
 void gemm_packed(const Tensor& a, const PackedB& b, Tensor& c);
-
-// Opt-in pool-parallel row-block path for large GEMMs. When a pool is set,
-// calls to any of the three variants whose 2*m*k*n flop count reaches
-// `min_flops` partition their C rows across the pool. Bit-identical to the serial path: a C row's
-// reduction is never split across workers, so every element sees the same
-// association order. Off by default; enable explicitly (benches, offline
-// tools). Do NOT enable while the round engines train clients in parallel —
-// nested parallel_for on one pool can deadlock. Not thread-safe to mutate
-// concurrently with in-flight GEMMs; pass nullptr to disable.
-void set_gemm_threading(util::ThreadPool* pool, std::size_t min_flops = 1u << 22);
 
 // Naive reference kernels (the pre-optimization implementations), retained
 // verbatim for property tests and before/after benches. ref::gemm_nt keeps

@@ -156,15 +156,21 @@ void ThreadPool::parallel_for_dynamic(std::size_t n,
   if (error) std::rethrow_exception(error);
 }
 
+std::size_t ThreadPool::env_workers() {
+  const char* env = std::getenv("FEDCA_THREADS");
+  if (env == nullptr || *env == '\0') return 0;
+  std::size_t value = 0;
+  for (const char* p = env; *p != '\0'; ++p) {
+    if (*p < '0' || *p > '9') return 0;
+    value = value * 10 + static_cast<std::size_t>(*p - '0');
+    if (value > kMaxWorkers) return 0;
+  }
+  return value;
+}
+
 std::size_t ThreadPool::resolve_workers(std::size_t requested) {
   if (requested != 0) return requested;
-  if (const char* env = std::getenv("FEDCA_THREADS")) {
-    char* end = nullptr;
-    const unsigned long parsed = std::strtoul(env, &end, 10);
-    if (end != env && *end == '\0' && parsed > 0) {
-      return static_cast<std::size_t>(parsed);
-    }
-  }
+  if (const std::size_t env = env_workers()) return env;
   return std::max<std::size_t>(1, std::thread::hardware_concurrency());
 }
 
@@ -174,11 +180,10 @@ ThreadPool& ThreadPool::shared() {
 }
 
 void ThreadPool::worker_loop() {
-  // Register with the process-wide thread registry up front: the flight
-  // recorder indexes its per-thread rings by these ids, so pool workers
-  // get stable, low ids (and a name in trace/debug output) before the
-  // first task ever records an event.
-  ThreadRegistry::register_current("pool.worker");
+  // Take a thread-registry id up front: the flight recorder indexes its
+  // per-thread rings by these ids, so pool workers get stable, low ids
+  // before the first task ever records an event.
+  ThreadRegistry::current_id();
   for (;;) {
     std::packaged_task<void()> task;
     {

@@ -62,9 +62,17 @@ class ThreadPool {
   void parallel_for_dynamic(std::size_t n, const std::function<void(std::size_t)>& body,
                             std::size_t max_workers = 0);
 
-  // Resolves a requested worker count: non-zero wins; otherwise the
-  // FEDCA_THREADS environment variable (when set to a positive integer);
-  // otherwise hardware concurrency. Always >= 1.
+  // Largest worker count a run accepts: the [run] workers key, the
+  // workers= override and FEDCA_THREADS share this ceiling.
+  static constexpr std::size_t kMaxWorkers = 4096;
+
+  // FEDCA_THREADS when it is a plain decimal in [1, kMaxWorkers]; 0 when
+  // it is unset or holds anything else (signs, spaces, "0", garbage).
+  static std::size_t env_workers();
+
+  // Resolves a requested worker count: non-zero wins; otherwise
+  // env_workers() when non-zero; otherwise hardware concurrency. Always
+  // >= 1.
   static std::size_t resolve_workers(std::size_t requested);
 
   // Process-wide shared pool (lazily constructed, one per process). Sized

@@ -1,9 +1,6 @@
 #include "util/thread_registry.hpp"
 
 #include <atomic>
-#include <map>
-
-#include "util/sync.hpp"
 
 namespace fedca::util {
 
@@ -11,38 +8,12 @@ namespace {
 
 std::atomic<std::uint32_t> g_next_id{1};
 
-Mutex& names_mutex() {
-  static Mutex m;
-  return m;
-}
-
-std::map<std::uint32_t, std::string>& names() {
-  static std::map<std::uint32_t, std::string> m;
-  return m;
-}
-
 }  // namespace
 
 std::uint32_t ThreadRegistry::current_id() {
   thread_local const std::uint32_t id =
       g_next_id.fetch_add(1, std::memory_order_relaxed);
   return id;
-}
-
-void ThreadRegistry::register_current(const std::string& name) {
-  const std::uint32_t id = current_id();
-  MutexLock lock(names_mutex());
-  names()[id] = name;
-}
-
-std::string ThreadRegistry::name_of(std::uint32_t id) {
-  MutexLock lock(names_mutex());
-  const auto it = names().find(id);
-  return it == names().end() ? std::string() : it->second;
-}
-
-std::uint32_t ThreadRegistry::registered_count() {
-  return g_next_id.load(std::memory_order_relaxed) - 1;
 }
 
 }  // namespace fedca::util

@@ -6,15 +6,14 @@
 // (b) emit stable Chrome-trace tids for wall-clock spans. Ids are handed
 // out lazily, first-come-first-served, starting at 1, and never reused:
 // a thread keeps its id for the life of the process. ThreadPool workers
-// register themselves (with a name) as soon as they start, so pool
-// threads occupy the low, predictable end of the id space.
+// take their id as soon as they start, so pool threads occupy the low,
+// predictable end of the id space.
 //
 // current_id() after the first call is a thread-local read — no locks, no
 // atomics — which keeps it safe on the recorder's hot path.
 #pragma once
 
 #include <cstdint>
-#include <string>
 
 namespace fedca::util {
 
@@ -28,17 +27,6 @@ class ThreadRegistry {
 
   // Stable id (>= 1) of the calling thread, assigned on first call.
   static std::uint32_t current_id();
-
-  // Attaches a human-readable name to the calling thread (idempotent;
-  // last writer wins). Purely diagnostic.
-  static void register_current(const std::string& name);
-
-  // Name attached to `id`, or "" when none was registered.
-  static std::string name_of(std::uint32_t id);
-
-  // Number of ids handed out so far (high-water mark, not a live count —
-  // ids of exited threads stay allocated).
-  static std::uint32_t registered_count();
 };
 
 }  // namespace fedca::util

@@ -17,6 +17,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -578,6 +580,31 @@ TEST_F(RobustnessTest, FaultTraceValidatesWithCheckTrace) {
                           " --expect fault.crash"
                           " --expect recovery.partial_aggregation > /dev/null";
   EXPECT_EQ(std::system(cmd.c_str()), 0) << cmd;
+  std::remove(trace_path.c_str());
+}
+
+TEST_F(RobustnessTest, InjectedCrashDumpsTraceBeforeFinalFlush) {
+  // The crash dump, not the run's final flush, must put the trace on disk:
+  // run one round through make_setup and never call flush_outputs.
+  const std::string trace_path = ::testing::TempDir() + "robustness_crash_dump.json";
+  std::remove(trace_path.c_str());
+  fl::ExperimentOptions options = tiny();
+  options.num_clients = 6;
+  options.faults.enabled = true;
+  options.faults.crash_fraction = 0.5;
+  options.faults.horizon_seconds = 1e-3;  // 3 crashes strike in round 0
+  options.faults.seed = 2;
+  obs::configure(trace_path);
+  fl::FedAvgScheme scheme;
+  fl::ExperimentSetup setup = fl::make_setup(options, scheme);
+  setup.engine->run_round();
+
+  std::ifstream in(trace_path);
+  ASSERT_TRUE(in.good()) << "no crash dump at " << trace_path;
+  std::ostringstream dump;
+  dump << in.rdbuf();
+  EXPECT_NE(dump.str().find("\"fault.crash\""), std::string::npos);
+  reset_obs();  // disarm so the atexit flush does not rewrite the file
   std::remove(trace_path.c_str());
 }
 

@@ -329,9 +329,11 @@ TEST(ScenarioPrecedence, EnvOverlaysScenarioTier) {
 TEST(ScenarioPrecedence, MalformedThreadsEnvIsIgnored) {
   const fl::Scenario sc = fl::parse_scenario(
       "[scenario]\nversion = 1\n[run]\nworkers = 3\n");
-  ScopedEnv threads("FEDCA_THREADS", "not-a-number");
-  const fl::ExperimentOptions o = fl::resolve_options(sc);
-  EXPECT_EQ(o.worker_threads, 3u);
+  for (const char* bad : {"not-a-number", "-1", "5000"}) {
+    ScopedEnv threads("FEDCA_THREADS", bad);
+    const fl::ExperimentOptions o = fl::resolve_options(sc);
+    EXPECT_EQ(o.worker_threads, 3u) << "FEDCA_THREADS=" << bad;
+  }
 }
 
 }  // namespace

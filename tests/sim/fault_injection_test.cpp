@@ -1,5 +1,5 @@
 // Property tests for the fault-injection layer: schedule generation
-// determinism, injector window queries, link/shared-link degradation math,
+// determinism, injector window queries, link degradation math,
 // and exact slowdown composition against hand integration.
 #include <gtest/gtest.h>
 
@@ -9,7 +9,6 @@
 #include "sim/cluster.hpp"
 #include "sim/faults.hpp"
 #include "sim/network.hpp"
-#include "sim/shared_link.hpp"
 #include "trace/trace.hpp"
 #include "util/rng.hpp"
 
@@ -241,36 +240,6 @@ TEST(LinkDegradation, RejectsBadFactor) {
   sim::Link link(8.0, 0.0);
   EXPECT_THROW(link.add_degradation(0.0, 1.0, 1.0), std::invalid_argument);
   EXPECT_THROW(link.add_degradation(0.0, 1.0, -0.1), std::invalid_argument);
-}
-
-TEST(SharedLinkDegradation, CapacityWindowSlowsFlows) {
-  // Capacity 10 Mbps shared by 2 flows of up to 10 Mbps each -> 5 Mbps
-  // fair share; with a half-capacity window the share drops to 2.5 Mbps.
-  sim::SharedLink clean(10.0, 10.0, 0.0);
-  sim::SharedLink degraded(10.0, 10.0, 0.0);
-  degraded.add_capacity_window(0.0, 1000.0, 0.5);
-  // 2 flows x 5e6 bits.
-  const std::vector<sim::FlowRequest> reqs{{0.0, 625000.0}, {0.0, 625000.0}};
-  const auto base = clean.schedule(reqs);
-  const auto slow = degraded.schedule(reqs);
-  EXPECT_NEAR(base[0].end, 1.0, 1e-9);   // 5e6 bits at 5 Mbps
-  EXPECT_NEAR(slow[0].end, 2.0, 1e-9);   // at 2.5 Mbps
-  EXPECT_NEAR(slow[1].end, 2.0, 1e-9);
-}
-
-TEST(SharedLinkDegradation, TotalPermanentOutageEndsAtInfinity) {
-  sim::SharedLink link(10.0, 10.0, 0.0);
-  link.add_capacity_window(0.0, kInf, 0.0);
-  const auto out = link.schedule({{0.0, 1000.0}});
-  EXPECT_EQ(out[0].end, kInf);
-}
-
-TEST(SharedLinkDegradation, TransientOutageDelaysCompletion) {
-  // 1 flow, 10 Mbps: 1e7 bits take 1 s; a [0.5, 2.5) outage inserts 2 s.
-  sim::SharedLink link(10.0, 10.0, 0.0);
-  link.add_capacity_window(0.5, 2.5, 0.0);
-  const auto out = link.schedule({{0.0, 1.25e6}});
-  EXPECT_NEAR(out[0].end, 3.0, 1e-9);
 }
 
 TEST(ClusterFaults, InstallRoutesComputeAndLinks) {

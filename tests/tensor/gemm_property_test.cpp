@@ -10,7 +10,6 @@
 #include "tensor/ops.hpp"
 #include "tensor/simd/dispatch.hpp"
 #include "util/rng.hpp"
-#include "util/thread_pool.hpp"
 
 namespace fedca::tensor {
 namespace {
@@ -117,29 +116,6 @@ TEST(GemmProperty, DeterministicAcrossCalls) {
   gemm(a, b, c2);
   for (std::size_t i = 0; i < c1.numel(); ++i) {
     ASSERT_EQ(c1[i], c2[i]);  // bit-identical, not just close
-  }
-}
-
-TEST(GemmProperty, ThreadedGemmIsBitIdenticalToSerial) {
-  util::Rng rng(0xF00D);
-  Tensor a = random_tensor({96, 80}, rng);
-  Tensor b = random_tensor({80, 72}, rng);
-  Tensor serial({96, 72});
-  gemm(a, b, serial);
-
-  util::ThreadPool pool(4);
-  set_gemm_threading(&pool, /*min_flops=*/1);  // force the parallel path
-  Tensor threaded({96, 72});
-  gemm(a, b, threaded);
-  PackedB packed;
-  packed.pack(80, 72, b.raw(), /*b_trans=*/false);
-  Tensor threaded_packed({96, 72});
-  gemm_packed(a, packed, threaded_packed);
-  set_gemm_threading(nullptr);
-
-  for (std::size_t i = 0; i < serial.numel(); ++i) {
-    ASSERT_EQ(serial[i], threaded[i]) << "element " << i;
-    ASSERT_EQ(serial[i], threaded_packed[i]) << "packed element " << i;
   }
 }
 

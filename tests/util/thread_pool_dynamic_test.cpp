@@ -94,17 +94,24 @@ TEST(ResolveWorkers, ExplicitRequestWins) {
 }
 
 TEST(ResolveWorkers, EnvVariableFillsDefault) {
+  ::unsetenv("FEDCA_THREADS");
+  const std::size_t fallback = ThreadPool::resolve_workers(0);
+  EXPECT_GE(fallback, 1u);
   ::setenv("FEDCA_THREADS", "5", 1);
   EXPECT_EQ(ThreadPool::resolve_workers(0), 5u);
   // Explicit request still beats the env var.
   EXPECT_EQ(ThreadPool::resolve_workers(2), 2u);
-  // Garbage values fall through to hardware concurrency (>= 1).
-  ::setenv("FEDCA_THREADS", "banana", 1);
-  EXPECT_GE(ThreadPool::resolve_workers(0), 1u);
-  ::setenv("FEDCA_THREADS", "0", 1);
-  EXPECT_GE(ThreadPool::resolve_workers(0), 1u);
+  ::setenv("FEDCA_THREADS", "4096", 1);
+  EXPECT_EQ(ThreadPool::resolve_workers(0), 4096u);
+  // Anything but a plain decimal in [1, 4096] falls through to hardware
+  // concurrency: "-1" must not wrap to a huge unsigned count.
+  for (const char* bad : {"banana", "0", "-1", "5000", "+3", " 3", "3x", ""}) {
+    ::setenv("FEDCA_THREADS", bad, 1);
+    EXPECT_EQ(ThreadPool::env_workers(), 0u) << "FEDCA_THREADS=" << bad;
+    EXPECT_EQ(ThreadPool::resolve_workers(0), fallback) << "FEDCA_THREADS=" << bad;
+  }
   ::unsetenv("FEDCA_THREADS");
-  EXPECT_GE(ThreadPool::resolve_workers(0), 1u);
+  EXPECT_EQ(ThreadPool::resolve_workers(0), fallback);
 }
 
 }  // namespace

@@ -43,7 +43,7 @@ BASELINE_NS = {
     "BM_CnnTrainingIteration": 3910746,
 }
 
-FILTER = ("BM_(Gemm|GemmNT|GemmTN|GemmRef|GemmParallel|LayerGemm|Im2col|"
+FILTER = ("BM_(Gemm|GemmNT|GemmTN|GemmRef|LayerGemm|Im2col|"
           "Col2im|Axpy|Dot|"
           "L2Norm|Scale|BiasAdd|RowSum|ConvForward|ConvBackward|"
           "StatisticalProgress|CnnTrainingIteration|RoundThroughput|"
