@@ -2,9 +2,9 @@
 // GEMM in all three transpose variants (local SGD) and at the exact shapes
 // the nn layers use in training, the conv2d im2col/col2im lowering, the
 // retained naive references (before/after comparison), span kernels, the
-// fused dense-layer helpers, conv2d and LSTM forward/backward, tanh against
-// libm, statistical progress (Eq. 1), profiler recording, link throughput,
-// speed-timeline integration, and end-to-end round throughput.
+// fused dense-layer helpers, conv2d, ReLU/MaxPool and LSTM forward/backward,
+// tanh against libm, statistical progress (Eq. 1), profiler recording, link
+// throughput, speed-timeline integration, and end-to-end round throughput.
 #include <benchmark/benchmark.h>
 
 #include <cmath>
@@ -16,6 +16,7 @@
 #include "fl/experiment.hpp"
 #include "fl/round_engine.hpp"
 #include "fl/scheme.hpp"
+#include "nn/activations.hpp"
 #include "nn/conv2d.hpp"
 #include "nn/lstm.hpp"
 #include "nn/models.hpp"
@@ -258,6 +259,27 @@ void BM_ConvBackward(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ConvBackward);
+
+// LeNet-5's parameter-free layers at conv1's training activation
+// ([10, 6, 16, 16]): ReLU then MaxPool forward, MaxPool then ReLU
+// backward — one training step's worth, caches included. The kernel
+// gate holds it to a small share of BM_CnnTrainingIteration.
+void BM_ParamFree(benchmark::State& state, std::size_t n, std::size_t c, std::size_t hw) {
+  nn::ReLU relu;
+  nn::MaxPool2d pool(c, hw, hw, 2);
+  const tensor::Tensor input = randn({n, c, hw, hw}, 25);
+  const tensor::Tensor grad = randn({n, c, hw / 2, hw / 2}, 26);
+  for (auto _ : state) {
+    tensor::Tensor pooled = pool.forward(relu.forward(input));
+    tensor::Tensor dx = relu.backward(pool.backward(grad));
+    benchmark::DoNotOptimize(pooled.raw());
+    benchmark::DoNotOptimize(dx.raw());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(input.numel()));
+}
+BENCHMARK_CAPTURE(BM_ParamFree, conv1, 10, 6, 16);
 
 // The LSTM layer of the keyword-spotting model at the training batch
 // (N = 10, T = 16, F = 8, H = 96): one forward, and the parameter-only

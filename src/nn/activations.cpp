@@ -8,22 +8,27 @@
 namespace fedca::nn {
 
 Tensor ReLU::forward(const Tensor& input) {
-  cached_input_ = input;
   Tensor out(input.shape());
-  for (std::size_t i = 0; i < input.numel(); ++i) {
-    out[i] = input[i] > 0.0f ? input[i] : 0.0f;
+  tensor::relu(input.data(), out.data());
+  if (training_) {
+    cached_input_ = input;
+  } else {
+    cached_input_ = Tensor();
   }
   return out;
 }
 
 Tensor ReLU::backward(const Tensor& grad_output) {
+  if (cached_input_.ndim() == 0) {
+    throw std::invalid_argument(
+        "ReLU::backward needs the input of a training-mode forward; the last forward ran "
+        "in eval mode (set_training(false)) or none ran");
+  }
   if (!grad_output.same_shape(cached_input_)) {
     throw std::invalid_argument("ReLU::backward shape mismatch");
   }
   Tensor dx(grad_output.shape());
-  for (std::size_t i = 0; i < grad_output.numel(); ++i) {
-    dx[i] = cached_input_[i] > 0.0f ? grad_output[i] : 0.0f;
-  }
+  tensor::relu_backward(cached_input_.data(), grad_output.data(), dx.data());
   return dx;
 }
 

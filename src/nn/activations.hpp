@@ -5,15 +5,20 @@
 
 namespace fedca::nn {
 
+// In training mode (the default) forward() keeps a copy of its input for
+// backward(). In eval mode it keeps none and frees an earlier one:
+// backward() after an eval-mode forward throws.
 class ReLU : public Module {
  public:
   Tensor forward(const Tensor& input) override;
   Tensor backward(const Tensor& grad_output) override;
   std::string type_name() const override { return "ReLU"; }
+  void set_training(bool training) override { training_ = training; }
   std::unique_ptr<Module> clone() const override { return std::make_unique<ReLU>(*this); }
 
  private:
-  Tensor cached_input_;
+  bool training_ = true;
+  Tensor cached_input_;  // empty: no training-mode forward to use
 };
 
 class Tanh : public Module {

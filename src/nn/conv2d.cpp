@@ -1,6 +1,6 @@
 #include "nn/conv2d.hpp"
 
-#include <limits>
+#include <cstdint>
 #include <stdexcept>
 
 #include "obs/trace.hpp"
@@ -45,8 +45,13 @@ Tensor Conv2d::forward(const Tensor& input) {
   const std::size_t col_rows = geo_.in_channels * geo_.kernel_h * geo_.kernel_w;
   const std::size_t image_size = geo_.in_channels * geo_.in_h * geo_.in_w;
 
-  cached_batch_ = n;
-  cached_input_ = input;
+  if (training_) {
+    cached_batch_ = n;
+    cached_input_ = input;
+  } else {
+    cached_batch_ = 0;
+    cached_input_ = Tensor();
+  }
   if (scratch_columns_.numel() != col_rows * oh * ow) {
     scratch_columns_ = Tensor({col_rows, oh * ow});
   }
@@ -81,6 +86,11 @@ void Conv2d::backward_params(const Tensor& grad_output) {
 
 void Conv2d::backward_into(const Tensor& grad_output, Tensor* grad_input) {
   FEDCA_KERNEL_SPAN("conv2d.backward");
+  if (cached_input_.ndim() == 0) {
+    throw std::invalid_argument(
+        "Conv2d::backward needs the input of a training-mode forward; the last forward ran "
+        "in eval mode (set_training(false)) or none ran");
+  }
   const std::size_t oh = geo_.out_h(), ow = geo_.out_w();
   require_nchw(grad_output, out_channels_, oh, ow, "Conv2d::backward");
   const std::size_t n = grad_output.dim(0);
@@ -141,44 +151,32 @@ MaxPool2d::MaxPool2d(std::size_t channels, std::size_t in_h, std::size_t in_w,
 Tensor MaxPool2d::forward(const Tensor& input) {
   require_nchw(input, channels_, in_h_, in_w_, "MaxPool2d::forward");
   const std::size_t n = input.dim(0);
-  const std::size_t oh = out_h(), ow = out_w();
-  cached_batch_ = n;
-  argmax_.assign(n * channels_ * oh * ow, 0);
-
-  Tensor output({n, channels_, oh, ow});
-  for (std::size_t s = 0; s < n; ++s) {
-    for (std::size_t c = 0; c < channels_; ++c) {
-      const std::size_t plane = (s * channels_ + c) * in_h_ * in_w_;
-      const std::size_t out_plane = (s * channels_ + c) * oh * ow;
-      for (std::size_t y = 0; y < oh; ++y) {
-        for (std::size_t x = 0; x < ow; ++x) {
-          float best = -std::numeric_limits<float>::infinity();
-          std::size_t best_idx = 0;
-          for (std::size_t dy = 0; dy < window_; ++dy) {
-            for (std::size_t dx = 0; dx < window_; ++dx) {
-              const std::size_t idx =
-                  plane + (y * window_ + dy) * in_w_ + (x * window_ + dx);
-              if (input[idx] > best) {
-                best = input[idx];
-                best_idx = idx;
-              }
-            }
-          }
-          output[out_plane + y * ow + x] = best;
-          argmax_[out_plane + y * ow + x] = best_idx;
-        }
-      }
-    }
+  Tensor output({n, channels_, out_h(), out_w()});
+  if (training_) {
+    cached_batch_ = n;
+    argmax_.resize(output.numel());
+  } else {
+    cached_batch_ = 0;
+    argmax_ = std::vector<std::uint32_t>();
   }
+  tensor::max_pool2d(input.data(), n * channels_, in_h_, in_w_, window_, output.data(),
+                     training_ ? argmax_.data() : nullptr);
   return output;
 }
 
 Tensor MaxPool2d::backward(const Tensor& grad_output) {
   const std::size_t oh = out_h(), ow = out_w();
   require_nchw(grad_output, channels_, oh, ow, "MaxPool2d::backward");
+  if (argmax_.empty()) {
+    throw std::invalid_argument(
+        "MaxPool2d::backward needs the argmax of a training-mode forward; the last forward "
+        "ran in eval mode (set_training(false)) or none ran");
+  }
   if (grad_output.dim(0) != cached_batch_) {
     throw std::logic_error("MaxPool2d::backward batch mismatch");
   }
+  // += rather than =: a zero-initialised slot plus -0.0f is +0.0f, the
+  // bits every golden was recorded with.
   Tensor grad_input({cached_batch_, channels_, in_h_, in_w_});
   for (std::size_t i = 0; i < grad_output.numel(); ++i) {
     grad_input[argmax_[i]] += grad_output[i];

@@ -1,6 +1,7 @@
 // 2-D convolution and pooling layers over [N, C, H, W] tensors.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "nn/module.hpp"
@@ -21,6 +22,7 @@ class Conv2d : public Module {
   void backward_params(const Tensor& grad_output) override;
   std::vector<Parameter*> parameters() override;
   std::string type_name() const override { return "Conv2d"; }
+  void set_training(bool training) override { training_ = training; }
   std::unique_ptr<Module> clone() const override { return std::make_unique<Conv2d>(*this); }
 
   std::size_t out_channels() const { return out_channels_; }
@@ -37,22 +39,28 @@ class Conv2d : public Module {
   Parameter weight_;  // [out_c, in_c*kh*kw]
   Parameter bias_;    // [out_c]
   bool has_bias_;
-  // Forward caches the raw input (one image per sample) and recomputes
-  // im2col in backward into the single reused scratch panel below —
-  // activation memory is ~kernel_area x batch smaller than keeping one
-  // column matrix per sample, at the cost of one extra im2col per sample
-  // per backward. The lowering is a real share of the step, not noise next
-  // to the GEMMs: one LeNet conv1 im2col (~3.5 us) costs about half the
-  // forward GEMM that consumes it, and only stays that cheap because each
-  // column row is a branch-free copy (see tensor::im2col).
-  Tensor cached_input_;     // [N, C, H, W]
+  bool training_ = true;
+  // A training-mode forward caches the raw input (one image per sample)
+  // and backward recomputes im2col into the single reused scratch panel
+  // below — activation memory is ~kernel_area x batch smaller than keeping
+  // one column matrix per sample, at the cost of one extra im2col per
+  // sample per backward. The lowering is a real share of the step, not
+  // noise next to the GEMMs: one LeNet conv1 im2col (~3.5 us) costs about
+  // half the forward GEMM that consumes it, and only stays that cheap
+  // because each column row is a branch-free copy (see tensor::im2col).
+  // An eval-mode forward keeps no input and frees an earlier one, so
+  // backward()/backward_params() after it throw.
+  Tensor cached_input_;     // [N, C, H, W]; empty: no training-mode forward
   Tensor scratch_columns_;  // [in_c*kh*kw, oh*ow], reused across samples
   Tensor scratch_dw_;       // [out_c, in_c*kh*kw]
   Tensor scratch_dcols_;    // [in_c*kh*kw, oh*ow]
   std::size_t cached_batch_ = 0;
 };
 
-// 2x2-style max pooling with stride == window. Caches argmax indices.
+// 2x2-style max pooling with stride == window (tensor::max_pool2d). A
+// training-mode forward caches the argmax indices backward() routes the
+// gradient through; an eval-mode forward computes none and frees earlier
+// ones, so backward() after it throws.
 class MaxPool2d : public Module {
  public:
   MaxPool2d(std::size_t channels, std::size_t in_h, std::size_t in_w, std::size_t window);
@@ -60,6 +68,7 @@ class MaxPool2d : public Module {
   Tensor forward(const Tensor& input) override;
   Tensor backward(const Tensor& grad_output) override;
   std::string type_name() const override { return "MaxPool2d"; }
+  void set_training(bool training) override { training_ = training; }
   std::unique_ptr<Module> clone() const override { return std::make_unique<MaxPool2d>(*this); }
 
   std::size_t out_h() const { return in_h_ / window_; }
@@ -67,7 +76,8 @@ class MaxPool2d : public Module {
 
  private:
   std::size_t channels_, in_h_, in_w_, window_;
-  std::vector<std::size_t> argmax_;  // flat input index per output element
+  bool training_ = true;
+  std::vector<std::uint32_t> argmax_;  // flat input index per output element
   std::size_t cached_batch_ = 0;
 };
 

@@ -12,24 +12,30 @@ Sequential& Sequential::add(std::unique_ptr<Module> child) {
   return *this;
 }
 
+// The first child reads the caller's input and the last child the
+// caller's gradient directly: neither is copied.
 Tensor Sequential::forward(const Tensor& input) {
-  Tensor x = input;
-  for (auto& child : children_) x = child->forward(x);
+  if (children_.empty()) return input;
+  Tensor x = children_.front()->forward(input);
+  for (std::size_t i = 1; i < children_.size(); ++i) x = children_[i]->forward(x);
   return x;
 }
 
 Tensor Sequential::backward(const Tensor& grad_output) {
-  Tensor g = grad_output;
-  for (auto it = children_.rbegin(); it != children_.rend(); ++it) {
-    g = (*it)->backward(g);
-  }
+  if (children_.empty()) return grad_output;
+  Tensor g = children_.back()->backward(grad_output);
+  for (std::size_t i = children_.size() - 1; i-- > 0;) g = children_[i]->backward(g);
   return g;
 }
 
 void Sequential::backward_params(const Tensor& grad_output) {
   if (children_.empty()) return;
-  Tensor g = grad_output;
-  for (std::size_t i = children_.size() - 1; i > 0; --i) g = children_[i]->backward(g);
+  if (children_.size() == 1) {
+    children_.front()->backward_params(grad_output);
+    return;
+  }
+  Tensor g = children_.back()->backward(grad_output);
+  for (std::size_t i = children_.size() - 2; i > 0; --i) g = children_[i]->backward(g);
   children_.front()->backward_params(g);
 }
 

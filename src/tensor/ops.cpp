@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <stdexcept>
 #include <vector>
 
@@ -156,6 +157,136 @@ void tanh(std::span<const float> x, std::span<float> y) {
   }
 #endif
   for (std::size_t i = 0; i < n; ++i) y[i] = simd::tanh_fdlibm(x[i]);
+}
+
+namespace {
+
+constexpr float kNegInf = -std::numeric_limits<float>::infinity();
+
+// The kernels below are written as selects (on non-aliasing pointers for
+// the ReLU loops), so at -O3 they compile to compares and blends with no
+// data-dependent branch.
+void relu_loop(const float* __restrict x, float* __restrict y, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) y[i] = x[i] > 0.0f ? x[i] : 0.0f;
+}
+
+void relu_backward_loop(const float* __restrict x, const float* __restrict g,
+                        float* __restrict dx, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) dx[i] = x[i] > 0.0f ? g[i] : 0.0f;
+}
+
+// Scans the window x window block at in[start] (rows w apart) in row-major
+// order from -inf: the first element strictly greater than the running
+// best replaces it, by select. The winner's index starts at the block's
+// first element and is tracked only when kArgmax.
+template <bool kArgmax>
+void pool_window(const float* in, std::size_t start, std::size_t window, std::size_t w,
+                 float* out, std::uint32_t* argmax) {
+  float best = kNegInf;
+  std::size_t at = start;
+  for (std::size_t dy = 0; dy < window; ++dy) {
+    for (std::size_t dx = 0; dx < window; ++dx) {
+      const std::size_t i = start + dy * w + dx;
+      const bool gt = in[i] > best;
+      best = gt ? in[i] : best;
+      if constexpr (kArgmax) at = gt ? i : at;
+    }
+  }
+  *out = best;
+  if constexpr (kArgmax) *argmax = static_cast<std::uint32_t>(at);
+}
+
+using V4f = float __attribute__((vector_size(16)));
+using V4u = std::uint32_t __attribute__((vector_size(16)));
+
+V4f load4(const float* p) {
+  V4f v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
+
+// Four outputs at a time of one output row of a 2x2 pool: the row's
+// windows start at in[first], in[first + 2], ... and span input rows
+// first / w and the next. Each window's candidates are deinterleaved from
+// two 8-float loads per input row and folded in scan order (top-left,
+// top-right, bottom-left, bottom-right) by lane-wise selects, so every
+// lane matches pool_window<kArgmax>. The vectors are four wide because LeNet's
+// pooled rows are 8 and 4 outputs long. Returns the outputs written, a
+// multiple of 4; the caller finishes the row with pool_window.
+template <bool kArgmax>
+std::size_t max_pool2_row4(const float* in, std::size_t first, std::size_t w, std::size_t ow,
+                           float* out, std::uint32_t* argmax) {
+  const float* r0 = in + first;
+  const float* r1 = r0 + w;
+  const auto w32 = static_cast<std::uint32_t>(w);
+  std::size_t x = 0;
+  for (; x + 4 <= ow; x += 4) {
+    const V4f t0 = load4(r0 + 2 * x), t1 = load4(r0 + 2 * x + 4);
+    const V4f b0 = load4(r1 + 2 * x), b1 = load4(r1 + 2 * x + 4);
+    const V4f cand[4] = {
+        __builtin_shufflevector(t0, t1, 0, 2, 4, 6), __builtin_shufflevector(t0, t1, 1, 3, 5, 7),
+        __builtin_shufflevector(b0, b1, 0, 2, 4, 6), __builtin_shufflevector(b0, b1, 1, 3, 5, 7)};
+    V4f best = V4f{} + kNegInf;
+    const auto i0 = static_cast<std::uint32_t>(first + 2 * x);
+    const V4u base = V4u{i0, i0 + 2, i0 + 4, i0 + 6};
+    const std::uint32_t offset[4] = {0, 1, w32, w32 + 1};
+    V4u at = base;
+    for (int k = 0; k < 4; ++k) {
+      const auto gt = cand[k] > best;
+      best = gt ? cand[k] : best;
+      if constexpr (kArgmax) at = gt ? base + offset[k] : at;
+    }
+    std::memcpy(out + x, &best, sizeof best);
+    if constexpr (kArgmax) std::memcpy(argmax + x, &at, sizeof at);
+  }
+  return x;
+}
+
+}  // namespace
+
+void relu(std::span<const float> x, std::span<float> y) {
+  require_equal_size(x, y, "relu");
+  relu_loop(x.data(), y.data(), x.size());
+}
+
+void relu_backward(std::span<const float> x, std::span<const float> g, std::span<float> dx) {
+  require_equal_size(x, g, "relu_backward");
+  require_equal_size(x, dx, "relu_backward");
+  relu_backward_loop(x.data(), g.data(), dx.data(), x.size());
+}
+
+void max_pool2d(std::span<const float> in, std::size_t planes, std::size_t h, std::size_t w,
+                std::size_t window, std::span<float> out, std::uint32_t* argmax) {
+  if (window == 0 || h % window != 0 || w % window != 0) {
+    throw std::invalid_argument("max_pool2d: window must evenly divide the plane");
+  }
+  const std::size_t oh = h / window, ow = w / window;
+  if (in.size() != planes * h * w || out.size() != planes * oh * ow) {
+    throw std::invalid_argument("max_pool2d: in/out sizes do not match the geometry");
+  }
+  if (argmax && in.size() > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::invalid_argument("max_pool2d: input has more than UINT32_MAX elements");
+  }
+  for (std::size_t p = 0; p < planes; ++p) {
+    for (std::size_t y = 0; y < oh; ++y) {
+      const std::size_t first = (p * h + y * window) * w;  // the row's first window
+      float* row_out = out.data() + (p * oh + y) * ow;
+      std::uint32_t* row_argmax = argmax ? argmax + (p * oh + y) * ow : nullptr;
+      std::size_t x = 0;
+      if (window == 2) {
+        x = argmax ? max_pool2_row4<true>(in.data(), first, w, ow, row_out, row_argmax)
+                   : max_pool2_row4<false>(in.data(), first, w, ow, row_out, nullptr);
+      }
+      for (; x < ow; ++x) {
+        if (argmax) {
+          pool_window<true>(in.data(), first + x * window, window, w, row_out + x,
+                            row_argmax + x);
+        } else {
+          pool_window<false>(in.data(), first + x * window, window, w, row_out + x, nullptr);
+        }
+      }
+    }
+  }
 }
 
 void bias_add(std::span<float> out, std::size_t rows, std::span<const float> bias) {

@@ -29,6 +29,9 @@
 //     equal to std::tanh on all 2^32 inputs, so every tier returns libm's
 //     bits. exp stays libm's expf, called per element: glibc's expf is an
 //     ifunc'd fma variant no replica has been proven equal to.
+//   * `relu`, `relu_backward` and `max_pool2d` do no arithmetic: each
+//     output is one of its inputs (or +0) picked by an exact select, so
+//     their bits do not depend on the dispatch tier or the compile flags.
 //   * These kernel translation units are compiled with -ffp-contract=off:
 //     fusion happens exactly where the contract says fma and nowhere
 //     else, so the compiler cannot silently change the association.
@@ -72,6 +75,25 @@ double magnitude_similarity(std::span<const float> x, std::span<const float> y);
 // glibc 2.36 host) for every input, in every dispatch tier. x and y may be
 // the same span.
 void tanh(std::span<const float> x, std::span<float> y);
+
+// ---- Parameter-free layer kernels (exact selects) ----
+
+// y[i] = x[i] > 0 ? x[i] : +0 — NaN and -0 give +0. x and y must not
+// overlap.
+void relu(std::span<const float> x, std::span<float> y);
+// dx[i] = x[i] > 0 ? g[i] : +0, with x the ReLU's forward input. dx must
+// not overlap x or g.
+void relu_backward(std::span<const float> x, std::span<const float> g, std::span<float> dx);
+// Max pooling with stride == window over `planes` row-major h x w planes
+// (window must divide h and w): out holds planes x (h/window) x (w/window).
+// Each window is scanned row-major from -inf and the first element
+// strictly greater than the running best wins, so ties keep the first
+// element and an all-NaN or all -inf window yields -inf. When argmax is
+// non-null it receives, per output, the flat index into `in` of the
+// winner (the window's first element when none wins); `in` may then hold
+// at most UINT32_MAX elements. A null argmax computes no index.
+void max_pool2d(std::span<const float> in, std::size_t planes, std::size_t h, std::size_t w,
+                std::size_t window, std::span<float> out, std::uint32_t* argmax);
 
 // ---- Fused dense-layer helpers ----
 

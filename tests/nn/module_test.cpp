@@ -1,11 +1,15 @@
 // Module plumbing: parameter naming, zero_grad, state capture/restore,
-// ModelState arithmetic; nn::Tanh keeping libm's bits.
+// ModelState arithmetic; nn::Tanh keeping libm's bits; MaxPool2d routing
+// an all-NaN window's gradient inside its own sample.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
+#include <limits>
+#include <vector>
 
 #include "nn/activations.hpp"
+#include "nn/conv2d.hpp"
 #include "nn/linear.hpp"
 #include "nn/models.hpp"
 #include "nn/sequential.hpp"
@@ -73,6 +77,20 @@ TEST(Module, TanhForwardIsLibmTanhBitForBit) {
     const float want = std::tanh(x[i]);
     EXPECT_EQ(std::memcmp(&want, y.raw() + i, sizeof want), 0) << "x=" << x[i];
   }
+}
+
+TEST(Module, MaxPoolAllNanWindowKeepsItsGradient) {
+  // Sample 1 is all NaN: its window yields -inf, and its gradient lands on
+  // its own first pixel, not on sample 0's.
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  nn::MaxPool2d pool(1, 2, 2, 2);
+  const nn::Tensor x({2, 1, 2, 2}, std::vector<float>{1, 2, 3, 4, nan, nan, nan, nan});
+  const nn::Tensor y = pool.forward(x);
+  EXPECT_EQ(y[0], 4.0f);
+  EXPECT_EQ(y[1], -std::numeric_limits<float>::infinity());
+  const nn::Tensor dx = pool.backward(nn::Tensor({2, 1, 1, 1}, 1.0f));
+  const std::vector<float> want{0, 0, 0, 1, 1, 0, 0, 0};
+  EXPECT_EQ(std::vector<float>(dx.raw(), dx.raw() + dx.numel()), want);
 }
 
 TEST(Module, ParameterCount) {

@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstring>
+#include <limits>
 #include <numeric>
 #include <string>
 #include <vector>
@@ -383,6 +385,150 @@ TEST(LoweringBitPin, Col2imSizeValidation) {
   std::vector<float> image9(9);
   std::vector<float> wrong_cols(5);
   EXPECT_THROW(tensor::col2im(wrong_cols, geo, image9), std::invalid_argument);
+}
+
+// ---- Parameter-free layer kernels against the scalar loops they replaced ----
+
+// Draws from a small palette of special values, so ties, all-equal,
+// all-NaN and all -inf windows are common: +-0, +-inf, NaN, denormals
+// and a few repeated normals; two draws in 13 are a fresh normal.
+std::vector<float> special_floats(std::size_t n, util::Rng& rng) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float denorm = std::numeric_limits<float>::denorm_min();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float palette[] = {0.0f, -0.0f, inf, -inf, nan, denorm, -denorm, 1e-39f, 1.0f, -1.0f, 2.0f};
+  constexpr std::size_t kPalette = sizeof(palette) / sizeof(palette[0]);
+  std::vector<float> v(n);
+  for (float& x : v) {
+    const std::size_t pick = rng.uniform_index(kPalette + 2);
+    x = pick < kPalette ? palette[pick] : static_cast<float>(rng.normal(0.0, 1.0));
+  }
+  return v;
+}
+
+bool same_bits(const std::vector<float>& a, const std::vector<float>& b) {
+  return a.size() == b.size() &&
+         (a.empty() || std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0);
+}
+
+// The loops nn::ReLU ran before tensor::relu / relu_backward.
+void oracle_relu(const std::vector<float>& x, std::vector<float>& y) {
+  for (std::size_t i = 0; i < x.size(); ++i) y[i] = x[i] > 0.0f ? x[i] : 0.0f;
+}
+void oracle_relu_backward(const std::vector<float>& x, const std::vector<float>& g,
+                          std::vector<float>& dx) {
+  for (std::size_t i = 0; i < x.size(); ++i) dx[i] = x[i] > 0.0f ? g[i] : 0.0f;
+}
+
+// The loop nn::MaxPool2d ran before tensor::max_pool2d, with one fix: the
+// index starts at the window's first element, not at flat index 0 (an
+// all-NaN or all -inf window used to send its gradient to element 0).
+void oracle_max_pool(const std::vector<float>& in, std::size_t planes, std::size_t h,
+                     std::size_t w, std::size_t window, std::vector<float>& out,
+                     std::vector<std::uint32_t>& argmax) {
+  const std::size_t oh = h / window, ow = w / window;
+  for (std::size_t p = 0; p < planes; ++p) {
+    for (std::size_t y = 0; y < oh; ++y) {
+      for (std::size_t x = 0; x < ow; ++x) {
+        float best = -std::numeric_limits<float>::infinity();
+        std::size_t best_idx = p * h * w + y * window * w + x * window;
+        for (std::size_t dy = 0; dy < window; ++dy) {
+          for (std::size_t dx = 0; dx < window; ++dx) {
+            const std::size_t idx = p * h * w + (y * window + dy) * w + (x * window + dx);
+            if (in[idx] > best) {
+              best = in[idx];
+              best_idx = idx;
+            }
+          }
+        }
+        out[(p * oh + y) * ow + x] = best;
+        argmax[(p * oh + y) * ow + x] = static_cast<std::uint32_t>(best_idx);
+      }
+    }
+  }
+}
+
+TEST(ParamFreeKernels, ReluMatchesScalarLoop) {
+  util::Rng rng(41);
+  for (const std::size_t n : {0u, 1u, 3u, 7u, 8u, 15u, 17u, 31u, 33u, 65u, 100u, 1001u}) {
+    const std::vector<float> x = special_floats(n, rng);
+    const std::vector<float> g = special_floats(n, rng);
+    std::vector<float> want(n, 5.0f), got(n, 6.0f);
+    oracle_relu(x, want);
+    tensor::relu(x, got);
+    EXPECT_TRUE(same_bits(want, got)) << "relu n=" << n;
+    oracle_relu_backward(x, g, want);
+    tensor::relu_backward(x, g, got);
+    EXPECT_TRUE(same_bits(want, got)) << "relu_backward n=" << n;
+  }
+  // -0 and NaN both map to +0.
+  const std::vector<float> x{-0.0f, std::numeric_limits<float>::quiet_NaN()};
+  std::vector<float> y(2, 1.0f);
+  tensor::relu(x, y);
+  EXPECT_FALSE(std::signbit(y[0]));
+  EXPECT_EQ(y[1], 0.0f);
+  EXPECT_FALSE(std::signbit(y[1]));
+}
+
+TEST(ParamFreeKernels, MaxPoolMatchesScalarLoop) {
+  struct Geo {
+    std::size_t planes, h, w, window;
+  };
+  // Output rows of 1, 3, 17 and 33 windows: none a multiple of a vector width.
+  const Geo geos[] = {{1, 2, 2, 2},  {3, 4, 6, 2},  {2, 6, 34, 2}, {5, 2, 66, 2},
+                      {6, 16, 16, 2}, {1, 3, 3, 3},  {4, 6, 9, 3},  {2, 3, 51, 3}};
+  util::Rng rng(42);
+  for (const Geo& g : geos) {
+    for (int rep = 0; rep < 20; ++rep) {
+      const std::vector<float> in = special_floats(g.planes * g.h * g.w, rng);
+      const std::size_t outs = g.planes * (g.h / g.window) * (g.w / g.window);
+      std::vector<float> want(outs, 5.0f), got(outs, 6.0f), no_index(outs, 7.0f);
+      std::vector<std::uint32_t> want_idx(outs, 1u), got_idx(outs, 2u);
+      oracle_max_pool(in, g.planes, g.h, g.w, g.window, want, want_idx);
+      tensor::max_pool2d(in, g.planes, g.h, g.w, g.window, got, got_idx.data());
+      tensor::max_pool2d(in, g.planes, g.h, g.w, g.window, no_index, nullptr);
+      const std::string where = std::to_string(g.planes) + "x" + std::to_string(g.h) + "x" +
+                                std::to_string(g.w) + " window " + std::to_string(g.window);
+      EXPECT_TRUE(same_bits(want, got)) << where;
+      EXPECT_TRUE(same_bits(want, no_index)) << where;
+      EXPECT_EQ(want_idx, got_idx) << where;
+    }
+  }
+}
+
+TEST(ParamFreeKernels, MaxPoolTiesAndEmptyWindows) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  // One 2x4 plane, two windows: {-0, +0 / +0, -0} (first of the ties
+  // wins, sign included) and all NaN (-inf, index of the window's first
+  // element).
+  const std::vector<float> in{-0.0f, 0.0f, nan, nan, 0.0f, -0.0f, nan, nan};
+  std::vector<float> out(2);
+  std::vector<std::uint32_t> idx(2);
+  tensor::max_pool2d(in, 1, 2, 4, 2, out, idx.data());
+  EXPECT_EQ(out[0], 0.0f);
+  EXPECT_TRUE(std::signbit(out[0]));
+  EXPECT_EQ(idx[0], 0u);
+  EXPECT_EQ(out[1], -inf);
+  EXPECT_EQ(idx[1], 2u);
+  // All -inf: -inf, first element.
+  const std::vector<float> neg(4, -inf);
+  tensor::max_pool2d(neg, 1, 2, 2, 2, std::span<float>(out.data(), 1), idx.data());
+  EXPECT_EQ(out[0], -inf);
+  EXPECT_EQ(idx[0], 0u);
+}
+
+TEST(ParamFreeKernels, SizeValidation) {
+  std::vector<float> x(4), y(3), z(4);
+  EXPECT_THROW(tensor::relu(x, y), std::invalid_argument);
+  EXPECT_THROW(tensor::relu_backward(x, z, y), std::invalid_argument);
+  EXPECT_THROW(tensor::relu_backward(x, y, z), std::invalid_argument);
+  std::vector<float> out(1);
+  EXPECT_THROW(tensor::max_pool2d(x, 1, 2, 2, 3, out, nullptr), std::invalid_argument);
+  EXPECT_THROW(tensor::max_pool2d(x, 1, 2, 2, 0, out, nullptr), std::invalid_argument);
+  EXPECT_THROW(tensor::max_pool2d(x, 2, 2, 2, 2, out, nullptr), std::invalid_argument);
+  EXPECT_THROW(tensor::max_pool2d(x, 1, 2, 2, 2, std::span<float>(y), nullptr),
+               std::invalid_argument);
 }
 
 TEST(Conv2dGeometry, OutputDims) {

@@ -22,7 +22,10 @@ MAX_LOWERING_RATIO times slower than the GEMM that consumes its panel
 than the arithmetic on it. And it exits 1 when the vector tanh
 (BM_Tanh/kernel) is not at least MIN_TANH_SPEEDUP times faster than
 glibc's tanhf on the same 1920 floats (BM_Tanh/libm): it returns libm's
-bits, so its speed is the only reason it exists. Usage:
+bits, so its speed is the only reason it exists. And it exits 1 when
+LeNet-5's parameter-free layers at conv1 (BM_ParamFree/conv1: ReLU and
+MaxPool, forward and backward) take more than MAX_PARAM_FREE_SHARE of one
+training step (BM_CnnTrainingIteration): they do no arithmetic. Usage:
 
     python3 tools/bench_kernels.py [--build build] [--out BENCH_kernels.json]
 """
@@ -47,7 +50,7 @@ FILTER = ("BM_(Gemm|GemmNT|GemmTN|GemmRef|LayerGemm|Im2col|"
           "Col2im|Axpy|Dot|"
           "L2Norm|Scale|BiasAdd|RowSum|ConvForward|ConvBackward|"
           "StatisticalProgress|CnnTrainingIteration|RoundThroughput|"
-          "LstmForward|LstmBackwardParams|Tanh)")
+          "LstmForward|LstmBackwardParams|Tanh|ParamFree)")
 
 # BM_GemmNT/n and BM_GemmTN/n may be at most this many times slower than
 # BM_Gemm/n for every square size n in GUARDED_SIZES.
@@ -62,6 +65,10 @@ MAX_LOWERING_RATIO = 1.5
 # BM_Tanh/libm must take at least this many times as long as
 # BM_Tanh/kernel.
 MIN_TANH_SPEEDUP = 2.0
+
+# BM_ParamFree/conv1 may take at most this share of
+# BM_CnnTrainingIteration.
+MAX_PARAM_FREE_SHARE = 0.10
 
 
 def transposed_gaps(after):
@@ -99,6 +106,16 @@ def tanh_gap(after):
         return []
     speedup = libm["real_time_ns"] / kernel["real_time_ns"]
     return [("BM_Tanh/kernel", speedup)] if speedup < MIN_TANH_SPEEDUP else []
+
+
+def param_free_gap(after):
+    """(name, share) when conv1's ReLU + MaxPool take too much of a step."""
+    step = after.get("BM_CnnTrainingIteration")
+    layers = after.get("BM_ParamFree/conv1")
+    if not step or not layers or step["real_time_ns"] <= 0:
+        return []
+    share = layers["real_time_ns"] / step["real_time_ns"]
+    return [("BM_ParamFree/conv1", share)] if share > MAX_PARAM_FREE_SHARE else []
 
 
 def main() -> int:
@@ -200,7 +217,11 @@ def main() -> int:
     for name, speedup in slow_tanh:
         print(f"error: {name} is only {speedup:.2f}x faster than BM_Tanh/libm "
               f"(need {MIN_TANH_SPEEDUP}x)", file=sys.stderr)
-    return 1 if gaps or slow_lowering or slow_tanh else 0
+    slow_param_free = param_free_gap(after)
+    for name, share in slow_param_free:
+        print(f"error: {name} is {share:.2f} of BM_CnnTrainingIteration "
+              f"(limit {MAX_PARAM_FREE_SHARE})", file=sys.stderr)
+    return 1 if gaps or slow_lowering or slow_tanh or slow_param_free else 0
 
 
 if __name__ == "__main__":

@@ -227,18 +227,21 @@ fi
 # the chaos suites exercise the unhappy paths (infinite finish times,
 # partial aggregation, abandoned async cycles) where lifetime and UB bugs
 # would hide; the LSTM suite covers its reused step cache, its cacheless
-# eval mode and the packed-weight GEMMs. FEDCA_ASAN=0 skips it (e.g. when
-# the toolchain lacks libasan).
+# eval mode and the packed-weight GEMMs; the CNN suite and the ops suite
+# cover the ReLU/MaxPool kernels' vector loads and the layers' cacheless
+# eval mode. FEDCA_ASAN=0 skips it (e.g. when the toolchain lacks libasan).
 asan_pass() {
   step_status=0
   cmake -B build-asan -S . -DFEDCA_SANITIZE=address,undefined \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     >>asan_output.txt 2>&1 &&
   cmake --build build-asan --target sim_fault_injection_test \
-    fl_robustness_test nn_lstm_bitpin_test -j "$(nproc)" \
+    fl_robustness_test nn_lstm_bitpin_test nn_cnn_bitpin_test tensor_ops_test \
+    -j "$(nproc)" \
     >>asan_output.txt 2>&1 \
     || { echo "asan build FAILED (see asan_output.txt)"; return 1; }
-  for t in sim_fault_injection_test fl_robustness_test nn_lstm_bitpin_test; do
+  for t in sim_fault_injection_test fl_robustness_test nn_lstm_bitpin_test \
+           nn_cnn_bitpin_test tensor_ops_test; do
     echo "--- $t (asan+ubsan) ---"
     keep_going "build-asan/tests/$t"
   done
