@@ -10,7 +10,9 @@ namespace fedca::bench {
 util::Config parse_config(int argc, char** argv) {
   util::Config config = util::Config::from_args(argc, argv);
   util::Config env;
-  env.load_env({"scale", "csv_dir", "seed", "clients", "k", "rounds", "trace", "metrics"});
+  // trace=/metrics= have no env twin here: make_setup falls back to
+  // FEDCA_TRACE/FEDCA_METRICS (obs::read_env) for paths left empty.
+  env.load_env({"scale", "csv_dir", "seed", "clients", "k", "rounds"});
   env.overlay(config);  // CLI wins over environment
   // Quick-scale runs last tens of rounds, so the paper's 1-anchor-in-10
   // profiling would leave FedCA stale for most of them; profile 1-in-5 by
@@ -105,7 +107,7 @@ fl::ExperimentOptions workload_options(nn::ModelKind kind, const util::Config& c
   options.cluster.dynamicity.enabled = config.get_bool("dynamicity", true);
   options.cluster.heterogeneity.bandwidth_mbps = config.get_double("bandwidth_mbps", 13.7);
   // trace=/metrics= (or FEDCA_TRACE/FEDCA_METRICS) arm the observability
-  // outputs; run_experiment resolves the env fallback itself, so only the
+  // outputs; make_setup resolves the env fallback itself, so only the
   // explicit config keys are threaded here.
   options.trace_path = config.get_string("trace", "");
   options.metrics_path = config.get_string("metrics", "");

@@ -12,7 +12,6 @@
 #include "bench/common.hpp"
 #include "data/partition.hpp"
 #include "fl/async_engine.hpp"
-#include "obs/trace.hpp"
 #include "util/stats.hpp"
 
 using namespace fedca;
@@ -46,7 +45,9 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Asynchronous arm: same workload wiring as make_setup, same budget.
+  // Asynchronous arm: same workload wiring as make_setup, same budget. Its
+  // session writes any armed outputs when the block ends (each arm's files
+  // replace the previous arm's).
   {
     fl::FedAvgScheme placeholder;  // only used for setup plumbing
     fl::ExperimentSetup setup = fl::make_setup(options, placeholder);
@@ -59,7 +60,7 @@ int main(int argc, char** argv) {
     async_options.staleness_power = config.get_double("async_staleness_power", 0.5);
     util::Rng async_rng(options.seed ^ 0xA57);
     fl::AsyncEngine engine(setup.model.get(), setup.cluster.get(), setup.shards,
-                           async_options, async_rng);
+                           async_options, async_rng, setup.session.get());
 
     const std::size_t budget = options.max_rounds * options.num_clients;
     const std::size_t eval_every = options.num_clients;  // ~once per "round"
@@ -94,8 +95,5 @@ int main(int argc, char** argv) {
                "the synchronous arms at an equal update budget (Sec. 6's caveat).\n";
   bench::maybe_save_csv(table, config, "ext_async");
   bench::maybe_save_csv(curves, config, "ext_async_curves");
-  // The async arm drives AsyncEngine directly (no run_experiment), so its
-  // spans are only on record here — rewrite the outputs to include them.
-  obs::flush_outputs(options.metrics_path);
   return 0;
 }

@@ -32,8 +32,7 @@
 #include "core/factory.hpp"
 #include "fl/async_engine.hpp"
 #include "obs/recorder.hpp"
-#include "obs/round_report.hpp"
-#include "obs/trace.hpp"
+#include "obs/session.hpp"
 #include "tensor/simd/dispatch.hpp"
 
 namespace {
@@ -95,14 +94,27 @@ fl::ExperimentOptions scenario_options(const std::string& scenario,
   return options;
 }
 
+// The overhead and identity modes' outputs: trace=1 records every span,
+// kernel spans included (the worst case), into a trace the session writes
+// to /dev/null when the setup goes away; trace=0 arms nothing. The
+// environment is not read.
+obs::SessionOptions traced_outputs(bool trace) {
+  obs::SessionOptions outputs;
+  if (trace) {
+    outputs.trace_path = "/dev/null";
+    outputs.kernel_detail = true;
+  }
+  return outputs;
+}
+
 int run_events(const util::Config& config) {
   const auto threads = static_cast<std::size_t>(config.get_int("threads", 4));
   const auto count = static_cast<std::size_t>(config.get_int("count", 500000));
-  obs::Recorder& recorder = obs::Recorder::global();
   std::atomic<std::uint64_t> drained{0};
-  recorder.set_auto_drain_sink([&drained](const obs::RecorderEvent&) {
-    drained.fetch_add(1, std::memory_order_relaxed);
-  });
+  obs::Recorder recorder(obs::Recorder::kDefaultRingCapacity,
+                         [&drained](const obs::RecorderEvent&) {
+                           drained.fetch_add(1, std::memory_order_relaxed);
+                         });
 
   obs::RecorderEvent proto{};
   proto.kind = obs::RecordKind::kSpan;
@@ -150,15 +162,9 @@ int run_overhead(const util::Config& config) {
   const auto warmup = static_cast<std::size_t>(config.get_int("warmup", 2));
   const auto workers = static_cast<std::size_t>(config.get_int("workers", 1));
 
-  obs::TraceCollector& collector = obs::TraceCollector::global();
-  if (trace) {
-    collector.set_enabled(true);
-    collector.set_kernel_detail(true);  // worst case: per-SGD-step spans
-  }
-
   fl::ExperimentOptions options = scenario_options("faultfree", workers);
   std::unique_ptr<fl::Scheme> scheme = core::make_scheme("fedca", config, 1);
-  fl::ExperimentSetup setup = fl::make_setup(options, *scheme);
+  fl::ExperimentSetup setup = fl::make_setup(options, *scheme, traced_outputs(trace));
   for (std::size_t r = 0; r < warmup; ++r) setup.engine->run_round();
 
   const double start = wall_seconds();
@@ -171,8 +177,9 @@ int run_overhead(const util::Config& config) {
       "\"seconds\":%.6f,\"events\":%zu,\"dropped\":%llu}\n",
       bench::build_type(), tensor::simd::active_tier_name(),
       trace ? 1 : 0, rounds, workers, seconds,
-      trace ? collector.event_count() : 0,
-      static_cast<unsigned long long>(obs::Recorder::global().dropped_total()));
+      trace ? setup.session->trace()->event_count() : 0,
+      static_cast<unsigned long long>(
+          trace ? setup.session->trace()->recorder().dropped_total() : 0));
   return 0;
 }
 
@@ -182,14 +189,9 @@ int run_identity(const util::Config& config) {
   const auto workers = static_cast<std::size_t>(config.get_int("workers", 1));
   const std::string scenario = config.get_string("scenario", "faultfree");
 
-  if (trace) {
-    obs::TraceCollector::global().set_enabled(true);
-    obs::TraceCollector::global().set_kernel_detail(true);
-  }
-
   fl::ExperimentOptions options = scenario_options(scenario, workers);
   std::unique_ptr<fl::Scheme> scheme = core::make_scheme("fedca", config, 1);
-  fl::ExperimentSetup setup = fl::make_setup(options, *scheme);
+  fl::ExperimentSetup setup = fl::make_setup(options, *scheme, traced_outputs(trace));
   for (std::size_t r = 0; r < rounds; ++r) setup.engine->run_round();
 
   std::printf(
@@ -210,11 +212,11 @@ int run_report(const util::Config& config) {
   const auto workers = static_cast<std::size_t>(config.get_int("workers", 1));
   const auto updates = static_cast<std::size_t>(config.get_int("updates", 16));
 
-  obs::configure("", "", out);
-
   fl::ExperimentOptions options = scenario_options(scenario, workers);
   std::unique_ptr<fl::Scheme> scheme = core::make_scheme("fedca", config, 1);
-  fl::ExperimentSetup setup = fl::make_setup(options, *scheme);
+  obs::SessionOptions outputs;
+  outputs.report_path = out;
+  fl::ExperimentSetup setup = fl::make_setup(options, *scheme, outputs);
   for (std::size_t r = 0; r < rounds; ++r) setup.engine->run_round();
 
   // A short async segment on the same cluster so the golden also covers
@@ -226,16 +228,16 @@ int run_report(const util::Config& config) {
     async_options.cycle_timeout = 7.0;  // just above the typical ~5.7s cycle
     async_options.worker_threads = workers;
     fl::AsyncEngine async(setup.model.get(), setup.cluster.get(), setup.shards,
-                          async_options, util::Rng(options.seed ^ 0xA5));
+                          async_options, util::Rng(options.seed ^ 0xA5),
+                          setup.session.get());
     async.run_updates(updates);
   }
 
-  obs::RoundReportWriter& reporter = obs::RoundReportWriter::global();
   std::printf(
       "{\"mode\":\"report\",\"build_type\":\"%s\",\"simd_tier\":\"%s\","
       "\"scenario\":\"%s\",\"out\":\"%s\",\"lines\":%zu}\n",
       bench::build_type(), tensor::simd::active_tier_name(), scenario.c_str(),
-      out.c_str(), reporter.line_count());
+      out.c_str(), setup.session->report()->line_count());
   return 0;
 }
 

@@ -18,7 +18,6 @@
 #include "fl/async_engine.hpp"
 #include "fl/experiment.hpp"
 #include "fl/scenario.hpp"
-#include "obs/trace.hpp"
 #include "sim/scenario.hpp"
 #include "util/config.hpp"
 #include "util/rng.hpp"
@@ -67,20 +66,19 @@ int run(const fl::Scenario& scenario, fl::ExperimentOptions& options,
   }
 
   // Async engine path: run_experiment() is round-based, so wire the
-  // cluster/model/shards directly and drive a fixed number of updates.
+  // cluster/model/shards directly and drive a fixed number of updates; the
+  // setup's session writes the armed outputs when it goes out of scope.
   const std::size_t updates = static_cast<std::size_t>(overrides.get_int(
       "updates", static_cast<long long>(scenario.async_updates)));
-  const auto flush_paths = obs::configure(
-      options.trace_path, options.metrics_path, options.report_path);
   fl::ExperimentSetup setup = fl::make_setup(options, *scheme);
   fl::AsyncEngineOptions async_options = scenario.async;
   async_options.optimizer = options.optimizer;
   async_options.worker_threads = options.worker_threads;
   fl::AsyncEngine async(setup.model.get(), setup.cluster.get(), setup.shards,
-                        async_options, util::Rng(options.seed ^ 0xA5));
+                        async_options, util::Rng(options.seed ^ 0xA5),
+                        setup.session.get());
   async.run_updates(updates);
   const auto eval = fl::evaluate_global(setup);
-  obs::flush_outputs(flush_paths.second);
   std::cout << "async: " << updates << " updates, final accuracy "
             << util::Table::fmt(eval.accuracy, 3) << "\n";
   return 0;

@@ -11,14 +11,32 @@
 //   scheme=fedavg,fedca picks which schemes run (comma-separated).
 #include <iostream>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "core/factory.hpp"
 #include "fl/experiment.hpp"
+#include "obs/session.hpp"
 #include "util/config.hpp"
 #include "util/table.hpp"
 
 using namespace fedca;
+
+namespace {
+
+// `path` with ".<scheme>" inserted before its extension (appended when the
+// file name has none); empty stays empty.
+std::string per_scheme(const std::string& path, const std::string& scheme) {
+  if (path.empty()) return path;
+  const std::size_t slash = path.find_last_of('/');
+  const std::size_t dot = path.find_last_of('.');
+  const bool has_ext = dot != std::string::npos && dot > 0 &&
+                       (slash == std::string::npos || dot > slash + 1);
+  const std::size_t at = has_ext ? dot : path.size();
+  return path.substr(0, at) + "." + scheme + path.substr(at);
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   util::Config config = util::Config::from_args(argc, argv);
@@ -39,10 +57,11 @@ int main(int argc, char** argv) {
   options.seed = static_cast<std::uint64_t>(config.get_int("seed", 42));
   // trace=/metrics=/report= (or FEDCA_TRACE/FEDCA_METRICS/FEDCA_REPORT)
   // write a Chrome-trace timeline / metrics snapshot / per-round JSONL
-  // report covering both schemes' runs.
-  options.trace_path = config.get_string("trace", "");
-  options.metrics_path = config.get_string("metrics", "");
-  options.report_path = config.get_string("report", "");
+  // report for each scheme's run, at the given path with ".<scheme>"
+  // before the extension (report=r.jsonl -> r.fedavg.jsonl, r.fedca.jsonl).
+  const obs::SessionOptions outputs =
+      obs::resolve_outputs(config.get_string("trace", ""), config.get_string("metrics", ""),
+                           config.get_string("report", ""));
   // Profile early and often at quickstart scale so FedCA's knowledge kicks
   // in within a short demo run.
   config.set("fedca_period", config.get_string("fedca_period", "5"));
@@ -62,6 +81,9 @@ int main(int argc, char** argv) {
                      "mean round (s)", "early stops", "eager layers"});
   for (const std::string& scheme_name : scheme_names) {
     auto scheme = core::make_scheme(scheme_name, config, options.seed);
+    options.trace_path = per_scheme(outputs.trace_path, scheme_name);
+    options.metrics_path = per_scheme(outputs.metrics_path, scheme_name);
+    options.report_path = per_scheme(outputs.report_path, scheme_name);
     const fl::ExperimentResult result = fl::run_experiment(options, *scheme);
     table.add_row({result.scheme_name, std::to_string(result.rounds.size()),
                    util::Table::fmt(result.total_time, 1),

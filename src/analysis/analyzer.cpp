@@ -13,7 +13,7 @@ const std::vector<std::string>& all_rules() {
       "layering", "include-cycle", "lock-order", "lock-callback", "raw-rng",
       "unordered-iter", "wall-clock", "raw-intrinsics", "client-container",
       "unordered-float-accum", "pointer-key", "device-seam", "float-accum",
-      "scenario-hardcode", "fast-math", "test-only-header",
+      "scenario-hardcode", "fast-math", "test-only-header", "exit-hook",
   };
   return kRules;
 }

@@ -390,6 +390,29 @@ void check_device_seam(const SourceFile& f, std::vector<Finding>& findings) {
   }
 }
 
+void check_exit_hook(const SourceFile& f, std::vector<Finding>& findings) {
+  const std::size_t n = f.tokens.size();
+  for (std::size_t i = 0; i < n; ++i) {
+    const Token& t = f.tokens[i];
+    if (t.kind != TokenKind::kIdent) continue;
+    const bool qualified_std =
+        i >= 2 && is_ident(f, i - 2, "std") && is_punct(f, i - 1, "::");
+    // `registry.atexit(3)`, `Foo::atexit(...)` and `int atexit(int)` are
+    // members or declarations, not the libc hook.
+    const bool member_or_decl =
+        i >= 1 && (is_punct(f, i - 1, ".") || is_punct(f, i - 1, "->") ||
+                   is_punct(f, i - 1, "::") || f.tokens[i - 1].kind == TokenKind::kIdent);
+    if (t.text == "at_quick_exit" ||
+        (t.text == "atexit" &&
+         (qualified_std || (!member_or_decl && is_punct(f, i + 1, "("))))) {
+      add_finding(findings, "exit-hook", f.rel_path, t.line,
+                  "process-exit hook: its flush races static destructors "
+                  "(the exit-order use-after-free) — let the owning "
+                  "obs::Session flush in flush() and its destructor");
+    }
+  }
+}
+
 }  // namespace
 
 void collect_rule_context(const SourceFile& f, RuleContext& ctx) {
@@ -426,6 +449,7 @@ void analyze_rules(const SourceFile& f, const RuleContext& ctx,
     check_raw_intrinsics(f, findings);
   }
   if (in_src) {
+    check_exit_hook(f, findings);
     check_pointer_key(f, findings);
     const bool seam = rel == "src/sim/cluster.hpp" ||
                       rel == "src/sim/cluster.cpp" ||

@@ -39,6 +39,12 @@
 //                         in a test: experiments are scenario files
 //                         (scenarios/*.scn); copy-init from a loaded
 //                         scenario or helper is fine — tests/.
+//   exit-hook             std::atexit, an `atexit(` call or
+//                         at_quick_exit: an exit hook's correctness rests
+//                         on its order against static destructors, the
+//                         shape of an exit-order use-after-free; outputs
+//                         are flushed by the obs::Session that owns them
+//                         — src/.
 //   fast-math             a value-changing FP flag (-ffast-math, -Ofast,
 //                         -funsafe-math-optimizations, -fassociative-math,
 //                         -freciprocal-math) in a build script: it would

@@ -2,8 +2,7 @@
 
 #include <algorithm>
 
-#include "obs/metrics.hpp"
-#include "obs/trace.hpp"
+#include "obs/session.hpp"
 
 namespace fedca::core {
 
@@ -55,7 +54,7 @@ fl::IterationDecision FedCaClientPolicy::after_iteration(const fl::IterationView
     FEDCA_MHISTO("fedca.stop_iteration", 0.0,
                  static_cast<double>(std::max<std::size_t>(1, view.round->nominal_iterations)),
                  32, static_cast<double>(view.iteration));
-    if (obs::TraceCollector::global().enabled()) {
+    if (obs::current_trace() != nullptr) {
       // Annotate the stop with the Eqs. 2-4 terms that triggered it: the
       // engine attaches them to the emitted early_stop instant.
       const double b = marginal_benefit(profiler_.model_curve(), view.iteration + 1,

@@ -6,23 +6,21 @@
 #include <stdexcept>
 
 #include "nn/sgd.hpp"
-#include "obs/metrics.hpp"
-#include "obs/round_report.hpp"
-#include "obs/trace.hpp"
+#include "obs/session.hpp"
 #include "sim/faults.hpp"
 
 namespace fedca::fl {
 
 namespace {
 
-// Appends one async_update line to the run report (no-op until
-// obs::configure arms the writer). `seq` is the engine's monotone record
-// counter, bumped only when a line is actually written.
+// Appends one async_update line to the current session's run report
+// (no-op while the report is disarmed). `seq` is the engine's monotone
+// record counter, bumped only when a line is actually written.
 void report_async_update(std::size_t& seq, std::size_t client, double arrival,
                          std::size_t staleness, double weight, bool lost,
                          const char* outcome) {
-  obs::RoundReportWriter& reporter = obs::RoundReportWriter::global();
-  if (!reporter.enabled()) return;
+  obs::RoundReportWriter* reporter = obs::current_report();
+  if (reporter == nullptr) return;
   obs::AsyncUpdateReport report;
   report.update_index = seq++;
   report.client_id = client;
@@ -31,18 +29,18 @@ void report_async_update(std::size_t& seq, std::size_t client, double arrival,
   report.weight = weight;
   report.lost = lost;
   report.outcome = outcome;
-  reporter.append(report);
+  reporter->append(report);
 }
 
 }  // namespace
 
 AsyncEngine::AsyncEngine(nn::Classifier* model, sim::Cluster* cluster,
                          std::vector<data::Dataset> shards, AsyncEngineOptions options,
-                         util::Rng rng)
+                         util::Rng rng, obs::Session* session)
     : cluster_(cluster),
       options_(options),
       trainer_("AsyncEngine", model, cluster, std::move(shards), options.batch_size,
-               options.worker_threads, rng, /*fork_salt=*/0xA517C) {
+               options.worker_threads, rng, /*fork_salt=*/0xA517C, session) {
   if (options_.local_iterations == 0) {
     throw std::invalid_argument("AsyncEngine: local_iterations must be > 0");
   }
@@ -56,6 +54,7 @@ AsyncEngine::AsyncEngine(nn::Classifier* model, sim::Cluster* cluster,
   }
   global_ = trainer_.model().state();
   in_flight_.resize(cluster_->size());
+  const obs::SessionScope scope(session);
   for (std::size_t c = 0; c < cluster_->size(); ++c) launch(c, 0.0);
 }
 
@@ -123,8 +122,7 @@ void AsyncEngine::train_pending(InFlight& winner_flight, std::size_t winner) {
 }
 
 void AsyncEngine::launch(std::size_t c, double t) {
-  obs::TraceCollector& tracer = obs::TraceCollector::global();
-  const bool tracing = tracer.enabled();
+  obs::TraceCollector* tracer = obs::current_trace();
   trainer_.register_trace("async");
   const std::uint32_t pid = trainer_.client_pid(c);
 
@@ -168,9 +166,9 @@ void AsyncEngine::launch(std::size_t c, double t) {
     in_flight_[c].dead = true;
     in_flight_[c].arrival_time = kNoDeadline;
     FEDCA_MCOUNT("faults.link_outages", 1.0);
-    if (tracing) {
-      tracer.record_instant(pid, "fault.link_outage", start,
-                            {{"client", std::to_string(c)}});
+    if (tracer != nullptr) {
+      tracer->record_instant(pid, "fault.link_outage", start,
+                             {{"client", std::to_string(c)}});
     }
     report_async_update(report_sequence_, c, start, 0, 0.0, true, "link_outage");
     return;
@@ -189,9 +187,9 @@ void AsyncEngine::launch(std::size_t c, double t) {
       trainer_.announce_crash(c, fail_time, {{"client", std::to_string(c)}});
     } else {
       FEDCA_MCOUNT("faults.dropouts", 1.0);
-      if (tracing) {
-        tracer.record_instant(pid, "fault.dropout", fail_time,
-                              {{"client", std::to_string(c)}});
+      if (tracer != nullptr) {
+        tracer->record_instant(pid, "fault.dropout", fail_time,
+                               {{"client", std::to_string(c)}});
       }
     }
     in_flight_[c] = std::move(flight);
@@ -206,19 +204,19 @@ void AsyncEngine::launch(std::size_t c, double t) {
     flight.arrival_time = start + options_.cycle_timeout;
     flight.lost_cause = "timeout";
     FEDCA_MCOUNT("async.cycle_timeouts", 1.0);
-    if (tracing) {
-      tracer.record_instant(pid, "recovery.cycle_timeout", flight.arrival_time,
-                            {{"client", std::to_string(c)}});
+    if (tracer != nullptr) {
+      tracer->record_instant(pid, "recovery.cycle_timeout", flight.arrival_time,
+                             {{"client", std::to_string(c)}});
     }
     in_flight_[c] = std::move(flight);
     return;
   }
 
-  if (tracing) {
+  if (tracer != nullptr) {
     const obs::TraceArgs version{{"version", std::to_string(version_)}};
-    tracer.record_span(pid, "download", start, download.end, version);
-    tracer.record_span(pid, "compute", download.end, compute_done, version);
-    tracer.record_span(pid, "upload", upload.start, upload.end, version);
+    tracer->record_span(pid, "download", start, download.end, version);
+    tracer->record_span(pid, "compute", download.end, compute_done, version);
+    tracer->record_span(pid, "upload", upload.start, upload.end, version);
   }
 
   flight.arrival_time = upload.end;
@@ -240,6 +238,7 @@ std::size_t AsyncEngine::live_clients() const {
 }
 
 AsyncUpdateRecord AsyncEngine::step() {
+  const obs::SessionScope scope(trainer_.session());
   // Earliest arrival wins (ties: lowest client id for determinism);
   // permanently dead clients never arrive.
   std::size_t winner = in_flight_.size();
@@ -304,8 +303,9 @@ AsyncUpdateRecord AsyncEngine::step() {
   FEDCA_MCOUNT("async.updates", 1.0);
   FEDCA_MHISTO("async.staleness", 0.0, 64.0, 64,
                static_cast<double>(record.staleness));
-  if (obs::TraceCollector::global().enabled() && trainer_.trace_registered()) {
-    obs::TraceCollector::global().record_instant(
+  obs::TraceCollector* tracer = obs::current_trace();
+  if (tracer != nullptr && trainer_.trace_registered()) {
+    tracer->record_instant(
         trainer_.server_pid(), "apply_update", clock_,
         {{"client", std::to_string(record.client_id)},
          {"staleness", std::to_string(record.staleness)},

@@ -81,9 +81,11 @@ struct AsyncUpdateRecord {
 
 class AsyncEngine {
  public:
+  // `session` receives the engine's trace, metrics and report lines (null:
+  // disarmed); it is current for the constructor's launches and each step.
   AsyncEngine(nn::Classifier* model, sim::Cluster* cluster,
               std::vector<data::Dataset> shards, AsyncEngineOptions options,
-              util::Rng rng);
+              util::Rng rng, obs::Session* session = nullptr);
 
   // Processes the next arriving client update: applies it to the global
   // model and immediately relaunches that client. Returns the record (a
@@ -131,8 +133,8 @@ class AsyncEngine {
 
   sim::Cluster* cluster_;
   AsyncEngineOptions options_;
-  // Replicas, shards, loader cursors (fork salt 0xA517C), trace pids and
-  // the crash record.
+  // Replicas, shards, loader cursors (fork salt 0xA517C), the session,
+  // trace pids and the crash record.
   ClientTrainer trainer_;
   std::vector<InFlight> in_flight_;  // one slot per client
   nn::ModelState global_;

@@ -4,8 +4,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "obs/metrics.hpp"
-
 namespace fedca::fl {
 
 namespace {
@@ -23,7 +21,8 @@ std::size_t population_of(const char* owner, const nn::Classifier* model,
 ClientTrainer::ClientTrainer(const char* owner, nn::Classifier* model,
                              const sim::Cluster* cluster, std::vector<data::Dataset> shards,
                              std::size_t batch_size, std::size_t worker_threads,
-                             util::Rng loader_rng, std::uint64_t fork_salt)
+                             util::Rng loader_rng, std::uint64_t fork_salt,
+                             obs::Session* session)
     : model_(model),
       population_(population_of(owner, model, cluster)),
       shards_(std::move(shards)),
@@ -31,6 +30,7 @@ ClientTrainer::ClientTrainer(const char* owner, nn::Classifier* model,
       worker_threads_(worker_threads),
       loader_rng_(loader_rng),
       fork_salt_(fork_salt),
+      session_(session),
       loader_cursors_(population_) {
   // Clients may share a shard pool smaller than the population; an empty
   // or oversized pool is a caller bug.
@@ -78,6 +78,7 @@ void ClientTrainer::run_jobs(std::size_t count, const Job& job,
   const std::vector<double> start_buffers = nn::capture_buffers(model_->backbone());
   buffers.assign(count, {});
   const auto run_one = [&](std::size_t i) {
+    const obs::SessionScope scope(session_);
     std::unique_ptr<nn::Classifier> replica = acquire_replica();
     if (!start_buffers.empty()) nn::load_buffers(replica->backbone(), start_buffers);
     if (job(i, *replica) && !start_buffers.empty()) {
@@ -94,14 +95,14 @@ void ClientTrainer::run_jobs(std::size_t count, const Job& job,
 }
 
 void ClientTrainer::register_trace(std::string_view prefix) {
-  obs::TraceCollector& tracer = obs::TraceCollector::global();
-  if (trace_registered() || !tracer.enabled()) return;
+  obs::TraceCollector* tracer = obs::current_trace();
+  if (trace_registered() || tracer == nullptr) return;
   const auto n = static_cast<std::uint32_t>(population_);
-  trace_pid_base_ = tracer.allocate_process_ids(n + 1);
+  trace_pid_base_ = tracer->allocate_process_ids(n + 1);
   const std::string name(prefix);
-  tracer.set_process_name(server_pid(), name + "/server");
+  tracer->set_process_name(server_pid(), name + "/server");
   for (std::uint32_t c = 0; c < n; ++c) {
-    tracer.set_process_name(client_pid(c), name + "/client " + std::to_string(c));
+    tracer->set_process_name(client_pid(c), name + "/client " + std::to_string(c));
   }
 }
 
@@ -113,13 +114,13 @@ void ClientTrainer::announce_crash(std::size_t client, double at, obs::TraceArgs
     crash_announced_[client] = 1;
   }
   FEDCA_MCOUNT("faults.crashes", 1.0);
-  obs::TraceCollector& tracer = obs::TraceCollector::global();
-  if (tracer.enabled() && std::isfinite(at)) {
-    tracer.record_instant(client_pid(client), "fault.crash", at, std::move(args));
+  obs::TraceCollector* tracer = obs::current_trace();
+  if (tracer != nullptr && std::isfinite(at)) {
+    tracer->record_instant(client_pid(client), "fault.crash", at, std::move(args));
   }
   // Crash dump: persist the recorder rings (including the instant just
   // recorded) at the moment the injected crash fires.
-  obs::flush_on_fault();
+  if (session_ != nullptr) session_->flush();
 }
 
 }  // namespace fedca::fl

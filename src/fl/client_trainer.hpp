@@ -6,7 +6,8 @@
 // free-list of its replicas, the shard pool (client c reads
 // shards[c % pool]), each client's loader stream (a pure per-client fork of
 // the loader RNG plus a 16-byte cursor carried between passes), the K-step
-// SGD pass, trace pids and a once-per-client crash record.
+// SGD pass, the observability session (installed on every pool worker for
+// the extent of a pass), trace pids and a once-per-client crash record.
 //
 // Results are bit-identical for every worker count: a pass reads only its
 // start weights, its client's loader stream and the buffer snapshot taken
@@ -24,7 +25,7 @@
 #include "nn/models.hpp"
 #include "nn/sgd.hpp"
 #include "nn/state.hpp"
-#include "obs/trace.hpp"
+#include "obs/session.hpp"
 #include "sim/cluster.hpp"
 #include "util/rng.hpp"
 #include "util/sync.hpp"
@@ -38,12 +39,14 @@ class ClientTrainer {
   // `owner` prefixes constructor errors. `model` and `cluster` must be
   // non-null; the shard pool must be non-empty and no larger than the
   // cluster. Client c's loader stream is loader_rng.fork(fork_salt + c).
+  // `session` receives the passes' spans and metrics (null: disarmed).
   ClientTrainer(const char* owner, nn::Classifier* model, const sim::Cluster* cluster,
                 std::vector<data::Dataset> shards, std::size_t batch_size,
                 std::size_t worker_threads, util::Rng loader_rng,
-                std::uint64_t fork_salt);
+                std::uint64_t fork_salt, obs::Session* session);
 
   nn::Classifier& model() { return *model_; }
+  obs::Session* session() const { return session_; }
   const data::Dataset& shard(std::size_t client) const {
     return shards_[client % shards_.size()];
   }
@@ -63,7 +66,8 @@ class ClientTrainer {
              AfterStep&& after_step);
 
   // Runs job(i, replica) for every i < count, serially or on the dispatch
-  // pool. Each job gets a private replica holding the shared model's
+  // pool, with the trainer's session current on the running thread. Each
+  // job gets a private replica holding the shared model's
   // batch-norm buffers as of this call, and returns whether it trained the
   // replica; if it did, buffers[i] receives the replica's buffers afterwards
   // (empty when the model has none).
@@ -71,8 +75,9 @@ class ClientTrainer {
   void run_jobs(std::size_t count, const Job& job,
                 std::vector<std::vector<double>>& buffers);
 
-  // Reserves trace pids and names the processes "<prefix>/server" and
-  // "<prefix>/client c"; a no-op once done or while tracing is off.
+  // Reserves trace pids in the current session and names the processes
+  // "<prefix>/server" and "<prefix>/client c"; a no-op once done or while
+  // tracing is off.
   void register_trace(std::string_view prefix);
   bool trace_registered() const { return trace_pid_base_ != 0; }
   std::uint32_t server_pid() const { return trace_pid_base_; }
@@ -81,9 +86,10 @@ class ClientTrainer {
   }
 
   // Announces the permanent crash of `client` at virtual time `at`: bumps
-  // faults.crashes, records a fault.crash instant with `args` and fires the
-  // crash dump. Only the first call per client does this, so a crash seen
-  // twice (mid-pass, then at the next start) counts once. Thread-safe.
+  // faults.crashes, records a fault.crash instant with `args` and flushes
+  // the session (the crash dump). Only the first call per client does this,
+  // so a crash seen twice (mid-pass, then at the next start) counts once.
+  // Thread-safe.
   void announce_crash(std::size_t client, double at, obs::TraceArgs args);
 
  private:
@@ -101,6 +107,7 @@ class ClientTrainer {
   std::size_t worker_threads_;
   util::Rng loader_rng_;
   std::uint64_t fork_salt_;
+  obs::Session* session_;
   std::vector<data::BatchLoader::Cursor> loader_cursors_;
   std::uint32_t trace_pid_base_ = 0;  // 0 = not yet reserved
   util::Mutex mutex_;

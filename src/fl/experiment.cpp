@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <numeric>
 #include <map>
+#include <utility>
 
-#include "obs/metrics.hpp"
-#include "obs/trace.hpp"
+#include "obs/session.hpp"
 #include "util/logging.hpp"
 
 namespace fedca::fl {
@@ -37,6 +37,13 @@ std::vector<double> ExperimentResult::eager_iterations(bool effective_with_retra
 }
 
 ExperimentSetup make_setup(const ExperimentOptions& options, Scheme& scheme) {
+  return make_setup(options, scheme,
+                    obs::resolve_outputs(options.trace_path, options.metrics_path,
+                                         options.report_path));
+}
+
+ExperimentSetup make_setup(const ExperimentOptions& options, Scheme& scheme,
+                           obs::SessionOptions outputs) {
   util::Rng root(options.seed);
   util::Rng model_rng = root.fork(1);
   util::Rng data_rng = root.fork(2);
@@ -45,6 +52,8 @@ ExperimentSetup make_setup(const ExperimentOptions& options, Scheme& scheme) {
   util::Rng loader_rng = root.fork(5);
 
   ExperimentSetup setup;
+  setup.session = std::make_unique<obs::Session>(std::move(outputs));
+  const obs::SessionScope scope(setup.session.get());
   setup.model = std::make_unique<nn::Classifier>(
       [&] { return nn::build_model(options.model, model_rng); }());
 
@@ -82,7 +91,7 @@ ExperimentSetup make_setup(const ExperimentOptions& options, Scheme& scheme) {
   engine_options.worker_threads = options.worker_threads;
   setup.engine = std::make_unique<RoundEngine>(setup.model.get(), setup.cluster.get(),
                                                setup.shards, &scheme, engine_options,
-                                               loader_rng);
+                                               loader_rng, setup.session.get());
   return setup;
 }
 
@@ -140,11 +149,10 @@ RoundSummary summarize(const RoundRecord& record) {
 }  // namespace
 
 ExperimentResult run_experiment(const ExperimentOptions& options, Scheme& scheme) {
-  // Arm tracing/metrics before any round runs so the first round's spans
-  // are captured; flush_paths remembers where to write at the end.
-  const auto flush_paths = obs::configure(options.trace_path, options.metrics_path,
-                                          options.report_path);
+  // The setup's session collects this run's outputs and writes them when
+  // the setup goes out of scope, on return or on an exception.
   ExperimentSetup setup = make_setup(options, scheme);
+  const obs::SessionScope scope(setup.session.get());
   ExperimentResult result;
   result.scheme_name = scheme.name();
   result.model_name = setup.model->info().name;
@@ -194,7 +202,6 @@ ExperimentResult run_experiment(const ExperimentOptions& options, Scheme& scheme
   FEDCA_MGAUGE("experiment.final_accuracy", result.final_accuracy);
   FEDCA_MGAUGE("experiment.total_virtual_seconds", result.total_time);
   FEDCA_MGAUGE("experiment.rounds", static_cast<double>(result.rounds.size()));
-  obs::flush_outputs(flush_paths.second);
   return result;
 }
 

@@ -19,6 +19,7 @@
 #include "fl/round_engine.hpp"
 #include "fl/scheme.hpp"
 #include "nn/models.hpp"
+#include "obs/session.hpp"
 #include "sim/cluster.hpp"
 
 namespace fedca::fl {
@@ -63,10 +64,12 @@ struct ExperimentOptions {
   // hardware concurrency, 1 = serial. Output is bit-identical either way.
   std::size_t worker_threads = 0;
   std::uint64_t seed = 42;
-  // Observability. Non-empty paths arm the corresponding output; the
-  // FEDCA_TRACE / FEDCA_METRICS / FEDCA_REPORT environment variables fill
-  // any left empty here (explicit options win). Tracing, metrics and the
-  // round report have near-zero cost when disarmed.
+  // Observability. Non-empty paths arm the corresponding output of the
+  // experiment's obs::Session; the FEDCA_TRACE / FEDCA_METRICS /
+  // FEDCA_REPORT environment variables fill any left empty here (explicit
+  // options win). Each experiment writes its own files, so two runs with
+  // the same paths leave the second run's outputs. Tracing, metrics and
+  // the round report have near-zero cost when disarmed.
   std::string trace_path;
   std::string metrics_path;
   std::string report_path;  // run_report.jsonl (see obs/round_report.hpp)
@@ -126,11 +129,16 @@ struct ExperimentResult {
 };
 
 // Runs one experiment. The scheme is owned by the caller (schemes are
-// stateful; use a fresh instance per run).
+// stateful; use a fresh instance per run). The armed outputs are complete
+// on return, and also when the run unwinds with an exception.
 ExperimentResult run_experiment(const ExperimentOptions& options, Scheme& scheme);
 
 // Shared plumbing for benches that drive rounds manually (fig2-fig5).
 struct ExperimentSetup {
+  // The experiment's observability outputs. Declared first so it outlives
+  // the engine, and held by pointer so its address survives moves; pass it
+  // to any other engine driven on this setup.
+  std::unique_ptr<obs::Session> session;
   std::unique_ptr<nn::Classifier> model;
   std::unique_ptr<sim::Cluster> cluster;
   std::vector<data::Dataset> shards;
@@ -140,7 +148,13 @@ struct ExperimentSetup {
   std::shared_ptr<const sim::FaultInjector> faults;
 };
 
+// Builds the session from options' paths resolved against the environment
+// (obs::resolve_outputs).
 ExperimentSetup make_setup(const ExperimentOptions& options, Scheme& scheme);
+// Same, with the session's outputs given exactly (the environment is not
+// read).
+ExperimentSetup make_setup(const ExperimentOptions& options, Scheme& scheme,
+                           obs::SessionOptions outputs);
 
 // Evaluates the current global model of `setup` on its test set.
 nn::Classifier::EvalResult evaluate_global(ExperimentSetup& setup);

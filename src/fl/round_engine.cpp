@@ -5,9 +5,7 @@
 #include <cstdio>
 #include <stdexcept>
 
-#include "obs/metrics.hpp"
-#include "obs/round_report.hpp"
-#include "obs/trace.hpp"
+#include "obs/session.hpp"
 #include "sim/faults.hpp"
 #include "tensor/ops.hpp"
 #include "util/logging.hpp"
@@ -26,12 +24,13 @@ std::string fmt_num(double v) {
 
 RoundEngine::RoundEngine(nn::Classifier* model, sim::Cluster* cluster,
                          std::vector<data::Dataset> shards, Scheme* scheme,
-                         RoundEngineOptions options, util::Rng rng)
+                         RoundEngineOptions options, util::Rng rng,
+                         obs::Session* session)
     : cluster_(cluster),
       scheme_(scheme),
       options_(options),
       trainer_("RoundEngine", model, cluster, std::move(shards), options.batch_size,
-               options.worker_threads, rng, /*fork_salt=*/0xB00C) {
+               options.worker_threads, rng, /*fork_salt=*/0xB00C, session) {
   if (scheme_ == nullptr) throw std::invalid_argument("RoundEngine: null dependency");
   if (options_.local_iterations == 0) {
     throw std::invalid_argument("RoundEngine: local_iterations must be > 0");
@@ -47,6 +46,7 @@ RoundEngine::RoundEngine(nn::Classifier* model, sim::Cluster* cluster,
 void RoundEngine::load_global_into_model() { trainer_.model().load(global_); }
 
 RoundRecord RoundEngine::run_round() {
+  const obs::SessionScope scope(trainer_.session());
   trainer_.register_trace(scheme_->name());
   RoundRecord record;
   record.round_index = round_index_;
@@ -176,7 +176,7 @@ RoundRecord RoundEngine::run_round() {
   // arrivals. In the fault-free default (no injector, no timeout) every
   // participant is a candidate and the selection below reduces exactly to
   // the original collect_fraction rule.
-  obs::TraceCollector& tracer = obs::TraceCollector::global();
+  obs::TraceCollector* tracer = obs::current_trace();
   std::vector<std::size_t> candidates;
   candidates.reserve(record.clients.size());
   for (std::size_t i = 0; i < record.clients.size(); ++i) {
@@ -184,12 +184,12 @@ RoundRecord RoundEngine::run_round() {
     if (r.failed || !std::isfinite(r.arrival_time)) continue;
     if (r.arrival_time > timeout_cut) {
       FEDCA_MCOUNT("engine.upload_timeouts", 1.0);
-      if (tracer.enabled()) {
-        tracer.record_instant(trainer_.client_pid(r.client_id), "recovery.timeout_exclude",
-                              timeout_cut,
-                              {{"client", std::to_string(r.client_id)},
-                               {"round", std::to_string(record.round_index)},
-                               {"arrival", fmt_num(r.arrival_time)}});
+      if (tracer != nullptr) {
+        tracer->record_instant(trainer_.client_pid(r.client_id), "recovery.timeout_exclude",
+                               timeout_cut,
+                               {{"client", std::to_string(r.client_id)},
+                                {"round", std::to_string(record.round_index)},
+                                {"arrival", fmt_num(r.arrival_time)}});
       }
       continue;
     }
@@ -228,11 +228,11 @@ RoundRecord RoundEngine::run_round() {
                                           : fallback;
     end_time = std::max(end_time, record.start_time);
     FEDCA_MCOUNT("engine.rounds_empty", 1.0);
-    if (tracer.enabled()) {
-      tracer.record_instant(trainer_.server_pid(), "recovery.empty_round", end_time,
-                            {{"round", std::to_string(record.round_index)},
-                             {"participants",
-                              std::to_string(record.clients.size())}});
+    if (tracer != nullptr) {
+      tracer->record_instant(trainer_.server_pid(), "recovery.empty_round", end_time,
+                             {{"round", std::to_string(record.round_index)},
+                              {"participants",
+                               std::to_string(record.clients.size())}});
     }
   } else if (faults != nullptr || timeout_cut != kNoDeadline) {
     const auto planned_quota = static_cast<std::size_t>(
@@ -240,13 +240,13 @@ RoundRecord RoundEngine::run_round() {
                   static_cast<double>(record.clients.size())));
     if (record.collected.size() < std::max<std::size_t>(1, planned_quota)) {
       FEDCA_MCOUNT("engine.partial_rounds", 1.0);
-      if (tracer.enabled()) {
-        tracer.record_instant(trainer_.server_pid(), "recovery.partial_aggregation",
-                              end_time,
-                              {{"round", std::to_string(record.round_index)},
-                               {"collected",
-                                std::to_string(record.collected.size())},
-                               {"planned", std::to_string(planned_quota)}});
+      if (tracer != nullptr) {
+        tracer->record_instant(trainer_.server_pid(), "recovery.partial_aggregation",
+                               end_time,
+                               {{"round", std::to_string(record.round_index)},
+                                {"collected",
+                                 std::to_string(record.collected.size())},
+                                {"planned", std::to_string(planned_quota)}});
       }
     }
   }
@@ -254,15 +254,15 @@ RoundRecord RoundEngine::run_round() {
   clock_ = end_time;
   ++round_index_;
 
-  if (tracer.enabled()) {
-    tracer.record_span(trainer_.server_pid(), "round", record.start_time, record.end_time,
-                       {{"round", std::to_string(record.round_index)},
-                        {"deadline", fmt_num(record.deadline)},
-                        {"collected", std::to_string(record.collected.size())},
-                        {"participants", std::to_string(record.clients.size())}});
-    tracer.record_span(trainer_.server_pid(), "aggregate", record.end_time, record.end_time,
-                       {{"round", std::to_string(record.round_index)},
-                        {"updates", std::to_string(record.collected.size())}});
+  if (tracer != nullptr) {
+    tracer->record_span(trainer_.server_pid(), "round", record.start_time, record.end_time,
+                        {{"round", std::to_string(record.round_index)},
+                         {"deadline", fmt_num(record.deadline)},
+                         {"collected", std::to_string(record.collected.size())},
+                         {"participants", std::to_string(record.clients.size())}});
+    tracer->record_span(trainer_.server_pid(), "aggregate", record.end_time, record.end_time,
+                        {{"round", std::to_string(record.round_index)},
+                         {"updates", std::to_string(record.collected.size())}});
   }
   FEDCA_MCOUNT("engine.rounds", 1.0);
   FEDCA_MHISTO("engine.round_seconds", 0.0, 600.0, 60, record.duration());
@@ -272,8 +272,7 @@ RoundRecord RoundEngine::run_round() {
   // classification. Everything here is virtual-clock data copied from the
   // record on the main thread, so the report is bit-identical across
   // worker counts and recorder on/off.
-  obs::RoundReportWriter& reporter = obs::RoundReportWriter::global();
-  if (reporter.enabled()) {
+  if (obs::RoundReportWriter* reporter = obs::current_report()) {
     obs::RoundReport report;
     report.round_index = record.round_index;
     report.start_time = record.start_time;
@@ -322,7 +321,7 @@ RoundRecord RoundEngine::run_round() {
       report.clients.push_back(std::move(c));
     }
     obs::finalize_round_report(report);
-    reporter.append(report);
+    reporter->append(report);
   }
 
   scheme_->observe_round(record);
@@ -352,8 +351,7 @@ ClientRoundResult RoundEngine::run_client(std::size_t client_id, const RoundInfo
   const std::unique_ptr<UpdateCompressor> compressor =
       scheme_->make_compressor(client_id, info.round_index);
 
-  obs::TraceCollector& tracer = obs::TraceCollector::global();
-  const bool tracing = tracer.enabled();
+  obs::TraceCollector* tracer = obs::current_trace();
   const std::uint32_t pid = trainer_.client_pid(client_id);
 
   // Fault horizon for this round: the first virtual time >= round start at
@@ -389,13 +387,13 @@ ClientRoundResult RoundEngine::run_client(std::size_t client_id, const RoundInfo
     } else {
       FEDCA_MCOUNT("faults.dropouts", 1.0);
     }
-    if (tracing && std::isfinite(at)) {
-      tracer.record_instant(pid,
-                            kind == ClientFault::kLinkOutage ? "fault.link_outage"
-                                                             : "fault.dropout",
-                            at,
-                            {{"client", std::to_string(client_id)},
-                             {"round", std::to_string(info.round_index)}});
+    if (tracer != nullptr && std::isfinite(at)) {
+      tracer->record_instant(pid,
+                             kind == ClientFault::kLinkOutage ? "fault.link_outage"
+                                                              : "fault.dropout",
+                             at,
+                             {{"client", std::to_string(client_id)},
+                              {"round", std::to_string(info.round_index)}});
     }
   };
 
@@ -425,10 +423,10 @@ ClientRoundResult RoundEngine::run_client(std::size_t client_id, const RoundInfo
     fail(fail_time, fail_kind);
     return result;
   }
-  if (tracing) {
-    tracer.record_span(pid, "download", info.start_time, download.end,
-                       {{"bytes", fmt_num(model_bytes)},
-                        {"round", std::to_string(info.round_index)}});
+  if (tracer != nullptr) {
+    tracer->record_span(pid, "download", info.start_time, download.end,
+                        {{"bytes", fmt_num(model_bytes)},
+                         {"round", std::to_string(info.round_index)}});
   }
 
   // 2. Local training on the client's loader stream, resumed from its
@@ -462,10 +460,10 @@ ClientRoundResult RoundEngine::run_client(std::size_t client_id, const RoundInfo
           return false;
         }
         iterations = tau;
-        if (tracing) {
-          tracer.record_span(pid, "iter", iter_start, t,
-                             {{"tau", std::to_string(tau)},
-                              {"round", std::to_string(info.round_index)}});
+        if (tracer != nullptr) {
+          tracer->record_span(pid, "iter", iter_start, t,
+                              {{"tau", std::to_string(tau)},
+                               {"round", std::to_string(info.round_index)}});
         }
 
         IterationView view;
@@ -517,20 +515,20 @@ ClientRoundResult RoundEngine::run_client(std::size_t client_id, const RoundInfo
             if (ef == sim::EagerFault::kLost) {
               eager.lost = true;
               FEDCA_MCOUNT("faults.eager_lost", 1.0);
-              if (tracing && std::isfinite(transfer.end)) {
-                tracer.record_instant(pid, "fault.eager_lost", transfer.end,
-                                      {{"client", std::to_string(client_id)},
-                                       {"layer", std::to_string(layer)},
-                                       {"round", std::to_string(info.round_index)}});
+              if (tracer != nullptr && std::isfinite(transfer.end)) {
+                tracer->record_instant(pid, "fault.eager_lost", transfer.end,
+                                       {{"client", std::to_string(client_id)},
+                                        {"layer", std::to_string(layer)},
+                                        {"round", std::to_string(info.round_index)}});
               }
             } else if (ef == sim::EagerFault::kTruncated) {
               eager.truncated = true;
               FEDCA_MCOUNT("faults.eager_truncated", 1.0);
-              if (tracing && std::isfinite(transfer.end)) {
-                tracer.record_instant(pid, "fault.eager_truncated", transfer.end,
-                                      {{"client", std::to_string(client_id)},
-                                       {"layer", std::to_string(layer)},
-                                       {"round", std::to_string(info.round_index)}});
+              if (tracer != nullptr && std::isfinite(transfer.end)) {
+                tracer->record_instant(pid, "fault.eager_truncated", transfer.end,
+                                       {{"client", std::to_string(client_id)},
+                                        {"layer", std::to_string(layer)},
+                                        {"round", std::to_string(info.round_index)}});
               }
             }
           }
@@ -546,13 +544,13 @@ ClientRoundResult RoundEngine::run_client(std::size_t client_id, const RoundInfo
 
         if (decision.stop && tau < info.planned_iterations) {
           stopped_early = true;
-          if (tracing) {
+          if (tracer != nullptr) {
             obs::TraceArgs args{{"tau", std::to_string(tau)},
                                 {"round", std::to_string(info.round_index)}};
             for (const auto& [key, value] : decision.trace_annotations) {
               args.emplace_back(key, fmt_num(value));
             }
-            tracer.record_instant(pid, "early_stop", t, std::move(args));
+            tracer->record_instant(pid, "early_stop", t, std::move(args));
           }
           FEDCA_MCOUNT("engine.early_stops", 1.0);
           return false;
@@ -563,12 +561,12 @@ ClientRoundResult RoundEngine::run_client(std::size_t client_id, const RoundInfo
   result.early_stopped = stopped_early;
   result.compute_done = t;
   result.compute_seconds = t - train_start;
-  if (tracing) {
-    tracer.record_span(pid, "compute", train_start, t,
-                       {{"iterations", std::to_string(iterations)},
-                        {"planned", std::to_string(info.planned_iterations)},
-                        {"early_stopped", stopped_early ? "1" : "0"},
-                        {"round", std::to_string(info.round_index)}});
+  if (tracer != nullptr) {
+    tracer->record_span(pid, "compute", train_start, t,
+                        {{"iterations", std::to_string(iterations)},
+                         {"planned", std::to_string(info.planned_iterations)},
+                         {"early_stopped", stopped_early ? "1" : "0"},
+                         {"round", std::to_string(info.round_index)}});
   }
   result.mean_local_loss = iterations > 0 ? loss_sum / static_cast<double>(iterations) : 0.0;
 
@@ -598,11 +596,11 @@ ClientRoundResult RoundEngine::run_client(std::size_t client_id, const RoundInfo
     if ((eager.lost || eager.truncated) && !retrans_flags[eager.layer]) {
       retrans_flags[eager.layer] = 1;
       FEDCA_MCOUNT("engine.fault_retransmissions", 1.0);
-      if (tracing) {
-        tracer.record_instant(pid, "recovery.eager_retransmit", t,
-                              {{"client", std::to_string(client_id)},
-                               {"layer", std::to_string(eager.layer)},
-                               {"round", std::to_string(info.round_index)}});
+      if (tracer != nullptr) {
+        tracer->record_instant(pid, "recovery.eager_retransmit", t,
+                               {{"client", std::to_string(client_id)},
+                                {"layer", std::to_string(eager.layer)},
+                                {"round", std::to_string(info.round_index)}});
       }
     }
   }
@@ -631,23 +629,23 @@ ClientRoundResult RoundEngine::run_client(std::size_t client_id, const RoundInfo
   const sim::Transfer upload = device.uplink().transmit(t, final_bytes);
   result.bytes_sent += final_bytes;
   result.arrival_time = upload.end;
-  if (tracing) {
+  if (tracer != nullptr) {
     // Eager uploads are recorded here (not at trigger time) so the span
     // carries the Eq. 6 retransmission verdict.
     for (const EagerRecord& eager : result.eager) {
       if (!std::isfinite(eager.arrival_time)) continue;
-      tracer.record_span(pid, "upload.eager", eager.send_time, eager.arrival_time,
-                         {{"layer", std::to_string(eager.layer)},
-                          {"iteration", std::to_string(eager.iteration)},
-                          {"retransmitted", eager.retransmitted ? "1" : "0"},
-                          {"round", std::to_string(info.round_index)}});
+      tracer->record_span(pid, "upload.eager", eager.send_time, eager.arrival_time,
+                          {{"layer", std::to_string(eager.layer)},
+                           {"iteration", std::to_string(eager.iteration)},
+                           {"retransmitted", eager.retransmitted ? "1" : "0"},
+                           {"round", std::to_string(info.round_index)}});
     }
     if (std::isfinite(upload.end)) {
-      tracer.record_span(pid, "upload.final", upload.start, upload.end,
-                         {{"bytes", fmt_num(final_bytes)},
-                          {"retransmitted_layers",
-                           std::to_string(result.retransmitted_layers)},
-                          {"round", std::to_string(info.round_index)}});
+      tracer->record_span(pid, "upload.final", upload.start, upload.end,
+                          {{"bytes", fmt_num(final_bytes)},
+                           {"retransmitted_layers",
+                            std::to_string(result.retransmitted_layers)},
+                           {"round", std::to_string(info.round_index)}});
     }
   }
   if (!std::isfinite(upload.end)) {

@@ -75,13 +75,16 @@ class RoundEngine {
   // `model` is the shared training replica (global weights are kept in the
   // engine and loaded per client); `cluster` provides virtual devices;
   // `shards` is the data shard pool (client c reads shards[c % size]; the
-  // pool must be non-empty and no larger than the cluster).
+  // pool must be non-empty and no larger than the cluster); `session`
+  // receives the rounds' trace, metrics and report (null: disarmed).
   RoundEngine(nn::Classifier* model, sim::Cluster* cluster,
               std::vector<data::Dataset> shards, Scheme* scheme,
-              RoundEngineOptions options, util::Rng rng);
+              RoundEngineOptions options, util::Rng rng,
+              obs::Session* session = nullptr);
 
-  // Runs one full round, advances the virtual clock, applies aggregation
-  // to the global state, and reports what happened. Update payloads are
+  // Runs one full round with the engine's session current, advances the
+  // virtual clock, applies aggregation to the global state, and reports
+  // what happened. Update payloads are
   // collected through a StreamingQuorum: only collected clients keep
   // their applied_update / eager tensors in the returned record.
   RoundRecord run_round();
@@ -107,8 +110,8 @@ class RoundEngine {
   sim::Cluster* cluster_;
   Scheme* scheme_;
   RoundEngineOptions options_;
-  // Replicas, shards, loader cursors (fork salt 0xB00C), trace pids and the
-  // crash record.
+  // Replicas, shards, loader cursors (fork salt 0xB00C), the session, trace
+  // pids and the crash record.
   ClientTrainer trainer_;
   nn::ModelState global_;
   util::Rng selection_rng_;

@@ -9,6 +9,7 @@
 #include <sstream>
 #include <vector>
 
+#include "obs/session.hpp"
 #include "sim/scenario.hpp"
 #include "util/thread_pool.hpp"
 
@@ -450,10 +451,11 @@ ExperimentOptions resolve_options(const Scenario& sc) {
   ExperimentOptions o = sc.options;
   // Environment tier: scenario < env. (Programmatic overrides, applied by
   // the caller on the returned struct, beat both — matching the pinned
-  // explicit-beats-env contract of obs::configure / resolve_workers.)
-  if (const char* env = std::getenv("FEDCA_TRACE")) o.trace_path = env;
-  if (const char* env = std::getenv("FEDCA_METRICS")) o.metrics_path = env;
-  if (const char* env = std::getenv("FEDCA_REPORT")) o.report_path = env;
+  // explicit-beats-env contract of obs::resolve_outputs / resolve_workers.)
+  const obs::EnvOutputs env = obs::read_env();
+  if (env.trace_path) o.trace_path = *env.trace_path;
+  if (env.metrics_path) o.metrics_path = *env.metrics_path;
+  if (env.report_path) o.report_path = *env.report_path;
   if (const std::size_t env = util::ThreadPool::env_workers()) {
     o.worker_threads = env;
   }

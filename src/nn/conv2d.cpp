@@ -3,7 +3,7 @@
 #include <cstdint>
 #include <stdexcept>
 
-#include "obs/trace.hpp"
+#include "obs/session.hpp"
 #include "tensor/init.hpp"
 
 namespace fedca::nn {

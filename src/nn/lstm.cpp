@@ -6,7 +6,7 @@
 #include <stdexcept>
 #include <utility>
 
-#include "obs/trace.hpp"
+#include "obs/session.hpp"
 #include "tensor/init.hpp"
 #include "tensor/ops.hpp"
 

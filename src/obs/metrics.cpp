@@ -7,13 +7,9 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "util/thread_pool.hpp"
-
 namespace fedca::obs {
 
 namespace {
-
-std::atomic<bool> g_metrics_enabled{false};
 
 // JSON string escaping for metric names (quotes, backslashes, control
 // characters); names are ASCII identifiers in practice.
@@ -47,12 +43,6 @@ std::string num(double v) {
 }
 
 }  // namespace
-
-bool metrics_enabled() { return g_metrics_enabled.load(std::memory_order_relaxed); }
-
-void set_metrics_enabled(bool enabled) {
-  g_metrics_enabled.store(enabled, std::memory_order_relaxed);
-}
 
 HistogramMetric::HistogramMetric(double lo, double hi, std::size_t bins)
     : lo_(lo), hi_(hi), counts_(bins == 0 ? 1 : bins, 0) {
@@ -126,11 +116,6 @@ HistogramSnapshot HistogramMetric::snapshot() const {
   snap.p90 = quantile_locked(0.90);
   snap.p99 = quantile_locked(0.99);
   return snap;
-}
-
-MetricsRegistry& MetricsRegistry::global() {
-  static MetricsRegistry registry;
-  return registry;
 }
 
 Counter& MetricsRegistry::counter(const std::string& name) {
@@ -230,21 +215,6 @@ void MetricsRegistry::save(const std::string& path) const {
   }
   out.flush();
   if (!out) throw std::runtime_error("MetricsRegistry::save: write failed for " + path);
-}
-
-void MetricsRegistry::reset() {
-  util::MutexLock lock(mutex_);
-  counters_.clear();
-  gauges_.clear();
-  histograms_.clear();
-}
-
-void install_thread_pool_metrics(util::ThreadPool& pool) {
-  pool.set_task_observer([](double queue_seconds, double run_seconds) {
-    FEDCA_MHISTO("threadpool.queue_seconds", 0.0, 1.0, 50, queue_seconds);
-    FEDCA_MHISTO("threadpool.run_seconds", 0.0, 10.0, 50, run_seconds);
-    FEDCA_MCOUNT("threadpool.tasks", 1.0);
-  });
 }
 
 }  // namespace fedca::obs

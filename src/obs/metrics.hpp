@@ -1,5 +1,6 @@
-// Process-global metrics registry — the numeric half of the observability
-// layer (the span tracer in obs/trace.hpp is the timeline half).
+// Metrics registry — the numeric half of the observability layer (the
+// span tracer in obs/trace.hpp is the timeline half). An obs::Session
+// (obs/session.hpp) owns one per experiment when metrics are armed.
 //
 // Three instrument kinds, all thread-safe:
 //   * Counter   — monotonically accumulated double (events, bytes);
@@ -8,10 +9,11 @@
 //     util::RunningStats summary (mean/min/max/stddev) and approximate
 //     percentiles interpolated from the buckets.
 //
-// Recording goes through the FEDCA_M* macros, which are no-ops (one relaxed
-// atomic load) unless metrics_enabled() — instrumented hot paths cost
-// nothing in ordinary runs. Snapshots export deterministically (sorted by
-// name) as JSONL or CSV, chosen by file extension in save().
+// Instrumented code records through the FEDCA_M* macros (obs/session.hpp),
+// which reach the calling thread's session and are no-ops (one
+// thread-local load and one branch) when its metrics are disarmed.
+// Snapshots export deterministically (sorted by name) as JSONL or CSV,
+// chosen by file extension in save().
 #pragma once
 
 #include <atomic>
@@ -27,16 +29,7 @@
 #include "util/sync.hpp"
 #include "util/thread_annotations.hpp"
 
-namespace fedca::util {
-class ThreadPool;
-}
-
 namespace fedca::obs {
-
-// Global recording switch. Off by default; experiment drivers flip it on
-// when a metrics output path is configured (or FEDCA_METRICS is set).
-bool metrics_enabled();
-void set_metrics_enabled(bool enabled);
 
 class Counter {
  public:
@@ -109,10 +102,8 @@ struct MetricRow {
 
 class MetricsRegistry {
  public:
-  static MetricsRegistry& global();
-
-  // Instruments are created on first use and live until reset(); returned
-  // references stay valid across later registrations.
+  // Instruments are created on first use and live as long as the
+  // registry; returned references stay valid across later registrations.
   Counter& counter(const std::string& name);
   Gauge& gauge(const std::string& name);
   HistogramMetric& histogram(const std::string& name, double lo, double hi,
@@ -126,9 +117,6 @@ class MetricsRegistry {
   // std::runtime_error on I/O failure.
   void save(const std::string& path) const;
 
-  // Drops every instrument (tests only — outstanding references dangle).
-  void reset();
-
  private:
   mutable util::Mutex mutex_;
   std::map<std::string, std::unique_ptr<Counter>> counters_ FEDCA_GUARDED_BY(mutex_);
@@ -137,28 +125,4 @@ class MetricsRegistry {
       FEDCA_GUARDED_BY(mutex_);
 };
 
-// Wires `pool`'s task-latency observer to the global registry: histograms
-// "threadpool.queue_seconds" and "threadpool.run_seconds" (recorded only
-// while metrics_enabled()). Call once per pool.
-void install_thread_pool_metrics(util::ThreadPool& pool);
-
 }  // namespace fedca::obs
-
-// Recording sites: a disabled registry costs one relaxed atomic load and
-// never evaluates the value expressions.
-#define FEDCA_MCOUNT(name, v)                                        \
-  do {                                                               \
-    if (::fedca::obs::metrics_enabled())                             \
-      ::fedca::obs::MetricsRegistry::global().counter(name).add(v);  \
-  } while (0)
-#define FEDCA_MGAUGE(name, v)                                        \
-  do {                                                               \
-    if (::fedca::obs::metrics_enabled())                             \
-      ::fedca::obs::MetricsRegistry::global().gauge(name).set(v);    \
-  } while (0)
-#define FEDCA_MHISTO(name, lo, hi, bins, v)                                      \
-  do {                                                                           \
-    if (::fedca::obs::metrics_enabled())                                         \
-      ::fedca::obs::MetricsRegistry::global().histogram(name, lo, hi, bins)      \
-          .record(v);                                                            \
-  } while (0)

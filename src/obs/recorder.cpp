@@ -1,6 +1,7 @@
 #include "obs/recorder.hpp"
 
 #include <cstring>
+#include <utility>
 
 namespace fedca::obs {
 
@@ -29,9 +30,14 @@ void for_each_arg(const RecorderEvent& event,
   }
 }
 
-Recorder& Recorder::global() {
-  static Recorder recorder;
-  return recorder;
+Recorder::Recorder(std::size_t ring_capacity, Sink auto_drain_sink)
+    : ring_capacity_(ring_capacity == 0 ? 1 : ring_capacity),
+      auto_sink_(std::move(auto_drain_sink)) {}
+
+Recorder::~Recorder() {
+  for (std::atomic<EventRing*>& slot : rings_) {
+    delete slot.load(std::memory_order_acquire);
+  }
 }
 
 EventRing* Recorder::ring_for_current_thread() {
@@ -42,7 +48,7 @@ EventRing* Recorder::ring_for_current_thread() {
   if (ring == nullptr) {
     // Only the owning thread ever populates its slot, so this is not a
     // race — the release-store publishes the ring to drainers.
-    ring = new EventRing(ring_capacity_.load(std::memory_order_relaxed));
+    ring = new EventRing(ring_capacity_);
     slot.store(ring, std::memory_order_release);
   }
   return ring;
@@ -60,34 +66,31 @@ void Recorder::record(const RecorderEvent& event) {
 
 void Recorder::maybe_auto_drain(const EventRing& ring) {
   // High-water volunteer drain: when this thread's ring is 3/4 full, try
-  // to drain everything through the installed sink. try_lock only — if
-  // another thread is already draining (or the wrap tests cleared the
-  // sink), the producer moves on without blocking.
+  // to drain everything through the sink. try_lock only — if another
+  // thread is already draining (or there is no sink), the producer moves
+  // on without blocking.
+  if (!auto_sink_) return;
   if (ring.size() < ring.capacity() - ring.capacity() / 4) return;
-  if (!auto_drain_.load(std::memory_order_relaxed)) return;
   if (!drain_mutex_.try_lock()) return;
   // Collect under the lock, deliver after releasing it: the sink is user
   // code (it takes the TraceCollector's own mutex, and may re-enter the
   // recorder), so invoking it while drain_mutex_ is held risks deadlock
   // and lock-order inversion.
-  const Sink sink = auto_sink_;
   std::vector<RecorderEvent> batch;
-  if (sink) {
-    for (std::size_t i = 0; i <= util::ThreadRegistry::kMaxTrackedThreads; ++i) {
-      EventRing* r = rings_[i].load(std::memory_order_acquire);
-      if (r != nullptr) r->pop_into(batch);
-    }
+  for (std::size_t i = 0; i <= util::ThreadRegistry::kMaxTrackedThreads; ++i) {
+    EventRing* r = rings_[i].load(std::memory_order_acquire);
+    if (r != nullptr) r->pop_into(batch);
   }
   drain_mutex_.unlock();
-  for (const RecorderEvent& event : batch) sink(event);
+  for (const RecorderEvent& event : batch) auto_sink_(event);
 }
 
 std::size_t Recorder::drain(const Sink& sink) {
   // Same collect-then-deliver split as maybe_auto_drain: drain_mutex_
   // serializes ring consumption (the SPSC consumer side must be exclusive)
-  // but is released before the first sink call, so a sink that drains,
-  // resets, or re-installs itself cannot deadlock. Per-ring chronology is
-  // preserved by the buffered batch.
+  // but is released before the first sink call, so a sink that drains
+  // again cannot deadlock. Per-ring chronology is preserved by the
+  // buffered batch.
   std::vector<RecorderEvent> batch;
   {
     util::MutexLock lock(drain_mutex_);
@@ -100,11 +103,6 @@ std::size_t Recorder::drain(const Sink& sink) {
   return batch.size();
 }
 
-void Recorder::set_auto_drain_sink(Sink sink) {
-  util::MutexLock lock(drain_mutex_);
-  auto_sink_ = std::move(sink);
-}
-
 std::uint64_t Recorder::dropped_total() const {
   std::uint64_t total = overflow_dropped_.load(std::memory_order_relaxed);
   for (std::size_t i = 0; i <= util::ThreadRegistry::kMaxTrackedThreads; ++i) {
@@ -112,31 +110,6 @@ std::uint64_t Recorder::dropped_total() const {
     if (ring != nullptr) total += ring->dropped();
   }
   return total;
-}
-
-void Recorder::set_ring_capacity(std::size_t capacity) {
-  ring_capacity_.store(capacity == 0 ? 1 : capacity, std::memory_order_relaxed);
-}
-
-std::size_t Recorder::pending_events() const {
-  std::size_t pending = 0;
-  for (std::size_t i = 0; i <= util::ThreadRegistry::kMaxTrackedThreads; ++i) {
-    const EventRing* ring = rings_[i].load(std::memory_order_acquire);
-    if (ring != nullptr) pending += ring->size();
-  }
-  return pending;
-}
-
-void Recorder::reset() {
-  util::MutexLock lock(drain_mutex_);
-  for (std::size_t i = 0; i <= util::ThreadRegistry::kMaxTrackedThreads; ++i) {
-    EventRing* ring = rings_[i].load(std::memory_order_acquire);
-    if (ring != nullptr) ring->discard();
-  }
-  overflow_dropped_.store(0, std::memory_order_relaxed);
-  truncated_.store(0, std::memory_order_relaxed);
-  ring_capacity_.store(kDefaultRingCapacity, std::memory_order_relaxed);
-  auto_drain_.store(true, std::memory_order_relaxed);
 }
 
 }  // namespace fedca::obs

@@ -20,12 +20,14 @@
 //     N events drains exactly min(N, C) events and reports N - C drops.
 //
 // Rings are indexed by util::ThreadRegistry ids and allocated lazily by
-// the owning thread, so unregistered threads cost nothing. A ring is
-// never freed (threads may outlive any reset), which is what makes the
-// producer path safe without reference counting.
+// the owning thread, so unregistered threads cost nothing. Rings are freed
+// with the recorder, so its owner (an obs::Session, through its
+// TraceCollector) must outlive every thread still recording into it: the
+// engines install a session only for the extent of a round or a client
+// pass, which is what keeps the producer path free of reference counting.
 //
 // Crash/fault dump: the rings always hold the last <= capacity events per
-// thread that the collector has not yet consumed, so obs::flush_on_fault
+// thread that the collector has not yet consumed, so Session::flush
 // (called when an injected crash fires) can drain and persist them even
 // when the run dies mid-round.
 #pragma once
@@ -40,7 +42,6 @@
 #include <vector>
 
 #include "util/sync.hpp"
-#include "util/thread_annotations.hpp"
 #include "util/thread_registry.hpp"
 
 namespace fedca::obs {
@@ -123,12 +124,6 @@ class EventRing {
     return n;
   }
 
-  // Discards everything published so far (tests / reset).
-  void discard() {
-    tail_.store(head_.load(std::memory_order_acquire), std::memory_order_release);
-    dropped_.store(0, std::memory_order_relaxed);
-  }
-
   std::size_t capacity() const { return capacity_; }
   std::size_t size() const {
     return static_cast<std::size_t>(head_.load(std::memory_order_acquire) -
@@ -150,34 +145,31 @@ class Recorder {
  public:
   static constexpr std::size_t kDefaultRingCapacity = 8192;
 
-  static Recorder& global();
+  using Sink = std::function<void(const RecorderEvent&)>;
+
+  // Every ring holds `ring_capacity` events (min 1). When a producer finds
+  // its ring 3/4 full it volunteers to drain every ring through
+  // `auto_drain_sink` (try-lock only, so the hot path never blocks); an
+  // empty sink turns the volunteer drain off, which makes overflow and its
+  // drop accounting deterministic.
+  explicit Recorder(std::size_t ring_capacity = kDefaultRingCapacity,
+                    Sink auto_drain_sink = {});
+  ~Recorder();
+  Recorder(const Recorder&) = delete;
+  Recorder& operator=(const Recorder&) = delete;
 
   // Producer path: push into the calling thread's ring (allocated on
   // first use). Lock-free; a full ring drops the event and counts it.
   void record(const RecorderEvent& event);
 
-  using Sink = std::function<void(const RecorderEvent&)>;
-
   // Drains every ring into `sink` (oldest-first per ring). Ring
   // consumption is serialized against concurrent drains; the sink itself
   // runs after the drain lock is released, so it may safely re-enter the
-  // recorder (drain, reset, set_auto_drain_sink). Returns the number of
-  // events delivered.
+  // recorder. Returns the number of events delivered.
   std::size_t drain(const Sink& sink);
 
-  // When a producer finds its ring nearly full it may volunteer to drain
-  // (try-lock only, so the hot path never blocks) through this sink.
-  // Installed once by the TraceCollector facade.
-  void set_auto_drain_sink(Sink sink);
-  // Gate for the volunteer drain. The wrap-around tests turn it off so
-  // overflow (and its drop accounting) is deterministic.
-  void set_auto_drain(bool on) {
-    auto_drain_.store(on, std::memory_order_relaxed);
-  }
-  bool auto_drain() const { return auto_drain_.load(std::memory_order_relaxed); }
-
   // Total events dropped by full rings plus events from threads beyond
-  // ThreadRegistry::kMaxTrackedThreads. Monotonic until reset().
+  // ThreadRegistry::kMaxTrackedThreads. Monotonic.
   std::uint64_t dropped_total() const;
   // Names/args that did not fit their fixed slot (the event itself is
   // still recorded).
@@ -186,33 +178,16 @@ class Recorder {
   }
   void note_truncated() { truncated_.fetch_add(1, std::memory_order_relaxed); }
 
-  // Capacity for rings allocated from now on (existing rings keep
-  // theirs). Tests shrink this to force wrap-around cheaply.
-  void set_ring_capacity(std::size_t capacity);
-  std::size_t ring_capacity() const {
-    return ring_capacity_.load(std::memory_order_relaxed);
-  }
-
-  std::size_t pending_events() const;
-
-  // Discards pending events and zeroes the drop/truncation accounting.
-  // Rings stay allocated (their owning threads may still be alive); the
-  // ring capacity knob is restored to the default.
-  void reset();
-
  private:
-  Recorder() = default;
-
   EventRing* ring_for_current_thread();
   void maybe_auto_drain(const EventRing& ring);
 
+  const std::size_t ring_capacity_;
+  const Sink auto_sink_;
   std::atomic<EventRing*> rings_[util::ThreadRegistry::kMaxTrackedThreads + 1] = {};
-  std::atomic<std::size_t> ring_capacity_{kDefaultRingCapacity};
-  std::atomic<bool> auto_drain_{true};
   std::atomic<std::uint64_t> overflow_dropped_{0};
   std::atomic<std::uint64_t> truncated_{0};
   mutable util::Mutex drain_mutex_;
-  Sink auto_sink_ FEDCA_GUARDED_BY(drain_mutex_);
 };
 
 }  // namespace fedca::obs

@@ -180,25 +180,10 @@ std::string to_json_line(const AsyncUpdateReport& r) {
   return out;
 }
 
-RoundReportWriter& RoundReportWriter::global() {
-  static RoundReportWriter writer;
-  return writer;
-}
-
-void RoundReportWriter::set_output_path(std::string path) {
-  util::MutexLock lock(mutex_);
-  path_ = std::move(path);
-  enabled_.store(!path_.empty(), std::memory_order_relaxed);
-  if (!path_.empty()) {
-    // Start fresh: the report describes one run, not an accumulation of
-    // every run that ever pointed here.
-    std::ofstream out(path_, std::ios::trunc);
-  }
-}
-
-std::string RoundReportWriter::output_path() const {
-  util::MutexLock lock(mutex_);
-  return path_;
+RoundReportWriter::RoundReportWriter(std::string path) : path_(std::move(path)) {
+  // Start fresh: the report describes one run, not an accumulation of
+  // every run that ever pointed here.
+  std::ofstream out(path_, std::ios::trunc);
 }
 
 void RoundReportWriter::append(const RoundReport& report) {
@@ -212,7 +197,6 @@ void RoundReportWriter::append(const AsyncUpdateReport& report) {
 void RoundReportWriter::append_line(std::string line) {
   util::MutexLock lock(mutex_);
   lines_.push_back(std::move(line));
-  if (path_.empty()) return;
   // Append + flush per line: cheap at round granularity, and it is the
   // crash-durability story — every completed round survives an abort.
   std::ofstream out(path_, std::ios::app);
@@ -238,7 +222,6 @@ std::vector<std::string> RoundReportWriter::lines() const {
 
 void RoundReportWriter::flush() const {
   util::MutexLock lock(mutex_);
-  if (path_.empty()) return;
   std::ofstream out(path_, std::ios::trunc);
   if (!out) {
     throw std::runtime_error("RoundReportWriter: cannot open " + path_);
@@ -248,13 +231,6 @@ void RoundReportWriter::flush() const {
   if (!out) {
     throw std::runtime_error("RoundReportWriter: write failed for " + path_);
   }
-}
-
-void RoundReportWriter::reset() {
-  util::MutexLock lock(mutex_);
-  lines_.clear();
-  path_.clear();
-  enabled_.store(false, std::memory_order_relaxed);
 }
 
 }  // namespace fedca::obs

@@ -27,7 +27,6 @@
 // definition.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <limits>
 #include <string>
@@ -123,19 +122,13 @@ void finalize_round_report(RoundReport& report);
 std::string to_json_line(const RoundReport& report);
 std::string to_json_line(const AsyncUpdateReport& report);
 
-// Process-global JSONL sink. Disabled until set_output_path() arms it
-// (FEDCA_REPORT / ExperimentOptions::report_path via obs::configure).
-// append() writes and flushes the line immediately — a crashed run keeps
-// every completed round.
+// JSONL sink for one experiment: an obs::Session builds one when its
+// report path is set. append() writes and flushes the line immediately —
+// a crashed run keeps every completed round.
 class RoundReportWriter {
  public:
-  static RoundReportWriter& global();
-
-  bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
-  // Non-empty arms the writer and truncates any existing file at `path`;
-  // empty disarms.
-  void set_output_path(std::string path);
-  std::string output_path() const;
+  // Truncates `path` now; every appended line goes there.
+  explicit RoundReportWriter(std::string path);
 
   void append(const RoundReport& report);
   void append(const AsyncUpdateReport& report);
@@ -143,20 +136,16 @@ class RoundReportWriter {
   std::size_t line_count() const;
   std::vector<std::string> lines() const;
 
-  // Re-writes the whole accumulated report to the output path (the
-  // append path already flushed; this is the atexit/fault safety net).
+  // Re-writes the whole accumulated report to the path (the append path
+  // already flushed; this is the session's fault-dump safety net).
   void flush() const;
-
-  // Clears lines and disarms (tests).
-  void reset();
 
  private:
   void append_line(std::string line);
 
-  std::atomic<bool> enabled_{false};
+  const std::string path_;
   mutable util::Mutex mutex_;
   std::vector<std::string> lines_ FEDCA_GUARDED_BY(mutex_);
-  std::string path_ FEDCA_GUARDED_BY(mutex_);
 };
 
 }  // namespace fedca::obs

@@ -15,20 +15,19 @@
 // chrome://tracing or https://ui.perfetto.dev. tools/check_trace.py
 // validates emitted files.
 //
-// Recording is disabled by default; set_output_path() (or the FEDCA_TRACE
-// environment variable, resolved by obs::configure()) arms it. Disabled
-// recording sites cost one relaxed atomic load.
+// A collector exists only while tracing is armed: an obs::Session
+// (obs/session.hpp) builds one when its trace path is set, and
+// instrumented code finds it through obs::current_trace(), which is null
+// when tracing is off.
 //
-// Since the flight recorder (obs/recorder.hpp) landed, this class is a
-// *facade*: record_span/record_instant/record_wall_span encode a POD
-// RecorderEvent and push it into the calling thread's lock-free ring —
+// The collector is a *facade* over its own flight recorder
+// (obs/recorder.hpp): record_span/record_instant/record_wall_span encode a
+// POD RecorderEvent and push it into the calling thread's lock-free ring —
 // the producer path takes no lock and performs no allocation. Every read
-// API (event_count, snapshot_events, write_chrome_json, flush, reset)
-// first drains the rings into the internal event vector, so call sites
-// and tests observe exactly the old semantics without churn.
+// API (event_count, snapshot_events, write_chrome_json, save) first
+// drains the rings into the internal event vector.
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <map>
@@ -37,12 +36,13 @@
 #include <utility>
 #include <vector>
 
+#include "obs/recorder.hpp"
 #include "util/sync.hpp"
 #include "util/thread_annotations.hpp"
 
 namespace fedca::obs {
 
-struct RecorderEvent;  // obs/recorder.hpp
+class MetricsRegistry;  // obs/metrics.hpp
 
 enum class Clock { kVirtual, kWall };
 
@@ -62,21 +62,27 @@ struct TraceEvent {
   TraceArgs args;
 };
 
+struct TraceOptions {
+  // Also record per-kernel wall spans (conv2d/LSTM forward/backward, SGD
+  // steps): they multiply event counts by the batch loop, so they are
+  // opt-in (FEDCA_TRACE_DETAIL=kernels).
+  bool kernel_detail = false;
+  // Receives the recorder's drop/truncation accounting
+  // (obs.recorder.dropped/truncated) at each drain; null publishes nothing.
+  MetricsRegistry* metrics = nullptr;
+  std::size_t ring_capacity = Recorder::kDefaultRingCapacity;
+  // Producers volunteer to drain at 3/4 ring occupancy. Off makes overflow
+  // (and its drop accounting) deterministic.
+  bool auto_drain = true;
+};
+
 class TraceCollector {
  public:
-  static TraceCollector& global();
+  explicit TraceCollector(TraceOptions options = {});
+  TraceCollector(const TraceCollector&) = delete;
+  TraceCollector& operator=(const TraceCollector&) = delete;
 
-  bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
-  void set_enabled(bool enabled);
-  // Non-empty path arms the collector; flush() writes there.
-  void set_output_path(std::string path);
-  std::string output_path() const;
-
-  // True when per-kernel wall spans (conv2d/LSTM forward/backward, SGD
-  // steps) should be recorded too — they multiply event counts by the
-  // batch loop, so they are opt-in (FEDCA_TRACE_DETAIL=kernels).
-  bool kernel_detail() const { return kernel_detail_.load(std::memory_order_relaxed); }
-  void set_kernel_detail(bool on);
+  bool kernel_detail() const { return kernel_detail_; }
 
   // Reserves `n` consecutive pids for one engine's virtual processes
   // (server + clients). Wall pid 0 is never handed out.
@@ -88,27 +94,25 @@ class TraceCollector {
                    double end_seconds, TraceArgs args = {}, std::uint32_t tid = 0);
   void record_instant(std::uint32_t pid, std::string name, double t_seconds,
                       TraceArgs args = {}, std::uint32_t tid = 0);
-  // Wall-clock span, in seconds since process trace epoch, attributed to
-  // pid kWallClockPid and the calling thread's tid.
+  // Wall-clock span, in seconds since the collector's wall epoch,
+  // attributed to pid kWallClockPid and the calling thread's tid.
   void record_wall_span(std::string name, double start_seconds, double end_seconds,
                         TraceArgs args = {});
 
-  // Seconds since the collector's wall epoch (steady clock).
-  static double wall_now_seconds();
+  // Seconds since the collector was built (steady clock).
+  double wall_now_seconds() const;
 
   std::size_t event_count() const;
   std::vector<TraceEvent> snapshot_events() const;
   std::map<std::uint32_t, std::string> process_names() const;
+  const Recorder& recorder() const { return recorder_; }
 
   // Serializes metadata + events (sorted by pid, tid, ts) as a Chrome
   // trace JSON array.
   void write_chrome_json(std::ostream& os) const;
+  // Writes the whole trace to `path`; throws std::runtime_error on I/O
+  // failure.
   void save(const std::string& path) const;
-  // Writes to output_path() when set; true on success or no-op.
-  bool flush() const;
-
-  // Clears events, names, pid allocation, and output path (tests).
-  void reset();
 
  private:
   // Converts one drained recorder span or instant and appends it to
@@ -118,66 +122,20 @@ class TraceCollector {
   // drop/truncation accounting (obs.recorder.*). Every read API calls
   // this first, which is what lets the producer path stay lock-free.
   void drain_pending() const;
+  // Copies name/args from the string-based API into a POD slot, counting
+  // anything that did not fit.
+  void fill(RecorderEvent& event, const std::string& name, const TraceArgs& args);
 
-  std::atomic<bool> enabled_{false};
-  std::atomic<bool> kernel_detail_{false};
+  const bool kernel_detail_;
+  MetricsRegistry* const metrics_;
+  const std::chrono::steady_clock::time_point wall_epoch_;
+  mutable Recorder recorder_;
   mutable util::Mutex mutex_;
   mutable std::vector<TraceEvent> events_ FEDCA_GUARDED_BY(mutex_);
   std::map<std::uint32_t, std::string> process_names_ FEDCA_GUARDED_BY(mutex_);
   std::uint32_t next_pid_ FEDCA_GUARDED_BY(mutex_) = 1;
-  std::string path_ FEDCA_GUARDED_BY(mutex_);
   mutable std::uint64_t published_dropped_ FEDCA_GUARDED_BY(mutex_) = 0;
   mutable std::uint64_t published_truncated_ FEDCA_GUARDED_BY(mutex_) = 0;
 };
 
-// RAII wall-clock span: measures a real-work region with the steady clock
-// and records it when tracing is on. `kernel_level` spans additionally
-// require kernel_detail().
-class ScopedWallSpan {
- public:
-  explicit ScopedWallSpan(const char* name, bool kernel_level = false);
-  ~ScopedWallSpan();
-  ScopedWallSpan(const ScopedWallSpan&) = delete;
-  ScopedWallSpan& operator=(const ScopedWallSpan&) = delete;
-
- private:
-  const char* name_;
-  bool active_;
-  double start_seconds_ = 0.0;
-};
-
-// Resolves FEDCA_TRACE / FEDCA_METRICS / FEDCA_TRACE_DETAIL /
-// FEDCA_REPORT. Explicit arguments win over the environment; empty
-// results leave the collector / registry / report writer untouched.
-// Returns the resolved (trace, metrics) paths. Also registers (once) an
-// atexit flush of every armed output, so a run that dies mid-round still
-// leaves a parseable trace/metrics file behind instead of a truncated
-// one.
-std::pair<std::string, std::string> configure(const std::string& trace_path = "",
-                                              const std::string& metrics_path = "",
-                                              const std::string& report_path = "");
-
-// Writes the trace (to its output path), the metrics snapshot (to
-// `metrics_path`, when non-empty) and the round report (to its own
-// output path). Safe to call repeatedly — files are rewritten with
-// everything accumulated so far.
-void flush_outputs(const std::string& metrics_path = "");
-
-// Crash dump: flushes every armed output using the paths remembered by
-// the last configure() call. fl::ClientTrainer calls it when an injected
-// crash fires, so the recorder's last events persist; also the body of
-// the atexit handler. Never throws.
-void flush_on_fault();
-
 }  // namespace fedca::obs
-
-#define FEDCA_OBS_CONCAT_INNER(a, b) a##b
-#define FEDCA_OBS_CONCAT(a, b) FEDCA_OBS_CONCAT_INNER(a, b)
-// Wall-clock RAII span for engine-level real work (aggregation, profiler
-// anchor recording).
-#define FEDCA_WALL_SPAN(name) \
-  ::fedca::obs::ScopedWallSpan FEDCA_OBS_CONCAT(fedca_wall_span_, __LINE__)(name)
-// Per-kernel wall span (conv2d/LSTM/SGD) — needs FEDCA_TRACE_DETAIL=kernels.
-#define FEDCA_KERNEL_SPAN(name)                                            \
-  ::fedca::obs::ScopedWallSpan FEDCA_OBS_CONCAT(fedca_kernel_span_, __LINE__)( \
-      name, /*kernel_level=*/true)

@@ -2,7 +2,7 @@
 
 #include <cmath>
 
-#include "obs/metrics.hpp"
+#include "obs/session.hpp"
 #include "sim/client_registry.hpp"
 
 namespace fedca::sim {

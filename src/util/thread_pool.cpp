@@ -2,27 +2,12 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cstdlib>
 #include <exception>
 
 #include "util/thread_registry.hpp"
 
 namespace fedca::util {
-
-namespace {
-
-// Task-latency observer timestamps. The observer measures *real*
-// queue/run latency (threadpool.queue_seconds / run_seconds), which is
-// host-clock work by definition — a sanctioned exception to the
-// virtual-clock discipline the wall-clock analyzer rule enforces.
-double observer_now_seconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())  // analyze:waive(wall-clock)
-      .count();
-}
-
-}  // namespace
 
 ThreadPool::ThreadPool(std::size_t workers) {
   if (workers == 0) {
@@ -44,25 +29,6 @@ ThreadPool::~ThreadPool() {
 }
 
 std::future<void> ThreadPool::submit(std::function<void()> task) {
-  std::shared_ptr<const TaskObserver> observer;
-  {
-    MutexLock lock(mutex_);
-    observer = observer_;
-  }
-  if (observer) {
-    const double enqueued = observer_now_seconds();
-    task = [observer, enqueued, inner = std::move(task)] {
-      const double started = observer_now_seconds();
-      const double queued = started - enqueued;
-      try {
-        inner();
-      } catch (...) {
-        (*observer)(queued, observer_now_seconds() - started);
-        throw;
-      }
-      (*observer)(queued, observer_now_seconds() - started);
-    };
-  }
   std::packaged_task<void()> packaged(std::move(task));
   std::future<void> fut = packaged.get_future();
   {
@@ -71,12 +37,6 @@ std::future<void> ThreadPool::submit(std::function<void()> task) {
   }
   cv_.notify_one();
   return fut;
-}
-
-void ThreadPool::set_task_observer(TaskObserver observer) {
-  MutexLock lock(mutex_);
-  observer_ = observer ? std::make_shared<const TaskObserver>(std::move(observer))
-                       : nullptr;
 }
 
 void ThreadPool::parallel_for(std::size_t n,

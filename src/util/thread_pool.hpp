@@ -11,7 +11,6 @@
 #include <deque>
 #include <functional>
 #include <future>
-#include <memory>
 #include <thread>
 #include <vector>
 
@@ -22,12 +21,6 @@ namespace fedca::util {
 
 class ThreadPool {
  public:
-  // Per-task latency callback: wall-clock seconds the task waited in the
-  // queue and seconds it ran (called after the task finishes, including
-  // when it throws). Installed by the observability layer; must be
-  // thread-safe — it runs concurrently on worker threads.
-  using TaskObserver = std::function<void(double queue_seconds, double run_seconds)>;
-
   // `workers` == 0 selects std::thread::hardware_concurrency() (min 1).
   explicit ThreadPool(std::size_t workers = 0);
   ~ThreadPool();
@@ -40,10 +33,6 @@ class ThreadPool {
   // Enqueues one task; returns a future for its completion. Exceptions
   // thrown by the task are delivered through the future.
   std::future<void> submit(std::function<void()> task);
-
-  // Installs (or clears, with nullptr) the latency observer. Tasks already
-  // queued keep the observer they were submitted under.
-  void set_task_observer(TaskObserver observer);
 
   // Runs body(i) for i in [0, n) across the pool and blocks until all are
   // done. Rethrows the first task exception. Chunked statically so results
@@ -89,7 +78,6 @@ class ThreadPool {
   CondVar cv_;
   std::deque<std::packaged_task<void()>> queue_ FEDCA_GUARDED_BY(mutex_);
   bool stop_ FEDCA_GUARDED_BY(mutex_) = false;
-  std::shared_ptr<const TaskObserver> observer_ FEDCA_GUARDED_BY(mutex_);
 };
 
 }  // namespace fedca::util

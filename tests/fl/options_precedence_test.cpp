@@ -8,9 +8,7 @@
 #include <cstdlib>
 #include <string>
 
-#include "obs/metrics.hpp"
-#include "obs/round_report.hpp"
-#include "obs/trace.hpp"
+#include "obs/session.hpp"
 #include "util/thread_pool.hpp"
 
 namespace fedca {
@@ -43,17 +41,7 @@ class ScopedEnv {
   bool had_ = false;
 };
 
-class OptionsPrecedenceTest : public ::testing::Test {
- protected:
-  void SetUp() override { reset_obs(); }
-  void TearDown() override { reset_obs(); }
-  static void reset_obs() {
-    obs::TraceCollector::global().reset();
-    obs::set_metrics_enabled(false);
-    obs::MetricsRegistry::global().reset();
-    obs::RoundReportWriter::global().reset();
-  }
-};
+class OptionsPrecedenceTest : public ::testing::Test {};
 
 TEST_F(OptionsPrecedenceTest, ExplicitObsPathsBeatEnvironment) {
   const std::string tmp = ::testing::TempDir();
@@ -61,15 +49,12 @@ TEST_F(OptionsPrecedenceTest, ExplicitObsPathsBeatEnvironment) {
   ScopedEnv metrics("FEDCA_METRICS", (tmp + "env_metrics.json").c_str());
   ScopedEnv report("FEDCA_REPORT", (tmp + "env_report.jsonl").c_str());
 
-  const auto paths = obs::configure(tmp + "expl_trace.json",
-                                    tmp + "expl_metrics.json",
-                                    tmp + "expl_report.jsonl");
-  EXPECT_EQ(paths.first, tmp + "expl_trace.json");
-  EXPECT_EQ(paths.second, tmp + "expl_metrics.json");
-  EXPECT_EQ(obs::TraceCollector::global().output_path(),
-            tmp + "expl_trace.json");
-  EXPECT_EQ(obs::RoundReportWriter::global().output_path(),
-            tmp + "expl_report.jsonl");
+  // make_setup builds every experiment's session from exactly this.
+  const obs::SessionOptions paths = obs::resolve_outputs(
+      tmp + "expl_trace.json", tmp + "expl_metrics.json", tmp + "expl_report.jsonl");
+  EXPECT_EQ(paths.trace_path, tmp + "expl_trace.json");
+  EXPECT_EQ(paths.metrics_path, tmp + "expl_metrics.json");
+  EXPECT_EQ(paths.report_path, tmp + "expl_report.jsonl");
 }
 
 TEST_F(OptionsPrecedenceTest, EmptyObsPathsFallBackToEnvironment) {
@@ -78,21 +63,24 @@ TEST_F(OptionsPrecedenceTest, EmptyObsPathsFallBackToEnvironment) {
   ScopedEnv metrics("FEDCA_METRICS", (tmp + "env_metrics.json").c_str());
   ScopedEnv report("FEDCA_REPORT", (tmp + "env_report.jsonl").c_str());
 
-  const auto paths = obs::configure("", "", "");
-  EXPECT_EQ(paths.first, tmp + "env_trace.json");
-  EXPECT_EQ(paths.second, tmp + "env_metrics.json");
-  EXPECT_EQ(obs::RoundReportWriter::global().output_path(),
-            tmp + "env_report.jsonl");
+  const obs::SessionOptions paths = obs::resolve_outputs("", "", "");
+  EXPECT_EQ(paths.trace_path, tmp + "env_trace.json");
+  EXPECT_EQ(paths.metrics_path, tmp + "env_metrics.json");
+  EXPECT_EQ(paths.report_path, tmp + "env_report.jsonl");
 }
 
 TEST_F(OptionsPrecedenceTest, NoPathsAnywhereLeavesOutputsDisarmed) {
   ScopedEnv trace("FEDCA_TRACE", nullptr);
   ScopedEnv metrics("FEDCA_METRICS", nullptr);
   ScopedEnv report("FEDCA_REPORT", nullptr);
-  const auto paths = obs::configure("", "", "");
-  EXPECT_TRUE(paths.first.empty());
-  EXPECT_TRUE(paths.second.empty());
-  EXPECT_TRUE(obs::RoundReportWriter::global().output_path().empty());
+  const obs::SessionOptions paths = obs::resolve_outputs("", "", "");
+  EXPECT_TRUE(paths.trace_path.empty());
+  EXPECT_TRUE(paths.metrics_path.empty());
+  EXPECT_TRUE(paths.report_path.empty());
+  const obs::Session session(paths);
+  EXPECT_EQ(session.trace(), nullptr);
+  EXPECT_EQ(session.metrics(), nullptr);
+  EXPECT_EQ(session.report(), nullptr);
 }
 
 TEST_F(OptionsPrecedenceTest, ExplicitWorkerCountBeatsThreadsEnv) {

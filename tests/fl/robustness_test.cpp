@@ -28,8 +28,7 @@
 #include "fl/async_engine.hpp"
 #include "fl/experiment.hpp"
 #include "fl/scenario.hpp"
-#include "obs/metrics.hpp"
-#include "obs/trace.hpp"
+#include "obs/session.hpp"
 #include "sim/faults.hpp"
 
 namespace fedca {
@@ -37,21 +36,34 @@ namespace {
 
 class RobustnessTest : public ::testing::Test {
  protected:
-  void SetUp() override { reset_obs(); }
-  void TearDown() override { reset_obs(); }
-  static void reset_obs() {
-    obs::TraceCollector::global().reset();
-    obs::set_metrics_enabled(false);
-    obs::MetricsRegistry::global().reset();
+  // Per-test output files in the temp dir, armed through the run's
+  // options or a session; run_experiment writes them before returning.
+  static std::string temp_path(const char* suffix) {
+    return ::testing::TempDir() + "robustness_" +
+           ::testing::UnitTest::GetInstance()->current_test_info()->name() + suffix;
+  }
+  static std::string metrics_path() { return temp_path("_metrics.csv"); }
+  void TearDown() override {
+    std::remove(metrics_path().c_str());
+    std::remove(temp_path("_trace.json").c_str());
+  }
+
+  // `name`'s value in the metrics CSV at metrics_path(); 0 when absent.
+  double counter_value(const std::string& name) const {
+    std::ifstream in(metrics_path());
+    std::string line;
+    while (std::getline(in, line)) {
+      if (line.rfind(name + ",", 0) != 0) continue;
+      std::istringstream row(line);
+      std::string field;
+      std::getline(row, field, ',');  // name
+      std::getline(row, field, ',');  // kind
+      std::getline(row, field, ',');  // value
+      return std::stod(field);
+    }
+    return 0.0;
   }
 };
-
-double counter_value(const std::string& name) {
-  for (const auto& row : obs::MetricsRegistry::global().snapshot()) {
-    if (row.name == name) return row.value;
-  }
-  return 0.0;
-}
 
 // The historical tiny() + chaos_faults() setup now lives in
 // scenarios/chaos.scn (also golden-pinned by tools_golden_scenario_chaos).
@@ -194,8 +206,8 @@ TEST_F(RobustnessTest, ChaosInvariantsHoldForFedCa) {
 }
 
 TEST_F(RobustnessTest, CrashingQuarterOfClientsCompletesWithCountersVisible) {
-  obs::set_metrics_enabled(true);
   fl::ExperimentOptions options = tiny();
+  options.metrics_path = metrics_path();
   options.num_clients = 8;
   options.faults.enabled = true;
   options.faults.crash_fraction = 0.25;
@@ -244,8 +256,8 @@ TEST_F(RobustnessTest, AllClientsCrashingStillTerminates) {
 }
 
 TEST_F(RobustnessTest, UploadTimeoutZeroYieldsEmptyRoundsAtRoundStart) {
-  obs::set_metrics_enabled(true);
   fl::ExperimentOptions options = tiny();
+  options.metrics_path = metrics_path();
   options.max_rounds = 2;
   options.upload_timeout = 0.0;  // every arrival is late
 
@@ -321,8 +333,8 @@ class EagerProbeScheme : public fl::Scheme {
 };
 
 TEST_F(RobustnessTest, LostEagerTransmissionsAreAlwaysRetransmitted) {
-  obs::set_metrics_enabled(true);
   fl::ExperimentOptions options = tiny();
+  options.metrics_path = metrics_path();
   options.max_rounds = 2;
   options.faults.enabled = true;
   options.faults.eager_loss_probability = 1.0;  // every eager payload lost
@@ -366,7 +378,8 @@ fl::AsyncEngineOptions async_fixture_options() {
 
 AsyncChaosFixture make_async_with_faults(
     std::uint64_t seed, std::vector<sim::FaultEvent> events,
-    fl::AsyncEngineOptions options = async_fixture_options()) {
+    fl::AsyncEngineOptions options = async_fixture_options(),
+    obs::Session* session = nullptr) {
   constexpr std::size_t clients = 5;
   AsyncChaosFixture fx;
   util::Rng root(seed);
@@ -397,7 +410,7 @@ AsyncChaosFixture make_async_with_faults(
 
   fx.engine = std::make_unique<fl::AsyncEngine>(fx.model.get(), fx.cluster.get(),
                                                 std::move(shards), options,
-                                                root.fork(7));
+                                                root.fork(7), session);
   return fx;
 }
 
@@ -418,18 +431,21 @@ TEST_F(RobustnessTest, AsyncMidCycleCrashCountedOnce) {
   // Client 0 crashes inside its first cycle: the cycle is lost, and the
   // relaunch finds the client permanently dead. Both events are the same
   // crash, so it is counted and traced once.
-  obs::set_metrics_enabled(true);
-  obs::TraceCollector::global().set_enabled(true);
+  obs::SessionOptions outputs;
+  outputs.metrics_path = metrics_path();
+  outputs.trace_path = temp_path("_trace.json");
+  obs::Session session(outputs);
   AsyncChaosFixture fx = make_async_with_faults(
-      24, {{sim::FaultKind::kCrash, /*client=*/0, /*start=*/1e-3, 0.0, 1.0}});
+      24, {{sim::FaultKind::kCrash, /*client=*/0, /*start=*/1e-3, 0.0, 1.0}},
+      async_fixture_options(), &session);
   const auto records = fx.engine->run_updates(10);
   ASSERT_FALSE(records.empty());
   EXPECT_EQ(records.front().client_id, 0u);
   EXPECT_TRUE(records.front().lost);
   EXPECT_EQ(fx.engine->live_clients(), 4u);
-  EXPECT_EQ(counter_value("faults.crashes"), 1.0);
+  EXPECT_EQ(session.metrics()->counter("faults.crashes").value(), 1.0);
   std::size_t crash_instants = 0;
-  for (const obs::TraceEvent& e : obs::TraceCollector::global().snapshot_events()) {
+  for (const obs::TraceEvent& e : session.trace()->snapshot_events()) {
     if (e.name == "fault.crash") ++crash_instants;
   }
   EXPECT_EQ(crash_instants, 1u);
@@ -572,8 +588,7 @@ TEST_F(RobustnessTest, FaultTraceValidatesWithCheckTrace) {
     fl::FedAvgScheme scheme;
     const fl::ExperimentResult result = fl::run_experiment(options, scheme);
     expect_invariants(result);
-  }
-  reset_obs();  // flushes are done; disarm before invoking the checker
+  }  // run_experiment returned: the trace is complete on disk
 
   const std::string cmd = std::string("python3 ") + FEDCA_SOURCE_DIR +
                           "/tools/check_trace.py " + trace_path +
@@ -584,8 +599,9 @@ TEST_F(RobustnessTest, FaultTraceValidatesWithCheckTrace) {
 }
 
 TEST_F(RobustnessTest, InjectedCrashDumpsTraceBeforeFinalFlush) {
-  // The crash dump, not the run's final flush, must put the trace on disk:
-  // run one round through make_setup and never call flush_outputs.
+  // The crash dump, not the session's final flush, must put the trace on
+  // disk: run one round through make_setup and read the file while the
+  // setup (and so its session) is still alive.
   const std::string trace_path = ::testing::TempDir() + "robustness_crash_dump.json";
   std::remove(trace_path.c_str());
   fl::ExperimentOptions options = tiny();
@@ -594,17 +610,18 @@ TEST_F(RobustnessTest, InjectedCrashDumpsTraceBeforeFinalFlush) {
   options.faults.crash_fraction = 0.5;
   options.faults.horizon_seconds = 1e-3;  // 3 crashes strike in round 0
   options.faults.seed = 2;
-  obs::configure(trace_path);
-  fl::FedAvgScheme scheme;
-  fl::ExperimentSetup setup = fl::make_setup(options, scheme);
-  setup.engine->run_round();
+  options.trace_path = trace_path;
+  {
+    fl::FedAvgScheme scheme;
+    fl::ExperimentSetup setup = fl::make_setup(options, scheme);
+    setup.engine->run_round();
 
-  std::ifstream in(trace_path);
-  ASSERT_TRUE(in.good()) << "no crash dump at " << trace_path;
-  std::ostringstream dump;
-  dump << in.rdbuf();
-  EXPECT_NE(dump.str().find("\"fault.crash\""), std::string::npos);
-  reset_obs();  // disarm so the atexit flush does not rewrite the file
+    std::ifstream in(trace_path);
+    ASSERT_TRUE(in.good()) << "no crash dump at " << trace_path;
+    std::ostringstream dump;
+    dump << in.rdbuf();
+    EXPECT_NE(dump.str().find("\"fault.crash\""), std::string::npos);
+  }
   std::remove(trace_path.c_str());
 }
 

@@ -8,35 +8,39 @@
 #include <string>
 #include <vector>
 
-#include "obs/metrics.hpp"
+#include "obs/session.hpp"
 #include "util/thread_pool.hpp"
 
 namespace fedca {
 namespace {
 
+// A session with metrics armed (snapshot written to a temp file when it
+// goes away), current on this thread for the test's extent.
 class MetricsTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    obs::MetricsRegistry::global().reset();
-    obs::set_metrics_enabled(true);
+  static obs::SessionOptions armed() {
+    obs::SessionOptions options;
+    options.metrics_path = ::testing::TempDir() + "metrics_fixture.csv";
+    return options;
   }
-  void TearDown() override {
-    obs::set_metrics_enabled(false);
-    obs::MetricsRegistry::global().reset();
-  }
+  void TearDown() override { std::remove(armed().metrics_path.c_str()); }
+
+  obs::Session session_{armed()};
+  obs::SessionScope scope_{&session_};
+  obs::MetricsRegistry& registry = *session_.metrics();
 };
 
 TEST_F(MetricsTest, CounterAccumulates) {
-  obs::Counter& c = obs::MetricsRegistry::global().counter("t.counter");
+  obs::Counter& c = registry.counter("t.counter");
   c.add();
   c.add(2.5);
   EXPECT_DOUBLE_EQ(c.value(), 3.5);
   // Same name returns the same instrument.
-  EXPECT_EQ(&c, &obs::MetricsRegistry::global().counter("t.counter"));
+  EXPECT_EQ(&c, &registry.counter("t.counter"));
 }
 
 TEST_F(MetricsTest, GaugeKeepsLastValue) {
-  obs::Gauge& g = obs::MetricsRegistry::global().gauge("t.gauge");
+  obs::Gauge& g = registry.gauge("t.gauge");
   g.set(1.0);
   g.set(-7.0);
   EXPECT_DOUBLE_EQ(g.value(), -7.0);
@@ -44,7 +48,7 @@ TEST_F(MetricsTest, GaugeKeepsLastValue) {
 
 TEST_F(MetricsTest, HistogramSummaryAndQuantiles) {
   obs::HistogramMetric& h =
-      obs::MetricsRegistry::global().histogram("t.histo", 0.0, 100.0, 100);
+      registry.histogram("t.histo", 0.0, 100.0, 100);
   for (int i = 0; i < 100; ++i) h.record(static_cast<double>(i) + 0.5);
   EXPECT_EQ(h.count(), 100u);
   const util::RunningStats s = h.summary();
@@ -66,14 +70,14 @@ TEST_F(MetricsTest, HistogramSummaryAndQuantiles) {
 // one full bucket high (p90 of 10..100 read 95 instead of 90).
 TEST_F(MetricsTest, HistogramBucketEdgesBelongToTheLowerBucket) {
   obs::HistogramMetric& h =
-      obs::MetricsRegistry::global().histogram("t.edges", 0.0, 100.0, 10);
+      registry.histogram("t.edges", 0.0, 100.0, 10);
   for (int v = 10; v <= 100; v += 10) h.record(static_cast<double>(v));
   EXPECT_EQ(h.count(), 10u);
   EXPECT_DOUBLE_EQ(h.quantile(0.5), 50.0);
   EXPECT_DOUBLE_EQ(h.quantile(0.9), 90.0);
   // The first bucket is closed on both ends: lo itself stays in bucket 0.
   obs::HistogramMetric& lo =
-      obs::MetricsRegistry::global().histogram("t.edges.lo", 0.0, 10.0, 10);
+      registry.histogram("t.edges.lo", 0.0, 10.0, 10);
   lo.record(0.0);
   EXPECT_DOUBLE_EQ(lo.quantile(1.0), 0.0);
 }
@@ -86,7 +90,9 @@ TEST_F(MetricsTest, ConcurrentRecordingThroughThreadPool) {
     std::vector<std::future<void>> futures;
     futures.reserve(kTasks);
     for (int t = 0; t < kTasks; ++t) {
-      futures.push_back(pool.submit([] {
+      futures.push_back(pool.submit([this] {
+        // Pool workers record into a session only while one is installed.
+        const obs::SessionScope scope(&session_);
         for (int i = 0; i < kPerTask; ++i) {
           FEDCA_MCOUNT("t.concurrent.count", 1.0);
           FEDCA_MHISTO("t.concurrent.histo", 0.0, 1.0, 10,
@@ -97,44 +103,39 @@ TEST_F(MetricsTest, ConcurrentRecordingThroughThreadPool) {
     for (auto& f : futures) f.get();
   }
   EXPECT_DOUBLE_EQ(
-      obs::MetricsRegistry::global().counter("t.concurrent.count").value(),
+      registry.counter("t.concurrent.count").value(),
       static_cast<double>(kTasks) * kPerTask);
-  EXPECT_EQ(obs::MetricsRegistry::global()
+  EXPECT_EQ(registry
                 .histogram("t.concurrent.histo", 0.0, 1.0, 10)
                 .count(),
             static_cast<std::size_t>(kTasks) * kPerTask);
 }
 
-TEST_F(MetricsTest, ThreadPoolObserverFeedsRegistry) {
-  {
-    util::ThreadPool pool(2);
-    obs::install_thread_pool_metrics(pool);
-    std::vector<std::future<void>> futures;
-    for (int t = 0; t < 8; ++t) futures.push_back(pool.submit([] {}));
-    for (auto& f : futures) f.get();
-  }
-  EXPECT_DOUBLE_EQ(
-      obs::MetricsRegistry::global().counter("threadpool.tasks").value(), 8.0);
-  EXPECT_EQ(obs::MetricsRegistry::global()
-                .histogram("threadpool.run_seconds", 0.0, 10.0, 50)
-                .count(),
-            8u);
-}
-
 TEST_F(MetricsTest, MacrosAreNoOpsWhenDisabled) {
-  obs::set_metrics_enabled(false);
-  FEDCA_MCOUNT("t.disabled", 1.0);
-  FEDCA_MGAUGE("t.disabled.gauge", 5.0);
-  FEDCA_MHISTO("t.disabled.histo", 0.0, 1.0, 4, 0.5);
-  EXPECT_TRUE(obs::MetricsRegistry::global().snapshot().empty());
+  // The current session has no metrics: the macros record nowhere, not
+  // even into the armed session further out.
+  obs::Session disarmed{obs::SessionOptions{}};
+  {
+    const obs::SessionScope scope(&disarmed);
+    EXPECT_EQ(obs::current_metrics(), nullptr);
+    FEDCA_MCOUNT("t.disabled", 1.0);
+    FEDCA_MGAUGE("t.disabled.gauge", 5.0);
+    FEDCA_MHISTO("t.disabled.histo", 0.0, 1.0, 4, 0.5);
+  }
+  // No session at all behaves the same.
+  {
+    const obs::SessionScope none(nullptr);
+    FEDCA_MCOUNT("t.disabled", 1.0);
+  }
+  EXPECT_TRUE(registry.snapshot().empty());
 }
 
 TEST_F(MetricsTest, SnapshotIsSortedAndDeterministic) {
   FEDCA_MCOUNT("zeta.count", 2.0);
   FEDCA_MGAUGE("alpha.gauge", 1.0);
   FEDCA_MHISTO("mid.histo", 0.0, 10.0, 10, 3.0);
-  const std::vector<obs::MetricRow> a = obs::MetricsRegistry::global().snapshot();
-  const std::vector<obs::MetricRow> b = obs::MetricsRegistry::global().snapshot();
+  const std::vector<obs::MetricRow> a = registry.snapshot();
+  const std::vector<obs::MetricRow> b = registry.snapshot();
   ASSERT_EQ(a.size(), 3u);
   EXPECT_EQ(a[0].name, "alpha.gauge");
   EXPECT_EQ(a[0].kind, "gauge");
@@ -153,7 +154,7 @@ TEST_F(MetricsTest, WritersEmitOneRowPerMetric) {
   FEDCA_MCOUNT("w.count", 4.0);
   FEDCA_MHISTO("w.histo", 0.0, 1.0, 4, 0.25);
   std::ostringstream jsonl;
-  obs::MetricsRegistry::global().write_jsonl(jsonl);
+  registry.write_jsonl(jsonl);
   std::string line;
   std::istringstream in(jsonl.str());
   std::size_t lines = 0;
@@ -165,7 +166,7 @@ TEST_F(MetricsTest, WritersEmitOneRowPerMetric) {
   EXPECT_EQ(lines, 2u);
 
   std::ostringstream csv;
-  obs::MetricsRegistry::global().write_csv(csv);
+  registry.write_csv(csv);
   std::istringstream csv_in(csv.str());
   lines = 0;
   while (std::getline(csv_in, line)) ++lines;
@@ -177,8 +178,8 @@ TEST_F(MetricsTest, SavePicksFormatByExtension) {
   FEDCA_MCOUNT("s.count", 1.0);
   const std::string csv_path = ::testing::TempDir() + "metrics_test.csv";
   const std::string jsonl_path = ::testing::TempDir() + "metrics_test.jsonl";
-  obs::MetricsRegistry::global().save(csv_path);
-  obs::MetricsRegistry::global().save(jsonl_path);
+  registry.save(csv_path);
+  registry.save(jsonl_path);
   std::ifstream csv(csv_path);
   std::string first;
   std::getline(csv, first);

@@ -16,19 +16,9 @@
 namespace fedca {
 namespace {
 
-class RecorderTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    obs::TraceCollector::global().reset();  // also resets the recorder
-    obs::MetricsRegistry::global().reset();
-    obs::set_metrics_enabled(false);
-  }
-  void TearDown() override {
-    obs::TraceCollector::global().reset();
-    obs::MetricsRegistry::global().reset();
-    obs::set_metrics_enabled(false);
-  }
-};
+// Every test builds its own recorder (or a collector, which owns one), so
+// nothing carries over between tests.
+class RecorderTest : public ::testing::Test {};
 
 TEST_F(RecorderTest, AppendArgPacksPairsAndRejectsOverflow) {
   obs::RecorderEvent event{};
@@ -64,8 +54,8 @@ TEST_F(RecorderTest, EventRingDropsNewestAndCountsExactly) {
   EXPECT_EQ(ring.dropped(), 6u);  // accounting survives the drain
 }
 
-// Satellite: fill rings past capacity under 8 concurrent threads (auto
-// drain disabled so the wrap is deterministic), then assert the published
+// Fill rings past capacity under 8 concurrent threads (auto drain
+// disabled so the wrap is deterministic), then assert the published
 // obs.recorder.dropped counter is EXACT and every surviving per-thread
 // stream is chronologically valid — the first `capacity` events, in order.
 TEST_F(RecorderTest, EightThreadWrapAccountsEveryDropExactly) {
@@ -73,12 +63,12 @@ TEST_F(RecorderTest, EightThreadWrapAccountsEveryDropExactly) {
   constexpr std::size_t kCapacity = 64;
   constexpr std::size_t kPushes = 100;
 
-  obs::TraceCollector& collector = obs::TraceCollector::global();
-  collector.set_enabled(true);
-  obs::set_metrics_enabled(true);
-  obs::Recorder& recorder = obs::Recorder::global();
-  recorder.set_auto_drain(false);
-  recorder.set_ring_capacity(kCapacity);  // applies to rings created below
+  obs::MetricsRegistry registry;
+  obs::TraceOptions options;
+  options.metrics = &registry;
+  options.ring_capacity = kCapacity;
+  options.auto_drain = false;
+  obs::TraceCollector collector(options);
 
   std::vector<std::thread> threads;
   std::vector<std::uint32_t> tids(kThreads, 0);
@@ -113,11 +103,10 @@ TEST_F(RecorderTest, EightThreadWrapAccountsEveryDropExactly) {
     }
   }
 
-  const double dropped =
-      obs::MetricsRegistry::global().counter("obs.recorder.dropped").value();
+  const double dropped = registry.counter("obs.recorder.dropped").value();
   EXPECT_DOUBLE_EQ(dropped,
                    static_cast<double>(kThreads * (kPushes - kCapacity)));
-  EXPECT_EQ(recorder.dropped_total(), kThreads * (kPushes - kCapacity));
+  EXPECT_EQ(collector.recorder().dropped_total(), kThreads * (kPushes - kCapacity));
 }
 
 TEST_F(RecorderTest, EventRingPopIntoPreservesOrderAndAccounting) {
@@ -137,11 +126,10 @@ TEST_F(RecorderTest, EventRingPopIntoPreservesOrderAndAccounting) {
 
 // Regression (found by fedca_analyze lock-callback): drain() used to invoke
 // the sink while holding the drain mutex, so a sink that re-entered the
-// recorder (nested drain, sink re-install) deadlocked. Collection is still
+// recorder (a nested drain) deadlocked. Collection is still
 // serialized, but delivery now happens after the lock is released.
 TEST_F(RecorderTest, DrainSinkMayReenterRecorder) {
-  obs::Recorder& recorder = obs::Recorder::global();
-  recorder.set_auto_drain(false);
+  obs::Recorder recorder;  // no sink: no volunteer drain
 
   obs::RecorderEvent event{};
   event.kind = obs::RecordKind::kInstant;
@@ -166,11 +154,11 @@ TEST_F(RecorderTest, AutoDrainKeepsEveryEventPastRingCapacity) {
   constexpr std::size_t kCapacity = 128;
   constexpr std::size_t kPushes = 1000;
 
-  obs::TraceCollector& collector = obs::TraceCollector::global();
-  collector.set_enabled(true);
-  obs::Recorder::global().set_ring_capacity(kCapacity);
+  obs::TraceOptions options;
+  options.ring_capacity = kCapacity;
   // auto_drain is on by default: the producing thread volunteers to empty
   // the rings into the collector at the 3/4 high-water mark.
+  obs::TraceCollector collector(options);
   std::thread producer([&collector] {
     for (std::size_t i = 0; i < kPushes; ++i) {
       collector.record_wall_span("flood.span", static_cast<double>(i),
@@ -180,13 +168,14 @@ TEST_F(RecorderTest, AutoDrainKeepsEveryEventPastRingCapacity) {
   producer.join();
 
   EXPECT_EQ(collector.event_count(), kPushes);
-  EXPECT_EQ(obs::Recorder::global().dropped_total(), 0u);
+  EXPECT_EQ(collector.recorder().dropped_total(), 0u);
 }
 
 TEST_F(RecorderTest, OversizeArgsAreTruncatedAndCounted) {
-  obs::TraceCollector& collector = obs::TraceCollector::global();
-  collector.set_enabled(true);
-  obs::set_metrics_enabled(true);
+  obs::MetricsRegistry registry;
+  obs::TraceOptions options;
+  options.metrics = &registry;
+  obs::TraceCollector collector(options);
 
   const std::string big(obs::RecorderEvent::kArgCapacity, 'v');
   collector.record_span(1, "args.span", 0.0, 1.0,
@@ -197,30 +186,7 @@ TEST_F(RecorderTest, OversizeArgsAreTruncatedAndCounted) {
   ASSERT_EQ(events[0].args.size(), 1u);  // oversize pair dropped, first kept
   EXPECT_EQ(events[0].args[0].first, "kept");
   EXPECT_EQ(events[0].args[0].second, "yes");
-  EXPECT_GE(
-      obs::MetricsRegistry::global().counter("obs.recorder.truncated").value(),
-      1.0);
-}
-
-TEST_F(RecorderTest, ResetClearsCountsAndRestoresDefaults) {
-  obs::Recorder& recorder = obs::Recorder::global();
-  recorder.set_auto_drain(false);
-  recorder.set_ring_capacity(2);
-
-  obs::RecorderEvent event{};
-  event.kind = obs::RecordKind::kInstant;
-  std::thread producer([&recorder, event]() mutable {
-    for (int i = 0; i < 8; ++i) recorder.record(event);
-  });
-  producer.join();
-  EXPECT_EQ(recorder.dropped_total(), 6u);
-  EXPECT_EQ(recorder.pending_events(), 2u);
-
-  recorder.reset();
-  EXPECT_EQ(recorder.dropped_total(), 0u);
-  EXPECT_EQ(recorder.pending_events(), 0u);
-  EXPECT_TRUE(recorder.auto_drain());
-  EXPECT_EQ(recorder.ring_capacity(), obs::Recorder::kDefaultRingCapacity);
+  EXPECT_GE(registry.counter("obs.recorder.truncated").value(), 1.0);
 }
 
 }  // namespace

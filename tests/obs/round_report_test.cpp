@@ -1,5 +1,6 @@
 // RoundReport pipeline: derived-field computation, deterministic JSONL
-// serialization, the global writer, and the engines' emission paths.
+// serialization, the writer, and the engines' emission paths into their
+// session's report.
 #include "obs/round_report.hpp"
 
 #include <gtest/gtest.h>
@@ -20,11 +21,7 @@
 namespace fedca {
 namespace {
 
-class RoundReportTest : public ::testing::Test {
- protected:
-  void SetUp() override { obs::RoundReportWriter::global().reset(); }
-  void TearDown() override { obs::RoundReportWriter::global().reset(); }
-};
+class RoundReportTest : public ::testing::Test {};
 
 obs::ClientRoundReport client(std::size_t id, const std::string& outcome,
                               double duration, double weight = 0.0) {
@@ -121,10 +118,7 @@ TEST_F(RoundReportTest, WriterAppendsLinesToDiskImmediately) {
   const std::string path =
       ::testing::TempDir() + "/fedca_round_report_test.jsonl";
   std::remove(path.c_str());
-  obs::RoundReportWriter& writer = obs::RoundReportWriter::global();
-  EXPECT_FALSE(writer.enabled());
-  writer.set_output_path(path);
-  EXPECT_TRUE(writer.enabled());
+  obs::RoundReportWriter writer(path);
 
   obs::RoundReport report;
   report.round_index = 0;
@@ -152,33 +146,34 @@ TEST_F(RoundReportTest, RoundEngineEmitsOneLinePerRound) {
   const std::string path =
       ::testing::TempDir() + "/fedca_round_engine_report.jsonl";
   std::remove(path.c_str());
-  obs::RoundReportWriter::global().set_output_path(path);
+  {  // the session writes the report once more when it goes away
+    // Geometry from the committed baseline scenario; only the knobs this
+    // test asserts on are overridden.
+    const fl::Scenario sc = fl::load_scenario_file(
+        std::string(FEDCA_SOURCE_DIR) + "/scenarios/faultfree.scn");
+    fl::ExperimentOptions options = sc.options;
+    options.num_clients = 4;
+    options.local_iterations = 3;
+    options.train_samples = 160;
+    options.test_samples = 32;
+    options.collect_fraction = 0.75;
+    options.worker_threads = 1;
+    options.seed = 9;
+    options.report_path = path;
+    fl::FedAvgScheme scheme;
+    fl::ExperimentSetup setup = fl::make_setup(options, scheme);
+    setup.engine->run_round();
+    setup.engine->run_round();
 
-  // Geometry from the committed baseline scenario; only the knobs this
-  // test asserts on are overridden.
-  const fl::Scenario sc = fl::load_scenario_file(
-      std::string(FEDCA_SOURCE_DIR) + "/scenarios/faultfree.scn");
-  fl::ExperimentOptions options = sc.options;
-  options.num_clients = 4;
-  options.local_iterations = 3;
-  options.train_samples = 160;
-  options.test_samples = 32;
-  options.collect_fraction = 0.75;
-  options.worker_threads = 1;
-  options.seed = 9;
-  fl::FedAvgScheme scheme;
-  fl::ExperimentSetup setup = fl::make_setup(options, scheme);
-  setup.engine->run_round();
-  setup.engine->run_round();
-
-  const std::vector<std::string> lines = obs::RoundReportWriter::global().lines();
-  ASSERT_EQ(lines.size(), 2u);
-  EXPECT_NE(lines[0].find("\"type\":\"round\",\"round\":0"), std::string::npos);
-  EXPECT_NE(lines[1].find("\"type\":\"round\",\"round\":1"), std::string::npos);
-  // 4 participants -> 4 client objects, 3 collected + 1 shed at 0.75.
-  EXPECT_NE(lines[0].find("\"participants\":4"), std::string::npos);
-  EXPECT_NE(lines[0].find("\"collected\":3"), std::string::npos);
-  EXPECT_NE(lines[0].find("\"shed\":1"), std::string::npos);
+    const std::vector<std::string> lines = setup.session->report()->lines();
+    ASSERT_EQ(lines.size(), 2u);
+    EXPECT_NE(lines[0].find("\"type\":\"round\",\"round\":0"), std::string::npos);
+    EXPECT_NE(lines[1].find("\"type\":\"round\",\"round\":1"), std::string::npos);
+    // 4 participants -> 4 client objects, 3 collected + 1 shed at 0.75.
+    EXPECT_NE(lines[0].find("\"participants\":4"), std::string::npos);
+    EXPECT_NE(lines[0].find("\"collected\":3"), std::string::npos);
+    EXPECT_NE(lines[0].find("\"shed\":1"), std::string::npos);
+  }
   std::remove(path.c_str());
 }
 
@@ -186,42 +181,46 @@ TEST_F(RoundReportTest, AsyncEngineEmitsOneLinePerUpdate) {
   const std::string path =
       ::testing::TempDir() + "/fedca_async_engine_report.jsonl";
   std::remove(path.c_str());
-  obs::RoundReportWriter::global().set_output_path(path);
+  {  // the session writes the report once more when it goes away
+    obs::SessionOptions outputs;
+    outputs.report_path = path;
+    obs::Session session(outputs);
 
-  util::Rng root(11);
-  util::Rng model_rng = root.fork(1);
-  auto model = std::make_unique<nn::Classifier>(
-      nn::build_model(nn::ModelKind::kCnn, model_rng));
-  data::SyntheticSpec spec;
-  util::Rng data_rng = root.fork(2);
-  data::SyntheticTask task(nn::ModelKind::kCnn, spec, data_rng);
-  util::Rng train_rng = root.fork(3);
-  data::Dataset train = task.sample(160, train_rng);
-  data::PartitionOptions part;
-  part.num_clients = 4;
-  part.num_classes = spec.num_classes;
-  util::Rng part_rng = root.fork(4);
-  auto shards = data::dirichlet_partition(train, part, part_rng);
-  sim::ClusterOptions copts;
-  copts.num_clients = 4;
-  util::Rng cluster_rng = root.fork(5);
-  sim::Cluster cluster(copts, cluster_rng);
-  fl::AsyncEngineOptions aopts;
-  aopts.local_iterations = 3;
-  aopts.batch_size = 8;
-  aopts.worker_threads = 1;
-  fl::AsyncEngine engine(model.get(), &cluster, std::move(shards), aopts,
-                         root.fork(6));
-  engine.run_updates(5);
+    util::Rng root(11);
+    util::Rng model_rng = root.fork(1);
+    auto model = std::make_unique<nn::Classifier>(
+        nn::build_model(nn::ModelKind::kCnn, model_rng));
+    data::SyntheticSpec spec;
+    util::Rng data_rng = root.fork(2);
+    data::SyntheticTask task(nn::ModelKind::kCnn, spec, data_rng);
+    util::Rng train_rng = root.fork(3);
+    data::Dataset train = task.sample(160, train_rng);
+    data::PartitionOptions part;
+    part.num_clients = 4;
+    part.num_classes = spec.num_classes;
+    util::Rng part_rng = root.fork(4);
+    auto shards = data::dirichlet_partition(train, part, part_rng);
+    sim::ClusterOptions copts;
+    copts.num_clients = 4;
+    util::Rng cluster_rng = root.fork(5);
+    sim::Cluster cluster(copts, cluster_rng);
+    fl::AsyncEngineOptions aopts;
+    aopts.local_iterations = 3;
+    aopts.batch_size = 8;
+    aopts.worker_threads = 1;
+    fl::AsyncEngine engine(model.get(), &cluster, std::move(shards), aopts,
+                           root.fork(6), &session);
+    engine.run_updates(5);
 
-  const std::vector<std::string> lines = obs::RoundReportWriter::global().lines();
-  ASSERT_EQ(lines.size(), 5u);
-  for (std::size_t i = 0; i < lines.size(); ++i) {
-    EXPECT_NE(lines[i].find("\"type\":\"async_update\",\"update\":" +
-                            std::to_string(i)),
-              std::string::npos)
-        << lines[i];
-    EXPECT_NE(lines[i].find("\"outcome\":\"applied\""), std::string::npos);
+    const std::vector<std::string> lines = session.report()->lines();
+    ASSERT_EQ(lines.size(), 5u);
+    for (std::size_t i = 0; i < lines.size(); ++i) {
+      EXPECT_NE(lines[i].find("\"type\":\"async_update\",\"update\":" +
+                              std::to_string(i)),
+                std::string::npos)
+          << lines[i];
+      EXPECT_NE(lines[i].find("\"outcome\":\"applied\""), std::string::npos);
+    }
   }
   std::remove(path.c_str());
 }

@@ -1,47 +1,64 @@
-// Span tracer: clock domains, pid allocation, Chrome-trace JSON output.
+// Span tracer: clock domains, pid allocation, Chrome-trace JSON output,
+// and how a session arms it.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "obs/metrics.hpp"
-#include "obs/trace.hpp"
+#include "obs/session.hpp"
 
 namespace fedca {
 namespace {
 
+// A session that traces into a temp file (written when it goes away) and
+// is current on this thread for the test's extent.
 class TraceTest : public ::testing::Test {
  protected:
-  void SetUp() override { obs::TraceCollector::global().reset(); }
-  void TearDown() override {
-    obs::TraceCollector::global().reset();
-    obs::set_metrics_enabled(false);  // configure() may have armed metrics
-    obs::MetricsRegistry::global().reset();
+  static obs::SessionOptions traced(bool kernel_detail = false) {
+    obs::SessionOptions options;
+    options.trace_path = ::testing::TempDir() + "trace_test.json";
+    options.kernel_detail = kernel_detail;
+    return options;
   }
+  void TearDown() override { std::remove(traced().trace_path.c_str()); }
+
+  obs::Session session_{traced()};
+  obs::SessionScope scope_{&session_};
+  obs::TraceCollector& t = *session_.trace();
 };
 
 TEST_F(TraceTest, DisabledCollectorRecordsNothing) {
-  obs::TraceCollector& t = obs::TraceCollector::global();
-  EXPECT_FALSE(t.enabled());
-  t.record_span(1, "ignored", 0.0, 1.0);
-  t.record_instant(1, "ignored", 0.5);
-  { FEDCA_WALL_SPAN("ignored.wall"); }
+  // A session without a trace path has no collector, and its wall spans
+  // record nowhere — not even into an armed session further out.
+  obs::Session untraced{obs::SessionOptions{}};
+  EXPECT_EQ(untraced.trace(), nullptr);
+  {
+    const obs::SessionScope inner(&untraced);
+    EXPECT_EQ(obs::current_trace(), nullptr);
+    { FEDCA_WALL_SPAN("ignored.wall"); }
+    { FEDCA_KERNEL_SPAN("ignored.kernel"); }
+  }
+  EXPECT_EQ(obs::current_trace(), &t);
   EXPECT_EQ(t.event_count(), 0u);
 }
 
 TEST_F(TraceTest, OutputPathArmsCollector) {
-  obs::TraceCollector& t = obs::TraceCollector::global();
-  t.set_output_path("some/trace.json");
-  EXPECT_TRUE(t.enabled());
-  EXPECT_EQ(t.output_path(), "some/trace.json");
-  t.set_output_path("");
-  EXPECT_FALSE(t.enabled());
+  EXPECT_NE(session_.trace(), nullptr);
+  EXPECT_EQ(session_.options().trace_path, traced().trace_path);
+  obs::SessionOptions unarmed;
+  unarmed.metrics_path = ::testing::TempDir() + "trace_test_metrics.csv";
+  {
+    obs::Session metrics_only(unarmed);
+    EXPECT_EQ(metrics_only.trace(), nullptr);
+    EXPECT_NE(metrics_only.metrics(), nullptr);
+  }
+  std::remove(unarmed.metrics_path.c_str());
 }
 
 TEST_F(TraceTest, PidAllocationSkipsWallPid) {
-  obs::TraceCollector& t = obs::TraceCollector::global();
   const std::uint32_t first = t.allocate_process_ids(3);
   const std::uint32_t second = t.allocate_process_ids(2);
   EXPECT_GT(first, obs::kWallClockPid);
@@ -49,8 +66,6 @@ TEST_F(TraceTest, PidAllocationSkipsWallPid) {
 }
 
 TEST_F(TraceTest, VirtualAndWallDomainsStayDistinct) {
-  obs::TraceCollector& t = obs::TraceCollector::global();
-  t.set_enabled(true);
   const std::uint32_t pid = t.allocate_process_ids(1);
   t.set_process_name(pid, "client 0");
   t.record_span(pid, "compute", 1.0, 3.5, {{"round", "2"}});
@@ -75,8 +90,6 @@ TEST_F(TraceTest, VirtualAndWallDomainsStayDistinct) {
 }
 
 TEST_F(TraceTest, NestedWallSpansBothRecorded) {
-  obs::TraceCollector& t = obs::TraceCollector::global();
-  t.set_enabled(true);
   {
     FEDCA_WALL_SPAN("outer");
     { FEDCA_WALL_SPAN("inner"); }
@@ -95,19 +108,18 @@ TEST_F(TraceTest, NestedWallSpansBothRecorded) {
 }
 
 TEST_F(TraceTest, KernelSpansRequireDetailFlag) {
-  obs::TraceCollector& t = obs::TraceCollector::global();
-  t.set_enabled(true);
   { FEDCA_KERNEL_SPAN("conv2d.forward"); }
   EXPECT_EQ(t.event_count(), 0u);
-  t.set_kernel_detail(true);
-  { FEDCA_KERNEL_SPAN("conv2d.forward"); }
-  EXPECT_EQ(t.event_count(), 1u);
-  t.set_kernel_detail(false);
+  obs::Session detailed(traced(/*kernel_detail=*/true));
+  {
+    const obs::SessionScope scope(&detailed);
+    { FEDCA_KERNEL_SPAN("conv2d.forward"); }
+  }
+  EXPECT_EQ(detailed.trace()->event_count(), 1u);
+  EXPECT_EQ(t.event_count(), 0u);
 }
 
 TEST_F(TraceTest, ChromeJsonIsValidAndSorted) {
-  obs::TraceCollector& t = obs::TraceCollector::global();
-  t.set_enabled(true);
   const std::uint32_t base = t.allocate_process_ids(2);
   t.set_process_name(base, "server");
   t.set_process_name(base + 1, "client 0");
@@ -136,8 +148,6 @@ TEST_F(TraceTest, ChromeJsonIsValidAndSorted) {
 }
 
 TEST_F(TraceTest, ArgsEscapedInJson) {
-  obs::TraceCollector& t = obs::TraceCollector::global();
-  t.set_enabled(true);
   const std::uint32_t pid = t.allocate_process_ids(1);
   t.record_instant(pid, "odd \"name\"", 0.0, {{"k", "va\\lue\n"}});
   std::ostringstream os;
@@ -148,24 +158,24 @@ TEST_F(TraceTest, ArgsEscapedInJson) {
 }
 
 TEST_F(TraceTest, ConfigureHonorsExplicitPathsOverEnv) {
-  // Explicit argument wins regardless of environment.
-  const auto paths = obs::configure("explicit_trace.json", "explicit_metrics.csv");
-  EXPECT_EQ(paths.first, "explicit_trace.json");
-  EXPECT_EQ(paths.second, "explicit_metrics.csv");
-  EXPECT_TRUE(obs::TraceCollector::global().enabled());
-  EXPECT_EQ(obs::TraceCollector::global().output_path(), "explicit_trace.json");
+  // Explicit paths win regardless of environment.
+  const obs::SessionOptions options =
+      obs::resolve_outputs("explicit_trace.json", "explicit_metrics.csv", "");
+  EXPECT_EQ(options.trace_path, "explicit_trace.json");
+  EXPECT_EQ(options.metrics_path, "explicit_metrics.csv");
 }
 
 TEST_F(TraceTest, ResetClearsEverything) {
-  obs::TraceCollector& t = obs::TraceCollector::global();
-  t.set_output_path("x.json");
+  // What one session recorded never reaches the next: a new session starts
+  // with no events, no process names and pids from 1 again.
   const std::uint32_t pid = t.allocate_process_ids(1);
+  t.set_process_name(pid, "client 0");
   t.record_instant(pid, "e", 0.0);
-  t.reset();
-  EXPECT_FALSE(t.enabled());
-  EXPECT_EQ(t.event_count(), 0u);
-  EXPECT_TRUE(t.output_path().empty());
-  EXPECT_TRUE(t.process_names().empty());
+  ASSERT_EQ(t.event_count(), 1u);
+  obs::Session next(traced());
+  EXPECT_EQ(next.trace()->event_count(), 0u);
+  EXPECT_TRUE(next.trace()->process_names().empty());
+  EXPECT_EQ(next.trace()->allocate_process_ids(1), pid);
 }
 
 }  // namespace

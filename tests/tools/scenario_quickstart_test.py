@@ -54,10 +54,12 @@ def main() -> int:
     args = parser.parse_args()
 
     with tempfile.TemporaryDirectory() as tmp:
-        via_args = Path(tmp) / "quickstart.jsonl"
+        # quickstart writes each scheme's report with ".<scheme>" before
+        # the extension; QUICKSTART_ARGS runs scheme=fedavg only.
+        via_args = Path(tmp) / "quickstart.fedavg.jsonl"
         via_file = Path(tmp) / "scenario.jsonl"
         if not run([args.quickstart, *QUICKSTART_ARGS,
-                    f"report={via_args}"]):
+                    f"report={Path(tmp) / 'quickstart.jsonl'}"]):
             return 1
         if not run([args.runner, args.scenario, f"report={via_file}"]):
             return 1

@@ -231,8 +231,8 @@ def main():
             if not is_number(index):
                 fail(f"line {i}: round line without a numeric index")
             # Indices strictly increase within one engine run; a reset to 0
-            # starts a new segment (one file may hold several runs, e.g.
-            # quickstart reports fedavg then fedca back-to-back).
+            # starts a new segment (a file concatenated from several runs'
+            # reports).
             if last_round is not None and index <= last_round and index != 0:
                 fail(f"line {i}: round index {index} does not increase")
             last_round = index

@@ -172,21 +172,25 @@ if [ "${FEDCA_SIMD_SWEEP:-1}" != "0" ]; then
   run_logged simd_output.txt simd_sweep
 fi
 
-# Observability smoke: a traced quickstart must produce a Chrome-trace file
-# that check_trace.py accepts, with the canonical span set present, and a
-# run_report.jsonl that tools/report.py validates structurally.
+# Observability smoke: a traced quickstart must produce, for each scheme it
+# runs, a Chrome-trace file that check_trace.py accepts, with the canonical
+# span set present, and a run_report.jsonl that tools/report.py validates
+# structurally. Every experiment writes its own files: quickstart puts
+# ".<scheme>" before each path's extension.
 echo "===== traced quickstart =====" | tee trace_output.txt
 run_logged trace_output.txt env \
   FEDCA_TRACE=results/quickstart_trace.json \
   FEDCA_METRICS=results/quickstart_metrics.csv \
   build/examples/quickstart rounds=6 clients=6 k=12 samples=600 \
-  report=results/quickstart_report.jsonl
-run_logged trace_output.txt \
-  python3 tools/check_trace.py results/quickstart_trace.json \
-  --expect download --expect compute --expect upload.final --expect aggregate \
-  --expect round
-run_logged trace_output.txt \
-  python3 tools/report.py results/quickstart_report.jsonl --summary
+  report=results/quickstart_report.jsonl scheme=fedavg,fedca
+for scheme in fedavg fedca; do
+  run_logged trace_output.txt \
+    python3 tools/check_trace.py "results/quickstart_trace.$scheme.json" \
+    --expect download --expect compute --expect upload.final --expect aggregate \
+    --expect round
+  run_logged trace_output.txt \
+    python3 tools/report.py "results/quickstart_report.$scheme.jsonl" --summary
+done
 
 # TSan pass over the concurrency-sensitive pieces (the metrics registry,
 # the tracer, and the instrumented round engine under the thread pool).
@@ -196,12 +200,12 @@ tsan_pass() {
   cmake -B build-tsan -S . -DFEDCA_SANITIZE=thread -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     >>tsan_output.txt 2>&1 &&
   cmake --build build-tsan --target obs_metrics_test obs_trace_test \
-    obs_recorder_test fl_round_engine_test fl_parallel_determinism_test \
-    fl_async_engine_test fl_robustness_test \
+    obs_recorder_test obs_session_test fl_round_engine_test \
+    fl_parallel_determinism_test fl_async_engine_test fl_robustness_test \
     tensor_simd_kernels_test tensor_gemm_property_test -j "$(nproc)" \
     >>tsan_output.txt 2>&1 \
     || { echo "tsan build FAILED (see tsan_output.txt)"; return 1; }
-  for t in obs_metrics_test obs_trace_test obs_recorder_test \
+  for t in obs_metrics_test obs_trace_test obs_recorder_test obs_session_test \
            fl_round_engine_test fl_parallel_determinism_test \
            fl_async_engine_test fl_robustness_test; do
     echo "--- $t (tsan) ---"
@@ -229,7 +233,9 @@ fi
 # would hide; the LSTM suite covers its reused step cache, its cacheless
 # eval mode and the packed-weight GEMMs; the CNN suite and the ops suite
 # cover the ReLU/MaxPool kernels' vector loads and the layers' cacheless
-# eval mode. FEDCA_ASAN=0 skips it (e.g. when the toolchain lacks libasan).
+# eval mode; the session suite covers the observability outputs' lifetime
+# (one obs::Session per experiment, flushed by its destructor).
+# FEDCA_ASAN=0 skips it (e.g. when the toolchain lacks libasan).
 asan_pass() {
   step_status=0
   cmake -B build-asan -S . -DFEDCA_SANITIZE=address,undefined \
@@ -237,11 +243,12 @@ asan_pass() {
     >>asan_output.txt 2>&1 &&
   cmake --build build-asan --target sim_fault_injection_test \
     fl_robustness_test nn_lstm_bitpin_test nn_cnn_bitpin_test tensor_ops_test \
+    obs_session_test \
     -j "$(nproc)" \
     >>asan_output.txt 2>&1 \
     || { echo "asan build FAILED (see asan_output.txt)"; return 1; }
   for t in sim_fault_injection_test fl_robustness_test nn_lstm_bitpin_test \
-           nn_cnn_bitpin_test tensor_ops_test; do
+           nn_cnn_bitpin_test tensor_ops_test obs_session_test; do
     echo "--- $t (asan+ubsan) ---"
     keep_going "build-asan/tests/$t"
   done
