@@ -1,13 +1,15 @@
 // Google-benchmark microbenches of the kernels on FedCA's hot paths:
 // GEMM in all three transpose variants (local SGD) and at the exact shapes
-// the nn layers use in training, the conv2d im2col/col2im lowering, the
-// retained naive references (before/after comparison), span kernels, the
-// fused dense-layer helpers, conv2d, ReLU/MaxPool and LSTM forward/backward,
-// tanh against libm, statistical progress (Eq. 1), profiler recording, link
-// throughput, speed-timeline integration, and end-to-end round throughput.
+// the nn layers use in training, the conv2d lowering into GEMM panels and
+// col2im, the retained naive references (before/after comparison), span
+// kernels, the fused dense-layer helpers, conv2d, ReLU/MaxPool and LSTM
+// forward/backward, tanh against libm, statistical progress (Eq. 1),
+// profiler recording, link throughput, speed-timeline integration, CNN and
+// WRN training steps, and end-to-end round throughput.
 #include <benchmark/benchmark.h>
 
 #include <cmath>
+#include <vector>
 
 #include "core/progress.hpp"
 #include "core/sampling_profiler.hpp"
@@ -86,18 +88,29 @@ BENCHMARK(BM_GemmTN)->Arg(32)->Arg(64)->Arg(128);
 // 3x16x16 inputs at batch 10, the LSTM classifier at hidden 96), in the
 // raw-pointer (m, k, n) convention of each variant: a shape-specific
 // slowdown shows up here before it shows up end to end.
-enum class GemmOp { kNN, kNT, kTN };
+//
+// conv1_fwd is the GEMM the LeNet-5 conv1 forward runs per sample: both
+// operands prepacked (the weight once per pass, the lowered image by
+// PackedB::pack_conv), as Conv2d runs it.
+enum class GemmOp { kNN, kNT, kTN, kPacked };
 
 void BM_LayerGemm(benchmark::State& state, GemmOp op, std::size_t m,
                   std::size_t k, std::size_t n) {
   const tensor::Tensor a = randn({m * k}, 1);
   const tensor::Tensor b = randn({(op == GemmOp::kTN ? m : k) * n}, 2);
   tensor::Tensor c({(op == GemmOp::kTN ? k : m) * n});
+  tensor::PackedA packed_a;
+  tensor::PackedB packed_b;
+  if (op == GemmOp::kPacked) {
+    packed_a.pack(m, k, a.raw(), /*a_trans=*/false);
+    packed_b.pack(k, n, b.raw(), /*b_trans=*/false);
+  }
   for (auto _ : state) {
     switch (op) {
       case GemmOp::kNN: tensor::gemm(m, k, n, a.raw(), b.raw(), c.raw()); break;
       case GemmOp::kNT: tensor::gemm_nt(m, k, n, a.raw(), b.raw(), c.raw()); break;
       case GemmOp::kTN: tensor::gemm_tn(m, k, n, a.raw(), b.raw(), c.raw()); break;
+      case GemmOp::kPacked: tensor::gemm_packed(packed_a, packed_b, c.raw()); break;
     }
     benchmark::DoNotOptimize(c.raw());
     benchmark::ClobberMemory();
@@ -105,7 +118,7 @@ void BM_LayerGemm(benchmark::State& state, GemmOp op, std::size_t m,
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(2 * m * k * n));
 }
-BENCHMARK_CAPTURE(BM_LayerGemm, conv1_fwd, GemmOp::kNN, 6, 75, 256);
+BENCHMARK_CAPTURE(BM_LayerGemm, conv1_fwd, GemmOp::kPacked, 6, 75, 256);
 BENCHMARK_CAPTURE(BM_LayerGemm, conv1_dW, GemmOp::kNT, 6, 256, 75);
 BENCHMARK_CAPTURE(BM_LayerGemm, conv2_dW, GemmOp::kNT, 16, 64, 150);
 BENCHMARK_CAPTURE(BM_LayerGemm, fc2_fwd, GemmOp::kNT, 10, 120, 84);
@@ -113,23 +126,76 @@ BENCHMARK_CAPTURE(BM_LayerGemm, lstm_dW_ih, GemmOp::kTN, 10, 384, 8);
 BENCHMARK_CAPTURE(BM_LayerGemm, lstm_dx, GemmOp::kNN, 10, 384, 8);
 
 // Conv2d lowering of one sample at the LeNet-5 conv1 (3x16x16, k5, pad 2)
-// and conv2 (6x8x8, k5, pad 2) geometries. conv1's im2col panel is the B
-// operand of BM_LayerGemm/conv1_fwd, so the two read as lowering vs GEMM
-// cost per sample.
-void BM_Im2col(benchmark::State& state, tensor::Conv2dGeometry geo) {
+// and conv2 (6x8x8, k5, pad 2) geometries, straight into GEMM panels:
+// PackedB::pack_conv for the forward B, pack_conv_t (the _t cases) for
+// dW's. conv1's forward panels are the B operand of
+// BM_LayerGemm/conv1_fwd, so the two read as lowering vs GEMM cost per
+// sample.
+void BM_Im2col(benchmark::State& state, tensor::Conv2dGeometry geo, bool transposed) {
   const tensor::Tensor image = randn({geo.in_channels * geo.in_h * geo.in_w}, 3);
-  tensor::Tensor cols(
-      {geo.in_channels * geo.kernel_h * geo.kernel_w * geo.out_h() * geo.out_w()});
+  tensor::PackedB panels;
   for (auto _ : state) {
-    tensor::im2col(image.data(), geo, cols.data());
-    benchmark::DoNotOptimize(cols.raw());
+    if (transposed) {
+      panels.pack_conv_t(image.data(), geo);
+    } else {
+      panels.pack_conv(image.data(), geo);
+    }
+    benchmark::DoNotOptimize(panels.panels().data());
     benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(cols.numel()));
+                          static_cast<std::int64_t>(panels.k() * panels.n()));
 }
-BENCHMARK_CAPTURE(BM_Im2col, conv1, tensor::Conv2dGeometry{3, 16, 16, 5, 5, 1, 2});
-BENCHMARK_CAPTURE(BM_Im2col, conv2, tensor::Conv2dGeometry{6, 8, 8, 5, 5, 1, 2});
+BENCHMARK_CAPTURE(BM_Im2col, conv1, tensor::Conv2dGeometry{3, 16, 16, 5, 5, 1, 2}, false);
+BENCHMARK_CAPTURE(BM_Im2col, conv2, tensor::Conv2dGeometry{6, 8, 8, 5, 5, 1, 2}, false);
+BENCHMARK_CAPTURE(BM_Im2col, conv1_t, tensor::Conv2dGeometry{3, 16, 16, 5, 5, 1, 2}, true);
+BENCHMARK_CAPTURE(BM_Im2col, conv2_t, tensor::Conv2dGeometry{6, 8, 8, 5, 5, 1, 2}, true);
+
+// Every lowering and packing copy one LeNet-5 training step at N = 10 (the
+// step of BM_CnnTrainingIteration) makes around its conv GEMMs: per conv,
+// the forward's weight pack and per-sample pack_conv, and the backward's
+// per-sample pack_conv_t plus, for conv2 only (conv1 computes no dX), the
+// W^T pack. The kernel gate holds it to a share of that step.
+void BM_ConvLowering(benchmark::State& state) {
+  struct Layer {
+    tensor::Conv2dGeometry geo;
+    std::size_t out_c;
+    bool grad_input;
+  };
+  const Layer layers[] = {{{3, 16, 16, 5, 5, 1, 2}, 6, false},
+                          {{6, 8, 8, 5, 5, 1, 2}, 16, true}};
+  constexpr std::size_t kBatch = 10;
+  std::vector<tensor::Tensor> images, weights;
+  for (const Layer& l : layers) {
+    const tensor::Conv2dGeometry& g = l.geo;
+    images.push_back(randn({kBatch * g.in_channels * g.in_h * g.in_w}, 30));
+    weights.push_back(randn({l.out_c * g.in_channels * g.kernel_h * g.kernel_w}, 31));
+  }
+  tensor::PackedA packed_weight;
+  tensor::PackedB panels;
+  for (auto _ : state) {
+    for (std::size_t i = 0; i < 2; ++i) {
+      const tensor::Conv2dGeometry& g = layers[i].geo;
+      const std::size_t col_rows = g.in_channels * g.kernel_h * g.kernel_w;
+      const std::size_t image_size = g.in_channels * g.in_h * g.in_w;
+      packed_weight.pack(layers[i].out_c, col_rows, weights[i].raw(), /*a_trans=*/false);
+      for (std::size_t s = 0; s < kBatch; ++s) {
+        panels.pack_conv(images[i].data().subspan(s * image_size, image_size), g);
+        benchmark::DoNotOptimize(panels.panels().data());
+      }
+      if (layers[i].grad_input) {
+        packed_weight.pack(col_rows, layers[i].out_c, weights[i].raw(), /*a_trans=*/true);
+      }
+      for (std::size_t s = 0; s < kBatch; ++s) {
+        panels.pack_conv_t(images[i].data().subspan(s * image_size, image_size), g);
+        benchmark::DoNotOptimize(panels.panels().data());
+      }
+    }
+    benchmark::DoNotOptimize(packed_weight.panels().data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_ConvLowering);
 
 void BM_Col2im(benchmark::State& state, tensor::Conv2dGeometry geo) {
   const tensor::Tensor cols = randn(
@@ -354,17 +420,35 @@ void BM_ProfilerRecordIteration(benchmark::State& state) {
 }
 BENCHMARK(BM_ProfilerRecordIteration);
 
-void BM_CnnTrainingIteration(benchmark::State& state) {
+// One local SGD step's compute_gradients on a model at batch n.
+void training_iteration(benchmark::State& state, nn::ModelKind kind, std::size_t n) {
   util::Rng rng(7);
-  nn::Classifier model = nn::build_model(nn::ModelKind::kCnn, rng);
-  const nn::InputGeometry geo = nn::default_geometry(nn::ModelKind::kCnn);
-  tensor::Tensor input = randn({10, geo.channels, geo.height, geo.width}, 8);
-  const std::vector<int> labels{0, 1, 2, 3, 4, 5, 6, 7, 8, 9};
+  nn::Classifier model = nn::build_model(kind, rng);
+  const nn::InputGeometry geo = nn::default_geometry(kind);
+  tensor::Tensor input = randn({n, geo.channels, geo.height, geo.width}, 8);
+  std::vector<int> labels(n);
+  for (std::size_t i = 0; i < n; ++i) labels[i] = static_cast<int>(i % 10);
   for (auto _ : state) {
     benchmark::DoNotOptimize(model.compute_gradients(input, labels));
   }
 }
+
+// LeNet-5 at N = 10 (the suite's tta_cnn_fedca batch), and at the paper's
+// batch of 50 (the n50 case).
+void BM_CnnTrainingIteration(benchmark::State& state) {
+  training_iteration(state, nn::ModelKind::kCnn, 10);
+}
+void BM_CnnTrainingIteration(benchmark::State& state, std::size_t n) {
+  training_iteration(state, nn::ModelKind::kCnn, n);
+}
 BENCHMARK(BM_CnnTrainingIteration);
+BENCHMARK_CAPTURE(BM_CnnTrainingIteration, n50, 50);
+
+// WRN-lite at the paper's batch of 50.
+void BM_WrnTrainingIteration(benchmark::State& state) {
+  training_iteration(state, nn::ModelKind::kWrn, 50);
+}
+BENCHMARK(BM_WrnTrainingIteration)->Unit(benchmark::kMillisecond);
 
 void BM_LinkTransmit(benchmark::State& state) {
   sim::Link link(13.7);

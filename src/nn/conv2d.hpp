@@ -9,8 +9,8 @@
 
 namespace fedca::nn {
 
-// Convolution via im2col + GEMM. Weight layout: [out_channels,
-// in_channels * kh * kw]; bias: [out_channels].
+// Convolution as one GEMM per sample over the lowered image. Weight layout:
+// [out_channels, in_channels * kh * kw]; bias: [out_channels].
 class Conv2d : public Module {
  public:
   Conv2d(std::string name_prefix, std::size_t in_channels, std::size_t out_channels,
@@ -40,20 +40,22 @@ class Conv2d : public Module {
   Parameter bias_;    // [out_c]
   bool has_bias_;
   bool training_ = true;
-  // A training-mode forward caches the raw input (one image per sample)
-  // and backward recomputes im2col into the single reused scratch panel
-  // below — activation memory is ~kernel_area x batch smaller than keeping
-  // one column matrix per sample, at the cost of one extra im2col per
-  // sample per backward. The lowering is a real share of the step, not
-  // noise next to the GEMMs: one LeNet conv1 im2col (~3.5 us) costs about
-  // half the forward GEMM that consumes it, and only stays that cheap
-  // because each column row is a branch-free copy (see tensor::im2col).
-  // An eval-mode forward keeps no input and frees an earlier one, so
-  // backward()/backward_params() after it throw.
-  Tensor cached_input_;     // [N, C, H, W]; empty: no training-mode forward
-  Tensor scratch_columns_;  // [in_c*kh*kw, oh*ow], reused across samples
-  Tensor scratch_dw_;       // [out_c, in_c*kh*kw]
-  Tensor scratch_dcols_;    // [in_c*kh*kw, oh*ow]
+  // Each pass packs the weight once (forward: W; backward, for dX: W^T)
+  // and then, per sample, lowers the image straight into the GEMM's B
+  // panels (tensor::PackedB::pack_conv, or pack_conv_t for dW): no column
+  // matrix is built and the weight is not repacked per sample. The panel
+  // buffer is one per layer, sized at construction for both lowerings: no
+  // larger than one sample's column matrix plus one panel's padding (at
+  // most 15 columns or rows). A training-mode forward caches the raw
+  // input (one image per sample) and backward lowers it again: activation
+  // memory is ~kernel_area x batch smaller than keeping every sample's
+  // lowering. An eval-mode forward keeps no input and frees an earlier
+  // one, so backward()/backward_params() after it throw.
+  Tensor cached_input_;            // [N, C, H, W]; empty: no training-mode forward
+  tensor::PackedA packed_weight_;  // op(A) of this pass's weight GEMMs
+  tensor::PackedB panels_;         // one sample's lowered image, reused across samples
+  Tensor scratch_dw_;              // [out_c, in_c*kh*kw]
+  Tensor scratch_dcols_;           // [in_c*kh*kw, oh*ow]
   std::size_t cached_batch_ = 0;
 };
 

@@ -26,7 +26,7 @@ Tensor Linear::forward(const Tensor& input) {
                                 std::to_string(in_features_) + "], got " +
                                 tensor::shape_to_string(input.shape()));
   }
-  cached_input_ = input;
+  cached_input_ = training_ ? input : Tensor();
   const std::size_t n = input.dim(0);
   Tensor output({n, out_features_});
   // output[N, out] = input[N, in] * weight[out, in]^T
@@ -36,6 +36,11 @@ Tensor Linear::forward(const Tensor& input) {
 }
 
 Tensor Linear::backward(const Tensor& grad_output) {
+  if (cached_input_.ndim() == 0) {
+    throw std::invalid_argument(
+        "Linear::backward needs the input of a training-mode forward; the last forward ran "
+        "in eval mode (set_training(false)) or none ran");
+  }
   if (grad_output.ndim() != 2 || grad_output.dim(1) != out_features_ ||
       grad_output.dim(0) != cached_input_.dim(0)) {
     throw std::invalid_argument("Linear::backward gradient shape mismatch: " +

@@ -16,6 +16,7 @@ class Linear : public Module {
   Tensor backward(const Tensor& grad_output) override;
   std::vector<Parameter*> parameters() override;
   std::string type_name() const override { return "Linear"; }
+  void set_training(bool training) override { training_ = training; }
   std::unique_ptr<Module> clone() const override { return std::make_unique<Linear>(*this); }
 
   std::size_t in_features() const { return in_features_; }
@@ -27,7 +28,10 @@ class Linear : public Module {
   Parameter weight_;  // [out, in]
   Parameter bias_;    // [out] (empty tensor when bias disabled)
   bool has_bias_;
-  Tensor cached_input_;  // [N, in]
+  bool training_ = true;
+  // A training-mode forward caches its input for dW; an eval-mode forward
+  // keeps none and frees an earlier one, so backward() after it throws.
+  Tensor cached_input_;  // [N, in]; empty: no training-mode forward
 };
 
 }  // namespace fedca::nn

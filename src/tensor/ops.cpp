@@ -327,6 +327,50 @@ void row_sum(std::span<const float> in, std::size_t rows, std::span<float> out) 
   }
 }
 
+void plane_bias_add(std::span<float> out, std::size_t plane, std::span<const float> bias) {
+  if (out.size() != bias.size() * plane) {
+    throw std::invalid_argument("plane_bias_add: out size " + std::to_string(out.size()) +
+                                " != channels*plane " + std::to_string(bias.size() * plane));
+  }
+  for (std::size_t c = 0; c < bias.size(); ++c) {
+    const float b = bias[c];
+    float* dst = out.data() + c * plane;
+    for (std::size_t i = 0; i < plane; ++i) dst[i] += b;
+  }
+}
+
+namespace {
+
+// out[l] += float(sum_i in[l * plane + i]) for l < L: L independent double
+// chains advanced together, so their latencies overlap; lane l only ever
+// adds plane l's elements, i ascending.
+template <std::size_t L>
+void sum_planes(const float* in, std::size_t plane, float* out) {
+  double acc[L] = {};
+  for (std::size_t i = 0; i < plane; ++i) {
+    for (std::size_t l = 0; l < L; ++l) acc[l] += in[l * plane + i];
+  }
+  for (std::size_t l = 0; l < L; ++l) out[l] += static_cast<float>(acc[l]);
+}
+
+}  // namespace
+
+void plane_sum(std::span<const float> in, std::size_t plane, std::span<float> out) {
+  if (in.size() != out.size() * plane) {
+    throw std::invalid_argument("plane_sum: in size " + std::to_string(in.size()) +
+                                " != channels*plane " + std::to_string(out.size() * plane));
+  }
+  using SumPlanes = void (*)(const float*, std::size_t, float*);
+  static constexpr SumPlanes kSumPlanes[] = {
+      nullptr,        sum_planes<1>, sum_planes<2>, sum_planes<3>, sum_planes<4>,
+      sum_planes<5>,  sum_planes<6>, sum_planes<7>, sum_planes<8>};
+  for (std::size_t c = 0; c < out.size();) {
+    const std::size_t lanes = std::min<std::size_t>(8, out.size() - c);
+    kSumPlanes[lanes](in.data() + c * plane, plane, out.data() + c);
+    c += lanes;
+  }
+}
+
 Tensor add(const Tensor& a, const Tensor& b) {
   Tensor out;
   add_into(a, b, out);
@@ -502,12 +546,23 @@ std::size_t packed_block_offset(std::size_t K, std::size_t jc, std::size_t kc,
   return jc * K + kc * round_up(nb, simd::kNr);
 }
 
+// Offset of the (kc, ic) block inside a whole op(A) packed block by block
+// (kc outer, ic inner), as PackedA holds it: the k blocks before kc hold
+// kc * (M rounded up to whole panels) floats, and the row blocks before ic
+// in this k block ic * kb.
+std::size_t packed_a_block_offset(std::size_t M, std::size_t kc, std::size_t ic,
+                                  std::size_t kb) {
+  return kc * round_up(M, simd::kMr) + ic * kb;
+}
+
 // C(MxN) = op(A)(MxK) * op(B)(KxN) through the packed blocking; C is
-// overwritten. The calling thread packs its own A panels, and its own B
-// panels unless `b_panels` holds op(B) already packed (see PackedB).
+// overwritten. The calling thread packs its own A panels unless `a_panels`
+// holds op(A) already packed (see PackedA), and its own B panels unless
+// `b_panels` holds op(B) already packed (see PackedB).
 void gemm_any(std::size_t M, std::size_t K, std::size_t N, const float* a,
               std::size_t as, bool a_trans, const float* b, std::size_t bs,
-              bool b_trans, float* c, const float* b_panels = nullptr) {
+              bool b_trans, float* c, const float* b_panels = nullptr,
+              const float* a_panels = nullptr) {
   if (K == 0) {
     std::fill(c, c + M * N, 0.0f);
     return;
@@ -523,9 +578,8 @@ void gemm_any(std::size_t M, std::size_t K, std::size_t N, const float* a,
 #endif
   thread_local GemmScratch scratch;
   const std::size_t kb_max = std::min(kKc, K);
-  scratch.grow(round_up(std::min(kMc, M), simd::kMr) * kb_max,
+  scratch.grow(a_panels != nullptr ? 0 : round_up(std::min(kMc, M), simd::kMr) * kb_max,
                b_panels != nullptr ? 0 : kb_max * round_up(std::min(kNc, N), simd::kNr));
-  std::vector<float>& ap = scratch.ap;
   for (std::size_t jc = 0; jc < N; jc += kNc) {
     const std::size_t nb = std::min(kNc, N - jc);
     for (std::size_t kc = 0; kc < K; kc += kKc) {
@@ -539,10 +593,15 @@ void gemm_any(std::size_t M, std::size_t K, std::size_t N, const float* a,
       }
       for (std::size_t ic = 0; ic < M; ic += kMc) {
         const std::size_t mb = std::min(kMc, M - ic);
-        pack_a(a, as, a_trans, ic, mb, kc, kb, ap.data());
+        const float* ap = scratch.ap.data();
+        if (a_panels != nullptr) {
+          ap = a_panels + packed_a_block_offset(M, kc, ic, kb);
+        } else {
+          pack_a(a, as, a_trans, ic, mb, kc, kb, scratch.ap.data());
+        }
         for (std::size_t ir = 0; ir < mb; ir += simd::kMr) {
           const std::size_t mr_eff = std::min(simd::kMr, mb - ir);
-          const float* apanel = ap.data() + (ir / simd::kMr) * kb * simd::kMr;
+          const float* apanel = ap + (ir / simd::kMr) * kb * simd::kMr;
           for (std::size_t jr = 0; jr < nb; jr += simd::kNr) {
             const std::size_t nr_eff = std::min(simd::kNr, nb - jr);
             kernel(kb, apanel, bp + (jr / simd::kNr) * kb * simd::kNr,
@@ -616,40 +675,6 @@ void gemm_tn(const Tensor& a, const Tensor& b, Tensor& c) {
                                 shape_to_string(c.shape()));
   }
   gemm_tn(m, k, n, a.raw(), b.raw(), c.raw());
-}
-
-void PackedB::pack(std::size_t k, std::size_t n, const float* b, bool b_trans) {
-  k_ = k;
-  n_ = n;
-  // Every column block is whole panels wide except possibly the last, so
-  // the total is K * (N rounded up to whole panels).
-  panels_.resize(k * round_up(n, simd::kNr));
-  const std::size_t bs = b_trans ? k : n;
-  for (std::size_t jc = 0; jc < n; jc += kNc) {
-    const std::size_t nb = std::min(kNc, n - jc);
-    for (std::size_t kc = 0; kc < k; kc += kKc) {
-      pack_b(b, bs, b_trans, kc, std::min(kKc, k - kc), jc, nb,
-             panels_.data() + packed_block_offset(k, jc, kc, nb));
-    }
-  }
-}
-
-void gemm_packed(std::size_t m, const float* a, const PackedB& b, float* c) {
-  gemm_any(m, b.k(), b.n(), a, /*as=*/b.k(), /*a_trans=*/false, /*b=*/nullptr,
-           /*bs=*/0, /*b_trans=*/false, c, b.panels());
-}
-
-void gemm_packed(const Tensor& a, const PackedB& b, Tensor& c) {
-  require_matrix(a, "A");
-  require_matrix(c, "C");
-  const std::size_t m = a.dim(0);
-  if (a.dim(1) != b.k() || c.dim(0) != m || c.dim(1) != b.n()) {
-    throw std::invalid_argument("gemm_packed: incompatible shapes A" +
-                                shape_to_string(a.shape()) + " op(B) [" +
-                                std::to_string(b.k()) + ", " + std::to_string(b.n()) +
-                                "] C" + shape_to_string(c.shape()));
-  }
-  gemm_packed(m, a.raw(), b, c.raw());
 }
 
 // ---- Int8 affine quantization ------------------------------------------
@@ -826,8 +851,8 @@ void gemm_tn(const Tensor& a, const Tensor& b, Tensor& c) {
 namespace {
 
 // Per-thread zero-bordered copy of one image, [C, H+2p, W+2p]: reading
-// (or accumulating into) it instead of the image turns every column row of
-// im2col/col2im into a branch-free copy (strided when stride > 1). Held
+// (or accumulating into) it instead of the image turns every lowering's
+// copy and col2im's add into branch-free (strided) row moves. Held
 // for the thread's lifetime and grown only, for the GemmScratch reasons
 // above; the whole used prefix is re-zeroed per call, so a larger earlier
 // geometry leaves nothing behind.
@@ -840,6 +865,18 @@ float* padded_image(const Conv2dGeometry& geo) {
   return buf.data();
 }
 
+// dst[0, n) = src[0, n). A row of 8+ floats moves as 8-float blocks, the
+// last one overlapping its predecessor, so a short image row costs a few
+// vector moves instead of a library call.
+inline void copy_row(const float* src, std::size_t n, float* dst) {
+  if (n < 8) {
+    for (std::size_t x = 0; x < n; ++x) dst[x] = src[x];
+    return;
+  }
+  for (std::size_t x = 0; x + 8 < n; x += 8) std::memcpy(dst + x, src + x, 8 * sizeof(float));
+  std::memcpy(dst + n - 8, src + n - 8, 8 * sizeof(float));
+}
+
 // Copies the [C, H, W] image into the interior of the padded
 // [C, H+2p, W+2p] buffer, or (unpad) that interior back out to the image.
 void copy_interior(const Conv2dGeometry& geo, const float* from, float* to, bool unpad) {
@@ -849,21 +886,9 @@ void copy_interior(const Conv2dGeometry& geo, const float* from, float* to, bool
       const std::size_t image_off = (c * geo.in_h + y) * geo.in_w;
       const std::size_t padded_off = (c * hp + y + geo.pad) * wp + geo.pad;
       const float* src = from + (unpad ? padded_off : image_off);
-      std::copy(src, src + geo.in_w, to + (unpad ? image_off : padded_off));
+      copy_row(src, geo.in_w, to + (unpad ? image_off : padded_off));
     }
   }
-}
-
-// dst[0, n) = src[0, n). A row of 8+ floats moves as 8-float blocks, the
-// last one overlapping its predecessor, so a short im2col row costs a few
-// vector moves instead of a vectorized loop's prologue and epilogue.
-inline void copy_row(const float* src, std::size_t n, float* dst) {
-  if (n < 8) {
-    for (std::size_t x = 0; x < n; ++x) dst[x] = src[x];
-    return;
-  }
-  for (std::size_t x = 0; x + 8 < n; x += 8) std::memcpy(dst + x, src + x, 8 * sizeof(float));
-  std::memcpy(dst + n - 8, src + n - 8, 8 * sizeof(float));
 }
 
 // dst[0, n) += src[0, n) as disjoint 8-float blocks plus a scalar tail:
@@ -880,16 +905,20 @@ inline void add_row(const float* src, std::size_t n, float* dst) {
   for (; x < n; ++x) dst[x] += src[x];
 }
 
-void check_lowering_sizes(const char* who, std::size_t image_size, std::size_t columns_size,
-                          const Conv2dGeometry& geo) {
+void check_image_size(const char* who, std::size_t image_size, const Conv2dGeometry& geo) {
   const std::size_t expected_image = geo.in_channels * geo.in_h * geo.in_w;
-  const std::size_t expected_cols =
-      geo.in_channels * geo.kernel_h * geo.kernel_w * geo.out_h() * geo.out_w();
   if (image_size != expected_image) {
     throw std::invalid_argument(std::string(who) + ": image size " +
                                 std::to_string(image_size) + " != expected " +
                                 std::to_string(expected_image));
   }
+}
+
+void check_lowering_sizes(const char* who, std::size_t image_size, std::size_t columns_size,
+                          const Conv2dGeometry& geo) {
+  check_image_size(who, image_size, geo);
+  const std::size_t expected_cols =
+      geo.in_channels * geo.kernel_h * geo.kernel_w * geo.out_h() * geo.out_w();
   if (columns_size != expected_cols) {
     throw std::invalid_argument(std::string(who) + ": columns size " +
                                 std::to_string(columns_size) + " != expected " +
@@ -897,35 +926,251 @@ void check_lowering_sizes(const char* who, std::size_t image_size, std::size_t c
   }
 }
 
+// What a lowering reads: the image itself, or (pad != 0) its zero-bordered
+// per-thread copy.
+const float* lowering_source(std::span<const float> image, const Conv2dGeometry& geo) {
+  if (geo.pad == 0) return image.data();
+  float* padded = padded_image(geo);
+  copy_interior(geo, image.data(), padded, /*unpad=*/false);
+  return padded;
+}
+
+// off[i] = where column-matrix row first + i = (c, kh, kw) starts reading
+// in the (padded) [C, hp, wp] image: the top-left of its window at output
+// position 0. Counters, not divisions, step through the rows.
+void row_offsets(const Conv2dGeometry& geo, std::size_t hp, std::size_t wp,
+                 std::size_t first, std::size_t count, std::size_t* off) {
+  const std::size_t taps = geo.kernel_h * geo.kernel_w;
+  std::size_t c = first / taps, kh = first % taps / geo.kernel_w, kw = first % geo.kernel_w;
+  for (std::size_t i = 0; i < count; ++i) {
+    off[i] = (c * hp + kh) * wp + kw;
+    if (++kw == geo.kernel_w) {
+      kw = 0;
+      if (++kh == geo.kernel_h) {
+        kh = 0;
+        ++c;
+      }
+    }
+  }
+}
+
+// off[i] = how far output position first + i = (y, x) moves every
+// window's read from position 0's.
+void position_offsets(const Conv2dGeometry& geo, std::size_t wp, std::size_t first,
+                      std::size_t count, std::size_t* off) {
+  const std::size_t ow = geo.out_w();
+  std::size_t y = first / ow, x = first % ow;
+  for (std::size_t i = 0; i < count; ++i) {
+    off[i] = (y * wp + x) * geo.stride;
+    if (++x == ow) {
+      x = 0;
+      ++y;
+    }
+  }
+}
+
 }  // namespace
+
+void PackedA::pack(std::size_t m, std::size_t k, const float* a, bool a_trans) {
+  m_ = m;
+  k_ = k;
+  // Every row block is whole panels tall except possibly the last, so the
+  // total is (M rounded up to whole panels) * K.
+  size_ = round_up(m, simd::kMr) * k;
+  if (panels_.size() < size_) panels_.resize(size_);
+  const std::size_t as = a_trans ? m : k;
+  for (std::size_t kc = 0; kc < k; kc += kKc) {
+    const std::size_t kb = std::min(kKc, k - kc);
+    for (std::size_t ic = 0; ic < m; ic += kMc) {
+      pack_a(a, as, a_trans, ic, std::min(kMc, m - ic), kc, kb,
+             panels_.data() + packed_a_block_offset(m, kc, ic, kb));
+    }
+  }
+}
+
+float* PackedB::reshape(std::size_t k, std::size_t n) {
+  k_ = k;
+  n_ = n;
+  // Every column block is whole panels wide except possibly the last, so
+  // the total is K * (N rounded up to whole panels).
+  size_ = k * round_up(n, simd::kNr);
+  if (panels_.size() < size_) panels_.resize(size_);
+  return panels_.data();
+}
+
+void PackedB::reserve_conv(const Conv2dGeometry& geo) {
+  const std::size_t rows = geo.in_channels * geo.kernel_h * geo.kernel_w;
+  const std::size_t positions = geo.out_h() * geo.out_w();
+  const std::size_t floats = std::max(rows * round_up(positions, simd::kNr),
+                                      positions * round_up(rows, simd::kNr));
+  if (panels_.size() < floats) panels_.resize(floats);
+}
+
+void PackedB::pack(std::size_t k, std::size_t n, const float* b, bool b_trans) {
+  float* panels = reshape(k, n);
+  const std::size_t bs = b_trans ? k : n;
+  for (std::size_t jc = 0; jc < n; jc += kNc) {
+    const std::size_t nb = std::min(kNc, n - jc);
+    for (std::size_t kc = 0; kc < k; kc += kKc) {
+      pack_b(b, bs, b_trans, kc, std::min(kKc, k - kc), jc, nb,
+             panels + packed_block_offset(k, jc, kc, nb));
+    }
+  }
+}
+
+// The conv packers below write exactly pack_b's panels for the column
+// matrix (ref::im2col) or its transpose, reading each value from the image
+// instead: block by block, then panel by panel. A panel is described as
+// runs — stretches of its columns whose values lie evenly spaced in the
+// image, at the same place relative to each panel row's base — and written
+// whole rows at a time by the active tier's panel packer, padding columns
+// included.
+
+using PanelPacker = void (*)(const float*, const std::size_t*, std::size_t,
+                             const simd::PanelRun*, std::size_t, std::size_t, float*);
+
+PanelPacker panel_packer() {
+#if defined(__x86_64__) || defined(_M_X64)
+  if (simd::active_tier() == simd::Tier::kAvx512) return simd::pack_panel_runs_avx512;
+#endif
+  return simd::pack_panel_runs_generic;
+}
+
+void PackedB::pack_conv(std::span<const float> image, const Conv2dGeometry& geo) {
+  check_image_size("PackedB::pack_conv", image.size(), geo);
+  const std::size_t K = geo.in_channels * geo.kernel_h * geo.kernel_w;
+  const std::size_t N = geo.out_h() * geo.out_w();
+  const std::size_t ow = geo.out_w(), s = geo.stride;
+  const std::size_t hp = geo.in_h + 2 * geo.pad, wp = geo.in_w + 2 * geo.pad;
+  float* panels = reshape(K, N);
+  const float* src = lowering_source(image, geo);
+  const PanelPacker pack_panel = panel_packer();
+  std::size_t roff[kKc];
+  simd::PanelRun runs[simd::kNr];
+  for (std::size_t jc = 0; jc < N; jc += kNc) {
+    const std::size_t nb = std::min(kNc, N - jc);
+    for (std::size_t kc = 0; kc < K; kc += kKc) {
+      const std::size_t kb = std::min(kKc, K - kc);
+      row_offsets(geo, hp, wp, kc, kb, roff);
+      float* block = panels + packed_block_offset(K, jc, kc, nb);
+      for (std::size_t jr = 0; jr < nb; jr += simd::kNr) {
+        // Panel columns are output positions; a run is one output row's
+        // share of them, `stride` apart in the image.
+        std::size_t nruns = 0;
+        for (std::size_t p = jc + jr, end = p + std::min(simd::kNr, nb - jr); p < end;) {
+          const std::size_t len = std::min(end - p, ow - p % ow);
+          runs[nruns++] = {(p / ow * wp + p % ow) * s, static_cast<std::uint32_t>(p - jc - jr),
+                           static_cast<std::uint32_t>(len)};
+          p += len;
+        }
+        pack_panel(src, roff, kb, runs, nruns, s, block + (jr / simd::kNr) * kb * simd::kNr);
+      }
+    }
+  }
+}
+
+void PackedB::pack_conv_t(std::span<const float> image, const Conv2dGeometry& geo) {
+  check_image_size("PackedB::pack_conv_t", image.size(), geo);
+  const std::size_t K = geo.out_h() * geo.out_w();
+  const std::size_t N = geo.in_channels * geo.kernel_h * geo.kernel_w;
+  const std::size_t hp = geo.in_h + 2 * geo.pad, wp = geo.in_w + 2 * geo.pad;
+  float* panels = reshape(K, N);
+  const float* src = lowering_source(image, geo);
+  const PanelPacker pack_panel = panel_packer();
+  // A strided conv's tile rows are single floats apart, which the tile
+  // transposer would load one at a time: its rows pack as runs instead.
+#if defined(__x86_64__) || defined(_M_X64)
+  const bool transpose_tiles = geo.stride == 1 && simd::active_tier() == simd::Tier::kAvx512;
+#else
+  const bool transpose_tiles = false;
+#endif
+  std::size_t roff[kNc], poff[kKc];
+  simd::PanelRun runs[simd::kNr];
+  for (std::size_t jc = 0; jc < N; jc += kNc) {
+    const std::size_t nb = std::min(kNc, N - jc);
+    row_offsets(geo, hp, wp, jc, nb, roff);
+    for (std::size_t kc = 0; kc < K; kc += kKc) {
+      const std::size_t kb = std::min(kKc, K - kc);
+      position_offsets(geo, wp, kc, kb, poff);
+      float* block = panels + packed_block_offset(K, jc, kc, nb);
+      if (transpose_tiles) {
+        simd::pack_conv_t_block_avx512(src, roff, nb, poff, kb, block);
+        continue;
+      }
+      for (std::size_t jr = 0; jr < nb; jr += simd::kNr) {
+        // Panel columns are column-matrix rows (c, kh, kw); a run is one
+        // (c, kh)'s consecutive kw taps, adjacent in the image whatever
+        // the conv stride.
+        std::size_t nruns = 0;
+        for (std::size_t r = jc + jr, end = r + std::min(simd::kNr, nb - jr); r < end;) {
+          const std::size_t len = std::min(end - r, geo.kernel_w - r % geo.kernel_w);
+          runs[nruns++] = {roff[r - jc], static_cast<std::uint32_t>(r - jc - jr),
+                           static_cast<std::uint32_t>(len)};
+          r += len;
+        }
+        pack_panel(src, poff, kb, runs, nruns, 1, block + (jr / simd::kNr) * kb * simd::kNr);
+      }
+    }
+  }
+}
+
+void gemm_packed(std::size_t m, const float* a, const PackedB& b, float* c) {
+  gemm_any(m, b.k(), b.n(), a, /*as=*/b.k(), /*a_trans=*/false, /*b=*/nullptr,
+           /*bs=*/0, /*b_trans=*/false, c, b.panels().data());
+}
+
+void gemm_packed(const Tensor& a, const PackedB& b, Tensor& c) {
+  require_matrix(a, "A");
+  require_matrix(c, "C");
+  const std::size_t m = a.dim(0);
+  if (a.dim(1) != b.k() || c.dim(0) != m || c.dim(1) != b.n()) {
+    throw std::invalid_argument("gemm_packed: incompatible shapes A" +
+                                shape_to_string(a.shape()) + " op(B) [" +
+                                std::to_string(b.k()) + ", " + std::to_string(b.n()) +
+                                "] C" + shape_to_string(c.shape()));
+  }
+  gemm_packed(m, a.raw(), b, c.raw());
+}
+
+
+void gemm_packed(const PackedA& a, const PackedB& b, float* c) {
+  if (a.k() != b.k()) {
+    throw std::invalid_argument("gemm_packed: op(A) [" + std::to_string(a.m()) + ", " +
+                                std::to_string(a.k()) + "] and op(B) [" +
+                                std::to_string(b.k()) + ", " + std::to_string(b.n()) +
+                                "] do not chain");
+  }
+  gemm_any(a.m(), a.k(), b.n(), /*a=*/nullptr, /*as=*/0, /*a_trans=*/false, /*b=*/nullptr,
+           /*bs=*/0, /*b_trans=*/false, c, b.panels().data(), a.panels().data());
+}
+
+void gemm_packed(const PackedA& a, std::size_t n, const float* b, float* c) {
+  gemm_any(a.m(), a.k(), n, /*a=*/nullptr, /*as=*/0, /*a_trans=*/false, b, /*bs=*/n,
+           /*b_trans=*/false, c, /*b_panels=*/nullptr, a.panels().data());
+}
+
+namespace ref {
 
 void im2col(std::span<const float> image, const Conv2dGeometry& geo,
             std::span<float> columns) {
   check_lowering_sizes("im2col", image.size(), columns.size(), geo);
   const std::size_t oh = geo.out_h(), ow = geo.out_w(), s = geo.stride;
   const std::size_t hp = geo.in_h + 2 * geo.pad, wp = geo.in_w + 2 * geo.pad;
-  const float* src = image.data();
-  if (geo.pad != 0) {
-    float* padded = padded_image(geo);
-    copy_interior(geo, image.data(), padded, /*unpad=*/false);
-    src = padded;
-  }
+  const float* src = lowering_source(image, geo);
   float* dst = columns.data();
   for (std::size_t c = 0; c < geo.in_channels; ++c) {
     for (std::size_t kh = 0; kh < geo.kernel_h; ++kh) {
       for (std::size_t kw = 0; kw < geo.kernel_w; ++kw) {
         for (std::size_t y = 0; y < oh; ++y, dst += ow) {
           const float* in = src + (c * hp + y * s + kh) * wp + kw;
-          if (s == 1) {
-            copy_row(in, ow, dst);
-          } else {
-            for (std::size_t x = 0; x < ow; ++x) dst[x] = in[x * s];
-          }
+          for (std::size_t x = 0; x < ow; ++x) dst[x] = in[x * s];
         }
       }
     }
   }
 }
+
+}  // namespace ref
 
 void col2im(std::span<const float> columns, const Conv2dGeometry& geo,
             std::span<float> image_grad) {

@@ -1,7 +1,7 @@
 // Numerical kernels over raw float spans and Tensors.
 //
 // Two audiences share these kernels:
-//   * the nn/ substrate (gemm, im2col, elementwise math), and
+//   * the nn/ substrate (gemm, conv lowering, elementwise math), and
 //   * the FedCA core (dot products, norms, cosine similarity — Eqs. 1 & 6
 //     of the paper are built directly from `dot`, `l2_norm`, and
 //     `cosine_similarity`).
@@ -32,6 +32,10 @@
 //   * `relu`, `relu_backward` and `max_pool2d` do no arithmetic: each
 //     output is one of its inputs (or +0) picked by an exact select, so
 //     their bits do not depend on the dispatch tier or the compile flags.
+//     The conv packers (PackedB::pack_conv / pack_conv_t) only move
+//     values, so every tier writes the same panels.
+//   * `plane_sum` accumulates each channel plane in double, ascending from
+//     0.0; channels' chains may run interleaved but are never reassociated.
 //   * These kernel translation units are compiled with -ffp-contract=off:
 //     fusion happens exactly where the contract says fma and nowhere
 //     else, so the compiler cannot silently change the association.
@@ -106,6 +110,22 @@ void bias_add(std::span<float> out, std::size_t rows, std::span<const float> bia
 // ascending order, so the float association is fixed.
 void row_sum(std::span<const float> in, std::size_t rows, std::span<float> out);
 
+// ---- Per-plane convolution helpers ----
+//
+// One sample's conv activation is bias.size() (or out.size()) channel
+// planes of `plane` floats each, row-major.
+
+// out[c * plane + i] += bias[c]: a conv bias over one sample's output.
+// `out` must have exactly bias.size() * plane elements.
+void plane_bias_add(std::span<float> out, std::size_t plane, std::span<const float> bias);
+// out[c] += float(sum_i in[c * plane + i]): each plane summed in double, i
+// ascending from a 0.0 seed, then rounded and *accumulated* into `out` (a
+// conv bias gradient). Up to eight channels' chains run interleaved; each
+// keeps its own order and none is reassociated, so the bits are those of
+// one serial loop per channel. `in` must have exactly out.size() * plane
+// elements.
+void plane_sum(std::span<const float> in, std::size_t plane, std::span<float> out);
+
 // ---- Tensor helpers ----
 
 // out = a + b (same shape)
@@ -148,63 +168,7 @@ void dequantize_int8(std::span<const std::int8_t> q, const QuantParams& p,
 // receiver of an int8 transmission would reconstruct.
 void fake_quantize_int8(std::span<float> x, const QuantParams& p);
 
-// ---- GEMM ----
-//
-// Cache-blocked (Mc/Kc/Nc), panel-packed, register-tiled kernels with the
-// fixed association order described at the top of this header. All three
-// variants share one packed microkernel (transposition is absorbed during
-// packing), dispatched per call to the portable or AVX2 tier. Raw-pointer
-// variants are exposed so layers that already know their geometry (conv
-// im2col panels, per-sample slices) can avoid staging copies; the Tensor
-// overloads validate shapes and forward to them.
-
-// C(mxn) = A(mxk) * B(kxn); row-major, C overwritten.
-void gemm(std::size_t m, std::size_t k, std::size_t n, const float* a,
-          const float* b, float* c);
-void gemm(const Tensor& a, const Tensor& b, Tensor& c);
-// C(mxn) = A(mxk) * B(nxk)^T; row-major, C overwritten.
-void gemm_nt(std::size_t m, std::size_t k, std::size_t n, const float* a,
-             const float* b, float* c);
-void gemm_nt(const Tensor& a, const Tensor& b, Tensor& c);
-// C(kxn) = A(mxk)^T * B(mxn); row-major, C overwritten.
-void gemm_tn(std::size_t m, std::size_t k, std::size_t n, const float* a,
-             const float* b, float* c);
-void gemm_tn(const Tensor& a, const Tensor& b, Tensor& c);
-
-// op(B) of a GEMM, packed once into the panels the microkernel reads, for a B
-// operand many calls share (a recurrent weight across timesteps): the
-// calls then read the panels instead of repacking B per call. The packed
-// copy does not follow later writes to B; pack() again after them.
-class PackedB {
- public:
-  // Packs op(B) (k x n): `b` is stored k x n, or n x k when b_trans (the
-  // B of gemm_nt). Reuses the panel storage when the size repeats.
-  void pack(std::size_t k, std::size_t n, const float* b, bool b_trans);
-  std::size_t k() const { return k_; }
-  std::size_t n() const { return n_; }
-  const float* panels() const { return panels_.data(); }
-
- private:
-  std::size_t k_ = 0;
-  std::size_t n_ = 0;
-  std::vector<float> panels_;
-};
-
-// C(mxn) = A(mxk) * op(B) with op(B) prepacked; C overwritten. Bit-identical
-// to gemm / gemm_nt on the B that was packed: same panels, same chains.
-void gemm_packed(std::size_t m, const float* a, const PackedB& b, float* c);
-void gemm_packed(const Tensor& a, const PackedB& b, Tensor& c);
-
-// Naive reference kernels (the pre-optimization implementations), retained
-// verbatim for property tests and before/after benches. ref::gemm_nt keeps
-// the historical double accumulator.
-namespace ref {
-void gemm(const Tensor& a, const Tensor& b, Tensor& c);
-void gemm_nt(const Tensor& a, const Tensor& b, Tensor& c);
-void gemm_tn(const Tensor& a, const Tensor& b, Tensor& c);
-}  // namespace ref
-
-// ---- Convolution lowering ----
+// ---- Convolution geometry ----
 
 // Geometry of a 2-D convolution with square behaviour per-axis.
 struct Conv2dGeometry {
@@ -220,20 +184,126 @@ struct Conv2dGeometry {
   std::size_t out_w() const { return (in_w + 2 * pad - kernel_w) / stride + 1; }
 };
 
-// im2col: expands one image (C,H,W flattened in `image`) to a matrix of
-// shape (C*kh*kw) x (out_h*out_w), written into `columns` (row-major, must be
-// pre-sized). Padding reads as zero.
+// ---- GEMM ----
 //
-// When pad != 0 both lowerings go through a per-thread, grow-only
-// zero-bordered copy of the image ([C, H+2p, W+2p]), so each column row is
-// a branch-free (strided) copy instead of a bounds check per element.
-void im2col(std::span<const float> image, const Conv2dGeometry& geo,
-            std::span<float> columns);
+// Cache-blocked (Mc/Kc/Nc), panel-packed, register-tiled kernels with the
+// fixed association order described at the top of this header. All
+// variants share one packed microkernel (transposition is absorbed during
+// packing), dispatched per call to the portable or a vector tier. Either
+// operand may come prepacked (PackedA, PackedB): the microkernel then reads
+// the same panels, so the result is the same bits. Raw-pointer variants
+// are exposed so layers that already know their geometry (per-sample
+// slices) can avoid staging copies; the Tensor overloads validate shapes
+// and forward to them.
+
+// C(mxn) = A(mxk) * B(kxn); row-major, C overwritten.
+void gemm(std::size_t m, std::size_t k, std::size_t n, const float* a,
+          const float* b, float* c);
+void gemm(const Tensor& a, const Tensor& b, Tensor& c);
+// C(mxn) = A(mxk) * B(nxk)^T; row-major, C overwritten.
+void gemm_nt(std::size_t m, std::size_t k, std::size_t n, const float* a,
+             const float* b, float* c);
+void gemm_nt(const Tensor& a, const Tensor& b, Tensor& c);
+// C(kxn) = A(mxk)^T * B(mxn); row-major, C overwritten.
+void gemm_tn(std::size_t m, std::size_t k, std::size_t n, const float* a,
+             const float* b, float* c);
+void gemm_tn(const Tensor& a, const Tensor& b, Tensor& c);
+
+// op(A) of a GEMM, packed once into the row panels the microkernel reads,
+// for an A operand many calls share (a convolution weight across the
+// samples of a batch). The packed copy does not follow later writes to A;
+// pack() again after them. Storage only grows.
+class PackedA {
+ public:
+  // Packs op(A) (m x k): `a` is stored m x k, or k x m when a_trans (the A
+  // of gemm_tn).
+  void pack(std::size_t m, std::size_t k, const float* a, bool a_trans);
+  std::size_t m() const { return m_; }
+  std::size_t k() const { return k_; }
+  // The packed op(A), k blocks outer and row blocks inner, kMr-row panels
+  // with zero-padded tail rows.
+  std::span<const float> panels() const { return {panels_.data(), size_}; }
+
+ private:
+  std::size_t m_ = 0;
+  std::size_t k_ = 0;
+  std::size_t size_ = 0;
+  std::vector<float> panels_;
+};
+
+// op(B) of a GEMM, packed once into the column panels the microkernel
+// reads, for a B operand many calls share (a recurrent weight across
+// timesteps), or lowered straight from an image into those panels (a
+// convolution's B, which is then never built as a column matrix). The
+// packed copy does not follow later writes to its source; pack again after
+// them. Storage only grows, so one PackedB per layer serves every sample.
+class PackedB {
+ public:
+  // Packs op(B) (k x n): `b` is stored k x n, or n x k when b_trans (the B
+  // of gemm_nt).
+  void pack(std::size_t k, std::size_t n, const float* b, bool b_trans);
+  // Packs op(B) = the im2col lowering of one [C, H, W] image,
+  // (C*kh*kw) x (out_h*out_w), read from the image (through a zero-bordered
+  // copy when pad != 0): the same panels pack() writes from
+  // ref::im2col's column matrix. Throws when the image size does not match
+  // the geometry.
+  void pack_conv(std::span<const float> image, const Conv2dGeometry& geo);
+  // Packs op(B) = the transpose of that lowering, (out_h*out_w) x
+  // (C*kh*kw): the B of a convolution's weight gradient, the same panels
+  // pack(..., b_trans=true) writes from the column matrix.
+  void pack_conv_t(std::span<const float> image, const Conv2dGeometry& geo);
+  // Grows the panel storage to hold both lowerings of `geo` (pack_conv's
+  // and pack_conv_t's), so a layer that alternates them allocates once.
+  void reserve_conv(const Conv2dGeometry& geo);
+  std::size_t k() const { return k_; }
+  std::size_t n() const { return n_; }
+  // The packed op(B), column blocks outer and k blocks inner, kNr-column
+  // panels with zero-padded tail columns.
+  std::span<const float> panels() const { return {panels_.data(), size_}; }
+
+ private:
+  float* reshape(std::size_t k, std::size_t n);
+
+  std::size_t k_ = 0;
+  std::size_t n_ = 0;
+  std::size_t size_ = 0;
+  std::vector<float> panels_;
+};
+
+// C(mxn) = A(mxk) * op(B) with op(B) prepacked; C overwritten. Bit-identical
+// to gemm / gemm_nt on the B that was packed: same panels, same chains.
+void gemm_packed(std::size_t m, const float* a, const PackedB& b, float* c);
+void gemm_packed(const Tensor& a, const PackedB& b, Tensor& c);
+// C(mxn) = op(A) * op(B), both prepacked; throws when a.k() != b.k().
+void gemm_packed(const PackedA& a, const PackedB& b, float* c);
+// C(mxn) = op(A) * B with op(A) prepacked and B stored k x n (row-major).
+// Bit-identical to gemm / gemm_tn on the A that was packed.
+void gemm_packed(const PackedA& a, std::size_t n, const float* b, float* c);
+
+// ---- Convolution lowering ----
+
 // col2im: scatters gradients from column layout back to image layout
 // (accumulating into `image_grad`, which must be pre-sized and may hold
 // prior accumulation). Each pixel receives its contributions in column-row
-// order, one per row, on top of its prior value.
+// order, one per row, on top of its prior value. When pad != 0 it
+// accumulates in a per-thread, grow-only zero-bordered copy of the image
+// ([C, H+2p, W+2p]), so each column row is a branch-free (strided) add.
 void col2im(std::span<const float> columns, const Conv2dGeometry& geo,
             std::span<float> image_grad);
+
+// Naive reference kernels (the pre-optimization implementations), retained
+// verbatim for property tests and before/after benches. ref::gemm_nt keeps
+// the historical double accumulator.
+namespace ref {
+void gemm(const Tensor& a, const Tensor& b, Tensor& c);
+void gemm_nt(const Tensor& a, const Tensor& b, Tensor& c);
+void gemm_tn(const Tensor& a, const Tensor& b, Tensor& c);
+// im2col: expands one image (C,H,W flattened in `image`) to its column
+// matrix, (C*kh*kw) x (out_h*out_w), written into `columns` (row-major,
+// must be pre-sized). Padding reads as zero. The oracle of
+// PackedB::pack_conv / pack_conv_t, which lower into GEMM panels instead.
+void im2col(std::span<const float> image, const Conv2dGeometry& geo,
+            std::span<float> columns);
+}  // namespace ref
 
 }  // namespace fedca::tensor

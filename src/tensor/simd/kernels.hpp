@@ -79,6 +79,34 @@ inline void microkernel_generic(std::size_t kb, const float* ap,
   }
 }
 
+// One run of a conv panel (PackedB::pack_conv / pack_conv_t): panel
+// columns [j0, j0 + len) of every panel row read len floats `stride` apart
+// from the image, starting `off` floats past that row's base. len >= 1 and
+// j0 + len <= kNr.
+struct PanelRun {
+  std::size_t off;
+  std::uint32_t j0;
+  std::uint32_t len;
+};
+
+// Writes kb whole rows of one kNr-wide B panel, dst[kk * kNr + j]: row kk
+// takes each run's floats from in + step[kk] + run.off, and +0 in every
+// column no run covers (a tail panel's padding). A pure copy: each tier
+// writes the same bits.
+inline void pack_panel_runs_generic(const float* in, const std::size_t* step, std::size_t kb,
+                                    const PanelRun* runs, std::size_t nruns,
+                                    std::size_t stride, float* dst) {
+  for (std::size_t kk = 0; kk < kb; ++kk) {
+    float* row = dst + kk * kNr;
+    for (std::size_t j = 0; j < kNr; ++j) row[j] = 0.0f;
+    for (std::size_t g = 0; g < nruns; ++g) {
+      const float* from = in + step[kk] + runs[g].off;
+      float* to = row + runs[g].j0;
+      for (std::size_t x = 0; x < runs[g].len; ++x) to[x] = from[x * stride];
+    }
+  }
+}
+
 #if defined(__x86_64__) || defined(_M_X64)
 
 // ---- AVX-512F GEMM microkernel (kernels_avx512.cpp) ----
@@ -91,6 +119,19 @@ bool avx512_compiled();
 void gemm_microkernel_avx512(std::size_t kb, const float* ap, const float* bp,
                              float* c, std::size_t ldc, std::size_t mr_eff,
                              std::size_t nr_eff, bool first);
+// pack_panel_runs_generic with one zmm per panel row: a masked load
+// (stride 1) or masked gather per run.
+void pack_panel_runs_avx512(const float* in, const std::size_t* step, std::size_t kb,
+                            const PanelRun* runs, std::size_t nruns, std::size_t stride,
+                            float* dst);
+// One (column block, k block) of a stride-1 PackedB::pack_conv_t: the
+// panels of nb columns, column j reading in + col_off[j] + row_off[kk] in
+// row kk < kb, zero-padded past nb. Each 16 x 16 tile is loaded as 16
+// image stretches (one per column: a masked load per stretch of rows
+// whose row_off steps by one, a whole output row's share) and transposed
+// in registers, instead of one short run per row.
+void pack_conv_t_block_avx512(const float* in, const std::size_t* col_off, std::size_t nb,
+                              const std::size_t* row_off, std::size_t kb, float* dst);
 
 // ---- AVX2+FMA tier (kernels_avx2.cpp) ----
 

@@ -5,8 +5,9 @@
 // the scalar ReLU/MaxPool loops the tensor::relu / tensor::max_pool2d
 // kernels replaced, so any change to a single output bit fails here.
 // WRN-lite puts its ReLUs inside Residual blocks and BatchNorm2d beside
-// them. Eval mode (no backward caches in ReLU, MaxPool2d and Conv2d) must
-// give the training-mode output bits, and backward after it must throw.
+// them. Eval mode (no backward caches in ReLU, MaxPool2d, Conv2d and
+// Linear) must give the training-mode output bits, and backward after it
+// must throw.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -19,6 +20,7 @@
 
 #include "nn/activations.hpp"
 #include "nn/conv2d.hpp"
+#include "nn/linear.hpp"
 #include "nn/loss.hpp"
 #include "nn/models.hpp"
 #include "tensor/ops.hpp"
@@ -190,6 +192,12 @@ std::vector<LayerCase> cache_dropping_layers() {
          return std::make_unique<Conv2d>("conv1", 3, 6, 16, 16, 5, 1, 2, rng);
        },
        [](std::size_t n) { return tensor::Shape{n, 3, 16, 16}; }},
+      {"Linear",
+       [] {
+         util::Rng rng(98);
+         return std::make_unique<Linear>("fc1", 64, 12, rng);
+       },
+       [](std::size_t n) { return tensor::Shape{n, 64}; }},
   };
 }
 

@@ -1,6 +1,7 @@
 // Numerical kernels: blas-lite ops, similarity metrics, gemm variants,
 // im2col/col2im round trips and their bit-pin against the per-element
-// oracle loops.
+// oracle loops, the conv packers against packed reference im2col panels,
+// and the per-plane conv bias kernels against the loops they replaced.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -176,7 +177,7 @@ TEST(Im2col, IdentityKernelReproducesImage) {
   tensor::Conv2dGeometry geo{1, 3, 3, 1, 1, 1, 0};
   std::vector<float> image{1, 2, 3, 4, 5, 6, 7, 8, 9};
   std::vector<float> cols(9);
-  tensor::im2col(image, geo, cols);
+  tensor::ref::im2col(image, geo, cols);
   EXPECT_EQ(cols, image);
 }
 
@@ -184,7 +185,7 @@ TEST(Im2col, PaddingReadsZero) {
   tensor::Conv2dGeometry geo{1, 2, 2, 3, 3, 1, 1};
   std::vector<float> image{1, 2, 3, 4};
   std::vector<float> cols(3 * 3 * 2 * 2);
-  tensor::im2col(image, geo, cols);
+  tensor::ref::im2col(image, geo, cols);
   // First row of columns corresponds to kernel position (0,0): top-left
   // output pixel reads image[-1,-1] -> 0.
   EXPECT_EQ(cols[0], 0.0f);
@@ -199,10 +200,10 @@ TEST(Im2col, SizeValidation) {
   tensor::Conv2dGeometry geo{1, 3, 3, 2, 2, 1, 0};
   std::vector<float> image(8);  // wrong: needs 9
   std::vector<float> cols(2 * 2 * 2 * 2);
-  EXPECT_THROW(tensor::im2col(image, geo, cols), std::invalid_argument);
+  EXPECT_THROW(tensor::ref::im2col(image, geo, cols), std::invalid_argument);
   std::vector<float> image9(9);
   std::vector<float> wrong_cols(5);
-  EXPECT_THROW(tensor::im2col(image9, geo, wrong_cols), std::invalid_argument);
+  EXPECT_THROW(tensor::ref::im2col(image9, geo, wrong_cols), std::invalid_argument);
 }
 
 // col2im(im2col(x)) multiplies each pixel by the number of windows it
@@ -212,7 +213,7 @@ TEST(Im2col, Col2imAccumulatesWindowCounts) {
   std::vector<float> image(16, 1.0f);
   const std::size_t oh = geo.out_h(), ow = geo.out_w();
   std::vector<float> cols(geo.kernel_h * geo.kernel_w * oh * ow);
-  tensor::im2col(image, geo, cols);
+  tensor::ref::im2col(image, geo, cols);
   std::vector<float> back(16, 0.0f);
   tensor::col2im(cols, geo, back);
   // Count appearances directly.
@@ -361,7 +362,7 @@ TEST(LoweringBitPin, MatchesPerElementOracle) {
       std::vector<float> want_cols(cols_size, -1.0f);
       std::vector<float> got_cols(cols_size, -2.0f);
       oracle_im2col(image, geo, want_cols);
-      tensor::im2col(image, geo, got_cols);
+      tensor::ref::im2col(image, geo, got_cols);
       ASSERT_EQ(std::memcmp(want_cols.data(), got_cols.data(), cols_size * sizeof(float)), 0)
           << "im2col " << geo_name(geo) << " tier " << simd::tier_name(tier);
 
@@ -385,6 +386,159 @@ TEST(LoweringBitPin, Col2imSizeValidation) {
   std::vector<float> image9(9);
   std::vector<float> wrong_cols(5);
   EXPECT_THROW(tensor::col2im(wrong_cols, geo, image9), std::invalid_argument);
+}
+
+// ---- Conv lowering straight into GEMM panels ----
+
+std::vector<simd::Tier> host_tiers() {
+  std::vector<simd::Tier> tiers{simd::Tier::kScalar};
+  if (simd::avx2_supported()) tiers.push_back(simd::Tier::kAvx2);
+  if (simd::avx512_supported()) tiers.push_back(simd::Tier::kAvx512);
+  return tiers;
+}
+
+bool same_panels(std::span<const float> a, std::span<const float> b) {
+  return a.size() == b.size() &&
+         (a.empty() || std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0);
+}
+
+// The lowering grid plus the shapes the conv packers special-case: LeNet
+// conv1/conv2, WRN 3x3 pad 1 at stride 1 and 2, the 1x1 stride-2
+// shortcut, pad 0, K = 32*3*3 = 288 > kKc, oh*ow = 32*32 = 1024 > kNc,
+// and oh*ow = 81, not a multiple of kNr.
+std::vector<tensor::Conv2dGeometry> panel_geometries() {
+  std::vector<tensor::Conv2dGeometry> geos = lowering_geometries();
+  geos.push_back({3, 16, 16, 5, 5, 1, 2});
+  geos.push_back({6, 8, 8, 5, 5, 1, 2});
+  geos.push_back({8, 16, 16, 3, 3, 1, 1});
+  geos.push_back({8, 16, 16, 3, 3, 2, 1});
+  geos.push_back({8, 16, 16, 1, 1, 2, 0});
+  geos.push_back({3, 12, 12, 5, 5, 1, 0});
+  geos.push_back({32, 8, 8, 3, 3, 1, 1});
+  geos.push_back({3, 32, 32, 3, 3, 1, 1});
+  geos.push_back({2, 9, 9, 3, 3, 1, 1});
+  geos.push_back({32, 32, 32, 3, 3, 1, 1});
+  return geos;
+}
+
+// pack_conv / pack_conv_t write, byte for byte, the panels PackedB::pack
+// writes from the reference column matrix, zero tails included. The
+// packers under test are reused across shrinking and growing geometries
+// after a NaN-filled pack, so a tail they failed to zero would show.
+TEST(ConvPanels, MatchPackedIm2col) {
+  const std::vector<tensor::Conv2dGeometry> geos = panel_geometries();
+  for (const simd::Tier tier : host_tiers()) {
+    simd::set_tier_for_testing(tier);
+    util::Rng rng(17);
+    tensor::PackedB conv, conv_t;
+    const std::vector<float> poison(32 * 9 * 1024, std::nanf(""));
+    conv.pack(32 * 9, 1024, poison.data(), /*b_trans=*/false);
+    conv_t.pack(1024, 32 * 9, poison.data(), /*b_trans=*/false);
+    for (const tensor::Conv2dGeometry& geo : geos) {
+      const std::size_t rows = geo.in_channels * geo.kernel_h * geo.kernel_w;
+      const std::size_t positions = geo.out_h() * geo.out_w();
+      const std::vector<float> image =
+          random_floats(geo.in_channels * geo.in_h * geo.in_w, rng);
+      std::vector<float> columns(rows * positions);
+      tensor::ref::im2col(image, geo, columns);
+      tensor::PackedB want, want_t;
+      want.pack(rows, positions, columns.data(), /*b_trans=*/false);
+      want_t.pack(positions, rows, columns.data(), /*b_trans=*/true);
+      conv.pack_conv(image, geo);
+      conv_t.pack_conv_t(image, geo);
+      const std::string where = geo_name(geo) + " tier " + simd::tier_name(tier);
+      EXPECT_EQ(conv.k(), rows) << where;
+      EXPECT_EQ(conv.n(), positions) << where;
+      EXPECT_EQ(conv_t.k(), positions) << where;
+      EXPECT_EQ(conv_t.n(), rows) << where;
+      ASSERT_TRUE(same_panels(conv.panels(), want.panels())) << "pack_conv " << where;
+      ASSERT_TRUE(same_panels(conv_t.panels(), want_t.panels())) << "pack_conv_t " << where;
+    }
+  }
+  simd::reset_tier_from_env();
+}
+
+// A prepacked op(A) gives gemm's and gemm_tn's bits, with op(B) raw or
+// lowered from an image, across the register tile (kMr = 6), the row
+// block (kMc = 96) and the k block (kKc = 256).
+TEST(ConvPanels, PackedAMatchesGemm) {
+  const std::size_t rows[] = {1, 5, 6, 7, 97};
+  const std::size_t depths[] = {1, 255, 256, 257};
+  const std::size_t cols[] = {1, 15, 16, 17, 513};
+  for (const simd::Tier tier : host_tiers()) {
+    simd::set_tier_for_testing(tier);
+    util::Rng rng(19);
+    tensor::PackedA packed;
+    for (const std::size_t m : rows) {
+      for (const std::size_t k : depths) {
+        for (const std::size_t n : cols) {
+          const std::string where = "m=" + std::to_string(m) + " k=" + std::to_string(k) +
+                                    " n=" + std::to_string(n) + " tier " +
+                                    simd::tier_name(tier);
+          const std::vector<float> a = random_floats(m * k, rng);
+          const std::vector<float> b = random_floats(k * n, rng);
+          std::vector<float> want(m * n), got(m * n, std::nanf(""));
+          tensor::gemm(m, k, n, a.data(), b.data(), want.data());
+          packed.pack(m, k, a.data(), /*a_trans=*/false);
+          tensor::gemm_packed(packed, n, b.data(), got.data());
+          ASSERT_TRUE(same_panels(got, want)) << "gemm " << where;
+          tensor::PackedB packed_b;
+          packed_b.pack(k, n, b.data(), /*b_trans=*/false);
+          std::fill(got.begin(), got.end(), std::nanf(""));
+          tensor::gemm_packed(packed, packed_b, got.data());
+          ASSERT_TRUE(same_panels(got, want)) << "gemm, both packed " << where;
+
+          // gemm_tn reads A (stored m x k) transposed: C is k x n over m.
+          const std::vector<float> b_tn = random_floats(m * n, rng);
+          std::vector<float> want_tn(k * n), got_tn(k * n, std::nanf(""));
+          tensor::gemm_tn(m, k, n, a.data(), b_tn.data(), want_tn.data());
+          packed.pack(k, m, a.data(), /*a_trans=*/true);
+          tensor::gemm_packed(packed, n, b_tn.data(), got_tn.data());
+          ASSERT_TRUE(same_panels(got_tn, want_tn)) << "gemm_tn " << where;
+        }
+      }
+    }
+    // The conv forward: W packed once, the image lowered into panels.
+    for (const tensor::Conv2dGeometry& geo : panel_geometries()) {
+      const std::size_t out_c = 7;
+      const std::size_t col_rows = geo.in_channels * geo.kernel_h * geo.kernel_w;
+      const std::size_t positions = geo.out_h() * geo.out_w();
+      const std::vector<float> w = random_floats(out_c * col_rows, rng);
+      const std::vector<float> image =
+          random_floats(geo.in_channels * geo.in_h * geo.in_w, rng);
+      std::vector<float> columns(col_rows * positions);
+      tensor::ref::im2col(image, geo, columns);
+      std::vector<float> want(out_c * positions), got(out_c * positions, std::nanf(""));
+      tensor::gemm(out_c, col_rows, positions, w.data(), columns.data(), want.data());
+      tensor::PackedB panels;
+      panels.pack_conv(image, geo);
+      packed.pack(out_c, col_rows, w.data(), /*a_trans=*/false);
+      tensor::gemm_packed(packed, panels, got.data());
+      ASSERT_TRUE(same_panels(got, want))
+          << "conv " << geo_name(geo) << " tier " << simd::tier_name(tier);
+    }
+  }
+  simd::reset_tier_from_env();
+}
+
+TEST(ConvPanels, SizeMismatchThrows) {
+  const tensor::Conv2dGeometry geo{2, 5, 5, 3, 3, 1, 1};
+  const std::vector<float> short_image(2 * 5 * 5 - 1), long_image(2 * 5 * 5 + 1);
+  tensor::PackedB panels;
+  EXPECT_THROW(panels.pack_conv(short_image, geo), std::invalid_argument);
+  EXPECT_THROW(panels.pack_conv(long_image, geo), std::invalid_argument);
+  EXPECT_THROW(panels.pack_conv_t(short_image, geo), std::invalid_argument);
+  EXPECT_THROW(panels.pack_conv_t(long_image, geo), std::invalid_argument);
+  // op(A) is 4 x 18, op(B) 25 x 18 (k = 25): they do not chain.
+  const std::vector<float> image(2 * 5 * 5), a(4 * 18);
+  panels.pack_conv_t(image, geo);
+  tensor::PackedA packed;
+  packed.pack(4, 18, a.data(), /*a_trans=*/false);
+  std::vector<float> c(4 * 18);
+  EXPECT_THROW(tensor::gemm_packed(packed, panels, c.data()), std::invalid_argument);
+  panels.pack_conv(image, geo);  // 18 x 25: chains
+  c.resize(4 * 25);
+  EXPECT_NO_THROW(tensor::gemm_packed(packed, panels, c.data()));
 }
 
 // ---- Parameter-free layer kernels against the scalar loops they replaced ----
@@ -529,6 +683,75 @@ TEST(ParamFreeKernels, SizeValidation) {
   EXPECT_THROW(tensor::max_pool2d(x, 2, 2, 2, 2, out, nullptr), std::invalid_argument);
   EXPECT_THROW(tensor::max_pool2d(x, 1, 2, 2, 2, std::span<float>(y), nullptr),
                std::invalid_argument);
+}
+
+// ---- Per-plane conv bias kernels against the Conv2d loops they replaced ----
+
+// The loops Conv2d ran on one sample before tensor::plane_bias_add and
+// tensor::plane_sum.
+void oracle_plane_bias_add(std::vector<float>& out, std::size_t plane,
+                           const std::vector<float>& bias) {
+  for (std::size_t c = 0; c < bias.size(); ++c) {
+    const float b = bias[c];
+    float* dst = out.data() + c * plane;
+    for (std::size_t i = 0; i < plane; ++i) dst[i] += b;
+  }
+}
+void oracle_plane_sum(const std::vector<float>& dy, std::size_t plane,
+                      std::vector<float>& grad) {
+  for (std::size_t c = 0; c < grad.size(); ++c) {
+    double acc = 0.0;
+    for (std::size_t i = 0; i < plane; ++i) acc += dy[c * plane + i];
+    grad[c] += static_cast<float>(acc);
+  }
+}
+
+// Bit-equal, except that two NaNs match whatever their payloads: which
+// operand's payload an add propagates is the hardware's choice, not the
+// association order these kernels pin.
+bool same_bits_or_nan(const std::vector<float>& a, const std::vector<float>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (std::isnan(a[i]) && std::isnan(b[i])) continue;
+    if (std::memcmp(&a[i], &b[i], sizeof(float)) != 0) return false;
+  }
+  return true;
+}
+
+TEST(PlaneKernels, MatchConvLoopsBitForBit) {
+  util::Rng rng(43);
+  for (const std::size_t channels : {1u, 2u, 3u, 5u, 6u, 7u, 8u, 9u, 16u, 17u, 32u}) {
+    for (const std::size_t plane : {1u, 4u, 7u, 16u, 64u, 256u}) {
+      const std::string where = "C=" + std::to_string(channels) + " plane=" +
+                                std::to_string(plane);
+      // Special values, then plain normals (whose double sums are
+      // where a reassociation would round differently).
+      for (const bool special : {true, false}) {
+        const std::vector<float> x = special ? special_floats(channels * plane, rng)
+                                             : random_floats(channels * plane, rng);
+        const std::vector<float> bias = special ? special_floats(channels, rng)
+                                                : random_floats(channels, rng);
+        std::vector<float> want = x, got = x;
+        oracle_plane_bias_add(want, plane, bias);
+        tensor::plane_bias_add(got, plane, bias);
+        EXPECT_TRUE(same_bits_or_nan(want, got)) << "plane_bias_add " << where;
+
+        std::vector<float> want_grad = bias, got_grad = bias;
+        oracle_plane_sum(x, plane, want_grad);
+        tensor::plane_sum(x, plane, got_grad);
+        EXPECT_TRUE(same_bits_or_nan(want_grad, got_grad)) << "plane_sum " << where;
+      }
+    }
+  }
+}
+
+TEST(PlaneKernels, SizeValidation) {
+  std::vector<float> x(12), bias(5), grad(5);
+  EXPECT_THROW(tensor::plane_bias_add(x, 2, bias), std::invalid_argument);
+  EXPECT_THROW(tensor::plane_sum(x, 2, grad), std::invalid_argument);
+  std::vector<float> fits(10);
+  EXPECT_NO_THROW(tensor::plane_bias_add(fits, 2, bias));
+  EXPECT_NO_THROW(tensor::plane_sum(fits, 2, grad));
 }
 
 TEST(Conv2dGeometry, OutputDims) {

@@ -25,7 +25,11 @@ glibc's tanhf on the same 1920 floats (BM_Tanh/libm): it returns libm's
 bits, so its speed is the only reason it exists. And it exits 1 when
 LeNet-5's parameter-free layers at conv1 (BM_ParamFree/conv1: ReLU and
 MaxPool, forward and backward) take more than MAX_PARAM_FREE_SHARE of one
-training step (BM_CnnTrainingIteration): they do no arithmetic. Usage:
+training step (BM_CnnTrainingIteration): they do no arithmetic. And it
+exits 1 when the conv lowering and weight packing of that step
+(BM_ConvLowering: every PackedB::pack_conv / pack_conv_t and PackedA pack
+of LeNet-5's two convs at N = 10) take more than MAX_CONV_LOWERING_SHARE
+of it: they are copies that feed the GEMMs, not arithmetic. Usage:
 
     python3 tools/bench_kernels.py [--build build] [--out BENCH_kernels.json]
 """
@@ -49,8 +53,9 @@ BASELINE_NS = {
 FILTER = ("BM_(Gemm|GemmNT|GemmTN|GemmRef|LayerGemm|Im2col|"
           "Col2im|Axpy|Dot|"
           "L2Norm|Scale|BiasAdd|RowSum|ConvForward|ConvBackward|"
-          "StatisticalProgress|CnnTrainingIteration|RoundThroughput|"
-          "LstmForward|LstmBackwardParams|Tanh|ParamFree)")
+          "StatisticalProgress|CnnTrainingIteration|WrnTrainingIteration|"
+          "RoundThroughput|LstmForward|LstmBackwardParams|Tanh|ParamFree|"
+          "ConvLowering)")
 
 # BM_GemmNT/n and BM_GemmTN/n may be at most this many times slower than
 # BM_Gemm/n for every square size n in GUARDED_SIZES.
@@ -69,6 +74,13 @@ MIN_TANH_SPEEDUP = 2.0
 # BM_ParamFree/conv1 may take at most this share of
 # BM_CnnTrainingIteration.
 MAX_PARAM_FREE_SHARE = 0.10
+
+# BM_ConvLowering may take at most this share of BM_CnnTrainingIteration.
+# The same copies (im2col, then packing the column matrix and the weight
+# per sample) took about 0.47 of the step before the conv lowered straight
+# into GEMM panels; since, single runs on a shared 4-vCPU VM read
+# 0.24-0.32.
+MAX_CONV_LOWERING_SHARE = 0.40
 
 
 def transposed_gaps(after):
@@ -116,6 +128,16 @@ def param_free_gap(after):
         return []
     share = layers["real_time_ns"] / step["real_time_ns"]
     return [("BM_ParamFree/conv1", share)] if share > MAX_PARAM_FREE_SHARE else []
+
+
+def conv_lowering_gap(after):
+    """(name, share) when LeNet's conv lowering takes too much of a step."""
+    step = after.get("BM_CnnTrainingIteration")
+    lowering = after.get("BM_ConvLowering")
+    if not step or not lowering or step["real_time_ns"] <= 0:
+        return []
+    share = lowering["real_time_ns"] / step["real_time_ns"]
+    return [("BM_ConvLowering", share)] if share > MAX_CONV_LOWERING_SHARE else []
 
 
 def main() -> int:
@@ -187,6 +209,13 @@ def main() -> int:
             speedups[f"ref_vs_blocked/{n}"] = round(
                 ref["real_time_ns"] / opt["real_time_ns"], 2)
 
+    shares = {}
+    step = after.get("BM_CnnTrainingIteration")
+    for name in ("BM_ParamFree/conv1", "BM_ConvLowering"):
+        entry = after.get(name)
+        if step and entry and step["real_time_ns"] > 0:
+            shares[name] = round(entry["real_time_ns"] / step["real_time_ns"], 3)
+
     out = {
         "description": "Kernel microbenches: frozen pre-optimization baseline "
                        "(before_ns) vs current build (after).",
@@ -194,6 +223,7 @@ def main() -> int:
         "before_ns": BASELINE_NS,
         "after": after,
         "speedup": speedups,
+        "share_of_cnn_step": shares,
     }
     out_path = root / args.out
     out_path.write_text(json.dumps(out, indent=2, sort_keys=True) + "\n")
@@ -221,7 +251,12 @@ def main() -> int:
     for name, share in slow_param_free:
         print(f"error: {name} is {share:.2f} of BM_CnnTrainingIteration "
               f"(limit {MAX_PARAM_FREE_SHARE})", file=sys.stderr)
-    return 1 if gaps or slow_lowering or slow_tanh or slow_param_free else 0
+    slow_conv_lowering = conv_lowering_gap(after)
+    for name, share in slow_conv_lowering:
+        print(f"error: {name} is {share:.2f} of BM_CnnTrainingIteration "
+              f"(limit {MAX_CONV_LOWERING_SHARE})", file=sys.stderr)
+    return 1 if (gaps or slow_lowering or slow_tanh or slow_param_free
+                 or slow_conv_lowering) else 0
 
 
 if __name__ == "__main__":

@@ -232,9 +232,12 @@ fi
 # partial aggregation, abandoned async cycles) where lifetime and UB bugs
 # would hide; the LSTM suite covers its reused step cache, its cacheless
 # eval mode and the packed-weight GEMMs; the CNN suite and the ops suite
-# cover the ReLU/MaxPool kernels' vector loads and the layers' cacheless
-# eval mode; the session suite covers the observability outputs' lifetime
-# (one obs::Session per experiment, flushed by its destructor).
+# cover the ReLU/MaxPool kernels' vector loads, the conv packers' masked
+# loads (PackedB::pack_conv / pack_conv_t) and the layers' cacheless eval
+# mode; the GEMM property and conv equivalence suites cover prepacked
+# operands across block edges; the session suite covers the observability
+# outputs' lifetime (one obs::Session per experiment, flushed by its
+# destructor).
 # FEDCA_ASAN=0 skips it (e.g. when the toolchain lacks libasan).
 asan_pass() {
   step_status=0
@@ -243,12 +246,13 @@ asan_pass() {
     >>asan_output.txt 2>&1 &&
   cmake --build build-asan --target sim_fault_injection_test \
     fl_robustness_test nn_lstm_bitpin_test nn_cnn_bitpin_test tensor_ops_test \
-    obs_session_test \
+    tensor_gemm_property_test nn_conv_equivalence_test obs_session_test \
     -j "$(nproc)" \
     >>asan_output.txt 2>&1 \
     || { echo "asan build FAILED (see asan_output.txt)"; return 1; }
   for t in sim_fault_injection_test fl_robustness_test nn_lstm_bitpin_test \
-           nn_cnn_bitpin_test tensor_ops_test obs_session_test; do
+           nn_cnn_bitpin_test tensor_ops_test tensor_gemm_property_test \
+           nn_conv_equivalence_test obs_session_test; do
     echo "--- $t (asan+ubsan) ---"
     keep_going "build-asan/tests/$t"
   done
