@@ -580,24 +580,26 @@ void gemm_any(std::size_t M, std::size_t K, std::size_t N, const float* a,
   const std::size_t kb_max = std::min(kKc, K);
   scratch.grow(a_panels != nullptr ? 0 : round_up(std::min(kMc, M), simd::kMr) * kb_max,
                b_panels != nullptr ? 0 : kb_max * round_up(std::min(kNc, N), simd::kNr));
+  float* const a_scratch = scratch.ap.data();
+  float* const b_scratch = scratch.bp.data();
   for (std::size_t jc = 0; jc < N; jc += kNc) {
     const std::size_t nb = std::min(kNc, N - jc);
     for (std::size_t kc = 0; kc < K; kc += kKc) {
       const std::size_t kb = std::min(kKc, K - kc);
       const bool first = kc == 0;
-      const float* bp = scratch.bp.data();
+      const float* bp = b_scratch;
       if (b_panels != nullptr) {
         bp = b_panels + packed_block_offset(K, jc, kc, nb);
       } else {
-        pack_b(b, bs, b_trans, kc, kb, jc, nb, scratch.bp.data());
+        pack_b(b, bs, b_trans, kc, kb, jc, nb, b_scratch);
       }
       for (std::size_t ic = 0; ic < M; ic += kMc) {
         const std::size_t mb = std::min(kMc, M - ic);
-        const float* ap = scratch.ap.data();
+        const float* ap = a_scratch;
         if (a_panels != nullptr) {
           ap = a_panels + packed_a_block_offset(M, kc, ic, kb);
         } else {
-          pack_a(a, as, a_trans, ic, mb, kc, kb, scratch.ap.data());
+          pack_a(a, as, a_trans, ic, mb, kc, kb, a_scratch);
         }
         for (std::size_t ir = 0; ir < mb; ir += simd::kMr) {
           const std::size_t mr_eff = std::min(simd::kMr, mb - ir);
@@ -1024,14 +1026,19 @@ void PackedB::pack(std::size_t k, std::size_t n, const float* b, bool b_trans) {
 // runs — stretches of its columns whose values lie evenly spaced in the
 // image, at the same place relative to each panel row's base — and written
 // whole rows at a time by the active tier's panel packer, padding columns
-// included.
+// included. Strided runs always take the portable packer.
 
 using PanelPacker = void (*)(const float*, const std::size_t*, std::size_t,
                              const simd::PanelRun*, std::size_t, std::size_t, float*);
 
-PanelPacker panel_packer() {
+PanelPacker panel_packer(std::size_t stride) {
 #if defined(__x86_64__) || defined(_M_X64)
-  if (simd::active_tier() == simd::Tier::kAvx512) return simd::pack_panel_runs_avx512;
+  if (stride == 1 && simd::active_tier() == simd::Tier::kAvx512) {
+    return [](const float* in, const std::size_t* step, std::size_t kb,
+              const simd::PanelRun* runs, std::size_t nruns, std::size_t, float* dst) {
+      simd::pack_panel_runs_avx512(in, step, kb, runs, nruns, dst);
+    };
+  }
 #endif
   return simd::pack_panel_runs_generic;
 }
@@ -1044,7 +1051,7 @@ void PackedB::pack_conv(std::span<const float> image, const Conv2dGeometry& geo)
   const std::size_t hp = geo.in_h + 2 * geo.pad, wp = geo.in_w + 2 * geo.pad;
   float* panels = reshape(K, N);
   const float* src = lowering_source(image, geo);
-  const PanelPacker pack_panel = panel_packer();
+  const PanelPacker pack_panel = panel_packer(s);
   std::size_t roff[kKc];
   simd::PanelRun runs[simd::kNr];
   for (std::size_t jc = 0; jc < N; jc += kNc) {
@@ -1076,14 +1083,7 @@ void PackedB::pack_conv_t(std::span<const float> image, const Conv2dGeometry& ge
   const std::size_t hp = geo.in_h + 2 * geo.pad, wp = geo.in_w + 2 * geo.pad;
   float* panels = reshape(K, N);
   const float* src = lowering_source(image, geo);
-  const PanelPacker pack_panel = panel_packer();
-  // A strided conv's tile rows are single floats apart, which the tile
-  // transposer would load one at a time: its rows pack as runs instead.
-#if defined(__x86_64__) || defined(_M_X64)
-  const bool transpose_tiles = geo.stride == 1 && simd::active_tier() == simd::Tier::kAvx512;
-#else
-  const bool transpose_tiles = false;
-#endif
+  const PanelPacker pack_panel = panel_packer(1);
   std::size_t roff[kNc], poff[kKc];
   simd::PanelRun runs[simd::kNr];
   for (std::size_t jc = 0; jc < N; jc += kNc) {
@@ -1093,10 +1093,6 @@ void PackedB::pack_conv_t(std::span<const float> image, const Conv2dGeometry& ge
       const std::size_t kb = std::min(kKc, K - kc);
       position_offsets(geo, wp, kc, kb, poff);
       float* block = panels + packed_block_offset(K, jc, kc, nb);
-      if (transpose_tiles) {
-        simd::pack_conv_t_block_avx512(src, roff, nb, poff, kb, block);
-        continue;
-      }
       for (std::size_t jr = 0; jr < nb; jr += simd::kNr) {
         // Panel columns are column-matrix rows (c, kh, kw); a run is one
         // (c, kh)'s consecutive kw taps, adjacent in the image whatever

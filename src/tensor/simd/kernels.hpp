@@ -119,19 +119,10 @@ bool avx512_compiled();
 void gemm_microkernel_avx512(std::size_t kb, const float* ap, const float* bp,
                              float* c, std::size_t ldc, std::size_t mr_eff,
                              std::size_t nr_eff, bool first);
-// pack_panel_runs_generic with one zmm per panel row: a masked load
-// (stride 1) or masked gather per run.
+// pack_panel_runs_generic at stride 1 with one zmm per panel row: a
+// masked load per run.
 void pack_panel_runs_avx512(const float* in, const std::size_t* step, std::size_t kb,
-                            const PanelRun* runs, std::size_t nruns, std::size_t stride,
-                            float* dst);
-// One (column block, k block) of a stride-1 PackedB::pack_conv_t: the
-// panels of nb columns, column j reading in + col_off[j] + row_off[kk] in
-// row kk < kb, zero-padded past nb. Each 16 x 16 tile is loaded as 16
-// image stretches (one per column: a masked load per stretch of rows
-// whose row_off steps by one, a whole output row's share) and transposed
-// in registers, instead of one short run per row.
-void pack_conv_t_block_avx512(const float* in, const std::size_t* col_off, std::size_t nb,
-                              const std::size_t* row_off, std::size_t kb, float* dst);
+                            const PanelRun* runs, std::size_t nruns, float* dst);
 
 // ---- AVX2+FMA tier (kernels_avx2.cpp) ----
 

@@ -14,8 +14,6 @@
 
 #include <immintrin.h>
 
-#include <algorithm>
-
 namespace fedca::tensor::simd {
 
 bool avx512_compiled() { return true; }
@@ -59,23 +57,26 @@ void gemm_microkernel_avx512(std::size_t kb, const float* ap, const float* bp,
 
 namespace {
 
-// The rows of a stride-1 panel made of exactly R runs: run g's lanes load
-// from shift[g] bytes past each row's base. Runs cover disjoint lanes and
-// leave the others +0, so OR-ing the zero-masked loads assembles the row
-// bit-exactly; a fixed R keeps masks and shifts in registers.
+// The rows of a stride-1 panel made of R runs (R = 0: nruns of them, known
+// only at run time): run g's lanes load from shift[g] bytes past each
+// row's base. Runs cover disjoint lanes and leave the others +0, so OR-ing
+// the zero-masked loads assembles the row bit-exactly; a fixed R keeps
+// masks and shifts in registers.
 template <std::size_t R>
 void masked_rows(const float* in, const std::size_t* step, std::size_t kb,
-                 const __mmask16* masks, const std::uintptr_t* shift, float* dst) {
-  __mmask16 m[R];
-  std::uintptr_t sh[R];
-  for (std::size_t g = 0; g < R; ++g) {
+                 const __mmask16* masks, const std::uintptr_t* shift, std::size_t nruns,
+                 float* dst) {
+  const std::size_t n = R != 0 ? R : nruns;
+  __mmask16 m[R != 0 ? R : kNr];
+  std::uintptr_t sh[R != 0 ? R : kNr];
+  for (std::size_t g = 0; g < n; ++g) {
     m[g] = masks[g];
     sh[g] = shift[g];
   }
   for (std::size_t kk = 0; kk < kb; ++kk) {
     const std::uintptr_t base = reinterpret_cast<std::uintptr_t>(in + step[kk]);
     __m512i row = _mm512_setzero_si512();
-    for (std::size_t g = 0; g < R; ++g) {
+    for (std::size_t g = 0; g < n; ++g) {
       row = _mm512_or_si512(row, _mm512_castps_si512(_mm512_maskz_loadu_ps(
                                      m[g], reinterpret_cast<const void*>(base + sh[g]))));
     }
@@ -86,134 +87,24 @@ void masked_rows(const float* in, const std::size_t* step, std::size_t kb,
 }  // namespace
 
 void pack_panel_runs_avx512(const float* in, const std::size_t* step, std::size_t kb,
-                            const PanelRun* runs, std::size_t nruns, std::size_t stride,
-                            float* dst) {
-  // Lanes [j0, j0 + len) of each run. A stride-1 run loads them from j0
-  // floats before its first (the address is formed as an integer and may
-  // precede the image; inactive lanes are never read). A strided run
-  // gathers them, lane j reading element (j - j0) * stride.
+                            const PanelRun* runs, std::size_t nruns, float* dst) {
+  // Lanes [j0, j0 + len) of each run load from j0 floats before its first
+  // (the address is formed as an integer and may precede the image;
+  // inactive lanes are never read).
   __mmask16 masks[kNr];
+  std::uintptr_t shift[kNr];
   for (std::size_t g = 0; g < nruns; ++g) {
     masks[g] = static_cast<__mmask16>(((1u << runs[g].len) - 1u) << runs[g].j0);
+    shift[g] = (runs[g].off - runs[g].j0) * sizeof(float);
   }
-  if (stride == 1) {
-    std::uintptr_t shift[kNr];
-    for (std::size_t g = 0; g < nruns; ++g) {
-      shift[g] = (runs[g].off - runs[g].j0) * sizeof(float);
-    }
-    switch (nruns) {
-      case 1: masked_rows<1>(in, step, kb, masks, shift, dst); return;
-      case 2: masked_rows<2>(in, step, kb, masks, shift, dst); return;
-      case 3: masked_rows<3>(in, step, kb, masks, shift, dst); return;
-      case 4: masked_rows<4>(in, step, kb, masks, shift, dst); return;
-      default: break;
-    }
-  }
-  const __m512i lane = _mm512_set_epi32(15, 14, 13, 12, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0);
-  __m512i index[kNr];
-  for (std::size_t g = 0; g < nruns; ++g) {
-    index[g] = _mm512_mullo_epi32(
-        _mm512_sub_epi32(lane, _mm512_set1_epi32(static_cast<int>(runs[g].j0))),
-        _mm512_set1_epi32(static_cast<int>(stride)));
-  }
-  for (std::size_t kk = 0; kk < kb; ++kk) {
-    const float* base = in + step[kk];
-    __m512i row = _mm512_setzero_si512();
-    for (std::size_t g = 0; g < nruns; ++g) {
-      const float* from = base + runs[g].off;
-      __m512 part;
-      if (stride == 1) {
-        const auto at = reinterpret_cast<std::uintptr_t>(from) - runs[g].j0 * sizeof(float);
-        part = _mm512_maskz_loadu_ps(masks[g], reinterpret_cast<const void*>(at));
-      } else {
-        part = _mm512_mask_i32gather_ps(_mm512_setzero_ps(), masks[g], index[g], from, 4);
-      }
-      row = _mm512_or_si512(row, _mm512_castps_si512(part));
-    }
-    _mm512_storeu_si512(dst + kk * kNr, row);
+  switch (nruns) {
+    case 1: masked_rows<1>(in, step, kb, masks, shift, nruns, dst); return;
+    case 2: masked_rows<2>(in, step, kb, masks, shift, nruns, dst); return;
+    case 3: masked_rows<3>(in, step, kb, masks, shift, nruns, dst); return;
+    case 4: masked_rows<4>(in, step, kb, masks, shift, nruns, dst); return;
+    default: masked_rows<0>(in, step, kb, masks, shift, nruns, dst); return;
   }
 }
-
-namespace {
-
-// GCC 12 reports the self-initialised _mm512_undefined_ps() inside the
-// unpack and shuffle intrinsics as maybe-uninitialized once they are
-// inlined into loops (GCC bug 105593, fixed in GCC 13); the values are
-// never read.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
-
-// In-register transpose of the 16 x 16 tile held as rows m[0..15].
-void transpose16(__m512 m[16]) {
-  __m512 t[16];
-  for (int i = 0; i < 16; i += 2) {
-    t[i] = _mm512_unpacklo_ps(m[i], m[i + 1]);
-    t[i + 1] = _mm512_unpackhi_ps(m[i], m[i + 1]);
-  }
-  for (int i = 0; i < 16; i += 4) {
-    for (int h = 0; h < 2; ++h) {
-      const __m512d a = _mm512_castps_pd(t[i + h]), b = _mm512_castps_pd(t[i + h + 2]);
-      m[i + 2 * h] = _mm512_castpd_ps(_mm512_unpacklo_pd(a, b));
-      m[i + 2 * h + 1] = _mm512_castpd_ps(_mm512_unpackhi_pd(a, b));
-    }
-  }
-  for (int i = 0; i < 16; i += 8) {
-    for (int h = 0; h < 4; ++h) {
-      t[i + h] = _mm512_shuffle_f32x4(m[i + h], m[i + h + 4], 0x88);
-      t[i + h + 4] = _mm512_shuffle_f32x4(m[i + h], m[i + h + 4], 0xdd);
-    }
-  }
-  for (int h = 0; h < 8; ++h) {
-    m[h] = _mm512_shuffle_f32x4(t[h], t[h + 8], 0x88);
-    m[h + 8] = _mm512_shuffle_f32x4(t[h], t[h + 8], 0xdd);
-  }
-}
-
-}  // namespace
-
-void pack_conv_t_block_avx512(const float* in, const std::size_t* col_off, std::size_t nb,
-                              const std::size_t* row_off, std::size_t kb, float* dst) {
-  static_assert(kNr == 16, "one zmm per panel row");
-  for (std::size_t k0 = 0; k0 < kb; k0 += 16) {
-    const std::size_t rows = std::min<std::size_t>(16, kb - k0);
-    // Split the tile's rows into stretches where row_off steps by one: each
-    // is one masked load per column, addressed j0 floats early (formed as
-    // an integer; inactive lanes are never read).
-    __mmask16 masks[16];
-    std::size_t offs[16];
-    std::size_t nseg = 0;
-    for (std::size_t i = 0; i < rows;) {
-      std::size_t len = 1;
-      while (i + len < rows && row_off[k0 + i + len] == row_off[k0 + i] + len) ++len;
-      masks[nseg] = static_cast<__mmask16>(((1u << len) - 1u) << i);
-      offs[nseg] = row_off[k0 + i] - i;  // may wrap; only ever added back
-      ++nseg;
-      i += len;
-    }
-    for (std::size_t jr = 0; jr < nb; jr += kNr) {
-      const std::size_t cols = std::min(kNr, nb - jr);
-      __m512 m[16];
-      for (std::size_t j = 0; j < 16; ++j) {
-        __m512i row = _mm512_setzero_si512();
-        if (j < cols) {
-          const std::uintptr_t base =
-              reinterpret_cast<std::uintptr_t>(in) + col_off[jr + j] * sizeof(float);
-          for (std::size_t g = 0; g < nseg; ++g) {
-            const std::uintptr_t at = base + offs[g] * sizeof(float);
-            row = _mm512_or_si512(row, _mm512_castps_si512(_mm512_maskz_loadu_ps(
-                                           masks[g], reinterpret_cast<const void*>(at))));
-          }
-        }
-        m[j] = _mm512_castsi512_ps(row);
-      }
-      transpose16(m);
-      float* panel = dst + (jr / kNr) * kb * kNr + k0 * kNr;
-      for (std::size_t i = 0; i < rows; ++i) _mm512_storeu_ps(panel + i * kNr, m[i]);
-    }
-  }
-}
-
-#pragma GCC diagnostic pop
 
 }  // namespace fedca::tensor::simd
 
@@ -230,21 +121,8 @@ void gemm_microkernel_avx512(std::size_t kb, const float* ap, const float* bp,
 }
 
 void pack_panel_runs_avx512(const float* in, const std::size_t* step, std::size_t kb,
-                            const PanelRun* runs, std::size_t nruns, std::size_t stride,
-                            float* dst) {
-  pack_panel_runs_generic(in, step, kb, runs, nruns, stride, dst);
-}
-
-void pack_conv_t_block_avx512(const float* in, const std::size_t* col_off, std::size_t nb,
-                              const std::size_t* row_off, std::size_t kb, float* dst) {
-  for (std::size_t jr = 0; jr < nb; jr += kNr) {
-    float* panel = dst + (jr / kNr) * kb * kNr;
-    for (std::size_t kk = 0; kk < kb; ++kk) {
-      for (std::size_t j = 0; j < kNr; ++j) {
-        panel[kk * kNr + j] = jr + j < nb ? in[col_off[jr + j] + row_off[kk]] : 0.0f;
-      }
-    }
-  }
+                            const PanelRun* runs, std::size_t nruns, float* dst) {
+  pack_panel_runs_generic(in, step, kb, runs, nruns, 1, dst);
 }
 
 }  // namespace fedca::tensor::simd

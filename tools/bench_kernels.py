@@ -29,12 +29,20 @@ training step (BM_CnnTrainingIteration): they do no arithmetic. And it
 exits 1 when the conv lowering and weight packing of that step
 (BM_ConvLowering: every PackedB::pack_conv / pack_conv_t and PackedA pack
 of LeNet-5's two convs at N = 10) take more than MAX_CONV_LOWERING_SHARE
-of it: they are copies that feed the GEMMs, not arithmetic. Usage:
+of it: they are copies that feed the GEMMs, not arithmetic.
+
+Every gate is a ratio of two timings, and one 0.2 s sample of each can
+move it past its bound on a shared host. So after the full run that is
+recorded, the gated benchmarks alone run GATE_RUNS (9) more times and
+each gate judges the median of its per-run ratios; the medians and
+the per-run ratios are written under "gates". Times are recorded in ns
+whatever unit a benchmark reports in. Usage:
 
     python3 tools/bench_kernels.py [--build build] [--out BENCH_kernels.json]
 """
 import argparse
 import json
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -78,66 +86,71 @@ MAX_PARAM_FREE_SHARE = 0.10
 # BM_ConvLowering may take at most this share of BM_CnnTrainingIteration.
 # The same copies (im2col, then packing the column matrix and the weight
 # per sample) took about 0.47 of the step before the conv lowered straight
-# into GEMM panels; since, single runs on a shared 4-vCPU VM read
-# 0.24-0.32.
-MAX_CONV_LOWERING_SHARE = 0.40
+# into GEMM panels; since, the median of nine gate runs on a shared
+# 4-vCPU AVX-512 VM reads 0.237, single runs 0.22-0.25. The bound leaves
+# room for that spread and still fails the old path's 0.47.
+MAX_CONV_LOWERING_SHARE = 0.35
+
+# Every gate: (name, numerator, denominator, limit, kind, what the ratio
+# is). kind "max" fails above the limit, "min" below it.
+GATES = [
+    *[(f"{variant}/{n}", f"{variant}/{n}", f"BM_Gemm/{n}", MAX_TRANSPOSED_RATIO, "max",
+       f"times BM_Gemm/{n}")
+      for n in GUARDED_SIZES for variant in ("BM_GemmNT", "BM_GemmTN")],
+    ("BM_Im2col/conv1", "BM_Im2col/conv1", "BM_LayerGemm/conv1_fwd", MAX_LOWERING_RATIO,
+     "max", "times BM_LayerGemm/conv1_fwd"),
+    ("BM_Tanh/kernel", "BM_Tanh/libm", "BM_Tanh/kernel", MIN_TANH_SPEEDUP, "min",
+     "times faster than BM_Tanh/libm"),
+    ("BM_ParamFree/conv1", "BM_ParamFree/conv1", "BM_CnnTrainingIteration",
+     MAX_PARAM_FREE_SHARE, "max", "of BM_CnnTrainingIteration"),
+    ("BM_ConvLowering", "BM_ConvLowering", "BM_CnnTrainingIteration",
+     MAX_CONV_LOWERING_SHARE, "max", "of BM_CnnTrainingIteration"),
+]
+
+# Just the benchmarks the gates read.
+GATE_FILTER = ("BM_((Gemm|GemmNT|GemmTN)/(32|64|128)|LayerGemm/conv1_fwd|"
+               "Im2col/conv1|Tanh/(libm|kernel)|ParamFree/conv1|ConvLowering|"
+               "CnnTrainingIteration)$")
+GATE_RUNS = 9
+
+NS_PER_UNIT = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
 
 
-def transposed_gaps(after):
-    """(name, ratio) for every transposed GEMM slower than the guard allows."""
-    gaps = []
-    for n in GUARDED_SIZES:
-        plain = after.get(f"BM_Gemm/{n}")
-        if not plain or plain["real_time_ns"] <= 0:
+def run_benchmarks(binary, bench_filter, min_time):
+    """(context, {name: {real_time_ns, items_per_second}}) of one run."""
+    cmd = [
+        str(binary),
+        f"--benchmark_filter={bench_filter}",
+        "--benchmark_format=json",
+        # NOTE: this google-benchmark build rejects a "s" unit suffix here.
+        f"--benchmark_min_time={min_time}",
+    ]
+    print("+ " + " ".join(cmd), file=sys.stderr)
+    run = subprocess.run(cmd, capture_output=True, text=True)
+    if run.returncode != 0:
+        sys.stderr.write(run.stderr)
+        raise RuntimeError(f"micro_kernels failed: {' '.join(cmd)}")
+    data = json.loads(run.stdout)
+    results = {}
+    for bench in data.get("benchmarks", []):
+        if bench.get("run_type") == "aggregate":
             continue
-        for variant in ("BM_GemmNT", "BM_GemmTN"):
-            entry = after.get(f"{variant}/{n}")
-            if entry is None:
-                continue
-            ratio = entry["real_time_ns"] / plain["real_time_ns"]
-            if ratio > MAX_TRANSPOSED_RATIO:
-                gaps.append((f"{variant}/{n}", ratio))
-    return gaps
+        results[bench["name"]] = {
+            "real_time_ns": round(bench["real_time"] * NS_PER_UNIT[bench["time_unit"]], 1),
+            "items_per_second": bench.get("items_per_second"),
+        }
+    return data.get("context", {}), results
 
 
-def lowering_gap(after):
-    """(name, ratio) when conv1's im2col is slower than the guard allows."""
-    gemm = after.get("BM_LayerGemm/conv1_fwd")
-    lowering = after.get("BM_Im2col/conv1")
-    if not gemm or not lowering or gemm["real_time_ns"] <= 0:
-        return []
-    ratio = lowering["real_time_ns"] / gemm["real_time_ns"]
-    return [("BM_Im2col/conv1", ratio)] if ratio > MAX_LOWERING_RATIO else []
-
-
-def tanh_gap(after):
-    """(name, speedup) when the vector tanh is not fast enough vs libm."""
-    libm = after.get("BM_Tanh/libm")
-    kernel = after.get("BM_Tanh/kernel")
-    if not libm or not kernel or kernel["real_time_ns"] <= 0:
-        return []
-    speedup = libm["real_time_ns"] / kernel["real_time_ns"]
-    return [("BM_Tanh/kernel", speedup)] if speedup < MIN_TANH_SPEEDUP else []
-
-
-def param_free_gap(after):
-    """(name, share) when conv1's ReLU + MaxPool take too much of a step."""
-    step = after.get("BM_CnnTrainingIteration")
-    layers = after.get("BM_ParamFree/conv1")
-    if not step or not layers or step["real_time_ns"] <= 0:
-        return []
-    share = layers["real_time_ns"] / step["real_time_ns"]
-    return [("BM_ParamFree/conv1", share)] if share > MAX_PARAM_FREE_SHARE else []
-
-
-def conv_lowering_gap(after):
-    """(name, share) when LeNet's conv lowering takes too much of a step."""
-    step = after.get("BM_CnnTrainingIteration")
-    lowering = after.get("BM_ConvLowering")
-    if not step or not lowering or step["real_time_ns"] <= 0:
-        return []
-    share = lowering["real_time_ns"] / step["real_time_ns"]
-    return [("BM_ConvLowering", share)] if share > MAX_CONV_LOWERING_SHARE else []
+def gate_medians(runs):
+    """{gate name: (median ratio, per-run ratios)} over the gate runs."""
+    medians = {}
+    for name, num, den, _limit, _kind, _what in GATES:
+        ratios = [run[num]["real_time_ns"] / run[den]["real_time_ns"] for run in runs
+                  if num in run and den in run and run[den]["real_time_ns"] > 0]
+        if ratios:
+            medians[name] = (statistics.median(ratios), ratios)
+    return medians
 
 
 def main() -> int:
@@ -154,21 +167,11 @@ def main() -> int:
         print(f"error: {binary} not built", file=sys.stderr)
         return 1
 
-    cmd = [
-        str(binary),
-        f"--benchmark_filter={FILTER}",
-        "--benchmark_format=json",
-        # NOTE: this google-benchmark build rejects a "s" unit suffix here.
-        f"--benchmark_min_time={args.min_time}",
-    ]
-    print("+ " + " ".join(cmd), file=sys.stderr)
-    run = subprocess.run(cmd, capture_output=True, text=True)
-    if run.returncode != 0:
-        sys.stderr.write(run.stderr)
-        return run.returncode
-    data = json.loads(run.stdout)
-
-    context = data.get("context", {})
+    try:
+        context, after = run_benchmarks(binary, FILTER, args.min_time)
+    except RuntimeError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 1
     build_type = context.get("fedca_build_type")
     if build_type != "release":
         print(
@@ -180,26 +183,11 @@ def main() -> int:
         return 2
     print(f"dispatch tier: {context.get('fedca_simd_tier')}", file=sys.stderr)
 
-    after = {}
-    for bench in data.get("benchmarks", []):
-        if bench.get("run_type") == "aggregate":
-            continue
-        name = bench["name"]
-        after[name] = {
-            "real_time_ns": round(bench["real_time"], 1),
-            "items_per_second": bench.get("items_per_second"),
-        }
-
     speedups = {}
     for name, before_ns in BASELINE_NS.items():
         entry = after.get(name)
         if entry and entry["real_time_ns"] > 0:
             speedups[name] = round(before_ns / entry["real_time_ns"], 2)
-    libm = after.get("BM_Tanh/libm")
-    kernel = after.get("BM_Tanh/kernel")
-    if libm and kernel and kernel["real_time_ns"] > 0:
-        speedups["tanh_libm_vs_kernel"] = round(
-            libm["real_time_ns"] / kernel["real_time_ns"], 2)
     # The live naive-vs-blocked ratio on THIS host (BM_GemmRef is the old
     # BM_Gemm implementation).
     for n in (32, 64, 128):
@@ -209,21 +197,30 @@ def main() -> int:
             speedups[f"ref_vs_blocked/{n}"] = round(
                 ref["real_time_ns"] / opt["real_time_ns"], 2)
 
-    shares = {}
-    step = after.get("BM_CnnTrainingIteration")
-    for name in ("BM_ParamFree/conv1", "BM_ConvLowering"):
-        entry = after.get(name)
-        if step and entry and step["real_time_ns"] > 0:
-            shares[name] = round(entry["real_time_ns"] / step["real_time_ns"], 3)
+    # Each gate is a ratio of two timings; one 0.2 s sample of each moves
+    # it by more than some bounds leave room for, so the gated benchmarks
+    # run again GATE_RUNS times and each gate takes its median ratio.
+    try:
+        gate_runs = [run_benchmarks(binary, GATE_FILTER, args.min_time)[1]
+                     for _ in range(GATE_RUNS)]
+    except RuntimeError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 1
+    medians = gate_medians(gate_runs)
 
     out = {
         "description": "Kernel microbenches: frozen pre-optimization baseline "
-                       "(before_ns) vs current build (after).",
-        "context": data.get("context", {}),
+                       "(before_ns) vs current build (after); gates are the "
+                       "median ratio over the gate runs.",
+        "context": context,
         "before_ns": BASELINE_NS,
         "after": after,
         "speedup": speedups,
-        "share_of_cnn_step": shares,
+        "gates": {
+            name: {"median": round(medians[name][0], 3), "limit": limit,
+                   "kind": kind, "runs": [round(r, 3) for r in medians[name][1]]}
+            for name, _num, _den, limit, kind, _what in GATES if name in medians
+        },
     }
     out_path = root / args.out
     out_path.write_text(json.dumps(out, indent=2, sort_keys=True) + "\n")
@@ -234,29 +231,16 @@ def main() -> int:
         print(f"BM_Gemm/128 speedup vs frozen baseline: {gemm128}x",
               file=sys.stderr)
 
-    gaps = transposed_gaps(after)
-    for name, ratio in gaps:
-        print(f"error: {name} is {ratio:.2f}x slower than plain BM_Gemm at the "
-              f"same size (limit {MAX_TRANSPOSED_RATIO}x)", file=sys.stderr)
-    slow_lowering = lowering_gap(after)
-    for name, ratio in slow_lowering:
-        print(f"error: {name} is {ratio:.2f}x slower than "
-              f"BM_LayerGemm/conv1_fwd (limit {MAX_LOWERING_RATIO}x)",
-              file=sys.stderr)
-    slow_tanh = tanh_gap(after)
-    for name, speedup in slow_tanh:
-        print(f"error: {name} is only {speedup:.2f}x faster than BM_Tanh/libm "
-              f"(need {MIN_TANH_SPEEDUP}x)", file=sys.stderr)
-    slow_param_free = param_free_gap(after)
-    for name, share in slow_param_free:
-        print(f"error: {name} is {share:.2f} of BM_CnnTrainingIteration "
-              f"(limit {MAX_PARAM_FREE_SHARE})", file=sys.stderr)
-    slow_conv_lowering = conv_lowering_gap(after)
-    for name, share in slow_conv_lowering:
-        print(f"error: {name} is {share:.2f} of BM_CnnTrainingIteration "
-              f"(limit {MAX_CONV_LOWERING_SHARE})", file=sys.stderr)
-    return 1 if (gaps or slow_lowering or slow_tanh or slow_param_free
-                 or slow_conv_lowering) else 0
+    failed = False
+    for name, _num, _den, limit, kind, what in GATES:
+        if name not in medians:
+            continue
+        value = medians[name][0]
+        if (value > limit) if kind == "max" else (value < limit):
+            failed = True
+            print(f"error: {name} is {value:.2f} {what} in the median of "
+                  f"{GATE_RUNS} runs (limit {limit})", file=sys.stderr)
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
