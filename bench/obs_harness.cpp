@@ -10,9 +10,6 @@
 //       Wall-seconds of R steady-state FedCA rounds with the tracer
 //       (and per-kernel spans) fully on vs fully off — the ≤5% hot-loop
 //       overhead gate.
-//   mode=identity trace=0|1 workers=W rounds=R [scenario=...]
-//       FNV-1a fingerprint of the global model after R rounds — must be
-//       byte-identical across workers {1,2,8} and recorder on/off.
 //   mode=report   scenario=faultfree|faults out=PATH [rounds=R]
 //       Runs a fixed seeded scenario with the run-report armed, writing
 //       run_report.jsonl to PATH (round lines from the round engine plus
@@ -45,26 +42,7 @@ double wall_seconds() {
       .count();
 }
 
-std::uint64_t fnv1a(const void* data, std::size_t n, std::uint64_t h) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= p[i];
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
-std::uint64_t state_fingerprint(const nn::ModelState& state) {
-  std::uint64_t h = 1469598103934665603ULL;
-  for (std::size_t i = 0; i < state.tensors.size(); ++i) {
-    const std::string& name = state.names[i];
-    h = fnv1a(name.data(), name.size(), h);
-    h = fnv1a(state.tensors[i].raw(), state.tensors[i].byte_size(), h);
-  }
-  return h;
-}
-
-// Fixed seeded geometry shared by the overhead/identity/report modes:
+// Fixed seeded geometry shared by the overhead and report modes:
 // small enough for ctest, rich enough to exercise early stops, eager
 // layers, shedding, and (scenario=faults) the PR2-style fault schedule.
 fl::ExperimentOptions scenario_options(const std::string& scenario,
@@ -94,10 +72,10 @@ fl::ExperimentOptions scenario_options(const std::string& scenario,
   return options;
 }
 
-// The overhead and identity modes' outputs: trace=1 records every span,
-// kernel spans included (the worst case), into a trace the session writes
-// to /dev/null when the setup goes away; trace=0 arms nothing. The
-// environment is not read.
+// The overhead mode's outputs: trace=1 records every span, kernel spans
+// included (the worst case), into a trace the session writes to /dev/null
+// when the setup goes away; trace=0 arms nothing. The environment is not
+// read.
 obs::SessionOptions traced_outputs(bool trace) {
   obs::SessionOptions outputs;
   if (trace) {
@@ -183,28 +161,6 @@ int run_overhead(const util::Config& config) {
   return 0;
 }
 
-int run_identity(const util::Config& config) {
-  const bool trace = config.get_int("trace", 0) != 0;
-  const auto rounds = static_cast<std::size_t>(config.get_int("rounds", 4));
-  const auto workers = static_cast<std::size_t>(config.get_int("workers", 1));
-  const std::string scenario = config.get_string("scenario", "faultfree");
-
-  fl::ExperimentOptions options = scenario_options(scenario, workers);
-  std::unique_ptr<fl::Scheme> scheme = core::make_scheme("fedca", config, 1);
-  fl::ExperimentSetup setup = fl::make_setup(options, *scheme, traced_outputs(trace));
-  for (std::size_t r = 0; r < rounds; ++r) setup.engine->run_round();
-
-  std::printf(
-      "{\"mode\":\"identity\",\"build_type\":\"%s\",\"simd_tier\":\"%s\","
-      "\"scenario\":\"%s\",\"trace\":%d,"
-      "\"workers\":%zu,\"rounds\":%zu,\"fingerprint\":\"%016llx\"}\n",
-      bench::build_type(), tensor::simd::active_tier_name(),
-      scenario.c_str(), trace ? 1 : 0, workers, rounds,
-      static_cast<unsigned long long>(
-          state_fingerprint(setup.engine->global_state())));
-  return 0;
-}
-
 int run_report(const util::Config& config) {
   const std::string scenario = config.get_string("scenario", "faultfree");
   const std::string out = config.get_string("out", "run_report.jsonl");
@@ -248,7 +204,6 @@ int main(int argc, char** argv) {
   const std::string mode = config.get_string("mode", "events");
   if (mode == "events") return run_events(config);
   if (mode == "overhead") return run_overhead(config);
-  if (mode == "identity") return run_identity(config);
   if (mode == "report") return run_report(config);
   std::fprintf(stderr, "obs_harness: unknown mode '%s'\n", mode.c_str());
   return 2;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 #include <stdexcept>
 
 namespace fedca::fl {
@@ -12,31 +11,6 @@ std::size_t collect_quota(std::size_t quota_base, double fraction) {
   return std::max<std::size_t>(
       1, static_cast<std::size_t>(
              std::ceil(fraction * static_cast<double>(quota_base))));
-}
-
-std::vector<std::size_t> select_earliest(const std::vector<ClientRoundResult>& results,
-                                         double fraction) {
-  if (results.empty()) return {};
-  std::vector<std::size_t> all(results.size());
-  std::iota(all.begin(), all.end(), 0);
-  return select_earliest(results, all, results.size(), fraction);
-}
-
-std::vector<std::size_t> select_earliest(const std::vector<ClientRoundResult>& results,
-                                         const std::vector<std::size_t>& candidates,
-                                         std::size_t quota_base, double fraction) {
-  if (candidates.empty()) return {};
-  const std::size_t quota = collect_quota(quota_base, fraction);
-  std::vector<std::size_t> order = candidates;
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    if (results[a].arrival_time != results[b].arrival_time) {
-      return results[a].arrival_time < results[b].arrival_time;
-    }
-    return results[a].client_id < results[b].client_id;
-  });
-  if (order.size() > quota) order.resize(quota);
-  std::sort(order.begin(), order.end());
-  return order;
 }
 
 std::vector<double> apply_aggregated_update(nn::ModelState& global,
@@ -77,7 +51,6 @@ StreamingQuorum::StreamingQuorum(std::vector<ClientRoundResult>* results,
 }
 
 bool StreamingQuorum::eligible(const ClientRoundResult& r) const {
-  // Mirrors the main thread's candidate filter bit for bit.
   if (r.failed || !std::isfinite(r.arrival_time)) return false;
   return !(r.arrival_time > timeout_cut_);
 }
@@ -89,8 +62,8 @@ void StreamingQuorum::discard(ClientRoundResult& r) {
 
 void StreamingQuorum::offer(std::size_t index) {
   std::vector<ClientRoundResult>& results = *results_;
-  // select_earliest's strict total order. Used as the heap comparator it
-  // puts the latest retained entry at the front (evicted first).
+  // The earliest-arrival order. Used as the heap comparator it puts the
+  // latest retained entry at the front (evicted first).
   const auto earlier = [&results](std::size_t a, std::size_t b) {
     if (results[a].arrival_time != results[b].arrival_time) {
       return results[a].arrival_time < results[b].arrival_time;
@@ -116,6 +89,13 @@ void StreamingQuorum::offer(std::size_t index) {
   discard(results[heap_.back()]);
   heap_.back() = index;
   std::push_heap(heap_.begin(), heap_.end(), earlier);
+}
+
+std::vector<std::size_t> StreamingQuorum::collected() {
+  util::MutexLock lock(mutex_);
+  std::vector<std::size_t> indices = heap_;
+  std::sort(indices.begin(), indices.end());
+  return indices;
 }
 
 }  // namespace fedca::fl

@@ -148,8 +148,7 @@ void AsyncEngine::launch(std::size_t c, double t) {
   const nn::ModelInfo& info = trainer_.model().info();
   const double bytes_per_param = info.bytes_per_actual_param();
   const double model_bytes =
-      static_cast<double>(global_.numel()) * bytes_per_param +
-      options_.upload_header_bytes;
+      static_cast<double>(global_.numel()) * bytes_per_param + kUploadHeaderBytes;
 
   const sim::Transfer download = device.downlink().transmit(start, model_bytes);
   const double compute_work = static_cast<double>(options_.local_iterations) *

@@ -45,7 +45,6 @@ struct AsyncEngineOptions {
   double mix = 0.6;
   // Polynomial staleness discount exponent (0 = ignore staleness).
   double staleness_power = 0.5;
-  double upload_header_bytes = 512.0;
   // Cap on one client cycle (download + compute + upload). A cycle that
   // would run longer is abandoned at start + cycle_timeout and the client
   // relaunched; kNoDeadline (default) keeps behavior bit-identical.

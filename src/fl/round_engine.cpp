@@ -128,9 +128,8 @@ RoundRecord RoundEngine::run_round() {
                                  : record.start_time + options_.upload_timeout;
   // Streaming aggregation: free non-quorum payloads the moment each slot
   // lands instead of buffering the whole cohort until selection.
-  StreamingQuorum quorum(&record.clients,
-                         collect_quota(record.clients.size(), options_.collect_fraction),
-                         timeout_cut);
+  const std::size_t quota = collect_quota(record.clients.size(), options_.collect_fraction);
+  StreamingQuorum quorum(&record.clients, quota, timeout_cut);
 
   // Every client trains a private replica seeded with the global weights
   // and the round-start buffer snapshot; results land in pre-sized slots,
@@ -171,29 +170,19 @@ RoundRecord RoundEngine::run_round() {
                  32, static_cast<double>(r.iterations_run));
   }
 
-  // Survivor filtering: failed clients and non-finite arrivals never make
-  // the candidate list; a finite upload_timeout additionally drops late
-  // arrivals. In the fault-free default (no injector, no timeout) every
-  // participant is a candidate and the selection below reduces exactly to
-  // the original collect_fraction rule.
+  // Late arrivals past a finite upload_timeout: the quorum already left
+  // them out; count and mark each one, in participant order.
   obs::TraceCollector* tracer = obs::current_trace();
-  std::vector<std::size_t> candidates;
-  candidates.reserve(record.clients.size());
-  for (std::size_t i = 0; i < record.clients.size(); ++i) {
-    const ClientRoundResult& r = record.clients[i];
-    if (r.failed || !std::isfinite(r.arrival_time)) continue;
-    if (r.arrival_time > timeout_cut) {
-      FEDCA_MCOUNT("engine.upload_timeouts", 1.0);
-      if (tracer != nullptr) {
-        tracer->record_instant(trainer_.client_pid(r.client_id), "recovery.timeout_exclude",
-                               timeout_cut,
-                               {{"client", std::to_string(r.client_id)},
-                                {"round", std::to_string(record.round_index)},
-                                {"arrival", fmt_num(r.arrival_time)}});
-      }
-      continue;
+  for (const ClientRoundResult& r : record.clients) {
+    if (r.failed || !std::isfinite(r.arrival_time) || r.arrival_time <= timeout_cut) continue;
+    FEDCA_MCOUNT("engine.upload_timeouts", 1.0);
+    if (tracer != nullptr) {
+      tracer->record_instant(trainer_.client_pid(r.client_id), "recovery.timeout_exclude",
+                             timeout_cut,
+                             {{"client", std::to_string(r.client_id)},
+                              {"round", std::to_string(record.round_index)},
+                              {"arrival", fmt_num(r.arrival_time)}});
     }
-    candidates.push_back(i);
   }
 
   double quorum_time = clock_;
@@ -202,9 +191,7 @@ RoundRecord RoundEngine::run_round() {
     // charges it nothing (the paper's server is never the bottleneck), so
     // it shows up as a wall-clock span plus a virtual instant.
     FEDCA_WALL_SPAN("server.aggregate");
-    record.collected = select_earliest(record.clients, candidates,
-                                       record.clients.size(),
-                                       options_.collect_fraction);
+    record.collected = quorum.collected();
     if (!record.collected.empty()) {
       record.collected_weights =
           apply_aggregated_update(global_, record.clients, record.collected);
@@ -234,20 +221,14 @@ RoundRecord RoundEngine::run_round() {
                               {"participants",
                                std::to_string(record.clients.size())}});
     }
-  } else if (faults != nullptr || timeout_cut != kNoDeadline) {
-    const auto planned_quota = static_cast<std::size_t>(
-        std::ceil(std::clamp(options_.collect_fraction, 1e-9, 1.0) *
-                  static_cast<double>(record.clients.size())));
-    if (record.collected.size() < std::max<std::size_t>(1, planned_quota)) {
-      FEDCA_MCOUNT("engine.partial_rounds", 1.0);
-      if (tracer != nullptr) {
-        tracer->record_instant(trainer_.server_pid(), "recovery.partial_aggregation",
-                               end_time,
-                               {{"round", std::to_string(record.round_index)},
-                                {"collected",
-                                 std::to_string(record.collected.size())},
-                                {"planned", std::to_string(planned_quota)}});
-      }
+  } else if ((faults != nullptr || timeout_cut != kNoDeadline) &&
+             record.collected.size() < quota) {
+    FEDCA_MCOUNT("engine.partial_rounds", 1.0);
+    if (tracer != nullptr) {
+      tracer->record_instant(trainer_.server_pid(), "recovery.partial_aggregation", end_time,
+                             {{"round", std::to_string(record.round_index)},
+                              {"collected", std::to_string(record.collected.size())},
+                              {"planned", std::to_string(quota)}});
     }
   }
   record.end_time = end_time;
@@ -408,7 +389,7 @@ ClientRoundResult RoundEngine::run_client(std::size_t client_id, const RoundInfo
 
   // 1. Download the global model.
   const double model_bytes =
-      static_cast<double>(global_.numel()) * bytes_per_param + options_.upload_header_bytes;
+      static_cast<double>(global_.numel()) * bytes_per_param + kUploadHeaderBytes;
   const sim::Transfer download = device.downlink().transmit(info.start_time, model_bytes);
   result.download_done = download.end;
   if (!std::isfinite(download.end)) {
@@ -611,7 +592,7 @@ ClientRoundResult RoundEngine::run_client(std::size_t client_id, const RoundInfo
     }
   }
 
-  double final_bytes = options_.upload_header_bytes;
+  double final_bytes = kUploadHeaderBytes;
   for (std::size_t layer = 0; layer < final_update.tensors.size(); ++layer) {
     const bool eagerly_sent = eager_sent[layer] != 0;
     const bool retransmit = retrans_flags[layer] != 0;

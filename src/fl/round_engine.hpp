@@ -44,7 +44,6 @@ struct RoundEngineOptions {
   std::size_t batch_size = 50;
   nn::SgdOptions optimizer;            // local SGD settings
   double collect_fraction = 0.9;       // server waits for this share
-  double upload_header_bytes = 512.0;  // control framing per upload
   // Fraction of clients selected to participate each round (1.0 = all,
   // the paper's setting). Selection is uniform without replacement from
   // the engine's RNG stream.

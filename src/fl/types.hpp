@@ -13,6 +13,9 @@ namespace fedca::fl {
 
 inline constexpr double kNoDeadline = std::numeric_limits<double>::infinity();
 
+// Control framing added to every model download and final upload.
+inline constexpr double kUploadHeaderBytes = 512.0;
+
 // How a participant left a round early (fault injection; kNone in the
 // fault-free simulation).
 enum class ClientFault { kNone, kCrash, kDropout, kLinkOutage };

@@ -83,7 +83,7 @@ class AvailabilityModel {
   // Diurnal duration factor at time t (1.0 when modulation is off).
   double diurnal(double t) const;
 
-  // Live footprint of the group state (for the scale bench accounting).
+  // Live footprint of the group state (population budget accounting).
   std::size_t live_bytes() const;
 
  private:

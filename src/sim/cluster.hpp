@@ -71,7 +71,7 @@ class ClientDevice {
   // The result is bit-identical to a freshly constructed device.
   void rebind(std::size_t id, const trace::DeviceProfile& profile, util::Rng rng);
 
-  // Approximate live footprint in bytes (scale bench accounting).
+  // Approximate live footprint in bytes (population budget accounting).
   std::size_t approx_bytes() const;
 
  private:
@@ -133,7 +133,8 @@ class Cluster {
   bool online_at(std::size_t i, double t);
 
   // Bytes of live per-client state (registry records, renewal state and
-  // pooled device replicas) — the scale bench's bytes-per-client figure.
+  // pooled device replicas), summed from container capacities — the
+  // population budget test's bytes-per-client figure.
   std::size_t live_client_bytes();
 
  private:

@@ -1,7 +1,8 @@
 // Worker-count invariance: the parallel compute layer must produce the
 // SAME BYTES for 1, 2, and 8 workers — global state, per-client records,
 // virtual timing — across many seeds, for the round engine (CNN and the
-// batch-norm-carrying WRN) and the async engine.
+// batch-norm-carrying WRN; FedCA with the flight recorder off and on) and
+// the async engine.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -17,6 +18,7 @@
 #include "fl/round_engine.hpp"
 #include "fl/scenario.hpp"
 #include "fl/scheme.hpp"
+#include "obs/session.hpp"
 #include "tensor/simd/dispatch.hpp"
 #include "util/config.hpp"
 
@@ -214,6 +216,48 @@ TEST(ParallelDeterminism, FedCaSchemeSweep) {
         expect_states_bit_identical(base, setup.engine->global_state(), "FedCA");
         ASSERT_EQ(base_bytes, bytes) << "seed " << seed;
       }
+    }
+  }
+}
+
+// The flight recorder observes and never steers: FedCA's global model is
+// byte-identical across workers {1, 2, 8} with the recorder off and with
+// every span, kernel spans included, recorded. The geometry sheds
+// outcomes every round (collect_fraction 0.75), so early stops, eager
+// layers and quorum eviction all run with the recorder on.
+TEST(ParallelDeterminism, RecorderOnOffAcrossWorkerCounts) {
+  fl::ExperimentOptions options;  // analyze:waive(scenario-hardcode)
+  options.model = nn::ModelKind::kCnn;
+  options.num_clients = 8;
+  options.local_iterations = 6;
+  options.batch_size = 16;
+  options.train_samples = 640;
+  options.test_samples = 32;
+  options.collect_fraction = 0.75;
+  options.seed = 33;
+
+  obs::SessionOptions recorder_on;
+  recorder_on.trace_path = "/dev/null";
+  recorder_on.kernel_detail = true;
+
+  nn::ModelState base;
+  for (const std::size_t workers : kWorkerCounts) {
+    for (const bool recording : {false, true}) {
+      options.worker_threads = workers;
+      std::unique_ptr<fl::Scheme> scheme =
+          core::make_scheme("fedca", util::Config{}, 1);
+      fl::ExperimentSetup setup = fl::make_setup(
+          options, *scheme, recording ? recorder_on : obs::SessionOptions{});
+      for (std::size_t r = 0; r < 4; ++r) setup.engine->run_round();
+      if (workers == 1 && !recording) {
+        base = setup.engine->global_state();
+        continue;
+      }
+      const std::string what = std::to_string(workers) + " workers, recorder " +
+                               (recording ? "on" : "off");
+      ASSERT_EQ(base.names, setup.engine->global_state().names) << what;
+      expect_states_bit_identical(base, setup.engine->global_state(),
+                                  what.c_str());
     }
   }
 }

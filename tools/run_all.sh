@@ -122,34 +122,12 @@ if [ "${FEDCA_BENCH_KERNELS:-1}" != "0" ]; then
     python3 tools/bench_kernels.py --build build --out BENCH_kernels.json
 fi
 
-# Allocation bench: refresh BENCH_memory.json via the counting-allocator
-# harness (heap allocations and peak heap bytes per steady-state round at 1
-# and 4 workers; fails above the ceilings in tools/bench_memory.py).
-# FEDCA_BENCH_MEMORY=0 skips.
-if [ "${FEDCA_BENCH_MEMORY:-1}" != "0" ]; then
-  echo "===== memory bench =====" | tee memory_bench_output.txt
-  run_logged memory_bench_output.txt \
-    python3 tools/bench_memory.py --build build --out BENCH_memory.json
-fi
-
-# Recorder/report bench: refresh BENCH_obs.json (recorder throughput, hot-loop
-# overhead recorder-on vs off <= 5%, byte-identity of model state and
-# run_report.jsonl across worker counts). FEDCA_BENCH_OBS=0 skips.
+# Recorder bench: refresh BENCH_obs.json (recorder throughput, hot-loop
+# overhead recorder-on vs off <= 5%). FEDCA_BENCH_OBS=0 skips.
 if [ "${FEDCA_BENCH_OBS:-1}" != "0" ]; then
   echo "===== obs bench =====" | tee obs_bench_output.txt
   run_logged obs_bench_output.txt \
     python3 tools/bench_obs.py --build build --out BENCH_obs.json
-fi
-
-# Scale bench: refresh BENCH_scale.json via the million-client harness
-# (population sweep at 1k/10k/100k/1M with rounds/sec + peak RSS + live
-# client-state bytes; fails if the 1M sweep exceeds 2 GB RSS or holds more
-# than 112 B of live client state per client).
-# FEDCA_BENCH_SCALE=0 skips.
-if [ "${FEDCA_BENCH_SCALE:-1}" != "0" ]; then
-  echo "===== scale bench =====" | tee scale_bench_output.txt
-  run_logged scale_bench_output.txt \
-    python3 tools/bench_scale.py --build build --out BENCH_scale.json
 fi
 
 # SIMD tier sweep: the kernel property suites must pass with the dispatch
