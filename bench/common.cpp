@@ -1,5 +1,7 @@
 #include "bench/common.hpp"
 
+#include <cstdlib>
+#include <iostream>
 #include <stdexcept>
 
 #include "core/sampling_profiler.hpp"
@@ -7,20 +9,58 @@
 
 namespace fedca::bench {
 
-util::Config parse_config(int argc, char** argv) {
-  util::Config config = util::Config::from_args(argc, argv);
-  util::Config env;
-  // trace=/metrics= have no env twin here: make_setup falls back to
-  // FEDCA_TRACE/FEDCA_METRICS (obs::read_env) for paths left empty.
-  env.load_env({"scale", "csv_dir", "seed", "clients", "k", "rounds"});
-  env.overlay(config);  // CLI wins over environment
-  // Quick-scale runs last tens of rounds, so the paper's 1-anchor-in-10
-  // profiling would leave FedCA stale for most of them; profile 1-in-5 by
-  // default (still amortized, still a priori).
-  if (env.get_string("scale", "quick") != "paper" && !env.contains("fedca_period")) {
-    env.set("fedca_period", "5");
+namespace {
+
+// The workload sizes workload_options reads (and the benches' own
+// rounds=): each must be an integer >= 1.
+constexpr const char* kCountKeys[] = {"clients", "k", "batch", "samples", "test_samples",
+                                      "rounds"};
+
+std::string scale_of(const util::Config& config) {
+  const std::string scale = config.get_string("scale", "quick");
+  if (scale != "quick" && scale != "paper") {
+    throw util::ConfigError("config key 'scale' must be quick or paper, got '" + scale + "'");
   }
-  return env;
+  return scale;
+}
+
+std::size_t count_of(const util::Config& config, const std::string& key, std::size_t fallback) {
+  const long value = config.get_int(key, static_cast<long>(fallback));
+  if (value < 1) {
+    throw util::ConfigError("config key '" + key + "' must be an integer >= 1, got " +
+                            config.get_string(key, ""));
+  }
+  return static_cast<std::size_t>(value);
+}
+
+}  // namespace
+
+util::Config parse_config(int argc, char** argv) {
+  try {
+    util::Config config = util::Config::from_args(argc, argv);
+    util::Config env;
+    // trace=/metrics= have no env twin here: make_setup falls back to
+    // FEDCA_TRACE/FEDCA_METRICS (obs::read_env) for paths left empty.
+    env.load_env({"scale", "csv_dir", "seed", "clients", "k", "rounds"});
+    env.overlay(config);  // CLI wins over environment
+    // Reject a bad size here, before any bench starts a run. The checks
+    // read a copy, so dump() still lists only the keys a bench reads.
+    const util::Config checked = env;
+    scale_of(checked);
+    for (const char* key : kCountKeys) {
+      if (checked.contains(key)) count_of(checked, key, 1);
+    }
+    // Quick-scale runs last tens of rounds, so the paper's 1-anchor-in-10
+    // profiling would leave FedCA stale for most of them; profile 1-in-5 by
+    // default (still amortized, still a priori).
+    if (env.get_string("scale", "quick") != "paper" && !env.contains("fedca_period")) {
+      env.set("fedca_period", "5");
+    }
+    return env;
+  } catch (const util::ConfigError& e) {
+    std::cerr << (argc > 0 ? argv[0] : "bench") << ": " << e.what() << "\n";
+    std::exit(2);
+  }
 }
 
 double paper_target_accuracy(nn::ModelKind kind) {
@@ -59,7 +99,7 @@ WorkloadDefaults quick_defaults(nn::ModelKind kind) {
 }  // namespace
 
 fl::ExperimentOptions workload_options(nn::ModelKind kind, const util::Config& config) {
-  const std::string scale = config.get_string("scale", "quick");
+  const std::string scale = scale_of(config);
   const WorkloadDefaults defaults = quick_defaults(kind);
 
   fl::ExperimentOptions options;
@@ -71,7 +111,7 @@ fl::ExperimentOptions workload_options(nn::ModelKind kind, const util::Config& c
     options.train_samples = 60'000;
     options.test_samples = 2'000;
     options.max_rounds = 400;
-  } else if (scale == "quick") {
+  } else {
     // Geometry tuned so clients run ~5 local epochs per round — the deep
     // local-training regime (paper: ~16 epochs/round) that produces the
     // strongly concave progress curves FedCA exploits.
@@ -81,22 +121,14 @@ fl::ExperimentOptions workload_options(nn::ModelKind kind, const util::Config& c
     options.train_samples = 600;
     options.test_samples = 320;
     options.max_rounds = 50;
-  } else {
-    throw util::ConfigError("unknown scale '" + scale + "' (quick|paper)");
   }
 
-  options.num_clients = static_cast<std::size_t>(
-      config.get_int("clients", static_cast<long>(options.num_clients)));
-  options.local_iterations = static_cast<std::size_t>(
-      config.get_int("k", static_cast<long>(options.local_iterations)));
-  options.batch_size = static_cast<std::size_t>(
-      config.get_int("batch", static_cast<long>(options.batch_size)));
-  options.train_samples = static_cast<std::size_t>(
-      config.get_int("samples", static_cast<long>(options.train_samples)));
-  options.test_samples = static_cast<std::size_t>(
-      config.get_int("test_samples", static_cast<long>(options.test_samples)));
-  options.max_rounds = static_cast<std::size_t>(
-      config.get_int("rounds", static_cast<long>(options.max_rounds)));
+  options.num_clients = count_of(config, "clients", options.num_clients);
+  options.local_iterations = count_of(config, "k", options.local_iterations);
+  options.batch_size = count_of(config, "batch", options.batch_size);
+  options.train_samples = count_of(config, "samples", options.train_samples);
+  options.test_samples = count_of(config, "test_samples", options.test_samples);
+  options.max_rounds = count_of(config, "rounds", options.max_rounds);
   options.dirichlet_alpha = config.get_double("alpha", 0.1);
   options.data_spec.noise_stddev = config.get_double("noise", defaults.noise);
   options.optimizer.learning_rate = config.get_double("lr", defaults.learning_rate);

@@ -2,10 +2,11 @@
 // GEMM in all three transpose variants (local SGD) and at the exact shapes
 // the nn layers use in training, the conv2d lowering into GEMM panels and
 // col2im, the retained naive references (before/after comparison), span
-// kernels, the fused dense-layer helpers, conv2d, ReLU/MaxPool and LSTM
-// forward/backward, tanh against libm, statistical progress (Eq. 1),
-// profiler recording, link throughput, speed-timeline integration, CNN and
-// WRN training steps, and end-to-end round throughput.
+// kernels, the int8 wire's quantization, the fused dense-layer helpers,
+// conv2d, ReLU/MaxPool and LSTM forward/backward, tanh against libm,
+// statistical progress (Eq. 1), profiler recording, link throughput,
+// speed-timeline integration, CNN and WRN training steps, and end-to-end
+// round throughput.
 #include <benchmark/benchmark.h>
 
 #include <cmath>
@@ -300,6 +301,24 @@ void BM_RowSum(benchmark::State& state) {
                           static_cast<std::int64_t>(rows * cols));
 }
 BENCHMARK(BM_RowSum);
+
+// The int8 eager wire's work on an update of LeNet-5's size (61,706
+// floats): Int8Quantizer::compress's compute_quant_params, then
+// fake_quantize_int8 in place. After the first pass the values sit on the
+// int8 grid; neither kernel's speed depends on the values.
+void BM_FakeQuantize(benchmark::State& state) {
+  constexpr std::size_t kParams = 61706;
+  tensor::Tensor x = randn({kParams}, 25);
+  for (auto _ : state) {
+    const tensor::QuantParams p = tensor::compute_quant_params(x.data());
+    tensor::fake_quantize_int8(x.data(), p);
+    benchmark::DoNotOptimize(x.raw());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kParams));
+}
+BENCHMARK(BM_FakeQuantize);
 
 void BM_ConvForward(benchmark::State& state) {
   util::Rng rng(11);

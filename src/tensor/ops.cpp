@@ -24,9 +24,9 @@ void require_equal_size(std::span<const float> x, std::span<const float> y,
   }
 }
 
-// True when the dispatcher routed this process to an x86 vector tier (the
-// AVX-512 tier reuses the AVX2 span kernels; only its GEMM microkernel
-// widens).
+// True when the dispatcher routed this process to an x86 vector tier: the
+// few span kernels with hand-written AVX2 code (dot, tanh, the int8 pair)
+// run it on both the AVX2 and the AVX-512 tier.
 inline bool use_avx2() {
 #if defined(__x86_64__) || defined(_M_X64)
   const simd::Tier t = simd::active_tier();
@@ -43,12 +43,6 @@ void axpy(float alpha, std::span<const float> x, std::span<float> y) {
   const float* px = x.data();
   float* py = y.data();
   const std::size_t n = x.size();
-#if defined(__x86_64__) || defined(_M_X64)
-  if (use_avx2()) {
-    simd::axpy_avx2(alpha, px, py, n);
-    return;
-  }
-#endif
   for (std::size_t i = 0; i < n; ++i) py[i] = std::fma(alpha, px[i], py[i]);
 }
 
@@ -60,12 +54,6 @@ void copy(std::span<const float> x, std::span<float> y) {
 void scale(float alpha, std::span<float> y) {
   float* py = y.data();
   const std::size_t n = y.size();
-#if defined(__x86_64__) || defined(_M_X64)
-  if (use_avx2()) {
-    simd::scale_avx2(alpha, py, n);
-    return;
-  }
-#endif
   for (std::size_t i = 0; i < n; ++i) py[i] *= alpha;
 }
 
@@ -110,24 +98,6 @@ double dot(std::span<const float> x, std::span<const float> y) {
 }
 
 double l2_norm(std::span<const float> x) { return std::sqrt(dot(x, x)); }
-
-double l1_norm(std::span<const float> x) {
-  const float* px = x.data();
-  const std::size_t n = x.size();
-#if defined(__x86_64__) || defined(_M_X64)
-  if (use_avx2()) return simd::l1_norm_avx2(px, n);
-#endif
-  double acc[kRedLanes] = {};
-  std::size_t i = 0;
-  for (; i + kRedLanes <= n; i += kRedLanes) {
-    for (std::size_t l = 0; l < kRedLanes; ++l) {
-      acc[l] += std::abs(static_cast<double>(px[i + l]));
-    }
-  }
-  double total = reduce_lanes(acc);
-  for (; i < n; ++i) total += std::abs(static_cast<double>(px[i]));
-  return total;
-}
 
 double cosine_similarity(std::span<const float> x, std::span<const float> y) {
   require_equal_size(x, y, "cosine_similarity");
@@ -296,12 +266,6 @@ void bias_add(std::span<float> out, std::size_t rows, std::span<const float> bia
                                 " != rows*cols " + std::to_string(rows * cols));
   }
   const float* pb = bias.data();
-#if defined(__x86_64__) || defined(_M_X64)
-  if (use_avx2()) {
-    simd::bias_add_avx2(out.data(), rows, pb, cols);
-    return;
-  }
-#endif
   for (std::size_t r = 0; r < rows; ++r) {
     float* prow = out.data() + r * cols;
     for (std::size_t j = 0; j < cols; ++j) prow[j] += pb[j];
@@ -315,12 +279,6 @@ void row_sum(std::span<const float> in, std::size_t rows, std::span<float> out) 
                                 " != rows*cols " + std::to_string(rows * cols));
   }
   float* po = out.data();
-#if defined(__x86_64__) || defined(_M_X64)
-  if (use_avx2()) {
-    simd::row_sum_avx2(in.data(), rows, po, cols);
-    return;
-  }
-#endif
   for (std::size_t r = 0; r < rows; ++r) {
     const float* prow = in.data() + r * cols;
     for (std::size_t j = 0; j < cols; ++j) po[j] += prow[j];
@@ -713,48 +671,6 @@ QuantParams compute_quant_params(std::span<const float> x) {
   const auto zp = static_cast<std::int32_t>(std::lrintf(-128.0f - lo / p.scale));
   p.zero_point = std::clamp(zp, -128, 127);
   return p;
-}
-
-void quantize_int8(std::span<const float> x, const QuantParams& p,
-                   std::span<std::int8_t> q) {
-  if (x.size() != q.size()) {
-    throw std::invalid_argument("quantize_int8: size mismatch (" +
-                                std::to_string(x.size()) + " vs " +
-                                std::to_string(q.size()) + ")");
-  }
-  const float inv_scale = 1.0f / p.scale;
-#if defined(__x86_64__) || defined(_M_X64)
-  if (use_avx2()) {
-    simd::quantize_int8_avx2(x.data(), x.size(), inv_scale, p.zero_point,
-                             q.data());
-    return;
-  }
-#endif
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    const auto r = static_cast<std::int32_t>(std::lrintf(x[i] * inv_scale)) +
-                   p.zero_point;
-    q[i] = static_cast<std::int8_t>(std::clamp(r, -128, 127));
-  }
-}
-
-void dequantize_int8(std::span<const std::int8_t> q, const QuantParams& p,
-                     std::span<float> out) {
-  if (q.size() != out.size()) {
-    throw std::invalid_argument("dequantize_int8: size mismatch (" +
-                                std::to_string(q.size()) + " vs " +
-                                std::to_string(out.size()) + ")");
-  }
-#if defined(__x86_64__) || defined(_M_X64)
-  if (use_avx2()) {
-    simd::dequantize_int8_avx2(q.data(), q.size(), p.scale, p.zero_point,
-                               out.data());
-    return;
-  }
-#endif
-  for (std::size_t i = 0; i < q.size(); ++i) {
-    out[i] = p.scale *
-             static_cast<float>(static_cast<std::int32_t>(q[i]) - p.zero_point);
-  }
 }
 
 void fake_quantize_int8(std::span<float> x, const QuantParams& p) {

@@ -8,10 +8,13 @@
 // All span-based functions require equal lengths and are checked.
 //
 // Accumulation policy (uniform across the optimized kernels, and across
-// every FEDCA_SIMD dispatch tier — see tensor/simd/dispatch.hpp):
+// every FEDCA_SIMD dispatch tier — see tensor/simd/dispatch.hpp). Most
+// kernels are one portable loop, compiled for the build host's vector ISA;
+// GEMM, dot, tanh and the int8 pair also have hand-written vector code
+// (tensor/simd/kernels.hpp), which the vector tiers run instead:
 //   * All three GEMM variants accumulate in float. Each output element is
 //     one sequential fused-multiply-add chain over k ascending, seeded at
-//     0 (std::fma in portable code, vfmadd in the AVX2 tier). A chain may
+//     0 (std::fma in portable code, vfmadd in the vector tiers). A chain may
 //     round-trip through C memory between k-blocks — float stores are
 //     value-preserving — so the association is independent of blocking
 //     constants, panel packing and vector lane width. Each call runs on
@@ -19,13 +22,13 @@
 //     worker counts, and across dispatch tiers.
 //   * `axpy` is a per-element fused multiply-add: y = fma(alpha, x, y).
 //   * Span reductions that feed virtual-time and FedCA-metric decisions
-//     (`dot`, `l2_norm`, `l1_norm`) accumulate in double over eight fixed
+//     (`dot`, `l2_norm`) accumulate in double over eight fixed
 //     lanes (element i feeds lane i mod 8) with a fixed halving-tree
 //     combine and a scalar tail appended last; lane products are separate
 //     multiply + add, never fused. Again bit-reproducible across tiers.
 //   * `tanh` is an in-tree replica of glibc 2.36's fdlibm tanhf
 //     (tensor/simd/tanh.hpp: single-precision + - * / and bit operations,
-//     no fma), run lane-wise by the AVX2 tier. The tanh tests prove it
+//     no fma), run lane-wise by the vector tiers. The tanh tests prove it
 //     equal to std::tanh on all 2^32 inputs, so every tier returns libm's
 //     bits. exp stays libm's expf, called per element: glibc's expf is an
 //     ifunc'd fma variant no replica has been proven equal to.
@@ -65,8 +68,6 @@ void scale(float alpha, std::span<float> y);
 double dot(std::span<const float> x, std::span<const float> y);
 // sqrt(dot(x, x))
 double l2_norm(std::span<const float> x);
-// sum_i |x[i]|
-double l1_norm(std::span<const float> x);
 // Cosine similarity of two equal-length vectors; returns 0 when either has
 // zero norm (the convention the FedCA retransmission check needs: an
 // all-zero eager update never "matches" a non-zero final one).
@@ -147,8 +148,8 @@ void sub_inplace(Tensor& a, const Tensor& b);
 // Per-span asymmetric int8 quantization: x ~ scale * (q - zero_point),
 // q in [-128, 127]. Parameters always make exact zero representable (the
 // FedCA eager wire + error-feedback path depends on "no change" encoding
-// losslessly). Rounding is nearest-even in every tier, so quantized bytes
-// are identical across FEDCA_SIMD dispatch tiers.
+// losslessly). Rounding is nearest-even in every tier, so the quantized
+// values are identical across FEDCA_SIMD dispatch tiers.
 
 struct QuantParams {
   float scale = 1.0f;
@@ -158,14 +159,10 @@ struct QuantParams {
 // Min/max-derived parameters for `x` (zero forced into range; all-zero
 // spans get scale 1).
 QuantParams compute_quant_params(std::span<const float> x);
-// q[i] = clamp(round(x[i] / scale) + zero_point, -128, 127).
-void quantize_int8(std::span<const float> x, const QuantParams& p,
-                   std::span<std::int8_t> q);
-// out[i] = scale * (q[i] - zero_point).
-void dequantize_int8(std::span<const std::int8_t> q, const QuantParams& p,
-                     std::span<float> out);
-// In-place quantize-then-dequantize (no int8 staging buffer): what the
-// receiver of an int8 transmission would reconstruct.
+// In place, x[i] = scale * (q - zero_point) with
+// q = clamp(round(x[i] / scale) + zero_point, -128, 127): what the receiver
+// of an int8 transmission reconstructs. The simulator only counts the
+// wire's bytes, so the int8 codes themselves are never stored.
 void fake_quantize_int8(std::span<float> x, const QuantParams& p);
 
 // ---- Convolution geometry ----

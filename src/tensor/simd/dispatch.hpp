@@ -1,19 +1,28 @@
 // Runtime dispatch for the SIMD kernel tier.
 //
-// The tensor kernels (ops.cpp) ship in two implementations: the portable
-// blocked scalar kernels (auto-vectorized by the compiler) and explicit
-// vector kernels (AVX2+FMA and AVX-512F on x86-64) compiled into
-// per-ISA translation units under src/tensor/simd/. Which implementation
-// runs is decided once per process from CPUID plus the FEDCA_SIMD
+// Most tensor kernels (ops.cpp) are one portable loop. ops.cpp is built
+// -O3 -march=native, so the compiler vectorizes those loops for the build
+// host's full ISA (512-bit on an AVX-512 host). A few kernels also have
+// hand-written vector code (tensor/simd/kernels.hpp: the GEMM
+// microkernels, dot, tanh, the int8 pair and the conv panel packer),
+// compiled into per-ISA translation units under src/tensor/simd/. Which of
+// the two runs is decided once per process from CPUID plus the FEDCA_SIMD
 // environment variable:
 //
 //   FEDCA_SIMD=auto    (default) best supported vector tier, else scalar
-//   FEDCA_SIMD=avx512  AVX2 span kernels + AVX-512F GEMM microkernel;
-//                      falls back to avx2/scalar if CPU or build lacks it
+//   FEDCA_SIMD=avx512  AVX2 kernels + AVX-512F GEMM microkernel and panel
+//                      packer; falls back to avx2/scalar if CPU or build
+//                      lacks it
 //   FEDCA_SIMD=avx2    AVX2+FMA kernels; falls back to scalar if the CPU
-//                      lacks them (never crashes on old hardware)
-//   FEDCA_SIMD=scalar  portable blocked kernels only (also what any
+//                      lacks them
+//   FEDCA_SIMD=scalar  the portable loops only (also what any
 //                      unrecognized value selects)
+//
+// No tier makes the binary portable: "scalar" means the portable loops as
+// compiled for the build host, and those loops use whatever ISA
+// -march=native enabled there. A binary runs only on CPUs with every
+// extension its build host had; the CPUID checks choose among the
+// hand-written kernels, they do not guard the rest of ops.cpp.
 //
 // Determinism contract: every tier implements the exact same per-element
 // association order (see ops.hpp), so switching tiers never changes a
@@ -25,9 +34,9 @@
 namespace fedca::tensor::simd {
 
 enum class Tier {
-  kScalar = 0,  // portable blocked kernels in ops.cpp
+  kScalar = 0,  // the portable loops in ops.cpp only
   kAvx2 = 1,    // explicit AVX2+FMA kernels (x86-64)
-  kAvx512 = 2,  // AVX2 span kernels + AVX-512F GEMM microkernel
+  kAvx512 = 2,  // AVX2 kernels + AVX-512F GEMM microkernel and panel packer
 };
 
 // The tier every dispatched kernel uses. Resolved on first use from

@@ -10,20 +10,18 @@
 //     independent of every blocking constant, of packing, of lane width,
 //     and of thread partitioning — vector lanes always map to DISTINCT
 //     output elements.
-//   * axpy: per element y = fma(alpha, x, y).
-//   * dot / l2_norm / l1_norm: eight independent double lanes (element i
-//     feeds lane i mod 8) combined by a fixed halving tree, scalar tail
-//     appended last; products use separate multiply+add (never fused).
-//   * scale / bias_add / row_sum / quantize / dequantize: element-wise or
-//     pure-addition chains in source order.
+//   * dot / l2_norm: eight independent double lanes (element i feeds lane
+//     i mod 8) combined by a fixed halving tree, scalar tail appended last;
+//     products use separate multiply+add (never fused).
+//   * fake_quantize_int8: element-wise, rounding nearest-even.
 //   * tanh: every lane runs the operations of the scalar fdlibm replica
 //     (tensor/simd/tanh.hpp) in its order, so every tier returns libm's
 //     tanhf bits.
 //
-// The AVX2 functions are declared unconditionally but defined only when
-// the build targets x86-64 (kernels_avx2.cpp is empty elsewhere); the
-// dispatcher never selects a tier the build does not carry, and ops.cpp
-// guards every call site on the architecture macro.
+// The vector kernels are declared and defined only when the build targets
+// x86-64 (kernels_avx2.cpp and kernels_avx512.cpp are empty elsewhere);
+// the dispatcher never selects a tier the build does not carry, and
+// ops.cpp guards every call site on the architecture macro.
 #pragma once
 
 #include <cmath>
@@ -109,10 +107,16 @@ inline void pack_panel_runs_generic(const float* in, const std::size_t* step, st
 
 #if defined(__x86_64__) || defined(_M_X64)
 
-// ---- AVX-512F GEMM microkernel (kernels_avx512.cpp) ----
-// Same tile, zmm-wide registers. The AVX-512 tier reuses the AVX2 span
-// kernels (they are already the contract's vector shape); only the GEMM
-// microkernel widens.
+// Only the kernels below have hand-written vector code. Every other span
+// kernel (axpy, scale, bias_add, row_sum, ...) is one portable loop in
+// ops.cpp, which is built -O3 -march=native and vectorizes at the build
+// host's full width. A hand-written kernel belongs here only while
+// bench/micro_kernels measures it faster than that loop on the same host;
+// the comment on each says why the compiler does not match it.
+
+// ---- AVX-512F tier (kernels_avx512.cpp) ----
+// The AVX-512 tier also runs the AVX2 kernels below; only the GEMM
+// microkernel and the conv panel packer widen.
 
 // True when this build's compiler could target AVX-512F.
 bool avx512_compiled();
@@ -120,33 +124,29 @@ void gemm_microkernel_avx512(std::size_t kb, const float* ap, const float* bp,
                              float* c, std::size_t ldc, std::size_t mr_eff,
                              std::size_t nr_eff, bool first);
 // pack_panel_runs_generic at stride 1 with one zmm per panel row: a
-// masked load per run.
+// masked load per run (about 4x the portable packer on LeNet's convs).
 void pack_panel_runs_avx512(const float* in, const std::size_t* step, std::size_t kb,
                             const PanelRun* runs, std::size_t nruns, float* dst);
 
 // ---- AVX2+FMA tier (kernels_avx2.cpp) ----
 
+// Faster than microkernel_generic on small and conv1 shapes, slower on
+// some dW shapes; the full tile only, edge tiles take the generic kernel.
 void gemm_microkernel_avx2(std::size_t kb, const float* ap, const float* bp,
                            float* c, std::size_t ldc, std::size_t mr_eff,
                            std::size_t nr_eff, bool first);
-
-void axpy_avx2(float alpha, const float* x, float* y, std::size_t n);
-void scale_avx2(float alpha, float* y, std::size_t n);
+// The portable dot is slower: at 512 bits the compiler folds the eight
+// fixed double lanes into one latency-bound zmm add chain, where this
+// kernel keeps two independent ymm chains.
 double dot_avx2(const float* x, const float* y, std::size_t n);
-double l1_norm_avx2(const float* x, std::size_t n);
-void bias_add_avx2(float* out, std::size_t rows, const float* bias,
-                   std::size_t cols);
-void row_sum_avx2(const float* in, std::size_t rows, float* out,
-                  std::size_t cols);
 // y[i] = tanh_fdlibm(x[i]) (tensor/simd/tanh.hpp), eight lanes at a time;
-// x and y may be the same array.
+// x and y may be the same array. The portable loop runs the scalar
+// replica's branches per element.
 void tanh_avx2(const float* x, float* y, std::size_t n);
-
+// The two int8 kernels of compute_quant_params / fake_quantize_int8. The
+// portable loops are 8-12x slower: their NaN-ordered std::min/std::max and
+// libm's lrintf do not vectorize.
 void minmax_avx2(const float* x, std::size_t n, float* lo, float* hi);
-void quantize_int8_avx2(const float* x, std::size_t n, float inv_scale,
-                        std::int32_t zero_point, std::int8_t* q);
-void dequantize_int8_avx2(const std::int8_t* q, std::size_t n, float scale,
-                          std::int32_t zero_point, float* out);
 void fake_quantize_int8_avx2(float* x, std::size_t n, float inv_scale,
                              float scale, std::int32_t zero_point);
 

@@ -86,26 +86,6 @@ void gemm_microkernel_avx2(std::size_t kb, const float* ap, const float* bp,
   _mm256_storeu_ps(c + 5 * ldc + 8, c51);
 }
 
-void axpy_avx2(float alpha, const float* x, float* y, std::size_t n) {
-  const __m256 va = _mm256_set1_ps(alpha);
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256 vx = _mm256_loadu_ps(x + i);
-    const __m256 vy = _mm256_loadu_ps(y + i);
-    _mm256_storeu_ps(y + i, _mm256_fmadd_ps(va, vx, vy));
-  }
-  for (; i < n; ++i) y[i] = std::fma(alpha, x[i], y[i]);
-}
-
-void scale_avx2(float alpha, float* y, std::size_t n) {
-  const __m256 va = _mm256_set1_ps(alpha);
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    _mm256_storeu_ps(y + i, _mm256_mul_ps(va, _mm256_loadu_ps(y + i)));
-  }
-  for (; i < n; ++i) y[i] *= alpha;
-}
-
 namespace {
 
 // Splits 8 floats into two double quartets (lanes 0-3 / 4-7 of the
@@ -145,54 +125,6 @@ double dot_avx2(const float* x, const float* y, std::size_t n) {
   return total;
 }
 
-double l1_norm_avx2(const float* x, std::size_t n) {
-  const __m256d sign_mask = _mm256_set1_pd(-0.0);
-  __m256d acc_lo = _mm256_setzero_pd();
-  __m256d acc_hi = _mm256_setzero_pd();
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    __m256d lo, hi;
-    widen(_mm256_loadu_ps(x + i), &lo, &hi);
-    acc_lo = _mm256_add_pd(acc_lo, _mm256_andnot_pd(sign_mask, lo));
-    acc_hi = _mm256_add_pd(acc_hi, _mm256_andnot_pd(sign_mask, hi));
-  }
-  double total = reduce_tree(acc_lo, acc_hi);
-  for (; i < n; ++i) total += std::abs(static_cast<double>(x[i]));
-  return total;
-}
-
-void bias_add_avx2(float* out, std::size_t rows, const float* bias,
-                   std::size_t cols) {
-  for (std::size_t r = 0; r < rows; ++r) {
-    float* prow = out + r * cols;
-    std::size_t j = 0;
-    for (; j + 8 <= cols; j += 8) {
-      _mm256_storeu_ps(prow + j, _mm256_add_ps(_mm256_loadu_ps(prow + j),
-                                               _mm256_loadu_ps(bias + j)));
-    }
-    for (; j < cols; ++j) prow[j] += bias[j];
-  }
-}
-
-void row_sum_avx2(const float* in, std::size_t rows, float* out,
-                  std::size_t cols) {
-  // Column-block register accumulation; per output element the chain is
-  // still out[j] then rows in ascending order, same as the scalar loops.
-  std::size_t j = 0;
-  for (; j + 8 <= cols; j += 8) {
-    __m256 acc = _mm256_loadu_ps(out + j);
-    for (std::size_t r = 0; r < rows; ++r) {
-      acc = _mm256_add_ps(acc, _mm256_loadu_ps(in + r * cols + j));
-    }
-    _mm256_storeu_ps(out + j, acc);
-  }
-  for (; j < cols; ++j) {
-    float acc = out[j];
-    for (std::size_t r = 0; r < rows; ++r) acc += in[r * cols + j];
-    out[j] = acc;
-  }
-}
-
 void minmax_avx2(const float* x, std::size_t n, float* lo, float* hi) {
   if (n == 0) {
     *lo = 0.0f;
@@ -226,63 +158,6 @@ void minmax_avx2(const float* x, std::size_t n, float* lo, float* hi) {
   *hi = mx;
 }
 
-namespace {
-
-// q = clamp(round_nearest_even(x * inv_scale) + zp, -128, 127) for eight
-// elements; returned as an int32 vector.
-inline __m256i quantize8(__m256 v, __m256 vinv, __m256i vzp) {
-  const __m256i r = _mm256_cvtps_epi32(_mm256_mul_ps(v, vinv));
-  return _mm256_add_epi32(r, vzp);
-}
-
-}  // namespace
-
-void quantize_int8_avx2(const float* x, std::size_t n, float inv_scale,
-                        std::int32_t zero_point, std::int8_t* q) {
-  const __m256 vinv = _mm256_set1_ps(inv_scale);
-  const __m256i vzp = _mm256_set1_epi32(zero_point);
-  // Dword shuffle that undoes the 128-bit lane interleave of the two
-  // saturating packs below.
-  const __m256i fix = _mm256_setr_epi32(0, 4, 1, 5, 2, 6, 3, 7);
-  std::size_t i = 0;
-  for (; i + 32 <= n; i += 32) {
-    const __m256i v0 = quantize8(_mm256_loadu_ps(x + i), vinv, vzp);
-    const __m256i v1 = quantize8(_mm256_loadu_ps(x + i + 8), vinv, vzp);
-    const __m256i v2 = quantize8(_mm256_loadu_ps(x + i + 16), vinv, vzp);
-    const __m256i v3 = quantize8(_mm256_loadu_ps(x + i + 24), vinv, vzp);
-    // Saturating narrows clamp to [-128, 127] — identical to the scalar
-    // clamp, since int32 -> int16 -> int8 saturation composes.
-    const __m256i p01 = _mm256_packs_epi32(v0, v1);
-    const __m256i p23 = _mm256_packs_epi32(v2, v3);
-    const __m256i packed = _mm256_packs_epi16(p01, p23);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(q + i),
-                        _mm256_permutevar8x32_epi32(packed, fix));
-  }
-  for (; i < n; ++i) {
-    const auto r = static_cast<std::int32_t>(std::lrintf(x[i] * inv_scale)) +
-                   zero_point;
-    q[i] = static_cast<std::int8_t>(std::clamp(r, -128, 127));
-  }
-}
-
-void dequantize_int8_avx2(const std::int8_t* q, std::size_t n, float scale,
-                          std::int32_t zero_point, float* out) {
-  const __m256 vscale = _mm256_set1_ps(scale);
-  const __m256i vzp = _mm256_set1_epi32(zero_point);
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m128i bytes =
-        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(q + i));
-    const __m256i vi = _mm256_sub_epi32(_mm256_cvtepi8_epi32(bytes), vzp);
-    _mm256_storeu_ps(out + i,
-                     _mm256_mul_ps(vscale, _mm256_cvtepi32_ps(vi)));
-  }
-  for (; i < n; ++i) {
-    out[i] = scale * static_cast<float>(static_cast<std::int32_t>(q[i]) -
-                                        zero_point);
-  }
-}
-
 void fake_quantize_int8_avx2(float* x, std::size_t n, float inv_scale,
                              float scale, std::int32_t zero_point) {
   const __m256 vinv = _mm256_set1_ps(inv_scale);
@@ -292,7 +167,9 @@ void fake_quantize_int8_avx2(float* x, std::size_t n, float inv_scale,
   const __m256i vhi = _mm256_set1_epi32(127);
   std::size_t i = 0;
   for (; i + 8 <= n; i += 8) {
-    __m256i qv = quantize8(_mm256_loadu_ps(x + i), vinv, vzp);
+    // q = clamp(round_nearest_even(x * inv_scale) + zp, -128, 127).
+    const __m256 scaled = _mm256_mul_ps(_mm256_loadu_ps(x + i), vinv);
+    __m256i qv = _mm256_add_epi32(_mm256_cvtps_epi32(scaled), vzp);
     qv = _mm256_min_epi32(_mm256_max_epi32(qv, vlo), vhi);
     const __m256i vi = _mm256_sub_epi32(qv, vzp);
     _mm256_storeu_ps(x + i, _mm256_mul_ps(vscale, _mm256_cvtepi32_ps(vi)));

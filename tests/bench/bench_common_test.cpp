@@ -50,7 +50,9 @@ TEST(BenchCommon, QuickScaleInjectsProfilingPeriod) {
 }
 
 TEST(BenchCommon, UnknownScaleThrows) {
-  const util::Config config = cfg({"scale=galactic"});
+  // Built by hand: parse_config exits 2 on it (tests/tools/bench_cli_test.py).
+  util::Config config;
+  config.set("scale", "galactic");
   EXPECT_THROW(bench::workload_options(nn::ModelKind::kCnn, config),
                util::ConfigError);
 }

@@ -5,7 +5,7 @@ The checker distinguishes three outcomes so harnesses can tell a producer
 that never wrote a trace apart from a tracer that wrote a wrong one:
   0  valid trace
   1  structurally invalid trace (semantic validation failure)
-  2  UNREADABLE: missing / empty / truncated-JSON / zero events
+  2  UNREADABLE: missing / empty / non-UTF-8 / truncated-JSON / zero events
 
 Run directly (python3 tests/tools/check_trace_test.py) or via ctest.
 """
@@ -51,6 +51,12 @@ class CheckTraceCase(unittest.TestCase):
             f.write(text)
         return path
 
+    def write_bytes(self, data):
+        path = os.path.join(self.dir, "trace.json")
+        with open(path, "wb") as f:
+            f.write(data)
+        return path
+
     def write_events(self, events):
         return self.write_raw(json.dumps({"traceEvents": events}))
 
@@ -77,6 +83,12 @@ class UnreadableTraces(CheckTraceCase):
             self.write_raw('{"traceEvents": [{"name": "round", "ph": "X"'))
         self.assertEqual(code, 2, out)
         self.assertIn("UNREADABLE", out)
+
+    def test_non_utf8_exits_2(self):
+        code, out = run_checker(self.write_bytes(b"\xff\xfe{"))
+        self.assertEqual(code, 2, out)
+        self.assertIn("UNREADABLE", out)
+        self.assertNotIn("Traceback", out)
 
     def test_zero_events_exits_2(self):
         code, out = run_checker(self.write_events([]))

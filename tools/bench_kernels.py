@@ -60,7 +60,7 @@ BASELINE_NS = {
 
 FILTER = ("BM_(Gemm|GemmNT|GemmTN|GemmRef|LayerGemm|Im2col|"
           "Col2im|Axpy|Dot|"
-          "L2Norm|Scale|BiasAdd|RowSum|ConvForward|ConvBackward|"
+          "L2Norm|Scale|BiasAdd|RowSum|FakeQuantize|ConvForward|ConvBackward|"
           "StatisticalProgress|CnnTrainingIteration|WrnTrainingIteration|"
           "RoundThroughput|LstmForward|LstmBackwardParams|Tanh|ParamFree|"
           "ConvLowering)")

@@ -28,8 +28,8 @@ is wrong", so harnesses (tools/run_all.sh, the robustness tests) can tell a
 crashed/truncated run apart from a tracer bug:
   0  trace is valid
   1  trace is structurally invalid (semantic validation failed)
-  2  trace is UNREADABLE: file missing, empty, JSON truncated/unparseable,
-     or contains no events at all
+  2  trace is UNREADABLE: file missing, empty, not UTF-8, JSON
+     truncated/unparseable, or contains no events at all
 """
 
 import argparse
@@ -75,6 +75,8 @@ def main():
             raw = f.read()
     except OSError as e:
         unreadable(f"cannot read {args.trace}: {e}")
+    except UnicodeDecodeError as e:
+        unreadable(f"{args.trace} is not UTF-8 text: {e}")
     if not raw.strip():
         unreadable(f"{args.trace} is empty — the producer wrote nothing")
     try:

@@ -37,7 +37,10 @@ mismatch.
 Exit codes (mirroring check_trace.py):
   0  report is valid (and matches the golden, when given)
   1  report is structurally invalid or the golden digest differs
-  2  report is UNREADABLE: missing, empty, or a line is not JSON
+  2  report is UNREADABLE: missing, empty, not UTF-8, or a line is not
+     JSON
+
+Line numbers in diagnostics count from 1.
 """
 
 import argparse
@@ -210,13 +213,17 @@ def main():
         unreadable(f"cannot read {args.report}: {e}")
     if not raw.strip():
         unreadable(f"{args.report} is empty — the producer wrote nothing")
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as e:
+        unreadable(f"{args.report} is not UTF-8 text: {e}")
 
     rounds = 0
     asyncs = 0
     last_round = None
     last_update = None
     summaries = []
-    for i, line in enumerate(raw.decode("utf-8").splitlines()):
+    for i, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         try:
