@@ -3,10 +3,10 @@
 // the nn layers use in training, the conv2d lowering into GEMM panels and
 // col2im, the retained naive references (before/after comparison), span
 // kernels, the int8 wire's quantization, the fused dense-layer helpers,
-// conv2d, ReLU/MaxPool and LSTM forward/backward, tanh against libm,
-// statistical progress (Eq. 1), profiler recording, link throughput,
-// speed-timeline integration, CNN and WRN training steps, and end-to-end
-// round throughput.
+// conv2d, ReLU/MaxPool and LSTM forward/backward, tanh and sigmoid
+// against libm, statistical progress (Eq. 1), profiler recording, link
+// throughput, speed-timeline integration, CNN and WRN training steps, and
+// end-to-end round throughput.
 #include <benchmark/benchmark.h>
 
 #include <cmath>
@@ -413,6 +413,27 @@ void BM_Tanh(benchmark::State& state, bool kernel) {
 }
 BENCHMARK_CAPTURE(BM_Tanh, libm, false);
 BENCHMARK_CAPTURE(BM_Tanh, kernel, true);
+
+// One LSTM timestep's sigmoid gates at that batch (i, f and o, 3 x 10 x 96
+// floats): 1 / (1 + expf(-x)) with glibc's expf per element against
+// tensor::sigmoid, which returns the same bits (its AVX-512 kernel
+// replicates expf; the other tiers call libm).
+void BM_Sigmoid(benchmark::State& state, bool kernel) {
+  const tensor::Tensor x = randn({2880}, 27);
+  tensor::Tensor y({2880});
+  for (auto _ : state) {
+    if (kernel) {
+      tensor::sigmoid(x.data(), y.data());
+    } else {
+      for (std::size_t i = 0; i < x.numel(); ++i) y[i] = 1.0f / (1.0f + std::exp(-x[i]));
+    }
+    benchmark::DoNotOptimize(y.raw());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 2880);
+}
+BENCHMARK_CAPTURE(BM_Sigmoid, libm, false);
+BENCHMARK_CAPTURE(BM_Sigmoid, kernel, true);
 
 void BM_StatisticalProgress(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

@@ -1,6 +1,5 @@
 #include "nn/activations.hpp"
 
-#include <cmath>
 #include <stdexcept>
 
 #include "tensor/ops.hpp"
@@ -52,9 +51,7 @@ Tensor Tanh::backward(const Tensor& grad_output) {
 
 Tensor Sigmoid::forward(const Tensor& input) {
   Tensor out(input.shape());
-  for (std::size_t i = 0; i < input.numel(); ++i) {
-    out[i] = 1.0f / (1.0f + std::exp(-input[i]));
-  }
+  tensor::sigmoid(input.data(), out.data());  // libm expf's bits, vectorized
   cached_output_ = out;
   return out;
 }

@@ -1,7 +1,6 @@
 #include "nn/lstm.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <span>
 #include <stdexcept>
 #include <utility>
@@ -17,11 +16,6 @@ namespace {
 // The element-wise tails of a timestep, as loops the compiler vectorizes
 // (this file is built with -O3 -ffp-contract=off, so every product and sum
 // below stays a separately rounded IEEE operation).
-
-// out = 1 / (1 + e), e = exp(-pre): the sigmoid gates.
-void sigmoid_from_exp(const float* e, float* out, std::size_t n) {
-  for (std::size_t j = 0; j < n; ++j) out[j] = 1.0f / (1.0f + e[j]);
-}
 
 // c = f * c_prev + i * g. c may alias c_prev (eval mode updates in place).
 void cell_update(const float* f, const float* c_prev, const float* i, const float* g,
@@ -102,19 +96,19 @@ Tensor LSTM::forward(const Tensor& input) {
 
     tensor::gemm_packed(sc.x, packed_ih_, pre);
     tensor::gemm_packed(h, packed_hh_, pre_h);
-    // Per row, gate blocks i | f | g | o of width H. The sigmoid gates
-    // are 1 / (1 + exp(-p)): libm expf per element, then a division loop;
-    // g and tanh(c) go through tensor::tanh (libm's tanhf bits).
+    // Per row, gate blocks i | f | g | o of width H. The sigmoid gates go
+    // through tensor::sigmoid (libm expf's bits), g and tanh(c) through
+    // tensor::tanh (libm tanhf's bits).
     for (std::size_t s = 0; s < n; ++s) {
       float* p = pre.raw() + s * 4 * H;
       const float* ph = pre_h.raw() + s * 4 * H;
       for (std::size_t j = 0; j < 4 * H; ++j) p[j] = p[j] + ph[j] + b_ih[j] + b_hh[j];
-      for (std::size_t j = 0; j < 2 * H; ++j) p[j] = std::exp(-p[j]);
-      for (std::size_t j = 3 * H; j < 4 * H; ++j) p[j] = std::exp(-p[j]);
-      sigmoid_from_exp(p, sc.i.raw() + s * H, H);
-      sigmoid_from_exp(p + H, sc.f.raw() + s * H, H);
-      sigmoid_from_exp(p + 3 * H, sc.o.raw() + s * H, H);
-      tensor::tanh(std::span<const float>(p + 2 * H, H), std::span<float>(sc.g.raw() + s * H, H));
+      const auto gate = [&](std::size_t k) { return std::span<const float>(p + k * H, H); };
+      const auto row = [&](Tensor& t) { return std::span<float>(t.raw() + s * H, H); };
+      tensor::sigmoid(gate(0), row(sc.i));
+      tensor::sigmoid(gate(1), row(sc.f));
+      tensor::tanh(gate(2), row(sc.g));
+      tensor::sigmoid(gate(3), row(sc.o));
     }
     cell_update(sc.f.raw(), c_prev, sc.i.raw(), sc.g.raw(), sc.c.raw(), nh);
     tensor::tanh(sc.c.data(), sc.tanh_c.data());

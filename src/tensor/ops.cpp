@@ -25,8 +25,8 @@ void require_equal_size(std::span<const float> x, std::span<const float> y,
 }
 
 // True when the dispatcher routed this process to an x86 vector tier: the
-// few span kernels with hand-written AVX2 code (dot, tanh, the int8 pair)
-// run it on both the AVX2 and the AVX-512 tier.
+// span kernels with hand-written AVX2 code (dot, the int8 pair) run it on
+// both the AVX2 and the AVX-512 tier; tanh runs it on the AVX2 tier.
 inline bool use_avx2() {
 #if defined(__x86_64__) || defined(_M_X64)
   const simd::Tier t = simd::active_tier();
@@ -121,12 +121,28 @@ void tanh(std::span<const float> x, std::span<float> y) {
   require_equal_size(x, y, "tanh");
   const std::size_t n = x.size();
 #if defined(__x86_64__) || defined(_M_X64)
+  if (simd::active_tier() == simd::Tier::kAvx512) {
+    simd::tanh_avx512(x.data(), y.data(), n);
+    return;
+  }
   if (use_avx2()) {
     simd::tanh_avx2(x.data(), y.data(), n);
     return;
   }
 #endif
   for (std::size_t i = 0; i < n; ++i) y[i] = simd::tanh_fdlibm(x[i]);
+}
+
+void sigmoid(std::span<const float> x, std::span<float> y) {
+  require_equal_size(x, y, "sigmoid");
+  const std::size_t n = x.size();
+#if defined(__x86_64__) || defined(_M_X64)
+  if (simd::active_tier() == simd::Tier::kAvx512) {
+    simd::sigmoid_avx512(x.data(), y.data(), n);
+    return;
+  }
+#endif
+  for (std::size_t i = 0; i < n; ++i) y[i] = 1.0f / (1.0f + std::exp(-x[i]));
 }
 
 namespace {
@@ -640,28 +656,23 @@ void gemm_tn(const Tensor& a, const Tensor& b, Tensor& c) {
 // ---- Int8 affine quantization ------------------------------------------
 
 QuantParams compute_quant_params(std::span<const float> x) {
-  float mn = 0.0f;
-  float mx = 0.0f;
+  // The range is seeded at zero so a quantized update can express "no
+  // change" exactly — the error-feedback path depends on residuals not
+  // being injected into untouched coordinates. NaN elements never enter
+  // it: std::min/std::max keep their first argument against a NaN.
+  float lo = 0.0f;
+  float hi = 0.0f;
 #if defined(__x86_64__) || defined(_M_X64)
   if (use_avx2()) {
-    simd::minmax_avx2(x.data(), x.size(), &mn, &mx);
+    simd::minmax_avx2(x.data(), x.size(), &lo, &hi);
   } else
 #endif
   {
-    if (!x.empty()) {
-      mn = x[0];
-      mx = x[0];
-      for (std::size_t i = 1; i < x.size(); ++i) {
-        mn = std::min(mn, x[i]);
-        mx = std::max(mx, x[i]);
-      }
+    for (const float v : x) {
+      lo = std::min(lo, v);
+      hi = std::max(hi, v);
     }
   }
-  // Force zero into the representable range so a quantized update can
-  // express "no change" exactly — the error-feedback path depends on
-  // residuals not being injected into untouched coordinates.
-  const float lo = std::min(mn, 0.0f);
-  const float hi = std::max(mx, 0.0f);
   QuantParams p;
   p.scale = (hi - lo) / 255.0f;
   if (!(p.scale > 0.0f)) {
@@ -682,11 +693,8 @@ void fake_quantize_int8(std::span<float> x, const QuantParams& p) {
     return;
   }
 #endif
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    const auto r = static_cast<std::int32_t>(std::lrintf(x[i] * inv_scale)) +
-                   p.zero_point;
-    const std::int32_t qi = std::clamp(r, -128, 127);
-    x[i] = p.scale * static_cast<float>(qi - p.zero_point);
+  for (float& v : x) {
+    v = p.scale * static_cast<float>(simd::quant_offset(v, inv_scale, p.zero_point));
   }
 }
 

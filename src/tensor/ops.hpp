@@ -10,8 +10,8 @@
 // Accumulation policy (uniform across the optimized kernels, and across
 // every FEDCA_SIMD dispatch tier — see tensor/simd/dispatch.hpp). Most
 // kernels are one portable loop, compiled for the build host's vector ISA;
-// GEMM, dot, tanh and the int8 pair also have hand-written vector code
-// (tensor/simd/kernels.hpp), which the vector tiers run instead:
+// GEMM, dot, tanh, sigmoid and the int8 pair also have hand-written vector
+// code (tensor/simd/kernels.hpp), which the vector tiers run instead:
 //   * All three GEMM variants accumulate in float. Each output element is
 //     one sequential fused-multiply-add chain over k ascending, seeded at
 //     0 (std::fma in portable code, vfmadd in the vector tiers). A chain may
@@ -30,8 +30,13 @@
 //     (tensor/simd/tanh.hpp: single-precision + - * / and bit operations,
 //     no fma), run lane-wise by the vector tiers. The tanh tests prove it
 //     equal to std::tanh on all 2^32 inputs, so every tier returns libm's
-//     bits. exp stays libm's expf, called per element: glibc's expf is an
-//     ifunc'd fma variant no replica has been proven equal to.
+//     bits.
+//   * `sigmoid` is 1 / (1 + expf(-x)) in float. The AVX-512 tier replicates
+//     glibc 2.36's __expf_fma (the FMA variant its ifunc picks on every
+//     AVX2+FMA CPU) op for op in double; the exp tests prove the kernel
+//     equal to libm on all 2^32 inputs. The other tiers call libm's expf
+//     per element, so on a glibc 2.36 host every tier returns the same
+//     bits.
 //   * `relu`, `relu_backward` and `max_pool2d` do no arithmetic: each
 //     output is one of its inputs (or +0) picked by an exact select, so
 //     their bits do not depend on the dispatch tier or the compile flags.
@@ -80,6 +85,10 @@ double magnitude_similarity(std::span<const float> x, std::span<const float> y);
 // glibc 2.36 host) for every input, in every dispatch tier. x and y may be
 // the same span.
 void tanh(std::span<const float> x, std::span<float> y);
+// y[i] = 1 / (1 + expf(-x[i])) in float, with the bits of glibc 2.36's
+// expf for every input, in every dispatch tier. x and y may be the same
+// span.
+void sigmoid(std::span<const float> x, std::span<float> y);
 
 // ---- Parameter-free layer kernels (exact selects) ----
 
@@ -156,13 +165,16 @@ struct QuantParams {
   std::int32_t zero_point = 0;
 };
 
-// Min/max-derived parameters for `x` (zero forced into range; all-zero
-// spans get scale 1).
+// Min/max-derived parameters for `x` (zero forced into range, NaN
+// elements ignored; all-zero spans get scale 1).
 QuantParams compute_quant_params(std::span<const float> x);
 // In place, x[i] = scale * (q - zero_point) with
 // q = clamp(round(x[i] / scale) + zero_point, -128, 127): what the receiver
 // of an int8 transmission reconstructs. The simulator only counts the
-// wire's bytes, so the int8 codes themselves are never stored.
+// wire's bytes, so the int8 codes themselves are never stored. A NaN
+// element (or a NaN x[i] / scale) takes code zero_point, so it arrives as
+// +0, "no change", on every tier; +-inf saturate to 127 / -128.
+// p.zero_point must lie in [-128, 127], as compute_quant_params returns.
 void fake_quantize_int8(std::span<float> x, const QuantParams& p);
 
 // ---- Convolution geometry ----

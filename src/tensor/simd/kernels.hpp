@@ -13,10 +13,17 @@
 //   * dot / l2_norm: eight independent double lanes (element i feeds lane
 //     i mod 8) combined by a fixed halving tree, scalar tail appended last;
 //     products use separate multiply+add (never fused).
-//   * fake_quantize_int8: element-wise, rounding nearest-even.
+//   * fake_quantize_int8: element-wise, rounding nearest-even, NaN to the
+//     zero-point code and out-of-range values saturated (quant_offset).
+//   * minmax: NaN elements are skipped and the range is seeded at 0.
 //   * tanh: every lane runs the operations of the scalar fdlibm replica
 //     (tensor/simd/tanh.hpp) in its order, so every tier returns libm's
 //     tanhf bits.
+//   * sigmoid: 1 / (1 + expf(-x)) in float. The AVX-512 kernel's lanes run
+//     the instructions of glibc 2.36's __expf_fma for |x| < 88 and call
+//     libm for the rest; the other tiers call libm's expf on every
+//     element, which on any host with a vector tier (so with FMA) is
+//     __expf_fma as well.
 //
 // The vector kernels are declared and defined only when the build targets
 // x86-64 (kernels_avx2.cpp and kernels_avx512.cpp are empty elsewhere);
@@ -24,6 +31,7 @@
 // ops.cpp guards every call site on the architecture macro.
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
@@ -105,6 +113,19 @@ inline void pack_panel_runs_generic(const float* in, const std::size_t* step, st
   }
 }
 
+// q - zero_point for the int8 code q of x (ops.hpp: fake_quantize_int8),
+// q = clamp(round_nearest_even(x * inv_scale) + zero_point, -128, 127),
+// as clamp(round_nearest_even(x * inv_scale), -128 - zero_point,
+// 127 - zero_point): the bounds are integers, so clamping before the
+// rounding gives the same integer, and no conversion sees a value outside
+// int32 (+-inf saturate). A NaN product takes q = zero_point.
+inline std::int32_t quant_offset(float x, float inv_scale, std::int32_t zero_point) {
+  const float s = x * inv_scale;
+  const float lo = static_cast<float>(-128 - zero_point);
+  const float hi = static_cast<float>(127 - zero_point);
+  return static_cast<std::int32_t>(std::lrintf(s == s ? std::clamp(s, lo, hi) : 0.0f));
+}
+
 #if defined(__x86_64__) || defined(_M_X64)
 
 // Only the kernels below have hand-written vector code. Every other span
@@ -115,8 +136,9 @@ inline void pack_panel_runs_generic(const float* in, const std::size_t* step, st
 // the comment on each says why the compiler does not match it.
 
 // ---- AVX-512F tier (kernels_avx512.cpp) ----
-// The AVX-512 tier also runs the AVX2 kernels below; only the GEMM
-// microkernel and the conv panel packer widen.
+// The AVX-512 tier also runs the AVX2 dot and int8 kernels below; the GEMM
+// microkernel, the conv panel packer and tanh widen, and the sigmoid has a
+// kernel on this tier only.
 
 // True when this build's compiler could target AVX-512F.
 bool avx512_compiled();
@@ -127,6 +149,18 @@ void gemm_microkernel_avx512(std::size_t kb, const float* ap, const float* bp,
 // masked load per run (about 4x the portable packer on LeNet's convs).
 void pack_panel_runs_avx512(const float* in, const std::size_t* step, std::size_t kb,
                             const PanelRun* runs, std::size_t nruns, float* dst);
+// y[i] = 1 / (1 + expf(-x[i])) with libm's bits, sixteen lanes at a time;
+// expf is replicated eight lanes wide in double, op for op as glibc 2.36's
+// __expf_fma, for |x| < 88, and lanes beyond (|x| >= 88, inf, NaN) call
+// std::exp after the store. x and y may be the same array. The portable
+// loop calls libm per element, and gcc 12 does not vectorize a portable
+// replica loop (at -O3 -march=native -mprefer-vector-width=512 it reports
+// "control flow in loop"; measured 2.5x slower than libm), so this kernel
+// is the only replica.
+void sigmoid_avx512(const float* x, float* y, std::size_t n);
+// tanh_avx2 sixteen lanes wide: BM_Tanh/kernel ~10 -> ~6 us and
+// BM_LstmForward about 12% lower than with tanh_avx2 on the AVX-512 tier.
+void tanh_avx512(const float* x, float* y, std::size_t n);
 
 // ---- AVX2+FMA tier (kernels_avx2.cpp) ----
 
@@ -144,8 +178,9 @@ double dot_avx2(const float* x, const float* y, std::size_t n);
 // replica's branches per element.
 void tanh_avx2(const float* x, float* y, std::size_t n);
 // The two int8 kernels of compute_quant_params / fake_quantize_int8. The
-// portable loops are 8-12x slower: their NaN-ordered std::min/std::max and
-// libm's lrintf do not vectorize.
+// portable loops are 8-12x slower: their NaN-skipping std::min/std::max and
+// libm's lrintf do not vectorize. minmax_avx2 returns min(0, x...) and
+// max(0, x...) over the non-NaN elements.
 void minmax_avx2(const float* x, std::size_t n, float* lo, float* hi);
 void fake_quantize_int8_avx2(float* x, std::size_t n, float inv_scale,
                              float scale, std::int32_t zero_point);

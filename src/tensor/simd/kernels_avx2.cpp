@@ -126,30 +126,23 @@ double dot_avx2(const float* x, const float* y, std::size_t n) {
 }
 
 void minmax_avx2(const float* x, std::size_t n, float* lo, float* hi) {
-  if (n == 0) {
-    *lo = 0.0f;
-    *hi = 0.0f;
-    return;
-  }
-  float mn = x[0];
-  float mx = x[0];
+  // Seeded at 0, and min_ps/max_ps return their second operand when the
+  // first is NaN, so NaN lanes never enter the range.
+  __m256 vmn = _mm256_setzero_ps();
+  __m256 vmx = vmn;
   std::size_t i = 0;
-  if (n >= 8) {
-    __m256 vmn = _mm256_loadu_ps(x);
-    __m256 vmx = vmn;
-    for (i = 8; i + 8 <= n; i += 8) {
-      const __m256 v = _mm256_loadu_ps(x + i);
-      vmn = _mm256_min_ps(vmn, v);
-      vmx = _mm256_max_ps(vmx, v);
-    }
-    // min/max are exact and associative over finite floats, so the lane
-    // combine order cannot change the result.
-    alignas(32) float tmp[8];
-    _mm256_store_ps(tmp, vmn);
-    mn = *std::min_element(tmp, tmp + 8);
-    _mm256_store_ps(tmp, vmx);
-    mx = *std::max_element(tmp, tmp + 8);
+  for (; i + 8 <= n; i += 8) {
+    const __m256 v = _mm256_loadu_ps(x + i);
+    vmn = _mm256_min_ps(v, vmn);
+    vmx = _mm256_max_ps(v, vmx);
   }
+  // min/max are exact and associative over non-NaN floats, so the lane
+  // combine order cannot change the result.
+  alignas(32) float tmp[8];
+  _mm256_store_ps(tmp, vmn);
+  float mn = *std::min_element(tmp, tmp + 8);
+  _mm256_store_ps(tmp, vmx);
+  float mx = *std::max_element(tmp, tmp + 8);
   for (; i < n; ++i) {
     mn = std::min(mn, x[i]);
     mx = std::max(mx, x[i]);
@@ -162,23 +155,20 @@ void fake_quantize_int8_avx2(float* x, std::size_t n, float inv_scale,
                              float scale, std::int32_t zero_point) {
   const __m256 vinv = _mm256_set1_ps(inv_scale);
   const __m256 vscale = _mm256_set1_ps(scale);
-  const __m256i vzp = _mm256_set1_epi32(zero_point);
-  const __m256i vlo = _mm256_set1_epi32(-128);
-  const __m256i vhi = _mm256_set1_epi32(127);
+  const __m256 vlo = _mm256_set1_ps(static_cast<float>(-128 - zero_point));
+  const __m256 vhi = _mm256_set1_ps(static_cast<float>(127 - zero_point));
   std::size_t i = 0;
   for (; i + 8 <= n; i += 8) {
-    // q = clamp(round_nearest_even(x * inv_scale) + zp, -128, 127).
-    const __m256 scaled = _mm256_mul_ps(_mm256_loadu_ps(x + i), vinv);
-    __m256i qv = _mm256_add_epi32(_mm256_cvtps_epi32(scaled), vzp);
-    qv = _mm256_min_epi32(_mm256_max_epi32(qv, vlo), vhi);
-    const __m256i vi = _mm256_sub_epi32(qv, vzp);
+    // quant_offset: NaN lanes to +0, then
+    // clamp(round_nearest_even(x * inv_scale), -128 - zp, 127 - zp).
+    __m256 scaled = _mm256_mul_ps(_mm256_loadu_ps(x + i), vinv);
+    scaled = _mm256_and_ps(scaled, _mm256_cmp_ps(scaled, scaled, _CMP_ORD_Q));
+    scaled = _mm256_min_ps(_mm256_max_ps(scaled, vlo), vhi);
+    const __m256i vi = _mm256_cvtps_epi32(scaled);
     _mm256_storeu_ps(x + i, _mm256_mul_ps(vscale, _mm256_cvtepi32_ps(vi)));
   }
   for (; i < n; ++i) {
-    const auto r = static_cast<std::int32_t>(std::lrintf(x[i] * inv_scale)) +
-                   zero_point;
-    const std::int32_t qi = std::clamp(r, -128, 127);
-    x[i] = scale * static_cast<float>(qi - zero_point);
+    x[i] = scale * static_cast<float>(quant_offset(x[i], inv_scale, zero_point));
   }
 }
 

@@ -3,8 +3,8 @@
 // reaches. It is single-precision + - * / and bit manipulation only (no
 // fma, no table), so compiled with -ffp-contract=off it rounds exactly as
 // libm does; the tanh tests compare it with std::tanh on all 2^32 inputs.
-// The scalar tier of tensor::tanh runs it, and the AVX2 kernel uses it for
-// tails and non-finite lanes.
+// The scalar tier of tensor::tanh runs it, and the vector kernels use it
+// for tails and non-finite lanes.
 #pragma once
 
 #include <bit>

@@ -8,14 +8,19 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "tensor/ops.hpp"
 #include "tensor/simd/dispatch.hpp"
+#include "tests/tensor/bit_patterns.hpp"
 #include "util/rng.hpp"
 
 namespace fedca::tensor {
 namespace {
+
+using bit_patterns::same_bits;
 
 std::vector<float> random_values(std::size_t n, util::Rng& rng) {
   std::vector<float> v(n);
@@ -27,15 +32,16 @@ std::vector<float> random_values(std::size_t n, util::Rng& rng) {
 const std::size_t kLens[] = {0, 1, 7, 8, 9, 31, 32, 33, 100, 1000};
 
 // Test-local oracles of the int8 wire: the codes a sender would transmit,
-// q = clamp(round_nearest_even(x / scale) + zero_point, -128, 127), and what
-// the receiver rebuilds from them. fake_quantize_int8 must equal
-// dequantize(quantize(x)) bit for bit.
+// q = clamp(round_nearest_even(x / scale) + zero_point, -128, 127) with a
+// NaN quotient taking code zero_point, and what the receiver rebuilds from
+// them. fake_quantize_int8 must equal dequantize(quantize(x)) bit for bit.
 std::vector<std::int8_t> quantize(const std::vector<float>& x, const QuantParams& p) {
   const float inv_scale = 1.0f / p.scale;
   std::vector<std::int8_t> q(x.size());
   for (std::size_t i = 0; i < x.size(); ++i) {
-    const auto r = static_cast<std::int32_t>(std::lrintf(x[i] * inv_scale)) + p.zero_point;
-    q[i] = static_cast<std::int8_t>(std::clamp(r, -128, 127));
+    const double s = x[i] * inv_scale;
+    const double r = std::isnan(s) ? p.zero_point : std::nearbyint(s) + p.zero_point;
+    q[i] = static_cast<std::int8_t>(std::clamp(r, -128.0, 127.0));
   }
   return q;
 }
@@ -82,10 +88,8 @@ TEST(SimdSpanKernels, BitIdenticalAcrossTiers) {
       axpy(0.37f, x, axpy1);
       std::vector<float> scale1 = y;
       scale(-1.25f, scale1);
-      ASSERT_EQ(std::memcmp(axpy0.data(), axpy1.data(), n * sizeof(float)), 0)
-          << "axpy " << simd::tier_name(tier) << " n=" << n;
-      ASSERT_EQ(std::memcmp(scale0.data(), scale1.data(), n * sizeof(float)), 0)
-          << "scale " << simd::tier_name(tier) << " n=" << n;
+      ASSERT_TRUE(same_bits(axpy0, axpy1)) << "axpy " << simd::tier_name(tier) << " n=" << n;
+      ASSERT_TRUE(same_bits(scale0, scale1)) << "scale " << simd::tier_name(tier) << " n=" << n;
       // Reductions return doubles; bit-identity is exact equality.
       ASSERT_EQ(dot(x, y), dot0) << "dot " << simd::tier_name(tier) << " n=" << n;
       ASSERT_EQ(l2_norm(x), l20) << "l2 " << simd::tier_name(tier) << " n=" << n;
@@ -130,26 +134,77 @@ TEST(SimdSpanKernels, BiasAddAndRowSumBitIdenticalAcrossTiers) {
 TEST(SimdQuantize, BitIdenticalAcrossTiers) {
   const std::vector<simd::Tier> tiers = vector_tiers();
   if (tiers.empty()) GTEST_SKIP() << "host has no vector tier";
+  constexpr float kInf = std::numeric_limits<float>::infinity();
   util::Rng rng(0x1208);
   for (const std::size_t n : kLens) {
-    const std::vector<float> x = random_values(n, rng);
+    const std::vector<float> clean = random_values(n, rng);
+    // Non-finite values at the lane edges of a vector block and in the
+    // tail: NaN takes the zero-point code, +-inf saturate.
+    for (const float special : {0.0f, std::numeric_limits<float>::quiet_NaN(), kInf, -kInf}) {
+      std::vector<float> x = clean;
+      if (special != 0.0f) {
+        for (const std::size_t lane : {0u, 7u, 8u, 15u}) {
+          if (lane < n) x[lane] = special;
+        }
+        if (n > 0) x[n - 1] = special;
+      }
+      const std::string where = "n=" + std::to_string(n) + " special=" + std::to_string(special);
 
-    simd::set_tier_for_testing(simd::Tier::kScalar);
-    const QuantParams p0 = compute_quant_params(x);
-    const std::vector<float> f0 = fake_quantized(x, p0);
-    const std::vector<float> oracle = dequantize(quantize(x, p0), p0);
-    ASSERT_EQ(std::memcmp(f0.data(), oracle.data(), n * sizeof(float)), 0)
-        << "fake_quantize scalar vs oracle n=" << n;
+      simd::set_tier_for_testing(simd::Tier::kScalar);
+      const QuantParams p0 = compute_quant_params(x);
+      // Quantize with the clean span's range too, so +-inf saturate
+      // instead of making the scale infinite.
+      const QuantParams pc = compute_quant_params(clean);
+      const std::vector<float> f0 = fake_quantized(x, p0);
+      const std::vector<float> fc = fake_quantized(x, pc);
+      ASSERT_TRUE(same_bits(f0, dequantize(quantize(x, p0), p0)))
+          << "fake_quantize scalar vs oracle " << where;
+      ASSERT_TRUE(same_bits(fc, dequantize(quantize(x, pc), pc)))
+          << "fake_quantize scalar vs oracle, clean range, " << where;
 
-    for (const simd::Tier tier : tiers) {
-      simd::set_tier_for_testing(tier);
-      const QuantParams p1 = compute_quant_params(x);
-      ASSERT_EQ(p1.scale, p0.scale) << simd::tier_name(tier) << " n=" << n;
-      ASSERT_EQ(p1.zero_point, p0.zero_point)
-          << simd::tier_name(tier) << " n=" << n;
-      const std::vector<float> f1 = fake_quantized(x, p0);
-      ASSERT_EQ(std::memcmp(f0.data(), f1.data(), n * sizeof(float)), 0)
-          << "fake_quantize " << simd::tier_name(tier) << " n=" << n;
+      for (const simd::Tier tier : tiers) {
+        simd::set_tier_for_testing(tier);
+        const QuantParams p1 = compute_quant_params(x);
+        ASSERT_EQ(p1.scale, p0.scale) << simd::tier_name(tier) << " " << where;
+        ASSERT_EQ(p1.zero_point, p0.zero_point) << simd::tier_name(tier) << " " << where;
+        const std::vector<float> f1 = fake_quantized(x, p0);
+        ASSERT_TRUE(same_bits(f0, f1)) << "fake_quantize " << simd::tier_name(tier) << " " << where;
+        const std::vector<float> f1c = fake_quantized(x, pc);
+        ASSERT_TRUE(same_bits(fc, f1c))
+            << "fake_quantize, clean range, " << simd::tier_name(tier) << " " << where;
+      }
+    }
+  }
+  simd::reset_tier_from_env();
+}
+
+TEST(Quantization, NonFiniteCodesOnEveryTier) {
+  // A NaN element arrives as +0 ("no change") and +-inf saturate to the
+  // end codes, in a vector block (lanes 0-7) and in the tail alike; the
+  // range ignores NaN.
+  constexpr float kNaN = std::numeric_limits<float>::quiet_NaN();
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  const std::vector<float> x = {kNaN, -2.0f, 2.0f, kInf, -kInf, 0.5f,
+                                1.0f, -1.0f, kNaN, kInf, -kInf};
+  const float plus_zero = 0.0f;
+  std::vector<simd::Tier> tiers = vector_tiers();
+  tiers.push_back(simd::Tier::kScalar);
+  for (const simd::Tier tier : tiers) {
+    simd::set_tier_for_testing(tier);
+    const QuantParams p = compute_quant_params(std::vector<float>{-2.0f, 2.0f});
+    const QuantParams with_nan = compute_quant_params(std::vector<float>{kNaN, -2.0f, kNaN, 2.0f});
+    EXPECT_EQ(with_nan.scale, p.scale) << simd::tier_name(tier);
+    EXPECT_EQ(with_nan.zero_point, p.zero_point) << simd::tier_name(tier);
+    const std::vector<float> f = fake_quantized(x, p);
+    for (const std::size_t i : {0u, 8u}) {
+      EXPECT_EQ(std::memcmp(&f[i], &plus_zero, sizeof(float)), 0)
+          << simd::tier_name(tier) << " " << i;
+    }
+    for (const std::size_t i : {3u, 9u}) {
+      EXPECT_EQ(f[i], p.scale * static_cast<float>(127 - p.zero_point)) << simd::tier_name(tier);
+    }
+    for (const std::size_t i : {4u, 10u}) {
+      EXPECT_EQ(f[i], p.scale * static_cast<float>(-128 - p.zero_point)) << simd::tier_name(tier);
     }
   }
   simd::reset_tier_from_env();
@@ -171,7 +226,7 @@ TEST(Quantization, RoundTripWithinHalfStep) {
 TEST(Quantization, ZeroIsExactlyRepresentable) {
   // Mixed-sign, all-positive, and all-negative inputs: zero maps to the
   // zero-point code and back to exactly 0.0f in every case.
-  for (const std::vector<float> x :
+  for (const std::vector<float>& x :
        {std::vector<float>{-3.0f, 0.0f, 5.0f}, std::vector<float>{2.0f, 7.0f},
         std::vector<float>{-4.0f, -1.0f}}) {
     std::vector<float> with_zero = x;

@@ -2,92 +2,38 @@
 // (tensor/simd/tanh.hpp) and its AVX2 kernel.
 //   * The scalar tier equals std::tanh on all 2^32 bit patterns (when the
 //     host libm is the tanhf the replica copies; see the grid pin).
-//   * The AVX2 kernel, which the AVX-512 tier also runs, equals the
-//     scalar tier on all 2^32 bit patterns, and every tier agrees on
-//     short spans, where the kernel's scalar tail does the work.
+//   * The AVX2 and AVX-512 kernels equal the scalar tier on all 2^32 bit
+//     patterns, and every tier agrees on short spans, where the kernels'
+//     scalar tails do the work.
 //   * An FNV-1a digest of the replica over a fixed grid, recorded from
 //     glibc 2.36's libm, keeps the replica pinned on hosts whose libm
 //     differs.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <limits>
 #include <stdexcept>
-#include <thread>
 #include <vector>
 
 #include "tensor/ops.hpp"
 #include "tensor/simd/dispatch.hpp"
 #include "tensor/simd/kernels.hpp"
+#include "tests/tensor/bit_patterns.hpp"
 
 namespace fedca::tensor {
 namespace {
 
-constexpr std::uint64_t kPatterns = 1ull << 32;
-constexpr std::size_t kChunk = 1u << 16;
-constexpr unsigned kThreads = 4;
+using bit_patterns::fnv1a;
+using bit_patterns::from_bits;
+using bit_patterns::grid_inputs;
+using bit_patterns::host_tiers;
+using bit_patterns::same_bits;
+using bit_patterns::sweep_all_patterns;
 
-// Every 4093rd bit pattern (both signs, every exponent), through tanhf.
-constexpr std::uint32_t kGridStride = 4093;
+// tanhf over bit_patterns::grid_inputs(), recorded from glibc 2.36.
 constexpr std::uint64_t kGridDigest = 0x3f61e43e576bd82full;
-
-float from_bits(std::uint32_t b) {
-  float f;
-  std::memcpy(&f, &b, sizeof f);
-  return f;
-}
-
-std::vector<float> grid_inputs() {
-  std::vector<float> x;
-  for (std::uint64_t b = 0; b < kPatterns; b += kGridStride) {
-    x.push_back(from_bits(static_cast<std::uint32_t>(b)));
-  }
-  return x;
-}
-
-std::uint64_t fnv1a(const std::vector<float>& v) {
-  std::uint64_t h = 1469598103934665603ull;
-  const auto* bytes = reinterpret_cast<const unsigned char*>(v.data());
-  for (std::size_t i = 0; i < v.size() * sizeof(float); ++i) {
-    h ^= bytes[i];
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-// Calls check(x, n) on every 32-bit pattern, in kChunk-long runs of
-// consecutive patterns split over kThreads threads; returns the sum of
-// what check returns (a mismatch count).
-template <typename Check>
-std::uint64_t sweep_all_patterns(const Check& check) {
-  std::atomic<std::uint64_t> total{0};
-  std::vector<std::thread> threads;
-  for (unsigned w = 0; w < kThreads; ++w) {
-    threads.emplace_back([&, w] {
-      std::vector<float> x(kChunk);
-      std::uint64_t bad = 0;
-      for (std::uint64_t base = w * kChunk; base < kPatterns; base += kThreads * kChunk) {
-        for (std::size_t i = 0; i < kChunk; ++i) {
-          x[i] = from_bits(static_cast<std::uint32_t>(base + i));
-        }
-        bad += check(x.data(), kChunk);
-      }
-      total += bad;
-    });
-  }
-  for (std::thread& t : threads) t.join();
-  return total.load();
-}
-
-std::vector<simd::Tier> host_tiers() {
-  std::vector<simd::Tier> tiers{simd::Tier::kScalar};
-  if (simd::avx2_supported()) tiers.push_back(simd::Tier::kAvx2);
-  if (simd::avx512_supported()) tiers.push_back(simd::Tier::kAvx512);
-  return tiers;
-}
 
 TEST(Tanh, ReplicaMatchesPinnedGridDigest) {
   const std::vector<float> x = grid_inputs();
@@ -126,14 +72,17 @@ TEST(Tanh, ScalarTierEqualsLibmOnAllInputs) {
 TEST(Tanh, VectorKernelEqualsScalarTierOnAllInputs) {
 #if defined(__x86_64__) || defined(_M_X64)
   if (!simd::avx2_supported()) GTEST_SKIP() << "host has no AVX2";
+  const bool avx512 = simd::avx512_supported();
   simd::set_tier_for_testing(simd::Tier::kScalar);
-  const std::uint64_t bad = sweep_all_patterns([](const float* x, std::size_t n) {
-    std::vector<float> scalar(n), vec(n);
+  const std::uint64_t bad = sweep_all_patterns([avx512](const float* x, std::size_t n) {
+    std::vector<float> scalar(n), vec(n), wide(n);
     tanh(std::span<const float>(x, n), scalar);
     simd::tanh_avx2(x, vec.data(), n);
+    if (avx512) simd::tanh_avx512(x, wide.data(), n);
     std::uint64_t mismatches = 0;
     for (std::size_t i = 0; i < n; ++i) {
       mismatches += std::memcmp(&scalar[i], &vec[i], sizeof(float)) != 0;
+      mismatches += avx512 && std::memcmp(&scalar[i], &wide[i], sizeof(float)) != 0;
     }
     return mismatches;
   });
@@ -172,9 +121,8 @@ TEST(Tanh, ShortSpansAndInPlaceAgreeAcrossTiers) {
       tanh(x, got);
       std::vector<float> in_place = x;
       tanh(in_place, in_place);
-      EXPECT_EQ(std::memcmp(want.data(), got.data(), n * sizeof(float)), 0)
-          << "tier " << simd::tier_name(tier) << " n=" << n;
-      EXPECT_EQ(std::memcmp(want.data(), in_place.data(), n * sizeof(float)), 0)
+      EXPECT_TRUE(same_bits(want, got)) << "tier " << simd::tier_name(tier) << " n=" << n;
+      EXPECT_TRUE(same_bits(want, in_place))
           << "in place, tier " << simd::tier_name(tier) << " n=" << n;
     }
   }

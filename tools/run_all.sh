@@ -215,7 +215,9 @@ fi
 # mode; the GEMM property and conv equivalence suites cover prepacked
 # operands across block edges; the session suite covers the observability
 # outputs' lifetime (one obs::Session per experiment, flushed by its
-# destructor).
+# destructor); the exp suite, without its 2^32 sweeps, covers the AVX-512
+# sigmoid's masked tail loads and its libm fallback lanes, in and out of
+# place.
 # FEDCA_ASAN=0 skips it (e.g. when the toolchain lacks libasan).
 asan_pass() {
   step_status=0
@@ -225,7 +227,7 @@ asan_pass() {
   cmake --build build-asan --target sim_fault_injection_test \
     fl_robustness_test nn_lstm_bitpin_test nn_cnn_bitpin_test tensor_ops_test \
     tensor_gemm_property_test nn_conv_equivalence_test obs_session_test \
-    -j "$(nproc)" \
+    tensor_exp_test -j "$(nproc)" \
     >>asan_output.txt 2>&1 \
     || { echo "asan build FAILED (see asan_output.txt)"; return 1; }
   for t in sim_fault_injection_test fl_robustness_test nn_lstm_bitpin_test \
@@ -234,6 +236,8 @@ asan_pass() {
     echo "--- $t (asan+ubsan) ---"
     keep_going "build-asan/tests/$t"
   done
+  echo "--- tensor_exp_test (asan+ubsan, no 2^32 sweep) ---"
+  keep_going build-asan/tests/tensor_exp_test --gtest_filter='-*OnAllInputs'
   return "$step_status"
 }
 if [ "${FEDCA_ASAN:-1}" != "0" ]; then
