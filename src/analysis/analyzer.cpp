@@ -10,7 +10,8 @@ namespace fedca::analysis {
 
 const std::vector<std::string>& all_rules() {
   static const std::vector<std::string> kRules = {
-      "layering", "include-cycle", "lock-order", "lock-callback", "raw-rng",
+      "layering", "include-cycle", "lock-order", "lock-callback",
+      "guarded-access", "raw-rng",
       "unordered-iter", "wall-clock", "raw-intrinsics", "client-container",
       "unordered-float-accum", "pointer-key", "device-seam", "float-accum",
       "scenario-hardcode", "fast-math", "test-only-header", "exit-hook",
@@ -40,8 +41,7 @@ std::vector<Finding> run_passes(const std::vector<SourceFile>& files,
   }
   LockSymbols syms;
   for (const SourceFile* f : code) collect_callback_aliases(*f, syms);
-  for (const SourceFile* f : code) collect_callback_invokers(*f, syms);
-  for (const SourceFile* f : code) collect_mutex_names(*f, syms);
+  for (const SourceFile* f : code) collect_lock_declarations(*f, syms);
   std::vector<LockEdge> edges;
   for (const SourceFile* f : code) {
     if (f->rel_path.rfind("src/", 0) == 0) {

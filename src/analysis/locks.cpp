@@ -25,14 +25,20 @@ bool is_control_keyword(const std::string& s) {
          s == "decltype" || s == "static_assert" || s == "defined";
 }
 
-// One function definition discovered lexically: `name (params) quals {body}`.
+// One function discovered lexically: `name (params) quals {body}`, or a
+// declaration `name (params) quals;` when it carries FEDCA_REQUIRES (the
+// only thing a declaration contributes).
 struct FnDef {
   std::size_t name_idx = 0;
   std::size_t params_open = 0;
   std::size_t params_close = 0;
   std::size_t body_open = 0;
   std::size_t body_close = 0;
+  bool declaration = false;
+  bool destructor = false;
+  std::string owner;  // `Owner` of an out-of-line `Owner::name` definition
   std::vector<std::string> requires_mutexes;  // FEDCA_REQUIRES(...) args
+  std::vector<std::string> params;            // parameter names, in order
   std::vector<std::string> callback_params;   // params with callback type
 };
 
@@ -92,9 +98,9 @@ std::string run_param_name(const SourceFile& f, std::size_t begin,
   return name;
 }
 
-// Top-level argument texts of an annotation macro call whose `(` is at
-// `open` (e.g. FEDCA_REQUIRES(mu, other.mu)).
-std::vector<std::string> macro_args(const SourceFile& f, std::size_t open) {
+// Top-level argument texts of the paren group whose `(` is at `open`: an
+// annotation macro (FEDCA_REQUIRES(mu, other.mu)) or a call.
+std::vector<std::string> call_args(const SourceFile& f, std::size_t open) {
   std::vector<std::string> args;
   const int close = open < f.paren_match.size() ? f.paren_match[open] : -1;
   if (close < 0) return args;
@@ -106,16 +112,21 @@ std::vector<std::string> macro_args(const SourceFile& f, std::size_t open) {
   return args;
 }
 
-// Scans the whole file for function definitions. Lexical and deliberately
-// conservative: an ident followed by a balanced paren group, then
-// qualifiers / annotation macros / a ctor init list, then `{`.
+// Scans the whole file for function definitions, plus the declarations
+// that carry FEDCA_REQUIRES. Lexical and deliberately conservative: an
+// ident followed by a balanced paren group, then qualifiers / annotation
+// macros / a ctor init list, then `{` (or `;` / `= ...` for a declaration).
+// An annotation macro's own paren group never names a function.
 std::vector<FnDef> find_function_defs(const SourceFile& f,
                                       const LockSymbols& syms) {
   std::vector<FnDef> defs;
   const std::size_t n = f.tokens.size();
   for (std::size_t i = 0; i + 1 < n; ++i) {
     const Token& t = f.tokens[i];
-    if (t.kind != TokenKind::kIdent || is_control_keyword(t.text)) continue;
+    if (t.kind != TokenKind::kIdent || is_control_keyword(t.text) ||
+        t.text.rfind("FEDCA_", 0) == 0) {
+      continue;
+    }
     if (!is_punct(f, i + 1, "(")) continue;
     const int close = f.paren_match[i + 1];
     if (close < 0) continue;
@@ -124,6 +135,13 @@ std::vector<FnDef> find_function_defs(const SourceFile& f,
     def.name_idx = i;
     def.params_open = i + 1;
     def.params_close = static_cast<std::size_t>(close);
+    std::size_t head = i;  // walks back over `~` and `Owner ::`
+    def.destructor = head > 0 && is_punct(f, head - 1, "~");
+    if (def.destructor) --head;
+    if (head >= 2 && is_punct(f, head - 1, "::") &&
+        f.tokens[head - 2].kind == TokenKind::kIdent) {
+      def.owner = f.tokens[head - 2].text;
+    }
 
     // Walk the tokens between `)` and a potential `{`, consuming known
     // qualifiers, annotation macros (collecting FEDCA_REQUIRES), and a
@@ -165,14 +183,18 @@ std::vector<FnDef> find_function_defs(const SourceFile& f,
           ++j;  // e.g. ref-qualifier, qualified init-list member
           continue;
         }
-        break;  // `;` (declaration), `=`, operators — not a definition
+        // `;` or `= 0/default/delete`: a declaration, kept only for its
+        // FEDCA_REQUIRES. Operators and the rest: not a function at all.
+        def.declaration = (q.text == ";" || q.text == "=") && !in_init_list &&
+                          !def.requires_mutexes.empty();
+        break;
       }
       // Identifier after the params: const/noexcept/override/etc, an
       // annotation macro (with optional arg list), or an init-list member.
       if (q.text.rfind("FEDCA_", 0) == 0) {
         if (is_punct(f, j + 1, "(")) {
           if (q.text == "FEDCA_REQUIRES") {
-            for (std::string& a : macro_args(f, j + 1)) {
+            for (std::string& a : call_args(f, j + 1)) {
               def.requires_mutexes.push_back(std::move(a));
             }
           }
@@ -186,21 +208,24 @@ std::vector<FnDef> find_function_defs(const SourceFile& f,
       }
       ++j;
     }
-    if (!ok) continue;
-    def.body_open = j;
-    const int bm = f.brace_match[j];
-    if (bm < 0) continue;
-    def.body_close = static_cast<std::size_t>(bm);
+    if (!ok && !def.declaration) continue;
+    if (ok) {
+      def.body_open = j;
+      const int bm = f.brace_match[j];
+      if (bm < 0) continue;
+      def.body_close = static_cast<std::size_t>(bm);
+    }
 
     for (const auto& [b, e] :
          split_commas(f, def.params_open + 1, def.params_close)) {
-      if (run_mentions_callback_type(f, b, e, syms)) {
-        std::string name = run_param_name(f, b, e);
-        if (!name.empty()) def.callback_params.push_back(std::move(name));
+      std::string name = run_param_name(f, b, e);
+      if (!name.empty() && run_mentions_callback_type(f, b, e, syms)) {
+        def.callback_params.push_back(name);
       }
+      def.params.push_back(std::move(name));
     }
-    defs.push_back(def);
-    i = def.params_close;  // resume after the params; bodies may nest defs
+    defs.push_back(std::move(def));
+    i = defs.back().params_close;  // resume after the params: bodies nest defs
   }
   return defs;
 }
@@ -227,6 +252,97 @@ struct HeldLock {
   bool manual = false;    // X.lock()/try_lock(): released by X.unlock()
   int line = 0;
 };
+
+// One open brace of the scope walk.
+struct Scope {
+  enum Kind { kBlock, kLambda, kClass, kFunction };
+  Kind kind = kBlock;
+  std::string name;     // kClass: the class; kFunction: its owner ("" if free)
+  bool exempt = false;  // kFunction: a constructor or destructor body
+};
+
+// A function-local class; visible until the brace that holds it closes.
+struct LocalClass {
+  std::string name;
+  int depth = 0;  // of the brace that holds it
+  LockSymbols::ClassInfo info;
+};
+
+// One class body: `class|struct [annotation macros] Name [final] [: bases] {`.
+struct ClassBody {
+  std::string name;
+  std::size_t open = 0;
+  std::size_t close = 0;
+};
+
+std::vector<ClassBody> find_class_bodies(const SourceFile& f) {
+  std::vector<ClassBody> out;
+  const std::size_t n = f.tokens.size();
+  for (std::size_t i = 0; i + 1 < n; ++i) {
+    if (!is_ident(f, i, "class") && !is_ident(f, i, "struct")) continue;
+    if (i > 0 && is_ident(f, i - 1, "enum")) continue;
+    std::size_t j = i + 1;
+    while (j < n && f.tokens[j].text.rfind("FEDCA_", 0) == 0) {  // attributes
+      j = is_punct(f, j + 1, "(") && f.paren_match[j + 1] > 0
+              ? static_cast<std::size_t>(f.paren_match[j + 1]) + 1
+              : j + 1;
+    }
+    if (j >= n || f.tokens[j].kind != TokenKind::kIdent) continue;
+    const std::string& name = f.tokens[j].text;
+    ++j;
+    if (is_ident(f, j, "final")) ++j;
+    if (is_punct(f, j, ":")) {  // base clause: names, `::`, `,`, template args
+      while (j < n && !is_punct(f, j, "{") && !is_punct(f, j, ";") &&
+             !is_punct(f, j, "(") && !is_punct(f, j, "=")) {
+        ++j;
+      }
+    }
+    if (!is_punct(f, j, "{") || f.brace_match[j] < 0) continue;
+    out.push_back(
+        ClassBody{name, j, static_cast<std::size_t>(f.brace_match[j])});
+  }
+  return out;
+}
+
+// The data members declared at the top level of a class body: each one's
+// FEDCA_GUARDED_BY argument, and its type's last identifier (so
+// `util::CondVar cv_;` types `cv_` as CondVar). Member function bodies,
+// nested classes and parameter lists are skipped whole.
+void collect_members(const SourceFile& f, const ClassBody& c,
+                     LockSymbols::ClassInfo& info) {
+  for (std::size_t k = c.open + 1; k < c.close; ++k) {
+    const Token& t = f.tokens[k];
+    if (is_punct(f, k, "{") && f.brace_match[k] > 0) {
+      k = static_cast<std::size_t>(f.brace_match[k]);
+      continue;
+    }
+    if (is_punct(f, k, "(") && f.paren_match[k] > 0) {
+      k = static_cast<std::size_t>(f.paren_match[k]);
+      continue;
+    }
+    if (t.kind != TokenKind::kIdent) continue;
+    const bool guarded =
+        is_ident(f, k + 1, "FEDCA_GUARDED_BY") && is_punct(f, k + 2, "(");
+    if (guarded) {
+      std::vector<std::string> args = call_args(f, k + 2);
+      if (!args.empty()) info.guarded[t.text] = std::move(args.front());
+    }
+    if (k > 0 && f.tokens[k - 1].kind == TokenKind::kIdent &&
+        (guarded || is_punct(f, k + 1, ";") || is_punct(f, k + 1, "=") ||
+         is_punct(f, k + 1, "{"))) {
+      info.member_types[t.text] = f.tokens[k - 1].text;
+    }
+  }
+}
+
+// The last component of a mutex expression: `shared.error_mutex`,
+// `other->mu_` and `*mu_` all name `error_mutex` / `mu_`.
+std::string last_component(const std::string& expr) {
+  const std::size_t sep = expr.find_last_of(".>");
+  std::string last = sep == std::string::npos ? expr : expr.substr(sep + 1);
+  last.erase(0, last.find_first_not_of("*&"));
+  return last;
+}
 
 }  // namespace
 
@@ -277,9 +393,27 @@ void collect_callback_aliases(const SourceFile& f, LockSymbols& syms) {
   }
 }
 
-void collect_callback_invokers(const SourceFile& f, LockSymbols& syms) {
-  for (const FnDef& def : find_function_defs(f, syms)) {
-    if (def.callback_params.empty()) continue;
+void collect_lock_declarations(const SourceFile& f, LockSymbols& syms) {
+  // `Mutex name` / `util::Mutex name` declarations plus every identifier
+  // named in a FEDCA_GUARDED_BY annotation (last path component of the
+  // guard expression). Manual X.lock()/X.try_lock() tracking applies only
+  // to these, so random `.lock()` methods on non-mutex types cannot
+  // fabricate held scopes.
+  for (std::size_t i = 0; i + 1 < f.tokens.size(); ++i) {
+    if (is_ident(f, i, "Mutex") && f.tokens[i + 1].kind == TokenKind::kIdent) {
+      syms.mutex_names.insert(f.tokens[i + 1].text);
+    }
+    if (is_ident(f, i, "FEDCA_GUARDED_BY") && is_punct(f, i + 1, "(")) {
+      for (const std::string& a : call_args(f, i + 1)) {
+        syms.mutex_names.insert(last_component(a));
+      }
+    }
+  }
+
+  const std::vector<FnDef> defs = find_function_defs(f, syms);
+  // Functions whose body invokes one of their callback parameters.
+  for (const FnDef& def : defs) {
+    if (def.declaration || def.callback_params.empty()) continue;
     for (std::size_t i = def.body_open; i < def.body_close; ++i) {
       const Token& t = f.tokens[i];
       if (t.kind != TokenKind::kIdent) continue;
@@ -297,27 +431,37 @@ void collect_callback_invokers(const SourceFile& f, LockSymbols& syms) {
       }
     }
   }
-}
 
-void collect_mutex_names(const SourceFile& f, LockSymbols& syms) {
-  // `Mutex name` / `util::Mutex name` declarations plus every identifier
-  // named in a FEDCA_GUARDED_BY annotation (last path component of the
-  // guard expression). Manual X.lock()/X.try_lock() tracking applies only
-  // to these, so random `.lock()` methods on non-mutex types cannot
-  // fabricate held scopes.
-  const std::size_t n = f.tokens.size();
-  for (std::size_t i = 0; i + 1 < n; ++i) {
-    if (is_ident(f, i, "Mutex") && f.tokens[i + 1].kind == TokenKind::kIdent) {
-      syms.mutex_names.insert(f.tokens[i + 1].text);
-    }
-    if ((is_ident(f, i, "FEDCA_GUARDED_BY") ||
-         is_ident(f, i, "FEDCA_PT_GUARDED_BY")) &&
-        is_punct(f, i + 1, "(")) {
-      for (const std::string& a : macro_args(f, i + 1)) {
-        const std::size_t dot = a.find_last_of(".>");
-        syms.mutex_names.insert(dot == std::string::npos ? a : a.substr(dot + 1));
+  const std::vector<ClassBody> bodies = find_class_bodies(f);
+  auto in_function = [&](std::size_t i) {
+    return std::any_of(defs.begin(), defs.end(), [&](const FnDef& d) {
+      return !d.declaration && d.body_open < i && i < d.body_close;
+    });
+  };
+  // Function-local classes are left to the scope walk: their members are
+  // visible only inside the declaring function.
+  for (const ClassBody& c : bodies) {
+    if (!in_function(c.open)) collect_members(f, c, syms.classes[c.name]);
+  }
+  for (const FnDef& d : defs) {
+    if (d.requires_mutexes.empty()) continue;
+    std::string owner = d.owner;
+    if (owner.empty()) {  // declared or defined inside its class body
+      const ClassBody* inner = nullptr;
+      for (const ClassBody& c : bodies) {
+        if (c.open < d.name_idx && d.name_idx < c.close &&
+            (inner == nullptr || c.open > inner->open)) {
+          inner = &c;
+        }
       }
+      // A free function, or a method of a function-local class.
+      if (inner == nullptr || in_function(inner->open)) continue;
+      owner = inner->name;
     }
+    LockSymbols::Requirement& req =
+        syms.classes[owner].requirements[f.tokens[d.name_idx].text];
+    req.mutexes = d.requires_mutexes;
+    req.params = d.params;
   }
 }
 
@@ -327,7 +471,13 @@ void analyze_lock_scopes(const SourceFile& f, const LockSymbols& syms,
   const std::size_t n = f.tokens.size();
   const std::vector<FnDef> defs = find_function_defs(f, syms);
   std::map<std::size_t, const FnDef*> def_by_body;
-  for (const FnDef& d : defs) def_by_body[d.body_open] = &d;
+  for (const FnDef& d : defs) {
+    if (!d.declaration) def_by_body.emplace(d.body_open, &d);
+  }
+  std::map<std::size_t, ClassBody> class_by_body;
+  for (ClassBody& c : find_class_bodies(f)) {
+    class_by_body.emplace(c.open, std::move(c));
+  }
   const std::set<std::string>& mutex_names = syms.mutex_names;
 
   // File-wide callback-typed identifiers: declarations whose type mentions
@@ -367,16 +517,32 @@ void analyze_lock_scopes(const SourceFile& f, const LockSymbols& syms,
   // that happened to be held where it was *written*).
   std::vector<HeldLock> held;
   std::vector<std::size_t> lambda_saves;   // held.size() snapshots
-  std::vector<std::size_t> suspended;      // indices parked by lambdas
   std::vector<HeldLock> parked;
-  std::vector<char> brace_is_lambda;       // parallel to brace depth
-  int depth = 0;
+  std::vector<Scope> scopes;               // one per open brace
+  std::vector<LocalClass> local_classes;
+
+  using ClassInfo = LockSymbols::ClassInfo;
+  auto class_info = [&](const std::string& name) -> const ClassInfo* {
+    for (auto it = local_classes.rbegin(); it != local_classes.rend(); ++it) {
+      if (it->name == name) return &it->info;
+    }
+    auto it = syms.classes.find(name);
+    return it == syms.classes.end() ? nullptr : &it->second;
+  };
+  auto depth = [&]() { return static_cast<int>(scopes.size()); };
+  // Innermost enclosing scope that is not a plain block.
+  auto enclosing = [&]() -> const Scope* {
+    for (auto it = scopes.rbegin(); it != scopes.rend(); ++it) {
+      if (it->kind != Scope::kBlock) return &*it;
+    }
+    return nullptr;
+  };
 
   auto add_acquisition = [&](const std::string& key, int line, bool manual) {
     for (const HeldLock& h : held) {
       edges.push_back(LockEdge{h.key, key, f.rel_path, line});
     }
-    held.push_back(HeldLock{key, depth, manual, line});
+    held.push_back(HeldLock{key, depth(), manual, line});
   };
 
   auto flag_callback = [&](int line, const std::string& what) {
@@ -389,35 +555,152 @@ void analyze_lock_scopes(const SourceFile& f, const LockSymbols& syms,
                     "ends (waive with // analyze:waive(lock-callback))");
   };
 
+  // guarded-access: a FEDCA_GUARDED_BY member or a FEDCA_REQUIRES call at
+  // token i needs a held lock whose last path component names its mutex.
+  auto flag_unheld = [&](std::size_t i, const std::string& what,
+                         const std::string& mutex) {
+    const std::string name = last_component(mutex);
+    for (const HeldLock& h : held) {
+      if (last_component(h.key) == name) return;
+    }
+    add_finding(findings, "guarded-access", f.rel_path, f.tokens[i].line,
+                what + " without holding '" + name +
+                    "' — take a util::MutexLock on it, or move the access "
+                    "into a FEDCA_REQUIRES(" + name +
+                    ") helper (waive with // analyze:waive(guarded-access))");
+  };
+  auto check_call = [&](std::size_t i, const LockSymbols::Requirement& req) {
+    std::vector<std::string> args;  // read only when a mutex names a parameter
+    for (const std::string& mu : req.mutexes) {
+      std::string need = mu;
+      const auto p = std::find(req.params.begin(), req.params.end(), mu);
+      if (p != req.params.end()) {
+        if (args.empty()) args = call_args(f, i + 1);
+        const auto at = static_cast<std::size_t>(p - req.params.begin());
+        if (at >= args.size()) continue;
+        need = args[at];
+      }
+      flag_unheld(i, "call to '" + f.tokens[i].text + "' (FEDCA_REQUIRES(" +
+                         mu + "))",
+                  need);
+    }
+  };
+  auto check_guarded = [&](std::size_t i) {
+    // The innermost function body decides whose members a name can mean.
+    // A lambda inside it is checked with its own held set, even inside a
+    // constructor or destructor.
+    const Scope* fn = nullptr;
+    bool in_lambda = false;
+    for (auto it = scopes.rbegin(); it != scopes.rend() && !fn; ++it) {
+      if (it->kind == Scope::kLambda) in_lambda = true;
+      if (it->kind == Scope::kFunction) fn = &*it;
+    }
+    if (fn == nullptr || (fn->exempt && !in_lambda)) return;
+    if (i > 0 && is_punct(f, i - 1, "::")) return;
+    const std::string& name = f.tokens[i].text;
+    const bool call = is_punct(f, i + 1, "(");
+    const bool member_access =
+        i >= 2 && (is_punct(f, i - 1, ".") || is_punct(f, i - 1, "->"));
+    const ClassInfo* own = class_info(fn->name);
+    if (!member_access || is_ident(f, i - 2, "this")) {
+      if (own == nullptr) return;
+      if (auto g = own->guarded.find(name); g != own->guarded.end()) {
+        flag_unheld(i, "'" + name + "' (FEDCA_GUARDED_BY(" + g->second + "))",
+                    g->second);
+      }
+      if (auto r = own->requirements.find(name);
+          call && r != own->requirements.end()) {
+        check_call(i, r->second);
+      }
+      return;
+    }
+    // `x.name`: a member of a function-local class (the only way to reach
+    // one), or a FEDCA_REQUIRES method of a member whose type declares it.
+    for (const LocalClass& local : local_classes) {
+      const auto g = local.info.guarded.find(name);
+      if (g != local.info.guarded.end()) {
+        flag_unheld(i, "'" + name + "' (FEDCA_GUARDED_BY(" + g->second + "))",
+                    g->second);
+      }
+    }
+    if (!call || own == nullptr || f.tokens[i - 2].kind != TokenKind::kIdent) {
+      return;
+    }
+    const auto type = own->member_types.find(f.tokens[i - 2].text);
+    if (type == own->member_types.end()) return;
+    const ClassInfo* recv = class_info(type->second);
+    if (recv == nullptr) return;
+    if (auto r = recv->requirements.find(name); r != recv->requirements.end()) {
+      check_call(i, r->second);
+    }
+  };
+
   for (std::size_t i = 0; i < n; ++i) {
     const Token& t = f.tokens[i];
     if (t.kind == TokenKind::kPunct) {
       if (t.text == "{") {
-        const bool lambda = is_lambda_brace(f, i);
-        brace_is_lambda.push_back(lambda ? 1 : 0);
-        ++depth;
-        if (lambda) {
+        Scope scope;
+        const Scope* outer = enclosing();
+        const auto cls = class_by_body.find(i);
+        const auto def = def_by_body.find(i);
+        if (is_lambda_brace(f, i)) {
+          scope.kind = Scope::kLambda;
           lambda_saves.push_back(parked.size());
           for (HeldLock& h : held) parked.push_back(std::move(h));
           held.clear();
-        }
-        // REQUIRES-annotated function body: its mutexes are held throughout.
-        auto it = def_by_body.find(i);
-        if (it != def_by_body.end()) {
-          for (const std::string& mu : it->second->requires_mutexes) {
-            held.push_back(HeldLock{mu, depth, false, t.line});
+        } else if (cls != class_by_body.end()) {
+          scope.kind = Scope::kClass;
+          scope.name = cls->second.name;
+          if (outer != nullptr && outer->kind != Scope::kClass) {
+            LocalClass local{cls->second.name, depth(), {}};
+            collect_members(f, cls->second, local.info);
+            local_classes.push_back(std::move(local));
+          }
+        } else if (def != def_by_body.end() &&
+                   (outer == nullptr || outer->kind == Scope::kClass)) {
+          // A function body (nothing that looks like one nests directly in
+          // another): its owner is the `Owner::` qualifier or the class
+          // whose body holds it.
+          const FnDef& d = *def->second;
+          const std::string& fn_name = f.tokens[d.name_idx].text;
+          scope.kind = Scope::kFunction;
+          scope.name = !d.owner.empty() ? d.owner
+                       : outer != nullptr ? outer->name
+                                          : std::string();
+          scope.exempt =
+              d.destructor || (!scope.name.empty() && fn_name == scope.name);
+          // FEDCA_REQUIRES on the definition or on its declaration: the
+          // mutexes are held throughout the body.
+          std::vector<std::string> required = d.requires_mutexes;
+          if (const ClassInfo* info = class_info(scope.name)) {
+            const auto r = info->requirements.find(fn_name);
+            if (r != info->requirements.end()) {
+              required.insert(required.end(), r->second.mutexes.begin(),
+                              r->second.mutexes.end());
+            }
+          }
+          for (const std::string& mu : required) {
+            held.push_back(HeldLock{mu, depth() + 1, false, t.line});
           }
         }
+        scopes.push_back(std::move(scope));
         continue;
       }
       if (t.text == "}") {
-        if (depth > 0) {
+        if (!scopes.empty()) {
+          const int closing = depth();
           held.erase(std::remove_if(held.begin(), held.end(),
                                     [&](const HeldLock& h) {
-                                      return h.brace_depth == depth;
+                                      return h.brace_depth == closing;
                                     }),
                      held.end());
-          if (!brace_is_lambda.empty() && brace_is_lambda.back() != 0) {
+          local_classes.erase(
+              std::remove_if(local_classes.begin(), local_classes.end(),
+                             [&](const LocalClass& l) {
+                               return l.depth == closing;
+                             }),
+              local_classes.end());
+          if (scopes.back().kind == Scope::kLambda) {
             const std::size_t mark = lambda_saves.back();
             lambda_saves.pop_back();
             held.clear();  // anything a lambda body acquired dies with it
@@ -426,15 +709,13 @@ void analyze_lock_scopes(const SourceFile& f, const LockSymbols& syms,
             }
             parked.resize(mark);
           }
-          if (!brace_is_lambda.empty()) brace_is_lambda.pop_back();
-          --depth;
+          scopes.pop_back();
         }
         continue;
       }
       continue;
     }
     if (t.kind != TokenKind::kIdent) continue;
-
     // RAII acquisition: `MutexLock name(expr)` (optionally util::-qualified;
     // the lexer already dropped whitespace).
     if (t.text == "MutexLock" && i + 2 < n &&
@@ -471,6 +752,7 @@ void analyze_lock_scopes(const SourceFile& f, const LockSymbols& syms,
         continue;
       }
     }
+    check_guarded(i);
     if (held.empty()) continue;
 
     // Callback invocation under a held lock.

@@ -1,4 +1,4 @@
-// Lock-order graph and callback-under-lock analysis.
+// Lock-order graph, callback-under-lock and guarded-access analysis.
 //
 // Built from `util::MutexLock` scopes and the FEDCA_* thread-safety
 // annotations rather than from raw std::mutex calls — every lock-holding
@@ -18,8 +18,23 @@
 //                       body invokes one of its callback parameters (one
 //                       level of propagation — enough to see e.g.
 //                       EventRing::drain(sink) called under a drain mutex).
+//   * `guarded-access` — a FEDCA_GUARDED_BY(mu) member used, or a
+//                       FEDCA_REQUIRES(mu) method called (CondVar::wait(mu)
+//                       included), while no held lock's last path component
+//                       names `mu`. A member counts only in its own class's
+//                       member bodies (inline or `Class::fn`), and a
+//                       function-local class's member only as `x.member`
+//                       inside the declaring function, so same-named members
+//                       of other classes never match. REQUIRES comes from a
+//                       declaration or a definition. Constructor and
+//                       destructor bodies are exempt; lambda bodies start
+//                       with no lock held. Without types, a call through a
+//                       receiver (`cv_.wait(mu_)`) resolves only via the
+//                       receiver's member declaration in the enclosing
+//                       class.
 #pragma once
 
+#include <map>
 #include <set>
 #include <string>
 #include <vector>
@@ -36,18 +51,34 @@ struct LockSymbols {
   // Functions whose bodies invoke a callback-typed identifier; calling one
   // of these while holding a lock is flagged.
   std::set<std::string> callback_invoking_fns;
-  // Identifiers declared as `Mutex name` or named by FEDCA_GUARDED_BY /
-  // FEDCA_PT_GUARDED_BY. Collected globally because members are declared in
-  // headers but manually locked (`mu_.try_lock()`) in the matching .cpp.
+  // Identifiers declared as `Mutex name` or named by FEDCA_GUARDED_BY.
+  // Collected globally because members are declared in headers but
+  // manually locked (`mu_.try_lock()`) in the matching .cpp.
   std::set<std::string> mutex_names;
+
+  // A FEDCA_REQUIRES annotation: its arguments, and the function's
+  // parameter names so an argument naming a parameter
+  // (`wait(Mutex& mu) FEDCA_REQUIRES(mu)`) resolves to the caller's.
+  struct Requirement {
+    std::vector<std::string> mutexes;
+    std::vector<std::string> params;
+  };
+  struct ClassInfo {
+    std::map<std::string, std::string> guarded;       // member -> its mutex
+    std::map<std::string, std::string> member_types;  // member -> type name
+    std::map<std::string, Requirement> requirements;  // method -> REQUIRES
+  };
+  // Namespace-scope classes by unqualified name.
+  std::map<std::string, ClassInfo> classes;
 };
 
 // Pass 1a: collect callback type aliases (run over every file first).
 void collect_callback_aliases(const SourceFile& f, LockSymbols& syms);
-// Pass 1b: collect callback-invoking function names (needs all aliases).
-void collect_callback_invokers(const SourceFile& f, LockSymbols& syms);
-// Pass 1c: collect mutex member/variable names for manual-lock tracking.
-void collect_mutex_names(const SourceFile& f, LockSymbols& syms);
+// Pass 1b (needs all aliases): collect callback-invoking function names,
+// mutex names for manual-lock tracking, and each class's guarded members,
+// member types and FEDCA_REQUIRES methods (from declarations and
+// definitions).
+void collect_lock_declarations(const SourceFile& f, LockSymbols& syms);
 
 struct LockEdge {
   std::string from;  // file-qualified mutex key
@@ -56,8 +87,9 @@ struct LockEdge {
   int line = 0;  // acquisition site of `to` while `from` is held
 };
 
-// Pass 2: per-file scope walk. Emits lock-callback findings directly and
-// appends held->acquired edges for the global cycle check.
+// Pass 2: per-file scope walk. Emits lock-callback and guarded-access
+// findings directly and appends held->acquired edges for the global cycle
+// check.
 void analyze_lock_scopes(const SourceFile& f, const LockSymbols& syms,
                          std::vector<LockEdge>& edges,
                          std::vector<Finding>& findings);

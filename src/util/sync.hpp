@@ -1,13 +1,12 @@
-// Annotated synchronization primitives for the thread-safety analysis.
+// Annotated synchronization primitives for the thread-safety annotations.
 //
-// std::mutex carries no capability attributes under libstdc++, so clang's
-// -Wthread-safety cannot track it. These thin wrappers add the annotations
-// (and nothing else): Mutex wraps std::mutex, MutexLock replaces
-// std::lock_guard, and CondVar replaces std::condition_variable with an
-// explicit REQUIRES(mutex) wait. Every lock-holding subsystem in src/ uses
-// these types so a guarded member touched without its mutex is a compile
-// error under -DFEDCA_STATIC_ANALYSIS=ON (clang), while off clang they
-// compile to exactly the std:: primitives they wrap.
+// These thin wrappers add the annotations (and nothing else): Mutex wraps
+// std::mutex, MutexLock replaces std::lock_guard, and CondVar replaces
+// std::condition_variable with an explicit REQUIRES(mutex) wait. Every
+// lock-holding subsystem in src/ uses these types, and fedca_analyze reads
+// their scopes: a guarded member touched, or wait() called, without its
+// mutex held is a `guarded-access` finding. They compile to exactly the
+// std:: primitives they wrap.
 #pragma once
 
 #include <condition_variable>
@@ -46,10 +45,10 @@ class FEDCA_SCOPED_CAPABILITY MutexLock {
 
 // Condition variable bound to Mutex. wait() REQUIRES the mutex: the caller
 // holds it on entry and on return, exactly like std::condition_variable —
-// but the requirement is now checked at compile time. Predicate re-checks
+// but the requirement is now checked by fedca_analyze. Predicate re-checks
 // stay in the caller (a plain while loop), which keeps guarded-member
-// reads inside the annotated scope instead of inside an unannotatable
-// lambda.
+// reads inside the locked scope instead of inside a lambda, whose body
+// holds no lock.
 class CondVar {
  public:
   CondVar() = default;

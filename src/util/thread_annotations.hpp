@@ -1,17 +1,18 @@
-// Clang thread-safety-analysis annotations (no-ops off clang).
+// Thread-safety annotations: the repo's lock discipline, written down.
 //
-// These macros put the repo's lock discipline into the type system: every
-// mutex-protected member is declared FEDCA_GUARDED_BY its mutex, private
-// helpers that expect the lock to already be held are FEDCA_REQUIRES, and
-// the annotated primitives in util/sync.hpp (Mutex / MutexLock / CondVar)
-// tell the analysis where capabilities are acquired and released. Building
-// with clang and -DFEDCA_STATIC_ANALYSIS=ON turns on
-// -Wthread-safety -Werror=thread-safety, which rejects at compile time any
-// access to a guarded member without its mutex — races the runtime TSan
-// pass can only catch when the seed workload happens to execute them.
+// Every mutex-protected member is declared FEDCA_GUARDED_BY its mutex,
+// private helpers that expect the lock to already be held are
+// FEDCA_REQUIRES, and the annotated primitives in util/sync.hpp (Mutex /
+// MutexLock / CondVar) mark where locks are acquired and released.
+// fedca_analyze checks GUARDED_BY and REQUIRES on every build host: its
+// `guarded-access` rule flags a guarded member used, or a REQUIRES function
+// called (CondVar::wait included), where no held lock names the mutex —
+// races the runtime TSan pass can only catch when the seed workload
+// happens to execute them.
 //
-// On non-clang compilers every macro expands to nothing, so the annotations
-// cost nothing and impose no toolchain requirement.
+// Under clang the macros expand to clang's thread-safety attributes; on
+// every other compiler they expand to nothing. Either way they cost
+// nothing at run time.
 //
 // Naming follows the standard capability vocabulary (the same one Abseil's
 // thread_annotations.h and clang's documentation use), prefixed FEDCA_.
@@ -34,10 +35,6 @@
 // Data member readable/writable only while holding the given capability.
 #define FEDCA_GUARDED_BY(x) FEDCA_THREAD_ANNOTATION_ATTRIBUTE(guarded_by(x))
 
-// Pointer member whose *pointee* is protected by the given capability (the
-// pointer itself may be read freely).
-#define FEDCA_PT_GUARDED_BY(x) FEDCA_THREAD_ANNOTATION_ATTRIBUTE(pt_guarded_by(x))
-
 // Function requires the capability to be held on entry (and does not
 // release it) — the _locked() helper contract.
 #define FEDCA_REQUIRES(...) \
@@ -54,16 +51,3 @@
 // Function acquires the capability only when it returns `result`.
 #define FEDCA_TRY_ACQUIRE(result, ...) \
   FEDCA_THREAD_ANNOTATION_ATTRIBUTE(try_acquire_capability(result, __VA_ARGS__))
-
-// Function must NOT be called with the capability held (deadlock guard for
-// functions that acquire it themselves).
-#define FEDCA_EXCLUDES(...) \
-  FEDCA_THREAD_ANNOTATION_ATTRIBUTE(locks_excluded(__VA_ARGS__))
-
-// Function returns a reference to the given capability.
-#define FEDCA_RETURN_CAPABILITY(x) FEDCA_THREAD_ANNOTATION_ATTRIBUTE(lock_returned(x))
-
-// Escape hatch: turns the analysis off for one function. Every use must
-// carry a comment explaining why the access is safe.
-#define FEDCA_NO_THREAD_SAFETY_ANALYSIS \
-  FEDCA_THREAD_ANNOTATION_ATTRIBUTE(no_thread_safety_analysis)

@@ -1,8 +1,6 @@
-// Positive fixture for the thread-safety annotation layer: disciplined code
-// that must compile on EVERY toolchain (the macros are no-ops off clang)
-// and pass -Werror=thread-safety under clang. Compiled as part of the test
-// tree so a regression in util/thread_annotations.hpp or util/sync.hpp
-// breaks the ordinary build, not just the analysis build.
+// Disciplined locking that must draw no guarded-access finding: every
+// guarded access under a MutexLock, a FEDCA_REQUIRES helper called with
+// the lock held, and a CondVar wait in a plain predicate loop.
 #include <cstddef>
 #include <deque>
 
@@ -46,13 +44,5 @@ class BoundedCounter {
   int value_ FEDCA_GUARDED_BY(mu_) = 0;
   std::deque<int> queue_ FEDCA_GUARDED_BY(mu_);
 };
-
-// Anchor so the object file is never empty.
-int positive_fixture_anchor() {
-  BoundedCounter c;
-  c.add(1);
-  c.push(2);
-  return c.value() + c.pop();
-}
 
 }  // namespace fedca::sa_fixture

@@ -1,11 +1,12 @@
 // fedca_analyze — semantic whole-tree analyzer for the FedCA reproduction.
 //
-// Third tier of the static-analysis stack (clang -Wthread-safety, the
-// clang-tidy gate, and this): a C++17 lexer over the whole tree builds an
-// include/layering DAG checked against tools/analyze/layers.spec, a
-// lock-order graph from util::MutexLock scopes and FEDCA_* annotations,
-// and scope-aware determinism/seam rules; a line scan of the build scripts
-// bans value-changing FP flags. Zero external dependencies; runs in well
+// The project's one static-analysis tier: a C++17 lexer over the whole
+// tree builds an include/layering DAG checked against
+// tools/analyze/layers.spec, a lock-order graph from util::MutexLock scopes
+// and FEDCA_* annotations (which also checks every FEDCA_GUARDED_BY /
+// FEDCA_REQUIRES use against the locks held), and scope-aware
+// determinism/seam rules; a line scan of the build scripts bans
+// value-changing FP flags. Zero external dependencies; runs in well
 // under a second over the ~240-file tree.
 //
 // Usage:

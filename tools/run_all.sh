@@ -43,34 +43,13 @@ keep_going() {
   [ "$step_status" -ne 0 ] || step_status=$step_status_now
 }
 
-# Static analysis first — cheapest stage, fails fastest: the clang-tidy
-# baseline gate and, when clang is available, a clang build with
-# -Werror=thread-safety (FEDCA_STATIC_ANALYSIS=ON); without clang++ that
-# sub-stage prints SKIP. FEDCA_LINT=0 skips the whole stage.
-if [ "${FEDCA_LINT:-1}" != "0" ]; then
-  echo "===== lint =====" | tee lint_output.txt
-  run_logged lint_output.txt \
-    python3 tools/run_clang_tidy.py --build-dir build
-  if command -v clang++ >/dev/null 2>&1; then
-    echo "--- thread-safety build (clang) ---" | tee -a lint_output.txt
-    cmake -B build-sa -S . -DCMAKE_CXX_COMPILER=clang++ \
-      -DFEDCA_STATIC_ANALYSIS=ON >>lint_output.txt 2>&1 &&
-    cmake --build build-sa -j "$(nproc)" >>lint_output.txt 2>&1 \
-      || { echo "thread-safety build FAILED (see lint_output.txt)"
-           fail_stage 1 "thread-safety build (see lint_output.txt)"; }
-  else
-    echo "--- thread-safety build: SKIP (no clang++) ---" \
-      | tee -a lint_output.txt
-  fi
-fi
-
-# Semantic analyzer: the token-level static-analysis tier (include/layering
-# DAG against tools/analyze/layers.spec, lock-order graph + callbacks-under-
-# lock, scope-aware determinism/seam rules, fast-math over the build
-# scripts). It folds in the build's compile_commands.json, so a missing
-# database is a configuration error (the binary exits 2), not a silent
-# skip.
-# FEDCA_ANALYZE=0 skips the stage.
+# Static analysis first — cheapest stage, fails fastest: fedca_analyze
+# (include/layering DAG against tools/analyze/layers.spec, lock-order graph,
+# callbacks under locks, guarded-access on the FEDCA_GUARDED_BY /
+# FEDCA_REQUIRES annotations, scope-aware determinism/seam rules, fast-math
+# over the build scripts). It folds in the build's compile_commands.json,
+# so a missing database is a configuration error (the binary exits 2), not
+# a silent skip. FEDCA_ANALYZE=0 skips the stage.
 if [ "${FEDCA_ANALYZE:-1}" != "0" ]; then
   echo "===== analyze =====" | tee analyze_output.txt
   cmake --build build --target fedca_analyze -j "$(nproc)" \
