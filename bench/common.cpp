@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "core/sampling_profiler.hpp"
+#include "fl/scenario.hpp"
 #include "nn/state.hpp"
 
 namespace fedca::bench {
@@ -15,6 +16,26 @@ namespace {
 // rounds=): each must be an integer >= 1.
 constexpr const char* kCountKeys[] = {"clients", "k", "batch", "samples", "test_samples",
                                       "rounds"};
+
+// Every key the paper benches, obs_harness and workload_options read, apart
+// from core::make_scheme's hyperparameters (fl::known_scheme_param). Any
+// other key is a typo that would otherwise be silently ignored.
+constexpr const char* kBenchKeys[] = {
+    // parse_config, workload_options, maybe_save_csv
+    "scale", "csv_dir", "seed", "clients", "k", "batch", "samples", "test_samples",
+    "rounds", "alpha", "noise", "lr", "wd", "collect_fraction", "target", "dynamicity",
+    "bandwidth_mbps", "trace", "metrics",
+    // the benches' own keys
+    "models", "schemes", "ablation_rounds", "async_mix", "async_staleness_power",
+    // obs_harness
+    "mode", "warmup", "workers", "scenario", "out", "updates"};
+
+bool known_key(const std::string& key) {
+  for (const char* k : kBenchKeys) {
+    if (key == k) return true;
+  }
+  return fl::known_scheme_param(key);
+}
 
 std::string scale_of(const util::Config& config) {
   const std::string scale = config.get_string("scale", "quick");
@@ -43,8 +64,12 @@ util::Config parse_config(int argc, char** argv) {
     // FEDCA_TRACE/FEDCA_METRICS (obs::read_env) for paths left empty.
     env.load_env({"scale", "csv_dir", "seed", "clients", "k", "rounds"});
     env.overlay(config);  // CLI wins over environment
-    // Reject a bad size here, before any bench starts a run. The checks
-    // read a copy, so dump() still lists only the keys a bench reads.
+    // Reject an unknown key or a bad size here, before any bench starts a
+    // run. The checks read a copy, so dump() still lists only the keys a
+    // bench reads.
+    for (const std::string& key : env.keys()) {
+      if (!known_key(key)) throw util::ConfigError("unknown config key '" + key + "'");
+    }
     const util::Config checked = env;
     scale_of(checked);
     for (const char* key : kCountKeys) {

@@ -1,12 +1,7 @@
-// Observability harness — drives the flight recorder and the RoundReport
-// pipeline for tools/bench_obs.py and the golden-report ctest. Modes:
+// Observability harness — drives the tracer and the RoundReport pipeline
+// for tools/bench_obs.py and the golden-report ctest. Modes:
 //
-//   mode=events   threads=T count=N
-//       Raw recorder throughput: T producer threads each push N span
-//       events through obs::Recorder (lock-free rings + volunteer
-//       drain into a counting sink). Prints events/sec and the exact
-//       drop accounting.
-//   mode=overhead trace=0|1 rounds=R [workers=W]
+//   mode=overhead trace=0|1 rounds=R [workers=W]   (the default mode)
 //       Wall-seconds of R steady-state FedCA rounds with the tracer
 //       (and per-kernel spans) fully on vs fully off — the ≤5% hot-loop
 //       overhead gate.
@@ -19,16 +14,12 @@
 // Wall-clock use here is the point of the bench (real overhead), so this
 // file is outside the src/-scoped wall-clock lint rule.
 #include <chrono>
-#include <cstdint>
 #include <cstdio>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include "bench/common.hpp"
 #include "core/factory.hpp"
 #include "fl/async_engine.hpp"
-#include "obs/recorder.hpp"
 #include "obs/session.hpp"
 #include "tensor/simd/dispatch.hpp"
 
@@ -85,55 +76,6 @@ obs::SessionOptions traced_outputs(bool trace) {
   return outputs;
 }
 
-int run_events(const util::Config& config) {
-  const auto threads = static_cast<std::size_t>(config.get_int("threads", 4));
-  const auto count = static_cast<std::size_t>(config.get_int("count", 500000));
-  std::atomic<std::uint64_t> drained{0};
-  obs::Recorder recorder(obs::Recorder::kDefaultRingCapacity,
-                         [&drained](const obs::RecorderEvent&) {
-                           drained.fetch_add(1, std::memory_order_relaxed);
-                         });
-
-  obs::RecorderEvent proto{};
-  proto.kind = obs::RecordKind::kSpan;
-  proto.pid = 1;
-  std::snprintf(proto.name, sizeof(proto.name), "bench.span");
-  obs::append_arg(proto, "client", "7");
-
-  const double start = wall_seconds();
-  std::vector<std::thread> producers;
-  producers.reserve(threads);
-  for (std::size_t t = 0; t < threads; ++t) {
-    producers.emplace_back([&recorder, proto, count] {
-      obs::RecorderEvent event = proto;
-      for (std::size_t i = 0; i < count; ++i) {
-        event.t0 = static_cast<double>(i);
-        event.t1 = event.t0 + 1.0;
-        recorder.record(event);
-      }
-    });
-  }
-  for (auto& t : producers) t.join();
-  recorder.drain([&drained](const obs::RecorderEvent&) {
-    drained.fetch_add(1, std::memory_order_relaxed);
-  });
-  const double seconds = wall_seconds() - start;
-
-  const std::uint64_t total =
-      static_cast<std::uint64_t>(threads) * static_cast<std::uint64_t>(count);
-  std::printf(
-      "{\"mode\":\"events\",\"build_type\":\"%s\",\"simd_tier\":\"%s\","
-      "\"threads\":%zu,\"count\":%zu,"
-      "\"seconds\":%.6f,\"events_per_second\":%.1f,"
-      "\"drained\":%llu,\"dropped\":%llu}\n",
-      bench::build_type(), tensor::simd::active_tier_name(),
-      threads, count, seconds,
-      static_cast<double>(total) / (seconds > 0.0 ? seconds : 1e-9),
-      static_cast<unsigned long long>(drained.load()),
-      static_cast<unsigned long long>(recorder.dropped_total()));
-  return 0;
-}
-
 int run_overhead(const util::Config& config) {
   const bool trace = config.get_int("trace", 0) != 0;
   const auto rounds = static_cast<std::size_t>(config.get_int("rounds", 8));
@@ -152,12 +94,10 @@ int run_overhead(const util::Config& config) {
   std::printf(
       "{\"mode\":\"overhead\",\"build_type\":\"%s\",\"simd_tier\":\"%s\","
       "\"trace\":%d,\"rounds\":%zu,\"workers\":%zu,"
-      "\"seconds\":%.6f,\"events\":%zu,\"dropped\":%llu}\n",
+      "\"seconds\":%.6f,\"events\":%zu}\n",
       bench::build_type(), tensor::simd::active_tier_name(),
       trace ? 1 : 0, rounds, workers, seconds,
-      trace ? setup.session->trace()->event_count() : 0,
-      static_cast<unsigned long long>(
-          trace ? setup.session->trace()->recorder().dropped_total() : 0));
+      trace ? setup.session->trace()->event_count() : 0);
   return 0;
 }
 
@@ -201,8 +141,7 @@ int run_report(const util::Config& config) {
 
 int main(int argc, char** argv) {
   const util::Config config = bench::parse_config(argc, argv);
-  const std::string mode = config.get_string("mode", "events");
-  if (mode == "events") return run_events(config);
+  const std::string mode = config.get_string("mode", "overhead");
   if (mode == "overhead") return run_overhead(config);
   if (mode == "report") return run_report(config);
   std::fprintf(stderr, "obs_harness: unknown mode '%s'\n", mode.c_str());

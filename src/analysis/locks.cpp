@@ -114,9 +114,10 @@ std::vector<std::string> call_args(const SourceFile& f, std::size_t open) {
 
 // Scans the whole file for function definitions, plus the declarations
 // that carry FEDCA_REQUIRES. Lexical and deliberately conservative: an
-// ident followed by a balanced paren group, then qualifiers / annotation
-// macros / a ctor init list, then `{` (or `;` / `= ...` for a declaration).
-// An annotation macro's own paren group never names a function.
+// ident (or `operator` and its symbol) followed by a balanced paren group,
+// then qualifiers / annotation macros / a trailing return type / a ctor
+// init list, then `{` (or `;` / `= ...` for a declaration). An annotation
+// macro's own paren group never names a function.
 std::vector<FnDef> find_function_defs(const SourceFile& f,
                                       const LockSymbols& syms) {
   std::vector<FnDef> defs;
@@ -127,13 +128,23 @@ std::vector<FnDef> find_function_defs(const SourceFile& f,
         t.text.rfind("FEDCA_", 0) == 0) {
       continue;
     }
-    if (!is_punct(f, i + 1, "(")) continue;
-    const int close = f.paren_match[i + 1];
+    std::size_t open = i + 1;
+    if (t.text == "operator") {
+      // `operator+=(`, `operator()(`, `operator bool(`: the parameters
+      // open at the first `(` after the operator's own tokens.
+      if (is_punct(f, open, "(") && is_punct(f, open + 1, ")")) open += 2;
+      while (open < n && open < i + 6 && !is_punct(f, open, "(") &&
+             !is_punct(f, open, ";") && !is_punct(f, open, "{")) {
+        ++open;
+      }
+    }
+    if (!is_punct(f, open, "(")) continue;
+    const int close = f.paren_match[open];
     if (close < 0) continue;
 
     FnDef def;
     def.name_idx = i;
-    def.params_open = i + 1;
+    def.params_open = open;
     def.params_close = static_cast<std::size_t>(close);
     std::size_t head = i;  // walks back over `~` and `Owner ::`
     def.destructor = head > 0 && is_punct(f, head - 1, "~");
@@ -149,6 +160,7 @@ std::vector<FnDef> find_function_defs(const SourceFile& f,
     std::size_t j = def.params_close + 1;
     bool ok = false;
     bool in_init_list = false;
+    bool in_trailing_return = false;
     while (j < n) {
       const Token& q = f.tokens[j];
       if (q.kind == TokenKind::kPunct) {
@@ -182,6 +194,26 @@ std::vector<FnDef> find_function_defs(const SourceFile& f,
         if (q.text == "&" || q.text == "&&" || q.text == "::") {
           ++j;  // e.g. ref-qualifier, qualified init-list member
           continue;
+        }
+        if (q.text == "->" && !in_init_list) {
+          in_trailing_return = true;
+          ++j;
+          continue;
+        }
+        if (in_trailing_return) {
+          // The return type's own punctuation: `std::vector<int>*`,
+          // `decltype(x)`. A `)` or an operator ends the match, so a call
+          // like `get(x)->ok()` inside a condition is never a definition.
+          if (q.text == "(") {
+            const int pm = f.paren_match[j];
+            if (pm < 0) break;
+            j = static_cast<std::size_t>(pm) + 1;
+            continue;
+          }
+          if (q.text == "<" || q.text == ">" || q.text == "*" || q.text == ",") {
+            ++j;
+            continue;
+          }
         }
         // `;` or `= 0/default/delete`: a declaration, kept only for its
         // FEDCA_REQUIRES. Operators and the rest: not a function at all.
@@ -762,9 +794,9 @@ void analyze_lock_scopes(const SourceFile& f, const LockSymbols& syms,
                             is_punct(f, i + 2, "(");
     if (!direct_call && !deref_call) continue;
     // Skip definitions/declarations: a name directly preceded by `::` is a
-    // qualified definition header (`Recorder::drain(...)`), already handled
-    // by find_function_defs; held is empty there anyway. Skip type-ish
-    // contexts cheaply: preceded by `new`.
+    // qualified definition header (`ThreadPool::submit(...)`), already
+    // handled by find_function_defs; held is empty there anyway. Skip
+    // type-ish contexts cheaply: preceded by `new`.
     if (i >= 1 && is_ident(f, i - 1, "new")) continue;
     if (callback_vars.count(t.text) != 0) {
       flag_callback(t.line, "callback '" + t.text + "'");

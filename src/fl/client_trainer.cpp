@@ -118,8 +118,8 @@ void ClientTrainer::announce_crash(std::size_t client, double at, obs::TraceArgs
   if (tracer != nullptr && std::isfinite(at)) {
     tracer->record_instant(client_pid(client), "fault.crash", at, std::move(args));
   }
-  // Crash dump: persist the recorder rings (including the instant just
-  // recorded) at the moment the injected crash fires.
+  // Crash dump: write every event recorded so far (including the instant
+  // just recorded) at the moment the injected crash fires.
   if (session_ != nullptr) session_->flush();
 }
 

@@ -252,7 +252,7 @@ RoundRecord RoundEngine::run_round() {
   // estimate vs realized times, a per-client outcome, and the straggler
   // classification. Everything here is virtual-clock data copied from the
   // record on the main thread, so the report is bit-identical across
-  // worker counts and recorder on/off.
+  // worker counts and tracing on/off.
   if (obs::RoundReportWriter* reporter = obs::current_report()) {
     obs::RoundReport report;
     report.round_index = record.round_index;

@@ -45,13 +45,6 @@ bool known_scheme(const std::string& name) {
   return false;
 }
 
-bool known_scheme_param(const std::string& key) {
-  for (const char* s : kSchemeParams) {
-    if (key == s) return true;
-  }
-  return false;
-}
-
 // Shortest decimal string that parses back to exactly `v` — canonical
 // serialization must be stable under parse/serialize cycles.
 std::string format_double(double v) {
@@ -74,6 +67,13 @@ std::string model_key(nn::ModelKind kind) {
 }
 
 }  // namespace
+
+bool known_scheme_param(const std::string& key) {
+  for (const char* s : kSchemeParams) {
+    if (key == s) return true;
+  }
+  return false;
+}
 
 Scenario parse_scenario(const std::string& text, const std::string& filename) {
   Document doc = Document::parse(text, filename);

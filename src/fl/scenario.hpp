@@ -94,4 +94,8 @@ ExperimentOptions resolve_options(const Scenario& scenario);
 // Config for core::make_scheme carrying the scenario's [scheme] params.
 util::Config scheme_config(const Scenario& scenario);
 
+// True for a hyperparameter key core::make_scheme reads (fedca_beta,
+// compress, ...): the closed list a [scheme] section may set.
+bool known_scheme_param(const std::string& key);
+
 }  // namespace fedca::fl

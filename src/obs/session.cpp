@@ -39,7 +39,6 @@ Session::Session(SessionOptions options) : options_(std::move(options)) {
   if (!options_.trace_path.empty()) {
     TraceOptions trace;
     trace.kernel_detail = options_.kernel_detail;
-    trace.metrics = metrics_.get();
     trace_ = std::make_unique<TraceCollector>(trace);
   }
   if (!options_.report_path.empty()) {

@@ -1,7 +1,6 @@
 // One experiment's observability: the session that owns its trace
-// collector (with the flight recorder inside it), metrics registry and
-// round-report writer, and the per-thread pointer instrumented code
-// reaches it through.
+// collector, metrics registry and round-report writer, and the per-thread
+// pointer instrumented code reaches it through.
 //
 // fl::make_setup builds one Session per experiment from the resolved
 // ExperimentOptions paths and fl::ExperimentSetup owns it, so every output
@@ -74,7 +73,6 @@ class Session {
  private:
   SessionOptions options_;
   std::unique_ptr<MetricsRegistry> metrics_;
-  // Built after metrics_: its drains publish obs.recorder.* there.
   std::unique_ptr<TraceCollector> trace_;
   std::unique_ptr<RoundReportWriter> report_;
   util::Mutex flush_mutex_;

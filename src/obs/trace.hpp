@@ -20,15 +20,16 @@
 // instrumented code finds it through obs::current_trace(), which is null
 // when tracing is off.
 //
-// The collector is a *facade* over its own flight recorder
-// (obs/recorder.hpp): record_span/record_instant/record_wall_span encode a
-// POD RecorderEvent and push it into the calling thread's lock-free ring —
-// the producer path takes no lock and performs no allocation. Every read
-// API (event_count, snapshot_events, write_chrome_json, save) first
-// drains the rings into the internal event vector.
+// Every record_* call builds its TraceEvent and appends it, under the
+// collector's mutex, to the one event list that every read API
+// (event_count, snapshot_events, write_chrome_json, save) reads. Nothing
+// is dropped or cut: names and args are kept whole. The traced round loop
+// records tens of thousands of events per second at most, so one lock per
+// event is cheap enough to leave on (tools/bench_obs.py gates it).
 #pragma once
 
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <ostream>
@@ -36,13 +37,10 @@
 #include <utility>
 #include <vector>
 
-#include "obs/recorder.hpp"
 #include "util/sync.hpp"
 #include "util/thread_annotations.hpp"
 
 namespace fedca::obs {
-
-class MetricsRegistry;  // obs/metrics.hpp
 
 enum class Clock { kVirtual, kWall };
 
@@ -67,13 +65,6 @@ struct TraceOptions {
   // steps): they multiply event counts by the batch loop, so they are
   // opt-in (FEDCA_TRACE_DETAIL=kernels).
   bool kernel_detail = false;
-  // Receives the recorder's drop/truncation accounting
-  // (obs.recorder.dropped/truncated) at each drain; null publishes nothing.
-  MetricsRegistry* metrics = nullptr;
-  std::size_t ring_capacity = Recorder::kDefaultRingCapacity;
-  // Producers volunteer to drain at 3/4 ring occupancy. Off makes overflow
-  // (and its drop accounting) deterministic.
-  bool auto_drain = true;
 };
 
 class TraceCollector {
@@ -105,37 +96,23 @@ class TraceCollector {
   std::size_t event_count() const;
   std::vector<TraceEvent> snapshot_events() const;
   std::map<std::uint32_t, std::string> process_names() const;
-  const Recorder& recorder() const { return recorder_; }
 
-  // Serializes metadata + events (sorted by pid, tid, ts) as a Chrome
-  // trace JSON array.
+  // Serializes metadata + events (stable-sorted by pid, tid, ts) as a
+  // Chrome trace JSON array.
   void write_chrome_json(std::ostream& os) const;
   // Writes the whole trace to `path`; throws std::runtime_error on I/O
   // failure.
   void save(const std::string& path) const;
 
  private:
-  // Converts one drained recorder span or instant and appends it to
-  // events_.
-  void consume(const RecorderEvent& event) const;
-  // Empties the recorder rings into events_ and publishes the recorder's
-  // drop/truncation accounting (obs.recorder.*). Every read API calls
-  // this first, which is what lets the producer path stay lock-free.
-  void drain_pending() const;
-  // Copies name/args from the string-based API into a POD slot, counting
-  // anything that did not fit.
-  void fill(RecorderEvent& event, const std::string& name, const TraceArgs& args);
+  void append(TraceEvent event);
 
   const bool kernel_detail_;
-  MetricsRegistry* const metrics_;
   const std::chrono::steady_clock::time_point wall_epoch_;
-  mutable Recorder recorder_;
   mutable util::Mutex mutex_;
-  mutable std::vector<TraceEvent> events_ FEDCA_GUARDED_BY(mutex_);
+  std::vector<TraceEvent> events_ FEDCA_GUARDED_BY(mutex_);
   std::map<std::uint32_t, std::string> process_names_ FEDCA_GUARDED_BY(mutex_);
   std::uint32_t next_pid_ FEDCA_GUARDED_BY(mutex_) = 1;
-  mutable std::uint64_t published_dropped_ FEDCA_GUARDED_BY(mutex_) = 0;
-  mutable std::uint64_t published_truncated_ FEDCA_GUARDED_BY(mutex_) = 0;
 };
 
 }  // namespace fedca::obs

@@ -9,6 +9,7 @@
 
 #include "tensor/simd/dispatch.hpp"
 #include "tensor/simd/kernels.hpp"
+#include "tensor/simd/microkernel_generic.hpp"
 #include "tensor/simd/tanh.hpp"
 
 namespace fedca::tensor {

@@ -53,37 +53,9 @@ using MicroKernel = void (*)(std::size_t kb, const float* ap, const float* bp,
                              float* c, std::size_t ldc, std::size_t mr_eff,
                              std::size_t nr_eff, bool first);
 
-// Portable microkernel: explicit std::fma chains the compiler may
-// vectorize freely (lanes are distinct output elements, so any
-// vectorization preserves the association). Also the edge-tile fallback
-// inside the vector tiers.
-inline void microkernel_generic(std::size_t kb, const float* ap,
-                                const float* bp, float* c, std::size_t ldc,
-                                std::size_t mr_eff, std::size_t nr_eff,
-                                bool first) {
-  float acc[kMr][kNr];
-  for (std::size_t r = 0; r < kMr; ++r) {
-    for (std::size_t j = 0; j < kNr; ++j) {
-      acc[r][j] = (!first && r < mr_eff && j < nr_eff) ? c[r * ldc + j] : 0.0f;
-    }
-  }
-  for (std::size_t kk = 0; kk < kb; ++kk) {
-    const float* arow = ap + kk * kMr;
-    const float* brow = bp + kk * kNr;
-    for (std::size_t r = 0; r < kMr; ++r) {
-      const float av = arow[r];
-      // Lanes are distinct output elements, so vectorizing this loop (the
-      // pragma is a no-op without -fopenmp-simd) cannot change any chain.
-#pragma omp simd
-      for (std::size_t j = 0; j < kNr; ++j) {
-        acc[r][j] = std::fma(av, brow[j], acc[r][j]);
-      }
-    }
-  }
-  for (std::size_t r = 0; r < mr_eff; ++r) {
-    for (std::size_t j = 0; j < nr_eff; ++j) c[r * ldc + j] = acc[r][j];
-  }
-}
+// The portable MicroKernel, microkernel_generic, is in
+// tensor/simd/microkernel_generic.hpp: its `omp simd` pragma needs a TU
+// built with -fopenmp-simd.
 
 // One run of a conv panel (PackedB::pack_conv / pack_conv_t): panel
 // columns [j0, j0 + len) of every panel row read len floats `stride` apart

@@ -16,6 +16,7 @@
 #include <cmath>
 
 #include "tensor/simd/kernels.hpp"
+#include "tensor/simd/microkernel_generic.hpp"
 #include "tensor/simd/tanh.hpp"
 
 namespace fedca::tensor::simd {

@@ -9,6 +9,7 @@
 #if defined(__x86_64__) || defined(_M_X64)
 
 #include "tensor/simd/kernels.hpp"
+#include "tensor/simd/microkernel_generic.hpp"
 #include "tensor/simd/tanh.hpp"
 
 #if defined(__AVX512F__)

@@ -118,6 +118,13 @@ void Config::load_env(const std::vector<std::string>& keys) {
   }
 }
 
+std::vector<std::string> Config::keys() const {
+  std::vector<std::string> out;
+  out.reserve(values_.size());
+  for (const auto& [k, v] : values_) out.push_back(k);
+  return out;
+}
+
 std::vector<std::pair<std::string, std::string>> Config::effective() const {
   return {read_.begin(), read_.end()};
 }

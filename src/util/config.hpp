@@ -48,6 +48,9 @@ class Config {
   // (lower-cased key in the map).
   void load_env(const std::vector<std::string>& keys);
 
+  // Every key that was set, sorted (lower-cased, as stored).
+  std::vector<std::string> keys() const;
+
   // All keys that were read so far, with their effective values, sorted.
   std::vector<std::pair<std::string, std::string>> effective() const;
 

@@ -39,35 +39,6 @@ std::future<void> ThreadPool::submit(std::function<void()> task) {
   return fut;
 }
 
-void ThreadPool::parallel_for(std::size_t n,
-                              const std::function<void(std::size_t)>& body) {
-  if (n == 0) return;
-  const std::size_t workers = worker_count();
-  if (workers <= 1 || n == 1) {
-    for (std::size_t i = 0; i < n; ++i) body(i);
-    return;
-  }
-  const std::size_t chunks = std::min(n, workers * 4);
-  std::vector<std::future<void>> futures;
-  futures.reserve(chunks);
-  for (std::size_t c = 0; c < chunks; ++c) {
-    const std::size_t begin = n * c / chunks;
-    const std::size_t end = n * (c + 1) / chunks;
-    futures.push_back(submit([&body, begin, end] {
-      for (std::size_t i = begin; i < end; ++i) body(i);
-    }));
-  }
-  std::exception_ptr first_error;
-  for (auto& fut : futures) {
-    try {
-      fut.get();
-    } catch (...) {
-      if (!first_error) first_error = std::current_exception();
-    }
-  }
-  if (first_error) std::rethrow_exception(first_error);
-}
-
 void ThreadPool::parallel_for_dynamic(std::size_t n,
                                       const std::function<void(std::size_t)>& body,
                                       std::size_t max_workers) {
@@ -140,9 +111,8 @@ ThreadPool& ThreadPool::shared() {
 }
 
 void ThreadPool::worker_loop() {
-  // Take a thread-registry id up front: the flight recorder indexes its
-  // per-thread rings by these ids, so pool workers get stable, low ids
-  // before the first task ever records an event.
+  // Take a thread-registry id up front, so pool workers get stable, low
+  // wall-clock trace tids before the first task records a span.
   ThreadRegistry::current_id();
   for (;;) {
     std::packaged_task<void()> task;

@@ -1,4 +1,4 @@
-// Fixed-size thread pool with a parallel_for convenience.
+// Fixed-size thread pool with a dynamically scheduled parallel loop.
 //
 // The round engine trains many simulated clients per round; their local SGD
 // passes are independent, so on multi-core hosts we farm them out here.
@@ -35,19 +35,15 @@ class ThreadPool {
   std::future<void> submit(std::function<void()> task);
 
   // Runs body(i) for i in [0, n) across the pool and blocks until all are
-  // done. Rethrows the first task exception. Chunked statically so results
-  // and exception choice are deterministic.
-  void parallel_for(std::size_t n, const std::function<void(std::size_t)>& body);
-
-  // Like parallel_for, but hands indices out through an atomic counter so
-  // uneven work (clients whose local rounds differ wildly in cost) never
-  // serializes behind a static chunk, and caps concurrency at
-  // `max_workers` (0 = whole pool). Determinism contract: callers must
-  // write results into pre-sized per-index slots; scheduling then cannot
-  // affect output. Every index runs even if an earlier one throws, and the
-  // exception of the *lowest* throwing index is rethrown, so error
-  // behaviour is schedule-independent too. max_workers <= 1 (or a 1-worker
-  // pool, or n <= 1) runs inline on the calling thread in index order.
+  // done. Indices are handed out through an atomic counter, so uneven work
+  // (clients whose local rounds differ wildly in cost) never serializes
+  // behind a fixed chunk; at most `max_workers` (0 = whole pool) run at
+  // once. Determinism contract: callers must write results into pre-sized
+  // per-index slots; scheduling then cannot affect output. Every index runs
+  // even if an earlier one throws, and the exception of the *lowest*
+  // throwing index is rethrown, so error behaviour is schedule-independent
+  // too. max_workers == 1 (or a 1-worker pool, or n <= 1) runs inline on
+  // the calling thread in index order.
   void parallel_for_dynamic(std::size_t n, const std::function<void(std::size_t)>& body,
                             std::size_t max_workers = 0);
 

@@ -205,8 +205,12 @@ TEST_P(PartitionAlphaTest, SkewDecreasesWithAlpha) {
     ++counted;
   }
   mean_max_share /= static_cast<double>(counted);
-  if (GetParam() <= 0.1) EXPECT_GT(mean_max_share, 0.5);
-  if (GetParam() >= 100.0) EXPECT_LT(mean_max_share, 0.25);
+  if (GetParam() <= 0.1) {
+    EXPECT_GT(mean_max_share, 0.5);
+  }
+  if (GetParam() >= 100.0) {
+    EXPECT_LT(mean_max_share, 0.25);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(AlphaSweep, PartitionAlphaTest,

@@ -50,8 +50,12 @@ TEST(Qsgd, PreservesSignsAndBoundsError) {
   codec.compress(t, 4.0);
   const double norm = tensor::l2_norm(orig.data());
   for (std::size_t i = 0; i < t.numel(); ++i) {
-    if (orig[i] > 0.0f) EXPECT_GE(t[i], 0.0f);
-    if (orig[i] < 0.0f) EXPECT_LE(t[i], 0.0f);
+    if (orig[i] > 0.0f) {
+      EXPECT_GE(t[i], 0.0f);
+    }
+    if (orig[i] < 0.0f) {
+      EXPECT_LE(t[i], 0.0f);
+    }
     // Each element moves by at most one quantization bucket.
     EXPECT_LE(std::abs(t[i] - orig[i]), norm / 64.0 + 1e-6);
   }

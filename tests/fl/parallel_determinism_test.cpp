@@ -1,7 +1,7 @@
 // Worker-count invariance: the parallel compute layer must produce the
 // SAME BYTES for 1, 2, and 8 workers — global state, per-client records,
 // virtual timing — across many seeds, for the round engine (CNN and the
-// batch-norm-carrying WRN; FedCA with the flight recorder off and on) and
+// batch-norm-carrying WRN; FedCA with the tracer off and on) and
 // the async engine.
 #include <gtest/gtest.h>
 
@@ -220,11 +220,11 @@ TEST(ParallelDeterminism, FedCaSchemeSweep) {
   }
 }
 
-// The flight recorder observes and never steers: FedCA's global model is
-// byte-identical across workers {1, 2, 8} with the recorder off and with
+// The tracer observes and never steers: FedCA's global model is
+// byte-identical across workers {1, 2, 8} with tracing off and with
 // every span, kernel spans included, recorded. The geometry sheds
 // outcomes every round (collect_fraction 0.75), so early stops, eager
-// layers and quorum eviction all run with the recorder on.
+// layers and quorum eviction all run with tracing on.
 TEST(ParallelDeterminism, RecorderOnOffAcrossWorkerCounts) {
   fl::ExperimentOptions options;  // analyze:waive(scenario-hardcode)
   options.model = nn::ModelKind::kCnn;

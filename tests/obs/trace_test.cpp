@@ -1,14 +1,20 @@
 // Span tracer: clock domains, pid allocation, Chrome-trace JSON output,
-// and how a session arms it.
+// every event kept whole under concurrent recording, and how a session
+// arms it.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
+#include <map>
 #include <sstream>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "obs/session.hpp"
+#include "util/thread_registry.hpp"
 
 namespace fedca {
 namespace {
@@ -155,6 +161,80 @@ TEST_F(TraceTest, ArgsEscapedInJson) {
   const std::string json = os.str();
   EXPECT_NE(json.find("odd \\\"name\\\""), std::string::npos);
   EXPECT_NE(json.find("va\\\\lue\\n"), std::string::npos);
+}
+
+// Eight threads record far more than one thread ever does in a traced
+// round loop, interleaving wall spans on their own tid with virtual spans
+// on their own pid. Every event is kept, and each (pid, tid) track comes
+// back in the order its thread recorded it.
+TEST_F(TraceTest, ConcurrentRecordersKeepEveryEventInTrackOrder) {
+  constexpr std::size_t kThreads = 8;
+  constexpr std::size_t kEvents = 20000;
+  const std::uint32_t base = t.allocate_process_ids(kThreads);
+
+  std::vector<std::uint32_t> tids(kThreads, 0);
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (std::size_t k = 0; k < kThreads; ++k) {
+    threads.emplace_back([this, &tids, base, k] {
+      tids[k] = util::ThreadRegistry::current_id();
+      const auto pid = static_cast<std::uint32_t>(base + k);
+      for (std::size_t i = 0; i < kEvents; ++i) {
+        const auto at = static_cast<double>(i);
+        if (i % 2 == 0) {
+          t.record_wall_span("load.wall", at, at + 0.5);
+        } else {
+          t.record_span(pid, "load.virtual", at, at + 0.5, {{"i", std::to_string(i)}});
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+
+  const std::vector<obs::TraceEvent> events = t.snapshot_events();
+  ASSERT_EQ(events.size(), kThreads * kEvents);
+  EXPECT_EQ(t.event_count(), kThreads * kEvents);
+  std::map<std::pair<std::uint32_t, std::uint32_t>, std::vector<double>> tracks;
+  for (const obs::TraceEvent& e : events) tracks[{e.pid, e.tid}].push_back(e.ts_us);
+  ASSERT_EQ(tracks.size(), 2 * kThreads);
+  for (std::size_t k = 0; k < kThreads; ++k) {
+    const std::vector<double>& wall = tracks[{obs::kWallClockPid, tids[k]}];
+    const std::vector<double>& virt = tracks[{static_cast<std::uint32_t>(base + k), 0}];
+    ASSERT_EQ(wall.size(), kEvents / 2) << "thread " << k;
+    ASSERT_EQ(virt.size(), kEvents / 2) << "thread " << k;
+    for (std::size_t j = 0; j < kEvents / 2; ++j) {
+      ASSERT_DOUBLE_EQ(wall[j], static_cast<double>(2 * j) * 1e6) << "thread " << k;
+      ASSERT_DOUBLE_EQ(virt[j], static_cast<double>(2 * j + 1) * 1e6) << "thread " << k;
+    }
+  }
+}
+
+// Names and args of any length reach the JSON whole, and the file still
+// passes tools/check_trace.py.
+TEST_F(TraceTest, LongNamesAndArgsAreWrittenWhole) {
+  const std::string name = "long." + std::string(95, 'n');
+  const std::string value(300, 'v');
+  ASSERT_EQ(name.size(), 100u);
+  const std::uint32_t pid = t.allocate_process_ids(1);
+  t.record_span(pid, name, 0.0, 1.0, {{"kept", "yes"}, {"big", value}});
+
+  std::ostringstream os;
+  t.write_chrome_json(os);
+  const std::string json = os.str();
+  EXPECT_NE(json.find("\"" + name + "\""), std::string::npos);
+  EXPECT_NE(json.find("\"kept\":\"yes\""), std::string::npos);
+  EXPECT_NE(json.find("\"big\":\"" + value + "\""), std::string::npos);
+
+  if (std::system("python3 --version > /dev/null 2>&1") != 0) {
+    GTEST_SKIP() << "python3 not available";
+  }
+  const std::string path = ::testing::TempDir() + "trace_test_long.json";
+  t.save(path);
+  const std::string cmd = std::string("python3 ") + FEDCA_SOURCE_DIR +
+                          "/tools/check_trace.py " + path + " --expect " + name +
+                          " > /dev/null";
+  EXPECT_EQ(std::system(cmd.c_str()), 0) << cmd;
+  std::remove(path.c_str());
 }
 
 TEST_F(TraceTest, ConfigureHonorsExplicitPathsOverEnv) {

@@ -24,6 +24,17 @@ class GuardedHistogram {
     ++counts_[bin];
   }
 
+  // Locked bodies after a trailing return type and of an operator.
+  auto total() -> std::size_t {
+    MutexLock lock(mu_);
+    return counts_.size();
+  }
+  GuardedHistogram& operator+=(std::size_t bin) {
+    MutexLock lock(mu_);
+    ++counts_[bin];
+    return *this;
+  }
+
   // try_lock on the fall-through path, released by unlock().
   void try_reset() {
     if (!mu_.try_lock()) return;

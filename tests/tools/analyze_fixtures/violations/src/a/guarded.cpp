@@ -32,6 +32,17 @@ class Ledger {
     cv_.wait(mu_);  // expect: guarded-access
   }
 
+  // A body after a trailing return type is checked too.
+  auto trailing() const -> int {
+    return total_;  // expect: guarded-access
+  }
+
+  // So is an operator's body.
+  Ledger& operator+=(int v) {
+    total_ += v;  // expect: guarded-access
+    return *this;
+  }
+
  private:
   void bump_locked() FEDCA_REQUIRES(mu_) { ++total_; }
 

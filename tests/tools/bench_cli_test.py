@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
-"""Hostile sizes reaching a paper bench through bench::parse_config.
+"""Hostile sizes and unknown keys reaching a paper bench through
+bench::parse_config.
 
 Every bad count (clients, k, rounds, ...) or scale, given on the command
-line or as a FEDCA_* variable, exits 2 with a diagnostic that names the
-key, before any training starts (nothing reaches stdout, where a bench
-prints its tables).
+line or as a FEDCA_* variable, and every key no bench reads, exits 2 with
+a diagnostic that names the key, before any training starts (nothing
+reaches stdout, where a bench prints its tables).
 
 Usage:
   bench_cli_test.py --bench BIN
@@ -32,6 +33,7 @@ CASES = [
     ([], {"FEDCA_ROUNDS": "abc"}, "rounds"),
     ([], {"FEDCA_SCALE": "huge"}, "scale"),
     (["banana"], {}, "banana"),
+    (["ronuds=3"], {}, "ronuds"),
 ]
 
 

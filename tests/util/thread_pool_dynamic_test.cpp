@@ -77,6 +77,12 @@ TEST(ParallelForDynamic, InlineWhenCapIsOne) {
       seen.size(), [&](std::size_t i) { seen[i] = std::this_thread::get_id(); },
       /*max_workers=*/1);
   for (const auto& id : seen) EXPECT_EQ(id, main_id);
+
+  // A 1-worker pool runs inline too, in index order.
+  ThreadPool single(1);
+  std::vector<int> order;
+  single.parallel_for_dynamic(5, [&](std::size_t i) { order.push_back(static_cast<int>(i)); });
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
 }
 
 TEST(ParallelForDynamic, ZeroAndSingleItemWork) {

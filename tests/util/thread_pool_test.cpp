@@ -1,9 +1,10 @@
-// ThreadPool correctness: completion, exceptions, parallel_for coverage.
+// ThreadPool correctness: task completion, exceptions, the shared pool.
+// parallel_for_dynamic has its own suite (thread_pool_dynamic_test.cpp).
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <numeric>
 #include <stdexcept>
+#include <vector>
 
 #include "util/thread_pool.hpp"
 
@@ -25,36 +26,6 @@ TEST(ThreadPool, PropagatesExceptions) {
   util::ThreadPool pool(2);
   auto f = pool.submit([] { throw std::runtime_error("boom"); });
   EXPECT_THROW(f.get(), std::runtime_error);
-}
-
-TEST(ThreadPool, ParallelForCoversEveryIndexOnce) {
-  util::ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(257);
-  pool.parallel_for(hits.size(), [&](std::size_t i) { hits[i].fetch_add(1); });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPool, ParallelForZeroIsNoop) {
-  util::ThreadPool pool(2);
-  bool touched = false;
-  pool.parallel_for(0, [&](std::size_t) { touched = true; });
-  EXPECT_FALSE(touched);
-}
-
-TEST(ThreadPool, ParallelForRethrows) {
-  util::ThreadPool pool(3);
-  EXPECT_THROW(pool.parallel_for(16,
-                                 [](std::size_t i) {
-                                   if (i == 7) throw std::logic_error("x");
-                                 }),
-               std::logic_error);
-}
-
-TEST(ThreadPool, SingleWorkerRunsInline) {
-  util::ThreadPool pool(1);
-  std::vector<int> order;
-  pool.parallel_for(5, [&](std::size_t i) { order.push_back(static_cast<int>(i)); });
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
 }
 
 TEST(ThreadPool, SharedPoolIsSingleton) {

@@ -2,10 +2,8 @@
 """Observability benchmark runner: drives bench/obs_harness and writes
 BENCH_obs.json (checked in at the repo root).
 
-Two measurements, one of them gated:
+One gated measurement:
 
-  * recorder throughput — mode=events pushes N span events per thread
-    through the lock-free flight recorder (reported, not gated);
   * hot-loop overhead — wall seconds of the same seeded FedCA round loop
     (--rounds rounds, ~2 s per arm at the default) with the tracer +
     per-kernel spans fully ON vs fully OFF, run as --pairs (at least 9)
@@ -16,14 +14,14 @@ Two measurements, one of them gated:
     ratio_min_of_n) mistakes for overhead. On a shared 4-vCPU host single
     pairs of 0.6 s arms (16 rounds) spread 0.93-1.22.
 
-Byte-identity of the model across workers x recorder on/off, and of the
+Byte-identity of the model across workers x tracing on/off, and of the
 run report across workers, is a ctest matter
 (ParallelDeterminism.RecorderOnOffAcrossWorkerCounts and
 tools_golden_report_*), not a benchmark.
 
-Provenance: the harness reports its build_type and simd_tier; a debug
-build is refused with exit 2 so checked-in numbers always come from an
-optimized build.
+Provenance: the harness reports its build_type and simd_tier with every
+overhead run; a run from a debug build is refused with exit 2 so
+checked-in numbers always come from an optimized build.
 
 Usage:
     python3 tools/bench_obs.py [--build build] [--out BENCH_obs.json]
@@ -57,10 +55,6 @@ def main() -> int:
                         help="measured rounds per overhead arm")
     parser.add_argument("--pairs", type=int, default=11,
                         help=f"on/off pairs for the overhead gate (>= {MIN_PAIRS})")
-    parser.add_argument("--threads", type=int, default=8,
-                        help="producer threads for the throughput mode")
-    parser.add_argument("--count", type=int, default=500000,
-                        help="events per producer thread")
     args = parser.parse_args()
 
     if args.pairs < MIN_PAIRS:
@@ -74,20 +68,6 @@ def main() -> int:
         print(f"error: {binary} not built", file=sys.stderr)
         return 1
 
-    # --- recorder throughput -------------------------------------------------
-    events = run_harness(binary, mode="events", threads=args.threads,
-                         count=args.count)
-    if events.get("build_type") != "release":
-        print(
-            f"error: refusing to record numbers from a "
-            f"'{events.get('build_type')}' build — rebuild with NDEBUG "
-            "(Release/RelWithDebInfo) and rerun",
-            file=sys.stderr,
-        )
-        return 2
-    print(f"dispatch tier: {events.get('simd_tier')}", file=sys.stderr)
-
-    # --- hot-loop overhead ---------------------------------------------------
     # Each pair runs both arms back to back, alternating which goes first,
     # so slow drift in machine load hits both arms of a pair alike.
     ratios = []
@@ -97,6 +77,14 @@ def main() -> int:
         for trace in ((0, 1) if pair % 2 == 0 else (1, 0)):
             run = run_harness(binary, mode="overhead", trace=trace,
                               rounds=args.rounds)
+            if run.get("build_type") != "release":
+                print(
+                    f"error: refusing to record numbers from a "
+                    f"'{run.get('build_type')}' build — rebuild with NDEBUG "
+                    "(Release/RelWithDebInfo) and rerun",
+                    file=sys.stderr,
+                )
+                return 2
             runs[trace].append(run)
             seconds[trace] = run["seconds"]
         ratios.append(seconds[1] / seconds[0])
@@ -105,12 +93,10 @@ def main() -> int:
     min_of_n_ratio = best[1]["seconds"] / best[0]["seconds"]
 
     out = {
-        "description": "Flight-recorder throughput and hot-loop overhead of "
-                       "recorder on vs off (FedCA round loop, CNN/8 clients).",
-        "build_type": events.get("build_type"),
-        "simd_tier": events.get("simd_tier"),
-        "events_per_second": round(events["events_per_second"], 1),
-        "events_dropped": events["dropped"],
+        "description": "Hot-loop overhead of tracing on vs off (FedCA round "
+                       "loop, CNN/8 clients).",
+        "build_type": best[1]["build_type"],
+        "simd_tier": best[1]["simd_tier"],
         "overhead": {
             "rounds": args.rounds,
             "pairs": args.pairs,
@@ -130,14 +116,14 @@ def main() -> int:
     print(f"wrote {out_path}", file=sys.stderr)
 
     print(
-        f"recorder: {out['events_per_second']:.0f} events/s, overhead ratio "
+        f"tracing overhead ratio "
         f"{out['overhead']['ratio']}x in the median pair (min-of-N "
         f"{out['overhead']['ratio_min_of_n']}x; limit {OVERHEAD_LIMIT}x)",
         file=sys.stderr,
     )
     if overhead_ratio > OVERHEAD_LIMIT:
-        print(f"FAIL: recorder-on round loop is {overhead_ratio:.3f}x the "
-              f"recorder-off loop in the median pair (limit {OVERHEAD_LIMIT}x)",
+        print(f"FAIL: traced round loop is {overhead_ratio:.3f}x the "
+              f"untraced loop in the median pair (limit {OVERHEAD_LIMIT}x)",
               file=sys.stderr)
         return 1
     return 0

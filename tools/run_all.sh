@@ -101,8 +101,8 @@ if [ "${FEDCA_BENCH_KERNELS:-1}" != "0" ]; then
     python3 tools/bench_kernels.py --build build --out BENCH_kernels.json
 fi
 
-# Recorder bench: refresh BENCH_obs.json (recorder throughput, hot-loop
-# overhead recorder-on vs off <= 5%). FEDCA_BENCH_OBS=0 skips.
+# Tracing bench: refresh BENCH_obs.json (hot-loop overhead of tracing on
+# vs off <= 5%). FEDCA_BENCH_OBS=0 skips.
 if [ "${FEDCA_BENCH_OBS:-1}" != "0" ]; then
   echo "===== obs bench =====" | tee obs_bench_output.txt
   run_logged obs_bench_output.txt \
@@ -150,19 +150,20 @@ for scheme in fedavg fedca; do
 done
 
 # TSan pass over the concurrency-sensitive pieces (the metrics registry,
-# the tracer, and the instrumented round engine under the thread pool).
+# the tracer with eight threads recording at once, and the instrumented
+# round engine under the thread pool).
 # FEDCA_TSAN=0 skips it (e.g. when the toolchain lacks libtsan).
 tsan_pass() {
   step_status=0
   cmake -B build-tsan -S . -DFEDCA_SANITIZE=thread -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     >>tsan_output.txt 2>&1 &&
   cmake --build build-tsan --target obs_metrics_test obs_trace_test \
-    obs_recorder_test obs_session_test fl_round_engine_test \
+    obs_session_test fl_round_engine_test \
     fl_parallel_determinism_test fl_async_engine_test fl_robustness_test \
     tensor_simd_kernels_test tensor_gemm_property_test -j "$(nproc)" \
     >>tsan_output.txt 2>&1 \
     || { echo "tsan build FAILED (see tsan_output.txt)"; return 1; }
-  for t in obs_metrics_test obs_trace_test obs_recorder_test obs_session_test \
+  for t in obs_metrics_test obs_trace_test obs_session_test \
            fl_round_engine_test fl_parallel_determinism_test \
            fl_async_engine_test fl_robustness_test; do
     echo "--- $t (tsan) ---"
