@@ -17,9 +17,10 @@ namespace {
 constexpr const char* kCountKeys[] = {"clients", "k", "batch", "samples", "test_samples",
                                       "rounds"};
 
-// Every key the paper benches, obs_harness and workload_options read, apart
-// from core::make_scheme's hyperparameters (fl::known_scheme_param). Any
-// other key is a typo that would otherwise be silently ignored.
+// Every key the paper benches, obs_harness, quickstart and workload_options
+// read, apart from core::make_scheme's hyperparameters
+// (fl::known_scheme_param). Any other key is a typo that would otherwise be
+// silently ignored.
 constexpr const char* kBenchKeys[] = {
     // parse_config, workload_options, maybe_save_csv
     "scale", "csv_dir", "seed", "clients", "k", "batch", "samples", "test_samples",
@@ -28,7 +29,9 @@ constexpr const char* kBenchKeys[] = {
     // the benches' own keys
     "models", "schemes", "ablation_rounds", "async_mix", "async_staleness_power",
     // obs_harness
-    "mode", "warmup", "workers", "scenario", "out", "updates"};
+    "mode", "warmup", "workers", "scenario", "out", "updates",
+    // quickstart
+    "model", "scheme", "report"};
 
 bool known_key(const std::string& key) {
   for (const char* k : kBenchKeys) {
@@ -54,38 +57,55 @@ std::size_t count_of(const util::Config& config, const std::string& key, std::si
   return static_cast<std::size_t>(value);
 }
 
+// Throws ConfigError naming the key when `config` holds a key no program
+// here reads, a count below 1 or a bad scale. Reads a copy, so dump() still
+// lists only the keys a program reads.
+void check_keys(util::Config config) {
+  for (const std::string& key : config.keys()) {
+    if (!known_key(key)) throw util::ConfigError("unknown config key '" + key + "'");
+  }
+  scale_of(config);
+  for (const char* key : kCountKeys) {
+    if (config.contains(key)) count_of(config, key, 1);
+  }
+}
+
+[[noreturn]] void exit_bad_config(int argc, char** argv, const util::ConfigError& e) {
+  std::cerr << (argc > 0 ? argv[0] : "bench") << ": " << e.what() << "\n";
+  std::exit(2);
+}
+
 }  // namespace
 
-util::Config parse_config(int argc, char** argv) {
+util::Config parse_args(int argc, char** argv) {
   try {
     util::Config config = util::Config::from_args(argc, argv);
-    util::Config env;
-    // trace=/metrics= have no env twin here: make_setup falls back to
-    // FEDCA_TRACE/FEDCA_METRICS (obs::read_env) for paths left empty.
-    env.load_env({"scale", "csv_dir", "seed", "clients", "k", "rounds"});
-    env.overlay(config);  // CLI wins over environment
-    // Reject an unknown key or a bad size here, before any bench starts a
-    // run. The checks read a copy, so dump() still lists only the keys a
-    // bench reads.
-    for (const std::string& key : env.keys()) {
-      if (!known_key(key)) throw util::ConfigError("unknown config key '" + key + "'");
-    }
-    const util::Config checked = env;
-    scale_of(checked);
-    for (const char* key : kCountKeys) {
-      if (checked.contains(key)) count_of(checked, key, 1);
-    }
-    // Quick-scale runs last tens of rounds, so the paper's 1-anchor-in-10
-    // profiling would leave FedCA stale for most of them; profile 1-in-5 by
-    // default (still amortized, still a priori).
-    if (env.get_string("scale", "quick") != "paper" && !env.contains("fedca_period")) {
-      env.set("fedca_period", "5");
-    }
-    return env;
+    check_keys(config);
+    return config;
   } catch (const util::ConfigError& e) {
-    std::cerr << (argc > 0 ? argv[0] : "bench") << ": " << e.what() << "\n";
-    std::exit(2);
+    exit_bad_config(argc, argv, e);
   }
+}
+
+util::Config parse_config(int argc, char** argv) {
+  const util::Config cli = parse_args(argc, argv);
+  util::Config env;
+  // trace=/metrics= have no env twin here: make_setup falls back to
+  // FEDCA_TRACE/FEDCA_METRICS (obs::read_env) for paths left empty.
+  env.load_env({"scale", "csv_dir", "seed", "clients", "k", "rounds"});
+  env.overlay(cli);  // CLI wins over environment
+  try {
+    check_keys(env);
+  } catch (const util::ConfigError& e) {
+    exit_bad_config(argc, argv, e);
+  }
+  // Quick-scale runs last tens of rounds, so the paper's 1-anchor-in-10
+  // profiling would leave FedCA stale for most of them; profile 1-in-5 by
+  // default (still amortized, still a priori).
+  if (env.get_string("scale", "quick") != "paper" && !env.contains("fedca_period")) {
+    env.set("fedca_period", "5");
+  }
+  return env;
 }
 
 double paper_target_accuracy(nn::ModelKind kind) {

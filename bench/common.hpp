@@ -27,6 +27,8 @@ namespace fedca::bench {
 // Parses argv and FEDCA_* environment keys into a Config. An unknown key,
 // a count below 1 or a bad scale exits 2 with a diagnostic naming the key.
 util::Config parse_config(int argc, char** argv);
+// The same for argv alone, for a program that reads no FEDCA_* size.
+util::Config parse_args(int argc, char** argv);
 
 // Builds the model-specific experiment options at the requested scale,
 // applying any CLI overrides (clients, k, batch, rounds, target, lr, wd,

@@ -9,11 +9,14 @@
 // Usage: quickstart [key=value ...]
 //   e.g. quickstart model=cnn clients=16 rounds=30 target=0.5 seed=7
 //   scheme=fedavg,fedca picks which schemes run (comma-separated).
+//   An unknown key or a count (clients, k, batch, samples, test_samples,
+//   rounds) that is not an integer >= 1 exits 2 naming the key.
 #include <iostream>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "bench/common.hpp"
 #include "core/factory.hpp"
 #include "fl/experiment.hpp"
 #include "obs/session.hpp"
@@ -39,7 +42,7 @@ std::string per_scheme(const std::string& path, const std::string& scheme) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  util::Config config = util::Config::from_args(argc, argv);
+  util::Config config = bench::parse_args(argc, argv);
 
   fl::ExperimentOptions options;
   options.model = nn::parse_model_kind(config.get_string("model", "cnn"));

@@ -102,9 +102,4 @@ std::unique_ptr<fl::Scheme> make_base_scheme(const std::string& key,
 
 }  // namespace
 
-std::vector<std::string> known_scheme_names() {
-  return {"fedavg", "fedprox", "fedada", "fedca",
-          "fedca_v1", "fedca_v2", "fedca_v3", "fedca_lr"};
-}
-
 }  // namespace fedca::core

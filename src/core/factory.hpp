@@ -1,8 +1,7 @@
 // Scheme factory — the one-stop entry point benches and examples use.
 //
-// Recognized names (case-insensitive):
-//   "fedavg", "fedprox", "fedada",
-//   "fedca" (= v3), "fedca_v1", "fedca_v2", "fedca_v3".
+// Recognized names (case-insensitive): fl::kSchemeNames (fl/scenario.hpp);
+// "fedca" is v3.
 // FedCA/FedProx/FedAda hyperparameters are read from `config` with the
 // paper's Sec. 5.1 defaults: prox mu 0.01; FedAda trade-off 0.5; profiling
 // period 10; beta 0.01; T_e 0.95; T_r 0.6.
@@ -19,8 +18,5 @@ namespace fedca::core {
 std::unique_ptr<fl::Scheme> make_scheme(const std::string& name,
                                         const util::Config& config,
                                         std::uint64_t seed = 1);
-
-// Names accepted by make_scheme, for help text and sweep loops.
-std::vector<std::string> known_scheme_names();
 
 }  // namespace fedca::core

@@ -27,7 +27,7 @@ ClientTrainer::ClientTrainer(const char* owner, nn::Classifier* model,
       population_(population_of(owner, model, cluster)),
       shards_(std::move(shards)),
       batch_size_(batch_size),
-      worker_threads_(worker_threads),
+      workers_(util::ThreadPool::resolve_workers(worker_threads)),
       loader_rng_(loader_rng),
       fork_salt_(fork_salt),
       session_(session),
@@ -64,15 +64,6 @@ void ClientTrainer::release_replica(std::unique_ptr<nn::Classifier> replica) {
   replicas_.push_back(std::move(replica));
 }
 
-util::ThreadPool& ClientTrainer::dispatch_pool(std::size_t workers) {
-  util::ThreadPool& shared = util::ThreadPool::shared();
-  if (workers <= shared.worker_count()) return shared;
-  if (!own_pool_ || own_pool_->worker_count() < workers) {
-    own_pool_ = std::make_unique<util::ThreadPool>(workers);
-  }
-  return *own_pool_;
-}
-
 void ClientTrainer::run_jobs(std::size_t count, const Job& job,
                              std::vector<std::vector<double>>& buffers) {
   const std::vector<double> start_buffers = nn::capture_buffers(model_->backbone());
@@ -86,12 +77,13 @@ void ClientTrainer::run_jobs(std::size_t count, const Job& job,
     }
     release_replica(std::move(replica));
   };
-  const std::size_t workers = util::ThreadPool::resolve_workers(worker_threads_);
-  if (workers <= 1 || count <= 1) {
+  if (workers_ <= 1 || count <= 1) {
     for (std::size_t i = 0; i < count; ++i) run_one(i);
-  } else {
-    dispatch_pool(workers).parallel_for_dynamic(count, run_one, workers);
+    return;
   }
+  // Created on the first parallel call, so setup starts no threads.
+  if (!pool_) pool_ = std::make_unique<util::ThreadPool>(workers_);
+  pool_->parallel_for_dynamic(count, run_one);
 }
 
 void ClientTrainer::register_trace(std::string_view prefix) {

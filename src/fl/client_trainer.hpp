@@ -40,6 +40,7 @@ class ClientTrainer {
   // non-null; the shard pool must be non-empty and no larger than the
   // cluster. Client c's loader stream is loader_rng.fork(fork_salt + c).
   // `session` receives the passes' spans and metrics (null: disarmed).
+  // Passes run on resolve_workers(worker_threads) threads.
   ClientTrainer(const char* owner, nn::Classifier* model, const sim::Cluster* cluster,
                 std::vector<data::Dataset> shards, std::size_t batch_size,
                 std::size_t worker_threads, util::Rng loader_rng,
@@ -65,9 +66,9 @@ class ClientTrainer {
              const nn::SgdOptions& options, std::size_t steps, OnStart&& on_start,
              AfterStep&& after_step);
 
-  // Runs job(i, replica) for every i < count, serially or on the dispatch
-  // pool, with the trainer's session current on the running thread. Each
-  // job gets a private replica holding the shared model's
+  // Runs job(i, replica) for every i < count, serially or on the
+  // trainer's pool, with the trainer's session current on the running
+  // thread. Each job gets a private replica holding the shared model's
   // batch-norm buffers as of this call, and returns whether it trained the
   // replica; if it did, buffers[i] receives the replica's buffers afterwards
   // (empty when the model has none).
@@ -95,16 +96,12 @@ class ClientTrainer {
  private:
   std::unique_ptr<nn::Classifier> acquire_replica();
   void release_replica(std::unique_ptr<nn::Classifier> replica);
-  // The process-shared pool when it has `workers` threads, otherwise a
-  // lazily-created pool of our own (so explicit worker counts above the
-  // shared pool's size still run concurrently).
-  util::ThreadPool& dispatch_pool(std::size_t workers);
 
   nn::Classifier* model_;
   std::size_t population_;
   std::vector<data::Dataset> shards_;
   std::size_t batch_size_;
-  std::size_t worker_threads_;
+  std::size_t workers_;  // resolve_workers(worker_threads)
   util::Rng loader_rng_;
   std::uint64_t fork_salt_;
   obs::Session* session_;
@@ -114,7 +111,9 @@ class ClientTrainer {
   std::vector<std::unique_ptr<nn::Classifier>> replicas_ FEDCA_GUARDED_BY(mutex_);
   // One flag per client once the first crash is announced.
   std::vector<char> crash_announced_ FEDCA_GUARDED_BY(mutex_);
-  std::unique_ptr<util::ThreadPool> own_pool_;
+  // The run's one pool, workers_ threads, built on the first parallel
+  // run_jobs; its threads end with the trainer.
+  std::unique_ptr<util::ThreadPool> pool_;
 };
 
 template <typename OnStart, typename AfterStep>

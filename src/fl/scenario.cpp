@@ -1,13 +1,8 @@
 #include "fl/scenario.hpp"
 
-#include <cmath>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <limits>
 #include <sstream>
-#include <vector>
 
 #include "obs/session.hpp"
 #include "sim/scenario.hpp"
@@ -21,13 +16,6 @@ using sim::scenario::Document;
 using sim::scenario::ScenarioError;
 
 constexpr double kMaxD = std::numeric_limits<double>::max();
-
-// Scheme names accepted by core::make_scheme. fl cannot depend on core
-// (core depends on fl), so the list is mirrored here; core_fedca_test's
-// factory coverage plus fl_scenario_test keep the two in sync.
-const char* const kSchemeNames[] = {"fedavg",   "fedprox",  "fedada",
-                                    "fedca",    "fedca_v1", "fedca_v2",
-                                    "fedca_v3", "fedca_lr"};
 
 // [scheme] hyperparameters that pass through to core::make_scheme's
 // Config. A closed list so typos stay hard errors.
@@ -43,27 +31,6 @@ bool known_scheme(const std::string& name) {
     if (name == s) return true;
   }
   return false;
-}
-
-// Shortest decimal string that parses back to exactly `v` — canonical
-// serialization must be stable under parse/serialize cycles.
-std::string format_double(double v) {
-  if (std::isinf(v)) return "none";
-  for (int precision = 1; precision <= 17; ++precision) {
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.*g", precision, v);
-    if (std::strtod(buf, nullptr) == v) return buf;
-  }
-  return "0";  // unreachable: %.17g always round-trips finite doubles
-}
-
-std::string model_key(nn::ModelKind kind) {
-  switch (kind) {
-    case nn::ModelKind::kCnn: return "cnn";
-    case nn::ModelKind::kLstm: return "lstm";
-    case nn::ModelKind::kWrn: return "wrn";
-  }
-  return "cnn";
 }
 
 }  // namespace
@@ -318,133 +285,6 @@ Scenario load_scenario_file(const std::string& path) {
   std::ostringstream text;
   text << in.rdbuf();
   return parse_scenario(text.str(), path);
-}
-
-std::string to_string(const Scenario& sc) {
-  const ExperimentOptions& o = sc.options;
-  std::ostringstream out;
-  const auto kv = [&out](const char* key, const std::string& value) {
-    out << key << " = " << value << "\n";
-  };
-  const auto kvd = [&kv](const char* key, double v) { kv(key, format_double(v)); };
-  const auto kvz = [&kv](const char* key, std::size_t v) {
-    kv(key, std::to_string(v));
-  };
-  const auto kvb = [&kv](const char* key, bool v) {
-    kv(key, v ? "true" : "false");
-  };
-
-  out << "[scenario]\n";
-  kv("version", "1");
-  if (!sc.name.empty()) kv("name", sc.name);
-  if (!sc.description.empty()) kv("description", sc.description);
-
-  out << "\n[run]\n";
-  kv("seed", std::to_string(o.seed));
-  kv("engine", sc.async_engine ? "async" : "round");
-  kvz("rounds", o.max_rounds);
-  kvd("target_accuracy", o.target_accuracy);
-  kvz("accuracy_smoothing", o.accuracy_smoothing);
-  kvz("eval_every", o.eval_every);
-  kvz("workers", o.worker_threads);
-
-  out << "\n[model]\n";
-  kv("kind", model_key(o.model));
-  kvz("classes", o.data_spec.num_classes);
-  kvd("noise", o.data_spec.noise_stddev);
-  kvd("amplitude_lo", o.data_spec.amplitude_lo);
-  kvd("amplitude_hi", o.data_spec.amplitude_hi);
-
-  out << "\n[data]\n";
-  kvz("clients", o.num_clients);
-  kvz("train_samples", o.train_samples);
-  kvz("test_samples", o.test_samples);
-  kvd("alpha", o.dirichlet_alpha);
-  kvz("batch", o.batch_size);
-
-  out << "\n[training]\n";
-  kvz("local_iterations", o.local_iterations);
-  kvd("lr", o.optimizer.learning_rate);
-  kvd("weight_decay", o.optimizer.weight_decay);
-  kvd("prox_mu", o.optimizer.prox_mu);
-  kv("eager_wire", eager_wire_name(o.eager_wire));
-
-  out << "\n[server]\n";
-  kvd("collect_fraction", o.collect_fraction);
-  kvd("participation", o.participation_fraction);
-  kvd("upload_timeout", o.upload_timeout);
-
-  out << "\n[scheme]\n";
-  kv("name", sc.scheme);
-  for (const auto& [key, value] : sc.scheme_params) {
-    kv(key.c_str(), value);
-  }
-
-  out << "\n[cluster]\n";
-  const sim::ClusterOptions& cl = o.cluster;
-  kvd("link_latency", cl.link_latency_seconds);
-  kvd("speed_sigma", cl.heterogeneity.speed_sigma);
-  kvd("min_speed", cl.heterogeneity.min_speed);
-  kvd("max_speed", cl.heterogeneity.max_speed);
-  kvd("bandwidth_mbps", cl.heterogeneity.bandwidth_mbps);
-  kvb("dynamicity", cl.dynamicity.enabled);
-  kvd("slowdown_lo", cl.dynamicity.slowdown_lo);
-  kvd("slowdown_hi", cl.dynamicity.slowdown_hi);
-
-  if (cl.availability.enabled) {
-    const sim::AvailabilityOptions& av = cl.availability;
-    out << "\n[population]\n";
-    kvb("availability", av.enabled);
-    kvd("mean_on", av.mean_on);
-    kvd("mean_off", av.mean_off);
-    kvd("day_period", av.day_period);
-    kvd("day_amplitude", av.day_amplitude);
-    kvz("outage_groups", av.outage_groups);
-    kvd("outage_rate", av.outage_rate);
-    kvd("outage_mean", av.outage_mean);
-    kv("seed", std::to_string(av.seed));
-  }
-
-  if (o.faults.enabled) {
-    const sim::FaultScheduleOptions& f = o.faults;
-    out << "\n[faults]\n";
-    kvb("enabled", true);
-    kvd("horizon", f.horizon_seconds);
-    kvd("crash_fraction", f.crash_fraction);
-    kvd("dropouts_per_client", f.dropouts_per_client);
-    kvd("dropout_mean", f.dropout_mean_seconds);
-    kvd("slowdowns_per_client", f.slowdowns_per_client);
-    kvd("slowdown_mean", f.slowdown_mean_seconds);
-    kvd("slowdown_factor_lo", f.slowdown_factor_lo);
-    kvd("slowdown_factor_hi", f.slowdown_factor_hi);
-    kvd("link_faults_per_client", f.link_faults_per_client);
-    kvd("link_fault_mean", f.link_fault_mean_seconds);
-    kvd("link_factor_lo", f.link_factor_lo);
-    kvd("link_factor_hi", f.link_factor_hi);
-    kvd("eager_loss", f.eager_loss_probability);
-    kvd("eager_truncate", f.eager_truncate_probability);
-    kv("seed", std::to_string(f.seed));
-  }
-
-  if (sc.async_engine) {
-    out << "\n[async]\n";
-    kvz("updates", sc.async_updates);
-    kvz("local_iterations", sc.async.local_iterations);
-    kvz("batch", sc.async.batch_size);
-    kvd("mix", sc.async.mix);
-    kvd("staleness_power", sc.async.staleness_power);
-    kvd("cycle_timeout", sc.async.cycle_timeout);
-  }
-
-  if (!o.trace_path.empty() || !o.metrics_path.empty() ||
-      !o.report_path.empty()) {
-    out << "\n[observability]\n";
-    if (!o.trace_path.empty()) kv("trace", o.trace_path);
-    if (!o.metrics_path.empty()) kv("metrics", o.metrics_path);
-    if (!o.report_path.empty()) kv("report", o.report_path);
-  }
-
-  return out.str();
 }
 
 ExperimentOptions resolve_options(const Scenario& sc) {

@@ -1,7 +1,6 @@
 // Scenario DSL, FL binding: maps a parsed scenario document (see
 // src/sim/scenario.hpp for the grammar) onto ExperimentOptions + scheme
-// selection, serializes canonically, and implements the three-tier
-// precedence contract
+// selection, and implements the three-tier precedence contract
 //
 //     scenario file  <  FEDCA_* environment  <  programmatic override.
 //
@@ -27,7 +26,7 @@
 //   [training] local_iterations, lr, weight_decay, prox_mu
 //   [server]   collect_fraction, participation, upload_timeout
 //              (seconds or `none`)
-//   [scheme]   name (fedavg|fedprox|fedada|fedca[_v1|_v2|_v3]|fedca_lr)
+//   [scheme]   name (one of kSchemeNames below)
 //              plus whitelisted hyperparameter passthrough keys
 //              (fedca_*, fedprox_mu, fedada_*, compress*)
 //   [cluster]  link_latency, speed_sigma, min_speed, max_speed,
@@ -46,8 +45,6 @@
 //              scenarios leave these to the env/override tiers)
 //
 // Unknown sections and keys are hard errors with file:line diagnostics.
-// Round trip: to_string(parse(s)) is canonical and idempotent —
-// to_string(parse(s)) == to_string(parse(to_string(parse(s)))).
 #pragma once
 
 #include <map>
@@ -77,15 +74,11 @@ struct Scenario {
 
 // Parses scenario text / a scenario file. Throws sim::scenario::
 // ScenarioError (file:line in what()) on any grammar, type, range,
-// unknown-key, or unknown-section violation.
+// unknown-key, or unknown-section violation; a file that cannot be read
+// is a ScenarioError at line 0.
 Scenario parse_scenario(const std::string& text,
                         const std::string& filename = "<scenario>");
 Scenario load_scenario_file(const std::string& path);
-
-// Canonical serialization: fixed section and key order, every effective
-// key emitted explicitly, shortest round-trip number formatting, empty/
-// disabled optional sections omitted. parse(to_string(s)) == s.
-std::string to_string(const Scenario& scenario);
 
 // Environment tier: the scenario's options with FEDCA_TRACE /
 // FEDCA_METRICS / FEDCA_REPORT / FEDCA_THREADS overrides applied on top. Mutate the result for programmatic overrides.
@@ -93,6 +86,14 @@ ExperimentOptions resolve_options(const Scenario& scenario);
 
 // Config for core::make_scheme carrying the scenario's [scheme] params.
 util::Config scheme_config(const Scenario& scenario);
+
+// The scheme names core::make_scheme accepts: the one list [scheme] name
+// is checked against. fl cannot depend on core (core depends on fl), so
+// core_fedca_test builds every entry through the factory to keep the two
+// in sync.
+inline constexpr const char* kSchemeNames[] = {"fedavg",   "fedprox",  "fedada",
+                                               "fedca",    "fedca_v1", "fedca_v2",
+                                               "fedca_v3", "fedca_lr"};
 
 // True for a hyperparameter key core::make_scheme reads (fedca_beta,
 // compress, ...): the closed list a [scheme] section may set.

@@ -4,7 +4,6 @@
 #include <cerrno>
 #include <cmath>
 #include <cstdlib>
-#include <fstream>
 #include <limits>
 #include <sstream>
 
@@ -108,16 +107,6 @@ Document Document::parse(const std::string& text, const std::string& filename) {
     current->entries.emplace(key, std::move(entry));
   }
   return doc;
-}
-
-Document Document::load(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    throw ScenarioError(path, 0, "cannot open scenario file");
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return parse(buffer.str(), path);
 }
 
 bool Document::has_section(const std::string& section) const {

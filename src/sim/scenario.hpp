@@ -7,8 +7,8 @@
 // across ExperimentOptions fields, FEDCA_* environment variables, and
 // hand-wired test setups; a scenario file makes one configuration a
 // single committed artifact that parses strictly (unknown keys, malformed
-// values, and out-of-range numbers are errors carrying file:line), prints
-// canonically, and therefore can be pinned by a golden digest.
+// values, and out-of-range numbers are errors carrying file:line); the
+// run report a scenario produces is what a golden digest pins.
 //
 // This layer knows nothing about FL: it parses sections and typed values
 // and tracks which keys a binding consumed, so the binding (src/fl/
@@ -23,9 +23,9 @@
 //     trimmed, possibly empty);
 //   * anything else is a parse error.
 //
-// Determinism: sections and keys live in ordered maps, every accessor is
-// by exact name, and serialization (done by the binding) uses a fixed
-// order — nothing in this layer depends on hash order or locale.
+// Determinism: sections and keys live in ordered maps and every accessor
+// is by exact name — nothing in this layer depends on hash order or
+// locale. Reading a file is the binding's job (fl::load_scenario_file).
 #pragma once
 
 #include <cstddef>
@@ -65,9 +65,6 @@ class Document {
 
   // Parses scenario text. `filename` is used for diagnostics only.
   static Document parse(const std::string& text, const std::string& filename);
-  // Reads and parses a file; a missing/unreadable file is a ScenarioError
-  // at line 0.
-  static Document load(const std::string& path);
 
   const std::string& filename() const { return filename_; }
 

@@ -119,7 +119,6 @@ class Tensor {
   Tensor& operator=(Tensor&& other) noexcept;
   ~Tensor() = default;
 
-  static Tensor zeros(Shape shape) { return Tensor(std::move(shape)); }
   static Tensor full(Shape shape, float value) { return Tensor(std::move(shape), value); }
   // 1-D tensor from an initializer list — handy in tests.
   static Tensor of(std::initializer_list<float> values);

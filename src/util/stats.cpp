@@ -1,7 +1,6 @@
 #include "util/stats.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 
 namespace fedca::util {
@@ -79,41 +78,6 @@ std::vector<std::pair<double, double>> EmpiricalCdf::series(double lo, double hi
     out.emplace_back(x, at(x));
   }
   return out;
-}
-
-std::vector<std::pair<double, double>> EmpiricalCdf::steps() const {
-  std::vector<std::pair<double, double>> out;
-  out.reserve(sorted_.size());
-  for (std::size_t i = 0; i < sorted_.size(); ++i) {
-    if (i + 1 < sorted_.size() && sorted_[i + 1] == sorted_[i]) continue;
-    out.emplace_back(sorted_[i],
-                     static_cast<double>(i + 1) / static_cast<double>(sorted_.size()));
-  }
-  return out;
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), counts_(bins, 0) {
-  assert(hi > lo);
-  assert(bins > 0);
-}
-
-void Histogram::add(double x) {
-  const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-  auto bin = static_cast<long>(std::floor((x - lo_) / width));
-  bin = std::clamp<long>(bin, 0, static_cast<long>(counts_.size()) - 1);
-  ++counts_[static_cast<std::size_t>(bin)];
-  ++total_;
-}
-
-double Histogram::bin_lower(std::size_t bin) const {
-  const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-  return lo_ + width * static_cast<double>(bin);
-}
-
-double Histogram::bin_upper(std::size_t bin) const {
-  const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-  return lo_ + width * static_cast<double>(bin + 1);
 }
 
 }  // namespace fedca::util

@@ -39,48 +39,22 @@ class RunningStats {
 // copied and sorted. Empty input returns 0.
 double percentile(std::vector<double> samples, double q);
 
-// Empirical CDF of a sample set, evaluated at each distinct sample value.
-// Returns (value, fraction <= value) pairs sorted by value. Fig. 8 of the
-// paper is exactly this applied to trigger iterations.
+// Empirical CDF of a sample set: the fraction of samples <= x. Fig. 8 of
+// the paper is exactly this applied to trigger iterations.
 class EmpiricalCdf {
  public:
   explicit EmpiricalCdf(std::vector<double> samples);
 
   // Fraction of samples <= x. 0 for x below all samples.
   double at(double x) const;
-  std::size_t sample_count() const { return sorted_.size(); }
 
   // Evaluates the CDF on `points` evenly spaced values covering
   // [lo, hi]; used by the fig8 bench to print plottable series.
   std::vector<std::pair<double, double>> series(double lo, double hi,
                                                 std::size_t points) const;
-  // CDF steps at the sample values themselves.
-  std::vector<std::pair<double, double>> steps() const;
-
-  const std::vector<double>& sorted_samples() const { return sorted_; }
 
  private:
   std::vector<double> sorted_;
-};
-
-// Histogram over [lo, hi) with `bins` equal-width buckets; values outside
-// the range are clamped into the first/last bucket.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x);
-  std::size_t total() const { return total_; }
-  std::size_t bin_count() const { return counts_.size(); }
-  std::size_t count_in_bin(std::size_t bin) const { return counts_.at(bin); }
-  double bin_lower(std::size_t bin) const;
-  double bin_upper(std::size_t bin) const;
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<std::size_t> counts_;
-  std::size_t total_ = 0;
 };
 
 }  // namespace fedca::util

@@ -5,14 +5,9 @@
 #include <cstdlib>
 #include <exception>
 
-#include "util/thread_registry.hpp"
-
 namespace fedca::util {
 
 ThreadPool::ThreadPool(std::size_t workers) {
-  if (workers == 0) {
-    workers = std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  }
   threads_.reserve(workers);
   for (std::size_t i = 0; i < workers; ++i) {
     threads_.emplace_back([this] { worker_loop(); });
@@ -40,11 +35,9 @@ std::future<void> ThreadPool::submit(std::function<void()> task) {
 }
 
 void ThreadPool::parallel_for_dynamic(std::size_t n,
-                                      const std::function<void(std::size_t)>& body,
-                                      std::size_t max_workers) {
+                                      const std::function<void(std::size_t)>& body) {
   if (n == 0) return;
-  std::size_t cap = max_workers == 0 ? worker_count() : std::min(max_workers, worker_count());
-  if (cap <= 1 || n == 1) {
+  if (worker_count() <= 1 || n == 1) {
     for (std::size_t i = 0; i < n; ++i) body(i);
     return;
   }
@@ -56,7 +49,7 @@ void ThreadPool::parallel_for_dynamic(std::size_t n,
     Shared(std::size_t n) : error_index(n) {}
   };
   Shared shared(n);
-  const std::size_t pumps = std::min(cap, n);
+  const std::size_t pumps = std::min(worker_count(), n);
   std::vector<std::future<void>> futures;
   futures.reserve(pumps);
   for (std::size_t p = 0; p < pumps; ++p) {
@@ -105,15 +98,7 @@ std::size_t ThreadPool::resolve_workers(std::size_t requested) {
   return std::max<std::size_t>(1, std::thread::hardware_concurrency());
 }
 
-ThreadPool& ThreadPool::shared() {
-  static ThreadPool pool(resolve_workers(0));
-  return pool;
-}
-
 void ThreadPool::worker_loop() {
-  // Take a thread-registry id up front, so pool workers get stable, low
-  // wall-clock trace tids before the first task records a span.
-  ThreadRegistry::current_id();
   for (;;) {
     std::packaged_task<void()> task;
     {

@@ -2,6 +2,8 @@
 //
 // The round engine trains many simulated clients per round; their local SGD
 // passes are independent, so on multi-core hosts we farm them out here.
+// Each fl::ClientTrainer owns the one pool its run uses, so no pool thread
+// outlives the run that started it.
 // Determinism note: every unit of work owns its forked Rng stream, so the
 // *results* are identical regardless of worker count or interleaving — the
 // pool only changes wall-clock time, never experiment output.
@@ -21,8 +23,8 @@ namespace fedca::util {
 
 class ThreadPool {
  public:
-  // `workers` == 0 selects std::thread::hardware_concurrency() (min 1).
-  explicit ThreadPool(std::size_t workers = 0);
+  // Starts `workers` threads; size it with resolve_workers().
+  explicit ThreadPool(std::size_t workers);
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
@@ -30,22 +32,16 @@ class ThreadPool {
 
   std::size_t worker_count() const { return threads_.size(); }
 
-  // Enqueues one task; returns a future for its completion. Exceptions
-  // thrown by the task are delivered through the future.
-  std::future<void> submit(std::function<void()> task);
-
   // Runs body(i) for i in [0, n) across the pool and blocks until all are
   // done. Indices are handed out through an atomic counter, so uneven work
   // (clients whose local rounds differ wildly in cost) never serializes
-  // behind a fixed chunk; at most `max_workers` (0 = whole pool) run at
-  // once. Determinism contract: callers must write results into pre-sized
-  // per-index slots; scheduling then cannot affect output. Every index runs
-  // even if an earlier one throws, and the exception of the *lowest*
-  // throwing index is rethrown, so error behaviour is schedule-independent
-  // too. max_workers == 1 (or a 1-worker pool, or n <= 1) runs inline on
-  // the calling thread in index order.
-  void parallel_for_dynamic(std::size_t n, const std::function<void(std::size_t)>& body,
-                            std::size_t max_workers = 0);
+  // behind a fixed chunk. Determinism contract: callers must write results
+  // into pre-sized per-index slots; scheduling then cannot affect output.
+  // Every index runs even if an earlier one throws, and the exception of
+  // the *lowest* throwing index is rethrown, so error behaviour is
+  // schedule-independent too. A pool of at most one worker (or n <= 1)
+  // runs inline on the calling thread in index order.
+  void parallel_for_dynamic(std::size_t n, const std::function<void(std::size_t)>& body);
 
   // Largest worker count a run accepts: the [run] workers key, the
   // workers= override and FEDCA_THREADS share this ceiling.
@@ -60,11 +56,9 @@ class ThreadPool {
   // >= 1.
   static std::size_t resolve_workers(std::size_t requested);
 
-  // Process-wide shared pool (lazily constructed, one per process). Sized
-  // by resolve_workers(0), i.e. FEDCA_THREADS caps/raises it.
-  static ThreadPool& shared();
-
  private:
+  // Enqueues one task; the future delivers its completion or exception.
+  std::future<void> submit(std::function<void()> task);
   void worker_loop();
 
   // Immutable after the constructor returns (workers only read their own

@@ -2,11 +2,10 @@
 //
 // std::thread::id is opaque and unordered; the tracer needs a small
 // integer per thread to emit stable Chrome-trace tids for wall-clock
-// spans. Ids are handed out lazily, first-come-first-served, starting at
-// 1, and never reused: a thread keeps its id for the life of the process.
-// ThreadPool workers take their id as soon as they start, so pool threads
-// occupy the low, predictable end of the id space. Nothing bounds the
-// number of ids.
+// spans. Ids are handed out lazily, on a thread's first call,
+// first-come-first-served, starting at 1, and never reused: a thread keeps
+// its id for its life, and each run's pool threads take fresh ids. Nothing
+// bounds the number of ids.
 //
 // current_id() after the first call is a thread-local read — no locks, no
 // atomics.

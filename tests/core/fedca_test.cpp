@@ -50,7 +50,9 @@ TEST(FedCaScheme, Names) {
 
 TEST(Factory, BuildsEveryKnownScheme) {
   util::Config config;
-  for (const std::string& name : core::known_scheme_names()) {
+  // fl::kSchemeNames is the list a scenario's [scheme] name is checked
+  // against; every entry must build.
+  for (const char* name : fl::kSchemeNames) {
     auto scheme = core::make_scheme(name, config);
     ASSERT_NE(scheme, nullptr) << name;
   }

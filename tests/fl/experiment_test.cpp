@@ -2,6 +2,8 @@
 // extraction helpers.
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <iterator>
 #include <string>
 
 #include "core/fedca_scheme.hpp"
@@ -169,6 +171,25 @@ TEST(Experiment, SameSeedRunsAreBitIdentical) {
     EXPECT_EQ(a.curve[i].accuracy, b.curve[i].accuracy);
     EXPECT_EQ(a.curve[i].virtual_time, b.curve[i].virtual_time);
   }
+}
+
+// Threads of this process: the entries of /proc/self/task.
+std::size_t live_threads() {
+  const std::filesystem::directory_iterator tasks("/proc/self/task");
+  return static_cast<std::size_t>(
+      std::distance(std::filesystem::begin(tasks), std::filesystem::end(tasks)));
+}
+
+// A run's worker pool belongs to the run: every thread it started has
+// been joined by the time run_experiment returns.
+TEST(Experiment, NoPoolThreadOutlivesTheRun) {
+  fl::FedAvgScheme scheme;
+  fl::ExperimentOptions options = tiny();
+  options.worker_threads = 2;
+  const std::size_t before = live_threads();
+  const fl::ExperimentResult result = fl::run_experiment(options, scheme);
+  ASSERT_EQ(result.rounds.size(), options.max_rounds);
+  EXPECT_EQ(live_threads(), before);
 }
 
 }  // namespace

@@ -87,20 +87,15 @@ TEST_F(MetricsTest, ConcurrentRecordingThroughThreadPool) {
   constexpr int kPerTask = 500;
   {
     util::ThreadPool pool(4);
-    std::vector<std::future<void>> futures;
-    futures.reserve(kTasks);
-    for (int t = 0; t < kTasks; ++t) {
-      futures.push_back(pool.submit([this] {
-        // Pool workers record into a session only while one is installed.
-        const obs::SessionScope scope(&session_);
-        for (int i = 0; i < kPerTask; ++i) {
-          FEDCA_MCOUNT("t.concurrent.count", 1.0);
-          FEDCA_MHISTO("t.concurrent.histo", 0.0, 1.0, 10,
-                       static_cast<double>(i % 10) / 10.0);
-        }
-      }));
-    }
-    for (auto& f : futures) f.get();
+    pool.parallel_for_dynamic(kTasks, [this](std::size_t) {
+      // Pool workers record into a session only while one is installed.
+      const obs::SessionScope scope(&session_);
+      for (int i = 0; i < kPerTask; ++i) {
+        FEDCA_MCOUNT("t.concurrent.count", 1.0);
+        FEDCA_MHISTO("t.concurrent.histo", 0.0, 1.0, 10,
+                     static_cast<double>(i % 10) / 10.0);
+      }
+    });
   }
   EXPECT_DOUBLE_EQ(
       registry.counter("t.concurrent.count").value(),

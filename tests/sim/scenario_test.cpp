@@ -168,15 +168,6 @@ TEST(ScenarioDocument, LineOfReportsSourceLine) {
   EXPECT_EQ(doc.line_of("t", "a"), 0u);
 }
 
-TEST(ScenarioDocument, LoadMissingFileIsError) {
-  try {
-    Document::load("/nonexistent/path/x.scn");
-    FAIL() << "expected ScenarioError";
-  } catch (const ScenarioError& e) {
-    EXPECT_EQ(e.line(), 0u);
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Invalid-fixture corpus. Every tests/sim/scenario_fixtures/*.scn must be
 // rejected; `# expect:` pins a substring of the message and

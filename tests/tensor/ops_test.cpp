@@ -423,9 +423,21 @@ std::vector<tensor::Conv2dGeometry> panel_geometries() {
 // pack_conv / pack_conv_t write, byte for byte, the panels PackedB::pack
 // writes from the reference column matrix, zero tails included. The
 // packers under test are reused across shrinking and growing geometries
-// after a NaN-filled pack, so a tail they failed to zero would show.
+// after a NaN-filled pack, so a tail they failed to zero would show. They
+// copy bits: NaN, +-inf, -0, denormals and +-FLT_MAX at columns 0, 7, 8,
+// 15 and the last column of every image row (the edges of the AVX-512
+// packer's masked runs) reach the panels unchanged on every tier.
 TEST(ConvPanels, MatchPackedIm2col) {
   const std::vector<tensor::Conv2dGeometry> geos = panel_geometries();
+  const float specials[] = {0.0f,  // none
+                            std::numeric_limits<float>::quiet_NaN(),
+                            std::numeric_limits<float>::infinity(),
+                            -std::numeric_limits<float>::infinity(),
+                            -0.0f,
+                            std::numeric_limits<float>::denorm_min(),
+                            -std::numeric_limits<float>::min() / 2.0f,
+                            std::numeric_limits<float>::max(),
+                            -std::numeric_limits<float>::max()};
   for (const simd::Tier tier : host_tiers()) {
     simd::set_tier_for_testing(tier);
     util::Rng rng(17);
@@ -436,22 +448,34 @@ TEST(ConvPanels, MatchPackedIm2col) {
     for (const tensor::Conv2dGeometry& geo : geos) {
       const std::size_t rows = geo.in_channels * geo.kernel_h * geo.kernel_w;
       const std::size_t positions = geo.out_h() * geo.out_w();
-      const std::vector<float> image =
+      const std::vector<float> clean =
           random_floats(geo.in_channels * geo.in_h * geo.in_w, rng);
-      std::vector<float> columns(rows * positions);
-      tensor::ref::im2col(image, geo, columns);
-      tensor::PackedB want, want_t;
-      want.pack(rows, positions, columns.data(), /*b_trans=*/false);
-      want_t.pack(positions, rows, columns.data(), /*b_trans=*/true);
-      conv.pack_conv(image, geo);
-      conv_t.pack_conv_t(image, geo);
-      const std::string where = geo_name(geo) + " tier " + simd::tier_name(tier);
-      EXPECT_EQ(conv.k(), rows) << where;
-      EXPECT_EQ(conv.n(), positions) << where;
-      EXPECT_EQ(conv_t.k(), positions) << where;
-      EXPECT_EQ(conv_t.n(), rows) << where;
-      ASSERT_TRUE(same_panels(conv.panels(), want.panels())) << "pack_conv " << where;
-      ASSERT_TRUE(same_panels(conv_t.panels(), want_t.panels())) << "pack_conv_t " << where;
+      for (const float special : specials) {
+        std::vector<float> image = clean;
+        if (special != 0.0f || std::signbit(special)) {
+          for (std::size_t row = 0; row < geo.in_channels * geo.in_h; ++row) {
+            for (const std::size_t col : {std::size_t{0}, std::size_t{7}, std::size_t{8},
+                                          std::size_t{15}, geo.in_w - 1}) {
+              if (col < geo.in_w) image[row * geo.in_w + col] = special;
+            }
+          }
+        }
+        std::vector<float> columns(rows * positions);
+        tensor::ref::im2col(image, geo, columns);
+        tensor::PackedB want, want_t;
+        want.pack(rows, positions, columns.data(), /*b_trans=*/false);
+        want_t.pack(positions, rows, columns.data(), /*b_trans=*/true);
+        conv.pack_conv(image, geo);
+        conv_t.pack_conv_t(image, geo);
+        const std::string where = geo_name(geo) + " special " + std::to_string(special) +
+                                  " tier " + simd::tier_name(tier);
+        EXPECT_EQ(conv.k(), rows) << where;
+        EXPECT_EQ(conv.n(), positions) << where;
+        EXPECT_EQ(conv_t.k(), positions) << where;
+        EXPECT_EQ(conv_t.n(), rows) << where;
+        ASSERT_TRUE(same_panels(conv.panels(), want.panels())) << "pack_conv " << where;
+        ASSERT_TRUE(same_panels(conv_t.panels(), want_t.panels())) << "pack_conv_t " << where;
+      }
     }
   }
   simd::reset_tier_from_env();

@@ -1,12 +1,14 @@
 // SIMD kernel tier: bit-identity of the span kernels (axpy, scale, dot,
 // l2_norm, bias_add, row_sum) and the int8 quantization kernels across the
-// dispatch tiers, plus the tensor-level quantization semantics the fl
-// compression layer builds on.
+// dispatch tiers, NaN, +-inf, -0, denormals and +-FLT_MAX included, plus
+// the tensor-level quantization semantics the fl compression layer builds
+// on.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <limits>
 #include <string>
@@ -30,6 +32,39 @@ std::vector<float> random_values(std::size_t n, util::Rng& rng) {
 
 // Exercise vector bodies, tails, and the empty span.
 const std::size_t kLens[] = {0, 1, 7, 8, 9, 31, 32, 33, 100, 1000};
+
+constexpr float kNaN = std::numeric_limits<float>::quiet_NaN();
+constexpr float kInf = std::numeric_limits<float>::infinity();
+
+// The values the cross-tier checks plant at lane edges. The first, +0,
+// stands for none: with_special leaves the span as drawn.
+constexpr float kSpecials[] = {0.0f, kNaN, kInf, -kInf, -0.0f,
+                               std::numeric_limits<float>::denorm_min(),
+                               -std::numeric_limits<float>::min() / 2.0f,
+                               std::numeric_limits<float>::max(),
+                               -std::numeric_limits<float>::max()};
+
+// `clean` with `special` at the lane edges of the first two 8-wide blocks
+// (0, 7, 8, 15) and at the last element, when they exist.
+std::vector<float> with_special(std::vector<float> clean, float special) {
+  if (special == 0.0f && !std::signbit(special)) return clean;
+  const std::size_t n = clean.size();
+  for (const std::size_t lane : {0u, 7u, 8u, 15u}) {
+    if (lane < n) clean[lane] = special;
+  }
+  if (n > 0) clean[n - 1] = special;
+  return clean;
+}
+
+std::string special_name(float special) {
+  char buf[48];
+  std::uint32_t bits;
+  std::memcpy(&bits, &special, sizeof bits);
+  std::snprintf(buf, sizeof buf, "%g (0x%08x)", static_cast<double>(special), bits);
+  return buf;
+}
+
+bool same_double(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
 
 // Test-local oracles of the int8 wire: the codes a sender would transmit,
 // q = clamp(round_nearest_even(x / scale) + zero_point, -128, 127) with a
@@ -79,8 +114,6 @@ TEST(SimdSpanKernels, BitIdenticalAcrossTiers) {
     axpy(0.37f, x, axpy0);
     std::vector<float> scale0 = y;
     scale(-1.25f, scale0);
-    const double dot0 = dot(x, y);
-    const double l20 = l2_norm(x);
 
     for (const simd::Tier tier : tiers) {
       simd::set_tier_for_testing(tier);
@@ -90,9 +123,26 @@ TEST(SimdSpanKernels, BitIdenticalAcrossTiers) {
       scale(-1.25f, scale1);
       ASSERT_TRUE(same_bits(axpy0, axpy1)) << "axpy " << simd::tier_name(tier) << " n=" << n;
       ASSERT_TRUE(same_bits(scale0, scale1)) << "scale " << simd::tier_name(tier) << " n=" << n;
-      // Reductions return doubles; bit-identity is exact equality.
-      ASSERT_EQ(dot(x, y), dot0) << "dot " << simd::tier_name(tier) << " n=" << n;
-      ASSERT_EQ(l2_norm(x), l20) << "l2 " << simd::tier_name(tier) << " n=" << n;
+    }
+
+    // The reductions, on clean input and with each special value at the
+    // lane edges and in the tail of x alone and of both operands.
+    for (const float special : kSpecials) {
+      const std::vector<float> xs = with_special(x, special);
+      const std::vector<float> ys = with_special(y, special);
+      simd::set_tier_for_testing(simd::Tier::kScalar);
+      const double dot_x0 = dot(xs, y);
+      const double dot_xy0 = dot(xs, ys);
+      const double l20 = l2_norm(xs);
+      for (const simd::Tier tier : tiers) {
+        simd::set_tier_for_testing(tier);
+        const std::string where =
+            std::string(simd::tier_name(tier)) + " n=" + std::to_string(n) +
+            " special=" + special_name(special);
+        ASSERT_TRUE(same_double(dot(xs, y), dot_x0)) << "dot " << where;
+        ASSERT_TRUE(same_double(dot(xs, ys), dot_xy0)) << "dot, both operands, " << where;
+        ASSERT_TRUE(same_double(l2_norm(xs), l20)) << "l2 " << where;
+      }
     }
   }
   simd::reset_tier_from_env();
@@ -134,21 +184,15 @@ TEST(SimdSpanKernels, BiasAddAndRowSumBitIdenticalAcrossTiers) {
 TEST(SimdQuantize, BitIdenticalAcrossTiers) {
   const std::vector<simd::Tier> tiers = vector_tiers();
   if (tiers.empty()) GTEST_SKIP() << "host has no vector tier";
-  constexpr float kInf = std::numeric_limits<float>::infinity();
   util::Rng rng(0x1208);
   for (const std::size_t n : kLens) {
     const std::vector<float> clean = random_values(n, rng);
-    // Non-finite values at the lane edges of a vector block and in the
-    // tail: NaN takes the zero-point code, +-inf saturate.
-    for (const float special : {0.0f, std::numeric_limits<float>::quiet_NaN(), kInf, -kInf}) {
-      std::vector<float> x = clean;
-      if (special != 0.0f) {
-        for (const std::size_t lane : {0u, 7u, 8u, 15u}) {
-          if (lane < n) x[lane] = special;
-        }
-        if (n > 0) x[n - 1] = special;
-      }
-      const std::string where = "n=" + std::to_string(n) + " special=" + std::to_string(special);
+    // Special values at the lane edges of a vector block and in the tail:
+    // NaN takes the zero-point code, +-inf saturate, and -0, denormals and
+    // +-FLT_MAX take part in the range like any finite value.
+    for (const float special : kSpecials) {
+      const std::vector<float> x = with_special(clean, special);
+      const std::string where = "n=" + std::to_string(n) + " special=" + special_name(special);
 
       simd::set_tier_for_testing(simd::Tier::kScalar);
       const QuantParams p0 = compute_quant_params(x);
@@ -182,8 +226,6 @@ TEST(Quantization, NonFiniteCodesOnEveryTier) {
   // A NaN element arrives as +0 ("no change") and +-inf saturate to the
   // end codes, in a vector block (lanes 0-7) and in the tail alike; the
   // range ignores NaN.
-  constexpr float kNaN = std::numeric_limits<float>::quiet_NaN();
-  constexpr float kInf = std::numeric_limits<float>::infinity();
   const std::vector<float> x = {kNaN, -2.0f, 2.0f, kInf, -kInf, 0.5f,
                                 1.0f, -1.0f, kNaN, kInf, -kInf};
   const float plus_zero = 0.0f;

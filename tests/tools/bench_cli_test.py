@@ -1,14 +1,15 @@
 #!/usr/bin/env python3
 """Hostile sizes and unknown keys reaching a paper bench through
-bench::parse_config.
+bench::parse_config (or quickstart through bench::parse_args).
 
 Every bad count (clients, k, rounds, ...) or scale, given on the command
 line or as a FEDCA_* variable, and every key no bench reads, exits 2 with
 a diagnostic that names the key, before any training starts (nothing
-reaches stdout, where a bench prints its tables).
+reaches stdout, where a bench prints its tables). --cli-only skips the
+FEDCA_* cases, for a program that reads no size from the environment.
 
 Usage:
-  bench_cli_test.py --bench BIN
+  bench_cli_test.py --bench BIN [--cli-only]
 """
 
 import argparse
@@ -40,11 +41,14 @@ CASES = [
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--bench", required=True, help="a bench binary")
+    parser.add_argument("--cli-only", action="store_true",
+                        help="skip the FEDCA_* environment cases")
     args = parser.parse_args()
+    cases = [c for c in CASES if not (args.cli_only and c[1])]
 
     base_env = {k: v for k, v in os.environ.items() if not k.startswith("FEDCA_")}
     failures = []
-    for argv, env, key in CASES:
+    for argv, env, key in cases:
         label = " ".join(argv + [f"{k}={v}" for k, v in env.items()])
         try:
             proc = subprocess.run([args.bench, *argv], capture_output=True, text=True,
@@ -62,7 +66,7 @@ def main() -> int:
         print("FAIL: " + failure, file=sys.stderr)
     if failures:
         return 1
-    print(f"OK: {len(CASES)} bad values each exit 2 naming the key")
+    print(f"OK: {len(cases)} bad values each exit 2 naming the key")
     return 0
 
 

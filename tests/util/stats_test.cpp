@@ -1,4 +1,4 @@
-// RunningStats, percentile, EmpiricalCdf, Histogram.
+// RunningStats, percentile, EmpiricalCdf.
 #include <gtest/gtest.h>
 
 #include "util/stats.hpp"
@@ -88,16 +88,6 @@ TEST(EmpiricalCdf, StepValues) {
   EXPECT_DOUBLE_EQ(cdf.at(99.0), 1.0);
 }
 
-TEST(EmpiricalCdf, StepsDeduplicate) {
-  util::EmpiricalCdf cdf({1.0, 1.0, 2.0});
-  const auto steps = cdf.steps();
-  ASSERT_EQ(steps.size(), 2u);
-  EXPECT_DOUBLE_EQ(steps[0].first, 1.0);
-  EXPECT_NEAR(steps[0].second, 2.0 / 3.0, 1e-12);
-  EXPECT_DOUBLE_EQ(steps[1].first, 2.0);
-  EXPECT_DOUBLE_EQ(steps[1].second, 1.0);
-}
-
 TEST(EmpiricalCdf, SeriesIsMonotone) {
   util::EmpiricalCdf cdf({5.0, 1.0, 3.0, 3.0, 8.0});
   const auto series = cdf.series(0.0, 10.0, 21);
@@ -113,22 +103,6 @@ TEST(EmpiricalCdf, EmptySet) {
   util::EmpiricalCdf cdf({});
   EXPECT_DOUBLE_EQ(cdf.at(1.0), 0.0);
   EXPECT_TRUE(cdf.series(0.0, 1.0, 0).empty());
-}
-
-TEST(Histogram, BucketsAndClamping) {
-  util::Histogram h(0.0, 10.0, 5);
-  h.add(0.5);   // bin 0
-  h.add(3.0);   // bin 1
-  h.add(9.99);  // bin 4
-  h.add(-5.0);  // clamped to bin 0
-  h.add(50.0);  // clamped to bin 4
-  EXPECT_EQ(h.total(), 5u);
-  EXPECT_EQ(h.count_in_bin(0), 2u);
-  EXPECT_EQ(h.count_in_bin(1), 1u);
-  EXPECT_EQ(h.count_in_bin(2), 0u);
-  EXPECT_EQ(h.count_in_bin(4), 2u);
-  EXPECT_DOUBLE_EQ(h.bin_lower(1), 2.0);
-  EXPECT_DOUBLE_EQ(h.bin_upper(1), 4.0);
 }
 
 }  // namespace

@@ -31,23 +31,6 @@ TEST(ParallelForDynamic, ResultsLandInPreSizedSlots) {
   for (std::size_t i = 0; i < out.size(); ++i) EXPECT_EQ(out[i], i * i);
 }
 
-TEST(ParallelForDynamic, MaxWorkersCapIsHonored) {
-  ThreadPool pool(8);
-  std::atomic<int> inside{0};
-  std::atomic<int> peak{0};
-  pool.parallel_for_dynamic(
-      64,
-      [&](std::size_t) {
-        const int now = ++inside;
-        int prev = peak.load();
-        while (now > prev && !peak.compare_exchange_weak(prev, now)) {
-        }
-        --inside;
-      },
-      /*max_workers=*/2);
-  EXPECT_LE(peak.load(), 2);
-}
-
 TEST(ParallelForDynamic, LowestThrowingIndexWinsAndAllIndicesRun) {
   ThreadPool pool(4);
   std::vector<std::atomic<int>> hits(40);
@@ -70,19 +53,17 @@ TEST(ParallelForDynamic, LowestThrowingIndexWinsAndAllIndicesRun) {
 }
 
 TEST(ParallelForDynamic, InlineWhenCapIsOne) {
-  ThreadPool pool(4);
-  const auto main_id = std::this_thread::get_id();
-  std::vector<std::thread::id> seen(10);
-  pool.parallel_for_dynamic(
-      seen.size(), [&](std::size_t i) { seen[i] = std::this_thread::get_id(); },
-      /*max_workers=*/1);
-  for (const auto& id : seen) EXPECT_EQ(id, main_id);
-
-  // A 1-worker pool runs inline too, in index order.
+  // A 1-worker pool runs inline on the calling thread, in index order.
   ThreadPool single(1);
+  const auto main_id = std::this_thread::get_id();
   std::vector<int> order;
-  single.parallel_for_dynamic(5, [&](std::size_t i) { order.push_back(static_cast<int>(i)); });
+  std::vector<std::thread::id> seen;
+  single.parallel_for_dynamic(5, [&](std::size_t i) {
+    order.push_back(static_cast<int>(i));
+    seen.push_back(std::this_thread::get_id());
+  });
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+  for (const auto& id : seen) EXPECT_EQ(id, main_id);
 }
 
 TEST(ParallelForDynamic, ZeroAndSingleItemWork) {

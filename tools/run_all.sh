@@ -43,23 +43,8 @@ keep_going() {
   [ "$step_status" -ne 0 ] || step_status=$step_status_now
 }
 
-# Static analysis first — cheapest stage, fails fastest: fedca_analyze
-# (include/layering DAG against tools/analyze/layers.spec, lock-order graph,
-# callbacks under locks, guarded-access on the FEDCA_GUARDED_BY /
-# FEDCA_REQUIRES annotations, scope-aware determinism/seam rules, fast-math
-# over the build scripts). It folds in the build's compile_commands.json,
-# so a missing database is a configuration error (the binary exits 2), not
-# a silent skip. FEDCA_ANALYZE=0 skips the stage.
-if [ "${FEDCA_ANALYZE:-1}" != "0" ]; then
-  echo "===== analyze =====" | tee analyze_output.txt
-  cmake --build build --target fedca_analyze -j "$(nproc)" \
-    >>analyze_output.txt 2>&1 \
-    || { echo "fedca_analyze build FAILED (see analyze_output.txt)"
-         fail_stage 1 "fedca_analyze build (see analyze_output.txt)"; }
-  run_logged analyze_output.txt build/tools/analyze/fedca_analyze \
-    --root . --build build --spec tools/analyze/layers.spec
-fi
-
+# The ctest stage includes the static analysis (tools_fedca_analyze_tree)
+# and every scenario golden (tools_golden_scenario_*, `ctest -L scenario`).
 : >test_output.txt
 run_logged test_output.txt ctest --test-dir build
 
@@ -79,18 +64,6 @@ run_benches() {
 mkdir -p results
 : >bench_output.txt
 run_logged bench_output.txt run_benches
-
-# Scenario regression net: every committed scenarios/*.scn must reproduce
-# its pinned run-report digest (tests/golden/scenario_*.sha256). This is
-# the same check the per-scenario ctest entries run, but standalone so a
-# golden drift is reported with the offending digest up front.
-# FEDCA_SCENARIOS=0 skips; regenerate goldens with
-# `python3 tools/scenario_digest.py --build build --update`.
-if [ "${FEDCA_SCENARIOS:-1}" != "0" ]; then
-  echo "===== scenario goldens =====" | tee scenario_output.txt
-  run_logged scenario_output.txt \
-    python3 tools/scenario_digest.py --build build --check
-fi
 
 # Kernel bench smoke: refresh BENCH_kernels.json (before/after numbers for
 # the blocked GEMM + parallel engine work). The kernel sources are compiled
@@ -150,20 +123,21 @@ for scheme in fedavg fedca; do
 done
 
 # TSan pass over the concurrency-sensitive pieces (the metrics registry,
-# the tracer with eight threads recording at once, and the instrumented
-# round engine under the thread pool).
+# the tracer with eight threads recording at once, the thread pool's
+# parallel loop, and the instrumented round engine under it).
 # FEDCA_TSAN=0 skips it (e.g. when the toolchain lacks libtsan).
 tsan_pass() {
   step_status=0
   cmake -B build-tsan -S . -DFEDCA_SANITIZE=thread -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     >>tsan_output.txt 2>&1 &&
   cmake --build build-tsan --target obs_metrics_test obs_trace_test \
-    obs_session_test fl_round_engine_test \
+    obs_session_test fl_round_engine_test util_thread_pool_dynamic_test \
     fl_parallel_determinism_test fl_async_engine_test fl_robustness_test \
     tensor_simd_kernels_test tensor_gemm_property_test -j "$(nproc)" \
     >>tsan_output.txt 2>&1 \
     || { echo "tsan build FAILED (see tsan_output.txt)"; return 1; }
   for t in obs_metrics_test obs_trace_test obs_session_test \
+           util_thread_pool_dynamic_test \
            fl_round_engine_test fl_parallel_determinism_test \
            fl_async_engine_test fl_robustness_test; do
     echo "--- $t (tsan) ---"
