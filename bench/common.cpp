@@ -1,199 +1,146 @@
 #include "bench/common.hpp"
 
+#include <algorithm>
+#include <cctype>
 #include <cstdlib>
 #include <iostream>
+#include <sstream>
 #include <stdexcept>
 
 #include "core/sampling_profiler.hpp"
-#include "fl/scenario.hpp"
 #include "nn/state.hpp"
+#include "sim/scenario.hpp"
 
 namespace fedca::bench {
 
 namespace {
 
-// The workload sizes workload_options reads (and the benches' own
-// rounds=): each must be an integer >= 1.
-constexpr const char* kCountKeys[] = {"clients", "k", "batch", "samples", "test_samples",
-                                      "rounds"};
+// The paper benches' own keys; every other setting is a scenario key.
+constexpr std::initializer_list<const char*> kBenchKeys = {
+    "scale", "csv_dir", "models", "schemes", "ablation_rounds"};
 
-// Every key the paper benches, obs_harness, quickstart and workload_options
-// read, apart from core::make_scheme's hyperparameters
-// (fl::known_scheme_param). Any other key is a typo that would otherwise be
-// silently ignored.
-constexpr const char* kBenchKeys[] = {
-    // parse_config, workload_options, maybe_save_csv
-    "scale", "csv_dir", "seed", "clients", "k", "batch", "samples", "test_samples",
-    "rounds", "alpha", "noise", "lr", "wd", "collect_fraction", "target", "dynamicity",
-    "bandwidth_mbps", "trace", "metrics",
-    // the benches' own keys
-    "models", "schemes", "ablation_rounds", "async_mix", "async_staleness_power",
-    // obs_harness
-    "mode", "warmup", "workers", "scenario", "out", "updates",
-    // quickstart
-    "model", "scheme", "report"};
-
-bool known_key(const std::string& key) {
-  for (const char* k : kBenchKeys) {
-    if (key == k) return true;
+std::vector<std::string> split_list(const std::string& csv) {
+  std::vector<std::string> out;
+  std::istringstream in(csv);
+  std::string token;
+  while (std::getline(in, token, ',')) {
+    if (!token.empty()) out.push_back(token);
   }
-  return fl::known_scheme_param(key);
+  return out;
 }
 
-std::string scale_of(const util::Config& config) {
+// Throws ConfigError naming the first key of `config` that is not one of
+// `keys` (nor, when `scheme_params`, a make_scheme hyperparameter).
+void reject_unknown(const util::Config& config, std::initializer_list<const char*> keys,
+                    bool scheme_params) {
+  for (const std::string& key : config.keys()) {
+    if (std::find(keys.begin(), keys.end(), key) == keys.end() &&
+        !(scheme_params && fl::known_scheme_param(key))) {
+      throw util::ConfigError("unknown config key '" + key + "'" +
+                              (scheme_params ? "" : " (a scenario key is section.key=value)"));
+    }
+  }
+}
+
+int bad_argument(int argc, char** argv, const std::exception& e) {
+  std::cerr << (argc > 0 ? argv[0] : "bench") << ": " << e.what() << "\n";
+  return 2;
+}
+
+std::string cell_path(nn::ModelKind kind, const util::Config& config) {
   const std::string scale = config.get_string("scale", "quick");
   if (scale != "quick" && scale != "paper") {
     throw util::ConfigError("config key 'scale' must be quick or paper, got '" + scale + "'");
   }
-  return scale;
-}
-
-std::size_t count_of(const util::Config& config, const std::string& key, std::size_t fallback) {
-  const long value = config.get_int(key, static_cast<long>(fallback));
-  if (value < 1) {
-    throw util::ConfigError("config key '" + key + "' must be an integer >= 1, got " +
-                            config.get_string(key, ""));
-  }
-  return static_cast<std::size_t>(value);
-}
-
-// Throws ConfigError naming the key when `config` holds a key no program
-// here reads, a count below 1 or a bad scale. Reads a copy, so dump() still
-// lists only the keys a program reads.
-void check_keys(util::Config config) {
-  for (const std::string& key : config.keys()) {
-    if (!known_key(key)) throw util::ConfigError("unknown config key '" + key + "'");
-  }
-  scale_of(config);
-  for (const char* key : kCountKeys) {
-    if (config.contains(key)) count_of(config, key, 1);
-  }
-}
-
-[[noreturn]] void exit_bad_config(int argc, char** argv, const util::ConfigError& e) {
-  std::cerr << (argc > 0 ? argv[0] : "bench") << ": " << e.what() << "\n";
-  std::exit(2);
+  std::string model = nn::model_kind_name(kind);
+  for (char& c : model) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+  return std::string(FEDCA_SCENARIO_DIR) + (scale == "paper" ? "/paper" : "") + "/table1_" +
+         model + ".scn";
 }
 
 }  // namespace
 
-util::Config parse_args(int argc, char** argv) {
+Args parse_args(int argc, char** argv) {
+  Args args;
+  for (int i = 1; i < argc; ++i) {
+    const std::string token = argv[i];
+    const auto eq = token.find('=');
+    if (eq != std::string::npos && token.find('.') < eq) {
+      args.overrides.push_back(token);
+    } else if (eq == std::string::npos || eq == 0) {
+      throw util::ConfigError("expected key=value argument, got: " + token);
+    } else {
+      args.config.set(token.substr(0, eq), token.substr(eq + 1));
+    }
+  }
+  reject_unknown(args.config, kBenchKeys, false);
+  return args;
+}
+
+int run(int argc, char** argv, int (*bench)(const Args&)) {
+  try {
+    return bench(parse_args(argc, argv));
+  } catch (const util::ConfigError& e) {
+    return bad_argument(argc, argv, e);
+  } catch (const sim::scenario::ScenarioError& e) {
+    return bad_argument(argc, argv, e);
+  }
+}
+
+util::Config parse_flat_args(int argc, char** argv,
+                             std::initializer_list<const char*> keys) {
   try {
     util::Config config = util::Config::from_args(argc, argv);
-    check_keys(config);
+    reject_unknown(config, keys, true);
     return config;
   } catch (const util::ConfigError& e) {
-    exit_bad_config(argc, argv, e);
+    std::exit(bad_argument(argc, argv, e));
   }
 }
 
-util::Config parse_config(int argc, char** argv) {
-  const util::Config cli = parse_args(argc, argv);
-  util::Config env;
-  // trace=/metrics= have no env twin here: make_setup falls back to
-  // FEDCA_TRACE/FEDCA_METRICS (obs::read_env) for paths left empty.
-  env.load_env({"scale", "csv_dir", "seed", "clients", "k", "rounds"});
-  env.overlay(cli);  // CLI wins over environment
-  try {
-    check_keys(env);
-  } catch (const util::ConfigError& e) {
-    exit_bad_config(argc, argv, e);
+std::vector<nn::ModelKind> models(const util::Config& config) {
+  std::vector<nn::ModelKind> out;
+  for (const std::string& name : split_list(config.get_string("models", "cnn,lstm,wrn"))) {
+    try {
+      out.push_back(nn::parse_model_kind(name));
+    } catch (const std::invalid_argument&) {
+      throw util::ConfigError("config key 'models': unknown model '" + name +
+                              "' (expected cnn, lstm or wrn)");
+    }
   }
-  // Quick-scale runs last tens of rounds, so the paper's 1-anchor-in-10
-  // profiling would leave FedCA stale for most of them; profile 1-in-5 by
-  // default (still amortized, still a priori).
-  if (env.get_string("scale", "quick") != "paper" && !env.contains("fedca_period")) {
-    env.set("fedca_period", "5");
-  }
-  return env;
+  return out;
 }
 
-double paper_target_accuracy(nn::ModelKind kind) {
-  switch (kind) {
-    case nn::ModelKind::kCnn: return 0.55;
-    case nn::ModelKind::kLstm: return 0.85;
-    case nn::ModelKind::kWrn: return 0.55;
+std::vector<std::string> schemes(const util::Config& config, const char* key,
+                                 const char* fallback) {
+  const std::vector<std::string> out = split_list(config.get_string(key, fallback));
+  for (const std::string& name : out) {
+    if (std::find(std::begin(fl::kSchemeNames), std::end(fl::kSchemeNames), name) ==
+        std::end(fl::kSchemeNames)) {
+      throw util::ConfigError("config key '" + std::string(key) + "': unknown scheme '" +
+                              name + "'");
+    }
   }
-  return 0.55;
+  return out;
 }
 
-namespace {
-
-struct WorkloadDefaults {
-  double learning_rate;
-  double weight_decay;
-  double noise;
-  double target;
-};
-
-// Quick-scale defaults per workload. Noise levels are tuned so the target
-// accuracy is reached after a few dozen federated rounds under
-// Dirichlet(0.1) — mirroring the paper's "near-optimal accuracy" regime
-// where the last stretch of training is slow.
-WorkloadDefaults quick_defaults(nn::ModelKind kind) {
-  switch (kind) {
-    // Paper lrs: 0.01 / 0.05 / 0.1; quick-scale models are smaller so the
-    // CNN takes a slightly hotter lr.
-    case nn::ModelKind::kCnn: return {0.05, 0.01, 1.6, 0.55};
-    case nn::ModelKind::kLstm: return {0.10, 0.01, 1.0, 0.85};
-    case nn::ModelKind::kWrn: return {0.05, 0.0005, 1.4, 0.55};
-  }
-  return {0.05, 0.0, 1.0, 0.5};
+fl::Scenario load_cell(nn::ModelKind kind, const Args& args,
+                       const std::vector<std::string>& defaults,
+                       const std::vector<std::string>& arm) {
+  std::vector<std::string> overrides = defaults;
+  overrides.insert(overrides.end(), args.overrides.begin(), args.overrides.end());
+  overrides.insert(overrides.end(), arm.begin(), arm.end());
+  return fl::load_scenario_file(cell_path(kind, args.config), overrides);
 }
 
-}  // namespace
-
-fl::ExperimentOptions workload_options(nn::ModelKind kind, const util::Config& config) {
-  const std::string scale = scale_of(config);
-  const WorkloadDefaults defaults = quick_defaults(kind);
-
-  fl::ExperimentOptions options;
-  options.model = kind;
-  if (scale == "paper") {
-    options.num_clients = 128;
-    options.local_iterations = 125;
-    options.batch_size = 50;
-    options.train_samples = 60'000;
-    options.test_samples = 2'000;
-    options.max_rounds = 400;
-  } else {
-    // Geometry tuned so clients run ~5 local epochs per round — the deep
-    // local-training regime (paper: ~16 epochs/round) that produces the
-    // strongly concave progress curves FedCA exploits.
-    options.num_clients = 10;
-    options.local_iterations = 30;
-    options.batch_size = 10;
-    options.train_samples = 600;
-    options.test_samples = 320;
-    options.max_rounds = 50;
-  }
-
-  options.num_clients = count_of(config, "clients", options.num_clients);
-  options.local_iterations = count_of(config, "k", options.local_iterations);
-  options.batch_size = count_of(config, "batch", options.batch_size);
-  options.train_samples = count_of(config, "samples", options.train_samples);
-  options.test_samples = count_of(config, "test_samples", options.test_samples);
-  options.max_rounds = count_of(config, "rounds", options.max_rounds);
-  options.dirichlet_alpha = config.get_double("alpha", 0.1);
-  options.data_spec.noise_stddev = config.get_double("noise", defaults.noise);
-  options.optimizer.learning_rate = config.get_double("lr", defaults.learning_rate);
-  options.optimizer.weight_decay = config.get_double("wd", defaults.weight_decay);
-  options.collect_fraction = config.get_double("collect_fraction", 0.9);
-  options.target_accuracy = config.get_double("target", defaults.target);
-  options.seed = static_cast<std::uint64_t>(config.get_int("seed", 42));
-  options.cluster.dynamicity.enabled = config.get_bool("dynamicity", true);
-  options.cluster.heterogeneity.bandwidth_mbps = config.get_double("bandwidth_mbps", 13.7);
-  // trace=/metrics= (or FEDCA_TRACE/FEDCA_METRICS) arm the observability
-  // outputs; make_setup resolves the env fallback itself, so only the
-  // explicit config keys are threaded here.
-  options.trace_path = config.get_string("trace", "");
-  options.metrics_path = config.get_string("metrics", "");
-  return options;
+std::string describe(const Args& args) {
+  std::string out = args.config.dump();
+  for (const std::string& o : args.overrides) out += (out.empty() ? "" : " ") + o;
+  return out;
 }
 
-void maybe_save_csv(const util::Table& table, const util::Config& config,
-                    const std::string& name) {
-  const std::string dir = config.get_string("csv_dir", "");
+void maybe_save_csv(const util::Table& table, const Args& args, const std::string& name) {
+  const std::string dir = args.config.get_string("csv_dir", "");
   if (dir.empty()) return;
   table.save_csv(dir + "/" + name + ".csv");
 }

@@ -1,17 +1,16 @@
-// Shared plumbing for the experiment benches (one binary per paper
-// table/figure).
-//
-// Every bench accepts key=value CLI overrides plus the FEDCA_SCALE
-// environment variable / `scale=` option:
-//   * "quick" (default): laptop-scale geometry (a dozen clients, tens of
-//     local iterations) tuned so each bench finishes in minutes on one
-//     core while preserving the paper's qualitative shapes;
-//   * "paper": the paper's Sec. 5.1 geometry (128 clients, K = 125,
-//     batch 50) — hours of virtual AND real time; use selectively.
-// Results print as aligned tables on stdout; `csv_dir=` additionally
-// saves CSVs for plotting.
+// Shared plumbing for the paper benches (one binary per paper
+// table/figure). Each runs the committed Table 1 cells,
+// scenarios/table1_<model>.scn: laptop-scale geometry, minutes on one
+// core, the paper's qualitative shapes. scale=paper loads their
+// scenarios/paper/ siblings, the paper's Sec. 5.1 geometry (128 clients,
+// K = 125, batch 50): hours. A `section.key=value` argument overrides a
+// scenario key (data.clients=7, training.lr=0.1, scheme.fedca_beta=0.1,
+// run.workers=8) after the bench's own defaults, checked like a file line.
+// The benches' own keys: scale=, models=, schemes=, ablation_rounds= and
+// csv_dir= (save CSVs there). Tables print on stdout.
 #pragma once
 
+#include <initializer_list>
 #include <memory>
 #include <string>
 #include <vector>
@@ -19,28 +18,52 @@
 #include "core/factory.hpp"
 #include "core/progress.hpp"
 #include "fl/experiment.hpp"
+#include "fl/scenario.hpp"
 #include "util/config.hpp"
 #include "util/table.hpp"
 
 namespace fedca::bench {
 
-// Parses argv and FEDCA_* environment keys into a Config. An unknown key,
-// a count below 1 or a bad scale exits 2 with a diagnostic naming the key.
-util::Config parse_config(int argc, char** argv);
-// The same for argv alone, for a program that reads no FEDCA_* size.
-util::Config parse_args(int argc, char** argv);
+// A paper bench's command line.
+struct Args {
+  util::Config config;                 // the bench's own keys
+  std::vector<std::string> overrides;  // section.key=value, in order
+};
 
-// Builds the model-specific experiment options at the requested scale,
-// applying any CLI overrides (clients, k, batch, rounds, target, lr, wd,
-// noise, samples, seed, dynamicity, alpha, ...).
-fl::ExperimentOptions workload_options(nn::ModelKind kind, const util::Config& config);
+// Splits argv into the bench's own keys and the overrides. Throws
+// util::ConfigError naming a key no bench reads.
+Args parse_args(int argc, char** argv);
 
-// Paper-reported target accuracy per model (Table 1): 0.55 / 0.85 / 0.55.
-double paper_target_accuracy(nn::ModelKind kind);
+// Runs `bench` on the parsed argv. A ConfigError or ScenarioError (a bad
+// key or value) returns 2 with its diagnostic on stderr.
+int run(int argc, char** argv, int (*bench)(const Args&));
+
+// For quickstart and obs_harness, which keep flat keys: parses key=value
+// arguments, each one of `keys` or a make_scheme hyperparameter. Any
+// other key exits 2 naming it.
+util::Config parse_flat_args(int argc, char** argv,
+                             std::initializer_list<const char*> keys);
+
+// The models= list and a scheme list (schemes= by default). Throws
+// ConfigError naming the key on an unknown model or scheme; a bench reads
+// them before it prints anything.
+std::vector<nn::ModelKind> models(const util::Config& config);
+std::vector<std::string> schemes(const util::Config& config, const char* key = "schemes",
+                                 const char* fallback = "fedavg,fedprox,fedada,fedca");
+
+// The Table 1 cell of `kind` at the command line's scale, overridden by
+// `defaults`, then the command line, then `arm` (what an arm of a sweep
+// fixes). Throws ConfigError on a bad scale= and ScenarioError naming a
+// bad key; every bench loads a cell before it prints anything.
+fl::Scenario load_cell(nn::ModelKind kind, const Args& args,
+                       const std::vector<std::string>& defaults = {},
+                       const std::vector<std::string>& arm = {});
+
+// A section header's settings line: the bench keys read, then overrides.
+std::string describe(const Args& args);
 
 // Saves `table` into <csv_dir>/<name>.csv when csv_dir is configured.
-void maybe_save_csv(const util::Table& table, const util::Config& config,
-                    const std::string& name);
+void maybe_save_csv(const util::Table& table, const Args& args, const std::string& name);
 
 // Build provenance stamped into every machine-readable bench output:
 // "release" when the includer was compiled with NDEBUG (Release /

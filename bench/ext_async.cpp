@@ -6,7 +6,7 @@
 // with a total update budget equal to the synchronous runs' (clients x
 // rounds) and report accuracy over virtual time plus staleness stats.
 //
-// Usage: ext_async [scale=...] [rounds=N] ...
+// Usage: ext_async [scale=...] [section.key=value ...] (16 rounds by default)
 #include <iostream>
 
 #include "bench/common.hpp"
@@ -16,11 +16,13 @@
 
 using namespace fedca;
 
-int main(int argc, char** argv) {
-  util::Config config = bench::parse_config(argc, argv);
-  if (!config.contains("rounds")) config.set("rounds", "16");
-  fl::ExperimentOptions options = bench::workload_options(nn::ModelKind::kCnn, config);
+namespace {
+
+int bench_main(const bench::Args& args) {
+  const fl::Scenario cell = bench::load_cell(nn::ModelKind::kCnn, args, {"run.rounds=16"});
+  fl::ExperimentOptions options = cell.options;
   options.target_accuracy = 0.0;
+  const util::Config scheme_config = fl::scheme_config(cell);
 
   util::Table table({"scheme", "updates applied", "virtual time (s)",
                      "final accuracy", "mean staleness", "p95 staleness"});
@@ -28,7 +30,7 @@ int main(int argc, char** argv) {
 
   // Synchronous arms.
   for (const std::string& name : {std::string("fedavg"), std::string("fedca")}) {
-    auto scheme = core::make_scheme(name, config, options.seed);
+    auto scheme = core::make_scheme(name, scheme_config, options.seed);
     const fl::ExperimentResult result = fl::run_experiment(options, *scheme);
     std::size_t applied = 0;
     for (const auto& round : result.rounds) {
@@ -56,8 +58,6 @@ int main(int argc, char** argv) {
     async_options.local_iterations = options.local_iterations;
     async_options.batch_size = options.batch_size;
     async_options.optimizer = options.optimizer;
-    async_options.mix = config.get_double("async_mix", 0.6);
-    async_options.staleness_power = config.get_double("async_staleness_power", 0.5);
     util::Rng async_rng(options.seed ^ 0xA57);
     fl::AsyncEngine engine(setup.model.get(), setup.cluster.get(), setup.shards,
                            async_options, async_rng, setup.session.get());
@@ -88,12 +88,16 @@ int main(int argc, char** argv) {
 
   util::print_section(std::cout,
                       "Extension: synchronous (FedAvg/FedCA) vs asynchronous FL (CNN)",
-                      config.dump());
+                      bench::describe(args));
   table.print(std::cout);
   std::cout << "\nExpected shape: Async applies updates continuously (low virtual\n"
                "time per update) but staleness degrades final accuracy relative to\n"
                "the synchronous arms at an equal update budget (Sec. 6's caveat).\n";
-  bench::maybe_save_csv(table, config, "ext_async");
-  bench::maybe_save_csv(curves, config, "ext_async_curves");
+  bench::maybe_save_csv(table, args, "ext_async");
+  bench::maybe_save_csv(curves, args, "ext_async_curves");
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return bench::run(argc, argv, bench_main); }

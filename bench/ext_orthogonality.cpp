@@ -8,7 +8,7 @@
 //   (b) Future-work extension — intra-round adaptive local learning rate
 //       (FedCA+lr) vs plain FedCA.
 //
-// Usage: ext_orthogonality [scale=...] [rounds=N] ...
+// Usage: ext_orthogonality [scale=...] [section.key=value ...] (16 rounds by default)
 #include <iostream>
 
 #include "bench/common.hpp"
@@ -19,26 +19,21 @@ namespace {
 
 struct Arm {
   std::string scheme;
-  std::string compress;  // "", "qsgd", "topk"
+  std::string compress;  // none, qsgd or topk
 };
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  util::Config base_config = bench::parse_config(argc, argv);
-  if (!base_config.contains("rounds")) base_config.set("rounds", "16");
-
+int bench_main(const bench::Args& args) {
   util::Table table({"arm", "rounds", "total time (s)", "final accuracy",
                      "uplink MB (sum)", "MB/round/client"});
-  for (const Arm& arm : {Arm{"fedavg", ""}, Arm{"fedavg", "qsgd"},
-                         Arm{"fedca", ""}, Arm{"fedca", "qsgd"},
-                         Arm{"fedca", "topk"}, Arm{"fedca_lr", ""}}) {
-    util::Config config = base_config;
-    if (!arm.compress.empty()) config.set("compress", arm.compress);
+  for (const Arm& arm : {Arm{"fedavg", "none"}, Arm{"fedavg", "qsgd"},
+                         Arm{"fedca", "none"}, Arm{"fedca", "qsgd"},
+                         Arm{"fedca", "topk"}, Arm{"fedca_lr", "none"}}) {
+    const fl::Scenario cell = bench::load_cell(nn::ModelKind::kCnn, args, {"run.rounds=16"},
+                                               {"scheme.compress=" + arm.compress});
 
-    fl::ExperimentOptions options = bench::workload_options(nn::ModelKind::kCnn, config);
+    fl::ExperimentOptions options = cell.options;
     options.target_accuracy = 0.0;
-    auto scheme = core::make_scheme(arm.scheme, config, options.seed);
+    auto scheme = core::make_scheme(arm.scheme, fl::scheme_config(cell), options.seed);
     const fl::ExperimentResult result = fl::run_experiment(options, *scheme);
 
     double bytes = 0.0;
@@ -58,11 +53,15 @@ int main(int argc, char** argv) {
 
   util::print_section(std::cout,
                       "Extensions: compression orthogonality & adaptive local lr (CNN)",
-                      base_config.dump());
+                      bench::describe(args));
   table.print(std::cout);
   std::cout << "\nExpected shapes: +qsgd cuts uplink MB ~3-4x at matching accuracy for\n"
                "both FedAvg and FedCA (orthogonal); FedCA+lr tracks FedCA's time with\n"
                "equal-or-better late-stage accuracy.\n";
-  bench::maybe_save_csv(table, base_config, "ext_orthogonality");
+  bench::maybe_save_csv(table, args, "ext_orthogonality");
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return bench::run(argc, argv, bench_main); }

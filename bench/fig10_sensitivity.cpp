@@ -8,7 +8,7 @@
 // convergence; the threshold combinations land close together (FedCA is
 // robust), with the strictest pair slightly ahead.
 //
-// Usage: fig10_sensitivity [scale=...] [rounds=N] ...
+// Usage: fig10_sensitivity [scale=...] [section.key=value ...] (22 rounds by default)
 #include <iostream>
 
 #include "bench/common.hpp"
@@ -19,23 +19,21 @@ namespace {
 
 struct Arm {
   std::string label;
-  std::string beta;
-  std::string te;
-  std::string tr;
+  std::vector<std::string> settings;  // scheme.fedca_* overrides
 };
 
-void run_arm(const Arm& arm, const util::Config& base_config, util::Table& summary,
+void run_arm(const Arm& arm, const bench::Args& args, util::Table& summary,
              util::Table& curves) {
-  util::Config config = base_config;
-  if (!arm.beta.empty()) config.set("fedca_beta", arm.beta);
-  if (!arm.te.empty()) config.set("fedca_te", arm.te);
-  if (!arm.tr.empty()) config.set("fedca_tr", arm.tr);
+  // 8 full-horizon arms: default a tighter horizon than the to-target cap.
+  const fl::Scenario cell =
+      bench::load_cell(nn::ModelKind::kCnn, args, {"run.rounds=22"}, arm.settings);
 
-  fl::ExperimentOptions options = bench::workload_options(nn::ModelKind::kCnn, config);
+  fl::ExperimentOptions options = cell.options;
   const double target = options.target_accuracy;
   options.target_accuracy = 0.0;  // run the full horizon (paper: 200 rounds)
-  auto scheme = arm.label == "FedAvg" ? core::make_scheme("fedavg", config)
-                                      : core::make_scheme("fedca", config, options.seed);
+  const util::Config scheme_config = fl::scheme_config(cell);
+  auto scheme = arm.label == "FedAvg" ? core::make_scheme("fedavg", scheme_config)
+                                      : core::make_scheme("fedca", scheme_config, options.seed);
   const fl::ExperimentResult result = fl::run_experiment(options, *scheme);
 
   double time_to_target = -1.0;
@@ -57,44 +55,42 @@ void run_arm(const Arm& arm, const util::Config& base_config, util::Table& summa
                                         : util::Table::fmt(time_to_target, 1)});
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  util::Config config = bench::parse_config(argc, argv);
-  // 8 full-horizon arms: default a tighter horizon than the to-target cap.
-  if (!config.contains("rounds")) config.set("rounds", "22");
-
+int bench_main(const bench::Args& args) {
   // (a) beta sweep.
   util::Table summary_a({"arm", "rounds", "total time (s)", "final accuracy",
                          "time to target (s)"});
   util::Table curves_a({"arm", "round", "virtual time (s)", "accuracy"});
-  for (const Arm& arm : {Arm{"FedAvg", "", "", ""},
-                         Arm{"beta=0.1", "0.1", "", ""},
-                         Arm{"beta=0.01", "0.01", "", ""},
-                         Arm{"beta=0.001", "0.001", "", ""}}) {
-    run_arm(arm, config, summary_a, curves_a);
+  for (const Arm& arm : {Arm{"FedAvg", {}},
+                         Arm{"beta=0.1", {"scheme.fedca_beta=0.1"}},
+                         Arm{"beta=0.01", {"scheme.fedca_beta=0.01"}},
+                         Arm{"beta=0.001", {"scheme.fedca_beta=0.001"}}}) {
+    run_arm(arm, args, summary_a, curves_a);
   }
   util::print_section(std::cout, "Fig. 10a: sensitivity to marginal-cost ratio beta",
-                      config.dump());
+                      bench::describe(args));
   summary_a.print(std::cout);
 
   // (b) (T_e, T_r) sweep.
   util::Table summary_b({"arm", "rounds", "total time (s)", "final accuracy",
                          "time to target (s)"});
   util::Table curves_b({"arm", "round", "virtual time (s)", "accuracy"});
-  for (const Arm& arm : {Arm{"FedAvg", "", "", ""},
-                         Arm{"Te=0.95 Tr=0.6", "", "0.95", "0.6"},
-                         Arm{"Te=0.95 Tr=0.8", "", "0.95", "0.8"},
-                         Arm{"Te=0.85 Tr=0.6", "", "0.85", "0.6"}}) {
-    run_arm(arm, config, summary_b, curves_b);
+  for (const Arm& arm : {Arm{"FedAvg", {}},
+                         Arm{"Te=0.95 Tr=0.6", {"scheme.fedca_te=0.95", "scheme.fedca_tr=0.6"}},
+                         Arm{"Te=0.95 Tr=0.8", {"scheme.fedca_te=0.95", "scheme.fedca_tr=0.8"}},
+                         Arm{"Te=0.85 Tr=0.6", {"scheme.fedca_te=0.85", "scheme.fedca_tr=0.6"}}}) {
+    run_arm(arm, args, summary_b, curves_b);
   }
   util::print_section(std::cout,
                       "Fig. 10b: sensitivity to eager/retransmission thresholds");
   summary_b.print(std::cout);
 
-  bench::maybe_save_csv(summary_a, config, "fig10a_summary");
-  bench::maybe_save_csv(curves_a, config, "fig10a_curves");
-  bench::maybe_save_csv(summary_b, config, "fig10b_summary");
-  bench::maybe_save_csv(curves_b, config, "fig10b_curves");
+  bench::maybe_save_csv(summary_a, args, "fig10a_summary");
+  bench::maybe_save_csv(curves_a, args, "fig10a_curves");
+  bench::maybe_save_csv(summary_b, args, "fig10b_summary");
+  bench::maybe_save_csv(curves_b, args, "fig10b_curves");
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return bench::run(argc, argv, bench_main); }

@@ -6,7 +6,7 @@
 // curves do not overlap (cross-client statistical heterogeneity); early-
 // and late-stage curves differ (temporal heterogeneity).
 //
-// Usage: fig2_progress_clients [scale=quick|paper] [rounds=N] [key=value...]
+// Usage: fig2_progress_clients [scale=...] [section.key=value ...] (10 rounds by default)
 #include <iostream>
 
 #include "bench/common.hpp"
@@ -15,10 +15,10 @@ using namespace fedca;
 
 namespace {
 
-void run_model(nn::ModelKind kind, const util::Config& config) {
-  fl::ExperimentOptions options = bench::workload_options(kind, config);
+void run_model(nn::ModelKind kind, const bench::Args& args) {
+  fl::ExperimentOptions options =
+      bench::load_cell(kind, args, {"run.rounds=10"}).options;
   options.target_accuracy = 0.0;  // fixed number of rounds
-  options.max_rounds = static_cast<std::size_t>(config.get_int("rounds", 10));
   // Fig. 2 measures statistics, not system efficiency: run with full
   // profiling attached to plain FedAvg behaviour.
   bench::RecordingScheme scheme(1'000'000, options.seed);
@@ -49,9 +49,9 @@ void run_model(nn::ModelKind kind, const util::Config& config) {
   util::print_section(std::cout, "Fig. 2 (" + nn::model_kind_name(kind) +
                                      "): whole-model progress curves, 2 clients x "
                                      "{early, late}",
-                      config.dump());
+                      bench::describe(args));
   table.print(std::cout);
-  bench::maybe_save_csv(table, config, "fig2_" + nn::model_kind_name(kind));
+  bench::maybe_save_csv(table, args, "fig2_" + nn::model_kind_name(kind));
 
   // Shape checks mirroring the paper's observations.
   for (const std::size_t client : clients) {
@@ -70,13 +70,14 @@ void run_model(nn::ModelKind kind, const util::Config& config) {
   }
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const util::Config config = bench::parse_config(argc, argv);
+int bench_main(const bench::Args& args) {
   for (const nn::ModelKind kind :
        {nn::ModelKind::kCnn, nn::ModelKind::kLstm, nn::ModelKind::kWrn}) {
-    run_model(kind, config);
+    run_model(kind, args);
   }
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return bench::run(argc, argv, bench_main); }

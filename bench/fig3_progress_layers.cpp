@@ -5,7 +5,7 @@
 // early-converged layers eager transmission exploits), e.g. CNN's
 // "conv2.weight" at a late round or LSTM's "rnn.weight_hh_l0" early on.
 //
-// Usage: fig3_progress_layers [scale=...] [rounds=N] [key=value...]
+// Usage: fig3_progress_layers [scale=...] [section.key=value ...] (10 rounds by default)
 #include <iostream>
 
 #include "bench/common.hpp"
@@ -25,10 +25,10 @@ std::pair<std::string, std::string> figure_layers(nn::ModelKind kind) {
   return {"", ""};
 }
 
-void run_model(nn::ModelKind kind, const util::Config& config) {
-  fl::ExperimentOptions options = bench::workload_options(kind, config);
+void run_model(nn::ModelKind kind, const bench::Args& args) {
+  fl::ExperimentOptions options =
+      bench::load_cell(kind, args, {"run.rounds=10"}).options;
   options.target_accuracy = 0.0;
-  options.max_rounds = static_cast<std::size_t>(config.get_int("rounds", 10));
   bench::RecordingScheme scheme(1'000'000, options.seed);
   fl::run_experiment(options, scheme);
 
@@ -72,23 +72,24 @@ void run_model(nn::ModelKind kind, const util::Config& config) {
   util::print_section(std::cout, "Fig. 3 (" + nn::model_kind_name(kind) +
                                      "): per-layer progress curves (" + layer_a +
                                      " vs " + layer_b + ")",
-                      config.dump());
+                      bench::describe(args));
   table.print(std::cout);
   if (spread_count > 0) {
     std::cout << "  [shape] mean |P_" << layer_a << " - P_" << layer_b
               << "| = " << util::Table::fmt(spread_sum / spread_count, 4)
               << "  (cross-layer heterogeneity)\n";
   }
-  bench::maybe_save_csv(table, config, "fig3_" + nn::model_kind_name(kind));
+  bench::maybe_save_csv(table, args, "fig3_" + nn::model_kind_name(kind));
+}
+
+int bench_main(const bench::Args& args) {
+  for (const nn::ModelKind kind :
+       {nn::ModelKind::kCnn, nn::ModelKind::kLstm, nn::ModelKind::kWrn}) {
+    run_model(kind, args);
+  }
+  return 0;
 }
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const util::Config config = bench::parse_config(argc, argv);
-  for (const nn::ModelKind kind :
-       {nn::ModelKind::kCnn, nn::ModelKind::kLstm, nn::ModelKind::kWrn}) {
-    run_model(kind, config);
-  }
-  return 0;
-}
+int main(int argc, char** argv) { return bench::run(argc, argv, bench_main); }

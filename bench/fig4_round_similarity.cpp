@@ -9,7 +9,7 @@
 // summary: max pointwise deviation of each round's curve from the stage's
 // first (anchor) curve.
 //
-// Usage: fig4_round_similarity [scale=...] [rounds=N] [key=value...]
+// Usage: fig4_round_similarity [scale=...] [section.key=value ...] (12 rounds by default)
 #include <algorithm>
 #include <iostream>
 
@@ -19,11 +19,12 @@ using namespace fedca;
 
 namespace {
 
-void run_model(nn::ModelKind kind, const util::Config& config) {
-  fl::ExperimentOptions options = bench::workload_options(kind, config);
+void run_model(nn::ModelKind kind, const bench::Args& args) {
+  fl::ExperimentOptions options =
+      bench::load_cell(kind, args, {"run.rounds=12"}).options;
   options.target_accuracy = 0.0;
-  options.max_rounds = static_cast<std::size_t>(
-      std::max<long>(10, config.get_int("rounds", 12)));
+  // Two windows of five rounds.
+  options.max_rounds = std::max<std::size_t>(10, options.max_rounds);
   bench::RecordingScheme scheme(1'000'000, options.seed);
   fl::run_experiment(options, scheme);
 
@@ -63,20 +64,21 @@ void run_model(nn::ModelKind kind, const util::Config& config) {
   util::print_section(std::cout, "Fig. 4 (" + nn::model_kind_name(kind) +
                                      "): curve similarity across " +
                                      std::to_string(window) + " consecutive rounds",
-                      config.dump());
+                      bench::describe(args));
   summary.print(std::cout);
-  bench::maybe_save_csv(table, config, "fig4_" + nn::model_kind_name(kind));
-  bench::maybe_save_csv(summary, config,
+  bench::maybe_save_csv(table, args, "fig4_" + nn::model_kind_name(kind));
+  bench::maybe_save_csv(summary, args,
                         "fig4_summary_" + nn::model_kind_name(kind));
+}
+
+int bench_main(const bench::Args& args) {
+  for (const nn::ModelKind kind :
+       {nn::ModelKind::kCnn, nn::ModelKind::kLstm, nn::ModelKind::kWrn}) {
+    run_model(kind, args);
+  }
+  return 0;
 }
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const util::Config config = bench::parse_config(argc, argv);
-  for (const nn::ModelKind kind :
-       {nn::ModelKind::kCnn, nn::ModelKind::kLstm, nn::ModelKind::kWrn}) {
-    run_model(kind, config);
-  }
-  return 0;
-}
+int main(int argc, char** argv) { return bench::run(argc, argv, bench_main); }

@@ -7,7 +7,7 @@
 // training trajectory, so a full-profiling run and a sampled-profiling run
 // measure the same round and their curves are directly comparable.
 //
-// Usage: fig5_sampling_fidelity [scale=...] [rounds=N] [key=value...]
+// Usage: fig5_sampling_fidelity [scale=...] [section.key=value ...] (8 rounds by default)
 #include <algorithm>
 #include <iostream>
 
@@ -17,10 +17,10 @@ using namespace fedca;
 
 namespace {
 
-void run_model(nn::ModelKind kind, const util::Config& config) {
-  fl::ExperimentOptions options = bench::workload_options(kind, config);
+void run_model(nn::ModelKind kind, const bench::Args& args) {
+  fl::ExperimentOptions options =
+      bench::load_cell(kind, args, {"run.rounds=8"}).options;
   options.target_accuracy = 0.0;
-  options.max_rounds = static_cast<std::size_t>(config.get_int("rounds", 8));
 
   // Pass 1: exact curves. Pass 2: the paper's sampling budget.
   bench::RecordingScheme full(1'000'000, options.seed);
@@ -74,19 +74,20 @@ void run_model(nn::ModelKind kind, const util::Config& config) {
   }
   util::print_section(std::cout, "Fig. 5 (" + nn::model_kind_name(kind) +
                                      "): sampled vs full profiling",
-                      config.dump());
+                      bench::describe(args));
   summary.print(std::cout);
-  bench::maybe_save_csv(table, config, "fig5_" + nn::model_kind_name(kind));
-  bench::maybe_save_csv(summary, config, "fig5_summary_" + nn::model_kind_name(kind));
+  bench::maybe_save_csv(table, args, "fig5_" + nn::model_kind_name(kind));
+  bench::maybe_save_csv(summary, args, "fig5_summary_" + nn::model_kind_name(kind));
+}
+
+int bench_main(const bench::Args& args) {
+  for (const nn::ModelKind kind :
+       {nn::ModelKind::kCnn, nn::ModelKind::kLstm, nn::ModelKind::kWrn}) {
+    run_model(kind, args);
+  }
+  return 0;
 }
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const util::Config config = bench::parse_config(argc, argv);
-  for (const nn::ModelKind kind :
-       {nn::ModelKind::kCnn, nn::ModelKind::kLstm, nn::ModelKind::kWrn}) {
-    run_model(kind, config);
-  }
-  return 0;
-}
+int main(int argc, char** argv) { return bench::run(argc, argv, bench_main); }

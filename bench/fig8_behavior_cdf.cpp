@@ -10,7 +10,7 @@
 // around mid-round; retransmission shifts part of the eager mass to the
 // round end but leaves the bulk early.
 //
-// Usage: fig8_behavior_cdf [scale=...] [rounds=N] ...
+// Usage: fig8_behavior_cdf [scale=...] [section.key=value ...] (18 rounds by default)
 #include <iostream>
 
 #include "bench/common.hpp"
@@ -29,21 +29,19 @@ void print_cdf(util::Table& table, const std::string& series,
   }
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  util::Config config = bench::parse_config(argc, argv);
-  if (!config.contains("rounds")) config.set("rounds", "18");
-  fl::ExperimentOptions options = bench::workload_options(nn::ModelKind::kCnn, config);
+int bench_main(const bench::Args& args) {
+  const fl::Scenario cell = bench::load_cell(nn::ModelKind::kCnn, args, {"run.rounds=18"});
+  fl::ExperimentOptions options = cell.options;
   options.target_accuracy = 0.0;  // fixed horizon: compare behaviour, not TTA
+  const util::Config scheme_config = fl::scheme_config(cell);
 
   // FedCA run (v3: full mechanism).
-  auto fedca = core::make_scheme("fedca", config, options.seed);
+  auto fedca = core::make_scheme("fedca", scheme_config, options.seed);
   const fl::ExperimentResult ours = fl::run_experiment(options, *fedca);
 
   // FedAda run: its per-round iteration caps are the analogue of stop
   // moments. Collect iterations_run of clients whose budget was trimmed.
-  auto fedada = core::make_scheme("fedada", config, options.seed);
+  auto fedada = core::make_scheme("fedada", scheme_config, options.seed);
   const fl::ExperimentResult ada = fl::run_experiment(options, *fedada);
   std::vector<double> ada_stops;
   for (const auto& round : ada.rounds) {
@@ -64,7 +62,7 @@ int main(int argc, char** argv) {
   print_cdf(fig8b, "FedCA w Retrans.", ours.eager_iterations(true), k);
 
   util::print_section(std::cout, "Fig. 8a: CDF of early-stop iteration (CNN)",
-                      config.dump());
+                      bench::describe(args));
   fig8a.print(std::cout);
   util::print_section(std::cout, "Fig. 8b: CDF of eager-transmission iteration (CNN)");
   fig8b.print(std::cout);
@@ -94,7 +92,11 @@ int main(int argc, char** argv) {
               << ", median effective "
               << util::Table::fmt(util::percentile(eager_eff, 0.5), 1) << "\n";
   }
-  bench::maybe_save_csv(fig8a, config, "fig8a");
-  bench::maybe_save_csv(fig8b, config, "fig8b");
+  bench::maybe_save_csv(fig8a, args, "fig8a");
+  bench::maybe_save_csv(fig8b, args, "fig8b");
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return bench::run(argc, argv, bench_main); }

@@ -7,23 +7,23 @@
 // transmission without error feedback — shows an accuracy loss relative
 // to v3, demonstrating that retransmission is indispensable.
 //
-// Usage: fig9_ablation [scale=...] [rounds=N] ...
+// Usage: fig9_ablation [scale=...] [section.key=value ...] (24 rounds by default)
 #include <iostream>
 
 #include "bench/common.hpp"
 
 using namespace fedca;
 
-int main(int argc, char** argv) {
-  util::Config config = bench::parse_config(argc, argv);
+namespace {
+
+int bench_main(const bench::Args& args) {
   // Ablation arms run a fixed horizon; default it below the workload's
-  // to-target cap so the 8-arm sweep stays affordable.
-  if (!config.contains("rounds")) config.set("rounds", "24");
-  // The v2-vs-v3 contrast is about error feedback under *stale* profiles:
-  // run at the paper's anchor period (10 rounds) rather than the
-  // quick-scale default of 5, so eagerly-transmitted values genuinely
-  // drift from the final updates and retransmission has errors to fix.
-  config.set("fedca_period", "10");
+  // to-target cap so the 8-arm sweep stays affordable. The v2-vs-v3
+  // contrast is about error feedback under *stale* profiles: run at the
+  // paper's anchor period (10 rounds) rather than the quick-scale cell's 5,
+  // so eagerly-transmitted values genuinely drift from the final updates
+  // and retransmission has errors to fix.
+  const std::vector<std::string> defaults{"run.rounds=24", "scheme.fedca_period=10"};
   const std::vector<std::string> arms{"fedavg", "fedca_v1", "fedca_v2", "fedca_v3"};
 
   util::Table summary({"model", "scheme", "rounds", "total time (s)",
@@ -31,15 +31,16 @@ int main(int argc, char** argv) {
   util::Table curves({"model", "scheme", "round", "virtual time (s)", "accuracy"});
 
   for (const nn::ModelKind kind : {nn::ModelKind::kCnn, nn::ModelKind::kLstm}) {
+    const fl::Scenario cell = bench::load_cell(kind, args, defaults);
     double v1_time = -1.0, v3_time = -1.0, v2_acc = -1.0, v3_acc = -1.0;
     for (const std::string& arm : arms) {
-      fl::ExperimentOptions options = bench::workload_options(kind, config);
+      fl::ExperimentOptions options = cell.options;
       // Run the full horizon so late-stage differences (where eager
       // transmission pays, per the paper) are visible; record when the
       // target was crossed along the way.
       const double target = options.target_accuracy;
       options.target_accuracy = 0.0;
-      auto scheme = core::make_scheme(arm, config, options.seed);
+      auto scheme = core::make_scheme(arm, fl::scheme_config(cell), options.seed);
       const fl::ExperimentResult result = fl::run_experiment(options, *scheme);
 
       // Time the smoothed accuracy first crossed the target.
@@ -86,9 +87,13 @@ int main(int argc, char** argv) {
     }
   }
 
-  util::print_section(std::cout, "Fig. 9: FedCA module ablation", config.dump());
+  util::print_section(std::cout, "Fig. 9: FedCA module ablation", bench::describe(args));
   summary.print(std::cout);
-  bench::maybe_save_csv(summary, config, "fig9_summary");
-  bench::maybe_save_csv(curves, config, "fig9_curves");
+  bench::maybe_save_csv(summary, args, "fig9_summary");
+  bench::maybe_save_csv(curves, args, "fig9_curves");
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return bench::run(argc, argv, bench_main); }

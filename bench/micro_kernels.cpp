@@ -514,9 +514,10 @@ BENCHMARK(BM_SpeedTimelineFinish);
 
 // End-to-end round throughput: wall-clock per FedAvg round (real local SGD
 // for every client) at the given worker count. Arg 0 = FEDCA_THREADS /
-// hardware default.
+// hardware default. The geometry is fixed here, beside the numbers
+// BENCH_kernels.json records for it.
 void BM_RoundThroughput(benchmark::State& state) {
-  fl::ExperimentOptions options;
+  fl::ExperimentOptions options;  // analyze:waive(scenario-hardcode)
   options.model = nn::ModelKind::kCnn;
   options.num_clients = 8;
   options.local_iterations = 5;

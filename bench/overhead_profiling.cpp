@@ -6,9 +6,10 @@
 // memory over K = 125 iterations — negligible vs model sizes (WRN:
 // 139.4 MB). We report the same accounting for our instantiated models
 // (and the naive full-profiling cost they replace) at both K = 125 and
-// the bench-scale K.
+// the bench-scale K = 24.
 //
-// Usage: overhead_profiling [key=value...]
+// Usage: overhead_profiling [ablation_rounds=N] [section.key=value ...]
+//   observability.metrics=PATH saves the Sec. 5.5 metrics snapshot.
 #include <iostream>
 #include <stdexcept>
 
@@ -30,18 +31,15 @@ double lookup(const std::vector<obs::MetricRow>& rows, const std::string& name) 
   throw std::runtime_error("metric not published: " + name);
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const util::Config config = bench::parse_config(argc, argv);
+int bench_main(const bench::Args& args) {
   const std::size_t paper_k = 125;
-  const auto quick_k =
-      static_cast<std::size_t>(config.get_int("k", 24));
+  const std::size_t quick_k = 24;
+  fl::ExperimentOptions options = bench::load_cell(nn::ModelKind::kCnn, args).options;
 
   // The Sec. 5.5 accounting is published through a metrics registry —
   // the exporter every instrumented run writes through — and the table
   // below is rendered from its snapshot, not from values recomputed
-  // inline. `metrics=` additionally saves the snapshot.
+  // inline. observability.metrics= additionally saves the snapshot.
   obs::MetricsRegistry registry;
 
   std::vector<std::string> model_names;
@@ -91,7 +89,7 @@ int main(int argc, char** argv) {
                    mb(lookup(rows, prefix + "wire_bytes"))});
   }
   util::print_section(std::cout, "Sec. 5.5: periodical-sampling memory overhead",
-                      config.dump());
+                      bench::describe(args));
   table.print(std::cout);
   std::cout << "  [paper] reported sampled params: CNN 618, LSTM 905, WRN 9974 -> "
                "0.24 / 0.34 / 3.8 MB; WRN full profiling would need ~14 GB.\n";
@@ -103,12 +101,12 @@ int main(int argc, char** argv) {
   util::Table ablation({"period", "amortized profiling MB/round (K=" +
                                       std::to_string(quick_k) + ")",
                         "curve staleness (max |dP|)"});
-  fl::ExperimentOptions options = bench::workload_options(nn::ModelKind::kCnn, config);
   options.target_accuracy = 0.0;
-  // `metrics=` names the Sec. 5.5 snapshot above, not this run's metrics
-  // (FEDCA_METRICS still arms the run's own).
+  // observability.metrics= names the Sec. 5.5 snapshot above, not this
+  // run's metrics (FEDCA_METRICS still arms the run's own).
+  const std::string metrics_path = options.metrics_path;
   options.metrics_path.clear();
-  options.max_rounds = static_cast<std::size_t>(config.get_int("ablation_rounds", 21));
+  options.max_rounds = static_cast<std::size_t>(args.config.get_int("ablation_rounds", 21));
   bench::RecordingScheme recorder(100, options.seed);
   fl::run_experiment(options, recorder);
   const auto& history = recorder.history(0);
@@ -140,9 +138,12 @@ int main(int argc, char** argv) {
                       "Ablation: profiling period vs memory and curve staleness (CNN)");
   ablation.print(std::cout);
 
-  bench::maybe_save_csv(table, config, "overhead_profiling");
-  bench::maybe_save_csv(ablation, config, "overhead_period_ablation");
-  const std::string metrics_path = config.get_string("metrics", "");
+  bench::maybe_save_csv(table, args, "overhead_profiling");
+  bench::maybe_save_csv(ablation, args, "overhead_period_ablation");
   if (!metrics_path.empty()) registry.save(metrics_path);
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return bench::run(argc, argv, bench_main); }

@@ -12,10 +12,13 @@
 // Prints Fig. 7's accuracy-vs-time series per scheme (CSV) and Table 1's
 // three columns per (model, scheme).
 //
+// Each model runs its Table 1 cell (scenarios/table1_<model>.scn) once per
+// scheme; the cell's [scheme] parameters reach every scheme.
+//
 // Usage: table1_fig7_end_to_end [scale=quick|paper] [models=cnn,lstm,wrn]
-//                               [schemes=fedavg,fedprox,fedada,fedca] ...
+//                               [schemes=fedavg,fedprox,fedada,fedca]
+//                               [section.key=value ...]
 #include <iostream>
-#include <sstream>
 
 #include "bench/common.hpp"
 
@@ -23,37 +26,22 @@ using namespace fedca;
 
 namespace {
 
-std::vector<std::string> split_list(const std::string& csv) {
-  std::vector<std::string> out;
-  std::istringstream in(csv);
-  std::string token;
-  while (std::getline(in, token, ',')) {
-    if (!token.empty()) out.push_back(token);
-  }
-  return out;
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  const util::Config config = bench::parse_config(argc, argv);
-  const std::vector<std::string> models =
-      split_list(config.get_string("models", "cnn,lstm,wrn"));
-  const std::vector<std::string> schemes =
-      split_list(config.get_string("schemes", "fedavg,fedprox,fedada,fedca"));
+int bench_main(const bench::Args& args) {
+  const std::vector<nn::ModelKind> models = bench::models(args.config);
+  const std::vector<std::string> schemes = bench::schemes(args.config);
 
   util::Table table1({"model", "target", "scheme", "per-round time (s)", "# rounds",
                       "total time (s)", "reached"});
   util::Table fig7({"model", "scheme", "round", "virtual time (s)", "accuracy"});
 
-  for (const std::string& model_name : models) {
-    const nn::ModelKind kind = nn::parse_model_kind(model_name);
+  for (const nn::ModelKind kind : models) {
+    const fl::Scenario cell = bench::load_cell(kind, args);
     double best_other = -1.0;   // best non-FedCA total time
     double fedca_time = -1.0;
 
     for (const std::string& scheme_name : schemes) {
-      fl::ExperimentOptions options = bench::workload_options(kind, config);
-      auto scheme = core::make_scheme(scheme_name, config, options.seed);
+      const fl::ExperimentOptions& options = cell.options;
+      auto scheme = core::make_scheme(scheme_name, fl::scheme_config(cell), options.seed);
       const fl::ExperimentResult result = fl::run_experiment(options, *scheme);
 
       const double total =
@@ -75,7 +63,7 @@ int main(int argc, char** argv) {
       }
     }
     if (fedca_time > 0.0 && best_other > 0.0) {
-      std::cout << "  [shape] " << model_name << ": FedCA total "
+      std::cout << "  [shape] " << nn::model_kind_name(kind) << ": FedCA total "
                 << util::Table::fmt(fedca_time, 1) << " s vs best baseline "
                 << util::Table::fmt(best_other, 1) << " s  ("
                 << util::Table::fmt(100.0 * (best_other - fedca_time) / best_other, 1)
@@ -84,11 +72,15 @@ int main(int argc, char** argv) {
   }
 
   util::print_section(std::cout, "Table 1: time to reach the target accuracy",
-                      config.dump());
+                      bench::describe(args));
   table1.print(std::cout);
-  bench::maybe_save_csv(table1, config, "table1");
-  bench::maybe_save_csv(fig7, config, "fig7_curves");
+  bench::maybe_save_csv(table1, args, "table1");
+  bench::maybe_save_csv(fig7, args, "fig7_curves");
   std::cout << "\nFig. 7 accuracy-vs-time series: " << fig7.row_count()
             << " points (use csv_dir=... to export)\n";
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return bench::run(argc, argv, bench_main); }

@@ -1,18 +1,20 @@
 // Scenario runner: load a declarative scenario file and run it.
 //
-// Usage: fedca_scenario FILE [key=value ...]
+// Usage: fedca_scenario FILE [section.key=value ...]
 //
-// The file is the scenario tier; FEDCA_* environment variables overlay it
-// (env tier); trailing key=value arguments are the programmatic tier and
-// win over both. Supported overrides: seed, rounds, target, workers,
-// updates (async engine), trace, metrics, report.
+// The file is the scenario tier; FEDCA_TRACE / FEDCA_METRICS /
+// FEDCA_REPORT / FEDCA_THREADS overlay it (env tier); trailing
+// `section.key=value` arguments override any scenario key and win over
+// both (run.seed=7, run.rounds=5, run.workers=8, async.updates=32,
+// observability.report=r.jsonl, scheme.fedca_beta=0.1, ...).
 //
-// Exit codes: 0 success, 1 usage error, 2 scenario parse/validation error
-// (the ScenarioError's file:line message is printed to stderr) or a
-// malformed override (a non-integer value, or workers outside [0, 4096]).
+// Exit codes: 0 success, 1 usage error, 2 scenario parse/validation error,
+// an override's included (the ScenarioError's file:line message, or
+// <overrides>:N for the N-th override, is printed to stderr).
 #include <iostream>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "core/factory.hpp"
 #include "fl/async_engine.hpp"
@@ -22,36 +24,15 @@
 #include "util/config.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
-#include "util/thread_pool.hpp"
 
 using namespace fedca;
 
 namespace {
 
-int run(const fl::Scenario& scenario, fl::ExperimentOptions& options,
-        const util::Config& overrides) {
-  // Programmatic tier: explicit command-line overrides beat file and env.
-  options.seed = static_cast<std::uint64_t>(
-      overrides.get_int("seed", static_cast<long long>(options.seed)));
-  options.max_rounds = static_cast<std::size_t>(overrides.get_int(
-      "rounds", static_cast<long long>(options.max_rounds)));
-  options.target_accuracy =
-      overrides.get_double("target", options.target_accuracy);
-  const long workers =
-      overrides.get_int("workers", static_cast<long>(options.worker_threads));
-  if (workers < 0 || static_cast<std::size_t>(workers) > util::ThreadPool::kMaxWorkers) {
-    std::cerr << "fedca_scenario: key 'workers': expected an integer in [0, "
-              << util::ThreadPool::kMaxWorkers << "], got " << workers << "\n";
-    return 2;
-  }
-  options.worker_threads = static_cast<std::size_t>(workers);
-  options.trace_path = overrides.get_string("trace", options.trace_path);
-  options.metrics_path = overrides.get_string("metrics", options.metrics_path);
-  options.report_path = overrides.get_string("report", options.report_path);
-
-  util::Config scheme_cfg = fl::scheme_config(scenario);
+int run(const fl::Scenario& scenario) {
+  const fl::ExperimentOptions& options = scenario.options;
   std::unique_ptr<fl::Scheme> scheme =
-      core::make_scheme(scenario.scheme, scheme_cfg, options.seed);
+      core::make_scheme(scenario.scheme, fl::scheme_config(scenario), options.seed);
 
   if (!scenario.async_engine) {
     const fl::ExperimentResult result = fl::run_experiment(options, *scheme);
@@ -68,8 +49,6 @@ int run(const fl::Scenario& scenario, fl::ExperimentOptions& options,
   // Async engine path: run_experiment() is round-based, so wire the
   // cluster/model/shards directly and drive a fixed number of updates; the
   // setup's session writes the armed outputs when it goes out of scope.
-  const std::size_t updates = static_cast<std::size_t>(overrides.get_int(
-      "updates", static_cast<long long>(scenario.async_updates)));
   fl::ExperimentSetup setup = fl::make_setup(options, *scheme);
   fl::AsyncEngineOptions async_options = scenario.async;
   async_options.optimizer = options.optimizer;
@@ -77,9 +56,9 @@ int run(const fl::Scenario& scenario, fl::ExperimentOptions& options,
   fl::AsyncEngine async(setup.model.get(), setup.cluster.get(), setup.shards,
                         async_options, util::Rng(options.seed ^ 0xA5),
                         setup.session.get());
-  async.run_updates(updates);
+  async.run_updates(scenario.async_updates);
   const auto eval = fl::evaluate_global(setup);
-  std::cout << "async: " << updates << " updates, final accuracy "
+  std::cout << "async: " << scenario.async_updates << " updates, final accuracy "
             << util::Table::fmt(eval.accuracy, 3) << "\n";
   return 0;
 }
@@ -88,21 +67,19 @@ int run(const fl::Scenario& scenario, fl::ExperimentOptions& options,
 
 int main(int argc, char** argv) {
   if (argc < 2 || argv[1][0] == '\0' || argv[1][0] == '-') {
-    std::cerr << "usage: fedca_scenario FILE [key=value ...]\n";
+    std::cerr << "usage: fedca_scenario FILE [section.key=value ...]\n";
     return 1;
   }
   try {
-    const fl::Scenario scenario = fl::load_scenario_file(argv[1]);
-    // Env tier (FEDCA_TRACE/METRICS/REPORT/THREADS) overlays
-    // the file; the command line overlays both inside run().
-    fl::ExperimentOptions options = fl::resolve_options(scenario);
-    // Overrides start at argv[2]: shift so Config sees them as args.
-    const util::Config overrides = util::Config::from_args(argc - 1, argv + 1);
+    // Env tier first, then the command line, so the command line wins.
+    std::vector<std::string> overrides = fl::env_overrides();
+    overrides.insert(overrides.end(), argv + 2, argv + argc);
+    const fl::Scenario scenario = fl::load_scenario_file(argv[1], overrides);
     util::print_section(std::cout,
                         scenario.name.empty() ? std::string("scenario")
                                               : scenario.name,
                         argv[1]);
-    return run(scenario, options, overrides);
+    return run(scenario);
   } catch (const sim::scenario::ScenarioError& e) {
     std::cerr << "fedca_scenario: " << e.what() << "\n";
     return 2;

@@ -9,10 +9,11 @@
 // Usage: quickstart [key=value ...]
 //   e.g. quickstart model=cnn clients=16 rounds=30 target=0.5 seed=7
 //   scheme=fedavg,fedca picks which schemes run (comma-separated).
-//   An unknown key or a count (clients, k, batch, samples, test_samples,
-//   rounds) that is not an integer >= 1 exits 2 naming the key.
+//   An unknown key, a malformed value, or a count (clients, k, batch,
+//   samples, test_samples, rounds) that is not an integer >= 1 exits 2
+//   naming the key, before anything is printed.
 #include <iostream>
-#include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -39,22 +40,37 @@ std::string per_scheme(const std::string& path, const std::string& scheme) {
   return path.substr(0, at) + "." + scheme + path.substr(at);
 }
 
-}  // namespace
+// A count key: an integer >= 1.
+std::size_t count(const util::Config& config, const char* key, long fallback) {
+  const long value = config.get_int(key, fallback);
+  if (value < 1) {
+    throw util::ConfigError("config key '" + std::string(key) +
+                            "' must be an integer >= 1, got " + config.get_string(key, ""));
+  }
+  return static_cast<std::size_t>(value);
+}
 
-int main(int argc, char** argv) {
-  util::Config config = bench::parse_args(argc, argv);
+nn::ModelKind model_of(const util::Config& config) {
+  const std::string name = config.get_string("model", "cnn");
+  try {
+    return nn::parse_model_kind(name);
+  } catch (const std::invalid_argument&) {
+    throw util::ConfigError("config key 'model' must be cnn, lstm or wrn, got '" + name + "'");
+  }
+}
 
+int run(util::Config& config) {
   fl::ExperimentOptions options;
-  options.model = nn::parse_model_kind(config.get_string("model", "cnn"));
-  options.num_clients = static_cast<std::size_t>(config.get_int("clients", 12));
-  options.local_iterations = static_cast<std::size_t>(config.get_int("k", 25));
-  options.batch_size = static_cast<std::size_t>(config.get_int("batch", 10));
+  options.model = model_of(config);
+  options.num_clients = count(config, "clients", 12);
+  options.local_iterations = count(config, "k", 25);
+  options.batch_size = count(config, "batch", 10);
   options.dirichlet_alpha = config.get_double("alpha", 0.1);
-  options.train_samples = static_cast<std::size_t>(config.get_int("samples", 1500));
-  options.test_samples = static_cast<std::size_t>(config.get_int("test_samples", 256));
+  options.train_samples = count(config, "samples", 1500);
+  options.test_samples = count(config, "test_samples", 256);
   options.data_spec.noise_stddev =
       config.get_double("noise", options.data_spec.noise_stddev);
-  options.max_rounds = static_cast<std::size_t>(config.get_int("rounds", 25));
+  options.max_rounds = count(config, "rounds", 25);
   options.target_accuracy = config.get_double("target", 0.0);
   options.optimizer.learning_rate = config.get_double("lr", 0.05);
   options.seed = static_cast<std::uint64_t>(config.get_int("seed", 42));
@@ -68,17 +84,10 @@ int main(int argc, char** argv) {
   // Profile early and often at quickstart scale so FedCA's knowledge kicks
   // in within a short demo run.
   config.set("fedca_period", config.get_string("fedca_period", "5"));
+  const std::vector<std::string> scheme_names =
+      bench::schemes(config, "scheme", "fedavg,fedca");
 
   util::print_section(std::cout, "FedCA quickstart", config.dump());
-
-  std::vector<std::string> scheme_names;
-  {
-    std::istringstream csv(config.get_string("scheme", "fedavg,fedca"));
-    std::string name;
-    while (std::getline(csv, name, ',')) {
-      if (!name.empty()) scheme_names.push_back(name);
-    }
-  }
 
   util::Table table({"scheme", "rounds", "virtual time (s)", "final accuracy",
                      "mean round (s)", "early stops", "eager layers"});
@@ -101,4 +110,19 @@ int main(int argc, char** argv) {
                "communication of stabilized layers (eager transmissions), so its\n"
                "virtual-time-per-round is lower at comparable accuracy.\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  util::Config config = bench::parse_flat_args(
+      argc, argv,
+      {"model", "scheme", "clients", "k", "batch", "alpha", "samples", "test_samples",
+       "noise", "rounds", "target", "lr", "seed", "trace", "metrics", "report"});
+  try {
+    return run(config);
+  } catch (const util::ConfigError& e) {
+    std::cerr << "quickstart: " << e.what() << "\n";
+    return 2;
+  }
 }

@@ -334,8 +334,9 @@ void check_scenario_hardcode(const SourceFile& f,
     if (is_punct(f, i + 2, ";") || is_punct(f, i + 2, "{") ||
         (is_punct(f, i + 2, "=") && is_punct(f, i + 3, "{"))) {
       add_finding(findings, "scenario-hardcode", f.rel_path, f.tokens[i].line,
-                  "hand-built ExperimentOptions in a test — load a committed "
-                  "scenarios/*.scn via fl::load_scenario_file instead");
+                  "hand-built ExperimentOptions in a test or a bench — load a "
+                  "committed scenarios/*.scn via fl::load_scenario_file "
+                  "instead");
     }
   }
 }
@@ -444,7 +445,9 @@ void analyze_rules(const SourceFile& f, const RuleContext& ctx,
       (ends_with(rel, ".cpp") || ends_with(rel, ".cc"))) {
     check_float_accum(f, findings);
   }
-  if (starts_with(rel, "tests/")) check_scenario_hardcode(f, findings);
+  if (in_dirs(rel, {"tests/", "bench/"}) && !starts_with(rel, "bench/suite/")) {
+    check_scenario_hardcode(f, findings);  // bench/suite owns fixed workloads
+  }
   if (!starts_with(rel, "src/tensor/simd/")) {
     check_raw_intrinsics(f, findings);
   }

@@ -36,9 +36,11 @@
 //                         contract) — src/tensor, src/nn .cpp files.
 //   scenario-hardcode     a default- or brace-initialized
 //                         `ExperimentOptions x;` / `x{...}` / `x = {...}`
-//                         in a test: experiments are scenario files
-//                         (scenarios/*.scn); copy-init from a loaded
-//                         scenario or helper is fine — tests/.
+//                         in a test or a paper bench: experiments are
+//                         scenario files (scenarios/*.scn); copy-init from
+//                         a loaded scenario or helper is fine — tests/ and
+//                         bench/ minus bench/suite/ (the benchmark's own
+//                         fixed workloads).
 //   exit-hook             std::atexit, an `atexit(` call or
 //                         at_quick_exit: an exit hook's correctness rests
 //                         on its order against static destructors, the

@@ -42,8 +42,12 @@ bool known_scheme_param(const std::string& key) {
   return false;
 }
 
-Scenario parse_scenario(const std::string& text, const std::string& filename) {
+Scenario parse_scenario(const std::string& text, const std::string& filename,
+                        const std::vector<std::string>& overrides) {
   Document doc = Document::parse(text, filename);
+  for (std::size_t i = 0; i < overrides.size(); ++i) {
+    doc.apply_override(overrides[i], i + 1);
+  }
   Scenario sc;
   ExperimentOptions& o = sc.options;
 
@@ -57,12 +61,11 @@ Scenario parse_scenario(const std::string& text, const std::string& filename) {
       doc.get_int("scenario", "version", 0, std::numeric_limits<long long>::min(),
                   std::numeric_limits<long long>::max());
   if (version != 1) {
-    const std::size_t line = doc.line_of("scenario", "version");
-    throw ScenarioError(doc.filename(), line,
-                        "unsupported scenario version " +
-                            std::to_string(version) +
-                            " (this build reads version 1; the key is "
-                            "required)");
+    throw doc.error_at("scenario", "version",
+                       "unsupported scenario version " +
+                           std::to_string(version) +
+                           " (this build reads version 1; the key is "
+                           "required)");
   }
   sc.name = doc.get_string("scenario", "name", "");
   sc.description = doc.get_string("scenario", "description", "");
@@ -74,9 +77,9 @@ Scenario parse_scenario(const std::string& text, const std::string& filename) {
   if (engine == "async") {
     sc.async_engine = true;
   } else if (engine != "round") {
-    throw ScenarioError(doc.filename(), doc.line_of("run", "engine"),
-                        "key 'engine': expected round or async, got '" +
-                            engine + "'");
+    throw doc.error_at("run", "engine",
+                       "key 'engine': expected round or async, got '" +
+                           engine + "'");
   }
   o.max_rounds = doc.get_size("run", "rounds", o.max_rounds, 1, 1000000);
   o.target_accuracy = doc.get_double("run", "target_accuracy",
@@ -93,9 +96,9 @@ Scenario parse_scenario(const std::string& text, const std::string& filename) {
   try {
     o.model = nn::parse_model_kind(kind);
   } catch (const std::invalid_argument&) {
-    throw ScenarioError(doc.filename(), doc.line_of("model", "kind"),
-                        "key 'kind': expected cnn, lstm, or wrn, got '" +
-                            kind + "'");
+    throw doc.error_at("model", "kind",
+                       "key 'kind': expected cnn, lstm, or wrn, got '" +
+                           kind + "'");
   }
   o.data_spec.num_classes =
       doc.get_size("model", "classes", o.data_spec.num_classes, 2, 10000);
@@ -106,8 +109,8 @@ Scenario parse_scenario(const std::string& text, const std::string& filename) {
   o.data_spec.amplitude_hi = doc.get_double("model", "amplitude_hi",
                                             o.data_spec.amplitude_hi, 0.0, 100.0);
   if (o.data_spec.amplitude_hi < o.data_spec.amplitude_lo) {
-    throw ScenarioError(doc.filename(), doc.line_of("model", "amplitude_hi"),
-                        "key 'amplitude_hi': must be >= amplitude_lo");
+    throw doc.error_at("model", "amplitude_hi",
+                       "key 'amplitude_hi': must be >= amplitude_lo");
   }
 
   // [data]
@@ -137,9 +140,9 @@ Scenario parse_scenario(const std::string& text, const std::string& filename) {
   try {
     o.eager_wire = parse_eager_wire(wire);
   } catch (const std::invalid_argument&) {
-    throw ScenarioError(doc.filename(), doc.line_of("training", "eager_wire"),
-                        "key 'eager_wire': expected fp32 or int8, got '" +
-                            wire + "'");
+    throw doc.error_at("training", "eager_wire",
+                       "key 'eager_wire': expected fp32 or int8, got '" +
+                           wire + "'");
   }
 
   // [server]
@@ -155,13 +158,13 @@ Scenario parse_scenario(const std::string& text, const std::string& filename) {
   doc.allow_section("scheme");
   sc.scheme = doc.get_string("scheme", "name", sc.scheme);
   if (!known_scheme(sc.scheme)) {
-    throw ScenarioError(doc.filename(), doc.line_of("scheme", "name"),
-                        "key 'name': unknown scheme '" + sc.scheme + "'");
+    throw doc.error_at("scheme", "name",
+                       "key 'name': unknown scheme '" + sc.scheme + "'");
   }
   for (const auto& [key, entry] : doc.remaining("scheme")) {
     if (!known_scheme_param(key)) {
-      throw ScenarioError(doc.filename(), entry.line,
-                          "unknown scheme parameter '" + key + "' in [scheme]");
+      throw doc.error_at("scheme", key,
+                         "unknown scheme parameter '" + key + "' in [scheme]");
     }
     sc.scheme_params[key] = doc.get_string("scheme", key, "");
   }
@@ -178,8 +181,8 @@ Scenario parse_scenario(const std::string& text, const std::string& filename) {
   cl.heterogeneity.max_speed = doc.get_double(
       "cluster", "max_speed", cl.heterogeneity.max_speed, 1e-6, 1000.0);
   if (cl.heterogeneity.max_speed < cl.heterogeneity.min_speed) {
-    throw ScenarioError(doc.filename(), doc.line_of("cluster", "max_speed"),
-                        "key 'max_speed': must be >= min_speed");
+    throw doc.error_at("cluster", "max_speed",
+                       "key 'max_speed': must be >= min_speed");
   }
   cl.heterogeneity.bandwidth_mbps = doc.get_double(
       "cluster", "bandwidth_mbps", cl.heterogeneity.bandwidth_mbps, 1e-6,
@@ -191,8 +194,8 @@ Scenario parse_scenario(const std::string& text, const std::string& filename) {
   cl.dynamicity.slowdown_hi = doc.get_double(
       "cluster", "slowdown_hi", cl.dynamicity.slowdown_hi, 1.0, 1000.0);
   if (cl.dynamicity.slowdown_hi < cl.dynamicity.slowdown_lo) {
-    throw ScenarioError(doc.filename(), doc.line_of("cluster", "slowdown_hi"),
-                        "key 'slowdown_hi': must be >= slowdown_lo");
+    throw doc.error_at("cluster", "slowdown_hi",
+                       "key 'slowdown_hi': must be >= slowdown_lo");
   }
 
   // [population] — the availability-dynamics layer. Absent section keeps
@@ -277,29 +280,27 @@ Scenario parse_scenario(const std::string& text, const std::string& filename) {
   return sc;
 }
 
-Scenario load_scenario_file(const std::string& path) {
+Scenario load_scenario_file(const std::string& path,
+                            const std::vector<std::string>& overrides) {
   std::ifstream in(path, std::ios::binary);
   if (!in) {
     throw ScenarioError(path, 0, "cannot open scenario file");
   }
   std::ostringstream text;
   text << in.rdbuf();
-  return parse_scenario(text.str(), path);
+  return parse_scenario(text.str(), path, overrides);
 }
 
-ExperimentOptions resolve_options(const Scenario& sc) {
-  ExperimentOptions o = sc.options;
-  // Environment tier: scenario < env. (Programmatic overrides, applied by
-  // the caller on the returned struct, beat both — matching the pinned
-  // explicit-beats-env contract of obs::resolve_outputs / resolve_workers.)
+std::vector<std::string> env_overrides() {
+  std::vector<std::string> out;
   const obs::EnvOutputs env = obs::read_env();
-  if (env.trace_path) o.trace_path = *env.trace_path;
-  if (env.metrics_path) o.metrics_path = *env.metrics_path;
-  if (env.report_path) o.report_path = *env.report_path;
-  if (const std::size_t env = util::ThreadPool::env_workers()) {
-    o.worker_threads = env;
+  if (env.trace_path) out.push_back("observability.trace=" + *env.trace_path);
+  if (env.metrics_path) out.push_back("observability.metrics=" + *env.metrics_path);
+  if (env.report_path) out.push_back("observability.report=" + *env.report_path);
+  if (const std::size_t workers = util::ThreadPool::env_workers()) {
+    out.push_back("run.workers=" + std::to_string(workers));
   }
-  return o;
+  return out;
 }
 
 util::Config scheme_config(const Scenario& sc) {

@@ -1,18 +1,14 @@
 // Scenario DSL, FL binding: maps a parsed scenario document (see
 // src/sim/scenario.hpp for the grammar) onto ExperimentOptions + scheme
-// selection, and implements the three-tier precedence contract
+// selection. Overrides (`section.key=value`) are applied to the document
+// before binding, later ones winning, so each gets a file line's checks.
+// Three tiers, weakest first:
 //
-//     scenario file  <  FEDCA_* environment  <  programmatic override.
+//     scenario file  <  FEDCA_* environment  <  command line
 //
-// load_scenario_file()/parse_scenario() read ONLY the file (the scenario
-// tier) — tests that must be hermetic from the caller's environment use
-// Scenario::options directly. resolve_options() overlays the environment
-// tier (FEDCA_TRACE / FEDCA_METRICS / FEDCA_REPORT / FEDCA_THREADS);
-// callers apply the programmatic tier by mutating the returned struct,
-// which trivially wins. This is consistent with the
-// pre-scenario contract pinned by tests/fl/options_precedence_test.cpp:
-// explicit ExperimentOptions fields beat the environment, and the
-// environment beats a scenario file.
+// load_scenario_file()/parse_scenario() read only the file and the given
+// overrides, so tests stay hermetic; a runner passes env_overrides() before
+// its command line's. Writing a field of the bound options beats all three.
 //
 // Format reference (version 1; every key optional unless noted, defaults
 // are the ExperimentOptions defaults — see README "Scenarios"):
@@ -42,13 +38,14 @@
 //   [async]    updates, local_iterations, batch, mix, staleness_power,
 //              cycle_timeout (engine = async only)
 //   [observability] trace, metrics, report (output paths; committed
-//              scenarios leave these to the env/override tiers)
+//              scenarios leave these to the env and command-line tiers)
 //
 // Unknown sections and keys are hard errors with file:line diagnostics.
 #pragma once
 
 #include <map>
 #include <string>
+#include <vector>
 
 #include "fl/async_engine.hpp"
 #include "fl/experiment.hpp"
@@ -72,17 +69,21 @@ struct Scenario {
   ExperimentOptions options;
 };
 
-// Parses scenario text / a scenario file. Throws sim::scenario::
-// ScenarioError (file:line in what()) on any grammar, type, range,
+// Parses scenario text / a scenario file with `overrides` applied in
+// order. Throws sim::scenario::ScenarioError (file:line in what(), or
+// <overrides>:N for the N-th override) on any grammar, type, range,
 // unknown-key, or unknown-section violation; a file that cannot be read
 // is a ScenarioError at line 0.
 Scenario parse_scenario(const std::string& text,
-                        const std::string& filename = "<scenario>");
-Scenario load_scenario_file(const std::string& path);
+                        const std::string& filename = "<scenario>",
+                        const std::vector<std::string>& overrides = {});
+Scenario load_scenario_file(const std::string& path,
+                            const std::vector<std::string>& overrides = {});
 
-// Environment tier: the scenario's options with FEDCA_TRACE /
-// FEDCA_METRICS / FEDCA_REPORT / FEDCA_THREADS overrides applied on top. Mutate the result for programmatic overrides.
-ExperimentOptions resolve_options(const Scenario& scenario);
+// The environment tier as overrides: observability.trace/metrics/report
+// from FEDCA_TRACE/FEDCA_METRICS/FEDCA_REPORT, and run.workers from a
+// valid FEDCA_THREADS (util::ThreadPool::env_workers).
+std::vector<std::string> env_overrides();
 
 // Config for core::make_scheme carrying the scenario's [scheme] params.
 util::Config scheme_config(const Scenario& scenario);

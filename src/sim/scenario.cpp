@@ -1,11 +1,13 @@
 #include "sim/scenario.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <cerrno>
 #include <cmath>
 #include <cstdlib>
 #include <limits>
 #include <sstream>
+#include <utility>
 
 namespace fedca::sim::scenario {
 
@@ -45,6 +47,13 @@ ScenarioError::ScenarioError(const std::string& file, std::size_t line,
 
 void Document::fail(std::size_t line, const std::string& message) const {
   throw ScenarioError(filename_, line, message);
+}
+
+ScenarioError Document::error(const Entry* at, const std::string& message) const {
+  if (at == nullptr || at->assignment.empty()) {
+    return ScenarioError(filename_, at == nullptr ? 0 : at->line, message);
+  }
+  return ScenarioError(kOverrideSource, at->line, "'" + at->assignment + "': " + message);
 }
 
 Document Document::parse(const std::string& text, const std::string& filename) {
@@ -109,12 +118,26 @@ Document Document::parse(const std::string& text, const std::string& filename) {
   return doc;
 }
 
-bool Document::has_section(const std::string& section) const {
-  return sections_.contains(section);
+void Document::apply_override(const std::string& assignment, std::size_t index) {
+  const auto eq = assignment.find('=');
+  const auto dot = assignment.find('.');
+  const std::string section = assignment.substr(0, std::min(dot, eq));
+  const std::string key = dot < eq ? assignment.substr(dot + 1, eq - dot - 1) : "";
+  if (eq == std::string::npos || !valid_name(section) || !valid_name(key)) {
+    throw ScenarioError(kOverrideSource, index,
+                        "expected section.key=value (lower-case [a-z0-9_]+ "
+                        "names), got '" + assignment + "'");
+  }
+  Section& s = sections_[section];
+  if (s.line == 0) {  // added here: a file's sections start at line 1
+    s.line = index;
+    s.assignment = assignment;
+  }
+  s.entries[key] = Entry{assignment.substr(eq + 1), index, assignment};
 }
 
-bool Document::has_key(const std::string& section, const std::string& key) const {
-  return find(section, key) != nullptr;
+bool Document::has_section(const std::string& section) const {
+  return sections_.contains(section);
 }
 
 void Document::allow_section(const std::string& section) {
@@ -154,8 +177,8 @@ bool Document::get_bool(const std::string& section, const std::string& key,
   const std::string v = lower(e->value);
   if (v == "true" || v == "on" || v == "yes" || v == "1") return true;
   if (v == "false" || v == "off" || v == "no" || v == "0") return false;
-  fail(e->line, "key '" + key + "': expected a boolean "
-                    "(true/false/on/off/yes/no/1/0), got '" + e->value + "'");
+  throw error(e, "key '" + key + "': expected a boolean "
+                 "(true/false/on/off/yes/no/1/0), got '" + e->value + "'");
 }
 
 long long Document::get_int(const std::string& section, const std::string& key,
@@ -167,13 +190,11 @@ long long Document::get_int(const std::string& section, const std::string& key,
   const long long v = std::strtoll(e->value.c_str(), &end, 10);
   if (e->value.empty() || end != e->value.c_str() + e->value.size() ||
       errno == ERANGE) {
-    fail(e->line, "key '" + key + "': expected an integer, got '" + e->value +
-                      "'");
+    throw error(e, "key '" + key + "': expected an integer, got '" + e->value + "'");
   }
   if (v < lo || v > hi) {
-    fail(e->line, "key '" + key + "': value " + e->value +
-                      " out of range [" + std::to_string(lo) + ", " +
-                      std::to_string(hi) + "]");
+    throw error(e, "key '" + key + "': value " + e->value + " out of range [" +
+                       std::to_string(lo) + ", " + std::to_string(hi) + "]");
   }
   return v;
 }
@@ -196,8 +217,8 @@ std::uint64_t Document::get_u64(const std::string& section,
   const unsigned long long v = std::strtoull(e->value.c_str(), &end, 10);
   if (e->value.empty() || e->value.front() == '-' ||
       end != e->value.c_str() + e->value.size() || errno == ERANGE) {
-    fail(e->line, "key '" + key + "': expected an unsigned integer, got '" +
-                      e->value + "'");
+    throw error(e, "key '" + key + "': expected an unsigned integer, got '" +
+                       e->value + "'");
   }
   return v;
 }
@@ -211,14 +232,14 @@ double Document::get_double(const std::string& section, const std::string& key,
   const double v = std::strtod(e->value.c_str(), &end);
   if (e->value.empty() || end != e->value.c_str() + e->value.size() ||
       !std::isfinite(v)) {
-    fail(e->line, "key '" + key + "': expected a finite number, got '" +
-                      e->value + "'");
+    throw error(e, "key '" + key + "': expected a finite number, got '" +
+                       e->value + "'");
   }
   if (v < lo || v > hi) {
     std::ostringstream msg;
     msg << "key '" << key << "': value " << e->value << " out of range ["
         << lo << ", " << hi << "]";
-    fail(e->line, msg.str());
+    throw error(e, msg.str());
   }
   return v;
 }
@@ -237,10 +258,10 @@ double Document::get_duration(const std::string& section,
                     std::numeric_limits<double>::max());
 }
 
-std::size_t Document::line_of(const std::string& section,
-                              const std::string& key) const {
-  const Entry* e = find(section, key);
-  return e == nullptr ? 0 : e->line;
+ScenarioError Document::error_at(const std::string& section,
+                                const std::string& key,
+                                const std::string& message) const {
+  return error(find(section, key), message);
 }
 
 std::vector<std::pair<std::string, Entry>> Document::remaining(
@@ -255,26 +276,27 @@ std::vector<std::pair<std::string, Entry>> Document::remaining(
 }
 
 void Document::finish() const {
-  // Report the earliest offending line so the error is stable and points
-  // at the first thing a reader would see.
-  std::size_t best_line = std::numeric_limits<std::size_t>::max();
+  // Report the earliest offending line, file lines before overrides, so
+  // the error is stable and points at the first thing a reader would see.
+  Entry best;
   std::string message;
+  const auto consider = [&](const Entry& at, std::string what) {
+    if (message.empty() || std::pair(!at.assignment.empty(), at.line) <
+                               std::pair(!best.assignment.empty(), best.line)) {
+      best = at;
+      message = std::move(what);
+    }
+  };
   for (const auto& [name, section] : sections_) {
     if (!section.allowed) {
-      if (section.line < best_line) {
-        best_line = section.line;
-        message = "unknown section [" + name + "]";
-      }
+      consider(Entry{"", section.line, section.assignment}, "unknown section [" + name + "]");
       continue;
     }
     for (const auto& [key, entry] : section.entries) {
-      if (!entry.consumed && entry.line < best_line) {
-        best_line = entry.line;
-        message = "unknown key '" + key + "' in [" + name + "]";
-      }
+      if (!entry.consumed) consider(entry, "unknown key '" + key + "' in [" + name + "]");
     }
   }
-  if (!message.empty()) fail(best_line, message);
+  if (!message.empty()) throw error(&best, message);
 }
 
 }  // namespace fedca::sim::scenario

@@ -12,7 +12,8 @@
 //
 // This layer knows nothing about FL: it parses sections and typed values
 // and tracks which keys a binding consumed, so the binding (src/fl/
-// scenario.*) can reject leftovers as unknown keys. Grammar:
+// scenario.*) can reject leftovers as unknown keys; an override sets a key
+// before the binding reads it, so it gets a file line's checks. Grammar:
 //
 //   * lines are independent; leading/trailing whitespace is trimmed;
 //   * blank lines and lines starting with `#` or `;` are comments
@@ -52,10 +53,15 @@ class ScenarioError : public std::runtime_error {
   std::size_t line_;
 };
 
-// One `key = value` occurrence with its source line.
+// Where an error in the N-th override is reported: line N of this.
+inline constexpr const char* kOverrideSource = "<overrides>";
+
+// One `key = value` occurrence with its source line (an override: its
+// 1-based position among the overrides).
 struct Entry {
   std::string value;
   std::size_t line = 0;
+  std::string assignment;  // the override's section.key=value; empty for a file line
   bool consumed = false;
 };
 
@@ -68,8 +74,12 @@ class Document {
 
   const std::string& filename() const { return filename_; }
 
+  // Applies the `index`-th (1-based) override `section.key=value`: sets
+  // the key, adding its section if absent. Diagnostics about the key, or
+  // about a malformed assignment, quote it at <overrides>:index.
+  void apply_override(const std::string& assignment, std::size_t index);
+
   bool has_section(const std::string& section) const;
-  bool has_key(const std::string& section, const std::string& key) const;
 
   // Marks a section as legal even when the binding reads nothing from it
   // (every get_* call does this implicitly for its section).
@@ -96,9 +106,10 @@ class Document {
   double get_duration(const std::string& section, const std::string& key,
                       double fallback);
 
-  // Source line of a present key (0 when absent) — for bindings that
-  // validate a value themselves and want to report at the right line.
-  std::size_t line_of(const std::string& section, const std::string& key) const;
+  // An error placed where the key was set (file line 0 when absent), for
+  // bindings that validate a value themselves.
+  ScenarioError error_at(const std::string& section, const std::string& key,
+                         const std::string& message) const;
 
   // Remaining (unconsumed) entries of `section`, sorted by key, WITHOUT
   // consuming them — the binding inspects these for whitelisted
@@ -112,7 +123,8 @@ class Document {
 
  private:
   struct Section {
-    std::size_t line = 0;  // header line
+    std::size_t line = 0;    // header line, or the override that added it
+    std::string assignment;  // that override's text
     bool allowed = false;
     std::map<std::string, Entry> entries;
   };
@@ -122,6 +134,7 @@ class Document {
   // section allowed either way.
   Entry* take(const std::string& section, const std::string& key);
   [[noreturn]] void fail(std::size_t line, const std::string& message) const;
+  ScenarioError error(const Entry* at, const std::string& message) const;
 
   std::string filename_ = "<scenario>";
   std::map<std::string, Section> sections_;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cstdlib>
 #include <sstream>
 
 namespace fedca::util {
@@ -12,12 +11,6 @@ namespace {
 std::string to_lower(std::string s) {
   std::transform(s.begin(), s.end(), s.begin(),
                  [](unsigned char c) { return static_cast<char>(std::tolower(c)); });
-  return s;
-}
-
-std::string to_upper(std::string s) {
-  std::transform(s.begin(), s.end(), s.begin(),
-                 [](unsigned char c) { return static_cast<char>(std::toupper(c)); });
   return s;
 }
 
@@ -105,28 +98,11 @@ std::string Config::require_string(const std::string& key) const {
   return it->second;
 }
 
-void Config::overlay(const Config& other) {
-  for (const auto& [k, v] : other.values_) values_[k] = v;
-}
-
-void Config::load_env(const std::vector<std::string>& keys) {
-  for (const auto& key : keys) {
-    const std::string env_name = "FEDCA_" + to_upper(key);
-    if (const char* env = std::getenv(env_name.c_str()); env != nullptr) {
-      set(key, env);
-    }
-  }
-}
-
 std::vector<std::string> Config::keys() const {
   std::vector<std::string> out;
   out.reserve(values_.size());
   for (const auto& [k, v] : values_) out.push_back(k);
   return out;
-}
-
-std::vector<std::pair<std::string, std::string>> Config::effective() const {
-  return {read_.begin(), read_.end()};
 }
 
 std::string Config::dump() const {

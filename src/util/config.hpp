@@ -1,15 +1,12 @@
 // Lightweight configuration map with typed accessors.
 //
-// Experiment and bench binaries are parameterized through key=value pairs
-// coming from (in increasing precedence) built-in defaults, environment
-// variables (FEDCA_<KEY>), and command-line arguments (key=value). The
-// Config class records every key that was read so binaries can print the
-// effective configuration next to their results — a reproduction harness
-// should never have silent knobs.
+// Programs with flat command-line keys (key=value) and core::make_scheme's
+// hyperparameters read them through a Config. It records every key that
+// was read so binaries can print the effective configuration next to
+// their results — a reproduction harness should never have silent knobs.
 #pragma once
 
 #include <map>
-#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -41,20 +38,11 @@ class Config {
   // Required variants: throw if the key is absent.
   std::string require_string(const std::string& key) const;
 
-  // Merges `other` on top of this config (other wins on conflicts).
-  void overlay(const Config& other);
-
-  // Loads FEDCA_<KEY> environment variables for each key in `keys`
-  // (lower-cased key in the map).
-  void load_env(const std::vector<std::string>& keys);
-
   // Every key that was set, sorted (lower-cased, as stored).
   std::vector<std::string> keys() const;
 
-  // All keys that were read so far, with their effective values, sorted.
-  std::vector<std::pair<std::string, std::string>> effective() const;
-
-  // "key=value key=value ..." of effective() — for experiment headers.
+  // "key=value key=value ..." of every key read so far with its effective
+  // value, sorted — for experiment headers.
   std::string dump() const;
 
  private:

@@ -1,66 +1,153 @@
-// Bench plumbing: scale presets, override precedence, RecordingScheme.
+// Bench plumbing: the Table 1 cells at both scales, override precedence,
+// RecordingScheme.
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "bench/common.hpp"
 #include "fl/scenario.hpp"
+#include "sim/scenario.hpp"
 
 namespace fedca {
 namespace {
 
-util::Config cfg(std::vector<const char*> args) {
-  args.insert(args.begin(), "prog");
-  return bench::parse_config(static_cast<int>(args.size()),
-                             const_cast<char**>(args.data()));
+bench::Args parse(std::vector<const char*> argv) {
+  argv.insert(argv.begin(), "prog");
+  return bench::parse_args(static_cast<int>(argv.size()), const_cast<char**>(argv.data()));
 }
 
-TEST(BenchCommon, QuickScaleGeometry) {
-  const util::Config config = cfg({});
-  const fl::ExperimentOptions o = bench::workload_options(nn::ModelKind::kCnn, config);
-  EXPECT_EQ(o.num_clients, 10u);
-  EXPECT_EQ(o.local_iterations, 30u);
-  EXPECT_EQ(o.batch_size, 10u);
+// What each Table 1 cell sets besides the scale's geometry.
+struct Cell {
+  nn::ModelKind kind;
+  double lr;
+  double weight_decay;
+  double noise;
+  double target;
+};
+constexpr Cell kCells[] = {{nn::ModelKind::kCnn, 0.05, 0.01, 1.6, 0.55},
+                           {nn::ModelKind::kLstm, 0.10, 0.01, 1.0, 0.85},
+                           {nn::ModelKind::kWrn, 0.05, 0.0005, 1.4, 0.55}};
+
+void expect_cell(const fl::Scenario& sc, const Cell& cell) {
+  const fl::ExperimentOptions& o = sc.options;
+  EXPECT_EQ(o.model, cell.kind);
+  EXPECT_DOUBLE_EQ(o.optimizer.learning_rate, cell.lr);
+  EXPECT_DOUBLE_EQ(o.optimizer.weight_decay, cell.weight_decay);
+  EXPECT_DOUBLE_EQ(o.data_spec.noise_stddev, cell.noise);
+  EXPECT_DOUBLE_EQ(o.target_accuracy, cell.target);
   EXPECT_DOUBLE_EQ(o.dirichlet_alpha, 0.1);
   EXPECT_DOUBLE_EQ(o.collect_fraction, 0.9);
   EXPECT_TRUE(o.cluster.dynamicity.enabled);
+  EXPECT_DOUBLE_EQ(o.cluster.heterogeneity.bandwidth_mbps, 13.7);
+  EXPECT_EQ(o.seed, 42u);
+  EXPECT_EQ(sc.scheme, "fedca");
+}
+
+TEST(BenchCommon, QuickScaleGeometry) {
+  for (const Cell& cell : kCells) {
+    const fl::Scenario sc = bench::load_cell(cell.kind, parse({}));
+    SCOPED_TRACE(sc.name);
+    expect_cell(sc, cell);
+    EXPECT_EQ(sc.options.num_clients, 10u);
+    EXPECT_EQ(sc.options.local_iterations, 30u);
+    EXPECT_EQ(sc.options.batch_size, 10u);
+    EXPECT_EQ(sc.options.train_samples, 600u);
+    EXPECT_EQ(sc.options.test_samples, 320u);
+    EXPECT_EQ(sc.options.max_rounds, 50u);
+  }
 }
 
 TEST(BenchCommon, PaperScaleGeometryMatchesSec51) {
-  const util::Config config = cfg({"scale=paper"});
-  const fl::ExperimentOptions o = bench::workload_options(nn::ModelKind::kWrn, config);
-  EXPECT_EQ(o.num_clients, 128u);     // 128 c6i.large clients
-  EXPECT_EQ(o.local_iterations, 125u);  // K = 125
-  EXPECT_EQ(o.batch_size, 50u);         // batch 50
+  for (const Cell& cell : kCells) {
+    const fl::Scenario sc = bench::load_cell(cell.kind, parse({"scale=paper"}));
+    SCOPED_TRACE(sc.name);
+    expect_cell(sc, cell);
+    EXPECT_EQ(sc.options.num_clients, 128u);       // 128 c6i.large clients
+    EXPECT_EQ(sc.options.local_iterations, 125u);  // K = 125
+    EXPECT_EQ(sc.options.batch_size, 50u);         // batch 50
+    EXPECT_EQ(sc.options.train_samples, 60'000u);
+    EXPECT_EQ(sc.options.test_samples, 2'000u);
+    EXPECT_EQ(sc.options.max_rounds, 400u);
+    // The paper's anchor period: the scheme's default.
+    EXPECT_FALSE(sc.scheme_params.contains("fedca_period"));
+  }
 }
 
 TEST(BenchCommon, CliOverridesWin) {
-  const util::Config config = cfg({"clients=7", "k=11", "lr=0.123"});
-  const fl::ExperimentOptions o = bench::workload_options(nn::ModelKind::kCnn, config);
-  EXPECT_EQ(o.num_clients, 7u);
-  EXPECT_EQ(o.local_iterations, 11u);
-  EXPECT_DOUBLE_EQ(o.optimizer.learning_rate, 0.123);
+  const bench::Args args = parse({"data.clients=7", "training.local_iterations=11",
+                                  "training.lr=0.123", "run.rounds=7"});
+  // The command line beats both the file and the bench's default.
+  const fl::Scenario sc = bench::load_cell(nn::ModelKind::kCnn, args, {"run.rounds=18"});
+  EXPECT_EQ(sc.options.num_clients, 7u);
+  EXPECT_EQ(sc.options.local_iterations, 11u);
+  EXPECT_DOUBLE_EQ(sc.options.optimizer.learning_rate, 0.123);
+  EXPECT_EQ(sc.options.max_rounds, 7u);
+  // Without it the bench's default beats the file; an arm beats both.
+  EXPECT_EQ(bench::load_cell(nn::ModelKind::kCnn, parse({}), {"run.rounds=18"})
+                .options.max_rounds,
+            18u);
+  EXPECT_EQ(bench::load_cell(nn::ModelKind::kCnn, args, {}, {"run.rounds=3"})
+                .options.max_rounds,
+            3u);
 }
 
 TEST(BenchCommon, QuickScaleInjectsProfilingPeriod) {
-  const util::Config config = cfg({});
-  EXPECT_EQ(config.get_string("fedca_period", "?"), "5");
-  const util::Config explicit_config = cfg({"fedca_period=9"});
-  EXPECT_EQ(explicit_config.get_string("fedca_period", "?"), "9");
+  const fl::Scenario quick = bench::load_cell(nn::ModelKind::kCnn, parse({}));
+  EXPECT_EQ(fl::scheme_config(quick).get_string("fedca_period", "?"), "5");
+  const fl::Scenario explicit_period =
+      bench::load_cell(nn::ModelKind::kCnn, parse({"scheme.fedca_period=9"}));
+  EXPECT_EQ(fl::scheme_config(explicit_period).get_string("fedca_period", "?"), "9");
 }
 
 TEST(BenchCommon, UnknownScaleThrows) {
-  // Built by hand: parse_config exits 2 on it (tests/tools/bench_cli_test.py).
-  util::Config config;
-  config.set("scale", "galactic");
-  EXPECT_THROW(bench::workload_options(nn::ModelKind::kCnn, config),
+  EXPECT_THROW(bench::load_cell(nn::ModelKind::kCnn, parse({"scale=galactic"})),
                util::ConfigError);
 }
 
 TEST(BenchCommon, PaperTargets) {
-  EXPECT_DOUBLE_EQ(bench::paper_target_accuracy(nn::ModelKind::kCnn), 0.55);
-  EXPECT_DOUBLE_EQ(bench::paper_target_accuracy(nn::ModelKind::kLstm), 0.85);
-  EXPECT_DOUBLE_EQ(bench::paper_target_accuracy(nn::ModelKind::kWrn), 0.55);
+  // Table 1's target accuracies, at both scales.
+  for (const char* scale : {"scale=quick", "scale=paper"}) {
+    const bench::Args args = parse({scale});
+    EXPECT_DOUBLE_EQ(bench::load_cell(nn::ModelKind::kCnn, args).options.target_accuracy,
+                     0.55);
+    EXPECT_DOUBLE_EQ(bench::load_cell(nn::ModelKind::kLstm, args).options.target_accuracy,
+                     0.85);
+    EXPECT_DOUBLE_EQ(bench::load_cell(nn::ModelKind::kWrn, args).options.target_accuracy,
+                     0.55);
+  }
+}
+
+TEST(BenchCommon, BadOverrideThrowsNamingTheKey) {
+  const std::pair<const char*, const char*> cases[] = {
+      {"data.ronuds=3", "ronuds"},         {"bogus.key=1", "bogus"},
+      {"data.clients=0", "clients"},       {"training.lr=abc", "lr"},
+      {"cluster.dynamicity=maybe", "dynamicity"},
+      {"scheme.fedca_bogus=1", "fedca_bogus"}};
+  for (const auto& [override_arg, key] : cases) {
+    try {
+      bench::load_cell(nn::ModelKind::kCnn, parse({override_arg}));
+      ADD_FAILURE() << override_arg << " was accepted";
+    } catch (const sim::scenario::ScenarioError& e) {
+      EXPECT_NE(std::string(e.what()).find(key), std::string::npos) << e.what();
+      EXPECT_EQ(e.file(), sim::scenario::kOverrideSource) << e.what();
+    }
+  }
+}
+
+TEST(BenchCommon, ParseArgsKeepsOnlyBenchKeys) {
+  const bench::Args args = parse({"csv_dir=/tmp/x", "run.seed=3", "models=cnn,wrn"});
+  EXPECT_EQ(args.config.get_string("csv_dir", ""), "/tmp/x");
+  EXPECT_EQ(args.overrides, std::vector<std::string>{"run.seed=3"});
+  EXPECT_EQ(bench::models(args.config),
+            (std::vector<nn::ModelKind>{nn::ModelKind::kCnn, nn::ModelKind::kWrn}));
+  // Flat spellings of scenario keys and bad lists are rejected.
+  for (const char* bad : {"clients=7", "lr=0.1", "banana"}) {
+    EXPECT_THROW(parse({bad}), util::ConfigError) << bad;
+  }
+  EXPECT_THROW(bench::models(parse({"models=cnn,xyz"}).config), util::ConfigError);
+  EXPECT_THROW(bench::schemes(parse({"schemes=fedavg,bogus"}).config), util::ConfigError);
 }
 
 TEST(BenchCommon, RecordingSchemeCapturesEveryRound) {

@@ -12,7 +12,7 @@ namespace fedca {
 namespace {
 
 // The historical tiny() setup now lives in scenarios/tiny_edge.scn.
-// Scenario tier only — no resolve_options() — so the tests stay hermetic
+// Scenario tier only — no env_overrides() — so the tests stay hermetic
 // from FEDCA_* env; each test's field tweaks are the programmatic tier.
 fl::ExperimentOptions tiny() {
   static const fl::Scenario scenario = fl::load_scenario_file(

@@ -13,7 +13,7 @@ namespace fedca {
 namespace {
 
 // The historical tiny_options() setup now lives in scenarios/
-// tiny_fedca.scn. Scenario tier only — no resolve_options() — so the
+// tiny_fedca.scn. Scenario tier only — no env_overrides() — so the
 // tests stay hermetic from FEDCA_* env; schemes are still built
 // programmatically per test (variants, sweeps).
 fl::ExperimentOptions tiny_options() {

@@ -15,7 +15,7 @@ namespace {
 
 // The historical tiny() setup now lives in scenarios/faultfree.scn (also
 // golden-pinned by tools_golden_scenario_faultfree). Scenario tier only —
-// no resolve_options() — so the tests stay hermetic from FEDCA_* env.
+// no env_overrides() — so the tests stay hermetic from FEDCA_* env.
 fl::ExperimentOptions tiny() {
   static const fl::Scenario scenario = fl::load_scenario_file(
       std::string(FEDCA_SOURCE_DIR) + "/scenarios/faultfree.scn");

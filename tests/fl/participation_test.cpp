@@ -11,7 +11,7 @@ namespace {
 
 // Base geometry lives in scenarios/participation_smoke.scn (golden-pinned
 // by tools_golden_scenario_participation_smoke). Scenario tier only — no
-// resolve_options() — so the tests stay hermetic from FEDCA_* env; each
+// env_overrides() — so the tests stay hermetic from FEDCA_* env; each
 // test overrides its participation knobs programmatically.
 fl::ExperimentOptions base_options() {
   static const fl::Scenario scenario = fl::load_scenario_file(

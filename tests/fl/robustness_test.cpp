@@ -67,7 +67,7 @@ class RobustnessTest : public ::testing::Test {
 
 // The historical tiny() + chaos_faults() setup now lives in
 // scenarios/chaos.scn (also golden-pinned by tools_golden_scenario_chaos).
-// Scenario tier only — no resolve_options() — so the tests stay hermetic
+// Scenario tier only — no env_overrides() — so the tests stay hermetic
 // from FEDCA_* env.
 const fl::Scenario& chaos_scenario() {
   static const fl::Scenario scenario = fl::load_scenario_file(

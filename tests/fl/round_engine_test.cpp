@@ -15,7 +15,7 @@ namespace fedca {
 namespace {
 
 // The historical small_options() setup now lives in scenarios/
-// engine_smoke.scn. Scenario tier only — no resolve_options() — so the
+// engine_smoke.scn. Scenario tier only — no env_overrides() — so the
 // tests stay hermetic from FEDCA_* env.
 fl::ExperimentOptions small_options() {
   static const fl::Scenario scenario = fl::load_scenario_file(

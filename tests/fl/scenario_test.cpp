@@ -179,8 +179,8 @@ TEST(ScenarioBinding, CrossFieldRangeChecks) {
 }
 
 // ---------------------------------------------------------------------------
-// Precedence: scenario < env (resolve_options); explicit caller mutation
-// of the returned options trivially wins (programmatic tier).
+// Precedence: scenario < env (env_overrides) < command-line overrides;
+// explicit caller mutation of the bound options trivially wins.
 // ---------------------------------------------------------------------------
 
 class ScopedEnv {
@@ -210,32 +210,46 @@ class ScopedEnv {
   bool had_ = false;
 };
 
+constexpr const char* kFileTier =
+    "[scenario]\nversion = 1\n[run]\nworkers = 2\n"
+    "[observability]\nreport = /tmp/from_file.jsonl\n";
+
 TEST(ScenarioPrecedence, EnvOverlaysScenarioTier) {
-  const fl::Scenario sc = fl::parse_scenario(
-      "[scenario]\nversion = 1\n[run]\nworkers = 2\n"
-      "[observability]\nreport = /tmp/from_file.jsonl\n");
   {
     ScopedEnv report("FEDCA_REPORT", "/tmp/from_env.jsonl");
     ScopedEnv threads("FEDCA_THREADS", "6");
-    const fl::ExperimentOptions o = fl::resolve_options(sc);
+    const fl::ExperimentOptions o =
+        fl::parse_scenario(kFileTier, "<scenario>", fl::env_overrides()).options;
     EXPECT_EQ(o.report_path, "/tmp/from_env.jsonl");
     EXPECT_EQ(o.worker_threads, 6u);
   }
   // Without the env tier the file's values stand.
   ScopedEnv report("FEDCA_REPORT", nullptr);
   ScopedEnv threads("FEDCA_THREADS", nullptr);
-  const fl::ExperimentOptions o = fl::resolve_options(sc);
+  EXPECT_TRUE(fl::env_overrides().empty());
+  const fl::ExperimentOptions o = fl::parse_scenario(kFileTier).options;
   EXPECT_EQ(o.report_path, "/tmp/from_file.jsonl");
   EXPECT_EQ(o.worker_threads, 2u);
 }
 
+TEST(ScenarioPrecedence, CommandLineOverridesBeatEnv) {
+  ScopedEnv report("FEDCA_REPORT", "/tmp/from_env.jsonl");
+  ScopedEnv threads("FEDCA_THREADS", "6");
+  std::vector<std::string> overrides = fl::env_overrides();
+  overrides.push_back("run.workers=3");
+  overrides.push_back("observability.report=/tmp/from_cli.jsonl");
+  const fl::ExperimentOptions o =
+      fl::parse_scenario(kFileTier, "<scenario>", overrides).options;
+  EXPECT_EQ(o.report_path, "/tmp/from_cli.jsonl");
+  EXPECT_EQ(o.worker_threads, 3u);
+}
+
 TEST(ScenarioPrecedence, MalformedThreadsEnvIsIgnored) {
-  const fl::Scenario sc = fl::parse_scenario(
-      "[scenario]\nversion = 1\n[run]\nworkers = 3\n");
   for (const char* bad : {"not-a-number", "-1", "5000"}) {
     ScopedEnv threads("FEDCA_THREADS", bad);
-    const fl::ExperimentOptions o = fl::resolve_options(sc);
-    EXPECT_EQ(o.worker_threads, 3u) << "FEDCA_THREADS=" << bad;
+    const fl::ExperimentOptions o =
+        fl::parse_scenario(kFileTier, "<scenario>", fl::env_overrides()).options;
+    EXPECT_EQ(o.worker_threads, 2u) << "FEDCA_THREADS=" << bad;
   }
 }
 

@@ -34,7 +34,7 @@ std::string slurp(const std::string& path) {
   return out.str();
 }
 
-// Scenario tier only (no resolve_options()); the outputs each test needs
+// Scenario tier only (no env_overrides()); the outputs each test needs
 // are set explicitly, so they win over any FEDCA_* environment.
 fl::ExperimentOptions tiny() {
   static const fl::Scenario scenario = fl::load_scenario_file(

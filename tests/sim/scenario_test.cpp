@@ -36,8 +36,8 @@ TEST(ScenarioDocument, ParsesSectionsKeysCommentsAndBlankLines) {
       "[beta]\n"
       "text = a = b # not a comment\n");
   EXPECT_TRUE(doc.has_section("alpha"));
-  EXPECT_TRUE(doc.has_key("alpha", "one"));
-  EXPECT_FALSE(doc.has_key("alpha", "three"));
+  EXPECT_EQ(doc.get_string("alpha", "one", ""), "1");
+  EXPECT_EQ(doc.get_string("alpha", "three", "absent"), "absent");
   EXPECT_EQ(doc.get_string("alpha", "two", ""), "padded value");
   // The value is everything after the first '='; '#' does not start an
   // inline comment.
@@ -163,9 +163,39 @@ TEST(ScenarioDocument, RemainingListsUnconsumedSortedWithoutConsuming) {
 
 TEST(ScenarioDocument, LineOfReportsSourceLine) {
   Document doc = parse("[s]\n\na = 1\n");
-  EXPECT_EQ(doc.line_of("s", "a"), 3u);
-  EXPECT_EQ(doc.line_of("s", "b"), 0u);
-  EXPECT_EQ(doc.line_of("t", "a"), 0u);
+  EXPECT_EQ(doc.error_at("s", "a", "m").line(), 3u);
+  EXPECT_EQ(doc.error_at("s", "b", "m").line(), 0u);
+  EXPECT_EQ(doc.error_at("t", "a", "m").line(), 0u);
+  EXPECT_EQ(doc.error_at("s", "a", "m").file(), "test.scn");
+}
+
+TEST(ScenarioDocument, OverridesReplaceAddAndReportAtTheirPosition) {
+  Document doc = parse("[s]\na = 1\n");
+  doc.apply_override("s.a=5", 1);
+  doc.apply_override("s.b=x", 2);
+  doc.apply_override("t.c=7", 3);
+  EXPECT_EQ(doc.get_int("s", "a", 0, 0, 10), 5);
+  EXPECT_EQ(doc.error_at("s", "a", "m").file(), sim::scenario::kOverrideSource);
+  EXPECT_EQ(doc.error_at("s", "a", "m").line(), 1u);
+  try {
+    (void)doc.get_int("s", "b", 0, 0, 10);
+    FAIL() << "expected ScenarioError";
+  } catch (const ScenarioError& e) {
+    EXPECT_EQ(e.file(), sim::scenario::kOverrideSource);
+    EXPECT_EQ(e.line(), 2u);
+    EXPECT_NE(std::string(e.what()).find("'s.b=x': key 'b'"), std::string::npos);
+  }
+  // The section an override added is unknown to this binding.
+  try {
+    doc.finish();
+    FAIL() << "expected ScenarioError";
+  } catch (const ScenarioError& e) {
+    EXPECT_EQ(e.line(), 3u);
+    EXPECT_NE(std::string(e.what()).find("unknown section [t]"), std::string::npos);
+  }
+  for (const char* bad : {"a=1", "s.a", ".a=1", "s.=1", "S.a=1", "s.a.b=1"}) {
+    EXPECT_THROW(doc.apply_override(bad, 4), ScenarioError) << bad;
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -1,15 +1,16 @@
 #!/usr/bin/env python3
-"""Hostile sizes and unknown keys reaching a paper bench through
-bench::parse_config (or quickstart through bench::parse_args).
+"""Hostile values and unknown keys reaching a paper bench (bench::run) or
+quickstart (its own flat keys).
 
-Every bad count (clients, k, rounds, ...) or scale, given on the command
-line or as a FEDCA_* variable, and every key no bench reads, exits 2 with
-a diagnostic that names the key, before any training starts (nothing
-reaches stdout, where a bench prints its tables). --cli-only skips the
-FEDCA_* cases, for a program that reads no size from the environment.
+Every bad count, scale, model or scheme name, every malformed number or
+boolean, and every key the program does not read exits 2 with a
+diagnostic that names the key, before any training starts (nothing
+reaches stdout, where a program prints its tables). A paper bench spells
+a run setting as a scenario key (section.key=value); quickstart keeps its
+flat keys (--quickstart).
 
 Usage:
-  bench_cli_test.py --bench BIN [--cli-only]
+  bench_cli_test.py --bench BIN [--quickstart]
 """
 
 import argparse
@@ -17,42 +18,64 @@ import os
 import subprocess
 import sys
 
-# (extra argv, extra env, key the diagnostic must name)
-CASES = [
-    (["clients=-1"], {}, "clients"),
-    (["clients=0"], {}, "clients"),
-    (["k=-1"], {}, "'k'"),
-    (["batch=0"], {}, "batch"),
-    (["samples=-5"], {}, "samples"),
-    (["test_samples=0"], {}, "test_samples"),
-    (["rounds=abc"], {}, "rounds"),
-    (["rounds=0"], {}, "rounds"),
-    (["scale=huge"], {}, "scale"),
-    ([], {"FEDCA_CLIENTS": "-1"}, "clients"),
-    ([], {"FEDCA_CLIENTS": "0"}, "clients"),
-    ([], {"FEDCA_K": "-1"}, "'k'"),
-    ([], {"FEDCA_ROUNDS": "abc"}, "rounds"),
-    ([], {"FEDCA_SCALE": "huge"}, "scale"),
-    (["banana"], {}, "banana"),
-    (["ronuds=3"], {}, "ronuds"),
+# (argv, key the diagnostic must name), for both kinds of program.
+COMMON_CASES = [
+    (["banana"], "banana"),
+    (["ronuds=3"], "ronuds"),
+    (["scale=huge"], "scale"),
+    (["lr=abc"], "lr"),
+    (["dynamicity=maybe"], "dynamicity"),
+]
+
+BENCH_CASES = [
+    (["data.clients=-1"], "clients"),
+    (["data.clients=0"], "clients"),
+    (["training.local_iterations=-1"], "local_iterations"),
+    (["data.batch=0"], "batch"),
+    (["data.train_samples=-5"], "train_samples"),
+    (["data.test_samples=0"], "test_samples"),
+    (["run.rounds=abc"], "rounds"),
+    (["run.rounds=0"], "rounds"),
+    (["data.ronuds=3"], "ronuds"),
+    (["training.lr=abc"], "lr"),
+    (["cluster.dynamicity=maybe"], "dynamicity"),
+    (["bogus.key=1"], "bogus"),
+    (["scheme.fedca_bogus=1"], "fedca_bogus"),
+    (["models=xyz"], "models"),
+    (["schemes=bogus"], "schemes"),
+    (["schemes=fedavg,bogus"], "schemes"),
+]
+
+QUICKSTART_CASES = [
+    (["clients=-1"], "clients"),
+    (["clients=0"], "clients"),
+    (["k=-1"], "'k'"),
+    (["batch=0"], "batch"),
+    (["samples=-5"], "samples"),
+    (["test_samples=0"], "test_samples"),
+    (["rounds=abc"], "rounds"),
+    (["rounds=0"], "rounds"),
+    (["alpha=abc"], "alpha"),
+    (["model=xyz"], "model"),
+    (["scheme=bogus"], "scheme"),
 ]
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--bench", required=True, help="a bench binary")
-    parser.add_argument("--cli-only", action="store_true",
-                        help="skip the FEDCA_* environment cases")
+    parser.add_argument("--quickstart", action="store_true",
+                        help="the binary is quickstart (flat keys)")
     args = parser.parse_args()
-    cases = [c for c in CASES if not (args.cli_only and c[1])]
+    cases = COMMON_CASES + (QUICKSTART_CASES if args.quickstart else BENCH_CASES)
 
-    base_env = {k: v for k, v in os.environ.items() if not k.startswith("FEDCA_")}
+    env = {k: v for k, v in os.environ.items() if not k.startswith("FEDCA_")}
     failures = []
-    for argv, env, key in cases:
-        label = " ".join(argv + [f"{k}={v}" for k, v in env.items()])
+    for argv, key in cases:
+        label = " ".join(argv)
         try:
             proc = subprocess.run([args.bench, *argv], capture_output=True, text=True,
-                                  env={**base_env, **env}, timeout=60)
+                                  env=env, timeout=60)
         except subprocess.TimeoutExpired:
             failures.append(f"{label}: still running after 60 s (a run started)")
             continue

@@ -61,7 +61,8 @@ def main() -> int:
         if not run([args.quickstart, *QUICKSTART_ARGS,
                     f"report={Path(tmp) / 'quickstart.jsonl'}"]):
             return 1
-        if not run([args.runner, args.scenario, f"report={via_file}"]):
+        if not run([args.runner, args.scenario,
+                    f"observability.report={via_file}"]):
             return 1
         a = via_args.read_bytes()
         b = via_file.read_bytes()

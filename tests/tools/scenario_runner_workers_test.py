@@ -2,7 +2,7 @@
 """Hostile worker counts reaching examples/fedca_scenario.
 
 Two contracts:
-  1. A workers= override outside [0, 4096], or not an integer, exits 2
+  1. A run.workers= override outside [0, 4096], or not an integer, exits 2
      with a diagnostic that names the key, before any training starts.
   2. A FEDCA_THREADS value that is not a plain decimal in [1, 4096] is
      ignored: the run exits 0 and its report digest equals the digest of
@@ -35,7 +35,7 @@ def report_digest(runner: str, scenario: str, env: dict, tmp: str,
                   tag: str):
     """(exit code, sha256 of the report or None, stderr) of one run."""
     report = Path(tmp) / f"report_{tag}.jsonl"
-    proc = subprocess.run([runner, scenario, f"report={report}"],
+    proc = subprocess.run([runner, scenario, f"observability.report={report}"],
                           capture_output=True, text=True, env=env,
                           timeout=600)
     digest = (hashlib.sha256(report.read_bytes()).hexdigest()
@@ -50,7 +50,7 @@ def main() -> int:
     args = parser.parse_args()
 
     for value in ("-1", "4097", "5000", "banana"):
-        proc = subprocess.run([args.runner, args.scenario, f"workers={value}"],
+        proc = subprocess.run([args.runner, args.scenario, f"run.workers={value}"],
                               capture_output=True, text=True, env=clean_env(),
                               timeout=600)
         if proc.returncode != 2:

@@ -64,35 +64,11 @@ TEST(Config, RequireStringThrowsWhenMissing) {
   EXPECT_EQ(cfg.require_string("nope"), "here");
 }
 
-TEST(Config, OverlayPrecedence) {
-  util::Config base = parse({"a=1", "b=2"});
-  util::Config top = parse({"b=20", "c=30"});
-  base.overlay(top);
-  EXPECT_EQ(base.get_int("a", 0), 1);
-  EXPECT_EQ(base.get_int("b", 0), 20);
-  EXPECT_EQ(base.get_int("c", 0), 30);
-}
-
 TEST(Config, EffectiveRecordsReads) {
   util::Config cfg = parse({"a=1"});
   (void)cfg.get_int("a", 0);
   (void)cfg.get_int("unset", 9);
-  const auto eff = cfg.effective();
-  ASSERT_EQ(eff.size(), 2u);
-  EXPECT_EQ(eff[0].first, "a");
-  EXPECT_EQ(eff[0].second, "1");
-  EXPECT_EQ(eff[1].first, "unset");
-  EXPECT_EQ(eff[1].second, "9");
   EXPECT_EQ(cfg.dump(), "a=1 unset=9");
-}
-
-TEST(Config, LoadEnvReadsPrefixedVariables) {
-  ::setenv("FEDCA_ENVKEY", "42", 1);
-  util::Config cfg;
-  cfg.load_env({"envkey", "absent_key"});
-  EXPECT_EQ(cfg.get_int("envkey", 0), 42);
-  EXPECT_FALSE(cfg.contains("absent_key"));
-  ::unsetenv("FEDCA_ENVKEY");
 }
 
 }  // namespace

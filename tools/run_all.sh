@@ -48,14 +48,15 @@ keep_going() {
 : >test_output.txt
 run_logged test_output.txt ctest --test-dir build
 
-# Every bench binary with its table written to results/. micro_kernels is
+# Every paper bench with its tables written to results/. micro_kernels is
 # a Google Benchmark binary that takes --benchmark_* flags, not key=value
-# ones; the kernel bench stage below runs it.
+# ones, and obs_harness takes no csv_dir=; the kernel and obs bench stages
+# below run them.
 run_benches() {
   step_status=0
   for b in build/bench/*; do
     [ -f "$b" ] && [ -x "$b" ] || continue
-    [ "${b##*/}" != micro_kernels ] || continue
+    case "${b##*/}" in micro_kernels | obs_harness) continue ;; esac
     echo "===== $b ====="
     keep_going "$b" csv_dir=results
   done

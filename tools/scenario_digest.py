@@ -15,9 +15,10 @@ into the bytes). --update writes a digest only when every worker count
 agrees.
 
 The environment's FEDCA_* variables are stripped before each run so the
-digest reflects the scenario tier alone (scenario < env < programmatic:
+digest reflects the scenario tier alone (scenario < env < command line:
 a stray FEDCA_THREADS or FEDCA_REPORT must not leak into goldens); the
-report= and workers= arguments are output plumbing, not configuration.
+observability.report= and run.workers= overrides are output plumbing, not
+configuration.
 
 Usage:
   scenario_digest.py --build build --check [NAME ...] [--workers 1,2,8]
@@ -51,8 +52,8 @@ def run_digest(runner: Path, scenario: Path, workers: int) -> str:
     with tempfile.TemporaryDirectory() as tmp:
         report = Path(tmp) / "run_report.jsonl"
         proc = subprocess.run(
-            [str(runner), str(scenario), f"report={report}",
-             f"workers={workers}"],
+            [str(runner), str(scenario), f"observability.report={report}",
+             f"run.workers={workers}"],
             capture_output=True, text=True, env=clean_env())
         if proc.returncode != 0:
             sys.stderr.write(proc.stdout)
