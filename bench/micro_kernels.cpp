@@ -3,10 +3,10 @@
 // the nn layers use in training, the conv2d lowering into GEMM panels and
 // col2im, the retained naive references (before/after comparison), span
 // kernels, the int8 wire's quantization, the fused dense-layer helpers,
-// conv2d, ReLU/MaxPool and LSTM forward/backward, tanh and sigmoid
-// against libm, statistical progress (Eq. 1), profiler recording, link
-// throughput, speed-timeline integration, CNN and WRN training steps, and
-// end-to-end round throughput.
+// conv2d, ReLU/MaxPool and LSTM forward/backward, the SGD step, tanh and
+// sigmoid against libm, statistical progress (Eq. 1), profiler recording,
+// link throughput, speed-timeline integration, CNN and WRN training steps,
+// and end-to-end round throughput.
 #include <benchmark/benchmark.h>
 
 #include <cmath>
@@ -23,6 +23,7 @@
 #include "nn/conv2d.hpp"
 #include "nn/lstm.hpp"
 #include "nn/models.hpp"
+#include "nn/sgd.hpp"
 #include "bench/common.hpp"
 #include "sim/network.hpp"
 #include "tensor/ops.hpp"
@@ -92,14 +93,17 @@ BENCHMARK(BM_GemmTN)->Arg(32)->Arg(64)->Arg(128);
 //
 // conv1_fwd is the GEMM the LeNet-5 conv1 forward runs per sample: both
 // operands prepacked (the weight once per pass, the lowered image by
-// PackedB::pack_conv), as Conv2d runs it.
-enum class GemmOp { kNN, kNT, kTN, kPacked };
+// PackedB::pack_conv), as Conv2d runs it. fc1_dW_acc is fc1's weight
+// gradient at batch 10 as Linear::backward runs it: gemm_tn added straight
+// into the gradient (Store::kAccumulate).
+enum class GemmOp { kNN, kNT, kTN, kTNAcc, kPacked };
 
 void BM_LayerGemm(benchmark::State& state, GemmOp op, std::size_t m,
                   std::size_t k, std::size_t n) {
   const tensor::Tensor a = randn({m * k}, 1);
-  const tensor::Tensor b = randn({(op == GemmOp::kTN ? m : k) * n}, 2);
-  tensor::Tensor c({(op == GemmOp::kTN ? k : m) * n});
+  const bool tn = op == GemmOp::kTN || op == GemmOp::kTNAcc;
+  const tensor::Tensor b = randn({(tn ? m : k) * n}, 2);
+  tensor::Tensor c({(tn ? k : m) * n});
   tensor::PackedA packed_a;
   tensor::PackedB packed_b;
   if (op == GemmOp::kPacked) {
@@ -111,6 +115,9 @@ void BM_LayerGemm(benchmark::State& state, GemmOp op, std::size_t m,
       case GemmOp::kNN: tensor::gemm(m, k, n, a.raw(), b.raw(), c.raw()); break;
       case GemmOp::kNT: tensor::gemm_nt(m, k, n, a.raw(), b.raw(), c.raw()); break;
       case GemmOp::kTN: tensor::gemm_tn(m, k, n, a.raw(), b.raw(), c.raw()); break;
+      case GemmOp::kTNAcc:
+        tensor::gemm_tn(m, k, n, a.raw(), b.raw(), c.raw(), tensor::Store::kAccumulate);
+        break;
       case GemmOp::kPacked: tensor::gemm_packed(packed_a, packed_b, c.raw()); break;
     }
     benchmark::DoNotOptimize(c.raw());
@@ -123,6 +130,7 @@ BENCHMARK_CAPTURE(BM_LayerGemm, conv1_fwd, GemmOp::kPacked, 6, 75, 256);
 BENCHMARK_CAPTURE(BM_LayerGemm, conv1_dW, GemmOp::kNT, 6, 256, 75);
 BENCHMARK_CAPTURE(BM_LayerGemm, conv2_dW, GemmOp::kNT, 16, 64, 150);
 BENCHMARK_CAPTURE(BM_LayerGemm, fc2_fwd, GemmOp::kNT, 10, 120, 84);
+BENCHMARK_CAPTURE(BM_LayerGemm, fc1_dW_acc, GemmOp::kTNAcc, 10, 120, 256);
 BENCHMARK_CAPTURE(BM_LayerGemm, lstm_dW_ih, GemmOp::kTN, 10, 384, 8);
 BENCHMARK_CAPTURE(BM_LayerGemm, lstm_dx, GemmOp::kNN, 10, 384, 8);
 
@@ -344,6 +352,27 @@ void BM_ConvBackward(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ConvBackward);
+
+// One SgdOptimizer::step over LeNet-5's parameters (44,726 floats) with the
+// CNN cell's weight decay, gradients as left by a training step: the
+// per-parameter pass every local iteration ends with.
+void BM_SgdStep(benchmark::State& state) {
+  util::Rng rng(31);
+  nn::Classifier model = nn::build_lenet5(nn::default_geometry(nn::ModelKind::kCnn), 10, rng);
+  const nn::InputGeometry geo = nn::default_geometry(nn::ModelKind::kCnn);
+  const tensor::Tensor input = randn({10, geo.channels, geo.height, geo.width}, 32);
+  std::vector<int> labels(10);
+  for (std::size_t i = 0; i < labels.size(); ++i) labels[i] = static_cast<int>(i);
+  model.compute_gradients(input, labels);
+  nn::SgdOptimizer sgd(model.backbone().parameters(), {0.05, 0.01, 0.0});
+  for (auto _ : state) {
+    sgd.step();
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(nn::parameter_count(model.backbone())));
+}
+BENCHMARK(BM_SgdStep);
 
 // LeNet-5's parameter-free layers at conv1's training activation
 // ([10, 6, 16, 16]): ReLU then MaxPool forward, MaxPool then ReLU

@@ -5,8 +5,9 @@
 // CNN / LSTM / WRN, i.e. 0.24 / 0.34 / 3.8 MB of per-round profiling
 // memory over K = 125 iterations — negligible vs model sizes (WRN:
 // 139.4 MB). We report the same accounting for our instantiated models
-// (and the naive full-profiling cost they replace) at both K = 125 and
-// the bench-scale K = 24.
+// (and the naive full-profiling cost they replace) at K = 125, and size
+// the period ablation at the cell's own K (`training.local_iterations`:
+// 30 at quick scale), the K of the run whose curve staleness it measures.
 //
 // Usage: overhead_profiling [ablation_rounds=N] [section.key=value ...]
 //   observability.metrics=PATH saves the Sec. 5.5 metrics snapshot.
@@ -33,8 +34,8 @@ double lookup(const std::vector<obs::MetricRow>& rows, const std::string& name) 
 
 int bench_main(const bench::Args& args) {
   const std::size_t paper_k = 125;
-  const std::size_t quick_k = 24;
   fl::ExperimentOptions options = bench::load_cell(nn::ModelKind::kCnn, args).options;
+  const std::size_t cell_k = options.local_iterations;
 
   // The Sec. 5.5 accounting is published through a metrics registry —
   // the exporter every instrumented run writes through — and the table
@@ -99,7 +100,7 @@ int bench_main(const bench::Args& args) {
   // max deviation between the anchor round's curve and the curve of the
   // last round the anchor serves.
   util::Table ablation({"period", "amortized profiling MB/round (K=" +
-                                      std::to_string(quick_k) + ")",
+                                      std::to_string(cell_k) + ")",
                         "curve staleness (max |dP|)"});
   options.target_accuracy = 0.0;
   // observability.metrics= names the Sec. 5.5 snapshot above, not this
@@ -118,7 +119,7 @@ int bench_main(const bench::Args& args) {
   sizer.begin_round(0, state);
   sizer.record_iteration(cnn.backbone());
   sizer.finish_round();
-  const double per_round_bytes = static_cast<double>(sizer.profiling_bytes(quick_k));
+  const double per_round_bytes = static_cast<double>(sizer.profiling_bytes(cell_k));
 
   for (const std::size_t period : {1u, 5u, 10u, 20u}) {
     double staleness = 0.0;

@@ -18,13 +18,69 @@ using sim::scenario::ScenarioError;
 constexpr double kMaxD = std::numeric_limits<double>::max();
 
 // [scheme] hyperparameters that pass through to core::make_scheme's
-// Config. A closed list so typos stay hard errors.
-const char* const kSchemeParams[] = {
-    "fedca_beta",        "fedca_min_iterations", "fedca_te",
-    "fedca_tr",          "fedca_period",         "fedca_sample_fraction",
-    "fedca_sample_cap",  "fedca_lr_threshold",   "fedca_lr_decay",
-    "fedprox_mu",        "fedada_tradeoff",      "fedada_min_fraction",
-    "compress",          "compress_levels",      "compress_fraction"};
+// Config, each with the type and range the binding checks. A closed list
+// so typos stay hard errors.
+struct SchemeParam {
+  const char* key;
+  enum Type { kReal, kInteger, kCompressor } type;
+  double lo, hi;  // inclusive bounds, except lo when lo_open
+  bool lo_open;
+};
+
+constexpr long long kMaxCount = 1000000000;
+
+constexpr SchemeParam kSchemeParams[] = {
+    {"fedca_beta", SchemeParam::kReal, 0.0, 1.0, false},
+    {"fedca_min_iterations", SchemeParam::kInteger, 0, kMaxCount, false},
+    {"fedca_te", SchemeParam::kReal, 0.0, 1.0, false},
+    {"fedca_tr", SchemeParam::kReal, -1.0, 1.0, false},
+    {"fedca_period", SchemeParam::kInteger, 1, kMaxCount, false},
+    {"fedca_sample_fraction", SchemeParam::kReal, 0.0, 1.0, true},
+    {"fedca_sample_cap", SchemeParam::kInteger, 1, kMaxCount, false},
+    {"fedca_lr_threshold", SchemeParam::kReal, 0.0, kMaxD, false},
+    {"fedca_lr_decay", SchemeParam::kReal, 0.0, 1.0, true},
+    {"fedprox_mu", SchemeParam::kReal, 0.0, kMaxD, false},
+    {"fedada_tradeoff", SchemeParam::kReal, 0.0, 1.0, false},
+    {"fedada_min_fraction", SchemeParam::kReal, 0.0, 1.0, true},
+    {"compress", SchemeParam::kCompressor, 0, 0, false},
+    {"compress_levels", SchemeParam::kInteger, 1, kMaxCount, false},
+    {"compress_fraction", SchemeParam::kReal, 0.0, 1.0, true}};
+
+const SchemeParam* find_scheme_param(const std::string& key) {
+  for (const SchemeParam& p : kSchemeParams) {
+    if (key == p.key) return &p;
+  }
+  return nullptr;
+}
+
+// Consumes [scheme] `key` after checking its value against `p`; throws
+// ScenarioError at the key's file:line (or <overrides>:N).
+void check_scheme_param(Document& doc, const std::string& key, const SchemeParam& p) {
+  switch (p.type) {
+    case SchemeParam::kReal: {
+      const double v = doc.get_double("scheme", key, 0.0, p.lo, p.hi);
+      if (p.lo_open && v == p.lo) {
+        std::ostringstream msg;
+        msg << "key '" << key << "': value " << v << " out of range (" << p.lo << ", " << p.hi
+            << "]";
+        throw doc.error_at("scheme", key, msg.str());
+      }
+      return;
+    }
+    case SchemeParam::kInteger:
+      doc.get_int("scheme", key, 0, static_cast<long long>(p.lo),
+                  static_cast<long long>(p.hi));
+      return;
+    case SchemeParam::kCompressor: {
+      const std::string v = doc.get_string("scheme", key, "");
+      if (!v.empty() && v != "none" && v != "qsgd" && v != "topk") {
+        throw doc.error_at("scheme", key,
+                           "key '" + key + "': expected none, qsgd or topk, got '" + v + "'");
+      }
+      return;
+    }
+  }
+}
 
 bool known_scheme(const std::string& name) {
   for (const char* s : kSchemeNames) {
@@ -35,12 +91,7 @@ bool known_scheme(const std::string& name) {
 
 }  // namespace
 
-bool known_scheme_param(const std::string& key) {
-  for (const char* s : kSchemeParams) {
-    if (key == s) return true;
-  }
-  return false;
-}
+bool known_scheme_param(const std::string& key) { return find_scheme_param(key) != nullptr; }
 
 Scenario parse_scenario(const std::string& text, const std::string& filename,
                         const std::vector<std::string>& overrides) {
@@ -162,11 +213,13 @@ Scenario parse_scenario(const std::string& text, const std::string& filename,
                        "key 'name': unknown scheme '" + sc.scheme + "'");
   }
   for (const auto& [key, entry] : doc.remaining("scheme")) {
-    if (!known_scheme_param(key)) {
+    const SchemeParam* param = find_scheme_param(key);
+    if (param == nullptr) {
       throw doc.error_at("scheme", key,
                          "unknown scheme parameter '" + key + "' in [scheme]");
     }
-    sc.scheme_params[key] = doc.get_string("scheme", key, "");
+    check_scheme_param(doc, key, *param);
+    sc.scheme_params[key] = entry.value;
   }
 
   // [cluster]

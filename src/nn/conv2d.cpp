@@ -96,9 +96,6 @@ void Conv2d::backward_into(const Tensor& grad_output, Tensor* grad_input) {
   const std::size_t image_size = geo_.in_channels * geo_.in_h * geo_.in_w;
 
   if (grad_input) *grad_input = Tensor({n, geo_.in_channels, geo_.in_h, geo_.in_w});
-  if (scratch_dw_.numel() != out_channels_ * col_rows) {
-    scratch_dw_ = Tensor({out_channels_, col_rows});
-  }
   if (grad_input && scratch_dcols_.numel() != col_rows * oh * ow) {
     scratch_dcols_ = Tensor({col_rows, oh * ow});
   }
@@ -116,8 +113,8 @@ void Conv2d::backward_into(const Tensor& grad_output, Tensor* grad_input) {
                                                                  out_channels_ * oh * ow);
     // dW += dY * cols^T (the dY slice is already a contiguous
     // [out_c, oh*ow] matrix — no staging copy needed).
-    tensor::gemm_packed(out_channels_, dy.data(), panels_, scratch_dw_.raw());
-    tensor::add_scaled(weight_.grad, 1.0f, scratch_dw_);
+    tensor::gemm_packed(out_channels_, dy.data(), panels_, weight_.grad.raw(),
+                        tensor::Store::kAccumulate);
     if (has_bias_) tensor::plane_sum(dy, oh * ow, bias_.grad.data());
     if (!grad_input) continue;
     // dcols = W^T * dY, then scatter back to image layout.

@@ -54,7 +54,6 @@ class Conv2d : public Module {
   Tensor cached_input_;            // [N, C, H, W]; empty: no training-mode forward
   tensor::PackedA packed_weight_;  // op(A) of this pass's weight GEMMs
   tensor::PackedB panels_;         // one sample's lowered image, reused across samples
-  Tensor scratch_dw_;              // [out_c, in_c*kh*kw]
   Tensor scratch_dcols_;           // [in_c*kh*kw, oh*ow]
   std::size_t cached_batch_ = 0;
 };

@@ -48,9 +48,7 @@ Tensor Linear::backward(const Tensor& grad_output) {
   }
   const std::size_t n = grad_output.dim(0);
   // dW[out, in] += dY[N, out]^T * X[N, in]
-  Tensor dw({out_features_, in_features_});
-  tensor::gemm_tn(grad_output, cached_input_, dw);
-  tensor::add_scaled(weight_.grad, 1.0f, dw);
+  tensor::gemm_tn(grad_output, cached_input_, weight_.grad, tensor::Store::kAccumulate);
   if (has_bias_) tensor::row_sum(grad_output.data(), n, bias_.grad.data());
   // dX[N, in] = dY[N, out] * W[out, in]
   Tensor dx({n, in_features_});

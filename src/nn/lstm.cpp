@@ -148,8 +148,6 @@ void LSTM::backward_into(const Tensor& grad_output, Tensor* grad_input) {
   Tensor dh = grad_output;  // gradient flowing into h_t
   Tensor dc({n, H});        // gradient flowing into c_t (zero at t = T)
   Tensor dpre({n, 4 * H});
-  Tensor dparam({4 * H, input_size_});
-  Tensor dparam_h({4 * H, hidden_size_});
   Tensor dh_rec({n, H});
   const Tensor c_zero({n, H});
 
@@ -176,10 +174,8 @@ void LSTM::backward_into(const Tensor& grad_output, Tensor* grad_input) {
     }
     // Parameter gradients; each bias element sums the rows in ascending
     // order onto its running value.
-    tensor::gemm_tn(dpre, sc.x, dparam);
-    tensor::add_scaled(weight_ih_.grad, 1.0f, dparam);
-    tensor::gemm_tn(dpre, sc.h_prev, dparam_h);
-    tensor::add_scaled(weight_hh_.grad, 1.0f, dparam_h);
+    tensor::gemm_tn(dpre, sc.x, weight_ih_.grad, tensor::Store::kAccumulate);
+    tensor::gemm_tn(dpre, sc.h_prev, weight_hh_.grad, tensor::Store::kAccumulate);
     tensor::row_sum(dpre.data(), n, bias_ih_.grad.data());
     tensor::row_sum(dpre.data(), n, bias_hh_.grad.data());
     // Input gradient for this timestep.

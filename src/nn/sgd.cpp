@@ -2,6 +2,8 @@
 
 #include <stdexcept>
 
+#include "tensor/ops.hpp"
+
 namespace fedca::nn {
 
 SgdOptimizer::SgdOptimizer(std::vector<Parameter*> params, SgdOptions options)
@@ -27,16 +29,9 @@ void SgdOptimizer::step() {
   }
   for (std::size_t k = 0; k < params_.size(); ++k) {
     Parameter& p = *params_[k];
-    const std::size_t n = p.value.numel();
-    float* value = p.value.raw();
-    const float* grad = p.grad.raw();
-    const float* anchor = use_prox ? prox_anchor_[k].raw() : nullptr;
-    for (std::size_t i = 0; i < n; ++i) {
-      float g = grad[i];
-      if (wd != 0.0f) g += wd * value[i];
-      if (anchor != nullptr) g += mu * (value[i] - anchor[i]);
-      value[i] -= lr * g;
-    }
+    tensor::sgd_update(p.value.data(), p.grad.data(),
+                       use_prox ? prox_anchor_[k].data() : std::span<const float>(), lr, wd,
+                       mu);
   }
 }
 

@@ -5,6 +5,12 @@
 // contribution mu * (w - w_anchor) is applied here at step time against the
 // round-start snapshot, exactly matching how a loss-side implementation
 // would behave for plain SGD.
+//
+// A step is one tensor::sgd_update pass per parameter (built with the
+// kernel flags, vectorized, its branches hoisted). Per element it runs
+// g = grad; g += wd * w (only when wd != 0); g += mu * (w - anchor) (only
+// when mu != 0); w -= lr * g — each product, sum and difference rounded on
+// its own in float, never fused, in that order.
 #pragma once
 
 #include <optional>
@@ -29,7 +35,9 @@ class SgdOptimizer {
   // round start when prox_mu > 0).
   void capture_prox_anchor();
 
-  // Applies one update step: w -= lr * (grad + wd * w + mu * (w - anchor)).
+  // Applies one update step: w -= lr * (grad + wd * w + mu * (w - anchor)),
+  // in the op order above. Throws std::logic_error when prox_mu != 0 and
+  // no anchor was captured.
   void step();
 
   const SgdOptions& options() const { return options_; }

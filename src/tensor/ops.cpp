@@ -47,6 +47,33 @@ void axpy(float alpha, std::span<const float> x, std::span<float> y) {
   for (std::size_t i = 0; i < n; ++i) py[i] = std::fma(alpha, px[i], py[i]);
 }
 
+namespace {
+
+// sgd_update's loop with its two branches resolved at compile time; the
+// restrict pointers let it vectorize at the build host's width.
+template <bool kWd, bool kProx>
+void sgd_loop(float* __restrict w, const float* __restrict grad,
+              const float* __restrict anchor, std::size_t n, float lr, float wd, float mu) {
+  for (std::size_t i = 0; i < n; ++i) {
+    float g = grad[i];
+    if constexpr (kWd) g += wd * w[i];
+    if constexpr (kProx) g += mu * (w[i] - anchor[i]);
+    w[i] -= lr * g;
+  }
+}
+
+}  // namespace
+
+void sgd_update(std::span<float> w, std::span<const float> grad,
+                std::span<const float> anchor, float lr, float wd, float mu) {
+  require_equal_size(w, grad, "sgd_update");
+  const bool prox = !anchor.empty();
+  if (prox) require_equal_size(w, anchor, "sgd_update");
+  const auto loop = wd != 0.0f ? (prox ? sgd_loop<true, true> : sgd_loop<true, false>)
+                               : (prox ? sgd_loop<false, true> : sgd_loop<false, false>);
+  loop(w.data(), grad.data(), anchor.data(), w.size(), lr, wd, mu);
+}
+
 void copy(std::span<const float> x, std::span<float> y) {
   require_equal_size(x, y, "copy");
   std::copy(x.begin(), x.end(), y.begin());
@@ -425,7 +452,9 @@ void require_matrix(const Tensor& t, const char* name) {
 // dispatcher).
 //
 // Association order: every C element is one fma chain over k ascending,
-// carried through C memory between k-blocks. The chain is independent of
+// carried through memory between k-blocks: through C itself, or, when the
+// result is added to C (Store::kAccumulate) and C already holds a value,
+// through a per-thread partial-chain buffer. The chain is independent of
 // the blocking constants, the packing and the microkernel tier, which is
 // what keeps output bit-identical across FEDCA_SIMD tiers and worker
 // counts. Every shape takes this path, however small.
@@ -505,10 +534,12 @@ void pack_b(const float* b, std::size_t bs, bool b_trans, std::size_t k0,
 struct GemmScratch {
   std::vector<float> ap;
   std::vector<float> bp;
+  std::vector<float> partial;  // accumulating chains between k blocks
 
-  void grow(std::size_t a_floats, std::size_t b_floats) {
+  void grow(std::size_t a_floats, std::size_t b_floats, std::size_t partial_floats) {
     if (ap.size() < a_floats) ap.resize(a_floats);
     if (bp.size() < b_floats) bp.resize(b_floats);
+    if (partial.size() < partial_floats) partial.resize(partial_floats);
   }
 };
 
@@ -531,15 +562,18 @@ std::size_t packed_a_block_offset(std::size_t M, std::size_t kc, std::size_t ic,
 }
 
 // C(MxN) = op(A)(MxK) * op(B)(KxN) through the packed blocking; C is
-// overwritten. The calling thread packs its own A panels unless `a_panels`
-// holds op(A) already packed (see PackedA), and its own B panels unless
-// `b_panels` holds op(B) already packed (see PackedB).
+// overwritten, or with Store::kAccumulate added to. The calling thread
+// packs its own A panels unless `a_panels` holds op(A) already packed (see
+// PackedA), and its own B panels unless `b_panels` holds op(B) already
+// packed (see PackedB).
 void gemm_any(std::size_t M, std::size_t K, std::size_t N, const float* a,
               std::size_t as, bool a_trans, const float* b, std::size_t bs,
-              bool b_trans, float* c, const float* b_panels = nullptr,
+              bool b_trans, float* c, Store store, const float* b_panels = nullptr,
               const float* a_panels = nullptr) {
+  const bool accumulate = store == Store::kAccumulate;
   if (K == 0) {
-    std::fill(c, c + M * N, 0.0f);
+    // Every chain is the +0 seed: C = +0, or C + +0 (which turns -0 into +0).
+    for (std::size_t i = 0; i < M * N; ++i) c[i] = accumulate ? c[i] + 0.0f : 0.0f;
     return;
   }
 #if defined(__x86_64__) || defined(_M_X64)
@@ -553,15 +587,26 @@ void gemm_any(std::size_t M, std::size_t K, std::size_t N, const float* a,
 #endif
   thread_local GemmScratch scratch;
   const std::size_t kb_max = std::min(kKc, K);
+  // An accumulating chain that spans k blocks runs through `partial` (one
+  // column block of C, row stride nb) until its last block adds it to C.
+  const bool chain_in_partial = accumulate && K > kKc;
   scratch.grow(a_panels != nullptr ? 0 : round_up(std::min(kMc, M), simd::kMr) * kb_max,
-               b_panels != nullptr ? 0 : kb_max * round_up(std::min(kNc, N), simd::kNr));
+               b_panels != nullptr ? 0 : kb_max * round_up(std::min(kNc, N), simd::kNr),
+               chain_in_partial ? M * std::min(kNc, N) : 0);
   float* const a_scratch = scratch.ap.data();
   float* const b_scratch = scratch.bp.data();
   for (std::size_t jc = 0; jc < N; jc += kNc) {
     const std::size_t nb = std::min(kNc, N - jc);
+    // Where the chains of this column block live between k blocks.
+    float* const chains = chain_in_partial ? scratch.partial.data() : c + jc;
+    const std::size_t ldp = chain_in_partial ? nb : N;
     for (std::size_t kc = 0; kc < K; kc += kKc) {
       const std::size_t kb = std::min(kKc, K - kc);
       const bool first = kc == 0;
+      // An accumulating chain is added to C by its last k block only;
+      // before that it is stored where the next block seeds from.
+      const bool add = accumulate && kc + kb == K;
+      const bool to_chains = accumulate && !add;
       const float* bp = b_scratch;
       if (b_panels != nullptr) {
         bp = b_panels + packed_block_offset(K, jc, kc, nb);
@@ -581,8 +626,11 @@ void gemm_any(std::size_t M, std::size_t K, std::size_t N, const float* a,
           const float* apanel = ap + (ir / simd::kMr) * kb * simd::kMr;
           for (std::size_t jr = 0; jr < nb; jr += simd::kNr) {
             const std::size_t nr_eff = std::min(simd::kNr, nb - jr);
+            float* const chain = chains + (ic + ir) * ldp + jr;
+            float* const out = to_chains ? chain : c + (ic + ir) * N + jc + jr;
             kernel(kb, apanel, bp + (jr / simd::kNr) * kb * simd::kNr,
-                   c + (ic + ir) * N + jc + jr, N, mr_eff, nr_eff, first);
+                   first ? nullptr : chain, ldp, out, to_chains ? ldp : N, mr_eff, nr_eff,
+                   add);
           }
         }
       }
@@ -595,7 +643,7 @@ void gemm_any(std::size_t M, std::size_t K, std::size_t N, const float* a,
 void gemm(std::size_t m, std::size_t k, std::size_t n, const float* a,
           const float* b, float* c) {
   gemm_any(m, k, n, a, /*as=*/k, /*a_trans=*/false, b, /*bs=*/n,
-           /*b_trans=*/false, c);
+           /*b_trans=*/false, c, Store::kOverwrite);
 }
 
 void gemm(const Tensor& a, const Tensor& b, Tensor& c) {
@@ -615,7 +663,7 @@ void gemm_nt(std::size_t m, std::size_t k, std::size_t n, const float* a,
              const float* b, float* c) {
   // B is stored n x k; packing reads it transposed.
   gemm_any(m, k, n, a, /*as=*/k, /*a_trans=*/false, b, /*bs=*/k,
-           /*b_trans=*/true, c);
+           /*b_trans=*/true, c, Store::kOverwrite);
 }
 
 void gemm_nt(const Tensor& a, const Tensor& b, Tensor& c) {
@@ -633,14 +681,14 @@ void gemm_nt(const Tensor& a, const Tensor& b, Tensor& c) {
 }
 
 void gemm_tn(std::size_t m, std::size_t k, std::size_t n, const float* a,
-             const float* b, float* c) {
+             const float* b, float* c, Store store) {
   // C is k x n and the reduction runs over m: A (stored m x k) is read
   // transposed.
   gemm_any(/*M=*/k, /*K=*/m, /*N=*/n, a, /*as=*/k, /*a_trans=*/true, b,
-           /*bs=*/n, /*b_trans=*/false, c);
+           /*bs=*/n, /*b_trans=*/false, c, store);
 }
 
-void gemm_tn(const Tensor& a, const Tensor& b, Tensor& c) {
+void gemm_tn(const Tensor& a, const Tensor& b, Tensor& c, Store store) {
   require_matrix(a, "A");
   require_matrix(b, "B");
   require_matrix(c, "C");
@@ -651,7 +699,7 @@ void gemm_tn(const Tensor& a, const Tensor& b, Tensor& c) {
                                 shape_to_string(b.shape()) + " C" +
                                 shape_to_string(c.shape()));
   }
-  gemm_tn(m, k, n, a.raw(), b.raw(), c.raw());
+  gemm_tn(m, k, n, a.raw(), b.raw(), c.raw(), store);
 }
 
 // ---- Int8 affine quantization ------------------------------------------
@@ -1035,9 +1083,9 @@ void PackedB::pack_conv_t(std::span<const float> image, const Conv2dGeometry& ge
   }
 }
 
-void gemm_packed(std::size_t m, const float* a, const PackedB& b, float* c) {
+void gemm_packed(std::size_t m, const float* a, const PackedB& b, float* c, Store store) {
   gemm_any(m, b.k(), b.n(), a, /*as=*/b.k(), /*a_trans=*/false, /*b=*/nullptr,
-           /*bs=*/0, /*b_trans=*/false, c, b.panels().data());
+           /*bs=*/0, /*b_trans=*/false, c, store, b.panels().data());
 }
 
 void gemm_packed(const Tensor& a, const PackedB& b, Tensor& c) {
@@ -1062,12 +1110,13 @@ void gemm_packed(const PackedA& a, const PackedB& b, float* c) {
                                 "] do not chain");
   }
   gemm_any(a.m(), a.k(), b.n(), /*a=*/nullptr, /*as=*/0, /*a_trans=*/false, /*b=*/nullptr,
-           /*bs=*/0, /*b_trans=*/false, c, b.panels().data(), a.panels().data());
+           /*bs=*/0, /*b_trans=*/false, c, Store::kOverwrite, b.panels().data(),
+           a.panels().data());
 }
 
 void gemm_packed(const PackedA& a, std::size_t n, const float* b, float* c) {
   gemm_any(a.m(), a.k(), n, /*a=*/nullptr, /*as=*/0, /*a_trans=*/false, b, /*bs=*/n,
-           /*b_trans=*/false, c, /*b_panels=*/nullptr, a.panels().data());
+           /*b_trans=*/false, c, Store::kOverwrite, /*b_panels=*/nullptr, a.panels().data());
 }
 
 namespace ref {

@@ -15,12 +15,20 @@
 //   * All three GEMM variants accumulate in float. Each output element is
 //     one sequential fused-multiply-add chain over k ascending, seeded at
 //     0 (std::fma in portable code, vfmadd in the vector tiers). A chain may
-//     round-trip through C memory between k-blocks — float stores are
+//     round-trip through memory between k-blocks — float stores are
 //     value-preserving — so the association is independent of blocking
 //     constants, panel packing and vector lane width. Each call runs on
 //     the calling thread. Results are bit-reproducible run to run, across
 //     worker counts, and across dispatch tiers.
+//   * The accumulate store (Store::kAccumulate, the weight-gradient GEMMs)
+//     runs the same chain from 0, then adds it to C's value with one float
+//     add. fma(1, x, y) rounds x + y once, so this is bit-equal to an
+//     overwriting GEMM into scratch followed by add_scaled(C, 1.0f, scratch).
+//     A chain that spans k-blocks waits in a per-thread buffer, never in C.
 //   * `axpy` is a per-element fused multiply-add: y = fma(alpha, x, y).
+//   * `sgd_update` runs per element, each op rounded on its own (no fma):
+//     g = grad; g = g + wd * w (only when wd != 0); g = g + mu * (w - anchor)
+//     (only with an anchor); w = w - lr * g.
 //   * Span reductions that feed virtual-time and FedCA-metric decisions
 //     (`dot`, `l2_norm`) accumulate in double over eight fixed
 //     lanes (element i feeds lane i mod 8) with a fixed halving-tree
@@ -89,6 +97,14 @@ void tanh(std::span<const float> x, std::span<float> y);
 // expf for every input, in every dispatch tier. x and y may be the same
 // span.
 void sigmoid(std::span<const float> x, std::span<float> y);
+
+// One SGD step over one parameter, element by element (see the policy
+// above): w -= lr * (grad + wd * w + mu * (w - anchor)), the wd term only
+// when wd != 0 and the proximal term only when `anchor` is non-empty. w,
+// grad and anchor must have equal sizes (anchor may be empty) and w must
+// not overlap grad or anchor.
+void sgd_update(std::span<float> w, std::span<const float> grad,
+                std::span<const float> anchor, float lr, float wd, float mu);
 
 // ---- Parameter-free layer kernels (exact selects) ----
 
@@ -205,6 +221,12 @@ struct Conv2dGeometry {
 // slices) can avoid staging copies; the Tensor overloads validate shapes
 // and forward to them.
 
+// How a GEMM leaves its result in C.
+enum class Store {
+  kOverwrite,   // C = op(A) * op(B)
+  kAccumulate,  // C += op(A) * op(B), one rounding per element (see above)
+};
+
 // C(mxn) = A(mxk) * B(kxn); row-major, C overwritten.
 void gemm(std::size_t m, std::size_t k, std::size_t n, const float* a,
           const float* b, float* c);
@@ -213,10 +235,10 @@ void gemm(const Tensor& a, const Tensor& b, Tensor& c);
 void gemm_nt(std::size_t m, std::size_t k, std::size_t n, const float* a,
              const float* b, float* c);
 void gemm_nt(const Tensor& a, const Tensor& b, Tensor& c);
-// C(kxn) = A(mxk)^T * B(mxn); row-major, C overwritten.
+// C(kxn) = A(mxk)^T * B(mxn); row-major, C overwritten or added to.
 void gemm_tn(std::size_t m, std::size_t k, std::size_t n, const float* a,
-             const float* b, float* c);
-void gemm_tn(const Tensor& a, const Tensor& b, Tensor& c);
+             const float* b, float* c, Store store = Store::kOverwrite);
+void gemm_tn(const Tensor& a, const Tensor& b, Tensor& c, Store store = Store::kOverwrite);
 
 // op(A) of a GEMM, packed once into the row panels the microkernel reads,
 // for an A operand many calls share (a convolution weight across the
@@ -279,9 +301,11 @@ class PackedB {
   std::vector<float> panels_;
 };
 
-// C(mxn) = A(mxk) * op(B) with op(B) prepacked; C overwritten. Bit-identical
-// to gemm / gemm_nt on the B that was packed: same panels, same chains.
-void gemm_packed(std::size_t m, const float* a, const PackedB& b, float* c);
+// C(mxn) = A(mxk) * op(B) with op(B) prepacked; C overwritten or added to.
+// Bit-identical to gemm / gemm_nt on the B that was packed: same panels,
+// same chains.
+void gemm_packed(std::size_t m, const float* a, const PackedB& b, float* c,
+                 Store store = Store::kOverwrite);
 void gemm_packed(const Tensor& a, const PackedB& b, Tensor& c);
 // C(mxn) = op(A) * op(B), both prepacked; throws when a.k() != b.k().
 void gemm_packed(const PackedA& a, const PackedB& b, float* c);

@@ -5,11 +5,12 @@
 //
 //   * GEMM: each C element is one sequential fused-multiply-add chain over
 //     k ascending, seeded at 0 (std::fma in portable code, vfmadd in the
-//     AVX2 tier). A chain may round-trip through C memory between k-blocks
+//     vector tiers). A chain may round-trip through memory between k-blocks
 //     (float stores are value-preserving), so the association is
 //     independent of every blocking constant, of packing, of lane width,
 //     and of thread partitioning — vector lanes always map to DISTINCT
-//     output elements.
+//     output elements. The accumulate store adds the finished chain to C
+//     with one float add, c + acc.
 //   * dot / l2_norm: eight independent double lanes (element i feeds lane
 //     i mod 8) combined by a fixed halving tree, scalar tail appended last;
 //     products use separate multiply+add (never fused).
@@ -43,15 +44,18 @@ namespace fedca::tensor::simd {
 inline constexpr std::size_t kMr = 6;
 inline constexpr std::size_t kNr = 16;
 
-// Packed-panel microkernel: C[r][j] (+)= sum_k ap[k][r] * bp[k][j] as one
-// fma chain per element. `ap` is a kMr-wide A tile (layout ap[k * kMr + r],
-// zero-padded rows), `bp` a kNr-wide B tile (layout bp[k * kNr + j],
-// zero-padded columns); `first` seeds the chain at 0, otherwise at the
-// running value already stored in C. Only mr_eff x nr_eff results are
-// written back.
+// Packed-panel microkernel: acc[r][j] = seed[r][j] + sum_k ap[k][r] * bp[k][j]
+// as one fma chain per element, k ascending. `ap` is a kMr-wide A tile
+// (layout ap[k * kMr + r], zero-padded rows), `bp` a kNr-wide B tile
+// (layout bp[k * kNr + j], zero-padded columns). The chain starts at +0
+// when `seed` is null, otherwise at seed[r * lds + j], the running value an
+// earlier k block stored. The result goes to c[r * ldc + j]: stored as is,
+// or with `add` added to the value already there, c + acc, one rounding.
+// Only mr_eff x nr_eff elements are read from seed and c or written.
 using MicroKernel = void (*)(std::size_t kb, const float* ap, const float* bp,
-                             float* c, std::size_t ldc, std::size_t mr_eff,
-                             std::size_t nr_eff, bool first);
+                             const float* seed, std::size_t lds, float* c,
+                             std::size_t ldc, std::size_t mr_eff, std::size_t nr_eff,
+                             bool add);
 
 // The portable MicroKernel, microkernel_generic, is in
 // tensor/simd/microkernel_generic.hpp: its `omp simd` pragma needs a TU
@@ -115,8 +119,8 @@ inline std::int32_t quant_offset(float x, float inv_scale, std::int32_t zero_poi
 // True when this build's compiler could target AVX-512F.
 bool avx512_compiled();
 void gemm_microkernel_avx512(std::size_t kb, const float* ap, const float* bp,
-                             float* c, std::size_t ldc, std::size_t mr_eff,
-                             std::size_t nr_eff, bool first);
+                             const float* seed, std::size_t lds, float* c, std::size_t ldc,
+                             std::size_t mr_eff, std::size_t nr_eff, bool add);
 // pack_panel_runs_generic at stride 1 with one zmm per panel row: a
 // masked load per run (about 4x the portable packer on LeNet's convs).
 void pack_panel_runs_avx512(const float* in, const std::size_t* step, std::size_t kb,
@@ -139,8 +143,8 @@ void tanh_avx512(const float* x, float* y, std::size_t n);
 // Faster than microkernel_generic on small and conv1 shapes, slower on
 // some dW shapes; the full tile only, edge tiles take the generic kernel.
 void gemm_microkernel_avx2(std::size_t kb, const float* ap, const float* bp,
-                           float* c, std::size_t ldc, std::size_t mr_eff,
-                           std::size_t nr_eff, bool first);
+                           const float* seed, std::size_t lds, float* c, std::size_t ldc,
+                           std::size_t mr_eff, std::size_t nr_eff, bool add);
 // The portable dot is slower: at 512 bits the compiler folds the eight
 // fixed double lanes into one latency-bound zmm add chain, where this
 // kernel keeps two independent ymm chains.

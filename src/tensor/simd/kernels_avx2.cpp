@@ -22,32 +22,32 @@
 namespace fedca::tensor::simd {
 
 void gemm_microkernel_avx2(std::size_t kb, const float* ap, const float* bp,
-                           float* c, std::size_t ldc, std::size_t mr_eff,
-                           std::size_t nr_eff, bool first) {
+                           const float* seed, std::size_t lds, float* c, std::size_t ldc,
+                           std::size_t mr_eff, std::size_t nr_eff, bool add) {
   if (mr_eff != kMr || nr_eff != kNr) {
     // Edge tiles: the portable fma-chain microkernel computes the same
     // values (chains are per-element, so the implementation split is
     // invisible in the output).
-    microkernel_generic(kb, ap, bp, c, ldc, mr_eff, nr_eff, first);
+    microkernel_generic(kb, ap, bp, seed, lds, c, ldc, mr_eff, nr_eff, add);
     return;
   }
   __m256 c00, c01, c10, c11, c20, c21, c30, c31, c40, c41, c50, c51;
-  if (first) {
+  if (seed == nullptr) {
     c00 = c01 = c10 = c11 = c20 = c21 = _mm256_setzero_ps();
     c30 = c31 = c40 = c41 = c50 = c51 = _mm256_setzero_ps();
   } else {
-    c00 = _mm256_loadu_ps(c + 0 * ldc);
-    c01 = _mm256_loadu_ps(c + 0 * ldc + 8);
-    c10 = _mm256_loadu_ps(c + 1 * ldc);
-    c11 = _mm256_loadu_ps(c + 1 * ldc + 8);
-    c20 = _mm256_loadu_ps(c + 2 * ldc);
-    c21 = _mm256_loadu_ps(c + 2 * ldc + 8);
-    c30 = _mm256_loadu_ps(c + 3 * ldc);
-    c31 = _mm256_loadu_ps(c + 3 * ldc + 8);
-    c40 = _mm256_loadu_ps(c + 4 * ldc);
-    c41 = _mm256_loadu_ps(c + 4 * ldc + 8);
-    c50 = _mm256_loadu_ps(c + 5 * ldc);
-    c51 = _mm256_loadu_ps(c + 5 * ldc + 8);
+    c00 = _mm256_loadu_ps(seed + 0 * lds);
+    c01 = _mm256_loadu_ps(seed + 0 * lds + 8);
+    c10 = _mm256_loadu_ps(seed + 1 * lds);
+    c11 = _mm256_loadu_ps(seed + 1 * lds + 8);
+    c20 = _mm256_loadu_ps(seed + 2 * lds);
+    c21 = _mm256_loadu_ps(seed + 2 * lds + 8);
+    c30 = _mm256_loadu_ps(seed + 3 * lds);
+    c31 = _mm256_loadu_ps(seed + 3 * lds + 8);
+    c40 = _mm256_loadu_ps(seed + 4 * lds);
+    c41 = _mm256_loadu_ps(seed + 4 * lds + 8);
+    c50 = _mm256_loadu_ps(seed + 5 * lds);
+    c51 = _mm256_loadu_ps(seed + 5 * lds + 8);
   }
   for (std::size_t kk = 0; kk < kb; ++kk) {
     const __m256 b0 = _mm256_loadu_ps(bp + kk * kNr);
@@ -72,6 +72,20 @@ void gemm_microkernel_avx2(std::size_t kb, const float* ap, const float* bp,
     av = _mm256_broadcast_ss(arow + 5);
     c50 = _mm256_fmadd_ps(av, b0, c50);
     c51 = _mm256_fmadd_ps(av, b1, c51);
+  }
+  if (add) {
+    c00 = _mm256_add_ps(_mm256_loadu_ps(c + 0 * ldc), c00);
+    c01 = _mm256_add_ps(_mm256_loadu_ps(c + 0 * ldc + 8), c01);
+    c10 = _mm256_add_ps(_mm256_loadu_ps(c + 1 * ldc), c10);
+    c11 = _mm256_add_ps(_mm256_loadu_ps(c + 1 * ldc + 8), c11);
+    c20 = _mm256_add_ps(_mm256_loadu_ps(c + 2 * ldc), c20);
+    c21 = _mm256_add_ps(_mm256_loadu_ps(c + 2 * ldc + 8), c21);
+    c30 = _mm256_add_ps(_mm256_loadu_ps(c + 3 * ldc), c30);
+    c31 = _mm256_add_ps(_mm256_loadu_ps(c + 3 * ldc + 8), c31);
+    c40 = _mm256_add_ps(_mm256_loadu_ps(c + 4 * ldc), c40);
+    c41 = _mm256_add_ps(_mm256_loadu_ps(c + 4 * ldc + 8), c41);
+    c50 = _mm256_add_ps(_mm256_loadu_ps(c + 5 * ldc), c50);
+    c51 = _mm256_add_ps(_mm256_loadu_ps(c + 5 * ldc + 8), c51);
   }
   _mm256_storeu_ps(c + 0 * ldc, c00);
   _mm256_storeu_ps(c + 0 * ldc + 8, c01);

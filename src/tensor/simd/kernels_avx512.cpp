@@ -27,23 +27,23 @@ namespace fedca::tensor::simd {
 bool avx512_compiled() { return true; }
 
 void gemm_microkernel_avx512(std::size_t kb, const float* ap, const float* bp,
-                             float* c, std::size_t ldc, std::size_t mr_eff,
-                             std::size_t nr_eff, bool first) {
+                             const float* seed, std::size_t lds, float* c, std::size_t ldc,
+                             std::size_t mr_eff, std::size_t nr_eff, bool add) {
   static_assert(kNr == 16, "one zmm per packed B row");
   if (mr_eff != kMr || nr_eff != kNr) {
-    microkernel_generic(kb, ap, bp, c, ldc, mr_eff, nr_eff, first);
+    microkernel_generic(kb, ap, bp, seed, lds, c, ldc, mr_eff, nr_eff, add);
     return;
   }
   __m512 c0, c1, c2, c3, c4, c5;
-  if (first) {
+  if (seed == nullptr) {
     c0 = c1 = c2 = c3 = c4 = c5 = _mm512_setzero_ps();
   } else {
-    c0 = _mm512_loadu_ps(c + 0 * ldc);
-    c1 = _mm512_loadu_ps(c + 1 * ldc);
-    c2 = _mm512_loadu_ps(c + 2 * ldc);
-    c3 = _mm512_loadu_ps(c + 3 * ldc);
-    c4 = _mm512_loadu_ps(c + 4 * ldc);
-    c5 = _mm512_loadu_ps(c + 5 * ldc);
+    c0 = _mm512_loadu_ps(seed + 0 * lds);
+    c1 = _mm512_loadu_ps(seed + 1 * lds);
+    c2 = _mm512_loadu_ps(seed + 2 * lds);
+    c3 = _mm512_loadu_ps(seed + 3 * lds);
+    c4 = _mm512_loadu_ps(seed + 4 * lds);
+    c5 = _mm512_loadu_ps(seed + 5 * lds);
   }
   for (std::size_t kk = 0; kk < kb; ++kk) {
     const __m512 b = _mm512_loadu_ps(bp + kk * kNr);
@@ -54,6 +54,14 @@ void gemm_microkernel_avx512(std::size_t kb, const float* ap, const float* bp,
     c3 = _mm512_fmadd_ps(_mm512_set1_ps(arow[3]), b, c3);
     c4 = _mm512_fmadd_ps(_mm512_set1_ps(arow[4]), b, c4);
     c5 = _mm512_fmadd_ps(_mm512_set1_ps(arow[5]), b, c5);
+  }
+  if (add) {
+    c0 = _mm512_add_ps(_mm512_loadu_ps(c + 0 * ldc), c0);
+    c1 = _mm512_add_ps(_mm512_loadu_ps(c + 1 * ldc), c1);
+    c2 = _mm512_add_ps(_mm512_loadu_ps(c + 2 * ldc), c2);
+    c3 = _mm512_add_ps(_mm512_loadu_ps(c + 3 * ldc), c3);
+    c4 = _mm512_add_ps(_mm512_loadu_ps(c + 4 * ldc), c4);
+    c5 = _mm512_add_ps(_mm512_loadu_ps(c + 5 * ldc), c5);
   }
   _mm512_storeu_ps(c + 0 * ldc, c0);
   _mm512_storeu_ps(c + 1 * ldc, c1);
@@ -327,9 +335,9 @@ namespace fedca::tensor::simd {
 bool avx512_compiled() { return false; }
 
 void gemm_microkernel_avx512(std::size_t kb, const float* ap, const float* bp,
-                             float* c, std::size_t ldc, std::size_t mr_eff,
-                             std::size_t nr_eff, bool first) {
-  microkernel_generic(kb, ap, bp, c, ldc, mr_eff, nr_eff, first);
+                             const float* seed, std::size_t lds, float* c, std::size_t ldc,
+                             std::size_t mr_eff, std::size_t nr_eff, bool add) {
+  microkernel_generic(kb, ap, bp, seed, lds, c, ldc, mr_eff, nr_eff, add);
 }
 
 void pack_panel_runs_avx512(const float* in, const std::size_t* step, std::size_t kb,

@@ -17,14 +17,14 @@ namespace fedca::tensor::simd {
 // vectorize freely (lanes are distinct output elements, so any
 // vectorization preserves the association). Also the edge-tile fallback
 // inside the vector tiers.
-inline void microkernel_generic(std::size_t kb, const float* ap,
-                                const float* bp, float* c, std::size_t ldc,
-                                std::size_t mr_eff, std::size_t nr_eff,
-                                bool first) {
+inline void microkernel_generic(std::size_t kb, const float* ap, const float* bp,
+                                const float* seed, std::size_t lds, float* c,
+                                std::size_t ldc, std::size_t mr_eff, std::size_t nr_eff,
+                                bool add) {
   float acc[kMr][kNr];
   for (std::size_t r = 0; r < kMr; ++r) {
     for (std::size_t j = 0; j < kNr; ++j) {
-      acc[r][j] = (!first && r < mr_eff && j < nr_eff) ? c[r * ldc + j] : 0.0f;
+      acc[r][j] = (seed != nullptr && r < mr_eff && j < nr_eff) ? seed[r * lds + j] : 0.0f;
     }
   }
   for (std::size_t kk = 0; kk < kb; ++kk) {
@@ -41,7 +41,12 @@ inline void microkernel_generic(std::size_t kb, const float* ap,
     }
   }
   for (std::size_t r = 0; r < mr_eff; ++r) {
-    for (std::size_t j = 0; j < nr_eff; ++j) c[r * ldc + j] = acc[r][j];
+    float* crow = c + r * ldc;
+    if (add) {
+      for (std::size_t j = 0; j < nr_eff; ++j) crow[j] += acc[r][j];
+    } else {
+      for (std::size_t j = 0; j < nr_eff; ++j) crow[j] = acc[r][j];
+    }
   }
 }
 

@@ -1,6 +1,7 @@
 #include "tensor/tensor.hpp"
 
 #include <algorithm>
+#include <cstring>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -106,6 +107,11 @@ Tensor Tensor::reshaped(Shape new_shape) const {
 
 void Tensor::fill(float value) {
   std::fill(data_.begin(), data_.end(), value);
+}
+
+void Tensor::zero() {
+  // All-zero bytes are +0.0f.
+  if (!data_.empty()) std::memset(data_.data(), 0, data_.size() * sizeof(float));
 }
 
 }  // namespace fedca::tensor

@@ -156,8 +156,8 @@ class Tensor {
   // Reinterprets the buffer with a new shape of equal numel.
   Tensor reshaped(Shape new_shape) const;
   void fill(float value);
-  // Sets all elements to 0.
-  void zero() { fill(0.0f); }
+  // Sets all elements to +0 (one memset).
+  void zero();
 
   bool same_shape(const Tensor& other) const { return shape_ == other.shape_; }
 

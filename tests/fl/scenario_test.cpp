@@ -119,6 +119,48 @@ TEST(ScenarioBinding, UnknownSchemeParamIsRejectedWithLine) {
   }
 }
 
+// Each [scheme] hyperparameter is checked for its type and range when the
+// scenario is bound, so a bad value fails at its file line or override
+// before make_scheme runs, and before anything is printed.
+TEST(ScenarioBinding, SchemeParamsAreTypeAndRangeChecked) {
+  const std::string file = "[scenario]\nversion = 1\n[scheme]\nname = fedca\n";
+  try {
+    fl::parse_scenario(file + "fedca_beta = abc\n", "x.scn");
+    FAIL() << "expected ScenarioError";
+  } catch (const ScenarioError& e) {
+    EXPECT_EQ(e.file(), "x.scn");
+    EXPECT_EQ(e.line(), 5u);
+    EXPECT_NE(std::string(e.what()).find("fedca_beta"), std::string::npos) << e.what();
+  }
+  const std::string bad_overrides[] = {
+      "scheme.fedca_beta=abc",           "scheme.fedca_beta=1.5",
+      "scheme.fedca_min_iterations=-1",  "scheme.fedca_min_iterations=2.5",
+      "scheme.fedca_period=0",           "scheme.fedca_sample_fraction=0",
+      "scheme.fedca_tr=-2",              "scheme.fedca_lr_decay=0",
+      "scheme.fedprox_mu=-0.1",          "scheme.fedada_min_fraction=0",
+      "scheme.compress=zip",             "scheme.compress_levels=0",
+      "scheme.compress_fraction=1.01"};
+  for (const std::string& assignment : bad_overrides) {
+    try {
+      fl::parse_scenario(file, "x.scn", {"run.seed=1", assignment});
+      FAIL() << assignment << ": expected ScenarioError";
+    } catch (const ScenarioError& e) {
+      EXPECT_EQ(e.file(), "<overrides>") << assignment;
+      EXPECT_EQ(e.line(), 2u) << assignment;
+      const std::string key = assignment.substr(7, assignment.find('=') - 7);
+      EXPECT_NE(std::string(e.what()).find("'" + key + "'"), std::string::npos) << e.what();
+    }
+  }
+  // In-range values pass through to make_scheme as written.
+  const fl::Scenario sc = fl::parse_scenario(
+      file, "x.scn",
+      {"scheme.fedca_beta=0.001", "scheme.fedca_min_iterations=0",
+       "scheme.fedca_sample_fraction=1", "scheme.compress=topk", "scheme.fedca_tr=-1"});
+  EXPECT_EQ(sc.scheme_params.at("fedca_beta"), "0.001");
+  EXPECT_EQ(sc.scheme_params.at("fedca_min_iterations"), "0");
+  EXPECT_EQ(sc.scheme_params.at("compress"), "topk");
+}
+
 // The compact registry is the only population representation, so the key
 // that used to opt into it is gone and takes the unknown-key path.
 TEST(ScenarioBinding, RegistryKeyIsRejectedWithLine) {

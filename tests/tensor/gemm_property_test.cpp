@@ -5,6 +5,8 @@
 
 #include <cmath>
 #include <cstring>
+#include <iterator>
+#include <limits>
 #include <vector>
 
 #include "tensor/ops.hpp"
@@ -321,6 +323,75 @@ TEST(GemmOnePath, LayerShapesMatchScalarChainBitForBit) {
   };
   util::Rng rng(0x1A7E);
   for (const GemmCall& g : calls) expect_pinned_to_chain(g, rng);
+}
+
+// ---- Accumulate store ----------------------------------------------------
+//
+// Store::kAccumulate must leave exactly the bytes of the two passes it
+// replaces: an overwriting GEMM into scratch, then add_scaled(C, 1, scratch).
+// M is not a multiple of kMr and N not of kNr; K reaches past one and two
+// kKc blocks (its chains then wait in the per-thread buffer); the wide
+// shape also spans two kMc row blocks and two kNc column blocks. C starts
+// with -0 and non-finite values planted among random ones.
+
+std::vector<float> seeded_c(std::size_t count, util::Rng& rng) {
+  const float specials[] = {-0.0f, std::numeric_limits<float>::quiet_NaN(),
+                            std::numeric_limits<float>::infinity(),
+                            -std::numeric_limits<float>::infinity(),
+                            std::numeric_limits<float>::max(),
+                            std::numeric_limits<float>::denorm_min()};
+  std::vector<float> c = random_floats(count, rng);
+  for (std::size_t i = 0; i < count; i += 5) c[i] = specials[(i / 5) % std::size(specials)];
+  return c;
+}
+
+TEST(GemmAccumulate, MatchesGemmThenAddScaledOnEveryTier) {
+  const std::size_t shapes[][2] = {{13, 37}, {100, 530}};
+  const std::size_t depths[] = {1, 10, 256, 257, 600};
+  util::Rng rng(0xACC);
+  for (const auto& shape : shapes) {
+    const std::size_t m = shape[0], n = shape[1];
+    for (const std::size_t k : depths) {
+      // gemm_tn: C(m x n) += A^T B with A stored k x m, B k x n.
+      const Tensor at = random_tensor({k, m}, rng);
+      const Tensor b = random_tensor({k, n}, rng);
+      // gemm_packed: C(m x n) += A op(B) with A stored m x k.
+      const Tensor a = random_tensor({m, k}, rng);
+      PackedB packed;
+      packed.pack(k, n, b.raw(), /*b_trans=*/false);
+      const std::vector<float> c0 = seeded_c(m * n, rng);
+
+      simd::set_tier_for_testing(simd::Tier::kScalar);
+      Tensor want_tn({m, n}, c0), want_packed({m, n}, c0), scratch({m, n});
+      gemm_tn(at, b, scratch);
+      add_scaled(want_tn, 1.0f, scratch);
+      gemm_packed(m, a.raw(), packed, scratch.raw());
+      add_scaled(want_packed, 1.0f, scratch);
+      for (const simd::Tier tier : host_tiers()) {
+        simd::set_tier_for_testing(tier);
+        Tensor got_tn({m, n}, c0), got_packed({m, n}, c0);
+        gemm_tn(at, b, got_tn, Store::kAccumulate);
+        gemm_packed(m, a.raw(), packed, got_packed.raw(), Store::kAccumulate);
+        const std::size_t bytes = m * n * sizeof(float);
+        ASSERT_EQ(std::memcmp(got_tn.raw(), want_tn.raw(), bytes), 0)
+            << "gemm_tn " << simd::tier_name(tier) << " m=" << m << " k=" << k << " n=" << n;
+        ASSERT_EQ(std::memcmp(got_packed.raw(), want_packed.raw(), bytes), 0)
+            << "gemm_packed " << simd::tier_name(tier) << " m=" << m << " k=" << k
+            << " n=" << n;
+      }
+    }
+  }
+  simd::reset_tier_from_env();
+}
+
+// K = 0 leaves every chain at its +0 seed: C + 0, so -0 becomes +0 exactly
+// as add_scaled of an all-zero scratch would make it.
+TEST(GemmAccumulate, EmptyReductionAddsZero) {
+  Tensor c = Tensor::of({-0.0f, 1.5f, std::numeric_limits<float>::infinity()});
+  gemm_tn(0, 3, 1, nullptr, nullptr, c.raw(), Store::kAccumulate);
+  EXPECT_FALSE(std::signbit(c[0]));
+  EXPECT_EQ(c[1], 1.5f);
+  EXPECT_TRUE(std::isinf(c[2]));
 }
 
 TEST(FusedHelpers, BiasAddMatchesManualLoop) {

@@ -1,8 +1,8 @@
 // SIMD kernel tier: bit-identity of the span kernels (axpy, scale, dot,
-// l2_norm, bias_add, row_sum) and the int8 quantization kernels across the
-// dispatch tiers, NaN, +-inf, -0, denormals and +-FLT_MAX included, plus
-// the tensor-level quantization semantics the fl compression layer builds
-// on.
+// l2_norm, sgd_update, bias_add, row_sum) and the int8 quantization
+// kernels across the dispatch tiers, NaN, +-inf, -0, denormals and
+// +-FLT_MAX included, plus the tensor-level quantization semantics the fl
+// compression layer builds on.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,6 +11,8 @@
 #include <cstdio>
 #include <cstring>
 #include <limits>
+#include <span>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -146,6 +148,67 @@ TEST(SimdSpanKernels, BitIdenticalAcrossTiers) {
     }
   }
   simd::reset_tier_from_env();
+}
+
+// The loop SgdOptimizer::step ran per parameter before tensor::sgd_update,
+// kept verbatim as the kernel's oracle (built with the default flags, as
+// sgd.cpp was). A null anchor means no proximal term.
+void sgd_oracle(std::vector<float>& value, const std::vector<float>& grad,
+                const float* anchor, float lr, float wd, float mu) {
+  for (std::size_t i = 0; i < value.size(); ++i) {
+    float g = grad[i];
+    if (wd != 0.0f) g += wd * value[i];
+    if (anchor != nullptr) g += mu * (value[i] - anchor[i]);
+    value[i] -= lr * g;
+  }
+}
+
+// sgd_update against the oracle, memcmp, on every tier: with and without
+// weight decay and an anchor, clean and with each special value at the
+// lane edges of w, of grad, of the anchor, and of all three.
+TEST(SgdUpdate, MatchesTheOptimizerLoopOnEveryTier) {
+  std::vector<simd::Tier> tiers = vector_tiers();
+  tiers.push_back(simd::Tier::kScalar);
+  util::Rng rng(0x5CD);
+  const float lr = 0.05f, mu = 0.1f;
+  for (const std::size_t n : kLens) {
+    const std::vector<float> w = random_values(n, rng);
+    const std::vector<float> grad = random_values(n, rng);
+    const std::vector<float> anchor = random_values(n, rng);
+    for (const float special : kSpecials) {
+      for (const int where : {0, 1, 2, 3}) {  // w, grad, anchor, all three
+        const std::vector<float> ws = where == 0 || where == 3 ? with_special(w, special) : w;
+        const std::vector<float> gs =
+            where == 1 || where == 3 ? with_special(grad, special) : grad;
+        const std::vector<float> as =
+            where == 2 || where == 3 ? with_special(anchor, special) : anchor;
+        for (const float wd : {0.0f, 0.01f}) {
+          for (const bool prox : {false, true}) {
+            std::vector<float> want = ws;
+            sgd_oracle(want, gs, prox ? as.data() : nullptr, lr, wd, mu);
+            for (const simd::Tier tier : tiers) {
+              simd::set_tier_for_testing(tier);
+              std::vector<float> got = ws;
+              sgd_update(got, gs, prox ? std::span<const float>(as) : std::span<const float>(),
+                         lr, wd, mu);
+              ASSERT_TRUE(same_bits(got, want))
+                  << simd::tier_name(tier) << " n=" << n << " special="
+                  << special_name(special) << " in " << where << " wd=" << wd
+                  << " prox=" << prox;
+            }
+          }
+        }
+      }
+    }
+  }
+  simd::reset_tier_from_env();
+}
+
+TEST(SgdUpdate, RejectsMismatchedSizes) {
+  std::vector<float> w(4), grad(3), anchor(5);
+  EXPECT_THROW(sgd_update(w, grad, {}, 0.1f, 0.0f, 0.0f), std::invalid_argument);
+  grad.resize(4);
+  EXPECT_THROW(sgd_update(w, grad, anchor, 0.1f, 0.0f, 0.1f), std::invalid_argument);
 }
 
 TEST(SimdSpanKernels, BiasAddAndRowSumBitIdenticalAcrossTiers) {

@@ -41,6 +41,10 @@ BENCH_CASES = [
     (["cluster.dynamicity=maybe"], "dynamicity"),
     (["bogus.key=1"], "bogus"),
     (["scheme.fedca_bogus=1"], "fedca_bogus"),
+    (["scheme.fedca_beta=abc"], "fedca_beta"),
+    (["scheme.fedca_min_iterations=-1"], "fedca_min_iterations"),
+    (["scheme.fedca_sample_fraction=0"], "fedca_sample_fraction"),
+    (["scheme.compress=zip"], "compress"),
     (["models=xyz"], "models"),
     (["schemes=bogus"], "schemes"),
     (["schemes=fedavg,bogus"], "schemes"),

@@ -1,12 +1,15 @@
 #!/usr/bin/env python3
-"""Hostile worker counts reaching examples/fedca_scenario.
+"""Hostile worker counts and scheme values reaching examples/fedca_scenario.
 
-Two contracts:
+Three contracts:
   1. A run.workers= override outside [0, 4096], or not an integer, exits 2
      with a diagnostic that names the key, before any training starts.
   2. A FEDCA_THREADS value that is not a plain decimal in [1, 4096] is
      ignored: the run exits 0 and its report digest equals the digest of
      the same run without the variable.
+  3. A [scheme] hyperparameter of the wrong type or out of range exits 2
+     with nothing on stdout and a diagnostic at <overrides>:1 that names
+     the key.
 
 Usage:
   scenario_runner_workers_test.py --runner BIN --scenario FILE
@@ -58,6 +61,20 @@ def main() -> int:
                         f"{proc.returncode}\n{proc.stderr}")
         if "'workers'" not in proc.stderr:
             return fail(f"workers={value}: diagnostic does not name the key:"
+                        f"\n{proc.stderr}")
+
+    for assignment in ("scheme.fedca_beta=abc", "scheme.fedca_min_iterations=-1"):
+        proc = subprocess.run([args.runner, args.scenario, assignment],
+                              capture_output=True, text=True, env=clean_env(),
+                              timeout=600)
+        key = assignment.split(".", 1)[1].split("=", 1)[0]
+        if proc.returncode != 2:
+            return fail(f"{assignment}: expected exit 2, got "
+                        f"{proc.returncode}\n{proc.stderr}")
+        if proc.stdout:
+            return fail(f"{assignment}: printed output: {proc.stdout!r}")
+        if "<overrides>:1" not in proc.stderr or f"'{key}'" not in proc.stderr:
+            return fail(f"{assignment}: diagnostic does not place and name the key:"
                         f"\n{proc.stderr}")
 
     with tempfile.TemporaryDirectory() as tmp:

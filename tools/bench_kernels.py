@@ -40,7 +40,13 @@ move it past its bound on a shared host. So after the full run that is
 recorded, the gated benchmarks alone run GATE_RUNS (9) more times and
 each gate judges the median of its per-run ratios; the medians and
 the per-run ratios are written under "gates". Times are recorded in ns
-whatever unit a benchmark reports in. Usage:
+whatever unit a benchmark reports in.
+
+When the output file already holds a run, its "after" numbers move to
+"previous" together with that run's date and load average, so one file
+shows a change's before and after (run the tool on the parent's build
+first, then on the change's, with the same --out). The host's load
+average at each run is context.load_avg. Usage:
 
     python3 tools/bench_kernels.py [--build build] [--out BENCH_kernels.json]
 """
@@ -67,7 +73,7 @@ FILTER = ("BM_(Gemm|GemmNT|GemmTN|GemmRef|LayerGemm|Im2col|"
           "L2Norm|Scale|BiasAdd|RowSum|FakeQuantize|ConvForward|ConvBackward|"
           "StatisticalProgress|CnnTrainingIteration|WrnTrainingIteration|"
           "RoundThroughput|LstmForward|LstmBackwardParams|Tanh|Sigmoid|ParamFree|"
-          "ConvLowering)")
+          "ConvLowering|SgdStep)")
 
 # BM_GemmNT/n and BM_GemmTN/n may be at most this many times slower than
 # BM_Gemm/n for every square size n in GUARDED_SIZES.
@@ -221,10 +227,23 @@ def main() -> int:
         return 1
     medians = gate_medians(gate_runs)
 
+    out_path = root / args.out
+    previous = None
+    if out_path.exists():
+        try:
+            earlier = json.loads(out_path.read_text())
+            previous = {"after": earlier["after"],
+                        "date": earlier["context"].get("date"),
+                        "load_avg": earlier["context"].get("load_avg")}
+        except (ValueError, KeyError, TypeError):
+            print(f"note: {out_path} holds no earlier run; no 'previous' recorded",
+                  file=sys.stderr)
+
     out = {
         "description": "Kernel microbenches: frozen pre-optimization baseline "
-                       "(before_ns) vs current build (after); gates are the "
-                       "median ratio over the gate runs.",
+                       "(before_ns) vs current build (after), and the run the file "
+                       "held before this one (previous); gates are the median ratio "
+                       "over the gate runs.",
         "context": context,
         "before_ns": BASELINE_NS,
         "after": after,
@@ -235,7 +254,8 @@ def main() -> int:
             for name, _num, _den, limit, kind, _what in GATES if name in medians
         },
     }
-    out_path = root / args.out
+    if previous is not None:
+        out["previous"] = previous
     out_path.write_text(json.dumps(out, indent=2, sort_keys=True) + "\n")
     print(f"wrote {out_path}", file=sys.stderr)
 
